@@ -66,7 +66,17 @@
 #                    exercises nfpinspect config and writes a fail-soft
 #                    BENCH_reload.json with the e2e p99 measured across
 #                    the swaps.
+#   ./ci.sh benchcheck — the repo benchmark's correctness check: runs
+#                    the five frozen BENCHMARK.json workloads through
+#                    `go run ./bench -check`, which holds each against
+#                    the sequential reference (per-flow output digests
+#                    and drop counts). No timing, so it gates.
 set -eux
+
+if [ "${1:-}" = "benchcheck" ]; then
+    go run ./bench -check
+    exit 0
+fi
 
 if [ "${1:-}" = "trace" ]; then
     bin="$(mktemp -d)"

@@ -80,13 +80,12 @@ type Classifier struct {
 	flowRate uint64
 
 	// caches[i] is shard i's exact-match microflow cache (nil slice =
-	// fast path disabled). In sharded mode entries are only installed
-	// from shard i's single classification goroutine; unsharded servers
-	// classify inline from arbitrary injector goroutines against
-	// caches[0], which stays safe because slots are atomic pointers to
-	// immutable entries — a racing install is last-writer-wins, never a
-	// torn read. Cache hit/miss/eviction counters are amortized per
-	// burst like the outcome counters.
+	// fast path disabled). Injector goroutines classify inline, so any
+	// number of them may probe and install into one cache at once; that
+	// is safe because slots are atomic pointers to immutable entries — a
+	// racing install is last-writer-wins, never a torn read. Cache
+	// hit/miss/eviction counters are amortized per burst like the
+	// outcome counters.
 	caches     []microCache
 	cacheHits  *telemetry.Counter
 	cacheMiss  *telemetry.Counter
@@ -296,12 +295,17 @@ func (c *Classifier) cacheFor(t *classTable, shard int) *microCache {
 }
 
 // scanRules is the slow path: the §5.1 linear first-match walk, then
-// the default route.
-func scanRules(t *classTable, fk packet.FlowKey) (mid uint32, ok, viaDefault bool) {
-	k := flow.FromPacked(fk)
-	for i := range t.rules {
-		if t.rules[i].match.Covers(k) {
-			return t.rules[i].mid, true, false
+// the default route. An unparseable packet carries no 5-tuple to match
+// and goes straight to the default.
+func scanRules(t *classTable, p *packet.Packet) (mid uint32, ok, viaDefault bool) {
+	if len(t.rules) > 0 {
+		if fk, err := p.FlowKey(); err == nil {
+			k := flow.FromPacked(fk)
+			for i := range t.rules {
+				if t.rules[i].match.Covers(k) {
+					return t.rules[i].mid, true, false
+				}
+			}
 		}
 	}
 	if t.hasDefault {
@@ -316,16 +320,14 @@ func scanRules(t *classTable, fk packet.FlowKey) (mid uint32, ok, viaDefault boo
 // resolutions, which paid for the full failed walk and are worth
 // caching — under the current table pointer. Unroutable results are not
 // installed: the cache holds only flows the dataplane will accept.
-// Unparseable packets carry no 5-tuple and bypass the cache with the
-// same default fallthrough as lookupIn, so outcomes (and therefore
-// counters, PIDs and digests) are identical cache-on and cache-off.
+// Unparseable packets carry no 5-tuple and bypass the cache for
+// scanRules' default fallthrough, so outcomes (and therefore counters,
+// PIDs and digests) are identical cache-on and cache-off.
 func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet) (mid uint32, ok, viaDefault bool, res int) {
 	fk, err := p.FlowKey()
 	if err != nil {
-		if t.hasDefault {
-			return t.defaultMID, true, true, fcBypass
-		}
-		return 0, false, false, fcBypass
+		mid, ok, viaDefault = scanRules(t, p)
+		return mid, ok, viaDefault, fcBypass
 	}
 	h := fk.Hash()
 	s1 := &mc.slots[h&mc.mask]
@@ -336,7 +338,7 @@ func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet)
 	if e := s2.Load(); e != nil && e.table == t && e.key == fk {
 		return e.mid, true, e.viaDefault, fcHit
 	}
-	mid, ok, viaDefault = scanRules(t, fk)
+	mid, ok, viaDefault = scanRules(t, p)
 	if ok {
 		// Install into the primary way unless it holds a live
 		// (current-table) entry for another flow and the secondary way
@@ -355,68 +357,35 @@ func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet)
 	return mid, ok, viaDefault, fcMiss
 }
 
-// Classify resolves the MID for a packet and stamps its metadata.
-// It returns false when no rule matches and no default is set.
+// Classify resolves the MID for a packet and stamps its metadata: a
+// one-packet ClassifyBatch. It returns false when no rule matches and
+// no default is set.
 func (c *Classifier) Classify(p *packet.Packet) (uint32, bool) {
-	t := c.loadTable()
-	var mid uint32
-	var ok, viaDefault bool
-	if mc := c.cacheFor(t, 0); mc != nil {
-		var res int
-		mid, ok, viaDefault, res = c.lookupFast(t, mc, p)
-		switch res {
-		case fcHit:
-			c.cacheHits.Add(1)
-		case fcMiss:
-			c.cacheMiss.Add(1)
-		}
-	} else {
-		mid, ok, viaDefault = c.lookupIn(t, p)
-	}
-	if !ok {
-		c.unmatchedC.Add(1)
+	one := [1]*packet.Packet{p}
+	if c.ClassifyBatch(one[:]) == 0 {
 		return 0, false
 	}
-	pid := c.nextPID.Add(1) & packet.MaxPID
-	p.Meta = packet.Meta{MID: mid, PID: pid, Version: 1}
-	if c.flowObs != nil && pid&c.flowMask == 0 {
-		c.observeFlow(p)
-	}
-	if viaDefault {
-		c.defaultHits.Add(1)
-	} else {
-		c.ruleMatches.Add(1)
-	}
-	c.midCounter(mid).Add(1)
-	return mid, true
+	return p.Meta.MID, true
 }
 
 // ClassifyBatch resolves and stamps MIDs for a whole burst — the §5.1
-// classifier operating at DPDK burst granularity. It is observationally
-// identical to calling Classify per packet (same MID/PID assignment in
-// order, same counter totals) but amortizes the telemetry: one counter
-// add per outcome class per burst, and per-MID dispatch counters
-// bumped once per run of same-MID packets.
+// classifier operating at DPDK burst granularity. MIDs and PIDs are
+// assigned in burst order and the counter totals are per packet, but
+// the telemetry is amortized: one counter add per outcome class per
+// burst, and per-MID dispatch counters bumped once per run of same-MID
+// packets.
 //
-// The slice is stably partitioned in place: classified packets (their
-// metadata stamped) keep their relative order in pkts[:n]; unmatched
-// packets are compacted to pkts[n:]. It returns n.
-//
-// The partition is alloc-free: it maintains the invariant that
-// pkts[:n] holds the accepted packets and pkts[n:i] the rejects seen
-// so far, so an unmatched packet stays in place and an accepted one
-// rotates the reject run right by one slot. Burst sizes are small, so
-// the rotation (linear in the pending reject count) is cheaper than
-// the per-burst scratch slice it replaces — and it stays safe under
-// concurrent injectors, which a shared scratch buffer would not be.
+// The slice is stably partitioned in place and alloc-free (see
+// promote): classified packets (their metadata stamped) keep their
+// relative order in pkts[:n]; unmatched packets are compacted to
+// pkts[n:]. It returns n.
 func (c *Classifier) ClassifyBatch(pkts []*packet.Packet) int {
 	return c.ClassifyBatchShard(pkts, 0)
 }
 
 // ClassifyBatchShard is ClassifyBatch bound to a specific shard's
-// microflow cache. Sharded dataplanes call it from shard goroutines so
-// each cache has a single installer; everything else (including the
-// unsharded Server) uses shard 0 via ClassifyBatch.
+// microflow cache: the Server classifies each same-shard run against
+// that shard's cache; everything else uses shard 0 via ClassifyBatch.
 func (c *Classifier) ClassifyBatchShard(pkts []*packet.Packet, shard int) int {
 	t := c.loadTable()
 	mc := c.cacheFor(t, shard)
@@ -438,7 +407,7 @@ func (c *Classifier) ClassifyBatchShard(pkts []*packet.Packet, shard int) int {
 				misses++
 			}
 		} else {
-			mid, ok, viaDefault = c.lookupIn(t, p)
+			mid, ok, viaDefault = scanRules(t, p)
 		}
 		if !ok {
 			unmatched++
@@ -460,10 +429,7 @@ func (c *Classifier) ClassifyBatchShard(pkts []*packet.Packet, shard int) int {
 		}
 		runMID = mid
 		runCnt++
-		if n < i {
-			copy(pkts[n+1:i+1], pkts[n:i])
-		}
-		pkts[n] = p
+		promote(pkts, n, i)
 		n++
 	}
 	if runCnt > 0 {
@@ -485,22 +451,6 @@ func (c *Classifier) ClassifyBatchShard(pkts []*packet.Packet, shard int) int {
 		c.cacheMiss.Add(misses)
 	}
 	return n
-}
-
-func (c *Classifier) lookupIn(t *classTable, p *packet.Packet) (mid uint32, ok, viaDefault bool) {
-	if len(t.rules) > 0 {
-		if k, err := flow.FromPacket(p); err == nil {
-			for i := range t.rules {
-				if t.rules[i].match.Covers(k) {
-					return t.rules[i].mid, true, false
-				}
-			}
-		}
-	}
-	if t.hasDefault {
-		return t.defaultMID, true, true
-	}
-	return 0, false, false
 }
 
 // Stats returns (classified, unmatched) counts.

@@ -24,9 +24,9 @@ import (
 const DefaultBurst = 32
 
 // DefaultShards is the sharding default for nfpd: one shard per CPU,
-// capped — each shard already fans out into classifier + runtime +
-// merger goroutines, so past the cap extra shards only oversubscribe
-// the scheduler.
+// capped — each shard already fans out into runtime + merger
+// goroutines, so past the cap extra shards only oversubscribe the
+// scheduler.
 func DefaultShards() int {
 	n := runtime.NumCPU()
 	if n > 8 {
@@ -78,19 +78,16 @@ type Config struct {
 	// per-packet dataplane behavior, metric for metric.
 	Burst int
 	// Shards replicates the whole dataplane (RSS-style flow sharding):
-	// each shard gets its own classifier loop, plan runtimes and rings,
-	// merger instances and mempool partition, and ingress is dispatched
-	// by symmetric 5-tuple flow hash so every packet of a flow — and
-	// all per-flow NF state — stays on one shard, lock-free. Default 1:
-	// the classic single-instance layout with no ingress rings and
-	// byte-identical behavior and telemetry. When sharded, per-NF and
-	// per-merger series gain a shard=<i> label and Inject* transfers
-	// packet ownership unconditionally (see Inject).
+	// each shard gets its own microflow cache, plan runtimes and rings,
+	// merger instances and mempool partition, and the injecting
+	// goroutine picks the shard by symmetric 5-tuple flow hash so every
+	// packet of a flow — and all per-flow NF state — stays on one
+	// shard, lock-free. Ingress is the same code for every value:
+	// Inject/InjectBatch classify inline and enter the shard's graph
+	// directly, under one ownership contract (see InjectBatch). Default
+	// 1: a single shard, no hashing, no shard labels. When sharded,
+	// per-NF and per-merger series gain a shard=<i> label.
 	Shards int
-	// IngressRing is each shard's ingress ring capacity (default 1024;
-	// sharded mode only). A full ingress ring applies lossless
-	// backpressure to the injector, like a full NIC receive queue.
-	IngressRing int
 	// ShardedOutputs, with Shards > 1, skips the output fan-in: each
 	// shard's finished packets surface on its own channel (Outputs()),
 	// and Output() returns nil. Parallel consumers drain shards
@@ -203,9 +200,6 @@ func (c *Config) setDefaults() {
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
-	if c.IngressRing == 0 {
-		c.IngressRing = 1024
-	}
 	if c.Registry == nil {
 		c.Registry = nf.NewRegistry()
 	}
@@ -310,7 +304,7 @@ type planRuntime struct {
 
 // Server is one NFP server (Figure 3): shared memory pool, classifier,
 // and one or more shards, each holding NF runtimes, merger instances
-// and (when sharded) its own classifier loop over a mempool partition.
+// and (when sharded) its own mempool partition.
 type Server struct {
 	cfg        Config
 	pool       *mempool.Pool
@@ -332,13 +326,6 @@ type Server struct {
 	wg      sync.WaitGroup
 	fanWG   sync.WaitGroup
 
-	// Sharded ingress accounting for the Stop drain: dispatched counts
-	// packets accepted into ingress rings, ingressCleared counts
-	// packets a shard loop fully resolved (injected or freed). They
-	// match exactly when the ingress rings are empty.
-	dispatched     atomic.Uint64
-	ingressCleared atomic.Uint64
-
 	// End-to-end counters, registry-backed (Config.Telemetry).
 	tel       *telemetry.Registry
 	tracer    *telemetry.Tracer
@@ -348,10 +335,6 @@ type Server struct {
 	copies    *telemetry.Counter
 	copiedB   *telemetry.Counter // bytes duplicated (resource overhead meter)
 	mergeErrs *telemetry.Counter
-	// unroutable counts sharded-ingress packets freed because no rule
-	// matched or the MID had no graph (the sharded analog of a false
-	// Inject return, where ownership already transferred).
-	unroutable *telemetry.Counter
 	// Overload/fault counters: ring sheds (packets lost to the
 	// drop-tail/shed policies) and the spin/park activity of every
 	// backpressured retry loop.
@@ -365,11 +348,10 @@ type Server struct {
 
 	// rec is the always-on flight recorder (nil only under
 	// Config.DisableFlightRecorder; every call site is nil-safe).
-	// recIngressID/recPoolID are the interned site names backpressure
-	// events outside any plan node charge against.
-	rec          *flightrec.Recorder
-	recIngressID uint32
-	recPoolID    uint32
+	// recPoolID is the interned site name backpressure events outside
+	// any plan node charge against.
+	rec       *flightrec.Recorder
+	recPoolID uint32
 
 	// Config-generation state. generation is the live config
 	// generation (1 after New; each successful Reload bumps it), also
@@ -405,7 +387,6 @@ func New(cfg Config) *Server {
 	s.copies = s.tel.Counter("nfp_copies_total")
 	s.copiedB = s.tel.Counter("nfp_copied_bytes_total")
 	s.mergeErrs = s.tel.Counter("nfp_merge_errors_total")
-	s.unroutable = s.tel.Counter("nfp_ingress_unroutable_total")
 	s.sheds = s.tel.Counter("nfp_ring_sheds_total")
 	s.bpYields = s.tel.Counter("nfp_backpressure_yields_total")
 	s.bpParks = s.tel.Counter("nfp_backpressure_parks_total")
@@ -423,7 +404,6 @@ func New(cfg Config) *Server {
 				StageNames:     func(b uint8) string { return telemetry.Stage(b).String() },
 			})
 		}
-		s.recIngressID = s.rec.Intern("ingress")
 		s.recPoolID = s.rec.Intern("mempool")
 	}
 	// Self-description for scrapes and incident bundles: one constant
@@ -469,26 +449,12 @@ func New(cfg Config) *Server {
 		if sharded {
 			sh.spanID = i + 1
 			sh.pool = parts[i]
-			sh.in = ring.NewMPSC(cfg.IngressRing)
 			sh.out = make(chan *packet.Packet, cfg.OutputQueue)
-			lbl := telemetry.L("shard", strconv.Itoa(i))
-			sh.ingress = s.tel.Counter("nfp_shard_ingress_total", lbl)
-			sh.inHW = s.tel.Gauge("nfp_shard_ingress_high_water", lbl)
-			s.tel.Gauge("nfp_shard_ingress_capacity", lbl).Set(int64(sh.in.Cap()))
+			sh.ingress = s.tel.Counter("nfp_shard_ingress_total", telemetry.L("shard", strconv.Itoa(i)))
 		} else {
 			sh.pool = s.pool
 			sh.out = s.out
 		}
-		// The cause=unroutable provenance series is registered eagerly
-		// (even when it stays zero) so the conservation ledger always
-		// reconciles it against nfp_ingress_unroutable_total.
-		// labelShard can't be used here: the shard slice is still being
-		// built, so sharded() would read false for shard 0.
-		unroutableLabels := []telemetry.Label{telemetry.L("cause", flightrec.CauseUnroutable.String())}
-		if sharded {
-			unroutableLabels = append(unroutableLabels, telemetry.L("shard", strconv.Itoa(i)))
-		}
-		sh.unroutableC = s.tel.Counter(flightrec.MetricDrops, unroutableLabels...)
 		sh.plans.Store(&map[uint32]*planRuntime{})
 		for m := 0; m < cfg.Mergers; m++ {
 			sh.mergers = append(sh.mergers, newMerger(m, cfg.MergerQueue, sh))
@@ -519,17 +485,17 @@ func shardMix(h uint64) uint64 {
 // ShardOfKey returns the shard a flow executes on: the (mixed)
 // symmetric 5-tuple hash modulo the shard count, so both directions of
 // a flow — what stateful NFs key their tables by — land on the same
-// shard.
+// shard. Keys that are not IPv4 (the zero Key included) fall to shard
+// 0, like ShardOf's unparseable packets.
 func (s *Server) ShardOfKey(k flow.Key) int {
-	if !s.sharded() {
+	if !s.sharded() || !k.SrcIP.Unmap().Is4() || !k.DstIP.Unmap().Is4() {
 		return 0
 	}
 	return int(shardMix(k.SymmetricHash()) % uint64(len(s.shards)))
 }
 
-// ShardOf returns the shard a packet will be dispatched to.
-// Unparseable packets fall to shard 0, where classification rejects
-// them.
+// ShardOf returns the shard a packet executes on. Unparseable packets
+// fall to shard 0, where only a default route can classify them.
 func (s *Server) ShardOf(pkt *packet.Packet) int {
 	if !s.sharded() {
 		return 0
@@ -967,8 +933,8 @@ func (s *Server) ConfigInfo() ConfigInfo {
 func (s *Server) Generation() uint64 { return s.generation.Load() }
 
 // Classifier exposes the classification table for rule installation.
-// The table is shared by every shard's classifier loop (lookups are
-// lock-free COW reads).
+// The table is shared by every shard (lookups are lock-free COW
+// reads).
 func (s *Server) Classifier() *Classifier { return &s.classifier }
 
 // Pool returns the shared packet pool; traffic generators must build
@@ -996,8 +962,8 @@ func (s *Server) Outputs() []<-chan *packet.Packet {
 	return chans
 }
 
-// Start launches every NF runtime, merger, and (when sharded) shard
-// classifier loop.
+// Start launches every NF runtime and merger, the output fan-in when
+// sharded outputs share one channel, and the NF supervisor.
 func (s *Server) Start() error {
 	if len(*s.shards[0].plans.Load()) == 0 {
 		return fmt.Errorf("dataplane: no graphs installed")
@@ -1016,21 +982,14 @@ func (s *Server) Start() error {
 				m.run()
 			}(m)
 		}
-		if s.sharded() {
-			s.wg.Add(1)
-			go func(sh *shard) {
-				defer s.wg.Done()
-				sh.ingressLoop()
-			}(sh)
-			if s.out != nil {
-				s.fanWG.Add(1)
-				go func(ch chan *packet.Packet) {
-					defer s.fanWG.Done()
-					for p := range ch {
-						s.out <- p
-					}
-				}(sh.out)
-			}
+		if s.sharded() && s.out != nil {
+			s.fanWG.Add(1)
+			go func(ch chan *packet.Packet) {
+				defer s.fanWG.Done()
+				for p := range ch {
+					s.out <- p
+				}
+			}(sh.out)
 		}
 	}
 	s.wg.Add(1)
@@ -1069,8 +1028,9 @@ func (s *Server) supervise() {
 	}
 }
 
-// Stop drains in-flight packets and terminates all goroutines. It must
-// be called exactly once, after the caller stops injecting.
+// Stop drains in-flight packets and terminates all goroutines. Call it
+// after the last Inject/InjectBatch returned; a second or concurrent
+// Stop waits for the first and is then a no-op.
 //
 // Stop serializes with Reload: called mid-reload it first waits for
 // the reload to finish draining the outgoing generation, then drains
@@ -1079,22 +1039,20 @@ func (s *Server) supervise() {
 // totals and each packet terminates exactly once on the runtime it was
 // injected into.
 func (s *Server) Stop() {
-	if !s.started.Load() || s.stopped.Load() {
+	if !s.started.Load() {
 		return
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
-	// First drain the sharded ingress rings: a packet sitting there is
-	// not yet counted as injected, so the conservation wait below could
-	// otherwise pass early.
-	for s.dispatched.Load() > s.ingressCleared.Load() {
-		w.Wait()
+	// Checked under the lock: a Stop that lost the race to another must
+	// not close the merger and output channels a second time.
+	if s.stopped.Load() {
+		return
 	}
 	// Wait until every injected packet surfaced as an output or a
 	// drop. The output channel consumer must keep draining until Stop
 	// returns, or this backpressures forever.
-	w.Reset()
+	w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
 	for s.injected.Value() > s.outCount.Value()+s.drops.Value() {
 		w.Wait()
 	}
@@ -1121,33 +1079,14 @@ func (s *Server) Stop() {
 	}
 }
 
-// Inject sends one packet (built in a pool buffer) into the dataplane.
-//
-// Unsharded, it classifies inline and reports false when
-// classification fails — the caller keeps ownership of rejected
-// packets. Sharded, it dispatches the packet to its flow's shard
-// ingress ring (lossless backpressure when full) and always returns
-// true: ownership transfers unconditionally, and packets the shard's
-// classifier cannot route are freed there and counted on
-// nfp_ingress_unroutable_total.
+// Inject sends one packet (built in a pool buffer) into the dataplane:
+// a one-packet InjectBatch. It reports false when the packet is
+// rejected — no rule and no default route match it, or its MID has no
+// installed graph — and the caller keeps ownership of a rejected
+// packet.
 func (s *Server) Inject(pkt *packet.Packet) bool {
-	if !s.sharded() {
-		mid, ok := s.classifier.Classify(pkt)
-		if !ok {
-			return false
-		}
-		sh := s.shards[0]
-		pr := sh.acquire(mid, 1)
-		if pr == nil {
-			return false
-		}
-		return sh.injectInto(pr, pkt)
-	}
-	s.dispatched.Add(1)
-	var one [1]*packet.Packet
-	one[0] = pkt
-	s.shards[s.ShardOf(pkt)].ingressPush(one[:])
-	return true
+	one := [1]*packet.Packet{pkt}
+	return s.InjectBatch(one[:]) == 1
 }
 
 // InjectPreclassified sends a packet whose metadata (MID, PID,
@@ -1166,84 +1105,63 @@ func (s *Server) InjectPreclassified(pkt *packet.Packet) bool {
 	if pkt.Meta.Version == 0 {
 		pkt.Meta.Version = 1
 	}
-	return sh.injectInto(pr, pkt)
+	one := [1]*packet.Packet{pkt}
+	sh.injectBurst(pr, one[:])
+	return true
 }
 
 // InjectBatch injects a whole burst, the ingress analog of DPDK burst
-// receive.
+// receive, on the calling goroutine: it splits the burst into runs of
+// same-shard packets (one run, no hashing, when Shards == 1),
+// classifies each run against that shard's microflow cache with
+// counters amortized across the run, and delivers each run of same-MID
+// packets into the shard's graph as one burst. Any number of goroutines
+// may inject concurrently.
 //
-// Unsharded, it classifies inline with counters and ring deliveries
-// amortized across the burst, returns the number of packets accepted,
-// and stably partitions pkts: accepted packets occupy pkts[:n] (in
-// their original relative order, already delivered), rejected packets
-// — unclassified or classified to a MID with no installed graph — are
-// compacted to pkts[n:] and remain owned by the caller.
-//
-// Sharded, it dispatches runs of same-shard packets into the shard
-// ingress rings with one batched enqueue per run and returns
-// len(pkts); ownership transfers unconditionally (see Inject).
+// It returns the number of packets accepted and stably partitions
+// pkts: accepted packets occupy pkts[:n] (in their original relative
+// order, already delivered — the dataplane owns them), rejected packets
+// — unclassified, or classified to a MID with no installed graph — are
+// compacted to pkts[n:] and remain owned by the caller. The
+// partition is in place and allocation-free.
 func (s *Server) InjectBatch(pkts []*packet.Packet) int {
 	if len(pkts) == 0 {
 		return 0
 	}
-	if s.sharded() {
-		s.dispatched.Add(uint64(len(pkts)))
-		start, cur := 0, s.ShardOf(pkts[0])
-		for i := 1; i <= len(pkts); i++ {
-			sid := 0
-			if i < len(pkts) {
-				sid = s.ShardOf(pkts[i])
-				if sid == cur {
-					continue
-				}
+	n, start, cur := 0, 0, s.ShardOf(pkts[0])
+	for i := 1; i <= len(pkts); i++ {
+		next := 0
+		if i < len(pkts) {
+			if next = s.ShardOf(pkts[i]); next == cur {
+				continue
 			}
-			s.shards[cur].ingressPush(pkts[start:i])
-			start, cur = i, sid
 		}
-		return len(pkts)
-	}
-	if len(pkts) == 1 {
-		// Scalar fast path: identical to Inject.
-		if s.Inject(pkts[0]) {
-			return 1
+		sh := s.shards[cur]
+		sh.ingress.Add(uint64(i - start))
+		// Earlier runs' rejects sit in pkts[n:start]; move this run's
+		// accepted packets in front of them.
+		k := sh.inject(pkts[start:i])
+		for j := 0; j < k; j++ {
+			promote(pkts, n+j, start+j)
 		}
-		return 0
-	}
-	sh := s.shards[0]
-	classified := s.classifier.ClassifyBatch(pkts)
-	plans := *sh.plans.Load()
-
-	// Second stable partition: classified MIDs whose graph is not (yet)
-	// installed are rejected too, exactly like scalar Inject. Same
-	// in-place rotation as ClassifyBatch, so this path is alloc-free.
-	n := 0
-	for i := 0; i < classified; i++ {
-		p := pkts[i]
-		if plans[p.Meta.MID] == nil {
-			continue
-		}
-		if n < i {
-			copy(pkts[n+1:i+1], pkts[n:i])
-		}
-		pkts[n] = p
-		n++
-	}
-
-	// Fan out runs of packets sharing a MID (and therefore a first hop)
-	// as one burst each. acquire re-resolves the runtime per run: a
-	// concurrent reload may have swapped the generation since the
-	// snapshot above, and the snapshot's nil-check stays valid because
-	// graphs are only ever replaced, never removed.
-	for i := 0; i < n; {
-		mid := pkts[i].Meta.MID
-		j := i + 1
-		for j < n && pkts[j].Meta.MID == mid {
-			j++
-		}
-		sh.injectBurst(sh.acquire(mid, j-i), pkts[i:j])
-		i = j
+		n += k
+		start, cur = i, next
 	}
 	return n
+}
+
+// promote moves pkts[i] to index n <= i, shifting pkts[n:i] up one slot
+// — one step of an in-place stable partition whose accepted prefix is
+// pkts[:n] and whose pending rejects are pkts[n:i]. Bursts are small
+// and rejects rare, so the shift (linear in the pending rejects) is
+// cheaper than a scratch slice, and it is safe under concurrent
+// injectors, which a shared scratch buffer would not be.
+func promote(pkts []*packet.Packet, n, i int) {
+	if n < i {
+		p := pkts[i]
+		copy(pkts[n+1:i+1], pkts[n:i])
+		pkts[n] = p
+	}
 }
 
 // Stats is a snapshot of server counters.
@@ -1251,10 +1169,6 @@ type Stats struct {
 	Injected uint64
 	Outputs  uint64
 	Drops    uint64
-	// Unroutable counts sharded-ingress packets freed because no
-	// classifier rule matched or the MID had no installed graph (0 on
-	// unsharded servers, where rejects return to the caller instead).
-	Unroutable uint64
 	// Sheds counts packet REFERENCES lost to the ring backpressure
 	// policy (drop-tail / shed-lowest-priority). Every shed rides the
 	// drop route, so Injected == Outputs + Drops still holds; but in a
@@ -1274,7 +1188,7 @@ type Stats struct {
 	// MergerLoad is the per-instance processed item count (§6.3.3),
 	// shard-major on a sharded server (shard 0's mergers first).
 	MergerLoad []uint64
-	// ShardIngress is the per-shard classified-packet count (nil on an
+	// ShardIngress is the per-shard dispatched-packet count (nil on an
 	// unsharded server) — the RSS dispatch balance.
 	ShardIngress []uint64
 	// Pool reports buffer pool activity (whole-pool totals; partitions
@@ -1288,7 +1202,6 @@ func (s *Server) Stats() Stats {
 		Injected:    s.injected.Value(),
 		Outputs:     s.outCount.Value(),
 		Drops:       s.drops.Value(),
-		Unroutable:  s.unroutable.Value(),
 		Sheds:       s.sheds.Value(),
 		Copies:      s.copies.Value(),
 		CopiedBytes: s.copiedB.Value(),

@@ -397,6 +397,40 @@ func TestServerLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestStopConcurrent: Stop racing Stop. Both callers can pass the
+// unlocked started check, so the stopped check must hold under
+// reloadMu or the loser closes the merger channels a second time. Every
+// call must return, with the server stopped once.
+func TestStopConcurrent(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s := New(Config{PoolSize: 64, Shards: 2})
+		if err := s.AddGraph(1, nfn(nfa.NFMonitor, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		col := collectOutputs(s)
+		for i := 0; i < 16; i++ {
+			if !s.Inject(buildInto(t, s, shardSpec(i, 0))) {
+				t.Fatal("inject failed")
+			}
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.Stop()
+			}()
+		}
+		wg.Wait()
+		if got := col.wait(); got != 16 {
+			t.Fatalf("collected %d outputs, want 16", got)
+		}
+	}
+}
+
 // TestLiveScaleOut exercises the §7 elasticity path: while traffic
 // flows through one graph instance, the operator installs a second
 // instance under a new MID and prepends a classifier rule redirecting

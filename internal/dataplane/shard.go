@@ -10,21 +10,21 @@ import (
 	"nfp/internal/packet"
 	"nfp/internal/ring"
 	"nfp/internal/telemetry"
-	"nfp/internal/telemetry/flightrec"
 )
 
 // shard is one replica of the whole dataplane (RSS-style flow
-// sharding): its own classifier loop, plan runtimes with their rings,
-// merger instances, output channel and mempool partition. Ingress
-// dispatches each packet to a shard by symmetric 5-tuple hash, so every
-// packet of a flow — in both directions — executes on the same shard's
+// sharding): its own microflow cache, plan runtimes with their rings,
+// merger instances, output channel and mempool partition. Injectors
+// pick a packet's shard by symmetric 5-tuple hash, so every packet of a
+// flow — in both directions — executes on the same shard's runtime
 // goroutines, and per-flow NF state (NAT bindings, monitor counters,
 // LB maps) is only ever touched from that shard, lock-free.
 //
-// A single-shard server (Config.Shards <= 1) is the classic layout:
-// shard 0 aliases the server's pool and output channel, has no ingress
-// ring, and injectors classify inline — byte-for-byte the pre-sharding
-// behavior.
+// A shard has no ingress goroutine or ring of its own: the injecting
+// goroutine classifies inline (inject) and enqueues straight into the
+// entry NF's ring, which is multi-producer. A single-shard server
+// (Config.Shards <= 1) runs the same code with shard 0 aliasing the
+// server's pool and output channel.
 type shard struct {
 	id  int
 	srv *Server
@@ -45,20 +45,9 @@ type shard struct {
 	// channel when unsharded; fanned in unless Config.ShardedOutputs).
 	out chan *packet.Packet
 
-	// in is the ingress ring (sharded mode only): injectors enqueue
-	// flow-hashed packets, and the shard's classifier loop drains,
-	// classifies and dispatches them.
-	in *ring.MPSC
-
-	// Sharded-mode ingress telemetry, labelled shard=<id>.
+	// ingress counts packets dispatched to this shard, labelled
+	// shard=<id> (nil, a no-op, when unsharded).
 	ingress *telemetry.Counter
-	inHW    *telemetry.Gauge
-
-	// unroutableC is this shard's nfp_drops_total{cause=unroutable}
-	// series, registered eagerly at construction so the conservation
-	// ledger can reconcile it against nfp_ingress_unroutable_total even
-	// before the first unroutable packet.
-	unroutableC *telemetry.Counter
 }
 
 // labelShard appends the shard label to a label set when the server is
@@ -94,121 +83,43 @@ func (sh *shard) acquire(mid uint32, n int) *planRuntime {
 	}
 }
 
-// ingressLoop is the shard's classifier goroutine (sharded mode): it
-// drains the ingress ring in bursts and classifies + dispatches each
-// burst, mirroring a DPDK lcore polling its RSS receive queue.
-func (sh *shard) ingressLoop() {
-	burst := make([]*packet.Packet, sh.srv.cfg.Burst)
-	idle := ring.Waiter{SpinLimit: sh.srv.cfg.SpinLimit}
-	for {
-		cnt := sh.in.DequeueBatch(burst)
-		if cnt == 0 {
-			if sh.srv.stopped.Load() {
-				return
-			}
-			idle.Wait()
-			continue
-		}
-		idle.Reset()
-		sh.classifyBurst(burst[:cnt])
-	}
-}
-
-// classifyBurst classifies one drained ingress burst and injects the
-// routable packets into their graphs, one sub-burst per MID run. The
-// dispatcher transferred ownership, so packets that cannot be routed —
-// unmatched, or classified to a MID with no installed graph — are
-// freed here and counted on nfp_ingress_unroutable_total (they are
-// never "injected", so conservation stays injected == outputs+drops).
-func (sh *shard) classifyBurst(pkts []*packet.Packet) {
-	s := sh.srv
-	n := s.classifier.ClassifyBatchShard(pkts, sh.id)
+// inject is the §5.1 classifier step for one run of packets bound to
+// this shard, executed on the injecting goroutine: classify against the
+// shard's microflow cache, then send each run of same-MID packets into
+// the entrance of its graph as one burst. It returns the number
+// accepted and stably partitions pkts like InjectBatch: rejects —
+// unmatched, or classified to a MID with no installed graph — end up in
+// pkts[n:], still owned by the caller.
+func (sh *shard) inject(pkts []*packet.Packet) int {
+	classified := sh.srv.classifier.ClassifyBatchShard(pkts, sh.id)
 	plans := *sh.plans.Load()
-	m := 0
-	for i := 0; i < n; i++ {
-		p := pkts[i]
-		if plans[p.Meta.MID] == nil {
-			continue
-		}
-		if m < i {
-			copy(pkts[m+1:i+1], pkts[m:i])
-		}
-		pkts[m] = p
-		m++
-	}
-	if m < len(pkts) {
-		s.unroutable.Add(uint64(len(pkts) - m))
-		sh.unroutableC.Add(uint64(len(pkts) - m))
-		for _, p := range pkts[m:] {
-			if s.rec.SampleDrop(p.Meta.PID) {
-				d := flightrec.DropRecord{
-					Shard: sh.id, Cause: flightrec.CauseUnroutable,
-					Stage: uint8(telemetry.StageClassify), PID: p.Meta.PID,
-				}
-				if k, err := flow.FromPacket(p); err == nil {
-					d.Flow, d.HasKey = k, true
-				}
-				s.rec.Drop(d)
-			}
-			p.Free()
+	n := 0
+	for i := 0; i < classified; i++ {
+		if plans[pkts[i].Meta.MID] != nil {
+			promote(pkts, n, i)
+			n++
 		}
 	}
 	// acquire re-resolves the runtime per run: a reload may swap the
 	// generation between the snapshot above and here, and the
 	// snapshot's nil-check stays valid because graphs are only ever
 	// replaced, never removed.
-	for i := 0; i < m; {
+	for i := 0; i < n; {
 		mid := pkts[i].Meta.MID
 		j := i + 1
-		for j < m && pkts[j].Meta.MID == mid {
+		for j < n && pkts[j].Meta.MID == mid {
 			j++
 		}
 		sh.injectBurst(sh.acquire(mid, j-i), pkts[i:j])
 		i = j
 	}
-	sh.ingress.Add(uint64(len(pkts)))
-	// ingressCleared is the Stop-drain handshake: bumped only after
-	// every packet of the burst is injected or freed.
-	s.ingressCleared.Add(uint64(len(pkts)))
-}
-
-// ingressPush enqueues dispatched packets into the shard's ingress
-// ring with lossless backpressure (bounded spin, then park): a stalled
-// shard blocks its injectors, like a full NIC receive queue, and never
-// loses packets.
-func (sh *shard) ingressPush(pkts []*packet.Packet) {
-	s := sh.srv
-	rem := pkts
-	if k := sh.in.EnqueueBatch(rem); k > 0 {
-		rem = rem[k:]
-	}
-	if len(rem) > 0 {
-		w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
-		engaged := false
-		for len(rem) > 0 {
-			if w.Wait() {
-				s.bpParks.Add(1)
-				if !engaged {
-					engaged = true
-					sh.noteBackpressure(s.recIngressID, 0)
-				}
-			} else {
-				s.bpYields.Add(1)
-			}
-			if k := sh.in.EnqueueBatch(rem); k > 0 {
-				rem = rem[k:]
-				w.Reset()
-			}
-		}
-	}
-	sh.inHW.SetMax(int64(sh.in.Len()))
+	return n
 }
 
 // classifySpan records the classify span of a sampled packet: it
 // begins at the source's Ingress stamp when one is set (and sane) so
-// ingress queueing — including time in the shard's ingress ring — is
-// attributed, and ends at now — the cursor every downstream span
-// chains from.
+// ingress queueing is attributed, and ends at now — the cursor every
+// downstream span chains from.
 func (sh *shard) classifySpan(pr *planRuntime, pkt *packet.Packet, now int64) {
 	begin := pkt.Ingress
 	if begin <= 0 || begin > now {
@@ -225,36 +136,24 @@ func (sh *shard) classifySpan(pr *planRuntime, pkt *packet.Packet, now int64) {
 // caller must have reserved the burst's in-flight slots on pr via
 // acquire.
 func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet) {
-	now := time.Now().UnixNano()
+	// The clock is read once per burst, and only when the burst holds a
+	// sampled packet: the span cursor is unused otherwise.
+	var now int64
 	for _, pkt := range pkts {
 		// Pre-warm the layout and flow-key caches so NFs sharing the
-		// packet in a no-copy parallel group only read them (see
-		// injectInto). FlowKey parses internally.
+		// packet in a no-copy parallel group only read them (writing
+		// either lazily would be a data race between runtimes, even with
+		// identical values). FlowKey parses internally.
 		_, _ = pkt.FlowKey()
 		if sh.srv.tracer.Sampled(pkt.Meta.PID) {
+			if now == 0 {
+				now = time.Now().UnixNano()
+			}
 			sh.classifySpan(pr, pkt, now)
 		}
 	}
 	sh.srv.injected.Add(uint64(len(pkts)))
 	sh.execBurst(pr, pr.plan.Entry, pkts, now)
-}
-
-// injectInto sends one packet into its graph; the caller must have
-// reserved its in-flight slot on pr via acquire.
-func (sh *shard) injectInto(pr *planRuntime, pkt *packet.Packet) bool {
-	// Pre-warm the layout and flow-key caches so NFs sharing the packet
-	// in a no-copy parallel group only read them (writing either lazily
-	// would be a data race between runtimes, even with identical
-	// values). FlowKey parses internally.
-	_, _ = pkt.FlowKey()
-	sh.srv.injected.Add(1)
-	var cursor int64
-	if sh.srv.tracer.Sampled(pkt.Meta.PID) {
-		cursor = time.Now().UnixNano()
-		sh.classifySpan(pr, pkt, cursor)
-	}
-	sh.exec(pr, pr.plan.Entry, pkt, cursor)
-	return true
 }
 
 // exec runs a forwarding-table dispatch list on a packet. The held map

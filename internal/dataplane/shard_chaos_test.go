@@ -173,7 +173,7 @@ func TestShardIsolationStall(t *testing.T) {
 		flowsOf[sid] = shardFlows(s, sid, 10)
 	}
 	stallMon.Stall()
-	// A bounded trickle into the stalled shard (well under its ingress
+	// A bounded trickle into the stalled shard (well under its entry NF
 	// ring), a full wave into the healthy one.
 	const stalled = 50
 	for i := 0; i < stalled; i++ {

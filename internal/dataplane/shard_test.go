@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"net/netip"
 	"testing"
 
 	"nfp/internal/flow"
@@ -183,49 +184,112 @@ func TestShardInjectBatch(t *testing.T) {
 	}
 }
 
-// TestShardUnroutable: sharded ingress takes ownership unconditionally,
-// so packets no classifier rule routes are freed on the shard and
-// counted unroutable — conservation and leak accounting stay exact.
-func TestShardUnroutable(t *testing.T) {
-	s := New(Config{Shards: 2, PoolSize: 128})
-	g := graph.Seq{Items: []graph.Node{nfn(nfa.NFMonitor, 0)}}
-	if err := s.AddGraph(1, g); err != nil {
-		t.Fatal(err)
-	}
-	// Route only TCP dport 80 (what spec builds); dport 81 classifies to
-	// MID 9, which has no installed graph, and everything else matches
-	// no rule at all — both flavors of unroutable.
-	s.Classifier().Clear()
-	s.Classifier().AddRule(Match{DstPort: 80}, 1)
-	s.Classifier().AddRule(Match{DstPort: 81}, 9)
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	col := collectOutputs(s)
-	const routable, dark = 100, 60
-	for i := 0; i < routable; i++ {
-		if !s.Inject(buildInto(t, s, shardSpec(i%10, i/10))) {
-			t.Fatal("sharded Inject must accept ownership")
+// TestInjectContract pins the one ingress ownership contract for every
+// shard count and both entry points: over a burst mixing routable
+// packets (dport 80), packets classified to MID 9, which has no
+// installed graph (dport 81), and packets no rule matches (dport 82),
+// the accepted count, the stable partition — pkts[:n] the accepted
+// packets in order, pkts[n:] every reject, still the caller's to free —
+// and the conservation counters are identical.
+func TestInjectContract(t *testing.T) {
+	const bursts, burstLen = 8, 24
+	for _, shards := range []int{1, 4} {
+		for _, batched := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards%d/batched=%v", shards, batched), func(t *testing.T) {
+				s := New(Config{Shards: shards, PoolSize: 512})
+				if err := s.AddGraph(1, nfn(nfa.NFMonitor, 0)); err != nil {
+					t.Fatal(err)
+				}
+				s.Classifier().Clear()
+				s.Classifier().AddRule(Match{DstPort: 80}, 1)
+				s.Classifier().AddRule(Match{DstPort: 81}, 9)
+				if err := s.Start(); err != nil {
+					t.Fatal(err)
+				}
+				col := collectOutputs(s)
+				accepted := 0
+				for b := 0; b < bursts; b++ {
+					pkts := make([]*packet.Packet, burstLen)
+					var wantAcc, wantRej []*packet.Packet
+					for i := range pkts {
+						sp := shardSpec(b*burstLen+i, 0)
+						// Rejects lead, trail and interleave, in both flavors.
+						sp.DstPort = [...]uint16{82, 80, 80, 81, 80, 82, 81, 80}[(i+b)%8]
+						pkts[i] = buildInto(t, s, sp)
+						if sp.DstPort == 80 {
+							wantAcc = append(wantAcc, pkts[i])
+						} else {
+							wantRej = append(wantRej, pkts[i])
+						}
+					}
+					n := 0
+					if batched {
+						n = s.InjectBatch(pkts)
+					} else {
+						// The scalar entry point, partitioned by hand.
+						var rej []*packet.Packet
+						for _, p := range pkts {
+							if s.Inject(p) {
+								pkts[n] = p
+								n++
+							} else {
+								rej = append(rej, p)
+							}
+						}
+						copy(pkts[n:], rej)
+					}
+					if n != len(wantAcc) {
+						t.Fatalf("burst %d: accepted %d, want %d", b, n, len(wantAcc))
+					}
+					for i, p := range pkts[:n] {
+						if p != wantAcc[i] {
+							t.Fatalf("burst %d: pkts[%d] is not the i-th accepted packet", b, i)
+						}
+					}
+					rejected := map[*packet.Packet]bool{}
+					for _, p := range pkts[n:] {
+						rejected[p] = true
+						p.Free()
+					}
+					for _, p := range wantRej {
+						if !rejected[p] {
+							t.Fatalf("burst %d: a rejected packet is missing from pkts[n:]", b)
+						}
+					}
+					accepted += n
+				}
+				s.Stop()
+				if got := col.wait(); got != accepted {
+					t.Fatalf("collected %d outputs, want %d", got, accepted)
+				}
+				st := s.Stats()
+				if st.Injected != uint64(accepted) || st.Injected != st.Outputs+st.Drops {
+					t.Fatalf("injected=%d outputs=%d drops=%d, want %d injected and conservation",
+						st.Injected, st.Outputs, st.Drops, accepted)
+				}
+				if leak := s.Pool().InUse(); leak != 0 {
+					t.Fatalf("pool leak: %d buffers after the caller freed its rejects", leak)
+				}
+			})
 		}
 	}
-	for i := 0; i < dark; i++ {
-		sp := shardSpec(i%10, i/10)
-		sp.DstPort = 81 // classified to MID 9, which has no graph
-		if !s.Inject(buildInto(t, s, sp)) {
-			t.Fatal("sharded Inject must accept ownership")
+}
+
+// TestShardOfKeyNonIPv4: keys ShardOf could never produce — the zero
+// Key, IPv6 endpoints — fall to shard 0 instead of panicking.
+func TestShardOfKeyNonIPv4(t *testing.T) {
+	s := New(Config{Shards: 4, PoolSize: 64})
+	v4 := netip.MustParseAddr("10.0.0.1")
+	v6 := netip.MustParseAddr("2001:db8::1")
+	for _, k := range []flow.Key{
+		{},
+		{SrcIP: v6, DstIP: v6, Proto: packet.ProtoTCP, SrcPort: 1, DstPort: 2},
+		{SrcIP: v4, DstIP: v6, Proto: packet.ProtoTCP, SrcPort: 1, DstPort: 2},
+		{SrcIP: v4},
+	} {
+		if got := s.ShardOfKey(k); got != 0 {
+			t.Errorf("ShardOfKey(%v) = %d, want 0", k, got)
 		}
-	}
-	s.Stop()
-	if got := col.wait(); got != routable {
-		t.Fatalf("collected %d outputs, want %d", got, routable)
-	}
-	st := s.Stats()
-	if st.Injected != routable || st.Outputs != routable || st.Unroutable != dark {
-		t.Fatalf("injected=%d outputs=%d unroutable=%d, want %d/%d/%d",
-			st.Injected, st.Outputs, st.Unroutable, routable, routable, dark)
-	}
-	if leak := s.Pool().InUse(); leak != 0 {
-		t.Fatalf("pool leak: %d buffers (unroutable packets must be freed)", leak)
 	}
 }
 

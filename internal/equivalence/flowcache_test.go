@@ -126,15 +126,15 @@ func TestFlowCacheReloadEquivalence(t *testing.T) {
 		}
 		seed := int64(13000 + i)
 		for _, shards := range []int{1, 4} {
-			opts := ExecReloadOptions{
+			opts := ExecShardOptions{
 				Shards: shards, Burst: 32, Reloads: 2, RuleSplit: true,
 			}
-			on, err := trial.ExecuteReload(trial.ParGraph, packets, seed, opts)
+			on, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
 			if err != nil {
 				t.Fatalf("trial %d shards=%d reload cache-on: %v", i, shards, err)
 			}
 			opts.DisableFlowCache = true
-			off, err := trial.ExecuteReload(trial.ParGraph, packets, seed, opts)
+			off, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
 			if err != nil {
 				t.Fatalf("trial %d shards=%d reload cache-off: %v", i, shards, err)
 			}

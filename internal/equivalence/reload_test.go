@@ -46,7 +46,7 @@ func TestReloadEquivalenceProperty(t *testing.T) {
 						t.Fatalf("trial %d burst %d fusion %v shards %d baseline: %v",
 							i, burst, fusion, shards, err)
 					}
-					reloaded, err := trial.ExecuteReload(trial.ParGraph, packets, seed, ExecReloadOptions{
+					reloaded, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, ExecShardOptions{
 						Shards: shards, Burst: burst, Fusion: fusion, Reloads: 2,
 					})
 					if err != nil {
@@ -87,7 +87,7 @@ func TestReloadEquivalenceSequentialGraph(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d baseline: %v", i, err)
 		}
-		reloaded, err := trial.ExecuteReload(trial.SeqGraph, packets, seed, ExecReloadOptions{
+		reloaded, err := trial.ExecuteSharded(trial.SeqGraph, packets, seed, ExecShardOptions{
 			Shards: 2, Burst: 8, Reloads: 3,
 		})
 		if err != nil {
@@ -111,14 +111,14 @@ func TestReloadRunConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const packets = 120
-	a, err := trial.ExecuteReload(trial.ParGraph, packets, 13, ExecReloadOptions{Shards: 2, Reloads: 2})
+	a, err := trial.ExecuteSharded(trial.ParGraph, packets, 13, ExecShardOptions{Shards: 2, Reloads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Outputs+a.Drops != packets {
 		t.Fatalf("conservation across reloads: outputs=%d drops=%d injected=%d", a.Outputs, a.Drops, packets)
 	}
-	b, err := trial.ExecuteReload(trial.ParGraph, packets, 13, ExecReloadOptions{Shards: 2, Reloads: 2})
+	b, err := trial.ExecuteSharded(trial.ParGraph, packets, 13, ExecShardOptions{Shards: 2, Reloads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"nfp/internal/dataplane"
 	"nfp/internal/flow"
@@ -14,12 +15,13 @@ import (
 )
 
 // ShardedRun is one execution's observable state in the PID-free form
-// the sharded differential needs. A sharded server classifies packets
-// concurrently on every shard, so PID assignment order — and therefore
-// every PID-keyed observation of RunResult — is timing-dependent; what
-// sharding must preserve is the multiset of observations. All digests
-// here are wrapping sums of FNV hashes: order-independent,
-// duplicate-safe, and aggregatable across per-shard NF instances.
+// the sharded differential needs. Concurrent injectors classify inline
+// and shards execute concurrently, so PID assignment and completion
+// order — and therefore every PID-keyed observation of RunResult — is
+// timing-dependent; what sharding must preserve is the multiset of
+// observations. All digests here are wrapping sums of FNV hashes:
+// order-independent, duplicate-safe, and aggregatable across per-shard
+// NF instances.
 type ShardedRun struct {
 	// FlowDigests sums hash(final packet bytes) per output flow key
 	// (the 5-tuple the packet leaves with), FlowCounts the per-flow
@@ -37,9 +39,9 @@ type ShardedRun struct {
 
 // ExecShardOptions pins an ExecuteSharded run.
 type ExecShardOptions struct {
-	// Shards is the dataplane shard count (1 = the classic layout).
+	// Shards is the dataplane shard count (default 1).
 	Shards int
-	// Burst is the dataplane burst size (<=1 runs the scalar path).
+	// Burst is the dataplane burst size (<=1 injects packet by packet).
 	Burst int
 	// Fusion selects the execution engine (FusionAuto = server default).
 	Fusion dataplane.FusionMode
@@ -58,6 +60,23 @@ type ExecShardOptions struct {
 	// prepended mid-stream (the §7 elasticity primitive), each one
 	// invalidating every installed cache entry. Requires RuleSplit.
 	Churns []int
+	// Reloads is how many times, evenly spaced across the injection
+	// window, the server hot-swaps MID 1 to a freshly compiled plan of
+	// the SAME policy — new config generation, new rings, new SynNF
+	// instances — while injection continues through the swap and the old
+	// generation's drain. Observations aggregate over every generation's
+	// instances, so a run with reloads compared equal to a run without is
+	// the §4.1 result-correctness statement for reconfiguration: packets
+	// lost, duplicated, rerouted to half-built tables, or finalized
+	// against the wrong generation's merge specs all surface as digest
+	// differences.
+	Reloads int
+	// Injectors is how many goroutines inject concurrently (default 1).
+	// They draw from one seeded packet stream, so the injected multiset —
+	// and the stream indices churns and reloads fire at — are the same
+	// for every value; only who classifies which packet, and against
+	// which shard's cache at the same time as whom, changes.
+	Injectors int
 }
 
 // installRuleSplit installs g a second time under MID 2 and programs a
@@ -89,7 +108,8 @@ func churnRedirect(srv *dataplane.Server, c int) {
 // ExecuteSharded replays n deterministic packets (seeded by
 // trafficSeed) through g on a server with opts.Shards shards, each
 // shard running its own SynNF instances, and captures the PID-free
-// observations. It fails on any pool leak after the drained stop.
+// observations. It fails on any rejected packet, and on any pool leak
+// after the drained stop.
 //
 // Holding ExecuteSharded(shards=k) equal to ExecuteSharded(shards=1)
 // proves RSS-style flow sharding preserves the §4.1 result-correctness
@@ -98,13 +118,12 @@ func churnRedirect(srv *dataplane.Server, c int) {
 // between shards, and no packet is reordered within its flow in a way
 // an NF can observe.
 func (t *Trial) ExecuteSharded(g graph.Node, n int, trafficSeed int64, opts ExecShardOptions) (*ShardedRun, error) {
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
+	shards := max(opts.Shards, 1)
 	// Per-shard instances: shard i's SynNFs are only ever invoked from
 	// shard i's runtime goroutines (the -race runs of the differential
-	// suite hold the dataplane to that).
+	// suite hold the dataplane to that). synMu is for reloads, which
+	// build their generation's instances on their own goroutines.
+	var synMu sync.Mutex
 	syns := make(map[string][]*SynNF, len(t.Profiles))
 	srv := dataplane.New(dataplane.Config{
 		// A whole-server budget: every shard gets PoolSize/shards.
@@ -117,7 +136,9 @@ func (t *Trial) ExecuteSharded(g graph.Node, n int, trafficSeed int64, opts Exec
 	})
 	provide := func(shard int, node graph.NF) nf.NF {
 		s := NewSynNF(node.Name, t.Profiles[node.Name])
+		synMu.Lock()
 		syns[node.Name] = append(syns[node.Name], s)
+		synMu.Unlock()
 		return s
 	}
 	if err := srv.AddGraphProvide(1, g, provide); err != nil {
@@ -153,55 +174,88 @@ func (t *Trial) ExecuteSharded(g graph.Node, n int, trafficSeed int64, opts Exec
 			p.Free()
 		}
 	}()
-	// Mid-stream churns fire synchronously between injections (sorted by
-	// index); with bursts, the batch is capped at the next churn point
-	// so a churn never lands inside a burst's alloc-build-inject window.
+
+	// One stream feeds every injector. draw fills batch with the next
+	// packets of it and fires the events due at the stream position:
+	// churns synchronously, capping the batch at the next churn point so
+	// with one injector a churn never lands inside a burst's
+	// build-inject window; reloads on their own goroutines, so the swap
+	// and the old generation's drain genuinely overlap live injection (a
+	// synchronous reload would pause the stream — the restart model
+	// reloads exist to disprove). The final, empty draw sees next == n
+	// and so fires whatever is still due.
 	churns := append([]int(nil), opts.Churns...)
 	sort.Ints(churns)
-	churned := 0
-	maybeChurn := func(i int) {
-		for churned < len(churns) && churns[churned] <= i {
+	reloadErrs := make(chan error, opts.Reloads)
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(trafficSeed))
+	next, churned, reloaded := 0, 0, 0
+	draw := func(batch []*packet.Packet) int {
+		mu.Lock()
+		defer mu.Unlock()
+		for churned < len(churns) && churns[churned] <= next {
 			churnRedirect(srv, churned)
 			churned++
 		}
-	}
-
-	rng := rand.New(rand.NewSource(trafficSeed))
-	if opts.Burst <= 1 {
-		for i := 0; i < n; i++ {
-			maybeChurn(i)
-			pkt := srv.Pool().Get()
-			for pkt == nil {
-				pkt = srv.Pool().Get()
-			}
+		for reloaded < opts.Reloads && next >= (reloaded+1)*n/(opts.Reloads+1) {
+			reloaded++
+			go func() { reloadErrs <- srv.ReloadProvide(1, g, provide) }()
+		}
+		want := min(len(batch), n-next)
+		if churned < len(churns) {
+			want = min(want, churns[churned]-next)
+		}
+		for _, pkt := range batch[:want] {
 			buildRandomPacket(pkt, rng)
-			if !srv.Inject(pkt) {
-				return nil, fmt.Errorf("classification failed")
-			}
 		}
-	} else {
-		batch := make([]*packet.Packet, opts.Burst)
-		for i := 0; i < n; {
-			maybeChurn(i)
-			want := opts.Burst
-			if n-i < want {
-				want = n - i
-			}
-			if churned < len(churns) && churns[churned]-i < want {
-				want = churns[churned] - i
-			}
-			got := srv.Pool().AllocBatch(batch[:want])
+		next += want
+		return want
+	}
+	inject := func() error {
+		pool := srv.Pool()
+		batch := make([]*packet.Packet, max(opts.Burst, 1))
+		for {
+			got := pool.AllocBatch(batch)
 			for got == 0 {
-				got = srv.Pool().AllocBatch(batch[:want])
+				got = pool.AllocBatch(batch)
 			}
-			for j := 0; j < got; j++ {
-				buildRandomPacket(batch[j], rng)
+			k := draw(batch[:got])
+			pool.FreeBatch(batch[k:got])
+			switch {
+			case k == 0:
+				return nil
+			case opts.Burst <= 1:
+				if !srv.Inject(batch[0]) {
+					return fmt.Errorf("classification failed")
+				}
+			default:
+				if acc := srv.InjectBatch(batch[:k]); acc != k {
+					return fmt.Errorf("batch classification failed: %d of %d", acc, k)
+				}
 			}
-			if acc := srv.InjectBatch(batch[:got]); acc != got {
-				return nil, fmt.Errorf("batch classification failed: %d of %d", acc, got)
-			}
-			i += got
 		}
+	}
+	injectors := max(opts.Injectors, 1)
+	injectErrs := make(chan error, injectors)
+	for j := 0; j < injectors; j++ {
+		go func() { injectErrs <- inject() }()
+	}
+	var injectErr error
+	for j := 0; j < injectors; j++ {
+		if err := <-injectErrs; err != nil {
+			injectErr = err
+		}
+	}
+	if injectErr != nil {
+		return nil, injectErr
+	}
+	for i := 0; i < opts.Reloads; i++ {
+		if err := <-reloadErrs; err != nil {
+			return nil, fmt.Errorf("mid-stream reload: %w", err)
+		}
+	}
+	if gen := srv.Generation(); gen != uint64(1+opts.Reloads) {
+		return nil, fmt.Errorf("generation = %d after %d reloads, want %d", gen, opts.Reloads, 1+opts.Reloads)
 	}
 	srv.Stop()
 	<-done
@@ -211,9 +265,6 @@ func (t *Trial) ExecuteSharded(g graph.Node, n int, trafficSeed int64, opts Exec
 	}
 	res.Drops = st.Drops
 	res.Copies = st.Copies
-	if st.Unroutable != 0 {
-		return nil, fmt.Errorf("%d packets unroutable (test traffic must all classify)", st.Unroutable)
-	}
 	for name, insts := range syns {
 		for _, s := range insts {
 			res.ContentDigests[name] += s.ContentDigest()

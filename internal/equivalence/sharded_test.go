@@ -95,6 +95,54 @@ func TestShardedFusionEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedMultiInjectorEquivalence holds inline ingress to its
+// concurrency claim: four goroutines calling InjectBatch at once into a
+// shards=4 server — each classifying against whichever shard caches its
+// burst touches, through a mid-stream PrependRule (which invalidates
+// every cache line under them) and one Reload — must be observationally
+// equivalent to one goroutine injecting the same stream into shards=1
+// with neither event. Under -race this is also the proof that the
+// per-shard microflow caches and entry rings tolerate many producers.
+func TestShardedMultiInjectorEquivalence(t *testing.T) {
+	trials := 6
+	packets := 400
+	if testing.Short() {
+		trials = 2
+		packets = 120
+	}
+	rng := rand.New(rand.NewSource(20260925))
+	for i := 0; i < trials; i++ {
+		trial, err := NewTrial(rng)
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		seed := int64(14000 + i)
+		for gi, g := range []graph.Node{trial.SeqGraph, trial.ParGraph} {
+			ref, err := trial.ExecuteSharded(g, packets, seed, ExecShardOptions{
+				Shards: 1, Burst: 8, RuleSplit: true,
+			})
+			if err != nil {
+				t.Fatalf("trial %d graph %d reference: %v", i, gi, err)
+			}
+			if ref.Outputs+ref.Drops != uint64(packets) {
+				t.Fatalf("trial %d graph %d reference: outputs=%d drops=%d injected=%d",
+					i, gi, ref.Outputs, ref.Drops, packets)
+			}
+			got, err := trial.ExecuteSharded(g, packets, seed, ExecShardOptions{
+				Shards: 4, Burst: 8, RuleSplit: true, Injectors: 4,
+				Churns: []int{packets / 3}, Reloads: 1,
+			})
+			if err != nil {
+				t.Fatalf("trial %d graph %d multi-injector: %v", i, gi, err)
+			}
+			if diffs := CompareSharded(ref, got); len(diffs) != 0 {
+				t.Errorf("trial %d graph %d: 4 injectors x 4 shards NOT equivalent to 1 x 1\nchain: %v\nprofiles: %v\nviolations: %v",
+					i, gi, trial.Chain, trial.Profiles, diffs)
+			}
+		}
+	}
+}
+
 // TestShardedRunSelfConsistency pins the harness itself: two identical
 // single-shard runs must produce identical ShardedRun observations
 // (the PID-free digests really are deterministic), and a run must

@@ -35,10 +35,6 @@ const (
 	// CauseDropTail is the drop-tail backpressure policy discarding a
 	// packet on a full ring.
 	CauseDropTail
-	// CauseUnroutable is a sharded ingress packet no classifier rule
-	// routes (accounted on nfp_ingress_unroutable_total, never
-	// injected, and excluded from the terminal conservation sum).
-	CauseUnroutable
 	// CauseReloadDrain is a packet drained from a sealed (superseded)
 	// generation's rings after a config swap.
 	CauseReloadDrain
@@ -59,7 +55,6 @@ var causeNames = [NumCauses]string{
 	"unhealthy_drain",
 	"shed_priority",
 	"drop_tail",
-	"unroutable",
 	"reload_drain",
 	"stop_drain",
 }
@@ -77,20 +72,6 @@ func Causes() []Cause {
 	out := make([]Cause, NumCauses)
 	for i := range out {
 		out[i] = Cause(i)
-	}
-	return out
-}
-
-// TerminalCauses lists the causes that account packets which were
-// injected and later died inside the graph — i.e. everything except
-// the unknown sentinel and unroutable (which is rejected at ingress,
-// before injection counts it).
-func TerminalCauses() []Cause {
-	var out []Cause
-	for _, c := range Causes() {
-		if c != CauseUnknown && c != CauseUnroutable {
-			out = append(out, c)
-		}
 	}
 	return out
 }

@@ -8,14 +8,11 @@ import (
 	"nfp/internal/telemetry"
 )
 
-// Metric names the ledger reconciles. MetricDrops doubles as both the
-// unlabeled grand-total counter (registered by the server) and the
+// MetricDrops is the metric the ledger reconciles. It doubles as both
+// the unlabeled grand-total counter (registered by the server) and the
 // per-cause family (cause/nf/shard/gen labels) — the registry keys
 // series by name+labels, so they coexist.
-const (
-	MetricDrops      = "nfp_drops_total"
-	MetricUnroutable = "nfp_ingress_unroutable_total"
-)
+const MetricDrops = "nfp_drops_total"
 
 // Ledger is the conservation audit view of a registry snapshot: every
 // drop the dataplane counted, broken down by cause, against the
@@ -24,37 +21,27 @@ type Ledger struct {
 	// ByCause sums the cause-labeled nfp_drops_total family per cause
 	// name (across nf/shard/gen).
 	ByCause map[string]uint64 `json:"by_cause"`
-	// Terminal is the sum over terminal causes (everything except
-	// unroutable) — packets that were injected and died inside.
+	// Terminal is the sum over the cause series — packets that were
+	// injected and died inside.
 	Terminal uint64 `json:"terminal"`
 	// TotalDrops is the unlabeled nfp_drops_total counter.
 	TotalDrops uint64 `json:"total_drops"`
-	// Unroutable is the cause=unroutable series sum.
-	Unroutable uint64 `json:"unroutable"`
-	// UnroutableTotal is nfp_ingress_unroutable_total.
-	UnroutableTotal uint64 `json:"unroutable_total"`
 }
 
 // ReadLedger extracts the drop ledger from a registry snapshot.
 func ReadLedger(snap telemetry.Snapshot) Ledger {
 	l := Ledger{ByCause: make(map[string]uint64)}
 	for _, c := range snap.Counters {
-		switch c.Name {
-		case MetricDrops:
-			cause, ok := c.Labels["cause"]
-			if !ok {
-				l.TotalDrops += c.Value
-				continue
-			}
-			l.ByCause[cause] += c.Value
-			if cause == CauseUnroutable.String() {
-				l.Unroutable += c.Value
-			} else {
-				l.Terminal += c.Value
-			}
-		case MetricUnroutable:
-			l.UnroutableTotal += c.Value
+		if c.Name != MetricDrops {
+			continue
 		}
+		cause, ok := c.Labels["cause"]
+		if !ok {
+			l.TotalDrops += c.Value
+			continue
+		}
+		l.ByCause[cause] += c.Value
+		l.Terminal += c.Value
 	}
 	return l
 }
@@ -63,8 +50,7 @@ func ReadLedger(snap telemetry.Snapshot) Ledger {
 //   - the unknown sentinel cause never fired (every drop site stamps
 //     a real cause),
 //   - every cause name is inside the closed taxonomy,
-//   - the sum over terminal causes equals the unlabeled drop total,
-//   - the unroutable cause series equals the ingress unroutable total.
+//   - the sum over terminal causes equals the unlabeled drop total.
 func (l Ledger) Verify() error {
 	var errs []string
 	if n := l.ByCause[CauseUnknown.String()]; n != 0 {
@@ -78,10 +64,6 @@ func (l Ledger) Verify() error {
 	if l.Terminal != l.TotalDrops {
 		errs = append(errs, fmt.Sprintf("sum over terminal causes %d != total drops %d (diff %+d): %s",
 			l.Terminal, l.TotalDrops, int64(l.Terminal)-int64(l.TotalDrops), l.causeList()))
-	}
-	if l.Unroutable != l.UnroutableTotal {
-		errs = append(errs, fmt.Sprintf("cause=unroutable %d != %s %d",
-			l.Unroutable, MetricUnroutable, l.UnroutableTotal))
 	}
 	if errs != nil {
 		return fmt.Errorf("flightrec ledger: %s", strings.Join(errs, "; "))

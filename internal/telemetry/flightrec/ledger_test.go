@@ -17,17 +17,15 @@ func causeLabels(cause string) map[string]string {
 }
 
 // TestLedgerClean: a balanced snapshot — per-cause sum equals the
-// unlabeled total, unroutable matches the ingress counter — verifies.
+// unlabeled total — verifies.
 func TestLedgerClean(t *testing.T) {
 	snap := telemetry.Snapshot{Counters: []telemetry.CounterSnap{
 		ctr(MetricDrops, 5, nil), // unlabeled grand total
 		ctr(MetricDrops, 3, causeLabels("panic")),
 		ctr(MetricDrops, 2, causeLabels("nf_verdict")),
-		ctr(MetricDrops, 4, causeLabels("unroutable")),
-		ctr(MetricUnroutable, 4, nil),
 	}}
 	l := ReadLedger(snap)
-	if l.Terminal != 5 || l.TotalDrops != 5 || l.Unroutable != 4 || l.UnroutableTotal != 4 {
+	if l.Terminal != 5 || l.TotalDrops != 5 {
 		t.Fatalf("ledger = %+v", l)
 	}
 	if err := l.Verify(); err != nil {
@@ -65,19 +63,6 @@ func TestLedgerSumMismatch(t *testing.T) {
 	}
 }
 
-// TestLedgerUnroutableMismatch: the cause=unroutable series must track
-// the legacy ingress counter exactly.
-func TestLedgerUnroutableMismatch(t *testing.T) {
-	snap := telemetry.Snapshot{Counters: []telemetry.CounterSnap{
-		ctr(MetricDrops, 3, causeLabels("unroutable")),
-		ctr(MetricUnroutable, 5, nil),
-	}}
-	err := ReadLedger(snap).Verify()
-	if err == nil || !strings.Contains(err.Error(), "unroutable") {
-		t.Fatalf("unroutable mismatch not caught: %v", err)
-	}
-}
-
 // TestLedgerForeignCause: a cause label outside the closed taxonomy
 // fails — the set is closed by design.
 func TestLedgerForeignCause(t *testing.T) {
@@ -99,8 +84,7 @@ func TestLedgerEmpty(t *testing.T) {
 }
 
 // TestCauseTaxonomy pins the closed set: names round-trip through
-// ParseCause, foreign names are rejected, and the terminal causes are
-// exactly everything but unknown/unroutable.
+// ParseCause and foreign names are rejected.
 func TestCauseTaxonomy(t *testing.T) {
 	for _, c := range Causes() {
 		got, ok := ParseCause(c.String())
@@ -110,14 +94,5 @@ func TestCauseTaxonomy(t *testing.T) {
 	}
 	if _, ok := ParseCause("bogus"); ok {
 		t.Fatal("ParseCause accepted a foreign name")
-	}
-	term := TerminalCauses()
-	if len(term) != NumCauses-2 {
-		t.Fatalf("TerminalCauses() has %d entries, want %d", len(term), NumCauses-2)
-	}
-	for _, c := range term {
-		if c == CauseUnknown || c == CauseUnroutable {
-			t.Fatalf("%v must not be terminal", c)
-		}
 	}
 }
