@@ -418,28 +418,6 @@ func BenchmarkFig13_NorthSouth_Burst32_NoFusion(b *testing.B) {
 	benchNFPGraphBurstFusion(b, res.Graph, 32, dataplane.FusionOff, "north-south payload")
 }
 
-// --- Flight recorder ablation ---
-//
-// BenchmarkFig7_NFP_SeqChain5_Burst32_NoFlightRec replays the tracked
-// Burst32 configuration with the flight recorder disabled (nil
-// recorder, no event rings, no drop sampling; the provenance counters
-// themselves stay — they are the accounting, not the observability
-// extra). ci.sh incident compares it against the default run to keep
-// the recorder tax within ~2%.
-func BenchmarkFig7_NFP_SeqChain5_Burst32_NoFlightRec(b *testing.B) {
-	srv := dataplane.New(dataplane.Config{
-		PoolSize: 2048, Mergers: 2, Burst: 32,
-		DisableFlightRecorder: true,
-	})
-	if err := srv.AddGraph(1, seqGraph(nfa.NFL3Fwd, 5)); err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		b.Fatal(err)
-	}
-	pumpBurst(b, srv, 32, "x")
-}
-
 // --- Figure 8: per-NF-type sequential vs parallel ---
 
 func BenchmarkFig8_Forwarder_Seq(b *testing.B) { benchNFPGraph(b, seqGraph(nfa.NFL3Fwd, 2), "x") }

@@ -4,44 +4,20 @@
 #
 #   ./ci.sh        — the blocking gate (build + vet + race tests, plus
 #                    staticcheck when it is on PATH)
-#   ./ci.sh bench  — the non-blocking burst-regression job: runs the
-#                    Burst1/Burst32 benchmark pairs with -benchmem and
-#                    writes BENCH_burst.json for artifact upload.
-#   ./ci.sh bench-compare — the non-blocking fusion-ablation job: runs
-#                    the Burst1/Burst32 pairs plus their _NoFusion
-#                    variants, writes BENCH_fusion.json, and prints a
-#                    per-benchmark delta table against the previous
-#                    BENCH_burst.json when one exists (fail-soft: a
-#                    missing or malformed baseline only warns).
-#   ./ci.sh bench-shard — the non-blocking shard-scaling job: runs the
-#                    Fig7 fused Burst32 benchmark at 1/4/8 shards,
-#                    writes BENCH_shard.json, and prints a 1->4->8
-#                    scaling table with the achieved speedup next to
-#                    the ideal (min(shards, cores)). Fail-soft: the
-#                    table reports, it never gates — on a single-core
-#                    runner the axis measures sharding overhead, not
-#                    scaling, and the table says so.
-#   ./ci.sh bench-flowcache — the non-blocking flow-fast-path job: runs
-#                    the Classifier_Rules{16,256,4096} benchmarks with
-#                    and without the microflow cache plus the cache-off
-#                    variants of the tracked Fig7/Fig13 Burst32 rows,
-#                    writes BENCH_flowcache.json, prints the
-#                    Rules4096/Rules16 hit-path flatness ratio
-#                    (expected ~1x cache-on: hits are O(1) regardless
-#                    of table size) and a delta table for the Fig7 row
-#                    against BENCH_fusion.json. Fail-soft: it reports,
-#                    it never gates.
+#   ./ci.sh bench  — the repo benchmark (BENCHMARK.json): every
+#                    workload, end-to-end and per-layer metrics, through
+#                    `go run ./bench -seed 1`; the artifact is
+#                    bench/out/result.json. Timing, so it never gates.
+#                    bench_test.go's paper-figure benchmarks stay
+#                    runnable by hand (`go test -bench . .`).
 #   ./ci.sh incident — the flight-recorder smoke: boots nfpd with an
 #                    injected NF panic and an incident spool, asserts
 #                    /debug/flightrecorder reports a balanced drop
 #                    ledger (sum over causes == total drops), a
 #                    cause=panic count, and a parseable incident
 #                    bundle; exercises nfpinspect incident against the
-#                    live server and the spool; then reports the
-#                    recorder's tax on the tracked Burst32 benchmark
-#                    into a fail-soft BENCH_flightrec.json. Set
-#                    SPOOL_DIR to keep the spool (CI uploads it as an
-#                    artifact on failure).
+#                    live server and the spool. Set SPOOL_DIR to keep
+#                    the spool (CI uploads it as an artifact on failure).
 #   ./ci.sh fuzz   — the non-blocking fuzz smoke: each native fuzz
 #                    target gets a short -fuzztime budget (override with
 #                    FUZZ_TIME) on top of its checked-in seed corpus.
@@ -63,9 +39,7 @@
 #                    generation goes live, then asserts conservation
 #                    (injected == outputs + drops, zero pool buffers
 #                    held) and a complete generation history. Also
-#                    exercises nfpinspect config and writes a fail-soft
-#                    BENCH_reload.json with the e2e p99 measured across
-#                    the swaps.
+#                    exercises nfpinspect config.
 #   ./ci.sh benchcheck — the repo benchmark's correctness check: runs
 #                    the five frozen BENCHMARK.json workloads through
 #                    `go run ./bench -check`, which holds each against
@@ -209,26 +183,6 @@ print("reload smoke: gen %d, %d reloads, %d pkts conserved, drains %s" %
 EOF
     "$bin/nfpinspect" config -addr "$addr"
     "$bin/nfpinspect" config -addr "$addr" -json >/dev/null
-    # Fail-soft artifact: the e2e p99 measured over a run that spanned
-    # two live swaps (the reload latency-tax headline number).
-    curl -fsS "http://$addr/debug/telemetry" > "$bin/telemetry.json" || true
-    python3 - "$bin/telemetry.json" "$bin/config.json" > "${BENCH_OUT:-BENCH_reload.json}" <<'EOF' || echo "warning: BENCH_reload.json failed (non-gating)"
-import json, sys
-tel = json.load(open(sys.argv[1]))
-ci = json.load(open(sys.argv[2]))
-series = [h for h in tel.get("histograms", []) if h["name"] == "nfp_e2e_latency_ns"]
-json.dump({
-    "reloads": ci["reloads"],
-    "injected": ci["injected"],
-    "drain_ns": [g["drain_ns"] for g in ci["history"] if g.get("drain_ns")],
-    "e2e_p99_ns_max": max((h["p99"] for h in series), default=0),
-    "e2e_p99_ns_by_series": [
-        {"labels": h.get("labels"), "p99_ns": h["p99"], "count": h["count"]}
-        for h in series],
-}, sys.stdout, indent=2)
-print()
-EOF
-    echo "wrote ${BENCH_OUT:-BENCH_reload.json}"
     kill "$pid" && wait "$pid" || true
     pid=""
     exit 0
@@ -306,24 +260,6 @@ EOF
     "$bin/nfpinspect" incident -spool "$spool"
     kill "$pid" && wait "$pid" || true
     pid=""
-    # Fail-soft artifact: the flight recorder's tax on the tracked
-    # Burst32 benchmark (provenance counters + ring vs ablation).
-    raw="$bin/bench.txt"
-    go test -run '^$' -bench 'Fig7_NFP_SeqChain5_Burst32(_NoFlightRec)?$' \
-        -benchtime "${BENCH_TIME:-1s}" . | tee "$raw" || true
-    awk '
-        $1 ~ /^BenchmarkFig7_NFP_SeqChain5_Burst32(-[0-9]+)?$/ { on = $3 }
-        $1 ~ /^BenchmarkFig7_NFP_SeqChain5_Burst32_NoFlightRec(-[0-9]+)?$/ { off = $3 }
-        END {
-            if (on > 0 && off > 0) {
-                printf "{\n \"recorder_on_ns_per_op\": %s,\n \"recorder_off_ns_per_op\": %s,\n \"overhead_pct\": %.2f\n}\n", \
-                    on, off, 100 * (on - off) / off
-                printf "flight recorder tax: %.1f -> %.1f ns/op (%+.1f%%; non-gating)\n", \
-                    off, on, 100 * (on - off) / off > "/dev/stderr"
-            }
-        }
-    ' "$raw" > "${BENCH_OUT:-BENCH_flightrec.json}" || echo "warning: BENCH_flightrec.json failed (non-gating)"
-    echo "wrote ${BENCH_OUT:-BENCH_flightrec.json}"
     exit 0
 fi
 
@@ -337,205 +273,7 @@ if [ "${1:-}" = "fuzz" ]; then
 fi
 
 if [ "${1:-}" = "bench" ]; then
-    out="${BENCH_OUT:-BENCH_burst.json}"
-    raw="$(mktemp)"
-    trap 'rm -f "$raw"' EXIT
-    go test -run '^$' -bench 'Burst(1|32)$' -benchmem -benchtime="${BENCH_TIME:-1s}" . | tee "$raw"
-    awk '
-        BEGIN { print "[" }
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            ns = $3; bytes = $5; allocs = $7
-            pps = (ns > 0) ? 1e9 / ns : 0
-            if (n++) printf ",\n"
-            printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"pkts_per_sec\": %.0f, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-                name, ns, pps, bytes, allocs
-        }
-        END { printf "\n]\n" }
-    ' "$raw" > "$out"
-    echo "wrote $out"
-    exit 0
-fi
-
-if [ "${1:-}" = "bench-shard" ]; then
-    out="${BENCH_OUT:-BENCH_shard.json}"
-    raw="$(mktemp)"
-    trap 'rm -f "$raw"' EXIT
-    go test -run '^$' -bench 'Fig7_NFP_SeqChain5_Burst32_Shard(1|4|8)$' \
-        -benchmem -benchtime="${BENCH_TIME:-1s}" . | tee "$raw"
-    cores="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-    [ -n "$cores" ] || cores=1
-    awk -v cores="$cores" '
-        BEGIN { print "[" }
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            ns = $3; bytes = $5; allocs = $7
-            pps = (ns > 0) ? 1e9 / ns : 0
-            shards = name; sub(/^.*_Shard/, "", shards)
-            if (n++) printf ",\n"
-            printf "  {\"name\": \"%s\", \"shards\": %s, \"cores\": %s, \"ns_per_op\": %s, \"pkts_per_sec\": %.0f, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-                name, shards, cores, ns, pps, bytes, allocs
-        }
-        END { printf "\n]\n" }
-    ' "$raw" > "$out"
-    echo "wrote $out"
-    # Scaling table vs the Shard1 row of the same run. Fail-soft by
-    # design: this job reports, it never gates — the >= 3x expectation
-    # for Shard4 only applies on a >= 4-core runner.
-    awk -v cores="$cores" '
-        /^Benchmark.*_Shard[0-9]+(-[0-9]+)?[ \t]/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            shards = name; sub(/^.*_Shard/, "", shards)
-            ns[shards] = $3 + 0
-            order[cnt++] = shards
-        }
-        END {
-            if (!(1 in ns) || ns[1] <= 0) { print "warning: no Shard1 baseline in run"; exit }
-            printf "shard scaling (%d core(s) visible to the runtime):\n", cores
-            for (i = 0; i < cnt; i++) {
-                k = order[i]
-                ideal = (k + 0 < cores + 0) ? k : cores
-                printf "  Shard%-3s %10.1f ns/op  %12.0f pps  speedup %5.2fx (ideal %dx)\n", \
-                    k, ns[k], 1e9 / ns[k], ns[1] / ns[k], ideal
-            }
-            if (cores + 0 < 4)
-                print "  note: fewer than 4 cores — this run measures sharding overhead, not scaling"
-        }
-    ' "$raw" || echo "warning: scaling table failed"
-    exit 0
-fi
-
-if [ "${1:-}" = "bench-flowcache" ]; then
-    out="${BENCH_OUT:-BENCH_flowcache.json}"
-    base="${BENCH_BASELINE:-BENCH_fusion.json}"
-    raw="$(mktemp)"
-    trap 'rm -f "$raw"' EXIT
-    go test -run '^$' \
-        -bench 'Classifier_Rules(16|256|4096)(_NoFlowCache)?$|Fig7_NFP_SeqChain5_Burst32(_NoFlowCache)?$|Fig13_NorthSouth_Burst32(_NoFlowCache)?$' \
-        -benchmem -benchtime="${BENCH_TIME:-1s}" . | tee "$raw"
-    awk '
-        BEGIN { print "[" }
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            ns = $3; bytes = $5; allocs = $7
-            pps = (ns > 0) ? 1e9 / ns : 0
-            if (n++) printf ",\n"
-            printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"pkts_per_sec\": %.0f, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-                name, ns, pps, bytes, allocs
-        }
-        END { printf "\n]\n" }
-    ' "$raw" > "$out"
-    echo "wrote $out"
-    # Hit-path flatness: cache-on ns/op must not grow with the rule
-    # table (every steady-state packet is an exact-match hit), while
-    # the _NoFlowCache rows show the linear walk the cache bypasses.
-    # Fail-soft by design: this job reports, it never gates.
-    awk '
-        /^BenchmarkClassifier_Rules[0-9]+(-[0-9]+)?[ \t]/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            rules = name; sub(/^.*_Rules/, "", rules)
-            on[rules] = $3 + 0
-        }
-        /^BenchmarkClassifier_Rules[0-9]+_NoFlowCache(-[0-9]+)?[ \t]/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            rules = name; sub(/^.*_Rules/, "", rules); sub(/_NoFlowCache$/, "", rules)
-            off[rules] = $3 + 0
-        }
-        END {
-            print "flow-cache hit-path flatness (ns/op per packet):"
-            n = split("16 256 4096", sizes, " ")
-            for (i = 1; i <= n; i++) {
-                r = sizes[i]
-                if (!(r in on)) continue
-                spd = (r in off && on[r] > 0) ? off[r] / on[r] : 0
-                printf "  Rules%-5s cache-on %8.1f  cache-off %10.1f  speedup %7.2fx\n", r, on[r], off[r], spd
-            }
-            if (on[16] > 0 && on[4096] > 0) {
-                ratio = on[4096] / on[16]
-                printf "  Rules4096/Rules16 cache-on ratio: %.2fx (flat hit path wants ~1x, criterion <= 1.25x)\n", ratio
-            } else {
-                print "  warning: missing Rules16/Rules4096 cache-on rows"
-            }
-        }
-    ' "$raw" || echo "warning: flatness table failed"
-    # Tracked-row tax: the cache must be invisible on the default-route
-    # Fig7/Fig13 paths (empty rule table bypasses it entirely).
-    if [ -f "$base" ]; then
-        awk -v base="$base" '
-            NR == FNR {
-                if (match($0, /"name": "[^"]+"/)) {
-                    name = substr($0, RSTART + 9, RLENGTH - 10)
-                    if (match($0, /"ns_per_op": [0-9.]+/))
-                        prev[name] = substr($0, RSTART + 13, RLENGTH - 13)
-                }
-                next
-            }
-            /^BenchmarkFig/ {
-                name = $1; sub(/-[0-9]+$/, "", name)
-                key = name; sub(/_NoFlowCache$/, "", key)
-                ns = $3 + 0
-                if (key in prev && prev[key] > 0) {
-                    delta = 100 * (ns - prev[key]) / prev[key]
-                    printf "%-52s %10.1f ns/op  baseline %10.1f  delta %+7.1f%%\n", name, ns, prev[key], delta
-                } else {
-                    printf "%-52s %10.1f ns/op  (no baseline)\n", name, ns
-                }
-            }
-        ' "$base" "$raw" || echo "warning: delta table failed (malformed $base?)"
-    else
-        echo "warning: no baseline $base — skipping delta table"
-    fi
-    exit 0
-fi
-
-if [ "${1:-}" = "bench-compare" ]; then
-    out="${BENCH_OUT:-BENCH_fusion.json}"
-    base="${BENCH_BASELINE:-BENCH_burst.json}"
-    raw="$(mktemp)"
-    trap 'rm -f "$raw"' EXIT
-    go test -run '^$' -bench 'Burst(1|32)(_NoFusion)?$' -benchmem -benchtime="${BENCH_TIME:-1s}" . | tee "$raw"
-    awk '
-        BEGIN { print "[" }
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            ns = $3; bytes = $5; allocs = $7
-            pps = (ns > 0) ? 1e9 / ns : 0
-            if (n++) printf ",\n"
-            printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"pkts_per_sec\": %.0f, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-                name, ns, pps, bytes, allocs
-        }
-        END { printf "\n]\n" }
-    ' "$raw" > "$out"
-    echo "wrote $out"
-    # Delta table vs the previous burst-suite JSON. _NoFusion rows
-    # compare against the unsuffixed baseline name, so the fusion-off
-    # engine is expected near 0% and the fused rows show the win.
-    # Fail-soft by design: this job reports, it never gates.
-    if [ -f "$base" ]; then
-        awk -v base="$base" '
-            NR == FNR {
-                if (match($0, /"name": "[^"]+"/)) {
-                    name = substr($0, RSTART + 9, RLENGTH - 10)
-                    if (match($0, /"ns_per_op": [0-9.]+/))
-                        prev[name] = substr($0, RSTART + 13, RLENGTH - 13)
-                }
-                next
-            }
-            /^Benchmark/ {
-                name = $1; sub(/-[0-9]+$/, "", name)
-                key = name; sub(/_NoFusion$/, "", key)
-                ns = $3 + 0
-                if (key in prev && prev[key] > 0) {
-                    delta = 100 * (ns - prev[key]) / prev[key]
-                    printf "%-48s %10.1f ns/op  baseline %10.1f  delta %+7.1f%%\n", name, ns, prev[key], delta
-                } else {
-                    printf "%-48s %10.1f ns/op  (no baseline)\n", name, ns
-                }
-            }
-        ' "$base" "$raw" || echo "warning: delta table failed (malformed $base?)"
-    else
-        echo "warning: no baseline $base — skipping delta table"
-    fi
+    go run ./bench -seed 1
     exit 0
 fi
 

@@ -59,6 +59,10 @@ func main() {
 // process exit gate). It, not main, owns the deferred cleanups so they
 // survive the exit-code decision.
 func run() int {
+	// Dataplane settings bind straight into the Config the run hands to
+	// dataplane.New; flags that need translating are applied below.
+	var opts experiments.LiveOptions
+	cfg := &opts.Config
 	policyPath := flag.String("policy", "", "policy file")
 	chain := flag.String("chain", "", "comma-separated sequential chain")
 	packets := flag.Int("packets", 20000, "number of packets to push")
@@ -70,23 +74,23 @@ func run() int {
 	idsRules := flag.String("ids-rules", "", "Snort-subset rule file; replaces the built-in IDS signatures")
 	noParallel := flag.Bool("no-parallel", false, "compile sequentially (NFP compatibility mode)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics and /debug/telemetry on this address (keeps serving after the run until interrupted)")
-	traceSample := flag.Int("trace-sample", 0, "trace ~1/N packets hop-by-hop (0 = off; rounded down to a power of two)")
-	traceBuf := flag.Int("trace-buf", 0, "tracer span ring capacity in events (0 = default 4096)")
+	flag.IntVar(&cfg.TraceSampleRate, "trace-sample", 0, "trace ~1/N packets hop-by-hop (0 = off; rounded down to a power of two)")
+	flag.IntVar(&cfg.TraceCapacity, "trace-buf", 0, "tracer span ring capacity in events (0 = default 4096)")
 	fusion := flag.Bool("fusion", true,
 		"fuse sequential graph segments into run-to-completion runtimes (false = one ring per NF)")
-	burst := flag.Int("burst", dataplane.DefaultBurst,
+	flag.IntVar(&cfg.Burst, "burst", dataplane.DefaultBurst,
 		"dataplane burst size: packets moved per ring operation (1 = scalar compatibility mode)")
-	shards := flag.Int("shards", dataplane.DefaultShards(),
+	flag.IntVar(&cfg.Shards, "shards", dataplane.DefaultShards(),
 		"flow-sharded execution domains: the whole plan replicated per shard, packets dispatched by 5-tuple hash (1 = classic single-shard layout; default = cores, capped at 8)")
 	flowCache := flag.Bool("flow-cache", true,
 		"exact-match microflow cache in front of the rule walk (false = ablate: every packet re-walks the classifier rules)")
-	flowCacheSize := flag.Int("flow-cache-size", 0,
+	flag.IntVar(&cfg.FlowCacheSize, "flow-cache-size", 0,
 		"per-shard microflow cache slots, rounded up to a power of two (0 = default 4096)")
 	ringPolicy := flag.String("ring-policy", "block",
 		"receive-ring backpressure policy: block (lossless), drop-tail, or shed-lowest-priority")
-	spinLimit := flag.Int("spin-limit", dataplane.DefaultSpinLimit,
+	flag.IntVar(&cfg.SpinLimit, "spin-limit", dataplane.DefaultSpinLimit,
 		"bounded-spin yields before a full-ring producer parks or sheds")
-	ringSize := flag.Int("ring-size", 0,
+	flag.IntVar(&cfg.RingSize, "ring-size", 0,
 		"per-NF receive ring capacity (0 = dataplane default; small rings surface overload sooner)")
 	diagInterval := flag.Duration("diagnose-interval", 0,
 		"sample telemetry at this interval for live bottleneck diagnosis (0 = off; serves /debug/health and /debug/topflows)")
@@ -105,7 +109,7 @@ func run() int {
 		"spool anomaly-triggered incident bundles (event-ring tail, metrics, diagnosis) into this directory")
 	flightInterval := flag.Duration("flight-interval", 30*time.Second,
 		"minimum interval between incident bundles (rate limit; excess triggers are counted, not spooled)")
-	dropSample := flag.Int("drop-sample", 1,
+	flag.IntVar(&cfg.DropSampleRate, "drop-sample", 1,
 		"record ~1/N terminal drops as flight-recorder events with flow key and cause (per-cause drop counters stay exact regardless)")
 	panicNF := flag.String("panic-nf", "",
 		"fault injection: 'name@N' panics that NF on its Nth packet (e.g. monitor@5000); the supervisor restarts it clean")
@@ -154,7 +158,8 @@ func run() int {
 		if err != nil {
 			fail(err)
 		}
-		experiments.OverrideIDS(rules)
+		cfg.Registry = nf.NewRegistry()
+		cfg.Registry.MustRegister(nfa.NFIDS, func() (nf.NF, error) { return nf.NewRuleIDS(rules), nil })
 		fmt.Printf("ids rules:         %d loaded from %s\n", len(rules), *idsRules)
 	}
 
@@ -170,28 +175,14 @@ func run() int {
 		fmt.Printf("warning:           %s\n", w)
 	}
 
-	bpPolicy, err := dataplane.ParseBackpressurePolicy(*ringPolicy)
-	if err != nil {
+	if cfg.RingPolicy, err = dataplane.ParseBackpressurePolicy(*ringPolicy); err != nil {
 		fail(err)
 	}
-	fusionMode := dataplane.FusionOn
+	cfg.Fusion = dataplane.FusionOn
 	if !*fusion {
-		fusionMode = dataplane.FusionOff
+		cfg.Fusion = dataplane.FusionOff
 	}
-	opts := experiments.LiveOptions{
-		TraceSampleRate: *traceSample,
-		TraceCapacity:   *traceBuf,
-		Burst:           *burst,
-		RingPolicy:      bpPolicy,
-		SpinLimit:       *spinLimit,
-		RingSize:        *ringSize,
-		Fusion:          fusionMode,
-		Shards:          *shards,
-		DropSampleRate:  *dropSample,
-
-		DisableFlowCache: !*flowCache,
-		FlowCacheSize:    *flowCacheSize,
-	}
+	cfg.DisableFlowCache = !*flowCache
 	if *panicNF != "" {
 		name, call, err := parsePanicNF(*panicNF)
 		if err != nil {
@@ -205,15 +196,15 @@ func run() int {
 		}
 		fmt.Printf("fault injection:   %s panics on packet %d (supervisor restarts it)\n", name, call)
 	}
-	if bpPolicy == dataplane.BPShedLowestPriority {
+	if cfg.RingPolicy == dataplane.BPShedLowestPriority {
 		// Rank NFs from the policy's Priority rules so only the
 		// lowest-ranked rings shed under overload.
-		opts.NodePriority = pol.PriorityRanks()
+		cfg.NodePriority = pol.PriorityRanks()
 	}
-	fmt.Printf("burst size:        %d\n", *burst)
-	fmt.Printf("shards:            %d\n", *shards)
-	fmt.Printf("execution engine:  fusion %s\n", fusionMode)
-	fmt.Printf("ring policy:       %s (spin limit %d)\n", bpPolicy, *spinLimit)
+	fmt.Printf("burst size:        %d\n", cfg.Burst)
+	fmt.Printf("shards:            %d\n", cfg.Shards)
+	fmt.Printf("execution engine:  fusion %s\n", cfg.Fusion)
+	fmt.Printf("ring policy:       %s (spin limit %d)\n", cfg.RingPolicy, cfg.SpinLimit)
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)
 		if err != nil {
@@ -232,7 +223,7 @@ func run() int {
 	if *telemetryAddr != "" || *diagInterval > 0 || *flightSpool != "" {
 		// The registry outlives the run so /metrics stays truthful after
 		// the traffic stops.
-		opts.Telemetry = telemetry.NewRegistry()
+		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	if *diagInterval > 0 {
 		// Diagnosis layers on the registry: the classifier feeds the
@@ -240,11 +231,11 @@ func run() int {
 		// latency, and a background sampler turns snapshot deltas into
 		// utilization and health verdicts.
 		sketch = diagnose.NewTopK(*topK)
-		opts.FlowAccount = sketch
-		opts.FlowSampleRate = *flowSample
-		opts.E2ESampleRate = *e2eSample
+		cfg.FlowAccount = sketch
+		cfg.FlowSampleRate = *flowSample
+		cfg.E2ESampleRate = *e2eSample
 		diag = diagnose.New(diagnose.Config{
-			Registry:     opts.Telemetry,
+			Registry:     cfg.Telemetry,
 			Interval:     *diagInterval,
 			SLOTargetP99: *sloP99,
 			TopK:         sketch,
@@ -252,10 +243,10 @@ func run() int {
 		fmt.Printf("diagnosis:         sampling every %v (flow 1/%d, e2e 1/%d, top-%d sketch)\n",
 			*diagInterval, *flowSample, *e2eSample, *topK)
 	}
-	if *reload && opts.E2ESampleRate == 0 {
+	if *reload && cfg.E2ESampleRate == 0 {
 		// Latency across a swap is the reload headline number; sample it
 		// even when the diagnosis layer is off.
-		opts.E2ESampleRate = *e2eSample
+		cfg.E2ESampleRate = *e2eSample
 	}
 	var srvRef *dataplane.Server
 	var snap *flightrec.Snapshotter
@@ -332,7 +323,7 @@ func run() int {
 				diag.SampleNow() // open the window before the first packet
 				diag.Start()
 			}
-			_, bound, err := telemetry.ServeWith(bindAddr, opts.Telemetry, s.Tracer(), extra)
+			_, bound, err := telemetry.ServeWith(bindAddr, cfg.Telemetry, s.Tracer(), extra)
 			if err != nil {
 				fail(err)
 			}
@@ -353,7 +344,7 @@ func run() int {
 	if live.Copies > 0 {
 		fmt.Printf("  copies:          %d (%d bytes total)\n", live.Copies, live.CopiedBytes)
 	}
-	if *traceSample > 0 {
+	if cfg.TraceSampleRate > 0 {
 		fmt.Printf("  traced packets:  %d hop events retained\n", len(live.Traces))
 	}
 	if *reload && srvRef != nil {
@@ -399,9 +390,10 @@ func parsePanicNF(s string) (string, uint64, error) {
 // running dataplane as a new config generation. Failures — a policy
 // that no longer parses, a compile error, a server already stopped —
 // are reported on stderr and recorded as reload_failed flight-recorder
-// events (which trigger an incident snapshot when a spool is armed);
-// the current generation keeps forwarding — a reload can never take
-// traffic down.
+// events (which trigger an incident snapshot when a spool is armed): by
+// this watcher when the policy never reached the server, by
+// Server.Reload itself otherwise. The current generation keeps
+// forwarding — a reload can never take traffic down.
 func watchSIGHUP(s *dataplane.Server, policyPath, chain string, noParallel bool) {
 	hup := make(chan os.Signal, 4)
 	signal.Notify(hup, syscall.SIGHUP)
@@ -426,7 +418,7 @@ func watchSIGHUP(s *dataplane.Server, policyPath, chain string, noParallel bool)
 				continue
 			}
 			if err := s.Reload(1, compiled.Graph); err != nil {
-				reloadFailed(err)
+				fmt.Fprintf(os.Stderr, "nfpd: reload: %v\n", err)
 				continue
 			}
 			fmt.Printf("reload:            generation %d live (%s)\n", s.Generation(), compiled.Graph)

@@ -118,12 +118,14 @@ func runDiagnosis(hf *healthFlags) (diagnose.HealthReport, diagnose.TopFlowsRepo
 		TopK:         sketch,
 	})
 	opts := experiments.LiveOptions{
-		Telemetry:      reg,
-		FlowAccount:    sketch,
-		FlowSampleRate: 1, // short run: sample everything for exact counts
-		E2ESampleRate:  1,
-		Shards:         *hf.shards,
-		OnServer:       func(*dataplane.Server) { d.SampleNow() }, // window start
+		Config: dataplane.Config{
+			Telemetry:      reg,
+			FlowAccount:    sketch,
+			FlowSampleRate: 1, // short run: sample everything for exact counts
+			E2ESampleRate:  1,
+			Shards:         *hf.shards,
+		},
+		OnServer: func(*dataplane.Server) { d.SampleNow() }, // window start
 	}
 	if _, err := experiments.RunLiveGraphOpts(res.Graph, *hf.packets, gen, opts); err != nil {
 		metricsFail(err)

@@ -130,12 +130,11 @@ func runIncident(chain string, packets int, seed int64, panicAt uint64) (*flight
 	gen := trafficgen.New(trafficgen.Config{Flows: 32, Seed: seed})
 	var snap *flightrec.Snapshotter
 	opts := experiments.LiveOptions{
-		Telemetry: telemetry.NewRegistry(),
 		// Sample drops sparsely: the drain after the injected panic can
 		// shed thousands of packets, and at rate 1 those per-drop events
 		// would lap the ring and evict the panic note itself before the
 		// bundle is collected.
-		DropSampleRate: 64,
+		Config: dataplane.Config{Telemetry: telemetry.NewRegistry(), DropSampleRate: 64},
 		WrapNF: func(name string, inst nf.NF) nf.NF {
 			if name == names[0] {
 				return faultinject.NewPanicNF(inst, panicAt)

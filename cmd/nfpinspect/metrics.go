@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nfp/internal/core"
+	"nfp/internal/dataplane"
 	"nfp/internal/experiments"
 	"nfp/internal/policy"
 	"nfp/internal/telemetry"
@@ -26,8 +27,9 @@ func metricsCmd(args []string) {
 	chain := fs.String("chain", "", "run this comma-separated chain in-process and snapshot it")
 	packets := fs.Int("packets", 2000, "packets for the in-process run")
 	seed := fs.Int64("seed", 1, "traffic seed for the in-process run")
-	traceSample := fs.Int("trace-sample", 0, "trace ~1/N packets during the in-process run")
-	shards := fs.Int("shards", 1, "flow-sharded execution domains for the in-process run (1 = unsharded)")
+	var cfg dataplane.Config // of the in-process run
+	fs.IntVar(&cfg.TraceSampleRate, "trace-sample", 0, "trace ~1/N packets during the in-process run")
+	fs.IntVar(&cfg.Shards, "shards", 1, "flow-sharded execution domains for the in-process run (1 = unsharded)")
 	asJSON := fs.Bool("json", false, "emit the raw JSON dump instead of the table")
 	watch := fs.Duration("watch", 0, "re-poll -addr at this interval and print counter deltas (requires -addr)")
 	_ = fs.Parse(args)
@@ -46,7 +48,7 @@ func metricsCmd(args []string) {
 	case *addr != "":
 		dump = fetchDump(*addr)
 	case *chain != "":
-		dump = runDump(*chain, *packets, *seed, *traceSample, 0, *shards)
+		dump = runDump(*chain, *packets, *seed, cfg)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: nfpinspect metrics (-addr HOST:PORT | -chain nf1,nf2,...) [-json]")
 		os.Exit(2)
@@ -83,7 +85,7 @@ func fetchDump(addr string) telemetry.Dump {
 	return dump
 }
 
-func runDump(chain string, packets int, seed int64, traceSample, traceBuf, shards int) telemetry.Dump {
+func runDump(chain string, packets int, seed int64, cfg dataplane.Config) telemetry.Dump {
 	names := strings.Split(chain, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
@@ -93,8 +95,7 @@ func runDump(chain string, packets int, seed int64, traceSample, traceBuf, shard
 		metricsFail(err)
 	}
 	gen := trafficgen.New(trafficgen.Config{Flows: 32, Seed: seed})
-	live, err := experiments.RunLiveGraphOpts(res.Graph, packets, gen,
-		experiments.LiveOptions{TraceSampleRate: traceSample, TraceCapacity: traceBuf, Shards: shards})
+	live, err := experiments.RunLiveGraphOpts(res.Graph, packets, gen, experiments.LiveOptions{Config: cfg})
 	if err != nil {
 		metricsFail(err)
 	}

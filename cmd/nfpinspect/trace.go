@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"nfp/internal/dataplane"
 	"nfp/internal/telemetry"
 )
 
@@ -17,28 +18,28 @@ import (
 // `nfpinspect criticalpath`: where the spans come from (a live server
 // or a fresh in-process run) and how to render them.
 type traceFlags struct {
-	fs          *flag.FlagSet
-	addr        *string
-	chain       *string
-	packets     *int
-	seed        *int64
-	traceSample *int
-	traceBuf    *int
-	asJSON      *bool
+	fs      *flag.FlagSet
+	addr    *string
+	chain   *string
+	packets *int
+	seed    *int64
+	cfg     dataplane.Config // of the in-process run
+	asJSON  *bool
 }
 
 func newTraceFlags(name string) *traceFlags {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	return &traceFlags{
-		fs:          fs,
-		addr:        fs.String("addr", "", "read a running server's spans at this host:port"),
-		chain:       fs.String("chain", "", "run this comma-separated chain in-process and analyze it"),
-		packets:     fs.Int("packets", 2000, "packets for the in-process run"),
-		seed:        fs.Int64("seed", 1, "traffic seed for the in-process run"),
-		traceSample: fs.Int("trace-sample", 1, "trace ~1/N packets during the in-process run"),
-		traceBuf:    fs.Int("trace-buf", 1<<16, "tracer span ring capacity for the in-process run"),
-		asJSON:      fs.Bool("json", false, "emit raw JSON instead of the report"),
+	tf := &traceFlags{
+		fs:      fs,
+		addr:    fs.String("addr", "", "read a running server's spans at this host:port"),
+		chain:   fs.String("chain", "", "run this comma-separated chain in-process and analyze it"),
+		packets: fs.Int("packets", 2000, "packets for the in-process run"),
+		seed:    fs.Int64("seed", 1, "traffic seed for the in-process run"),
+		asJSON:  fs.Bool("json", false, "emit raw JSON instead of the report"),
 	}
+	fs.IntVar(&tf.cfg.TraceSampleRate, "trace-sample", 1, "trace ~1/N packets during the in-process run")
+	fs.IntVar(&tf.cfg.TraceCapacity, "trace-buf", 1<<16, "tracer span ring capacity for the in-process run")
+	return tf
 }
 
 // events resolves the span source: a live server's /debug/telemetry or
@@ -48,7 +49,7 @@ func (tf *traceFlags) events(cmd string) []telemetry.TraceEvent {
 	case *tf.addr != "":
 		return fetchDump(*tf.addr).Traces
 	case *tf.chain != "":
-		return runDump(*tf.chain, *tf.packets, *tf.seed, *tf.traceSample, *tf.traceBuf, 1).Traces
+		return runDump(*tf.chain, *tf.packets, *tf.seed, tf.cfg).Traces
 	}
 	fmt.Fprintf(os.Stderr, "usage: nfpinspect %s (-addr HOST:PORT | -chain nf1,nf2,...) [-json]\n", cmd)
 	os.Exit(2)

@@ -91,9 +91,7 @@ func (s *Server) note(kind flightrec.Kind, gen uint64, detail uint32, count uint
 	s.rec.Event(flightrec.Note{Kind: kind, Gen: gen, Detail: detail, Count: count})
 }
 
-// FlightRecorder returns the always-on flight recorder (nil when
-// Config.DisableFlightRecorder opted out — every call site is
-// nil-safe).
+// FlightRecorder returns the always-on flight recorder.
 func (s *Server) FlightRecorder() *flightrec.Recorder { return s.rec }
 
 // BuildInfo self-describes the server: the nfp_build_info label set

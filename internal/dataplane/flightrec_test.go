@@ -252,43 +252,6 @@ func TestDropProvenanceShed(t *testing.T) {
 	}
 }
 
-// TestDisableFlightRecorderAblation: the ablation build runs with a
-// nil recorder (no rings, no sampled events) while provenance counters
-// and the conservation ledger stay exact — nil-receiver safety means
-// no call site needs a guard.
-func TestDisableFlightRecorderAblation(t *testing.T) {
-	fw := nf.NewFirewallFromRules(nil, nf.Deny)
-	s := New(Config{PoolSize: 128, Burst: 8, DisableFlightRecorder: true})
-	if s.FlightRecorder() != nil {
-		t.Fatal("DisableFlightRecorder must leave the recorder nil")
-	}
-	if err := s.AddGraphInstances(1, nfn(nfa.NFFirewall, 0), map[graph.NF]nf.NF{
-		nfn(nfa.NFFirewall, 0): fw,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	col := collectOutputs(s)
-	const n = 50
-	for i := 0; i < n; i++ {
-		if !s.Inject(buildInto(t, s, spec(byte(i%5), uint16(4000+i), "deny"))) {
-			t.Fatal("classification failed")
-		}
-	}
-	s.Stop()
-	col.wait()
-	st := s.Stats()
-	if st.Drops != n {
-		t.Fatalf("drops = %d, want %d", st.Drops, n)
-	}
-	auditLedger(t, s, st.Drops)
-	if evs := s.FlightRecorder().Events(0); evs != nil {
-		t.Fatalf("nil recorder returned %d events", len(evs))
-	}
-}
-
 // TestMetricLintClean loads every metric family the dataplane and the
 // diagnosis layer register — sharded server, drops of several causes,
 // health gauges — and lints the full registry: one misnamed series

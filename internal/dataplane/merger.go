@@ -92,13 +92,13 @@ type merger struct {
 	mergeLat  *telemetry.Histogram
 }
 
-func newMerger(id, queue int, sh *shard) *merger {
+func newMerger(id int, sh *shard) *merger {
 	tel := sh.srv.tel
 	inst := sh.labelShard([]telemetry.Label{telemetry.L("instance", strconv.Itoa(id))})
 	return &merger{
 		id:        id,
 		name:      "merger-" + strconv.Itoa(id),
-		in:        make(chan mergeItem, queue),
+		in:        make(chan mergeItem, mergerQueue),
 		at:        make(map[atKey]*atEntry),
 		sh:        sh,
 		processed: tel.Counter("nfp_merger_processed_total", inst...),

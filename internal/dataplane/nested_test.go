@@ -30,8 +30,15 @@ func (d *dropEveryNth) Process(p *packet.Packet) nf.Verdict {
 }
 
 // TestNestedParallelLive exercises a two-level join tree end to end:
-// a -> ( b || (c -> (d || e)) ) with a copied inner group.
+// a -> ( b || (c -> (d || e)) ) with a copy group at both levels, the
+// way the orchestrator emits it: c and e write, so their branch runs on
+// its own copy while b reads the original, and each join carries the
+// LB's address rewrite one level up.
 func TestNestedParallelLive(t *testing.T) {
+	carryAddrs := []graph.MergeOp{
+		{Kind: graph.OpModify, SrcVersion: 2, SrcField: packet.FieldSrcIP, DstField: packet.FieldSrcIP},
+		{Kind: graph.OpModify, SrcVersion: 2, SrcField: packet.FieldDstIP, DstField: packet.FieldDstIP},
+	}
 	inner := graph.Par{
 		Branches: []graph.Node{
 			nfn(nfa.NFMonitor, 2), // d
@@ -39,17 +46,19 @@ func TestNestedParallelLive(t *testing.T) {
 		},
 		Groups:   [][]int{{0}, {1}},
 		FullCopy: []bool{false, false},
-		Ops: []graph.MergeOp{
-			{Kind: graph.OpModify, SrcVersion: 2, SrcField: packet.FieldSrcIP, DstField: packet.FieldSrcIP},
-			{Kind: graph.OpModify, SrcVersion: 2, SrcField: packet.FieldDstIP, DstField: packet.FieldDstIP},
-		},
+		Ops:      carryAddrs,
 	}
 	g := graph.Seq{Items: []graph.Node{
 		nfn(nfa.NFMonitor, 0), // a
-		graph.Par{Branches: []graph.Node{
-			nfn(nfa.NFMonitor, 1), // b
-			graph.Seq{Items: []graph.Node{nfn(nfa.NFL3Fwd, 0), inner}}, // c -> (d||e)
-		}},
+		graph.Par{
+			Branches: []graph.Node{
+				nfn(nfa.NFMonitor, 1), // b
+				graph.Seq{Items: []graph.Node{nfn(nfa.NFL3Fwd, 0), inner}}, // c -> (d||e)
+			},
+			Groups:   [][]int{{0}, {1}},
+			FullCopy: []bool{false, false},
+			Ops:      carryAddrs,
+		},
 	}}
 	s := New(Config{PoolSize: 128})
 	if err := s.AddGraph(1, g); err != nil {
@@ -70,8 +79,8 @@ func TestNestedParallelLive(t *testing.T) {
 		p.Free()
 	}
 	st := s.Stats()
-	if st.Copies != 40 {
-		t.Errorf("copies = %d, want 40", st.Copies)
+	if st.Copies != 80 {
+		t.Errorf("copies = %d, want 80 (one per join level)", st.Copies)
 	}
 	if s.Pool().Available() != 128 {
 		t.Errorf("pool leak: %d/128", s.Pool().Available())

@@ -83,7 +83,7 @@ type nodeRT struct {
 	// Health and restart state, segment-scoped. healthy flips false on
 	// panic (runtime goroutine) and true on restart (supervisor
 	// goroutine); restartAt is the earliest restart time in unixnano;
-	// backoffNS doubles per panic up to Config.RestartBackoffMax.
+	// backoffNS doubles per panic up to restartBackoffMax.
 	healthy   atomic.Bool
 	restartAt atomic.Int64
 	backoffNS atomic.Int64
@@ -170,11 +170,11 @@ func (n *nodeRT) onPanic(s *segNF, cause any) {
 	})
 	backoff := n.backoffNS.Load()
 	if backoff == 0 {
-		backoff = int64(n.server.cfg.RestartBackoff)
+		backoff = int64(restartBackoff)
 	} else {
 		backoff *= 2
-		if max := int64(n.server.cfg.RestartBackoffMax); backoff > max {
-			backoff = max
+		if backoff > int64(restartBackoffMax) {
+			backoff = int64(restartBackoffMax)
 		}
 	}
 	n.backoffNS.Store(backoff)

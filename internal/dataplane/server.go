@@ -51,15 +51,31 @@ type FlowObserver interface {
 	ObserveFlow(k flow.Key, pkts, bytes uint64)
 }
 
-// Config sizes an NFP server.
+// Fixed sizings no deployment, test or benchmark ever varied.
+const (
+	// bufSize is the per-buffer byte size; it leaves headroom over the
+	// MTU for AH encapsulation.
+	bufSize = 2048
+	// mergerQueue is each merger's input queue length, and outputQueue
+	// the capacity of every output channel: both absorb a few bursts so
+	// a momentarily slow consumer does not stall the NF runtimes.
+	mergerQueue = 1024
+	outputQueue = 1024
+	// restartBackoff is the supervisor's initial delay before restarting
+	// a crashed NF instance; it doubles per panic up to restartBackoffMax.
+	restartBackoff    = time.Millisecond
+	restartBackoffMax = 250 * time.Millisecond
+)
+
+// Config is the one declaration of every dataplane setting: nfpd and
+// nfpinspect bind their flags into it, the experiments harness carries
+// it in LiveOptions.Config, and New reads it as is. The zero value of
+// every field selects its default.
 type Config struct {
 	// PoolSize is the number of packet buffers in the shared pool
 	// (default 4096). With Shards > 1 the pool is partitioned evenly
 	// across the shards, so size it as a whole-server budget.
 	PoolSize int
-	// BufSize is the per-buffer byte size; it must leave headroom over
-	// the MTU for AH encapsulation (default 2048).
-	BufSize int
 	// RingSize is the per-NF receive ring capacity (default 512).
 	RingSize int
 	// Mergers is the number of merger instances the merger agent
@@ -67,10 +83,6 @@ type Config struct {
 	// are sufficient ... with the parallelism degree of up to 5").
 	// Sharded servers run this many mergers per shard.
 	Mergers int
-	// MergerQueue is each merger's input queue length (default 1024).
-	MergerQueue int
-	// OutputQueue is the output channel capacity (default 1024).
-	OutputQueue int
 	// Burst is the dataplane burst size (default 32): how many packet
 	// references NF runtimes and mergers drain per ring/queue visit, and
 	// the granularity at which per-burst telemetry is amortized. Burst=1
@@ -115,11 +127,6 @@ type Config struct {
 	// policy (higher = more important; unlisted NFs rank 0). Derive it
 	// from a policy's Priority rules with policy.PriorityRanks.
 	NodePriority map[string]int
-	// RestartBackoff is the supervisor's initial delay before
-	// restarting a crashed NF instance; it doubles per panic up to
-	// RestartBackoffMax (defaults 1ms and 250ms).
-	RestartBackoff    time.Duration
-	RestartBackoffMax time.Duration
 	// FlowAccount, when set, receives sampled per-flow (5-tuple)
 	// accounting from the classifier at FlowSampleRate. Nil disables
 	// flow accounting entirely (zero hot-path cost).
@@ -144,23 +151,11 @@ type Config struct {
 	// equivalent (see internal/equivalence); fusion only removes ring
 	// hops the graph structure proves redundant.
 	Fusion FusionMode
-	// FlightRecorder supplies an externally built flight recorder
-	// (must have at least Shards rings). Nil creates a private one —
-	// the recorder is always on unless DisableFlightRecorder opts out.
-	FlightRecorder *flightrec.Recorder
-	// EventRing sizes each shard's flight-recorder event ring
-	// (rounded up to a power of two; default 1024).
-	EventRing int
 	// DropSampleRate records roughly one in DropSampleRate terminal
 	// drops as a per-drop flight-recorder event (flow key, cause,
 	// node, stage, cursor), PID-mask selected (default 1 = every
 	// drop). The per-cause drop counters stay exact regardless.
 	DropSampleRate int
-	// DisableFlightRecorder turns the event ring off entirely —
-	// ablation benchmarks measuring recorder overhead only. Drop
-	// provenance counters (nfp_drops_total{cause}) remain exact even
-	// with the recorder off.
-	DisableFlightRecorder bool
 	// DisableFlowCache turns off the classifier's exact-match
 	// microflow cache (ablation: every packet takes the full rule
 	// walk). The cache is on by default and self-invalidates on any
@@ -176,20 +171,11 @@ func (c *Config) setDefaults() {
 	if c.PoolSize == 0 {
 		c.PoolSize = 4096
 	}
-	if c.BufSize == 0 {
-		c.BufSize = 2048
-	}
 	if c.RingSize == 0 {
 		c.RingSize = 512
 	}
 	if c.Mergers == 0 {
 		c.Mergers = 2
-	}
-	if c.MergerQueue == 0 {
-		c.MergerQueue = 1024
-	}
-	if c.OutputQueue == 0 {
-		c.OutputQueue = 1024
 	}
 	if c.Burst == 0 {
 		c.Burst = DefaultBurst
@@ -211,15 +197,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.SpinLimit < 0 {
 		c.SpinLimit = 0
-	}
-	if c.RestartBackoff == 0 {
-		c.RestartBackoff = time.Millisecond
-	}
-	if c.RestartBackoffMax == 0 {
-		c.RestartBackoffMax = 250 * time.Millisecond
-	}
-	if c.RestartBackoffMax < c.RestartBackoff {
-		c.RestartBackoffMax = c.RestartBackoff
 	}
 	if c.Fusion == FusionAuto {
 		c.Fusion = FusionOn
@@ -309,19 +286,22 @@ type Server struct {
 	cfg        Config
 	pool       *mempool.Pool
 	classifier Classifier
-	plansMu    sync.Mutex // serializes graph installation
-	// reloadMu serializes Reload against other Reloads AND against
-	// Stop: a Stop that lands mid-reload waits for the reload to finish
-	// draining the outgoing generation, then drains the incoming one —
-	// both generations drain, never neither (the Stop-vs-inflight
-	// ordering hazard).
-	reloadMu sync.Mutex
-	shards   []*shard
+	shards     []*shard
 	// out is the fan-in output channel (nil when Config.ShardedOutputs
 	// exposes the per-shard channels instead).
 	out chan *packet.Packet
 
-	started atomic.Bool
+	// ctl is the control-plane lock: install (AddGraph*, Reload*), Start
+	// and Stop each hold it from entry to return, so the lifecycle steps
+	// never interleave. A graph installed beside a Start has its
+	// runtimes started exactly once; an install beside a Stop either
+	// completes first (and Stop waits for its goroutines) or fails with
+	// "server stopped"; a Stop that lands mid-reload waits for the reload
+	// to drain the outgoing generation, then drains the incoming one.
+	// started is guarded by ctl. stopped is written under ctl and also
+	// polled lock-free by the runtime and supervisor goroutines.
+	ctl     sync.Mutex
+	started bool
 	stopped atomic.Bool
 	wg      sync.WaitGroup
 	fanWG   sync.WaitGroup
@@ -346,10 +326,9 @@ type Server struct {
 	e2eOn   bool
 	e2eMask uint64
 
-	// rec is the always-on flight recorder (nil only under
-	// Config.DisableFlightRecorder; every call site is nil-safe).
-	// recPoolID is the interned site name backpressure events outside
-	// any plan node charge against.
+	// rec is the always-on flight recorder. recPoolID is the interned
+	// site name backpressure events outside any plan node charge
+	// against.
 	rec       *flightrec.Recorder
 	recPoolID uint32
 
@@ -374,7 +353,7 @@ func New(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{
 		cfg:  cfg,
-		pool: mempool.New(cfg.PoolSize, cfg.BufSize),
+		pool: mempool.New(cfg.PoolSize, bufSize),
 	}
 	s.tel = cfg.Telemetry
 	s.tracer = telemetry.NewTracer(cfg.TraceSampleRate, cfg.TraceCapacity)
@@ -394,18 +373,12 @@ func New(cfg Config) *Server {
 	s.genG = s.tel.Gauge("nfp_config_generation")
 	s.genG.Set(1)
 	s.reloadsC = s.tel.Counter("nfp_reloads_total")
-	if !cfg.DisableFlightRecorder {
-		s.rec = cfg.FlightRecorder
-		if s.rec == nil {
-			s.rec = flightrec.NewRecorder(flightrec.Config{
-				Shards:         cfg.Shards,
-				RingSize:       cfg.EventRing,
-				DropSampleRate: cfg.DropSampleRate,
-				StageNames:     func(b uint8) string { return telemetry.Stage(b).String() },
-			})
-		}
-		s.recPoolID = s.rec.Intern("mempool")
-	}
+	s.rec = flightrec.NewRecorder(flightrec.Config{
+		Shards:         cfg.Shards,
+		DropSampleRate: cfg.DropSampleRate,
+		StageNames:     func(b uint8) string { return telemetry.Stage(b).String() },
+	})
+	s.recPoolID = s.rec.Intern("mempool")
 	// Self-description for scrapes and incident bundles: one constant
 	// gauge whose labels carry the build and topology facts.
 	bi := s.BuildInfo()
@@ -442,14 +415,14 @@ func New(cfg Config) *Server {
 	}
 	s.pool.SetReserve(reserve)
 	if !sharded || !cfg.ShardedOutputs {
-		s.out = make(chan *packet.Packet, cfg.OutputQueue)
+		s.out = make(chan *packet.Packet, outputQueue)
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{id: i, srv: s}
 		if sharded {
 			sh.spanID = i + 1
 			sh.pool = parts[i]
-			sh.out = make(chan *packet.Packet, cfg.OutputQueue)
+			sh.out = make(chan *packet.Packet, outputQueue)
 			sh.ingress = s.tel.Counter("nfp_shard_ingress_total", telemetry.L("shard", strconv.Itoa(i)))
 		} else {
 			sh.pool = s.pool
@@ -457,7 +430,7 @@ func New(cfg Config) *Server {
 		}
 		sh.plans.Store(&map[uint32]*planRuntime{})
 		for m := 0; m < cfg.Mergers; m++ {
-			sh.mergers = append(sh.mergers, newMerger(m, cfg.MergerQueue, sh))
+			sh.mergers = append(sh.mergers, newMerger(m, sh))
 		}
 		s.shards = append(s.shards, sh)
 	}
@@ -517,7 +490,7 @@ func (s *Server) ShardPool(i int) *mempool.Pool { return s.shards[i].pool }
 // per shard, so per-flow NF state stays shard-local. The first
 // installed graph becomes the classifier default.
 func (s *Server) AddGraph(mid uint32, g graph.Node) error {
-	return s.AddGraphProvide(mid, g, nil)
+	return s.install(mid, g, nil, false)
 }
 
 // AddGraphInstances installs a graph using the provided NF instances
@@ -529,20 +502,76 @@ func (s *Server) AddGraphInstances(mid uint32, g graph.Node, instances map[graph
 	if instances != nil && s.sharded() {
 		return fmt.Errorf("dataplane: AddGraphInstances with explicit instances requires Shards=1 (a shared instance would cross shards); use AddGraphProvide")
 	}
-	return s.AddGraphProvide(mid, g, func(_ int, n graph.NF) nf.NF { return instances[n] })
+	return s.install(mid, g, func(_ int, n graph.NF) nf.NF { return instances[n] }, false)
 }
 
 // AddGraphProvide installs a graph with per-shard NF instances:
 // provide(shard, node) returns the instance for one node on one shard
 // (nil falls back to the registry). Each shard's instances are only
-// invoked from that shard's runtime goroutines.
+// invoked from that shard's runtime goroutines. It fails when mid is
+// already installed (use Reload to replace it) or the server stopped.
 //
-// Installation is allowed while the server runs — the §7 elasticity
-// path ("we could simply create a new instance ... and modify the
-// forwarding table to redirect some flows to the new instance"): the
-// new graph's NF runtimes start immediately, and classifier rules can
-// then redirect flows to the new MID with zero packet loss.
+// Installation is allowed before Start and while the server runs — the
+// §7 elasticity path ("we could simply create a new instance ... and
+// modify the forwarding table to redirect some flows to the new
+// instance"): on a running server the new graph's NF runtimes start
+// before it is published, and classifier rules can then redirect flows
+// to the new MID with zero packet loss. See install for the lifecycle.
 func (s *Server) AddGraphProvide(mid uint32, g graph.Node, provide func(shard int, node graph.NF) nf.NF) error {
+	return s.install(mid, g, provide, false)
+}
+
+// Reload hot-swaps the service graph installed under mid for a freshly
+// compiled one with zero packet loss. It may be called while traffic
+// flows (that is the point) and from any goroutine. The NF instances of
+// the new generation come fresh from the registry — reloading is a
+// policy swap, not a state migration. It fails when mid is not
+// installed (use AddGraph) or the server stopped; a failed Reload
+// changes nothing and records a reload_failed flight-recorder event,
+// which triggers an incident snapshot when a spool is armed.
+func (s *Server) Reload(mid uint32, g graph.Node) error {
+	return s.install(mid, g, nil, true)
+}
+
+// ReloadProvide is Reload with per-shard NF instance injection, the
+// reload analog of AddGraphProvide (tests and state-migration layers
+// use it to hand the new generation pre-built instances).
+func (s *Server) ReloadProvide(mid uint32, g graph.Node, provide func(shard int, node graph.NF) nf.NF) error {
+	return s.install(mid, g, provide, true)
+}
+
+// install is the one path by which a graph goes live, whether
+// generation N comes from nothing (replace false: the MID must be new,
+// and the graph joins the live generation) or from N-1 (replace true:
+// the MID must be installed, and the server generation advances):
+//
+//  1. compile g to a Plan and build per-shard runtimes (rings, fused
+//     segments, NF instances, generation-labelled telemetry) beside
+//     whatever is live;
+//  2. start the new runtimes if the server runs (Start starts them
+//     otherwise), so no packet can reach a runtime nobody drains;
+//  3. publish them in each shard's COW dispatch map — packets
+//     classified from here on execute on the new runtimes, while
+//     in-flight packets keep their runtime pointer all the way through
+//     rings, mergers and drop routes;
+//  4. replace only: seal, drain and retire the predecessor (retire).
+//
+// Every failure happens in step 1, before anything is shared, so a
+// failed install leaves generation, history and dispatch maps untouched.
+// The whole of it runs under ctl, serialized with every other install,
+// Start and Stop.
+func (s *Server) install(mid uint32, g graph.Node, provide func(shard int, node graph.NF) nf.NF, replace bool) (err error) {
+	if replace {
+		// Deferred first, so it runs after ctl is released: the event
+		// fires the recorder's incident hook, which is caller-supplied.
+		defer func() {
+			if err != nil {
+				s.note(flightrec.KindReloadFailed, s.generation.Load(), s.rec.Intern(err.Error()), 0)
+			}
+		}()
+	}
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
 	if s.stopped.Load() {
 		return fmt.Errorf("dataplane: server stopped")
 	}
@@ -550,53 +579,118 @@ func (s *Server) AddGraphProvide(mid uint32, g graph.Node, provide func(shard in
 	if err != nil {
 		return err
 	}
-
-	s.plansMu.Lock()
-	if _, dup := (*s.shards[0].plans.Load())[mid]; dup {
-		s.plansMu.Unlock()
-		return fmt.Errorf("dataplane: MID %d already installed", mid)
+	old := make([]*planRuntime, len(s.shards))
+	for i, sh := range s.shards {
+		old[i] = (*sh.plans.Load())[mid]
 	}
 	gen := s.generation.Load()
+	switch {
+	case replace && old[0] == nil:
+		return fmt.Errorf("dataplane: MID %d not installed (use AddGraph)", mid)
+	case !replace && old[0] != nil:
+		return fmt.Errorf("dataplane: MID %d already installed (use Reload)", mid)
+	case replace:
+		gen++
+	}
 	prs := make([]*planRuntime, len(s.shards))
 	for i, sh := range s.shards {
-		pr, err := s.buildRuntime(sh, plan, provide, gen)
-		if err != nil {
-			s.plansMu.Unlock()
+		if prs[i], err = s.buildRuntime(sh, plan, provide, gen); err != nil {
 			return err
 		}
-		prs[i] = pr
 	}
-	var installed int
-	for i, sh := range s.shards {
-		old := *sh.plans.Load()
-		next := make(map[uint32]*planRuntime, len(old)+1)
-		for k, v := range old {
-			next[k] = v
-		}
-		next[mid] = prs[i]
-		sh.plans.Store(&next)
-		installed = len(next)
-	}
-	first := installed == 1
-	started := s.started.Load()
-	s.plansMu.Unlock()
-
-	if first {
-		s.classifier.SetDefault(mid)
-	}
-	if started {
+	if s.started {
 		for _, pr := range prs {
 			s.startRuntimes(pr)
 		}
 	}
-	s.recordGeneration(GenerationInfo{
+	// Snapshot the predecessor's completion meter before the swap so the
+	// drain counter covers everything that finishes after it.
+	var preTerm uint64
+	if replace {
+		for _, pr := range old {
+			preTerm += pr.terminal.Load()
+		}
+	}
+	first := len(*s.shards[0].plans.Load()) == 0
+	for i, sh := range s.shards {
+		cur := *sh.plans.Load()
+		next := make(map[uint32]*planRuntime, len(cur)+1)
+		for k, v := range cur {
+			next[k] = v
+		}
+		next[mid] = prs[i]
+		sh.plans.Store(&next)
+	}
+	info := GenerationInfo{
 		Generation:  gen,
 		MID:         mid,
 		Hash:        plan.CompileHash(),
 		InstalledNS: time.Now().UnixNano(),
-	})
-	s.note(flightrec.KindInstall, gen, 0, uint64(mid))
+	}
+	if !replace {
+		if first {
+			s.classifier.SetDefault(mid)
+		}
+		s.recordGeneration(info)
+		s.note(flightrec.KindInstall, gen, 0, uint64(mid))
+		return nil
+	}
+	s.generation.Store(gen)
+	// A config-generation swap may retarget MIDs wholesale; expire every
+	// microflow cache line so no packet rides a pre-swap classification.
+	s.classifier.InvalidateCache()
+	s.genG.Set(int64(gen))
+	s.reloadsC.Inc()
+	s.note(flightrec.KindReloadSwap, gen, 0, 0)
+	info.SwappedNS = info.InstalledNS
+	info.Drained = s.retire(old) - preTerm
+	info.DrainNS = time.Now().UnixNano() - info.SwappedNS
+	s.tel.Counter("nfp_reload_drained_total",
+		telemetry.L("gen", strconv.FormatUint(old[0].gen, 10))).Add(info.Drained)
+	s.note(flightrec.KindReloadDrained, old[0].gen, 0, info.Drained)
+	s.recordGeneration(info)
 	return nil
+}
+
+// retire takes a superseded generation's per-shard runtimes, already
+// swapped out of the dispatch maps, out of service — the reloader half
+// of the drain protocol (shard.acquire is the injector half) — and
+// returns their lifetime count of completed packets.
+func (s *Server) retire(old []*planRuntime) (terminal uint64) {
+	// Seal: acquire's increment-then-check handshake guarantees that once
+	// gone is visible, no injector can add to inflight without observing
+	// the seal and retrying against the published successor.
+	for _, pr := range old {
+		pr.gone.Store(true)
+	}
+	// Drain: wait for every packet of the generation to reach its
+	// terminal output/drop event. Like Stop, this requires the output
+	// consumer to keep draining.
+	w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
+	for {
+		var inflight int64
+		for _, pr := range old {
+			inflight += pr.inflight.Load()
+		}
+		if inflight == 0 {
+			break
+		}
+		w.Wait()
+	}
+	// Retire: runtimes exit (rings are provably empty) and crash
+	// counters roll up so Stats stays cumulative.
+	for _, pr := range old {
+		pr.retired.Store(true)
+		terminal += pr.terminal.Load()
+		for _, n := range pr.rts {
+			for i := range n.nfs {
+				s.retiredPanics.Add(n.nfs[i].panics.Value())
+				s.retiredRestarts.Add(n.nfs[i].restarts.Value())
+			}
+		}
+		pr.wg.Wait()
+	}
+	return terminal
 }
 
 // labelGen appends the config-generation label for reloaded
@@ -710,162 +804,6 @@ func (s *Server) startRuntimes(pr *planRuntime) {
 	}
 }
 
-// Reload hot-swaps the service graph installed under mid for a freshly
-// compiled one with zero packet loss — the config-generation protocol:
-//
-//  1. compile g to a new Plan and build per-shard runtimes (rings,
-//     fused segments, NF instances, generation-labelled telemetry) for
-//     the next generation, entirely beside the live one;
-//  2. start the new runtimes, then atomically swap each shard's
-//     dispatch map entry (COW, like every plans update) — packets
-//     classified after the swap execute on the new generation, while
-//     in-flight packets keep their generation's runtime pointer all
-//     the way through rings, mergers and drop routes;
-//  3. seal the old generation (acquire retries against the successor)
-//     and drain it: wait until its in-flight count reaches zero, so
-//     every old-generation packet has surfaced as an output or a drop;
-//  4. retire it: its goroutines exit, its crash counters roll up into
-//     the server totals, and its drain is recorded on
-//     nfp_reload_drained_total{gen=<old>} and in ConfigInfo.
-//
-// Reload may be called while traffic flows (that is the point) and
-// from any goroutine; concurrent Reloads and Stop serialize on
-// reloadMu. The NF instances of the new generation come fresh from the
-// registry — reloading is a policy swap, not a state migration.
-func (s *Server) Reload(mid uint32, g graph.Node) error {
-	return s.ReloadProvide(mid, g, nil)
-}
-
-// ReloadProvide is Reload with per-shard NF instance injection, the
-// reload analog of AddGraphProvide (tests and state-migration layers
-// use it to hand the new generation pre-built instances).
-func (s *Server) ReloadProvide(mid uint32, g graph.Node, provide func(shard int, node graph.NF) nf.NF) error {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	if s.stopped.Load() {
-		return fmt.Errorf("dataplane: server stopped")
-	}
-	plan, err := CompilePlan(mid, g)
-	if err != nil {
-		return err
-	}
-
-	// Build the next generation beside the live one.
-	s.plansMu.Lock()
-	old := make([]*planRuntime, len(s.shards))
-	for i, sh := range s.shards {
-		old[i] = (*sh.plans.Load())[mid]
-	}
-	if old[0] == nil {
-		s.plansMu.Unlock()
-		return fmt.Errorf("dataplane: MID %d not installed (use AddGraph)", mid)
-	}
-	nextGen := s.generation.Load() + 1
-	prs := make([]*planRuntime, len(s.shards))
-	for i, sh := range s.shards {
-		pr, err := s.buildRuntime(sh, plan, provide, nextGen)
-		if err != nil {
-			s.plansMu.Unlock()
-			return err
-		}
-		prs[i] = pr
-	}
-	started := s.started.Load()
-	s.plansMu.Unlock()
-
-	// Stand the new generation up before any packet can reach it.
-	if started {
-		for _, pr := range prs {
-			s.startRuntimes(pr)
-		}
-	}
-
-	// Snapshot the old generation's completion meter before the swap so
-	// the drain counter covers everything that finishes after it.
-	var preTerm uint64
-	for _, pr := range old {
-		preTerm += pr.terminal.Load()
-	}
-
-	// Atomic dispatch-table swap, per shard.
-	s.plansMu.Lock()
-	for i, sh := range s.shards {
-		cur := *sh.plans.Load()
-		next := make(map[uint32]*planRuntime, len(cur))
-		for k, v := range cur {
-			next[k] = v
-		}
-		next[mid] = prs[i]
-		sh.plans.Store(&next)
-	}
-	s.generation.Store(nextGen)
-	s.plansMu.Unlock()
-	// A config-generation swap may retarget MIDs wholesale; expire every
-	// microflow cache line so no packet rides a pre-swap classification.
-	s.classifier.InvalidateCache()
-	s.genG.Set(int64(nextGen))
-	s.reloadsC.Inc()
-	s.note(flightrec.KindReloadSwap, nextGen, 0, 0)
-	swapNS := time.Now().UnixNano()
-
-	// Seal the old generation: acquire's increment-then-check handshake
-	// guarantees that once gone is visible, no injector can add to its
-	// inflight without observing the seal and retrying against the
-	// successor published above.
-	for _, pr := range old {
-		pr.gone.Store(true)
-	}
-
-	// Drain: wait for every old-generation packet to reach its terminal
-	// output/drop event. Like Stop, this requires the output consumer
-	// to keep draining.
-	w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
-	for {
-		var inflight int64
-		for _, pr := range old {
-			inflight += pr.inflight.Load()
-		}
-		if inflight == 0 {
-			break
-		}
-		w.Wait()
-	}
-
-	// Retire: runtimes exit (rings are provably empty), crash counters
-	// roll up so Stats stays cumulative, and the event is recorded.
-	var drained uint64
-	for _, pr := range old {
-		pr.retired.Store(true)
-		drained += pr.terminal.Load()
-		for _, n := range pr.rts {
-			for i := range n.nfs {
-				s.retiredPanics.Add(n.nfs[i].panics.Value())
-				s.retiredRestarts.Add(n.nfs[i].restarts.Value())
-			}
-		}
-	}
-	drained -= preTerm
-	if started {
-		for _, pr := range old {
-			pr.wg.Wait()
-		}
-	}
-	oldGen := old[0].gen
-	s.tel.Counter("nfp_reload_drained_total",
-		telemetry.L("gen", strconv.FormatUint(oldGen, 10))).Add(drained)
-	s.note(flightrec.KindReloadDrained, oldGen, 0, drained)
-	s.recordGeneration(GenerationInfo{
-		Generation:  nextGen,
-		MID:         mid,
-		Hash:        plan.CompileHash(),
-		InstalledNS: swapNS,
-		SwappedNS:   swapNS,
-		DrainNS:     time.Now().UnixNano() - swapNS,
-		Drained:     drained,
-	})
-	return nil
-}
-
 // GenerationInfo records one config install/reload event for
 // /debug/config.
 type GenerationInfo struct {
@@ -962,15 +900,21 @@ func (s *Server) Outputs() []<-chan *packet.Packet {
 	return chans
 }
 
-// Start launches every NF runtime and merger, the output fan-in when
-// sharded outputs share one channel, and the NF supervisor.
+// Start launches every installed graph's NF runtimes, the mergers, the
+// output fan-in when sharded outputs share one channel, and the NF
+// supervisor. It needs at least one installed graph and runs once.
+// Graphs installed later start their own runtimes (see install); ctl
+// orders the two, so a runtime is started exactly once either way.
 func (s *Server) Start() error {
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
 	if len(*s.shards[0].plans.Load()) == 0 {
 		return fmt.Errorf("dataplane: no graphs installed")
 	}
-	if !s.started.CompareAndSwap(false, true) {
+	if s.started {
 		return fmt.Errorf("dataplane: already started")
 	}
+	s.started = true
 	for _, sh := range s.shards {
 		for _, pr := range *sh.plans.Load() {
 			s.startRuntimes(pr)
@@ -1006,17 +950,9 @@ func (s *Server) Start() error {
 // panicking NF degrades its own shard's micrograph instead of killing
 // the server.
 func (s *Server) supervise() {
-	// Scan often enough that the smallest configured backoff is honored
-	// promptly, but never busier than 4x the backoff rate.
-	interval := s.cfg.RestartBackoff / 4
-	if interval < 50*time.Microsecond {
-		interval = 50 * time.Microsecond
-	}
-	if interval > time.Millisecond {
-		interval = time.Millisecond
-	}
+	// Scanning at 4x the initial backoff rate honors it promptly.
 	for !s.stopped.Load() {
-		time.Sleep(interval)
+		time.Sleep(restartBackoff / 4)
 		now := time.Now().UnixNano()
 		for _, sh := range s.shards {
 			for _, pr := range *sh.plans.Load() {
@@ -1030,23 +966,20 @@ func (s *Server) supervise() {
 
 // Stop drains in-flight packets and terminates all goroutines. Call it
 // after the last Inject/InjectBatch returned; a second or concurrent
-// Stop waits for the first and is then a no-op.
+// Stop waits for the first and is then a no-op, as is Stop on a server
+// that never started. After Stop every install fails.
 //
-// Stop serializes with Reload: called mid-reload it first waits for
-// the reload to finish draining the outgoing generation, then drains
-// the incoming one — the global conservation wait below covers every
-// generation, because injected/outputs/drops are generation-blind
+// Stop holds ctl like install does: called mid-reload it first waits
+// for the reload to finish draining the outgoing generation, then
+// drains the incoming one — the global conservation wait below covers
+// every generation, because injected/outputs/drops are generation-blind
 // totals and each packet terminates exactly once on the runtime it was
-// injected into.
+// injected into. An install that won the lock first has started its
+// goroutines (wg.Add) before the wg.Wait below can run.
 func (s *Server) Stop() {
-	if !s.started.Load() {
-		return
-	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	// Checked under the lock: a Stop that lost the race to another must
-	// not close the merger and output channels a second time.
-	if s.stopped.Load() {
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
+	if !s.started || s.stopped.Load() {
 		return
 	}
 	// Wait until every injected packet surfaced as an output or a

@@ -397,10 +397,9 @@ func TestServerLifecycleErrors(t *testing.T) {
 	}
 }
 
-// TestStopConcurrent: Stop racing Stop. Both callers can pass the
-// unlocked started check, so the stopped check must hold under
-// reloadMu or the loser closes the merger channels a second time. Every
-// call must return, with the server stopped once.
+// TestStopConcurrent: Stop racing Stop. The stopped check must hold
+// under the control-plane lock or the loser closes the merger channels a
+// second time. Every call must return, with the server stopped once.
 func TestStopConcurrent(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s := New(Config{PoolSize: 64, Shards: 2})

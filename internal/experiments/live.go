@@ -12,6 +12,7 @@ import (
 	"nfp/internal/core"
 	"nfp/internal/dataplane"
 	"nfp/internal/graph"
+	"nfp/internal/mempool"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
@@ -42,79 +43,30 @@ type LiveResult struct {
 	// which predate the registry).
 	Telemetry *telemetry.Snapshot
 	// Traces holds the sampled per-packet hop records when
-	// LiveOptions.TraceSampleRate was set.
+	// Config.TraceSampleRate was set.
 	Traces []telemetry.TraceEvent
 }
 
 // LiveOptions tunes RunLiveGraphOpts beyond the required arguments.
 type LiveOptions struct {
+	// Config is handed to dataplane.New as is — every dataplane setting
+	// is declared there and nowhere else. The harness fills in only
+	// what a zero value leaves open: PoolSize defaults to 1024 buffers
+	// per shard, so each partition keeps the single-shard headroom.
+	// Config.Burst also sets the injection burst (a DPDK driver handing
+	// up rx bursts; 0 injects packet by packet). Reusing one
+	// Config.Telemetry registry across runs panics on duplicate series —
+	// give each run its own.
+	Config dataplane.Config
 	// KeepOutputs retains every output packet's bytes by PID (small
 	// runs only).
 	KeepOutputs bool
 	// Tap, if non-nil, sees every completed packet before it is freed —
 	// the hook behind nfpd's pcap capture.
 	Tap func(*packet.Packet)
-	// Telemetry names the registry the server publishes metrics to
-	// (nil creates a private one, returned via LiveResult.Telemetry).
-	// Reusing one registry across runs panics on duplicate series —
-	// give each run its own.
-	Telemetry *telemetry.Registry
-	// TraceSampleRate enables packet-path tracing (see
-	// dataplane.Config.TraceSampleRate).
-	TraceSampleRate int
-	// TraceCapacity sizes the tracer's span ring (see
-	// dataplane.Config.TraceCapacity; 0 keeps the default 4096).
-	TraceCapacity int
 	// OnServer, if non-nil, observes the server after Start and before
 	// traffic — nfpd uses it to expose the live registry over HTTP.
 	OnServer func(*dataplane.Server)
-	// Burst sets the dataplane burst size (see dataplane.Config.Burst):
-	// 0 picks dataplane.DefaultBurst, 1 pins the scalar compatibility
-	// path. Burst > 1 also switches injection to the batched
-	// AllocBatch/InjectBatch path.
-	Burst int
-	// RingPolicy selects the receive-ring backpressure policy (see
-	// dataplane.Config.RingPolicy); the zero value is lossless block.
-	RingPolicy dataplane.BackpressurePolicy
-	// SpinLimit bounds the producer spin budget before parking or
-	// shedding (0 picks dataplane.DefaultSpinLimit).
-	SpinLimit int
-	// NodePriority ranks NFs for the shed-lowest-priority policy,
-	// normally policy.Policy.PriorityRanks() of the policy in force.
-	NodePriority map[string]int
-	// RingSize overrides the per-NF receive ring capacity (0 keeps the
-	// dataplane default); small rings surface overload sooner.
-	RingSize int
-	// Fusion selects the execution engine (see dataplane.Config.Fusion):
-	// the zero value resolves to fused run-to-completion segments,
-	// dataplane.FusionOff pins one ring per NF.
-	Fusion dataplane.FusionMode
-	// FlowAccount receives sampled per-flow accounting from the
-	// classifier (see dataplane.Config.FlowAccount) — nfpd feeds the
-	// diagnosis layer's heavy-hitter sketch through it.
-	FlowAccount dataplane.FlowObserver
-	// FlowSampleRate tunes the flow-accounting sample rate (see
-	// dataplane.Config.FlowSampleRate; 0 keeps the default).
-	FlowSampleRate int
-	// E2ESampleRate enables sampled end-to-end latency histograms (see
-	// dataplane.Config.E2ESampleRate; 0 disables).
-	E2ESampleRate int
-	// Shards replicates the whole plan across this many flow-sharded
-	// execution domains (see dataplane.Config.Shards; 0 and 1 keep the
-	// classic single-shard layout). The pool budget scales with the
-	// shard count so each partition keeps the single-shard headroom.
-	Shards int
-	// DropSampleRate tunes the flight recorder's per-drop event
-	// sampling (see dataplane.Config.DropSampleRate; 0 keeps the
-	// default of recording every drop).
-	DropSampleRate int
-	// DisableFlowCache turns off the classifier's exact-match microflow
-	// cache (see dataplane.Config.DisableFlowCache) — the ablation
-	// switch behind nfpd's -flow-cache=false.
-	DisableFlowCache bool
-	// FlowCacheSize overrides the per-shard microflow cache slot count
-	// (see dataplane.Config.FlowCacheSize; 0 keeps the default).
-	FlowCacheSize int
 	// WrapNF, if non-nil, wraps every NF instance at install time —
 	// nfpd's -panic-nf fault injection hooks in here. The wrapper
 	// applies only to the initial instances: supervisor restarts build
@@ -123,77 +75,36 @@ type LiveOptions struct {
 	WrapNF func(name string, inst nf.NF) nf.NF
 }
 
-// LiveRegistry, when non-nil, supplies NF factories to the live runs
-// (nfpd's -ids-rules flag installs a rule-driven IDS through it).
-var LiveRegistry *nf.Registry
-
-// OverrideIDS replaces the live runs' IDS with a rule-driven engine.
-func OverrideIDS(rules []nf.IDSRule) {
-	reg := nf.NewRegistry()
-	reg.MustRegister(nfa.NFIDS, func() (nf.NF, error) { return nf.NewRuleIDS(rules), nil })
-	LiveRegistry = reg
-}
-
 // RunLiveGraph executes a service graph on the real dataplane for n
 // packets from gen and returns measured counters.
 func RunLiveGraph(g graph.Node, n int, gen *trafficgen.Generator, keepOutputs bool) (LiveResult, error) {
-	return RunLiveGraphTap(g, n, gen, keepOutputs, nil)
-}
-
-// RunLiveGraphTap is RunLiveGraph with an output tap: tap (if non-nil)
-// sees every completed packet before it is freed — the hook behind
-// nfpd's pcap capture.
-func RunLiveGraphTap(g graph.Node, n int, gen *trafficgen.Generator, keepOutputs bool, tap func(*packet.Packet)) (LiveResult, error) {
-	return RunLiveGraphOpts(g, n, gen, LiveOptions{KeepOutputs: keepOutputs, Tap: tap})
+	return RunLiveGraphOpts(g, n, gen, LiveOptions{KeepOutputs: keepOutputs})
 }
 
 // RunLiveGraphOpts executes a service graph on the real dataplane for n
 // packets from gen with full observability control.
 func RunLiveGraphOpts(g graph.Node, n int, gen *trafficgen.Generator, opts LiveOptions) (LiveResult, error) {
-	poolScale := opts.Shards
-	if poolScale < 1 {
-		poolScale = 1
+	cfg := opts.Config
+	if cfg.PoolSize == 0 {
+		cfg.PoolSize = 1024 * max(cfg.Shards, 1)
 	}
-	srv := dataplane.New(dataplane.Config{
-		PoolSize:        1024 * poolScale,
-		Mergers:         2,
-		Shards:          opts.Shards,
-		Registry:        LiveRegistry,
-		Telemetry:       opts.Telemetry,
-		TraceSampleRate: opts.TraceSampleRate,
-		TraceCapacity:   opts.TraceCapacity,
-		Burst:           opts.Burst,
-		RingPolicy:      opts.RingPolicy,
-		SpinLimit:       opts.SpinLimit,
-		NodePriority:    opts.NodePriority,
-		RingSize:        opts.RingSize,
-		Fusion:          opts.Fusion,
-		FlowAccount:     opts.FlowAccount,
-		FlowSampleRate:  opts.FlowSampleRate,
-		E2ESampleRate:   opts.E2ESampleRate,
-		DropSampleRate:  opts.DropSampleRate,
-
-		DisableFlowCache: opts.DisableFlowCache,
-		FlowCacheSize:    opts.FlowCacheSize,
-	})
-	var addErr error
+	srv := dataplane.New(cfg)
+	var provide func(shard int, node graph.NF) nf.NF
 	if opts.WrapNF != nil {
-		reg := LiveRegistry
+		reg := cfg.Registry
 		if reg == nil {
 			reg = nf.NewRegistry()
 		}
-		addErr = srv.AddGraphProvide(1, g, func(shard int, node graph.NF) nf.NF {
+		provide = func(_ int, node graph.NF) nf.NF {
 			inst, err := reg.New(node.Name)
 			if err != nil {
 				return nil // buildRuntime falls back to the server registry
 			}
 			return opts.WrapNF(node.Name, inst)
-		})
-	} else {
-		addErr = srv.AddGraph(1, g)
+		}
 	}
-	if addErr != nil {
-		return LiveResult{}, addErr
+	if err := srv.AddGraphProvide(1, g, provide); err != nil {
+		return LiveResult{}, err
 	}
 	if err := srv.Start(); err != nil {
 		return LiveResult{}, err
@@ -201,73 +112,21 @@ func RunLiveGraphOpts(g graph.Node, n int, gen *trafficgen.Generator, opts LiveO
 	if opts.OnServer != nil {
 		opts.OnServer(srv)
 	}
-	lat := stats.NewLatency(n)
-	var res LiveResult
+	var byPID map[uint64][]byte
 	if opts.KeepOutputs {
-		res.OutputsByPID = map[uint64][]byte{}
+		byPID = map[uint64][]byte{}
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for p := range srv.Output() {
-			lat.Record(time.Now().UnixNano() - p.Ingress)
-			if res.OutputsByPID != nil {
-				res.OutputsByPID[p.Meta.PID] = append([]byte(nil), p.Bytes()...)
-			}
-			if opts.Tap != nil {
-				opts.Tap(p)
-			}
-			p.Free()
+	res, err := runTraffic(srv, srv.InjectBatch, n, max(cfg.Burst, 1), gen, func(p *packet.Packet) {
+		if byPID != nil {
+			byPID[p.Meta.PID] = append([]byte(nil), p.Bytes()...)
 		}
-	}()
-	var th stats.Throughput
-	th.StartNow()
-	if opts.Burst > 1 {
-		// Batched source: allocate and inject whole bursts, the way a
-		// DPDK driver hands up rx bursts. Short bursts under transient
-		// pool pressure are injected as-is.
-		batch := make([]*packet.Packet, opts.Burst)
-		for i := 0; i < n; {
-			want := opts.Burst
-			if n-i < want {
-				want = n - i
-			}
-			got := srv.Pool().AllocBatch(batch[:want])
-			for got == 0 {
-				runtime.Gosched()
-				got = srv.Pool().AllocBatch(batch[:want])
-			}
-			now := time.Now().UnixNano()
-			for j := 0; j < got; j++ {
-				packet.BuildInto(batch[j], gen.Next())
-				batch[j].Ingress = now
-			}
-			if acc := srv.InjectBatch(batch[:got]); acc != got {
-				for _, p := range batch[acc:got] {
-					p.Free()
-				}
-				return res, fmt.Errorf("classification failed")
-			}
-			i += got
+		if opts.Tap != nil {
+			opts.Tap(p)
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			pkt := srv.Pool().Get()
-			for pkt == nil {
-				runtime.Gosched()
-				pkt = srv.Pool().Get()
-			}
-			packet.BuildInto(pkt, gen.Next())
-			pkt.Ingress = time.Now().UnixNano()
-			if !srv.Inject(pkt) {
-				pkt.Free()
-				return res, fmt.Errorf("classification failed")
-			}
-		}
+	})
+	if err != nil {
+		return res, err
 	}
-	srv.Stop()
-	th.StopNow()
-	<-done
 	st := srv.Stats()
 	res.Outputs = st.Outputs
 	res.Drops = st.Drops
@@ -277,13 +136,83 @@ func RunLiveGraphOpts(g graph.Node, n int, gen *trafficgen.Generator, opts LiveO
 	res.Copies = st.Copies
 	res.CopiedBytes = st.CopiedBytes
 	res.MergerLoad = st.MergerLoad
-	res.MeanLatencyUS = lat.MeanMicros()
-	res.Mpps = float64(n) / th.Elapsed().Seconds() / 1e6
-	res.PoolLeak = srv.Pool().InUse()
+	res.OutputsByPID = byPID
 	snap := srv.Telemetry().Snapshot()
 	res.Telemetry = &snap
 	res.Traces = srv.Tracer().Events()
 	return res, nil
+}
+
+// platform is what the traffic loop needs of a live server: the NFP
+// dataplane and both baselines provide it.
+type platform interface {
+	Pool() *mempool.Pool
+	Output() <-chan *packet.Packet
+	Stop()
+}
+
+// runTraffic pushes n packets from gen through a started platform in
+// bursts of up to burst — allocate from the pool, build, stamp, inject —
+// while a collector drains the output channel (seen, if non-nil,
+// observes each packet before it is freed), then stops the platform and
+// fills in the measurements every platform shares. inject returns how
+// many packets of the burst it accepted; a short count aborts the run.
+// Short bursts under transient pool pressure are injected as-is.
+func runTraffic(srv platform, inject func([]*packet.Packet) int, n, burst int, gen *trafficgen.Generator, seen func(*packet.Packet)) (LiveResult, error) {
+	lat := stats.NewLatency(n)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for p := range srv.Output() {
+			lat.Record(time.Now().UnixNano() - p.Ingress)
+			if seen != nil {
+				seen(p)
+			}
+			p.Free()
+		}
+	}()
+	var th stats.Throughput
+	th.StartNow()
+	batch := make([]*packet.Packet, burst)
+	var err error
+	for i := 0; i < n && err == nil; {
+		got := srv.Pool().AllocBatch(batch[:min(burst, n-i)])
+		if got == 0 {
+			runtime.Gosched()
+			continue
+		}
+		now := time.Now().UnixNano()
+		for _, p := range batch[:got] {
+			packet.BuildInto(p, gen.Next())
+			p.Ingress = now
+		}
+		if acc := inject(batch[:got]); acc != got {
+			for _, p := range batch[acc:got] {
+				p.Free()
+			}
+			err = fmt.Errorf("classification failed")
+		}
+		i += got
+	}
+	srv.Stop()
+	th.StopNow()
+	<-done
+	return LiveResult{
+		MeanLatencyUS: lat.MeanMicros(),
+		Mpps:          float64(n) / th.Elapsed().Seconds() / 1e6,
+		PoolLeak:      srv.Pool().InUse(),
+	}, err
+}
+
+// each adapts a baseline's scalar, never-rejecting Inject to the burst
+// form runTraffic drives.
+func each(inject func(*packet.Packet)) func([]*packet.Packet) int {
+	return func(pkts []*packet.Packet) int {
+		for _, p := range pkts {
+			inject(p)
+		}
+		return len(pkts)
+	}
 }
 
 // RunLiveONVM executes the centralized-switch baseline.
@@ -295,38 +224,10 @@ func RunLiveONVM(chain []string, n int, gen *trafficgen.Generator) (LiveResult, 
 	if err := srv.Start(); err != nil {
 		return LiveResult{}, err
 	}
-	lat := stats.NewLatency(n)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for p := range srv.Output() {
-			lat.Record(time.Now().UnixNano() - p.Ingress)
-			p.Free()
-		}
-	}()
-	var th stats.Throughput
-	th.StartNow()
-	for i := 0; i < n; i++ {
-		pkt := srv.Pool().Get()
-		for pkt == nil {
-			runtime.Gosched()
-			pkt = srv.Pool().Get()
-		}
-		packet.BuildInto(pkt, gen.Next())
-		pkt.Ingress = time.Now().UnixNano()
-		srv.Inject(pkt)
-	}
-	srv.Stop()
-	th.StopNow()
-	<-done
+	res, err := runTraffic(srv, each(srv.Inject), n, 1, gen, nil)
 	st := srv.Stats()
-	return LiveResult{
-		Outputs:       st.Outputs,
-		Drops:         st.Drops,
-		MeanLatencyUS: lat.MeanMicros(),
-		Mpps:          float64(n) / th.Elapsed().Seconds() / 1e6,
-		PoolLeak:      srv.Pool().InUse(),
-	}, nil
+	res.Outputs, res.Drops = st.Outputs, st.Drops
+	return res, err
 }
 
 // RunLiveRTC executes the run-to-completion baseline.
@@ -338,38 +239,10 @@ func RunLiveRTC(chain []string, replicas, n int, gen *trafficgen.Generator) (Liv
 	if err := srv.Start(); err != nil {
 		return LiveResult{}, err
 	}
-	lat := stats.NewLatency(n)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for p := range srv.Output() {
-			lat.Record(time.Now().UnixNano() - p.Ingress)
-			p.Free()
-		}
-	}()
-	var th stats.Throughput
-	th.StartNow()
-	for i := 0; i < n; i++ {
-		pkt := srv.Pool().Get()
-		for pkt == nil {
-			runtime.Gosched()
-			pkt = srv.Pool().Get()
-		}
-		packet.BuildInto(pkt, gen.Next())
-		pkt.Ingress = time.Now().UnixNano()
-		srv.Inject(pkt)
-	}
-	srv.Stop()
-	th.StopNow()
-	<-done
+	res, err := runTraffic(srv, each(srv.Inject), n, 1, gen, nil)
 	st := srv.Stats()
-	return LiveResult{
-		Outputs:       st.Outputs,
-		Drops:         st.Drops,
-		MeanLatencyUS: lat.MeanMicros(),
-		Mpps:          float64(n) / th.Elapsed().Seconds() / 1e6,
-		PoolLeak:      srv.Pool().InUse(),
-	}, nil
+	res.Outputs, res.Drops = st.Outputs, st.Drops
+	return res, err
 }
 
 // LiveValidation runs the real dataplane: the §6.4 result-correctness

@@ -33,9 +33,6 @@ func TestStalledNFRanksTopBottleneck(t *testing.T) {
 
 	reg := nf.NewRegistry()
 	reg.MustRegister(nfa.NFIDS, func() (nf.NF, error) { return stall, nil })
-	prev := experiments.LiveRegistry
-	experiments.LiveRegistry = reg
-	defer func() { experiments.LiveRegistry = prev }()
 
 	g := graph.Seq{Items: []graph.Node{
 		graph.NF{Name: nfa.NFIDS},
@@ -46,8 +43,8 @@ func TestStalledNFRanksTopBottleneck(t *testing.T) {
 	d := diagnose.New(diagnose.Config{Registry: treg})
 	gen := trafficgen.New(trafficgen.Config{Flows: 16, Seed: 3})
 	_, err = experiments.RunLiveGraphOpts(g, 600, gen, experiments.LiveOptions{
-		Telemetry: treg,
-		OnServer:  func(*dataplane.Server) { d.SampleNow() }, // open the window
+		Config:   dataplane.Config{Registry: reg, Telemetry: treg},
+		OnServer: func(*dataplane.Server) { d.SampleNow() }, // open the window
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,10 +105,10 @@ func TestZipfElephantsInTopKWithinBounds(t *testing.T) {
 	sketch := diagnose.NewTopK(k)
 	gen := trafficgen.New(trafficgen.Config{Flows: flows, Seed: seed, Zipf: 1.4})
 	_, err := experiments.RunLiveGraphOpts(graph.NF{Name: nfa.NFMonitor}, n, gen,
-		experiments.LiveOptions{
+		experiments.LiveOptions{Config: dataplane.Config{
 			FlowAccount:    sketch,
 			FlowSampleRate: 1, // observe every packet: exact totals to verify against
-		})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
