@@ -8,6 +8,7 @@ import (
 
 	"nfp/internal/flow"
 	"nfp/internal/packet"
+	"nfp/internal/ruleindex"
 	"nfp/internal/telemetry"
 )
 
@@ -21,7 +22,9 @@ type Match struct {
 	Proto     uint8        // 0 = any
 }
 
-// Covers reports whether the match covers a flow key.
+// Covers reports whether the match covers a flow key. It is the
+// executable spec of a rule: the dataplane matches through the compiled
+// index (indexRule), and the tests hold the index to this.
 func (m Match) Covers(k flow.Key) bool {
 	if m.SrcPrefix.IsValid() && !m.SrcPrefix.Contains(k.SrcIP) {
 		return false
@@ -39,6 +42,26 @@ func (m Match) Covers(k flow.Key) bool {
 		return false
 	}
 	return true
+}
+
+// indexRule is the match in the rule index's input form. ok is false
+// for a match no IPv4 packet can satisfy: one with an IPv6 prefix.
+func (m Match) indexRule() (r ruleindex.Rule, ok bool) {
+	r = ruleindex.Rule{SrcPorts: ruleindex.AnyPort, DstPorts: ruleindex.AnyPort, Proto: m.Proto}
+	ok = true
+	if m.SrcPrefix.IsValid() {
+		r.Src, ok = ruleindex.FromNetip(m.SrcPrefix)
+	}
+	if m.DstPrefix.IsValid() && ok {
+		r.Dst, ok = ruleindex.FromNetip(m.DstPrefix)
+	}
+	if m.SrcPort != 0 {
+		r.SrcPorts = ruleindex.Port(m.SrcPort)
+	}
+	if m.DstPort != 0 {
+		r.DstPorts = ruleindex.Port(m.DstPort)
+	}
+	return r, ok
 }
 
 // classRule binds a match to a service graph.
@@ -65,11 +88,19 @@ type Classifier struct {
 	// ruleMatches counts packets matched by an installed rule,
 	// defaultHits packets that fell through to the default route, and
 	// unmatched rejected packets. dispatch tracks per-MID delivery.
+	// rulesG is the live table's rule count; tuplesG the mask-tuple
+	// count of the most recently built index, which is what a miss costs.
 	reg         *telemetry.Registry
 	ruleMatches *telemetry.Counter
 	defaultHits *telemetry.Counter
 	unmatchedC  *telemetry.Counter
+	rulesG      *telemetry.Gauge
+	tuplesG     *telemetry.Gauge
 	dispatch    atomic.Pointer[map[uint32]*telemetry.Counter]
+
+	// indexBuilds counts rule-index compilations: at most one per rule
+	// list that saw a miss, however many tables shared that list.
+	indexBuilds atomic.Uint64
 
 	// Flow accounting hook (nil unless Config.FlowAccount wired it):
 	// classified packets whose fresh PID clears flowMask feed the
@@ -161,6 +192,8 @@ func (c *Classifier) bindTelemetry(reg *telemetry.Registry) {
 	c.ruleMatches = reg.Counter("nfp_classifier_rule_matches_total")
 	c.defaultHits = reg.Counter("nfp_classifier_default_hits_total")
 	c.unmatchedC = reg.Counter("nfp_classifier_unmatched_total")
+	c.rulesG = reg.Gauge("nfp_classifier_rules")
+	c.tuplesG = reg.Gauge("nfp_classifier_tuples")
 }
 
 // bindFlowObserver wires sampled flow accounting. Called once by the
@@ -213,10 +246,46 @@ func (c *Classifier) midCounter(mid uint32) *telemetry.Counter {
 	return ctr
 }
 
+// classTable is one published version of the Classification Table.
+// Versions are immutable once stored, with one licensed exception: the
+// backing array of rules is shared along a run of AddRules, and the
+// writer fills its spare capacity beyond every published len (see
+// AddRule).
 type classTable struct {
 	rules      []classRule
+	index      *lazyIndex // compiled rules; shared by every version with this rule list
 	defaultMID uint32
 	hasDefault bool
+}
+
+// lazyIndex compiles a rule list on its first miss. bench-style installs
+// publish one table per AddRule and never look most of them up, so the
+// build is deferred to lookup time; versions that republish an unchanged
+// rule list (SetDefault, InvalidateCache) share the holder, so a built
+// index is carried over instead of rebuilt.
+type lazyIndex struct {
+	once sync.Once
+	ix   *ruleindex.Index
+}
+
+// setRules replaces the rule list, which needs a new index.
+func (t *classTable) setRules(rules []classRule) {
+	t.rules = rules
+	t.index = new(lazyIndex)
+}
+
+// ruleIndex returns t's compiled rules, building them if this is the
+// first miss against t's rule list. Concurrent missers wait for the one
+// build rather than each compiling their own.
+func (c *Classifier) ruleIndex(t *classTable) *ruleindex.Index {
+	t.index.once.Do(func() {
+		t.index.ix = ruleindex.Build(len(t.rules), func(i int) (ruleindex.Rule, bool) {
+			return t.rules[i].match.indexRule()
+		})
+		c.indexBuilds.Add(1)
+		c.tuplesG.Set(int64(t.index.ix.Tuples()))
+	})
+	return t.index.ix
 }
 
 // loadTable returns the current table (possibly nil on a fresh
@@ -228,25 +297,29 @@ func (c *Classifier) loadTable() *classTable {
 	return &classTable{}
 }
 
-// mutate applies fn to a copy of the table and publishes it.
+// mutate applies fn to a copy of the current version — which shares the
+// rule list and its index until fn replaces them — and publishes it.
 func (c *Classifier) mutate(fn func(*classTable)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.loadTable()
-	next := &classTable{
-		rules:      append([]classRule(nil), old.rules...),
-		defaultMID: old.defaultMID,
-		hasDefault: old.hasDefault,
-	}
-	fn(next)
-	c.table.Store(next)
+	next := *c.loadTable()
+	fn(&next)
+	c.table.Store(&next)
+	c.rulesG.Set(int64(len(next.rules)))
 }
 
 // AddRule appends a match → MID rule (first match wins). Safe while
 // traffic flows.
+//
+// It is amortised O(1): the new version's rules extend the previous
+// version's backing array in place when it has spare capacity. That is
+// safe because only this writer, under c.mu, extends the latest
+// version; a rule list is never re-sliced shorter (PrependRule and Clear
+// start a new array), so every published version sharing the array has
+// a len at or below the slot being written and never reads it.
 func (c *Classifier) AddRule(m Match, mid uint32) {
 	c.mutate(func(t *classTable) {
-		t.rules = append(t.rules, classRule{match: m, mid: mid})
+		t.setRules(append(t.rules, classRule{match: m, mid: mid}))
 	})
 }
 
@@ -254,7 +327,8 @@ func (c *Classifier) AddRule(m Match, mid uint32) {
 // redirect primitive: it takes effect for matching flows immediately.
 func (c *Classifier) PrependRule(m Match, mid uint32) {
 	c.mutate(func(t *classTable) {
-		t.rules = append([]classRule{{match: m, mid: mid}}, t.rules...)
+		rules := make([]classRule, 0, len(t.rules)+1)
+		t.setRules(append(append(rules, classRule{match: m, mid: mid}), t.rules...))
 	})
 }
 
@@ -262,7 +336,7 @@ func (c *Classifier) PrependRule(m Match, mid uint32) {
 // reprogramming).
 func (c *Classifier) Clear() {
 	c.mutate(func(t *classTable) {
-		t.rules = nil
+		t.setRules(nil)
 		t.hasDefault = false
 		t.defaultMID = 0
 	})
@@ -294,17 +368,14 @@ func (c *Classifier) cacheFor(t *classTable, shard int) *microCache {
 	return &c.caches[shard]
 }
 
-// scanRules is the slow path: the §5.1 linear first-match walk, then
-// the default route. An unparseable packet carries no 5-tuple to match
-// and goes straight to the default.
-func scanRules(t *classTable, p *packet.Packet) (mid uint32, ok, viaDefault bool) {
+// scanRules is the slow path: the §5.1 first-match lookup through the
+// table's compiled index, then the default route. An unparseable packet
+// carries no 5-tuple to match and goes straight to the default.
+func (c *Classifier) scanRules(t *classTable, p *packet.Packet) (mid uint32, ok, viaDefault bool) {
 	if len(t.rules) > 0 {
 		if fk, err := p.FlowKey(); err == nil {
-			k := flow.FromPacked(fk)
-			for i := range t.rules {
-				if t.rules[i].match.Covers(k) {
-					return t.rules[i].mid, true, false
-				}
+			if i := c.ruleIndex(t).Lookup(fk); i >= 0 {
+				return t.rules[i].mid, true, false
 			}
 		}
 	}
@@ -326,7 +397,7 @@ func scanRules(t *classTable, p *packet.Packet) (mid uint32, ok, viaDefault bool
 func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet) (mid uint32, ok, viaDefault bool, res int) {
 	fk, err := p.FlowKey()
 	if err != nil {
-		mid, ok, viaDefault = scanRules(t, p)
+		mid, ok, viaDefault = c.scanRules(t, p)
 		return mid, ok, viaDefault, fcBypass
 	}
 	h := fk.Hash()
@@ -338,7 +409,7 @@ func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet)
 	if e := s2.Load(); e != nil && e.table == t && e.key == fk {
 		return e.mid, true, e.viaDefault, fcHit
 	}
-	mid, ok, viaDefault = scanRules(t, p)
+	mid, ok, viaDefault = c.scanRules(t, p)
 	if ok {
 		// Install into the primary way unless it holds a live
 		// (current-table) entry for another flow and the secondary way
@@ -407,7 +478,7 @@ func (c *Classifier) ClassifyBatchShard(pkts []*packet.Packet, shard int) int {
 				misses++
 			}
 		} else {
-			mid, ok, viaDefault = scanRules(t, p)
+			mid, ok, viaDefault = c.scanRules(t, p)
 		}
 		if !ok {
 			unmatched++

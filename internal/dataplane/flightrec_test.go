@@ -304,6 +304,16 @@ func TestMetricLintClean(t *testing.T) {
 			t.Errorf("flow-cache series %s missing from the lint snapshot", name)
 		}
 	}
+	// So do the rule-table gauges, with the classifier's counters.
+	for _, name := range []string{"nfp_classifier_rules", "nfp_classifier_tuples"} {
+		found := false
+		for _, g := range snap.Gauges {
+			found = found || g.Name == name
+		}
+		if !found {
+			t.Errorf("rule-table gauge %s missing from the lint snapshot", name)
+		}
+	}
 	if findings := telemetry.LintNames(snap); len(findings) != 0 {
 		for _, f := range findings {
 			t.Error(f)

@@ -8,6 +8,7 @@ import (
 	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
+	"nfp/internal/ruleindex"
 )
 
 // DefaultACLSize is the evaluation firewall's rule count ("an Access
@@ -33,7 +34,9 @@ type ACLRule struct {
 	Action               ACLAction
 }
 
-// Matches reports whether the rule covers the flow key.
+// Matches reports whether the rule covers the flow key. It is the
+// executable spec of a rule: the firewall matches through the compiled
+// index (indexRule), and the tests hold the index to this.
 func (r ACLRule) Matches(k flow.Key) bool {
 	return r.Src.Contains(k.SrcIP) && r.Dst.Contains(k.DstIP) &&
 		k.SrcPort >= r.SrcPortLo && k.SrcPort <= r.SrcPortHi &&
@@ -41,10 +44,25 @@ func (r ACLRule) Matches(k flow.Key) bool {
 		(r.Proto == 0 || r.Proto == k.Proto)
 }
 
+// indexRule is the rule in the rule index's input form. ok is false for
+// a rule no IPv4 packet can satisfy: unlike a classifier Match, a zero
+// prefix is not a wildcard here, and neither is an IPv6 one.
+func (r ACLRule) indexRule() (ruleindex.Rule, bool) {
+	src, srcOK := ruleindex.FromNetip(r.Src)
+	dst, dstOK := ruleindex.FromNetip(r.Dst)
+	return ruleindex.Rule{
+		Src: src, Dst: dst,
+		SrcPorts: ruleindex.Ports{Lo: r.SrcPortLo, Hi: r.SrcPortHi},
+		DstPorts: ruleindex.Ports{Lo: r.DstPortLo, Hi: r.DstPortHi},
+		Proto:    r.Proto,
+	}, srcOK && dstOK
+}
+
 // Firewall is a stateless packet filter "similar to the Click IPFilter
 // element. It passes or drops packets according to the ACL" (§6.1).
 type Firewall struct {
 	rules   []ACLRule
+	index   *ruleindex.Index // rules compiled for first-match lookup
 	def     ACLAction
 	passed  uint64
 	dropped uint64
@@ -57,24 +75,30 @@ func NewFirewall(n int) (*Firewall, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("firewall: negative rule count %d", n)
 	}
-	fw := &Firewall{def: Allow}
+	rules := make([]ACLRule, 0, n)
 	rng := rand.New(rand.NewSource(0xac1))
 	for i := 0; i < n; i++ {
 		src := netip.AddrFrom4([4]byte{172, byte(16 + rng.Intn(16)), byte(rng.Intn(256)), 0})
 		pfx, _ := src.Prefix(24)
-		fw.rules = append(fw.rules, ACLRule{
+		rules = append(rules, ACLRule{
 			Src: pfx, Dst: netip.MustParsePrefix("0.0.0.0/0"),
 			SrcPortLo: 0, SrcPortHi: 0xffff,
 			DstPortLo: 0, DstPortHi: 0xffff,
 			Action: Deny,
 		})
 	}
-	return fw, nil
+	return NewFirewallFromRules(rules, Allow), nil
 }
 
 // NewFirewallFromRules builds a firewall from an explicit ACL.
 func NewFirewallFromRules(rules []ACLRule, def ACLAction) *Firewall {
-	return &Firewall{rules: rules, def: def}
+	return &Firewall{
+		rules: rules,
+		def:   def,
+		index: ruleindex.Build(len(rules), func(i int) (ruleindex.Rule, bool) {
+			return rules[i].indexRule()
+		}),
+	}
 }
 
 // Name implements NF.
@@ -83,19 +107,14 @@ func (fw *Firewall) Name() string { return nfa.NFFirewall }
 // Profile implements NF.
 func (fw *Firewall) Profile() nfa.Profile { return profileFor(nfa.NFFirewall) }
 
-// Process walks the ACL first-match-wins.
+// Process applies the first ACL rule covering the packet, else the
+// default action.
 func (fw *Firewall) Process(p *packet.Packet) Verdict {
-	fk, err := p.FlowKey()
-	if err != nil {
-		fw.dropped++
-		return Drop // unparseable traffic is dropped, like a real filter
-	}
-	k := flow.FromPacked(fk)
-	action := fw.def
-	for i := range fw.rules {
-		if fw.rules[i].Matches(k) {
+	action := Deny // unparseable traffic is dropped, like a real filter
+	if fk, err := p.FlowKey(); err == nil {
+		action = fw.def
+		if i := fw.index.Lookup(fk); i >= 0 {
 			action = fw.rules[i].Action
-			break
 		}
 	}
 	if action == Deny {
@@ -106,40 +125,11 @@ func (fw *Firewall) Process(p *packet.Packet) Verdict {
 	return Pass
 }
 
-// ProcessBatch implements BatchProcessor. The firewall is stateless
-// per packet, so consecutive packets of one flow (bursts are bursty by
-// nature) reuse the previous ACL walk's decision.
+// ProcessBatch implements BatchProcessor: one dynamic dispatch per burst
+// instead of per packet.
 func (fw *Firewall) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
-	var lastKey packet.FlowKey
-	var lastAction ACLAction
-	haveLast := false
 	for i, p := range pkts {
-		fk, err := p.FlowKey()
-		if err != nil {
-			fw.dropped++
-			verdicts[i] = Drop // unparseable traffic is dropped, like a real filter
-			continue
-		}
-		// Run detection compares packed keys; the ACL walk widens only
-		// at run boundaries.
-		if !haveLast || fk != lastKey {
-			k := flow.FromPacked(fk)
-			lastAction = fw.def
-			for j := range fw.rules {
-				if fw.rules[j].Matches(k) {
-					lastAction = fw.rules[j].Action
-					break
-				}
-			}
-			lastKey, haveLast = fk, true
-		}
-		if lastAction == Deny {
-			fw.dropped++
-			verdicts[i] = Drop
-			continue
-		}
-		fw.passed++
-		verdicts[i] = Pass
+		verdicts[i] = fw.Process(p)
 	}
 }
 

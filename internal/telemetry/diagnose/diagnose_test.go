@@ -366,7 +366,16 @@ func TestClassifierCacheDiag(t *testing.T) {
 	d.sampleAt(time.Unix(100, 0))
 	d.sampleAt(time.Unix(101, 0))
 	if rep := d.Report(); rep.Classifier != nil {
-		t.Fatalf("cache-disabled report has classifier section: %+v", rep.Classifier)
+		t.Fatalf("classifier-less report has classifier section: %+v", rep.Classifier)
+	}
+
+	// Flow cache disabled: no cache series, but the rule-table gauges
+	// still surface.
+	reg.Gauge(metricClassRules).Set(7)
+	reg.Gauge(metricClassTuples).Set(3)
+	d.sampleAt(time.Unix(102, 0))
+	if cd := d.Report().Classifier; cd == nil || cd.Rules != 7 || cd.Tuples != 3 || cd.CacheHitRate != 0 {
+		t.Fatalf("cache-disabled classifier section = %+v, want rules 7, tuples 3, no cache rates", cd)
 	}
 
 	reg.Counter(metricCacheHits).Add(900)
@@ -377,6 +386,8 @@ func TestClassifierCacheDiag(t *testing.T) {
 	reg.Counter(metricCacheHits).Add(900)
 	reg.Counter(metricCacheMisses).Add(100)
 	reg.Counter(metricCacheEvicts).Add(10)
+	reg.Gauge(metricClassRules).Set(1025)
+	reg.Gauge(metricClassTuples).Set(2)
 	d2.sampleAt(time.Unix(202, 0))
 	cd := d2.Report().Classifier
 	if cd == nil {
@@ -388,5 +399,8 @@ func TestClassifierCacheDiag(t *testing.T) {
 	}
 	if cd.CacheHitRate != 0.9 {
 		t.Fatalf("hit rate = %v, want 0.9", cd.CacheHitRate)
+	}
+	if cd.Rules != 1025 || cd.Tuples != 2 {
+		t.Fatalf("rules/tuples = %d/%d, want 1025/2", cd.Rules, cd.Tuples)
 	}
 }

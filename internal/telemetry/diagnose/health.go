@@ -86,19 +86,29 @@ type ChainSLO struct {
 	Met         bool    `json:"met"`
 }
 
-// ClassifierDiag is the windowed view of the classifier's microflow
-// cache. HitRate near 1 means steady-state flows ride the exact-match
-// fast path and rule-table size is off the per-packet critical path; a
+// ClassifierDiag is the windowed view of the classifier: the microflow
+// cache in front and the compiled rule index behind it. HitRate near 1
+// means steady-state flows ride the exact-match fast path. A
 // persistently low rate with high EvictPPS means the live flow count
-// exceeds the cache (raise -flow-cache-size), while a low rate with
-// near-zero evictions points at churn — every table mutation
-// invalidates all entries, so constant rule updates keep the cache
-// cold.
+// exceeds the cache (raise -flow-cache-size); a low rate with near-zero
+// evictions points at churn — every table mutation invalidates all
+// entries, so constant rule updates keep the cache cold.
+//
+// What a miss then costs is set by Tuples, not Rules: the index probes
+// one hash table per distinct mask tuple (prefix lengths × port masks ×
+// proto wildcard) however many rules share it. Tuples far below Rules
+// is healthy at any table size; Tuples drifting toward Rules means the
+// table is degenerating into one mask per rule and misses are back to a
+// linear walk — regularise the rules' prefix lengths and port ranges
+// rather than growing the cache. Tuples describes the last index a
+// miss compiled, so it trails Rules until traffic reaches a new table.
 type ClassifierDiag struct {
 	CacheHitPPS   float64 `json:"cache_hit_pps"`
 	CacheMissPPS  float64 `json:"cache_miss_pps"`
 	CacheEvictPPS float64 `json:"cache_evict_pps"`
 	CacheHitRate  float64 `json:"cache_hit_rate"`
+	Rules         int64   `json:"rules"`
+	Tuples        int64   `json:"tuples"`
 }
 
 // HealthReport is the /debug/health document: the machine-readable
@@ -110,7 +120,7 @@ type HealthReport struct {
 	Samples       int             `json:"samples"`
 	Bottlenecks   []NFDiag        `json:"bottlenecks"` // ranked by ρ, descending
 	SLO           []ChainSLO      `json:"slo,omitempty"`
-	Classifier    *ClassifierDiag `json:"classifier,omitempty"` // nil when the flow cache is disabled
+	Classifier    *ClassifierDiag `json:"classifier,omitempty"` // nil when no classifier is registered
 }
 
 // Report computes the current diagnosis from the retained window. With
@@ -137,11 +147,14 @@ func (d *Diagnoser) Report() HealthReport {
 	return rep
 }
 
-// classifierDiag derives the microflow-cache view from the window's
-// counter deltas. A server with the cache disabled never registers the
-// series, so the section is omitted rather than reported as all-zero.
+// classifierDiag derives the classifier view from the window's counter
+// deltas and the newest rule-table gauges. The section is omitted, rather
+// than reported as all-zero, when the registry holds no classifier at
+// all; a server with the flow cache disabled never registers the cache
+// series, so its section carries zero cache rates beside rules/tuples —
+// the case where tuples matters most, since every packet pays the index.
 func classifierDiag(oldest, newest sample, elapsed float64) *ClassifierDiag {
-	present := false
+	present := hasGauge(newest.snap, metricClassRules, nil)
 	for _, c := range newest.snap.Counters {
 		if c.Name == metricCacheHits {
 			present = true
@@ -158,6 +171,8 @@ func classifierDiag(oldest, newest sample, elapsed float64) *ClassifierDiag {
 		CacheHitPPS:   float64(hits) / elapsed,
 		CacheMissPPS:  float64(misses) / elapsed,
 		CacheEvictPPS: float64(evicts) / elapsed,
+		Rules:         gaugeAt(newest.snap, metricClassRules, nil),
+		Tuples:        gaugeAt(newest.snap, metricClassTuples, nil),
 	}
 	if hits+misses > 0 {
 		cd.CacheHitRate = float64(hits) / float64(hits+misses)

@@ -36,6 +36,8 @@ const (
 	metricCacheHits    = "nfp_classifier_cache_hits_total"
 	metricCacheMisses  = "nfp_classifier_cache_misses_total"
 	metricCacheEvicts  = "nfp_classifier_cache_evictions_total"
+	metricClassRules   = "nfp_classifier_rules"
+	metricClassTuples  = "nfp_classifier_tuples"
 )
 
 // Gauges the diagnoser exports back into the registry (created with
