@@ -124,7 +124,7 @@ func benchNFPGraph(b *testing.B, g graph.Node, payload string) {
 // The Burst1/Burst32 benchmark pairs below are the tracked
 // burst-regression suite (ci.sh bench).
 func benchNFPGraphBurst(b *testing.B, g graph.Node, burst int, payload string) {
-	benchNFPGraphBurstFusion(b, g, burst, dataplane.FusionAuto, payload)
+	benchNFPGraphBurstFusion(b, g, burst, dataplane.FusionOn, payload)
 }
 
 // benchNFPGraphBurstFusion is benchNFPGraphBurst with the execution
@@ -354,12 +354,12 @@ func BenchmarkFig7_NFP_SeqChain5_Burst32_Shard8(b *testing.B) {
 }
 
 // BenchmarkFig7_NFP_SeqChain5_Burst32_Diagnose is the tracked Burst32
-// benchmark with the full diagnosis layer live at nfpd's defaults:
-// classifier-fed top-K flow sketch and sampled e2e latency histogram
-// (both 1/64 PID-mask sampled), plus a background sampler snapshotting
-// the registry every 10ms. Its ns/op must stay within ~2% of the plain
-// Burst32 run — the observability tax is the point of the measurement
-// (ci.sh bench-compare reports the delta). This traffic is the sketch's
+// benchmark with the full diagnosis layer live at nfpd's defaults: one
+// packet in 64 observed (spans, classifier-fed top-K flow sketch, e2e
+// latency histogram), plus a background sampler snapshotting the
+// registry every 10ms. Its ns/op against the plain Burst32 run is the
+// observability tax, the point of the measurement (ci.sh diagnose
+// reports the delta). This traffic is the sketch's
 // worst case: ~every sampled packet is a distinct flow, so each one
 // takes the eviction path.
 func BenchmarkFig7_NFP_SeqChain5_Burst32_Diagnose(b *testing.B) {
@@ -367,9 +367,9 @@ func BenchmarkFig7_NFP_SeqChain5_Burst32_Diagnose(b *testing.B) {
 	sketch := diagnose.NewTopK(16)
 	srv := dataplane.New(dataplane.Config{
 		PoolSize: 2048, Mergers: 2, Burst: 32,
-		Telemetry:     reg,
-		FlowAccount:   sketch, // FlowSampleRate: default 64
-		E2ESampleRate: 64,
+		Telemetry:       reg,
+		FlowAccount:     sketch,
+		TraceSampleRate: 64,
 	})
 	if err := srv.AddGraph(1, seqGraph(nfa.NFL3Fwd, 5)); err != nil {
 		b.Fatal(err)
@@ -625,15 +625,10 @@ func BenchmarkCluster_SingleServerReference(b *testing.B) {
 // table grows: rules-1 never-matching rules ahead of one catch-all, so
 // the slow path must rule out the whole table while the microflow cache
 // resolves every warm flow in one hash probe. The tracked claim is
-// flatness on both paths: Rules4096 within 1.25x of Rules16 with the
-// cache on, and within 2x with it off — the _NoFlowCache runs measure
-// the compiled rule index (two mask tuples here, so two hash probes per
-// packet at any rule count).
-func benchClassifierRules(b *testing.B, rules int, disableCache bool) {
-	srv := dataplane.New(dataplane.Config{
-		PoolSize:         64,
-		DisableFlowCache: disableCache,
-	})
+// flatness: Rules4096 within 1.25x of Rules16. (What a miss costs as
+// the table grows is internal/ruleindex's BenchmarkLookupMiss_*.)
+func benchClassifierRules(b *testing.B, rules int) {
+	srv := dataplane.New(dataplane.Config{PoolSize: 64})
 	cls := srv.Classifier()
 	for i := 0; i < rules-1; i++ {
 		// DstPort 9000+ never appears in bench traffic (DstPort 80).
@@ -661,13 +656,9 @@ func benchClassifierRules(b *testing.B, rules int, disableCache bool) {
 	}
 }
 
-func BenchmarkClassifier_Rules16(b *testing.B)   { benchClassifierRules(b, 16, false) }
-func BenchmarkClassifier_Rules256(b *testing.B)  { benchClassifierRules(b, 256, false) }
-func BenchmarkClassifier_Rules4096(b *testing.B) { benchClassifierRules(b, 4096, false) }
-
-func BenchmarkClassifier_Rules16_NoFlowCache(b *testing.B)   { benchClassifierRules(b, 16, true) }
-func BenchmarkClassifier_Rules256_NoFlowCache(b *testing.B)  { benchClassifierRules(b, 256, true) }
-func BenchmarkClassifier_Rules4096_NoFlowCache(b *testing.B) { benchClassifierRules(b, 4096, true) }
+func BenchmarkClassifier_Rules16(b *testing.B)   { benchClassifierRules(b, 16) }
+func BenchmarkClassifier_Rules256(b *testing.B)  { benchClassifierRules(b, 256) }
+func BenchmarkClassifier_Rules4096(b *testing.B) { benchClassifierRules(b, 4096) }
 
 // benchClassifierInstall measures what a control plane pays to program
 // a table one rule at a time and get the first packet through it:
@@ -690,39 +681,3 @@ func benchClassifierInstall(b *testing.B, rules int) {
 
 func BenchmarkClassifierInstall_Rules1024(b *testing.B)  { benchClassifierInstall(b, 1024) }
 func BenchmarkClassifierInstall_Rules65536(b *testing.B) { benchClassifierInstall(b, 65536) }
-
-// The tracked end-to-end graphs with the cache ablated. These run the
-// default-route-only classifier, which bypasses the cache either way,
-// so before/after here bounds the fast path's overhead on traffic that
-// cannot benefit from it (the ci.sh bench-flowcache guardrail).
-func BenchmarkFig7_NFP_SeqChain5_Burst32_NoFlowCache(b *testing.B) {
-	srv := dataplane.New(dataplane.Config{
-		PoolSize: 2048, Mergers: 2, Burst: 32,
-		DisableFlowCache: true,
-	})
-	if err := srv.AddGraph(1, seqGraph(nfa.NFL3Fwd, 5)); err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		b.Fatal(err)
-	}
-	pumpBurst(b, srv, 32, "x")
-}
-
-func BenchmarkFig13_NorthSouth_Burst32_NoFlowCache(b *testing.B) {
-	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nil, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := dataplane.New(dataplane.Config{
-		PoolSize: 2048, Mergers: 2, Burst: 32,
-		DisableFlowCache: true,
-	})
-	if err := srv.AddGraph(1, res.Graph); err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		b.Fatal(err)
-	}
-	pumpBurst(b, srv, 32, "north-south payload")
-}

@@ -18,6 +18,8 @@
 #                    bundle; exercises nfpinspect incident against the
 #                    live server and the spool. Set SPOOL_DIR to keep
 #                    the spool (CI uploads it as an artifact on failure).
+#                    `./ci.sh incident 20` runs it 20 times in a row and
+#                    stops at the first failure (the flake check).
 #   ./ci.sh fuzz   — the non-blocking fuzz smoke: each native fuzz
 #                    target gets a short -fuzztime budget (override with
 #                    FUZZ_TIME) on top of its checked-in seed corpus.
@@ -188,6 +190,14 @@ EOF
     exit 0
 fi
 
+if [ "${1:-}" = "incident" ] && [ "${2:-1}" -gt 1 ]; then
+    for run in $(seq 1 "$2"); do
+        "$0" incident || { echo "incident smoke failed on run $run of $2"; exit 1; }
+    done
+    echo "incident smoke passed $2 consecutive runs"
+    exit 0
+fi
+
 if [ "${1:-}" = "incident" ]; then
     bin="$(mktemp -d)"
     log="$bin/nfpd.log"
@@ -203,7 +213,7 @@ if [ "${1:-}" = "incident" ]; then
     # queryable after the traffic drains.
     "$bin/nfpd" -chain ids,monitor,lb -packets 300000 -seed 42 \
         -panic-nf monitor@5000 -flight-spool "$spool" -flight-interval 1s \
-        -drop-sample 8 -telemetry-addr 127.0.0.1:0 >"$log" 2>&1 &
+        -telemetry-addr 127.0.0.1:0 >"$log" 2>&1 &
     pid=$!
     addr=""
     for _ in $(seq 1 100); do

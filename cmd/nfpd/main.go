@@ -74,7 +74,8 @@ func run() int {
 	idsRules := flag.String("ids-rules", "", "Snort-subset rule file; replaces the built-in IDS signatures")
 	noParallel := flag.Bool("no-parallel", false, "compile sequentially (NFP compatibility mode)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics and /debug/telemetry on this address (keeps serving after the run until interrupted)")
-	flag.IntVar(&cfg.TraceSampleRate, "trace-sample", 0, "trace ~1/N packets hop-by-hop (0 = off; rounded down to a power of two)")
+	flag.IntVar(&cfg.TraceSampleRate, "trace-sample", 0,
+		"observe ~1/N packets — hop-by-hop spans, end-to-end latency, heavy-hitter flows (rounded down to a power of two; 0 = off, or 64 when -diagnose-interval, -slo-p99 or -reload need samples)")
 	flag.IntVar(&cfg.TraceCapacity, "trace-buf", 0, "tracer span ring capacity in events (0 = default 4096)")
 	fusion := flag.Bool("fusion", true,
 		"fuse sequential graph segments into run-to-completion runtimes (false = one ring per NF)")
@@ -82,10 +83,6 @@ func run() int {
 		"dataplane burst size: packets moved per ring operation (1 = scalar compatibility mode)")
 	flag.IntVar(&cfg.Shards, "shards", dataplane.DefaultShards(),
 		"flow-sharded execution domains: the whole plan replicated per shard, packets dispatched by 5-tuple hash (1 = classic single-shard layout; default = cores, capped at 8)")
-	flowCache := flag.Bool("flow-cache", true,
-		"exact-match microflow cache in front of the rule walk (false = ablate: every packet re-walks the classifier rules)")
-	flag.IntVar(&cfg.FlowCacheSize, "flow-cache-size", 0,
-		"per-shard microflow cache slots, rounded up to a power of two (0 = default 4096)")
 	ringPolicy := flag.String("ring-policy", "block",
 		"receive-ring backpressure policy: block (lossless), drop-tail, or shed-lowest-priority")
 	flag.IntVar(&cfg.SpinLimit, "spin-limit", dataplane.DefaultSpinLimit,
@@ -95,22 +92,16 @@ func run() int {
 	diagInterval := flag.Duration("diagnose-interval", 0,
 		"sample telemetry at this interval for live bottleneck diagnosis (0 = off; serves /debug/health and /debug/topflows)")
 	sloP99 := flag.Duration("slo-p99", 0,
-		"per-chain p99 latency objective for the health verdict (0 = no SLO; implies e2e latency sampling)")
+		"per-chain p99 latency objective for the health verdict (0 = no SLO; implies packet sampling)")
 	topK := flag.Int("topk", 16, "heavy-hitter sketch capacity (flows tracked by /debug/topflows)")
-	flowSample := flag.Int("flow-sample", 64,
-		"feed the heavy-hitter sketch from ~1/N classified packets (rounded down to a power of two)")
-	e2eSample := flag.Int("e2e-sample", 64,
-		"record end-to-end latency for ~1/N packets when diagnosis is on (rounded down to a power of two)")
 	zipf := flag.Float64("zipf", 0,
 		"skew the flow mix with a Zipf(s) popularity draw instead of round-robin (0 = round-robin; try 1.2-2)")
 	reload := flag.Bool("reload", false,
-		"hot-swap the recompiled policy on SIGHUP (zero-downtime config generations; implies e2e latency sampling)")
+		"hot-swap the recompiled policy on SIGHUP (zero-downtime config generations; implies packet sampling)")
 	flightSpool := flag.String("flight-spool", "",
 		"spool anomaly-triggered incident bundles (event-ring tail, metrics, diagnosis) into this directory")
 	flightInterval := flag.Duration("flight-interval", 30*time.Second,
 		"minimum interval between incident bundles (rate limit; excess triggers are counted, not spooled)")
-	flag.IntVar(&cfg.DropSampleRate, "drop-sample", 1,
-		"record ~1/N terminal drops as flight-recorder events with flow key and cause (per-cause drop counters stay exact regardless)")
 	panicNF := flag.String("panic-nf", "",
 		"fault injection: 'name@N' panics that NF on its Nth packet (e.g. monitor@5000); the supervisor restarts it clean")
 	flag.Parse()
@@ -178,11 +169,9 @@ func run() int {
 	if cfg.RingPolicy, err = dataplane.ParseBackpressurePolicy(*ringPolicy); err != nil {
 		fail(err)
 	}
-	cfg.Fusion = dataplane.FusionOn
 	if !*fusion {
 		cfg.Fusion = dataplane.FusionOff
 	}
-	cfg.DisableFlowCache = !*flowCache
 	if *panicNF != "" {
 		name, call, err := parsePanicNF(*panicNF)
 		if err != nil {
@@ -225,28 +214,27 @@ func run() int {
 		// the traffic stops.
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
+	if cfg.TraceSampleRate == 0 && (*diagInterval > 0 || *sloP99 > 0 || *reload) {
+		// The diagnosis layer's sketch and SLO verdicts, and the reload
+		// headline number (latency across a swap), are all read off the
+		// sampled packets.
+		cfg.TraceSampleRate = 64
+	}
 	if *diagInterval > 0 {
 		// Diagnosis layers on the registry: the classifier feeds the
-		// heavy-hitter sketch, the delivery path records sampled e2e
-		// latency, and a background sampler turns snapshot deltas into
-		// utilization and health verdicts.
+		// heavy-hitter sketch, the delivery path records e2e latency —
+		// both for the sampled packets — and a background sampler turns
+		// snapshot deltas into utilization and health verdicts.
 		sketch = diagnose.NewTopK(*topK)
 		cfg.FlowAccount = sketch
-		cfg.FlowSampleRate = *flowSample
-		cfg.E2ESampleRate = *e2eSample
 		diag = diagnose.New(diagnose.Config{
 			Registry:     cfg.Telemetry,
 			Interval:     *diagInterval,
 			SLOTargetP99: *sloP99,
 			TopK:         sketch,
 		})
-		fmt.Printf("diagnosis:         sampling every %v (flow 1/%d, e2e 1/%d, top-%d sketch)\n",
-			*diagInterval, *flowSample, *e2eSample, *topK)
-	}
-	if *reload && cfg.E2ESampleRate == 0 {
-		// Latency across a swap is the reload headline number; sample it
-		// even when the diagnosis layer is off.
-		cfg.E2ESampleRate = *e2eSample
+		fmt.Printf("diagnosis:         sampling every %v (1/%d packets observed, top-%d sketch)\n",
+			*diagInterval, cfg.TraceSampleRate, *topK)
 	}
 	var srvRef *dataplane.Server
 	var snap *flightrec.Snapshotter

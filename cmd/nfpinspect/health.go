@@ -119,11 +119,10 @@ func runDiagnosis(hf *healthFlags) (diagnose.HealthReport, diagnose.TopFlowsRepo
 	})
 	opts := experiments.LiveOptions{
 		Config: dataplane.Config{
-			Telemetry:      reg,
-			FlowAccount:    sketch,
-			FlowSampleRate: 1, // short run: sample everything for exact counts
-			E2ESampleRate:  1,
-			Shards:         *hf.shards,
+			Telemetry:       reg,
+			FlowAccount:     sketch,
+			TraceSampleRate: 1, // short run: observe every packet for exact counts
+			Shards:          *hf.shards,
 		},
 		OnServer: func(*dataplane.Server) { d.SampleNow() }, // window start
 	}

@@ -130,11 +130,7 @@ func runIncident(chain string, packets int, seed int64, panicAt uint64) (*flight
 	gen := trafficgen.New(trafficgen.Config{Flows: 32, Seed: seed})
 	var snap *flightrec.Snapshotter
 	opts := experiments.LiveOptions{
-		// Sample drops sparsely: the drain after the injected panic can
-		// shed thousands of packets, and at rate 1 those per-drop events
-		// would lap the ring and evict the panic note itself before the
-		// bundle is collected.
-		Config: dataplane.Config{Telemetry: telemetry.NewRegistry(), DropSampleRate: 64},
+		Config: dataplane.Config{Telemetry: telemetry.NewRegistry()},
 		WrapNF: func(name string, inst nf.NF) nf.NF {
 			if name == names[0] {
 				return faultinject.NewPanicNF(inst, panicAt)
@@ -263,6 +259,9 @@ func printEvents(events []flightrec.Event) {
 		}
 		if e.Count > 0 {
 			parts = append(parts, fmt.Sprintf("count=%d", e.Count))
+		}
+		if e.LastTS != 0 {
+			parts = append(parts, "until="+time.Unix(0, e.LastTS).Format("15:04:05.000"))
 		}
 		fmt.Printf("  %s  shard%d  %-12s %s\n",
 			time.Unix(0, e.TS).Format("15:04:05.000"), e.Shard, e.Kind, strings.Join(parts, " "))

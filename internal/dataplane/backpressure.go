@@ -119,15 +119,12 @@ func (sh *shard) ringPush(pr *planRuntime, n *nodeRT, pkts []*packet.Packet, cur
 }
 
 // shedBurst drops a run of packet references that could not be
-// delivered into n's ring: per-reference shed counters, then the
-// node's drop route (the nearest enclosing join, or the output drop
-// counter). Sheds count references — parallel branch tails of one
-// packet shed independently — while the drop route resolves to one
-// terminal drop per packet.
+// delivered into n's ring: a shed note on the event ring, then the
+// node's drop route (the nearest enclosing join, or the output), which
+// resolves to one terminal drop per packet, counted there under the
+// shed cause.
 func (sh *shard) shedBurst(pr *planRuntime, n *nodeRT, pkts []*packet.Packet) {
 	s := sh.srv
-	n.sheds.Add(uint64(len(pkts)))
-	s.sheds.Add(uint64(len(pkts)))
 	cause := flightrec.CauseShedPriority
 	if n.shedImmediate {
 		cause = flightrec.CauseDropTail

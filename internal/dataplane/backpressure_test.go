@@ -176,7 +176,7 @@ func TestShedLowestPriorityTargetsOnlyLowRank(t *testing.T) {
 	}
 	// The monitor keeps forwarding into the stalled l3fwd ring; sheds
 	// must accumulate there (asynchronously — poll).
-	for limit := time.Now().Add(2 * time.Second); fwdNode.sheds.Value() == 0; {
+	for limit := time.Now().Add(2 * time.Second); shedsAt(s, nfa.NFL3Fwd) == 0; {
 		if time.Now().After(limit) {
 			t.Fatal("stalled low-priority ring never shed")
 		}
@@ -187,12 +187,11 @@ func TestShedLowestPriorityTargetsOnlyLowRank(t *testing.T) {
 	outs := uint64(col.wait())
 
 	st := s.Stats()
-	if monNode.sheds.Value() != 0 {
-		t.Fatalf("high-priority monitor ring shed %d packets", monNode.sheds.Value())
+	if n := shedsAt(s, nfa.NFMonitor); n != 0 {
+		t.Fatalf("high-priority monitor ring shed %d packets", n)
 	}
-	if fwdNode.sheds.Value() != st.Sheds {
-		t.Fatalf("sheds not attributed to the l3fwd ring: node=%d total=%d",
-			fwdNode.sheds.Value(), st.Sheds)
+	if n := shedsAt(s, nfa.NFL3Fwd); n != st.Sheds {
+		t.Fatalf("sheds not attributed to the l3fwd ring: node=%d total=%d", n, st.Sheds)
 	}
 	if st.Outputs+st.Drops != st.Injected {
 		t.Fatalf("conservation broken: injected=%d outputs=%d drops=%d",

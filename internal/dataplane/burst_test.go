@@ -283,8 +283,8 @@ func TestBurstDifferentialExampleGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chain %v %s compile: %v", chain, mode.name, err)
 			}
-			scalar := runBurstChain(t, chain, res.Graph, n, 1, FusionAuto)
-			burst := runBurstChain(t, chain, res.Graph, n, 32, FusionAuto)
+			scalar := runBurstChain(t, chain, res.Graph, n, 1, FusionOn)
+			burst := runBurstChain(t, chain, res.Graph, n, 32, FusionOn)
 			if diffs := diffBurstRuns(scalar, burst); len(diffs) != 0 {
 				t.Errorf("chain %v (%s graph %v): burst=32 NOT equivalent to burst=1:\n  %v",
 					chain, mode.name, res.Graph, diffs)

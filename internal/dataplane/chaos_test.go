@@ -10,6 +10,7 @@ import (
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
 	"nfp/internal/telemetry"
+	"nfp/internal/telemetry/flightrec"
 )
 
 // chaosCollector drains a server's output channel from a goroutine and
@@ -264,8 +265,8 @@ func TestChaosRingStallDropTail(t *testing.T) {
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Fatalf("pool leak: %d buffers", leak)
 	}
-	if reg := s.Telemetry(); reg.Counter("nfp_ring_sheds_total").Value() != st.Sheds {
-		t.Error("nfp_ring_sheds_total disagrees with Stats().Sheds")
+	if n := causeSum(s.Telemetry().Snapshot(), flightrec.CauseDropTail); n != st.Sheds {
+		t.Errorf("nfp_drops_total{cause=drop_tail} = %d disagrees with Stats().Sheds = %d", n, st.Sheds)
 	}
 }
 
@@ -499,7 +500,7 @@ func TestChaosFusedSegmentPanic(t *testing.T) {
 	if got := seg.nfs[1].panics.Value(); got != 1 {
 		t.Errorf("middle slot panics = %d, want 1", got)
 	}
-	if got := seg.nfs[1].panicDrops.Value(); got == 0 {
+	if got := dropsAt(s, seg.nfs[1].plan.NF.String(), flightrec.CausePanic); got == 0 {
 		t.Error("middle slot recorded no panic drops")
 	}
 	if got := seg.nfs[1].restarts.Value(); got < 1 {

@@ -103,20 +103,20 @@ type Classifier struct {
 	indexBuilds atomic.Uint64
 
 	// Flow accounting hook (nil unless Config.FlowAccount wired it):
-	// classified packets whose fresh PID clears flowMask feed the
-	// observer with counts pre-scaled by flowRate, so sketch estimates
+	// classified packets whose fresh PID flowSampler samples feed the
+	// observer with counts pre-scaled by its rate, so sketch estimates
 	// approximate true per-flow totals.
-	flowObs  FlowObserver
-	flowMask uint64
-	flowRate uint64
+	flowObs     FlowObserver
+	flowSampler *telemetry.Tracer
 
 	// caches[i] is shard i's exact-match microflow cache (nil slice =
-	// fast path disabled). Injector goroutines classify inline, so any
-	// number of them may probe and install into one cache at once; that
-	// is safe because slots are atomic pointers to immutable entries — a
-	// racing install is last-writer-wins, never a torn read. Cache
-	// hit/miss/eviction counters are amortized per burst like the
-	// outcome counters.
+	// no fast path: a zero-value Classifier, as the tests build to hold
+	// the cache to the plain lookup). Injector goroutines classify
+	// inline, so any number of them may probe and install into one cache
+	// at once; that is safe because slots are atomic pointers to
+	// immutable entries — a racing install is last-writer-wins, never a
+	// torn read. Cache hit/miss/eviction counters are amortized per burst
+	// like the outcome counters.
 	caches     []microCache
 	cacheHits  *telemetry.Counter
 	cacheMiss  *telemetry.Counter
@@ -196,12 +196,12 @@ func (c *Classifier) bindTelemetry(reg *telemetry.Registry) {
 	c.tuplesG = reg.Gauge("nfp_classifier_tuples")
 }
 
-// bindFlowObserver wires sampled flow accounting. Called once by the
-// owning Server before traffic flows; mask must be 2^n - 1.
-func (c *Classifier) bindFlowObserver(obs FlowObserver, mask uint64) {
+// bindFlowObserver wires flow accounting for the packets sampler
+// samples (none when it is nil). Called once by the owning Server before
+// traffic flows.
+func (c *Classifier) bindFlowObserver(obs FlowObserver, sampler *telemetry.Tracer) {
 	c.flowObs = obs
-	c.flowMask = mask
-	c.flowRate = mask + 1
+	c.flowSampler = sampler
 }
 
 // observeFlow feeds one sampled packet to the flow observer. The
@@ -209,7 +209,8 @@ func (c *Classifier) bindFlowObserver(obs FlowObserver, mask uint64) {
 // parsed it), so FromPacket costs a cache read.
 func (c *Classifier) observeFlow(p *packet.Packet) {
 	if k, err := flow.FromPacket(p); err == nil {
-		c.flowObs.ObserveFlow(k, c.flowRate, c.flowRate*uint64(p.Len()))
+		rate := c.flowSampler.Rate()
+		c.flowObs.ObserveFlow(k, rate, rate*uint64(p.Len()))
 	}
 }
 
@@ -358,7 +359,7 @@ const (
 )
 
 // cacheFor returns the shard's microflow cache, or nil when the fast
-// path should not engage: cache disabled, or the rule table is empty —
+// path should not engage: no cache bound, or the rule table is empty —
 // the default route is already O(1), and bypassing keeps the no-rules
 // hot path byte-identical to the pre-cache dataplane.
 func (c *Classifier) cacheFor(t *classTable, shard int) *microCache {
@@ -486,7 +487,7 @@ func (c *Classifier) ClassifyBatchShard(pkts []*packet.Packet, shard int) int {
 		}
 		pid := c.nextPID.Add(1) & packet.MaxPID
 		p.Meta = packet.Meta{MID: mid, PID: pid, Version: 1}
-		if c.flowObs != nil && pid&c.flowMask == 0 {
+		if c.flowObs != nil && c.flowSampler.Sampled(pid) {
 			c.observeFlow(p)
 		}
 		if viaDefault {

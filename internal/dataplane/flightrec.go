@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"nfp/internal/flow"
 	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/flightrec"
@@ -55,11 +54,13 @@ func (sh *shard) dropCounter(pr *planRuntime, prov dropProv) *telemetry.Counter 
 	return c
 }
 
-// recordDrop emits the PID-sampled per-drop event record: flow key,
-// cause, node, stage and span cursor — why this individual packet
-// died and how far it got. Out of line so the terminal hot path stays
-// small; only sampled drops reach it.
-func (sh *shard) recordDrop(rec *flightrec.Recorder, pr *planRuntime, prov dropProv, pkt *packet.Packet, cursor int64) {
+// recordDrop puts one terminal drop on the event ring: flow key, cause,
+// node, stage and span cursor — why this packet died and how far it
+// got. The recorder folds a run of drops with the same cause, node and
+// generation into one slot, so this packet is the slot's exemplar or
+// one more on its count. Out of line so the terminal hot path stays
+// small.
+func (sh *shard) recordDrop(pr *planRuntime, prov dropProv, pkt *packet.Packet, cursor int64) {
 	d := flightrec.DropRecord{
 		Shard:  sh.id,
 		Cause:  prov.cause,
@@ -71,10 +72,10 @@ func (sh *shard) recordDrop(rec *flightrec.Recorder, pr *planRuntime, prov dropP
 	if int(prov.node) >= 0 && int(prov.node) < len(pr.nodeNames) {
 		d.Node = pr.nodeNames[prov.node]
 	}
-	if k, err := flow.FromPacket(pkt); err == nil {
+	if k, err := pkt.FlowKey(); err == nil {
 		d.Flow, d.HasKey = k, true
 	}
-	rec.Drop(d)
+	sh.srv.rec.Drop(d)
 }
 
 // noteBackpressure records one backpressure-policy engagement (a
@@ -82,7 +83,7 @@ func (sh *shard) recordDrop(rec *flightrec.Recorder, pr *planRuntime, prov dropP
 // event ring. Out of line: it only runs on the park slow path.
 func (sh *shard) noteBackpressure(site uint32, gen uint64) {
 	sh.srv.rec.Event(flightrec.Note{
-		Shard: sh.id, Kind: flightrec.KindBackpressure, Gen: gen, Node: site,
+		Shard: sh.id, Kind: flightrec.KindBackpressure, Gen: gen, Node: site, Count: 1,
 	})
 }
 

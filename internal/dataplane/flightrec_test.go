@@ -13,6 +13,29 @@ import (
 	"nfp/internal/telemetry/flightrec"
 )
 
+// dropsAt totals the drop family's series charged to one NF, over the
+// given causes.
+func dropsAt(s *Server, nf string, causes ...flightrec.Cause) uint64 {
+	var n uint64
+	for _, ctr := range s.Telemetry().Snapshot().Counters {
+		if ctr.Name != flightrec.MetricDrops || ctr.Labels["nf"] != nf {
+			continue
+		}
+		for _, c := range causes {
+			if ctr.Labels["cause"] == c.String() {
+				n += ctr.Value
+			}
+		}
+	}
+	return n
+}
+
+// shedsAt totals the packets the backpressure policy shed at one NF's
+// ring.
+func shedsAt(s *Server, nf string) uint64 {
+	return dropsAt(s, nf, flightrec.CauseDropTail, flightrec.CauseShedPriority)
+}
+
 // causeSum totals the cause-labeled nfp_drops_total family for one
 // cause across nf/shard/gen series.
 func causeSum(snap telemetry.Snapshot, c flightrec.Cause) uint64 {
@@ -103,7 +126,7 @@ func TestDropProvenanceVerdict(t *testing.T) {
 // TestDropProvenancePanic mirrors the chaos suite with the audit
 // closed: every drop an NF panic causes must be attributed to panic
 // (the in-flight burst) or unhealthy_drain (the supervisor window),
-// the legacy per-NF counters must reconcile exactly with the cause
+// the NF's own drop counter must reconcile exactly with the cause
 // family, and the event ring must show the lifecycle.
 func TestDropProvenancePanic(t *testing.T) {
 	panicMon := faultinject.NewPanicNF(nf.NewMonitor(), 10)
@@ -154,15 +177,13 @@ func TestDropProvenancePanic(t *testing.T) {
 	}
 	auditLedger(t, s, st.Drops)
 
-	// Legacy per-NF counters keep emitting and reconcile with the
-	// cause family: same increments, different breakdown.
-	if legacy := snap.SumCounters("nfp_nf_panic_drops_total"); legacy != panics {
-		t.Fatalf("nfp_nf_panic_drops_total = %d, cause=panic = %d (must reconcile)", legacy, panics)
-	}
+	// The per-NF conservation counter reconciles with the cause family:
+	// on this join-free chain every drop is a panicked burst or a drain,
+	// all charged to the monitor.
 	drain := causeSum(snap, flightrec.CauseUnhealthyDrain) + causeSum(snap, flightrec.CauseReloadDrain)
-	if legacy := snap.SumCounters("nfp_nf_unhealthy_drops_total"); legacy != drain {
-		t.Fatalf("nfp_nf_unhealthy_drops_total = %d, unhealthy_drain+reload_drain = %d (must reconcile)",
-			legacy, drain)
+	if nfDrops := snap.SumCounters("nfp_nf_drops_total"); nfDrops != panics+drain || nfDrops != st.Drops {
+		t.Fatalf("nfp_nf_drops_total = %d, cause=panic %d + drains %d, total drops %d (must reconcile)",
+			nfDrops, panics, drain, st.Drops)
 	}
 
 	// The ring saw the lifecycle: install, the panic, the restart, the
@@ -171,7 +192,7 @@ func TestDropProvenancePanic(t *testing.T) {
 	sawPanicDrop := false
 	for _, e := range s.FlightRecorder().Events(0) {
 		kinds[e.Kind] = true
-		if e.Kind == "drop" && e.Cause == "panic" {
+		if e.Kind == "drop" && e.Cause == "panic" && e.Count > 0 {
 			sawPanicDrop = true
 		}
 	}
@@ -181,7 +202,7 @@ func TestDropProvenancePanic(t *testing.T) {
 		}
 	}
 	if !sawPanicDrop {
-		t.Fatal("no sampled drop event with cause=panic (sample rate 1 records every drop)")
+		t.Fatal("no drop event with cause=panic (every drop is recorded)")
 	}
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Fatalf("pool leak: %d buffers", leak)
@@ -258,7 +279,7 @@ func TestDropProvenanceShed(t *testing.T) {
 // anywhere fails here instead of shipping.
 func TestMetricLintClean(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := New(Config{Shards: 2, PoolSize: 256, Burst: 8, Telemetry: reg, E2ESampleRate: 4})
+	s := New(Config{Shards: 2, PoolSize: 256, Burst: 8, Telemetry: reg, TraceSampleRate: 4})
 	g := graph.Seq{Items: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFL3Fwd, 0)}}
 	if err := s.AddGraph(1, g); err != nil {
 		t.Fatal(err)

@@ -11,11 +11,10 @@ import "fmt"
 type FusionMode uint8
 
 const (
-	// FusionAuto resolves to the server default (FusionOn).
-	FusionAuto FusionMode = iota
-	// FusionOn fuses maximal strictly-sequential segments (see
-	// Plan.FusedSegments) into single run-to-completion runtimes.
-	FusionOn
+	// FusionOn (the zero value) fuses maximal strictly-sequential
+	// segments (see Plan.FusedSegments) into single run-to-completion
+	// runtimes.
+	FusionOn FusionMode = iota
 	// FusionOff runs the fully pipelined dataplane: every NF gets its
 	// own runtime goroutine and receive ring.
 	FusionOff
@@ -24,8 +23,6 @@ const (
 // String renders the mode as its flag spelling.
 func (m FusionMode) String() string {
 	switch m {
-	case FusionAuto:
-		return "auto"
 	case FusionOn:
 		return "on"
 	case FusionOff:
@@ -34,6 +31,5 @@ func (m FusionMode) String() string {
 	return fmt.Sprintf("fusion(%d)", uint8(m))
 }
 
-// enabled reports whether segment fusion applies (Auto resolves to on
-// in Config.setDefaults, so only an explicit FusionOff disables it).
+// enabled reports whether segment fusion applies.
 func (m FusionMode) enabled() bool { return m != FusionOff }

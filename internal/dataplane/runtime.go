@@ -37,8 +37,6 @@ type segNF struct {
 	pktsOut      *telemetry.Counter
 	drops        *telemetry.Counter
 	panics       *telemetry.Counter
-	panicDrops   *telemetry.Counter
-	unhealthyDry *telemetry.Counter
 	restarts     *telemetry.Counter
 	restartFails *telemetry.Counter
 	healthyG     *telemetry.Gauge
@@ -96,8 +94,8 @@ type nodeRT struct {
 	burst    []*packet.Packet
 	verdicts []nf.Verdict
 
-	// Ring-level metrics, labelled by the ring-owning head NF.
-	sheds  *telemetry.Counter
+	// ringHW is the receive ring's high-water mark, labelled by the
+	// ring-owning head NF.
 	ringHW *telemetry.Gauge
 }
 
@@ -136,7 +134,7 @@ func (n *nodeRT) run() {
 			// route, charged to the head NF.
 			h := n.head()
 			h.pktsIn.Add(uint64(cnt))
-			n.dropBurst(h, n.burst[:cnt], h.unhealthyDry, drainCause(n.pr), telemetry.StageRingWait, 0)
+			n.dropBurst(h, n.burst[:cnt], drainCause(n.pr), telemetry.StageRingWait, 0)
 			continue
 		}
 		n.processBurst(n.burst[:cnt])
@@ -184,18 +182,17 @@ func (n *nodeRT) onPanic(s *segNF, cause any) {
 }
 
 // dropBurst routes every packet of a burst through NF slot s's drop
-// target, charging cause (panic or unhealthy-drain) and s's drop
-// counter so per-NF conservation (in == out + drops) still holds.
-// dcause is the taxonomy cause the terminal accounting point will
-// charge (panic, unhealthy_drain or reload_drain).
+// target, charging s's drop counter so per-NF conservation
+// (in == out + drops) still holds. cause is the taxonomy cause the
+// terminal accounting point will charge (panic, unhealthy_drain or
+// reload_drain).
 //
 // Sampled packets get a closing span so conservation also holds for
 // traces: stage says how far they got (ring-wait for unhealthy drains
 // whose cursor is still stashed — cursor 0 — or nf for a panicked
 // burst, whose preceding spans were already recorded against cursor,
 // the last amortized boundary timestamp).
-func (n *nodeRT) dropBurst(s *segNF, pkts []*packet.Packet, cause *telemetry.Counter, dcause flightrec.Cause, stage telemetry.Stage, cursor int64) {
-	cause.Add(uint64(len(pkts)))
+func (n *nodeRT) dropBurst(s *segNF, pkts []*packet.Packet, cause flightrec.Cause, stage telemetry.Stage, cursor int64) {
 	s.drops.Add(uint64(len(pkts)))
 	tracer := n.server.tracer
 	var now int64
@@ -216,7 +213,7 @@ func (n *nodeRT) dropBurst(s *segNF, pkts []*packet.Packet, cause *telemetry.Cou
 			c = now
 		}
 		n.sh.deliverDrop(n.pr, s.plan.DropTo, pkt,
-			dropProv{cause: dcause, stage: stage, node: int32(s.plan.ID)}, c)
+			dropProv{cause: cause, stage: stage, node: int32(s.plan.ID)}, c)
 	}
 }
 
@@ -326,7 +323,7 @@ func (n *nodeRT) processBurst(pkts []*packet.Packet) {
 			// packet writes) are void. The burst is the failure unit —
 			// all its live packets take this NF's drop route back to the
 			// pool.
-			n.dropBurst(s, pkts, s.panicDrops, flightrec.CausePanic, telemetry.StageNF, cursor)
+			n.dropBurst(s, pkts, flightrec.CausePanic, telemetry.StageNF, cursor)
 			return
 		}
 		// One amortized boundary timestamp per NF: the histogram sample

@@ -41,12 +41,12 @@ func DefaultShards() int {
 // atomicPlans is the COW installed-graph map every shard publishes.
 type atomicPlans = atomic.Pointer[map[uint32]*planRuntime]
 
-// FlowObserver receives sampled per-flow accounting from the
-// classifier — the hook the diagnosis layer's heavy-hitter sketch
-// plugs into without the dataplane importing it. Implementations must
-// be safe for concurrent use; observations arrive pre-scaled by the
-// sample rate (pkts = rate, bytes = wire length × rate), so estimates
-// approximate true per-flow totals.
+// FlowObserver receives per-flow accounting for the sampled packets
+// (Config.TraceSampleRate) from the classifier — the hook the diagnosis
+// layer's heavy-hitter sketch plugs into without the dataplane importing
+// it. Implementations must be safe for concurrent use; observations
+// arrive pre-scaled by the sample rate (pkts = rate, bytes = wire length
+// × rate), so estimates approximate true per-flow totals.
 type FlowObserver interface {
 	ObserveFlow(k flow.Key, pkts, bytes uint64)
 }
@@ -65,6 +65,9 @@ const (
 	// a crashed NF instance; it doubles per panic up to restartBackoffMax.
 	restartBackoff    = time.Millisecond
 	restartBackoffMax = 250 * time.Millisecond
+	// flowCacheSlots is each shard's microflow cache size (a power of
+	// two; see microCache).
+	flowCacheSlots = 4096
 )
 
 // Config is the one declaration of every dataplane setting: nfpd and
@@ -111,9 +114,13 @@ type Config struct {
 	// its own registry (series names collide otherwise); nil creates a
 	// private one, reachable via Server.Telemetry().
 	Telemetry *telemetry.Registry
-	// TraceSampleRate enables per-packet path tracing for roughly one
-	// in TraceSampleRate packets, selected by PID hash (0 disables; 1
-	// traces everything; rounded down to a power of two).
+	// TraceSampleRate is the one sampling decision: roughly one packet
+	// in TraceSampleRate, selected by PID hash (rounded down to a power
+	// of two; 1 observes every packet), is observed, and everything
+	// per-packet the dataplane can report covers exactly that set — the
+	// hop-by-hop spans (Tracer), end-to-end latency
+	// (nfp_e2e_latency_ns{mid}, ingress stamp to output delivery) and
+	// FlowAccount. 0 observes nothing, at zero hot-path cost.
 	TraceSampleRate int
 	// TraceCapacity bounds the trace event ring (default 4096).
 	TraceCapacity int
@@ -127,44 +134,16 @@ type Config struct {
 	// policy (higher = more important; unlisted NFs rank 0). Derive it
 	// from a policy's Priority rules with policy.PriorityRanks.
 	NodePriority map[string]int
-	// FlowAccount, when set, receives sampled per-flow (5-tuple)
-	// accounting from the classifier at FlowSampleRate. Nil disables
-	// flow accounting entirely (zero hot-path cost).
+	// FlowAccount, when set, receives per-flow (5-tuple) accounting of
+	// the sampled packets from the classifier (see TraceSampleRate).
 	FlowAccount FlowObserver
-	// FlowSampleRate samples roughly one in FlowSampleRate classified
-	// packets into FlowAccount, selected by PID mask (rounded down to a
-	// power of two; default 64; 1 observes every packet). Synthetic
-	// sources that strictly round-robin a flow set aligned with the rate
-	// see a biased subset — real and randomized traffic do not.
-	FlowSampleRate int
-	// E2ESampleRate enables end-to-end latency recording
-	// (nfp_e2e_latency_ns{mid}, ingress stamp to output delivery) for
-	// roughly one in E2ESampleRate packets, PID-mask selected (rounded
-	// down to a power of two; 0 disables; 1 records everything). The
-	// histograms feed the diagnosis layer's SLO evaluation.
-	E2ESampleRate int
-	// Fusion selects the execution engine: FusionOn (the default —
-	// FusionAuto resolves to it) fuses strictly sequential graph
-	// segments into single run-to-completion runtimes with no
-	// intermediate ring; FusionOff keeps the fully pipelined
-	// one-goroutine-per-NF layout. Both modes are observationally
-	// equivalent (see internal/equivalence); fusion only removes ring
-	// hops the graph structure proves redundant.
+	// Fusion selects the execution engine: FusionOn (the zero value)
+	// fuses strictly sequential graph segments into single
+	// run-to-completion runtimes with no intermediate ring; FusionOff
+	// keeps the fully pipelined one-goroutine-per-NF layout. Both modes
+	// are observationally equivalent (see internal/equivalence); fusion
+	// only removes ring hops the graph structure proves redundant.
 	Fusion FusionMode
-	// DropSampleRate records roughly one in DropSampleRate terminal
-	// drops as a per-drop flight-recorder event (flow key, cause,
-	// node, stage, cursor), PID-mask selected (default 1 = every
-	// drop). The per-cause drop counters stay exact regardless.
-	DropSampleRate int
-	// DisableFlowCache turns off the classifier's exact-match
-	// microflow cache (ablation: every packet takes the full rule
-	// walk). The cache is on by default and self-invalidates on any
-	// rule mutation or reload, so disabling it never changes
-	// classification results — only their cost.
-	DisableFlowCache bool
-	// FlowCacheSize is the per-shard microflow cache slot count,
-	// rounded up to a power of two (default 4096).
-	FlowCacheSize int
 }
 
 func (c *Config) setDefaults() {
@@ -198,31 +177,6 @@ func (c *Config) setDefaults() {
 	if c.SpinLimit < 0 {
 		c.SpinLimit = 0
 	}
-	if c.Fusion == FusionAuto {
-		c.Fusion = FusionOn
-	}
-	if c.FlowSampleRate == 0 {
-		c.FlowSampleRate = 64
-	}
-	if c.DropSampleRate < 1 {
-		c.DropSampleRate = 1
-	}
-	if c.FlowCacheSize == 0 {
-		c.FlowCacheSize = 4096
-	}
-}
-
-// pidMask converts a 1-in-rate sampling rate to a PID mask (rate
-// rounded down to a power of two): pid&mask == 0 selects the sample.
-func pidMask(rate int) uint64 {
-	if rate < 1 {
-		rate = 1
-	}
-	p := uint64(1)
-	for p*2 <= uint64(rate) {
-		p *= 2
-	}
-	return p - 1
 }
 
 // planRuntime is one shard's installation of a service graph: the
@@ -239,8 +193,8 @@ type planRuntime struct {
 	// dispatch targets resolve to the ring-owning segment.
 	rts   []*nodeRT
 	owner []*nodeRT
-	// e2eLat records sampled ingress→output latency for this graph
-	// (nil unless Config.E2ESampleRate enabled it).
+	// e2eLat records the sampled packets' ingress→output latency for
+	// this graph (nil when nothing is sampled).
 	e2eLat *telemetry.Histogram
 	// dropCtrs lazily caches the terminal per-cause drop counters,
 	// indexed node*NumCauses+cause (see shard.dropCounter).
@@ -315,16 +269,9 @@ type Server struct {
 	copies    *telemetry.Counter
 	copiedB   *telemetry.Counter // bytes duplicated (resource overhead meter)
 	mergeErrs *telemetry.Counter
-	// Overload/fault counters: ring sheds (packets lost to the
-	// drop-tail/shed policies) and the spin/park activity of every
-	// backpressured retry loop.
-	sheds    *telemetry.Counter
+	// The spin/park activity of every backpressured retry loop.
 	bpYields *telemetry.Counter
 	bpParks  *telemetry.Counter
-	// e2eMask selects which PIDs record end-to-end latency (meaningful
-	// only when e2eOn; see Config.E2ESampleRate).
-	e2eOn   bool
-	e2eMask uint64
 
 	// rec is the always-on flight recorder. recPoolID is the interned
 	// site name backpressure events outside any plan node charge
@@ -366,7 +313,6 @@ func New(cfg Config) *Server {
 	s.copies = s.tel.Counter("nfp_copies_total")
 	s.copiedB = s.tel.Counter("nfp_copied_bytes_total")
 	s.mergeErrs = s.tel.Counter("nfp_merge_errors_total")
-	s.sheds = s.tel.Counter("nfp_ring_sheds_total")
 	s.bpYields = s.tel.Counter("nfp_backpressure_yields_total")
 	s.bpParks = s.tel.Counter("nfp_backpressure_parks_total")
 	s.generation.Store(1)
@@ -374,9 +320,8 @@ func New(cfg Config) *Server {
 	s.genG.Set(1)
 	s.reloadsC = s.tel.Counter("nfp_reloads_total")
 	s.rec = flightrec.NewRecorder(flightrec.Config{
-		Shards:         cfg.Shards,
-		DropSampleRate: cfg.DropSampleRate,
-		StageNames:     func(b uint8) string { return telemetry.Stage(b).String() },
+		Shards:     cfg.Shards,
+		StageNames: func(b uint8) string { return telemetry.Stage(b).String() },
 	})
 	s.recPoolID = s.rec.Intern("mempool")
 	// Self-description for scrapes and incident bundles: one constant
@@ -390,15 +335,9 @@ func New(cfg Config) *Server {
 		telemetry.L("fusion", bi["fusion"]),
 	).Set(1)
 	s.classifier.bindTelemetry(s.tel)
-	if !cfg.DisableFlowCache {
-		s.classifier.bindFlowCache(cfg.Shards, cfg.FlowCacheSize)
-	}
+	s.classifier.bindFlowCache(cfg.Shards, flowCacheSlots)
 	if cfg.FlowAccount != nil {
-		s.classifier.bindFlowObserver(cfg.FlowAccount, pidMask(cfg.FlowSampleRate))
-	}
-	if cfg.E2ESampleRate > 0 {
-		s.e2eOn = true
-		s.e2eMask = pidMask(cfg.E2ESampleRate)
+		s.classifier.bindFlowObserver(cfg.FlowAccount, s.tracer)
 	}
 	sharded := cfg.Shards > 1
 	var parts []*mempool.Pool
@@ -733,7 +672,7 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 		segs = singletonSegments(len(plan.Nodes))
 	}
 	midLabel := telemetry.L("mid", strconv.FormatUint(uint64(plan.MID), 10))
-	if s.e2eOn {
+	if s.tracer != nil {
 		pr.e2eLat = s.tel.Histogram("nfp_e2e_latency_ns", labelGen(sh.labelShard([]telemetry.Label{midLabel}), gen)...)
 	}
 	for _, seg := range segs {
@@ -749,7 +688,6 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 			shedImmediate: s.cfg.RingPolicy == BPDropTail,
 			burst:         make([]*packet.Packet, s.cfg.Burst),
 			verdicts:      make([]nf.Verdict, s.cfg.Burst),
-			sheds:         s.tel.Counter("nfp_nf_ring_sheds_total", headLabels...),
 			ringHW:        s.tel.Gauge("nfp_nf_ring_high_water", headLabels...),
 		}
 		// Static capacity beside the high-water mark, so the diagnosis
@@ -775,8 +713,6 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 			sn.pktsOut = s.tel.Counter("nfp_nf_packets_out_total", labels...)
 			sn.drops = s.tel.Counter("nfp_nf_drops_total", labels...)
 			sn.panics = s.tel.Counter("nfp_nf_panics_total", labels...)
-			sn.panicDrops = s.tel.Counter("nfp_nf_panic_drops_total", labels...)
-			sn.unhealthyDry = s.tel.Counter("nfp_nf_unhealthy_drops_total", labels...)
 			sn.restarts = s.tel.Counter("nfp_nf_restarts_total", labels...)
 			sn.restartFails = s.tel.Counter("nfp_nf_restart_failures_total", labels...)
 			sn.healthyG = s.tel.Gauge("nfp_nf_healthy", labels...)
@@ -1102,12 +1038,10 @@ type Stats struct {
 	Injected uint64
 	Outputs  uint64
 	Drops    uint64
-	// Sheds counts packet REFERENCES lost to the ring backpressure
-	// policy (drop-tail / shed-lowest-priority). Every shed rides the
-	// drop route, so Injected == Outputs + Drops still holds; but in a
-	// parallel stage each branch tail of one packet can shed
-	// independently, so Sheds may exceed the terminal Drops it causes.
-	// On join-free graphs Sheds <= Drops.
+	// Sheds counts the packets lost to the ring backpressure policy:
+	// the drops whose cause is drop_tail or shed_priority, so
+	// Sheds <= Drops. (A packet whose parallel branches shed and dropped
+	// for different reasons counts under the first cause reported.)
 	Sheds uint64
 	// Panics and Restarts count NF crashes caught at the runtime crash
 	// boundary and supervisor-performed instance replacements, summed
@@ -1131,11 +1065,12 @@ type Stats struct {
 
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats {
+	byCause := flightrec.ReadLedger(s.tel.Snapshot()).ByCause
 	st := Stats{
 		Injected:    s.injected.Value(),
 		Outputs:     s.outCount.Value(),
 		Drops:       s.drops.Value(),
-		Sheds:       s.sheds.Value(),
+		Sheds:       byCause[flightrec.CauseDropTail.String()] + byCause[flightrec.CauseShedPriority.String()],
 		Copies:      s.copies.Value(),
 		CopiedBytes: s.copiedB.Value(),
 		MergeErrors: s.mergeErrs.Value(),

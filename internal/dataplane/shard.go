@@ -278,14 +278,19 @@ func (sh *shard) deliver(pr *planRuntime, t Target, pkt *packet.Packet, dropped 
 		m := sh.mergers[flow.HashPID(pkt.Meta.PID)%uint64(len(sh.mergers))]
 		m.in <- mergeItem{pkt: pkt, pr: pr, join: t.Join, dropped: dropped, prov: prov, cursor: cursor}
 	case ToOutput:
+		// now is the terminal timestamp of a sampled packet (0 when
+		// unsampled): the end of its last span and of its end-to-end
+		// latency, one clock read for both.
+		var now int64
 		if s.tracer.Sampled(pkt.Meta.PID) {
+			now = time.Now().UnixNano()
 			st := telemetry.StageOutput
 			if dropped {
 				st = telemetry.StageDrop
 			}
 			s.tracer.RecordSpan(telemetry.TraceEvent{
 				PID: pkt.Meta.PID, MID: pkt.Meta.MID, Ver: pkt.Meta.Version,
-				Stage: st, Begin: cursor, TS: time.Now().UnixNano(), Shard: sh.spanID,
+				Stage: st, Begin: cursor, TS: now, Shard: sh.spanID,
 				Gen: pr.spanGen,
 			})
 		}
@@ -298,16 +303,14 @@ func (sh *shard) deliver(pr *planRuntime, t Target, pkt *packet.Packet, dropped 
 		if dropped {
 			s.drops.Add(1)
 			sh.dropCounter(pr, prov).Inc()
-			if s.rec.SampleDrop(pkt.Meta.PID) {
-				sh.recordDrop(s.rec, pr, prov, pkt, cursor)
-			}
+			sh.recordDrop(pr, prov, pkt, cursor)
 			pkt.Free()
 			pr.terminal.Add(1)
 			pr.inflight.Add(-1)
 			return
 		}
-		if s.e2eOn && pkt.Meta.PID&s.e2eMask == 0 && pkt.Ingress > 0 {
-			pr.e2eLat.Record(time.Now().UnixNano() - pkt.Ingress)
+		if now != 0 && pkt.Ingress > 0 {
+			pr.e2eLat.Record(now - pkt.Ingress)
 		}
 		s.outCount.Add(1)
 		sh.out <- pkt

@@ -143,7 +143,7 @@ func TestTelemetryTraceHopOrder(t *testing.T) {
 		p.Free()
 	}
 
-	traces := s.Tracer().ByPID()
+	traces, _ := s.Tracer().GroupByPID()
 	if len(traces) == 0 {
 		t.Fatal("rate-1 tracer captured no complete traces")
 	}

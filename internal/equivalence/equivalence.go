@@ -265,8 +265,8 @@ func (t *Trial) ExecuteBurst(g graph.Node, n int, trafficSeed int64, burst int) 
 type ExecOptions struct {
 	// Burst is the dataplane burst size (<=1 runs the scalar path).
 	Burst int
-	// Fusion selects the execution engine (FusionAuto = server
-	// default). Fused and pipelined runs of the same trial and seed
+	// Fusion selects the execution engine (zero value = FusionOn).
+	// Fused and pipelined runs of the same trial and seed
 	// must be observationally identical — the fusion differential
 	// tests hold the engine to that.
 	Fusion dataplane.FusionMode
@@ -371,8 +371,8 @@ type OverloadSpec struct {
 	Policy    dataplane.BackpressurePolicy
 	SpinLimit int
 	Burst     int
-	// Fusion selects the execution engine (FusionAuto = server
-	// default); the overload conservation law must hold under both.
+	// Fusion selects the execution engine (zero value =
+	// FusionOn); the overload conservation law must hold under both.
 	Fusion dataplane.FusionMode
 }
 

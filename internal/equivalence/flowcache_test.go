@@ -8,14 +8,20 @@ import (
 )
 
 // TestFlowCacheEquivalenceProperty is the flow-fast-path correctness
-// differential: with the rule table populated (RuleSplit — an empty
-// table bypasses the cache entirely), a cache-on run must be
-// observationally identical to a cache-off run of the same seed across
-// burst 1/32 × pipelined/fused × shards 1/4. The microflow cache is an
-// exact-match memo of the rule walk, so any divergence — a stale entry
-// surviving a table mutation, a wrong-flow hit off a hash collision, a
-// miscounted outcome class — surfaces as a digest or count difference.
-// Under -race this also audits the lock-free slot discipline.
+// differential: with the rule table populated (RuleSplit) every
+// parseable packet resolves through the microflow cache; with it empty
+// the cache is bypassed by construction and every packet takes the
+// default route. The two identical graph copies a split run spreads its
+// flows over make every compared observation MID-independent, so the
+// cache-on run must be observationally identical to the cache-bypassed
+// run of the same seed across burst 1/32 × pipelined/fused × shards
+// 1/4. Any divergence — a stale entry surviving a table mutation, a hit
+// that hands a packet to a MID with no graph, a miscounted outcome class
+// — surfaces as a rejected packet or a digest or count difference.
+// (That a hit returns the MID the rule list would — which two identical
+// copies cannot show — is TestClassifierMatchesReferenceWalk's half, in
+// internal/dataplane.) Under -race this also audits the lock-free slot
+// discipline.
 func TestFlowCacheEquivalenceProperty(t *testing.T) {
 	trials := 3
 	packets := 200
@@ -41,7 +47,7 @@ func TestFlowCacheEquivalenceProperty(t *testing.T) {
 					if err != nil {
 						t.Fatalf("trial %d shards=%d burst=%d fusion=%v cache-on: %v", i, shards, burst, fusion, err)
 					}
-					opts.DisableFlowCache = true
+					opts.RuleSplit = false
 					off, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
 					if err != nil {
 						t.Fatalf("trial %d shards=%d burst=%d fusion=%v cache-off: %v", i, shards, burst, fusion, err)
@@ -56,15 +62,16 @@ func TestFlowCacheEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestFlowCacheChurnEquivalence holds cache-on ≡ cache-off under
+// TestFlowCacheChurnEquivalence holds cache-on ≡ cache-bypassed under
 // mid-stream rule churn: redirect rules are prepended at several points
 // during injection (the §7 elasticity primitive), each one republishing
 // the table pointer and thereby invalidating every installed cache
 // entry. A cache that served even one packet off a pre-churn entry
 // would route it to the wrong MID — invisible to the MID-agnostic
-// aggregates only if both copies of the graph are identical, which they
-// are; what is NOT invisible is any miscount, drop difference, or
-// content divergence from a torn or stale lookup.
+// aggregates because both copies of the graph are identical (the
+// dataplane's TestFlowCachePrependRedirectImmediate pins that side);
+// what is NOT invisible is any miscount, drop difference, or content
+// divergence from a torn or stale lookup.
 func TestFlowCacheChurnEquivalence(t *testing.T) {
 	trials := 3
 	packets := 240
@@ -90,7 +97,7 @@ func TestFlowCacheChurnEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d shards=%d burst=%d churn cache-on: %v", i, shards, burst, err)
 				}
-				opts.DisableFlowCache = true
+				opts.RuleSplit, opts.Churns = false, nil
 				off, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
 				if err != nil {
 					t.Fatalf("trial %d shards=%d burst=%d churn cache-off: %v", i, shards, burst, err)
@@ -107,10 +114,10 @@ func TestFlowCacheChurnEquivalence(t *testing.T) {
 // TestFlowCacheReloadEquivalence crosses the fast path with
 // zero-downtime reconfiguration: mid-stream ReloadProvide swaps fire
 // while the microflow cache is populated (RuleSplit), and the cache-on
-// run must match the cache-off run. Reload explicitly invalidates the
-// cache after the generation swap, so a packet classified right after
-// the swap can never ride a pre-swap cache line into a sealed
-// generation.
+// run must match the cache-bypassed run with the same reloads. Reload
+// explicitly invalidates the cache after the generation swap, so a
+// packet classified right after the swap can never ride a pre-swap cache
+// line into a sealed generation.
 func TestFlowCacheReloadEquivalence(t *testing.T) {
 	trials := 2
 	packets := 240
@@ -133,7 +140,7 @@ func TestFlowCacheReloadEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d shards=%d reload cache-on: %v", i, shards, err)
 			}
-			opts.DisableFlowCache = true
+			opts.RuleSplit = false
 			off, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
 			if err != nil {
 				t.Fatalf("trial %d shards=%d reload cache-off: %v", i, shards, err)

@@ -43,18 +43,18 @@ type ExecShardOptions struct {
 	Shards int
 	// Burst is the dataplane burst size (<=1 injects packet by packet).
 	Burst int
-	// Fusion selects the execution engine (FusionAuto = server default).
+	// Fusion selects the execution engine (zero value = FusionOn).
 	Fusion dataplane.FusionMode
-	// DisableFlowCache ablates the classifier's microflow cache, so a
-	// cache-on run can be held observationally equal to a cache-off run
-	// of the same seed — the flow-fast-path correctness differential.
-	DisableFlowCache bool
 	// RuleSplit installs the trial graph a second time under MID 2 and
 	// splits traffic between the two identical copies with DstPort
-	// rules over a default route, so the classifier's rule walk — and
-	// therefore the microflow cache — is actually exercised (an
-	// empty-rule table bypasses the cache entirely). All aggregated
-	// observations are MID-independent, so split runs compare equal.
+	// rules over a default route, so the classifier's rule lookup — and
+	// therefore the microflow cache — is actually exercised. Without it
+	// the rule table is empty, every packet takes the default route, and
+	// the cache is bypassed by construction. All aggregated observations
+	// are MID-independent, so a split run compares equal to an unsplit
+	// one of the same seed: that is the flow-fast-path correctness
+	// differential, cache engaged against cache structurally out of the
+	// path.
 	RuleSplit bool
 	// Churns lists injection indices at which a redirect rule is
 	// prepended mid-stream (the §7 elasticity primitive), each one
@@ -127,12 +127,11 @@ func (t *Trial) ExecuteSharded(g graph.Node, n int, trafficSeed int64, opts Exec
 	syns := make(map[string][]*SynNF, len(t.Profiles))
 	srv := dataplane.New(dataplane.Config{
 		// A whole-server budget: every shard gets PoolSize/shards.
-		PoolSize:         512 * shards,
-		Mergers:          2,
-		Burst:            opts.Burst,
-		Shards:           shards,
-		Fusion:           opts.Fusion,
-		DisableFlowCache: opts.DisableFlowCache,
+		PoolSize: 512 * shards,
+		Mergers:  2,
+		Burst:    opts.Burst,
+		Shards:   shards,
+		Fusion:   opts.Fusion,
 	})
 	provide := func(shard int, node graph.NF) nf.NF {
 		s := NewSynNF(node.Name, t.Profiles[node.Name])

@@ -57,25 +57,19 @@ func (f *L3Forwarder) Name() string { return nfa.NFL3Fwd }
 // Profile implements NF.
 func (f *L3Forwarder) Profile() nfa.Profile { return profileFor(nfa.NFL3Fwd) }
 
-// Process looks up the destination address. The chosen next hop is
-// recorded internally; the packet is not modified (profile: read DIP).
+// Process is a one-packet ProcessBatch.
 func (f *L3Forwarder) Process(p *packet.Packet) Verdict {
-	if err := p.Parse(); err != nil {
-		f.misses++
-		return Pass
-	}
-	b := p.FieldBytes(packet.FieldDstIP)
-	addr := binary.BigEndian.Uint32(b)
-	if _, ok := f.table.LookupUint(addr); !ok {
-		f.misses++
-	}
-	f.lookups++
-	return Pass
+	pkts, verdicts := [1]*packet.Packet{p}, [1]Verdict{}
+	f.ProcessBatch(pkts[:], verdicts[:])
+	return verdicts[0]
 }
 
-// ProcessBatch implements BatchProcessor: one pass over the burst with
-// the last destination's LPM result cached, so runs of same-destination
-// packets (the common case inside a burst) cost one table walk.
+// ProcessBatch implements BatchProcessor: it looks up every packet's
+// destination address. The chosen next hop is recorded internally; the
+// packets are not modified (profile: read DIP). One pass over the burst
+// with the last destination's LPM result cached, so runs of
+// same-destination packets (the common case inside a burst) cost one
+// table walk.
 func (f *L3Forwarder) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 	var lastAddr uint32
 	var lastOK, haveLast bool

@@ -46,26 +46,19 @@ func (lb *LoadBalancer) Name() string { return nfa.NFLB }
 // Profile implements NF.
 func (lb *LoadBalancer) Profile() nfa.Profile { return profileFor(nfa.NFLB) }
 
-// Process hashes the 5-tuple and rewrites src/dst addresses. The hash
-// runs on the packet-carried packed key, so no address widening happens
-// per packet.
+// Process is a one-packet ProcessBatch.
 func (lb *LoadBalancer) Process(p *packet.Packet) Verdict {
-	fk, err := p.FlowKey()
-	if err != nil {
-		return Pass
-	}
-	i := int(fk.Hash() % uint64(len(lb.backends)))
-	lb.counts[i]++
-	p.SetDstIP(lb.backends[i])
-	p.SetSrcIP(lb.vip)
-	p.UpdateL4Checksum() // address rewrite invalidates the TCP/UDP checksum
-	return Pass
+	pkts, verdicts := [1]*packet.Packet{p}, [1]Verdict{}
+	lb.ProcessBatch(pkts[:], verdicts[:])
+	return verdicts[0]
 }
 
-// ProcessBatch implements BatchProcessor: the ECMP hash of a repeated
-// flow key is computed once per run of identical keys; the address
-// rewrite and checksum refresh still happen per packet (each packet has
-// its own buffer).
+// ProcessBatch implements BatchProcessor: it hashes each packet's
+// 5-tuple and rewrites its src/dst addresses. The hash runs on the
+// packet-carried packed key, so no address widening happens per packet,
+// and it is computed once per run of identical keys; the address rewrite
+// and checksum refresh still happen per packet (each packet has its own
+// buffer).
 func (lb *LoadBalancer) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 	var lastKey packet.FlowKey
 	lastIdx := -1

@@ -38,26 +38,16 @@ func (m *Monitor) Name() string { return nfa.NFMonitor }
 // Profile implements NF.
 func (m *Monitor) Profile() nfa.Profile { return profileFor(nfa.NFMonitor) }
 
-// Process counts the packet against its flow.
+// Process is a one-packet ProcessBatch.
 func (m *Monitor) Process(p *packet.Packet) Verdict {
-	fk, err := p.FlowKey()
-	if err != nil {
-		return Pass
-	}
-	st := m.counters[fk]
-	if st == nil {
-		st = &FlowStats{}
-		m.counters[fk] = st
-	}
-	st.Packets++
-	st.Bytes += uint64(p.Len())
-	m.total.Packets++
-	m.total.Bytes += uint64(p.Len())
-	return Pass
+	pkts, verdicts := [1]*packet.Packet{p}, [1]Verdict{}
+	m.ProcessBatch(pkts[:], verdicts[:])
+	return verdicts[0]
 }
 
-// ProcessBatch implements BatchProcessor: one map lookup per run of
-// same-flow packets instead of one per packet.
+// ProcessBatch implements BatchProcessor: it counts each packet against
+// its flow, with one map lookup per run of same-flow packets instead of
+// one per packet.
 func (m *Monitor) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 	var lastKey packet.FlowKey
 	var lastStats *FlowStats

@@ -2,6 +2,7 @@ package nf
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -384,5 +385,81 @@ func TestConstructorValidation(t *testing.T) {
 	r := NewRegistry()
 	if err := r.Register("", nil); err == nil {
 		t.Error("empty registration accepted")
+	}
+}
+
+// TestProcessIsOnePacketBatch holds the three NFs whose Process is a
+// one-packet ProcessBatch to it: driven packet by packet, an instance
+// returns the verdicts, leaves the bytes and ends in the state of a twin
+// driven in bursts of 8 over the same traffic (runs of same-flow packets
+// included, which is what the batch path memoises) — and the one-packet
+// call does not allocate.
+func TestProcessIsOnePacketBatch(t *testing.T) {
+	traffic := func() []*packet.Packet {
+		var pkts []*packet.Packet
+		for i := 0; i < 64; i++ {
+			run := i / 3 // three packets per flow, back to back
+			pkts = append(pkts, tcpPacket("10.0.0.1", "10.9.0.2", uint16(1000+run%5), 80, []byte{byte(i)}))
+		}
+		pkts[17].Invalidate()
+		pkts[17].SetLen(6) // unparseable: both paths must pass it untouched
+		return pkts
+	}
+	mustFwd := func() *L3Forwarder {
+		f, err := NewL3Forwarder(DefaultRouteCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	mustLB := func() *LoadBalancer {
+		lb, err := NewLoadBalancer(DefaultBackendCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lb
+	}
+	cases := []struct {
+		name  string
+		mk    func() NF
+		state func(NF) any
+	}{
+		{"l3fwd", func() NF { return mustFwd() }, func(n NF) any {
+			f := n.(*L3Forwarder)
+			return [2]uint64{f.lookups, f.misses}
+		}},
+		{"lb", func() NF { return mustLB() }, func(n NF) any { return fmt.Sprint(n.(*LoadBalancer).Counts()) }},
+		{"monitor", func() NF { return NewMonitor() }, func(n NF) any {
+			m := n.(*Monitor)
+			return fmt.Sprint(m.Total(), m.Snapshot())
+		}},
+	}
+	for _, tc := range cases {
+		scalar, batch := tc.mk(), tc.mk()
+		sp, bp := traffic(), traffic()
+		var sv, bv []Verdict
+		for _, p := range sp {
+			sv = append(sv, scalar.Process(p))
+		}
+		for i := 0; i < len(bp); i += 8 {
+			v := make([]Verdict, 8)
+			batch.(BatchProcessor).ProcessBatch(bp[i:i+8], v)
+			bv = append(bv, v...)
+		}
+		for i := range sp {
+			if sv[i] != bv[i] {
+				t.Errorf("%s: packet %d verdict %v scalar, %v batched", tc.name, i, sv[i], bv[i])
+			}
+			if !bytes.Equal(sp[i].Bytes(), bp[i].Bytes()) {
+				t.Errorf("%s: packet %d bytes differ between the scalar and batched runs", tc.name, i)
+			}
+		}
+		if s, b := tc.state(scalar), tc.state(batch); s != b {
+			t.Errorf("%s: state after the scalar run %v, after the batched run %v", tc.name, s, b)
+		}
+		p := tcpPacket("10.0.0.1", "10.9.0.2", 1000, 80, nil) // a flow the NF has seen
+		if allocs := testing.AllocsPerRun(100, func() { scalar.Process(p) }); allocs != 0 {
+			t.Errorf("%s: one-packet Process allocates %.1f times per call", tc.name, allocs)
+		}
 	}
 }

@@ -1,11 +1,5 @@
 package packet
 
-// HeaderCopyLen reports how many bytes Header-Only Copying (§4.2, OP#2)
-// duplicates for p: the Ethernet + IPv4 (+AH) + L4 header prefix. The
-// paper fixes this at 64 bytes for plain TCP on Ethernet (14+20+20 = 54,
-// padded to the 64-byte minimum frame); we copy the exact header chain.
-func HeaderCopyLen(p *Packet) int { return p.HeaderLen() }
-
 // HeaderOnlyCopy copies only the header prefix of src into dst and tags
 // dst with version. Per §5.2 ("copy" action), the copied header's packet
 // length field is rewritten to the length of the header itself so that

@@ -11,6 +11,7 @@ import (
 
 	"nfp/internal/flow"
 	"nfp/internal/telemetry"
+	"nfp/internal/telemetry/flightrec"
 )
 
 func fkey(i int) flow.Key {
@@ -198,7 +199,7 @@ func TestOverloadedOnShedsAndHighRho(t *testing.T) {
 	d := New(Config{Registry: reg, Window: 4})
 	d.sampleAt(time.Unix(100, 0))
 	seedNF(reg, "ids", "1", 1000, 990_000) // ρ≈0.99
-	reg.Counter(metricNFRingSheds, nfLabels("ids", "1")...).Add(50)
+	reg.Counter(flightrec.MetricDrops, telemetry.L("cause", "drop_tail"), telemetry.L("nf", "ids")).Add(50)
 	d.sampleAt(time.Unix(101, 0))
 	rep := d.Report()
 	if rep.State != StateOverloaded {

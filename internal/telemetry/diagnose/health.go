@@ -3,9 +3,9 @@ package diagnose
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"nfp/internal/telemetry"
+	"nfp/internal/telemetry/flightrec"
 )
 
 // Health states, from best to worst. The state machine:
@@ -90,9 +90,9 @@ type ChainSLO struct {
 // cache in front and the compiled rule index behind it. HitRate near 1
 // means steady-state flows ride the exact-match fast path. A
 // persistently low rate with high EvictPPS means the live flow count
-// exceeds the cache (raise -flow-cache-size); a low rate with near-zero
-// evictions points at churn — every table mutation invalidates all
-// entries, so constant rule updates keep the cache cold.
+// exceeds the cache (4096 flows per shard: add shards); a low rate with
+// near-zero evictions points at churn — every table mutation
+// invalidates all entries, so constant rule updates keep the cache cold.
 //
 // What a miss then costs is set by Tuples, not Rules: the index probes
 // one hash table per distinct mask tuple (prefix lengths × port masks ×
@@ -150,18 +150,9 @@ func (d *Diagnoser) Report() HealthReport {
 // classifierDiag derives the classifier view from the window's counter
 // deltas and the newest rule-table gauges. The section is omitted, rather
 // than reported as all-zero, when the registry holds no classifier at
-// all; a server with the flow cache disabled never registers the cache
-// series, so its section carries zero cache rates beside rules/tuples —
-// the case where tuples matters most, since every packet pays the index.
+// all.
 func classifierDiag(oldest, newest sample, elapsed float64) *ClassifierDiag {
-	present := hasGauge(newest.snap, metricClassRules, nil)
-	for _, c := range newest.snap.Counters {
-		if c.Name == metricCacheHits {
-			present = true
-			break
-		}
-	}
-	if !present {
+	if !hasGauge(newest.snap, metricClassRules, nil) {
 		return nil
 	}
 	hits := newest.snap.SumCounters(metricCacheHits) - oldest.snap.SumCounters(metricCacheHits)
@@ -207,13 +198,9 @@ func (d *Diagnoser) rankNFs(oldest, newest sample, elapsed float64) []NFDiag {
 		}
 		nd.RingRising = nd.RingHighWater > gaugeAt(oldest.snap, metricNFRingHW, c.Labels)
 
-		shedDelta := counterAt(newest.snap, metricNFRingSheds, c.Labels) -
-			counterAt(oldest.snap, metricNFRingSheds, c.Labels)
+		shedDelta := dropsAt(newest.snap, c.Labels, shedCauses) - dropsAt(oldest.snap, c.Labels, shedCauses)
 		nd.ShedPPS = float64(shedDelta) / elapsed
-		dropDelta := counterAt(newest.snap, metricNFPanicDrops, c.Labels) -
-			counterAt(oldest.snap, metricNFPanicDrops, c.Labels)
-		dropDelta += counterAt(newest.snap, metricNFUnhealthy, c.Labels) -
-			counterAt(oldest.snap, metricNFUnhealthy, c.Labels)
+		dropDelta := dropsAt(newest.snap, c.Labels, faultCauses) - dropsAt(oldest.snap, c.Labels, faultCauses)
 		nd.DropPPS = float64(dropDelta) / elapsed
 
 		if hasGauge(newest.snap, metricNFHealthy, c.Labels) {
@@ -317,9 +304,7 @@ func (d *Diagnoser) judge(oldest, newest sample, rep HealthReport) (string, []st
 		}
 	}
 
-	sheds := newest.snap.SumCounters(metricRingSheds) + newest.snap.SumCounters(metricNFRingSheds) -
-		oldest.snap.SumCounters(metricRingSheds) - oldest.snap.SumCounters(metricNFRingSheds)
-	if sheds > 0 {
+	if sheds := dropsAt(newest.snap, nil, shedCauses) - dropsAt(oldest.snap, nil, shedCauses); sheds > 0 {
 		raise(StateOverloaded, fmt.Sprintf("%d packets shed this window", sheds))
 	}
 	if panics := newest.snap.SumCounters(metricNFPanics) - oldest.snap.SumCounters(metricNFPanics); panics > 0 {
@@ -347,6 +332,35 @@ func nfIdent(nd NFDiag) string {
 		return fmt.Sprintf("%s (mid %s, shard %s)", nd.NF, nd.MID, nd.Shard)
 	}
 	return fmt.Sprintf("%s (mid %s)", nd.NF, nd.MID)
+}
+
+// The drop causes behind the per-NF rates: packets the backpressure
+// policy shed at the NF's ring, and packets lost to the NF crashing.
+var (
+	shedCauses  = []flightrec.Cause{flightrec.CauseDropTail, flightrec.CauseShedPriority}
+	faultCauses = []flightrec.Cause{flightrec.CausePanic, flightrec.CauseUnhealthyDrain, flightrec.CauseReloadDrain}
+)
+
+// dropsAt sums the terminal drop family nfp_drops_total{cause,nf,shard,
+// gen} over causes, for the NF instance whose own series carry the
+// labels of (nil = every NF). The family has no mid label, so graphs
+// that share an NF name share its drop series.
+func dropsAt(s telemetry.Snapshot, of map[string]string, causes []flightrec.Cause) uint64 {
+	var sum uint64
+	for _, c := range s.Counters {
+		if c.Name != flightrec.MetricDrops {
+			continue
+		}
+		if of != nil && (c.Labels["nf"] != of["nf"] || c.Labels["shard"] != of["shard"] || c.Labels["gen"] != of["gen"]) {
+			continue
+		}
+		for _, cause := range causes {
+			if c.Labels["cause"] == cause.String() {
+				sum += c.Value
+			}
+		}
+	}
+	return sum
 }
 
 // counterAt finds a counter series by name and exact label set.
@@ -390,10 +404,4 @@ func labelsEqual(a, b map[string]string) bool {
 		}
 	}
 	return true
-}
-
-// WindowDuration returns the configured span of the full ring — how
-// much history the diagnoser retains once warm.
-func (d *Diagnoser) WindowDuration() time.Duration {
-	return time.Duration(d.cfg.Window) * d.cfg.Interval
 }

@@ -106,8 +106,8 @@ func TestZipfElephantsInTopKWithinBounds(t *testing.T) {
 	gen := trafficgen.New(trafficgen.Config{Flows: flows, Seed: seed, Zipf: 1.4})
 	_, err := experiments.RunLiveGraphOpts(graph.NF{Name: nfa.NFMonitor}, n, gen,
 		experiments.LiveOptions{Config: dataplane.Config{
-			FlowAccount:    sketch,
-			FlowSampleRate: 1, // observe every packet: exact totals to verify against
+			FlowAccount:     sketch,
+			TraceSampleRate: 1, // observe every packet: exact totals to verify against
 		}})
 	if err != nil {
 		t.Fatal(err)

@@ -21,23 +21,18 @@ import (
 // Metric families the sampler reads. They match the names the
 // dataplane server registers.
 const (
-	metricNFPacketsIn  = "nfp_nf_packets_in_total"
-	metricNFSvcTime    = "nfp_nf_service_time_ns"
-	metricNFRingHW     = "nfp_nf_ring_high_water"
-	metricNFRingCap    = "nfp_nf_ring_capacity"
-	metricNFRingSheds  = "nfp_nf_ring_sheds_total"
-	metricNFHealthy    = "nfp_nf_healthy"
-	metricNFPanics     = "nfp_nf_panics_total"
-	metricNFPanicDrops = "nfp_nf_panic_drops_total"
-	metricNFUnhealthy  = "nfp_nf_unhealthy_drops_total"
-	metricRingSheds    = "nfp_ring_sheds_total"
-	metricDrops        = "nfp_drops_total"
-	metricE2ELatency   = "nfp_e2e_latency_ns"
-	metricCacheHits    = "nfp_classifier_cache_hits_total"
-	metricCacheMisses  = "nfp_classifier_cache_misses_total"
-	metricCacheEvicts  = "nfp_classifier_cache_evictions_total"
-	metricClassRules   = "nfp_classifier_rules"
-	metricClassTuples  = "nfp_classifier_tuples"
+	metricNFPacketsIn = "nfp_nf_packets_in_total"
+	metricNFSvcTime   = "nfp_nf_service_time_ns"
+	metricNFRingHW    = "nfp_nf_ring_high_water"
+	metricNFRingCap   = "nfp_nf_ring_capacity"
+	metricNFHealthy   = "nfp_nf_healthy"
+	metricNFPanics    = "nfp_nf_panics_total"
+	metricE2ELatency  = "nfp_e2e_latency_ns"
+	metricCacheHits   = "nfp_classifier_cache_hits_total"
+	metricCacheMisses = "nfp_classifier_cache_misses_total"
+	metricCacheEvicts = "nfp_classifier_cache_evictions_total"
+	metricClassRules  = "nfp_classifier_rules"
+	metricClassTuples = "nfp_classifier_tuples"
 )
 
 // Gauges the diagnoser exports back into the registry (created with

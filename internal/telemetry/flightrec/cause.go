@@ -1,11 +1,12 @@
 // Package flightrec is the dataplane's black box: drop provenance (a
 // closed taxonomy of drop causes behind nfp_drops_total{cause,...}),
-// an always-on per-shard lock-free event ring recording drops, panics,
-// restarts, backpressure engagements, health transitions and reload
-// lifecycle edges, and anomaly-triggered incident snapshots spooled to
-// disk for post-mortem debugging. The conservation ledger (ledger.go)
-// closes the loop: the sum over drop causes must equal total drops —
-// no anonymous packet death anywhere in the dataplane.
+// an always-on per-shard event ring recording drops, panics, restarts,
+// backpressure engagements, health transitions and reload lifecycle
+// edges — repeats of the per-packet kinds coalesced into one slot —
+// and anomaly-triggered incident snapshots spooled to disk for
+// post-mortem debugging. The conservation ledger (ledger.go) closes the
+// loop: the sum over drop causes must equal total drops — no anonymous
+// packet death anywhere in the dataplane.
 package flightrec
 
 import "fmt"

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nfp/internal/flow"
+	"nfp/internal/packet"
 )
 
 // Kind is the event-ring record type.
@@ -17,7 +17,7 @@ type Kind uint8
 const (
 	// KindNone marks an empty slot (never emitted).
 	KindNone Kind = iota
-	// KindDrop is a PID-sampled terminal packet drop with provenance.
+	// KindDrop is a terminal packet drop with provenance.
 	KindDrop
 	// KindPanic is an NF panic (triggers an incident snapshot).
 	KindPanic
@@ -58,9 +58,21 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one decoded event-ring record, ready for JSON.
+// coalesces reports whether repeats of an event fold into one slot (see
+// ring): the kinds that fire per packet or per stalled producer, whose
+// Count is additive. Every other kind is a lifecycle edge and keeps one
+// slot per occurrence.
+func (k Kind) coalesces() bool {
+	return k == KindDrop || k == KindShed || k == KindBackpressure
+}
+
+// Event is one decoded event-ring record, ready for JSON. A coalesced
+// run reads as its first event — TS, Stage, PID, Flow and Cursor are
+// that exemplar's — plus LastTS, the time of its latest event, and
+// Count, the events (shed: packets) it stands for.
 type Event struct {
 	TS     int64  `json:"ts_ns"`
+	LastTS int64  `json:"last_ts_ns,omitempty"`
 	Kind   string `json:"kind"`
 	Shard  int    `json:"shard"`
 	Gen    uint64 `json:"gen,omitempty"`
@@ -74,7 +86,7 @@ type Event struct {
 	Count  uint64 `json:"count,omitempty"`
 }
 
-// DropRecord is the provenance of one sampled terminal drop.
+// DropRecord is the provenance of one terminal drop.
 type DropRecord struct {
 	Shard  int
 	Cause  Cause
@@ -82,8 +94,8 @@ type DropRecord struct {
 	Gen    uint64
 	Node   uint32 // interned NF name of the drop's origin node
 	PID    uint64
-	Cursor int64 // span cursor (ns) — how far along its path it was
-	Flow   flow.Key
+	Cursor int64          // span cursor (ns) — how far along its path it was
+	Flow   packet.FlowKey // the packet's packed 5-tuple, when HasKey
 	HasKey bool
 }
 
@@ -95,7 +107,9 @@ type Note struct {
 	Gen    uint64
 	Node   uint32 // interned NF/site name (0 = none)
 	Detail uint32 // interned free-form detail (0 = none)
-	Count  uint64
+	// Count is the event's payload; for the coalescing kinds it is the
+	// weight the event adds to its run (shed: packets, backpressure: 1).
+	Count uint64
 }
 
 // StageNamer turns the packed telemetry.Stage byte back into a name;
@@ -110,21 +124,15 @@ type Config struct {
 	// RingSize is the per-shard ring capacity (rounded up to a power
 	// of two; default 1024).
 	RingSize int
-	// DropSampleRate records ~1/rate terminal drops as per-drop
-	// events via a PID mask (rounded up to a power of two; default 1
-	// = every drop). Counters are always exact regardless.
-	DropSampleRate int
 	// StageNames renders stage bytes in decoded events.
 	StageNames StageNamer
 }
 
-// Recorder is the always-on flight recorder: per-shard lock-free
+// Recorder is the always-on flight recorder: per-shard coalescing
 // event rings plus a string intern table so the hot path records only
-// integers. All methods are safe on a nil receiver (no-ops), so an
-// ablation build can run recorder-free without guarding call sites.
+// integers. All methods are safe on a nil receiver (no-ops).
 type Recorder struct {
 	rings      []*ring
-	pidMask    uint64
 	stageNames StageNamer
 
 	mu    sync.RWMutex
@@ -142,17 +150,8 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 1024
 	}
-	rate := cfg.DropSampleRate
-	if rate <= 1 {
-		rate = 1
-	}
-	mask := uint64(1)
-	for mask < uint64(rate) {
-		mask <<= 1
-	}
 	r := &Recorder{
 		rings:      make([]*ring, cfg.Shards),
-		pidMask:    mask - 1,
 		stageNames: cfg.StageNames,
 		names:      []string{""},
 		idx:        map[string]uint32{"": 0},
@@ -196,13 +195,7 @@ func (r *Recorder) name(id uint32) string {
 	return fmt.Sprintf("name(%d)", id)
 }
 
-// SampleDrop reports whether a drop with this PID should get a ring
-// event (PID-masked sampling; counters stay exact either way). Safe
-// on nil (false).
-func (r *Recorder) SampleDrop(pid uint64) bool {
-	return r != nil && pid&r.pidMask == 0
-}
-
+// ring returns a shard's ring; out-of-range shards record on shard 0.
 func (r *Recorder) ring(shard int) *ring {
 	if shard < 0 || shard >= len(r.rings) {
 		shard = 0
@@ -210,44 +203,31 @@ func (r *Recorder) ring(shard int) *ring {
 	return r.rings[shard]
 }
 
-// word1 packs kind/cause/stage/shard/gen into one event word.
-func word1(k Kind, c Cause, stage uint8, shard int, gen uint64) uint64 {
-	return uint64(k) | uint64(c)<<8 | uint64(stage)<<16 |
-		uint64(uint8(shard))<<24 | (gen&0xffffffff)<<32
-}
-
-// Drop records one sampled terminal drop. Alloc-free.
+// Drop records one terminal drop: a run of drops with the same cause,
+// node and generation shares one slot, the first drop its exemplar.
 func (r *Recorder) Drop(d DropRecord) {
 	if r == nil {
 		return
 	}
-	var e rawEvent
-	e[0] = uint64(time.Now().UnixNano())
-	e[1] = word1(KindDrop, d.Cause, d.Stage, d.Shard, d.Gen)
-	e[2] = uint64(d.Node)
-	e[3] = d.PID
-	if d.HasKey && d.Flow.SrcIP.Is4() && d.Flow.DstIP.Is4() {
-		src, dst := d.Flow.SrcIP.As4(), d.Flow.DstIP.As4()
-		e[4] = uint64(be32(src))<<32 | uint64(be32(dst))
-		e[5] = uint64(d.Flow.SrcPort)<<48 | uint64(d.Flow.DstPort)<<32 |
-			uint64(d.Flow.Proto)<<24 | 1 // low bit: flow present
-	}
-	e[6] = uint64(d.Cursor)
-	r.ring(d.Shard).record(e)
+	now := time.Now().UnixNano()
+	r.ring(d.Shard).record(slot{
+		runKey: runKey{gen: d.Gen, node: d.Node, kind: KindDrop, cause: d.Cause},
+		stage:  d.Stage, first: now, last: now, count: 1,
+		pid: d.PID, cursor: d.Cursor, flow: d.Flow, hasFlow: d.HasKey,
+	})
 }
 
 // Event records one non-drop event. KindPanic and KindReloadFailed
-// additionally fire the incident hook. Alloc-free on the ring path.
+// additionally fire the incident hook.
 func (r *Recorder) Event(n Note) {
 	if r == nil {
 		return
 	}
-	var e rawEvent
-	e[0] = uint64(time.Now().UnixNano())
-	e[1] = word1(n.Kind, CauseUnknown, 0, n.Shard, n.Gen)
-	e[2] = uint64(n.Node) | uint64(n.Detail)<<32
-	e[4] = n.Count
-	r.ring(n.Shard).record(e)
+	now := time.Now().UnixNano()
+	r.ring(n.Shard).record(slot{
+		runKey: runKey{gen: n.Gen, node: n.Node, kind: n.Kind},
+		detail: n.Detail, first: now, last: now, count: n.Count,
+	})
 	if n.Kind == KindPanic || n.Kind == KindReloadFailed {
 		r.Incident(n.Kind.String() + ":" + r.name(n.Node) + r.name(n.Detail))
 	}
@@ -287,57 +267,41 @@ func (r *Recorder) Events(max int) []Event {
 		return nil
 	}
 	var out []Event
-	for _, rg := range r.rings {
+	for shard, rg := range r.rings {
 		for _, e := range rg.snapshot(max) {
-			out = append(out, r.decode(e))
+			out = append(out, r.decode(shard, e))
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 	return out
 }
 
-func (r *Recorder) decode(e rawEvent) Event {
-	k := Kind(e[1] & 0xff)
-	ev := Event{
-		TS:    int64(e[0]),
-		Kind:  k.String(),
-		Shard: int(uint8(e[1] >> 24)),
-		Gen:   e[1] >> 32,
+func (r *Recorder) decode(shard int, e slot) Event {
+	k := e.kind
+	ev := Event{TS: e.first, Kind: k.String(), Shard: shard, Gen: e.gen, Count: e.count}
+	if e.last != e.first {
+		ev.LastTS = e.last
 	}
-	if k == KindDrop {
-		c := Cause(e[1] >> 8 & 0xff)
-		ev.Cause = c.String()
-		stage := uint8(e[1] >> 16)
-		if r.stageNames != nil {
-			ev.Stage = r.stageNames(stage)
-		} else {
-			ev.Stage = fmt.Sprintf("stage(%d)", stage)
-		}
-		ev.Node = r.name(uint32(e[2]))
-		ev.PID = e[3]
-		if e[5]&1 != 0 {
-			src := netip.AddrFrom4(from32(uint32(e[4] >> 32)))
-			dst := netip.AddrFrom4(from32(uint32(e[4])))
-			ev.Flow = fmt.Sprintf("%s:%d>%s:%d/%d",
-				src, uint16(e[5]>>48), dst, uint16(e[5]>>32), uint8(e[5]>>24))
-		}
-		ev.Cursor = int64(e[6])
+	if e.node != 0 {
+		ev.Node = r.name(e.node)
+	}
+	if e.detail != 0 {
+		ev.Detail = r.name(e.detail)
+	}
+	if k != KindDrop {
 		return ev
 	}
-	if n := uint32(e[2]); n != 0 {
-		ev.Node = r.name(n)
+	ev.Cause = e.cause.String()
+	if r.stageNames != nil {
+		ev.Stage = r.stageNames(e.stage)
+	} else {
+		ev.Stage = fmt.Sprintf("stage(%d)", e.stage)
 	}
-	if d := uint32(e[2] >> 32); d != 0 {
-		ev.Detail = r.name(d)
+	ev.PID = e.pid
+	ev.Cursor = e.cursor
+	if f := e.flow; e.hasFlow {
+		ev.Flow = fmt.Sprintf("%s:%d>%s:%d/%d",
+			netip.AddrFrom4(f.Src), f.SrcPort, netip.AddrFrom4(f.Dst), f.DstPort, f.Proto)
 	}
-	ev.Count = e[4]
 	return ev
-}
-
-func be32(b [4]byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func from32(v uint32) [4]byte {
-	return [4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 }

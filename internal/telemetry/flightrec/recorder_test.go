@@ -1,22 +1,17 @@
 package flightrec
 
 import (
-	"net/netip"
 	"sync"
 	"testing"
 
-	"nfp/internal/flow"
+	"nfp/internal/packet"
 )
 
-// TestRecorderNilSafe: every method must no-op on a nil receiver so
-// the ablation build needs no call-site guards.
+// TestRecorderNilSafe: every method must no-op on a nil receiver.
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	if id := r.Intern("x"); id != 0 {
 		t.Fatalf("nil Intern = %d, want 0", id)
-	}
-	if r.SampleDrop(0) {
-		t.Fatal("nil SampleDrop must be false")
 	}
 	r.Drop(DropRecord{})
 	r.Event(Note{Kind: KindPanic})
@@ -40,8 +35,8 @@ func TestRecorderDropDecode(t *testing.T) {
 	r.Drop(DropRecord{
 		Shard: 1, Cause: CausePanic, Stage: 3, Gen: 7, Node: node,
 		PID: 12345, Cursor: 999,
-		Flow: flow.Key{
-			SrcIP: netip.MustParseAddr("10.1.2.3"), DstIP: netip.MustParseAddr("10.4.5.6"),
+		Flow: packet.FlowKey{
+			Src: [4]byte{10, 1, 2, 3}, Dst: [4]byte{10, 4, 5, 6},
 			SrcPort: 4242, DstPort: 80, Proto: 6,
 		},
 		HasKey: true,
@@ -122,24 +117,72 @@ func TestRecorderIncidentHook(t *testing.T) {
 	}
 }
 
-// TestSampleDropMask: the PID mask samples ~1/rate uniformly and rate
-// is rounded up to a power of two.
-func TestSampleDropMask(t *testing.T) {
-	every := NewRecorder(Config{DropSampleRate: 1})
-	for pid := uint64(0); pid < 16; pid++ {
-		if !every.SampleDrop(pid) {
-			t.Fatalf("rate 1 must sample every drop (pid %d)", pid)
+// TestRecorderKeepsPanicUnderFlood is the lost-panic regression: one
+// panic, then a flood of benign drop, shed and backpressure events —
+// four runs, four concurrent producers, a hundred times the ring's
+// capacity, with a reader snapshotting throughout. The runs coalesce,
+// so the panic is still in the ring afterwards, and no event went
+// uncounted: each run's Count is exactly what its producers recorded.
+func TestRecorderKeepsPanicUnderFlood(t *testing.T) {
+	r := NewRecorder(Config{RingSize: 1024})
+	ids, mon := r.Intern("ids"), r.Intern("monitor")
+	r.Event(Note{Kind: KindPanic, Gen: 1, Node: mon})
+
+	const producers, perProducer = 4, 25600 // 102400 events
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Events(64)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				switch (p + i) % 4 {
+				case 0:
+					r.Drop(DropRecord{Cause: CauseNFVerdict, Gen: 1, Node: ids, PID: uint64(i)})
+				case 1:
+					r.Drop(DropRecord{Cause: CauseDropTail, Gen: 1, Node: mon, PID: uint64(i)})
+				case 2:
+					r.Event(Note{Kind: KindShed, Gen: 1, Node: mon, Count: 1})
+				case 3:
+					r.Event(Note{Kind: KindBackpressure, Gen: 1, Node: ids, Count: 1})
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+
+	counts := map[string]uint64{}
+	for _, e := range r.Events(0) {
+		counts[e.Kind+"/"+e.Cause+"/"+e.Node] += max(e.Count, 1)
+		if e.Kind != "panic" && (e.LastTS < e.TS || e.Count < 2) {
+			t.Errorf("run %s/%s/%s: count %d, first %d, last %d", e.Kind, e.Cause, e.Node, e.Count, e.TS, e.LastTS)
 		}
 	}
-	quarter := NewRecorder(Config{DropSampleRate: 3}) // rounds up to 4
-	var hits int
-	for pid := uint64(0); pid < 64; pid++ {
-		if quarter.SampleDrop(pid) {
-			hits++
+	if counts["panic//monitor"] != 1 {
+		t.Fatalf("the panic was lapped out of the ring: %v", counts)
+	}
+	const perRun = producers * perProducer / 4
+	for _, run := range []string{"drop/nf_verdict/ids", "drop/drop_tail/monitor", "shed//monitor", "backpressure//ids"} {
+		if counts[run] != perRun {
+			t.Errorf("run %s counts %d events, recorded %d", run, counts[run], perRun)
 		}
 	}
-	if hits != 16 {
-		t.Fatalf("rate 3 (rounded to 4) sampled %d/64, want 16", hits)
+	if len(counts) != 5 {
+		t.Errorf("ring holds %d distinct events, want the panic and four runs: %v", len(counts), counts)
 	}
 }
 

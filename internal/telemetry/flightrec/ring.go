@@ -1,36 +1,53 @@
 package flightrec
 
 import (
-	"runtime"
-	"sync/atomic"
+	"sync"
+
+	"nfp/internal/packet"
 )
 
-// eventWords is the fixed payload size of one packed event. With the
-// sequence word a slot is exactly 64 bytes — one cache line.
-const eventWords = 7
-
-type rawEvent [eventWords]uint64
-
-// slot is one ring entry protected by a per-slot seqlock. Every word
-// is atomic, so concurrent writers and snapshot readers are race-free
-// by construction (no torn reads are possible, and stale slots are
-// detected and discarded by the sequence check).
-type slot struct {
-	// seq encodes the slot's lap state: 2t   = ticket t may write,
-	// 2t+1 = ticket t mid-write, 2(t+N) = ticket t published (and
-	// ticket t+N may overwrite). Initialized to 2i for slot i.
-	seq atomic.Uint64
-	w   [eventWords]atomic.Uint64
+// runKey is what makes two events "the same event again": kind, drop
+// cause, origin node and config generation.
+type runKey struct {
+	gen   uint64
+	node  uint32
+	kind  Kind
+	cause Cause
 }
 
-// ring is a fixed-size multi-producer event ring. Writers claim a
-// global ticket, spin (effectively never — a collision needs a full
-// lap of concurrent writers) for their slot, and publish via the
-// slot's sequence word. Readers snapshot without blocking writers.
+// slot is one ring entry: a single event, or — for the per-packet and
+// per-stall kinds (see Kind.coalesces) — a whole run of events sharing a
+// runKey. A run keeps its first event as the exemplar (timestamp, stage,
+// PID, flow key, span cursor), the timestamp of its latest, and their
+// summed Count. It holds no pointers, so the collector never scans a
+// ring.
+type slot struct {
+	runKey
+	stage       uint8
+	detail      uint32
+	first, last int64
+	count       uint64
+	pid         uint64
+	cursor      int64
+	flow        packet.FlowKey
+	hasFlow     bool
+}
+
+// ring is one shard's fixed-size event ring. Appending overwrites the
+// oldest slot once full; an event of a coalescing kind whose run still
+// has a slot in the ring folds into that slot instead of appending. So
+// however many packets a drop cause, a shedding ring or a parked
+// producer accounts for, it holds one slot, and the rare events — a
+// panic, a restart, a reload — are lapped only by the ring's size in
+// DISTINCT happenings, not by traffic.
 type ring struct {
+	mu    sync.Mutex
 	mask  uint64
-	head  atomic.Uint64
+	head  uint64 // slots ever appended; slot t lives at slots[t&mask]
 	slots []slot
+	// runs maps each coalescing run retained in the ring to its slot's
+	// ticket. A key has at most one slot in the ring at a time.
+	runs map[runKey]uint64
 }
 
 func newRing(size int) *ring {
@@ -38,60 +55,50 @@ func newRing(size int) *ring {
 	for n < size {
 		n <<= 1
 	}
-	r := &ring{mask: uint64(n - 1), slots: make([]slot, n)}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i) << 1)
-	}
-	return r
+	return &ring{mask: uint64(n - 1), slots: make([]slot, n), runs: make(map[runKey]uint64)}
 }
 
-// record appends one event, overwriting the oldest once full. Lock-
-// free and allocation-free: one atomic ticket, eventWords+2 atomic
-// stores.
-func (r *ring) record(e rawEvent) {
-	t := r.head.Add(1) - 1
+// record adds one event. Allocation-free except when a run key is first
+// seen.
+func (r *ring) record(e slot) {
+	coalesces := e.kind.coalesces()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if coalesces {
+		if t, ok := r.runs[e.runKey]; ok {
+			s := &r.slots[t&r.mask]
+			s.count += e.count
+			s.last = e.last
+			return
+		}
+	}
+	t := r.head
+	r.head++
 	s := &r.slots[t&r.mask]
-	// Serialize full-lap collisions: ticket t may write only after
-	// ticket t-N published (seq == 2t).
-	for s.seq.Load() != t<<1 {
-		runtime.Gosched()
+	if t > r.mask && s.kind.coalesces() {
+		delete(r.runs, s.runKey) // the lapped slot was that run's only one
 	}
-	s.seq.Store(t<<1 | 1)
-	for i := range e {
-		s.w[i].Store(e[i])
+	*s = e
+	if coalesces {
+		r.runs[e.runKey] = t
 	}
-	s.seq.Store((t + uint64(len(r.slots))) << 1)
 }
 
-// snapshot copies up to max of the newest fully-published events in
-// ticket order (oldest first). Events overwritten mid-copy are
-// detected via the sequence word and skipped. max <= 0 means the
-// whole retained window.
-func (r *ring) snapshot(max int) []rawEvent {
-	h := r.head.Load()
-	n := uint64(len(r.slots))
+// snapshot copies up to max of the newest slots, oldest first. max <= 0
+// means the whole retained window.
+func (r *ring) snapshot(max int) []slot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	lo := uint64(0)
-	if h > n {
-		lo = h - n
+	if n := uint64(len(r.slots)); r.head > n {
+		lo = r.head - n
 	}
-	if max > 0 && h-lo > uint64(max) {
-		lo = h - uint64(max)
+	if max > 0 && r.head-lo > uint64(max) {
+		lo = r.head - uint64(max)
 	}
-	out := make([]rawEvent, 0, h-lo)
-	for t := lo; t < h; t++ {
-		s := &r.slots[t&r.mask]
-		want := (t + n) << 1
-		if s.seq.Load() != want {
-			continue // still being written, or already overwritten
-		}
-		var e rawEvent
-		for i := range e {
-			e[i] = s.w[i].Load()
-		}
-		if s.seq.Load() != want {
-			continue // overwritten while copying
-		}
-		out = append(out, e)
+	out := make([]slot, 0, r.head-lo)
+	for t := lo; t < r.head; t++ {
+		out = append(out, r.slots[t&r.mask])
 	}
 	return out
 }

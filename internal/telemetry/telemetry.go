@@ -249,7 +249,7 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 // register inserts a pre-built metric under name+labels, panicking on a
 // duplicate series — component authors own their metrics and attach
 // them to a server's registry exactly once.
-func (r *Registry) register(name string, labels []Label, kind metricKind, c *Counter, g *Gauge, h *Histogram) {
+func (r *Registry) register(name string, labels []Label, kind metricKind, c *Counter, g *Gauge) {
 	if r == nil {
 		return
 	}
@@ -260,26 +260,20 @@ func (r *Registry) register(name string, labels []Label, kind metricKind, c *Cou
 	if _, dup := r.entries[key]; dup {
 		panic(fmt.Sprintf("telemetry: duplicate registration of %s", key))
 	}
-	r.entries[key] = &entry{name: name, labels: labels, kind: kind, c: c, g: g, h: h}
+	r.entries[key] = &entry{name: name, labels: labels, kind: kind, c: c, g: g}
 	r.order = append(r.order, key)
 }
 
 // MustRegisterCounter attaches an existing counter to the registry.
 // Safe on a nil receiver (no-op).
 func (r *Registry) MustRegisterCounter(name string, c *Counter, labels ...Label) {
-	r.register(name, labels, kindCounter, c, nil, nil)
+	r.register(name, labels, kindCounter, c, nil)
 }
 
 // MustRegisterGauge attaches an existing gauge to the registry. Safe on
 // a nil receiver.
 func (r *Registry) MustRegisterGauge(name string, g *Gauge, labels ...Label) {
-	r.register(name, labels, kindGauge, nil, g, nil)
-}
-
-// MustRegisterHistogram attaches an existing histogram to the registry.
-// Safe on a nil receiver.
-func (r *Registry) MustRegisterHistogram(name string, h *Histogram, labels ...Label) {
-	r.register(name, labels, kindHistogram, nil, nil, h)
+	r.register(name, labels, kindGauge, nil, g)
 }
 
 // CounterSnap is one counter in a snapshot.

@@ -87,8 +87,8 @@ func TestNilSafety(t *testing.T) {
 	if tr.Sampled(1) {
 		t.Error("nil tracer samples")
 	}
-	tr.Record(1, 1, StageNF, "x", 0)
-	if tr.Events() != nil || tr.ByPID() != nil {
+	recordPoint(tr, 1, 1, StageNF, "x", 0)
+	if g, _ := tr.GroupByPID(); tr.Events() != nil || g != nil {
 		t.Error("nil tracer retained events")
 	}
 }
@@ -190,8 +190,8 @@ func TestHTTPHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("nfp_injected_total").Add(42)
 	tr := NewTracer(1, 16)
-	tr.Record(7, 1, StageClassify, "classifier", 100)
-	tr.Record(7, 1, StageOutput, "", 200)
+	recordPoint(tr, 7, 1, StageClassify, "classifier", 100)
+	recordPoint(tr, 7, 1, StageOutput, "", 200)
 	srv := httptest.NewServer(Handler(r, tr))
 	defer srv.Close()
 

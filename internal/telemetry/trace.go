@@ -73,7 +73,6 @@ func (s *Stage) UnmarshalText(b []byte) error {
 // one version chain tile contiguously — each span begins exactly where
 // the previous span of its chain ended — so the stage durations of a
 // packet sum to its end-to-end latency with no gaps or double counting.
-// Point events recorded through Record degenerate to zero-length spans.
 type TraceEvent struct {
 	// Seq is a global monotonic sequence number; sorting by Seq
 	// reconstructs hop order across goroutines.
@@ -172,10 +171,22 @@ func mixPID(pid uint64) uint64 {
 	return pid ^ pid>>32
 }
 
-// Sampled reports whether pid's packet is traced. Safe on a nil
+// Sampled reports whether pid's packet is observed. It is the
+// dataplane's one sampling decision: spans, end-to-end latency and flow
+// accounting all cover exactly the PIDs it selects. Safe on a nil
 // receiver (never sampled).
 func (t *Tracer) Sampled(pid uint64) bool {
 	return t != nil && mixPID(pid)&t.mask == 0
+}
+
+// Rate is the effective sampling rate — one PID in Rate is sampled
+// (the configured rate rounded down to a power of two), so a count over
+// the sampled set scales to the whole by it. 0 on a nil receiver.
+func (t *Tracer) Rate() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.mask + 1
 }
 
 // SetEvictedCounter wires a counter that ticks once per trace event
@@ -185,13 +196,6 @@ func (t *Tracer) SetEvictedCounter(c *Counter) {
 	if t != nil {
 		t.evicted = c
 	}
-}
-
-// Record appends one zero-length span (a point event) — the
-// compatibility shim over RecordSpan. Callers gate on Sampled first.
-// Safe on a nil receiver.
-func (t *Tracer) Record(pid uint64, mid uint32, stage Stage, name string, ts int64) {
-	t.RecordSpan(TraceEvent{PID: pid, MID: mid, Stage: stage, Name: name, Begin: ts, TS: ts})
 }
 
 // RecordSpan appends one span. The tracer assigns Seq; a Begin that is
@@ -295,11 +299,4 @@ func GroupEvents(evs []TraceEvent) (map[uint64][]TraceEvent, int) {
 // receiver.
 func (t *Tracer) GroupByPID() (map[uint64][]TraceEvent, int) {
 	return GroupEvents(t.Events())
-}
-
-// ByPID is GroupByPID without the truncation count, kept for callers
-// that only need the complete traces. Safe on a nil receiver.
-func (t *Tracer) ByPID() map[uint64][]TraceEvent {
-	m, _ := t.GroupByPID()
-	return m
 }

@@ -32,11 +32,17 @@ func TestTracerSamplingDeterministic(t *testing.T) {
 	}
 }
 
+// recordPoint records a zero-length span — all the ring and grouping
+// tests need of an event.
+func recordPoint(tr *Tracer, pid uint64, mid uint32, stage Stage, name string, ts int64) {
+	tr.RecordSpan(TraceEvent{PID: pid, MID: mid, Stage: stage, Name: name, Begin: ts, TS: ts})
+}
+
 func TestTracerRingWraparound(t *testing.T) {
 	const capacity = 8
 	tr := NewTracer(1, capacity)
 	for i := uint64(1); i <= 20; i++ {
-		tr.Record(i, 1, StageNF, "x", int64(i))
+		recordPoint(tr, i, 1, StageNF, "x", int64(i))
 	}
 	evs := tr.Events()
 	if len(evs) != capacity {
@@ -59,7 +65,7 @@ func TestTracerSeqOrderAcrossGoroutines(t *testing.T) {
 		go func(base uint64) {
 			defer wg.Done()
 			for i := uint64(0); i < 100; i++ {
-				tr.Record(base+i, 1, StageNF, "x", 0)
+				recordPoint(tr, base+i, 1, StageNF, "x", 0)
 			}
 		}(uint64(g) * 1000)
 	}
@@ -78,17 +84,17 @@ func TestTracerSeqOrderAcrossGoroutines(t *testing.T) {
 func TestTracerByPIDDropsPartialTraces(t *testing.T) {
 	tr := NewTracer(1, 6)
 	// PID 1's classify hop will be overwritten by the wrap below.
-	tr.Record(1, 1, StageClassify, "classifier", 10)
-	tr.Record(1, 1, StageNF, "ids", 20)
+	recordPoint(tr, 1, 1, StageClassify, "classifier", 10)
+	recordPoint(tr, 1, 1, StageNF, "ids", 20)
 	// PID 2 records a complete trace that fits in the ring.
-	tr.Record(2, 1, StageClassify, "classifier", 30)
-	tr.Record(2, 1, StageNF, "ids", 40)
-	tr.Record(2, 1, StageMerge, "merger-0", 50)
-	tr.Record(2, 1, StageOutput, "", 60)
+	recordPoint(tr, 2, 1, StageClassify, "classifier", 30)
+	recordPoint(tr, 2, 1, StageNF, "ids", 40)
+	recordPoint(tr, 2, 1, StageMerge, "merger-0", 50)
+	recordPoint(tr, 2, 1, StageOutput, "", 60)
 	// Push PID 1's classify hop out of the ring.
-	tr.Record(3, 1, StageClassify, "classifier", 70)
+	recordPoint(tr, 3, 1, StageClassify, "classifier", 70)
 
-	traces := tr.ByPID()
+	traces, _ := tr.GroupByPID()
 	if _, ok := traces[1]; ok {
 		t.Error("partial trace for pid 1 not dropped")
 	}
@@ -139,7 +145,7 @@ func TestTracerEvictedCounter(t *testing.T) {
 	evicted := NewRegistry().Counter("nfp_trace_evicted_total")
 	tr.SetEvictedCounter(evicted)
 	for i := uint64(1); i <= 20; i++ {
-		tr.Record(i, 1, StageNF, "x", int64(i))
+		recordPoint(tr, i, 1, StageNF, "x", int64(i))
 	}
 	if got := evicted.Value(); got != 20-capacity {
 		t.Errorf("evicted counter = %d, want %d", got, 20-capacity)
@@ -203,8 +209,8 @@ func TestTracerCursorStash(t *testing.T) {
 	}
 }
 
-// TestTracerConcurrentRecordAndRead races writers (Record, RecordSpan,
-// stash traffic) against readers (Events, ByPID, GroupByPID) — the
+// TestTracerConcurrentRecordAndRead races writers (RecordSpan, stash
+// traffic) against readers (Events, GroupByPID) — the
 // -race gate for the tracer's whole surface.
 func TestTracerConcurrentRecordAndRead(t *testing.T) {
 	tr := NewTracer(1, 256)
@@ -216,7 +222,7 @@ func TestTracerConcurrentRecordAndRead(t *testing.T) {
 			defer wg.Done()
 			for i := uint64(0); i < 500; i++ {
 				pid := base + i
-				tr.Record(pid, 1, StageClassify, "classifier", int64(i+1))
+				recordPoint(tr, pid, 1, StageClassify, "classifier", int64(i+1))
 				tr.StashCursor(pid, 1, 0, int64(i+1))
 				tr.RecordSpan(TraceEvent{
 					PID: pid, MID: 1, Ver: 1, Stage: StageRingWait, Name: "x",
@@ -237,7 +243,6 @@ func TestTracerConcurrentRecordAndRead(t *testing.T) {
 						return
 					}
 				}
-				_ = tr.ByPID()
 				_, _ = tr.GroupByPID()
 			}
 		}()
