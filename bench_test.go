@@ -255,8 +255,7 @@ func BenchmarkFig7_NFP_SeqChain5_Burst32(b *testing.B) {
 // benchNFPGraphShards replays the tracked Fig. 7 fused configuration
 // (Burst32) on a server sharded k ways: one injector goroutine per
 // shard sourcing only flows that hash to that shard (per-queue RSS
-// sources), per-shard output drainers, per-shard pool partitions.
-// ci.sh bench-shard tracks Shard1/4/8 into BENCH_shard.json; the
+// sources), per-shard output drainers, per-shard pool partitions. The
 // Shard4 >= 3x Shard1 pps expectation only holds on a >= 4-core
 // runner — on fewer cores the axis measures sharding overhead, not
 // scaling.

@@ -80,7 +80,7 @@ func run() int {
 	fusion := flag.Bool("fusion", true,
 		"fuse sequential graph segments into run-to-completion runtimes (false = one ring per NF)")
 	flag.IntVar(&cfg.Burst, "burst", dataplane.DefaultBurst,
-		"dataplane burst size: packets moved per ring operation (1 = scalar compatibility mode)")
+		"dataplane burst size: packets moved per ring operation (1 = every hand-off a burst of one)")
 	flag.IntVar(&cfg.Shards, "shards", dataplane.DefaultShards(),
 		"flow-sharded execution domains: the whole plan replicated per shard, packets dispatched by 5-tuple hash (1 = classic single-shard layout; default = cores, capped at 8)")
 	ringPolicy := flag.String("ring-policy", "block",

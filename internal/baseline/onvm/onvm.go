@@ -54,8 +54,8 @@ func (c *Config) setDefaults() {
 // R/T pairs, but forwarded by the central switch instead of the NF).
 type nfSlot struct {
 	inst nf.NF
-	rx   *ring.MPSC
-	tx   *ring.MPSC
+	rx   *ring.MPSC[*packet.Packet]
+	tx   *ring.MPSC[*packet.Packet]
 }
 
 // Server is a sequential service chain behind a centralized vswitch.
@@ -63,7 +63,7 @@ type Server struct {
 	cfg   Config
 	pool  *mempool.Pool
 	chain []*nfSlot
-	in    *ring.MPSC
+	in    *ring.MPSC[*packet.Packet]
 	out   chan *packet.Packet
 
 	started  atomic.Bool

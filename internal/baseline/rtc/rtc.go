@@ -55,7 +55,7 @@ func (c *Config) setDefaults() {
 // replica is one consolidated chain on one virtual core.
 type replica struct {
 	nfs []nf.NF
-	rx  *ring.MPSC
+	rx  *ring.MPSC[*packet.Packet]
 }
 
 // Server is the run-to-completion baseline.

@@ -357,3 +357,57 @@ func TestChanLinkClose(t *testing.T) {
 		t.Error("channel not closed")
 	}
 }
+
+// TestClusterIngressRejectsPreclassifiedForgedVersion feeds the
+// inter-server link a well-formed NSH frame whose carried metadata names
+// a copy version the downstream graph does not start from. The wire is
+// outside input: the frame must be counted as a hop drop and its buffer
+// reclaimed, not taken into the dataplane (where a version the dispatch
+// lists do not know used to panic the ingress goroutine).
+func TestClusterIngressRejectsPreclassifiedForgedVersion(t *testing.T) {
+	res, err := core.Compile(
+		policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB),
+		nil, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var links []*ChanLink
+	c, err := New(res.Graph, Config{
+		Capacity: 3,
+		NewLink: func(int) Link {
+			l := NewChanLink(256)
+			links = append(links, l)
+			return l
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := packet.Build(testPacket(0, "forged"))
+	if err := EncapNSH(forged, NSH{
+		ServicePathID: 1, ServiceIndex: 1,
+		Meta: packet.Meta{MID: clusterMID, PID: 4242, Version: 3},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := links[0].Send(forged.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 40
+	outputs := runCluster(t, c, n, "beside a forged frame")
+	if len(outputs) != n {
+		t.Fatalf("outputs = %d, want %d", len(outputs), n)
+	}
+	if _, ok := outputs[4242]; ok {
+		t.Error("forged frame surfaced as an output")
+	}
+	if st := c.Stats(); st.HopDrops != 1 || st.Outputs != n {
+		t.Errorf("stats = %+v, want 1 hop drop and %d outputs", st, n)
+	}
+	for i, st := range c.ServerStats() {
+		if st.Pool.InUse != 0 {
+			t.Errorf("server %d holds %d buffers after Stop", i, st.Pool.InUse)
+		}
+	}
+}

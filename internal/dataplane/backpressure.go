@@ -62,86 +62,112 @@ func ParseBackpressurePolicy(s string) (BackpressurePolicy, error) {
 // genuine stall transitions to parking (or shedding) quickly.
 const DefaultSpinLimit = 256
 
+// inbox is a receive ring with its overload contract. Every NF runtime
+// owns one carrying packet references and every merger one carrying
+// branch-tail reports; push is the only way in, drain the only way out.
+type inbox[T any] struct {
+	rx     *ring.MPSC[T]
+	ringHW *telemetry.Gauge // the ring's high-water mark
+	site   uint32           // the ring's interned name on backpressure events
+	// canShed lets a producer give up on a ring that stays full — at
+	// once when shedImmediate, else after the bounded spin. Mergers never
+	// shed: a shed tail would need its own drop provenance at the join.
+	canShed       bool
+	shedImmediate bool
+}
+
+// backoff is one pacing step of a backpressured producer — bounded
+// spin, then park — counted as it happens, so a producer parked behind
+// a long stall is visible on /metrics while it is still parked, with
+// the episode's first park noted on the event ring against site.
+func (sh *shard) backoff(w *ring.Waiter, site uint32, gen uint64) {
+	s := sh.srv
+	if !w.Wait() {
+		s.bpYields.Add(1)
+		return
+	}
+	s.bpParks.Add(1)
+	if _, parks := w.Stats(); parks == 1 {
+		s.rec.Event(flightrec.Note{
+			Shard: sh.id, Kind: flightrec.KindBackpressure, Gen: gen, Node: site, Count: 1,
+		})
+	}
+}
+
+// push is the one producer loop: it enqueues a burst into an inbox and
+// returns the tail the inbox's policy gave up on, for the caller to shed
+// — empty when it cannot shed: the producer backs off until room is made.
+func push[T any](sh *shard, in *inbox[T], gen uint64, items []T) []T {
+	rem := items[in.rx.EnqueueBatch(items):]
+	w := ring.Waiter{SpinLimit: sh.srv.cfg.SpinLimit}
+	for len(rem) > 0 && !(in.canShed && (in.shedImmediate || w.Exhausted())) {
+		sh.backoff(&w, in.site, gen)
+		if k := in.rx.EnqueueBatch(rem); k > 0 {
+			rem = rem[k:]
+			w.Reset()
+		}
+	}
+	in.ringHW.SetMax(int64(in.rx.Len()))
+	return rem
+}
+
+// drain is the one consumer loop: it polls an inbox in bursts (busy
+// polling softened by the spin+park waiter, so an idle consumer releases
+// its core) and hands each to handle, until done() with the ring empty.
+func drain[T any](in *inbox[T], buf []T, spinLimit int, done func() bool, handle func([]T)) {
+	idle := ring.Waiter{SpinLimit: spinLimit}
+	for {
+		cnt := in.rx.DequeueBatch(buf)
+		if cnt == 0 {
+			if done() {
+				return
+			}
+			idle.Wait()
+			continue
+		}
+		idle.Reset()
+		handle(buf[:cnt])
+	}
+}
+
 // ringPush delivers a burst of packet references into node n's receive
-// ring under the server's backpressure policy. Every packet ends up
-// either enqueued or shed (shed packets ride the node's drop route so
-// join accounting and buffer reclamation stay exact — a shed is
-// indistinguishable from the NF itself dropping the packet, which is
-// precisely the §5.2 "ignore" semantics). Partial batch accepts count
-// sheds per packet, never per burst.
+// ring. Every packet ends up either enqueued or shed: what the policy
+// gave up on gets a shed note on the event ring, then rides the node's
+// drop route to one terminal drop per packet under the shed cause — so
+// join accounting and buffer reclamation stay exact, and a shed is
+// indistinguishable from the NF itself dropping the packet (§5.2
+// "ignore"). Sheds count per packet, never per burst.
 //
 // cursor is the producer's span-chain position; sampled deliveries
 // stash it (keyed per (pid, version, node) so shared-group branches of
 // one packet never collide) BEFORE the enqueue, so the consumer — who
-// may dequeue instantly — always finds it and closes the ring-wait
-// span against it.
-func (sh *shard) ringPush(pr *planRuntime, n *nodeRT, pkts []*packet.Packet, cursor int64) {
-	s := sh.srv
-	if tr := s.tracer; tr != nil {
+// may dequeue instantly — always finds it. A shed packet's stash is
+// reclaimed here: the drop route continues its chain from cursor.
+func (sh *shard) ringPush(pr *planRuntime, n *nodeRT, pkts []*packet.Packet, cursor int64, self *merger) {
+	tr, head := sh.srv.tracer, n.head().plan
+	if tr != nil { // untraced servers skip the per-packet hash on every hop
 		for _, pkt := range pkts {
 			if tr.Sampled(pkt.Meta.PID) {
-				tr.StashCursor(pkt.Meta.PID, pkt.Meta.Version, n.head().plan.ID, cursor)
+				tr.StashCursor(pkt.Meta.PID, pkt.Meta.Version, head.ID, cursor)
 			}
 		}
 	}
-	rem := pkts
-	if k := n.rx.EnqueueBatch(rem); k > 0 { // fast path: no waiter state
-		rem = rem[k:]
+	shed := push(sh, &n.inbox, pr.gen, pkts)
+	if len(shed) == 0 {
+		return
 	}
-	if len(rem) > 0 {
-		w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
-		engaged := false
-		for len(rem) > 0 {
-			if n.canShed && (n.shedImmediate || w.Exhausted()) {
-				sh.shedBurst(pr, n, rem)
-				rem = nil
-				break
-			}
-			// Counted per step, not flushed at the end, so a producer
-			// parked behind a long stall is visible on /metrics while it
-			// is still parked.
-			if w.Wait() {
-				s.bpParks.Add(1)
-				if !engaged {
-					engaged = true
-					sh.noteBackpressure(pr.nodeNames[n.head().plan.ID], pr.gen)
-				}
-			} else {
-				s.bpYields.Add(1)
-			}
-			if k := n.rx.EnqueueBatch(rem); k > 0 {
-				rem = rem[k:]
-				w.Reset()
-			}
-		}
-	}
-	n.ringHW.SetMax(int64(n.rx.Len()))
-}
-
-// shedBurst drops a run of packet references that could not be
-// delivered into n's ring: a shed note on the event ring, then the
-// node's drop route (the nearest enclosing join, or the output), which
-// resolves to one terminal drop per packet, counted there under the
-// shed cause.
-func (sh *shard) shedBurst(pr *planRuntime, n *nodeRT, pkts []*packet.Packet) {
-	s := sh.srv
 	cause := flightrec.CauseShedPriority
 	if n.shedImmediate {
 		cause = flightrec.CauseDropTail
 	}
-	s.rec.Event(flightrec.Note{
-		Shard: sh.id, Kind: flightrec.KindShed, Gen: pr.gen,
-		Node: pr.nodeNames[n.head().plan.ID], Count: uint64(len(pkts)),
+	sh.srv.rec.Event(flightrec.Note{
+		Shard: sh.id, Kind: flightrec.KindShed, Gen: pr.gen, Node: n.site, Count: uint64(len(shed)),
 	})
-	prov := dropProv{cause: cause, stage: telemetry.StageRingWait, node: int32(n.head().plan.ID)}
-	for _, pkt := range pkts {
-		// A shed packet never reaches the consumer, so reclaim its
-		// stashed span cursor here: the drop route continues the chain
-		// from where the producer left off.
-		var cursor int64
-		if s.tracer.Sampled(pkt.Meta.PID) {
-			cursor = s.tracer.TakeCursor(pkt.Meta.PID, pkt.Meta.Version, n.head().plan.ID)
+	for _, pkt := range shed {
+		if tr.Sampled(pkt.Meta.PID) {
+			tr.TakeCursor(pkt.Meta.PID, pkt.Meta.Version, head.ID)
 		}
-		sh.deliverDrop(pr, n.head().plan.DropTo, pkt, prov, cursor)
 	}
+	prov := dropProv{cause: cause, stage: telemetry.StageRingWait, node: int32(head.ID)}
+	sh.deliver(pr, head.DropTo, shed, true, prov, cursor, self)
 }

@@ -17,7 +17,7 @@ const Version = "0.9.0"
 
 // dropProv is the provenance a drop intention carries from the site
 // that decided the drop to the single terminal accounting point
-// (shard.deliver's ToOutput arm, possibly via mergers): the taxonomy
+// (shard.emit, possibly via mergers): the taxonomy
 // cause, how far the packet got, and the plan node that killed it.
 // Parallel branches can report several causes for one packet; the
 // first-reported cause wins at the merger (see atEntry.prov), so the
@@ -76,15 +76,6 @@ func (sh *shard) recordDrop(pr *planRuntime, prov dropProv, pkt *packet.Packet, 
 		d.Flow, d.HasKey = k, true
 	}
 	sh.srv.rec.Drop(d)
-}
-
-// noteBackpressure records one backpressure-policy engagement (a
-// producer actually parking behind a full ring or empty pool) on the
-// event ring. Out of line: it only runs on the park slow path.
-func (sh *shard) noteBackpressure(site uint32, gen uint64) {
-	sh.srv.rec.Event(flightrec.Note{
-		Shard: sh.id, Kind: flightrec.KindBackpressure, Gen: gen, Node: site, Count: 1,
-	})
 }
 
 // note records a server-lifecycle event against shard 0.

@@ -325,14 +325,15 @@ func TestMetricLintClean(t *testing.T) {
 			t.Errorf("flow-cache series %s missing from the lint snapshot", name)
 		}
 	}
-	// So do the rule-table gauges, with the classifier's counters.
-	for _, name := range []string{"nfp_classifier_rules", "nfp_classifier_tuples"} {
+	// So do the rule-table gauges, with the classifier's counters, and
+	// each merger's ring high-water mark, with the merger.
+	for _, name := range []string{"nfp_classifier_rules", "nfp_classifier_tuples", "nfp_merger_ring_high_water"} {
 		found := false
 		for _, g := range snap.Gauges {
 			found = found || g.Name == name
 		}
 		if !found {
-			t.Errorf("rule-table gauge %s missing from the lint snapshot", name)
+			t.Errorf("gauge %s missing from the lint snapshot", name)
 		}
 	}
 	if findings := telemetry.LintNames(snap); len(findings) != 0 {

@@ -1,0 +1,422 @@
+package dataplane
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"nfp/internal/faultinject"
+	"nfp/internal/graph"
+	"nfp/internal/nf"
+	"nfp/internal/nfa"
+	"nfp/internal/packet"
+)
+
+// Hand-built plan vocabulary: the executor is tested against dispatch
+// lists CompilePlan never emits (a copy that also distributes, one
+// dispatch with several targets) as well as the ones it does.
+var toOutput = Target{Kind: ToOutput}
+
+func toNode(n int) Target { return Target{Kind: ToNode, Node: n} }
+func toJoin(j int) Target { return Target{Kind: ToJoin, Join: j} }
+
+func send(v uint8, ts ...Target) Dispatch { return Dispatch{SrcVersion: v, Targets: ts} }
+func copyTo(src, nv uint8, ts ...Target) Dispatch {
+	return Dispatch{SrcVersion: src, NewVersion: nv, Targets: ts}
+}
+
+// carry is the merge-op pair that lifts the LB's address rewrite from
+// version v onto the base.
+func carry(v uint8) []graph.MergeOp {
+	return []graph.MergeOp{
+		{Kind: graph.OpModify, SrcVersion: v, SrcField: packet.FieldSrcIP, DstField: packet.FieldSrcIP},
+		{Kind: graph.OpModify, SrcVersion: v, SrcField: packet.FieldDstIP, DstField: packet.FieldDstIP},
+	}
+}
+
+// portDropper drops by packet content (every third source port), so
+// the drop set is a function of the traffic, not of arrival order.
+type portDropper struct{}
+
+func (portDropper) Name() string { return "portdrop" }
+func (portDropper) Profile() nfa.Profile {
+	return nfa.Profile{Name: "portdrop", Actions: []nfa.Action{nfa.Drop()}}
+}
+func (portDropper) Process(p *packet.Packet) nf.Verdict {
+	if p.SrcPort()%3 == 0 {
+		return nf.Drop
+	}
+	return nf.Pass
+}
+
+var portDropNF = graph.NF{Name: "portdrop"}
+
+// installPlan publishes a hand-built plan on shard 0 the way install
+// does for a compiled one (single-shard servers only).
+func installPlan(t *testing.T, s *Server, p *Plan) *planRuntime {
+	t.Helper()
+	for i := range p.Nodes {
+		p.Nodes[i].ID = i
+	}
+	for i := range p.Joins {
+		p.Joins[i].ID = i
+	}
+	sh := s.shards[0]
+	pr, err := s.buildRuntime(sh, p, func(_ int, n graph.NF) nf.NF {
+		if n == portDropNF {
+			return portDropper{}
+		}
+		return nil
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.plans.Store(&map[uint32]*planRuntime{p.MID: pr})
+	s.classifier.SetDefault(p.MID)
+	return pr
+}
+
+func shapeSpec(i int) packet.BuildSpec {
+	return spec(byte(i%9), uint16(2000+i%31), fmt.Sprintf("shape %02d", i%7))
+}
+
+// execShapes are the dispatch-list shapes the one executor must handle.
+// Each has one branch that is the LB — on a copy wherever the shape makes
+// one, a monitor where the branch shares the original — or, with drop
+// set, an NF that drops there.
+func execShapes(drop bool) map[string]*Plan {
+	mon := func(i int) graph.NF { return nfn(nfa.NFMonitor, i) }
+	shared, copied := mon(9), nfn(nfa.NFLB, 0)
+	if drop {
+		shared, copied = portDropNF, portDropNF
+	}
+	out := []Dispatch{send(1, toOutput)}
+	return map[string]*Plan{
+		// One dispatch, two targets, no copy: both NFs share the burst.
+		"multi-target no-copy group": {
+			MID: 1, BaseVersion: 1, MaxVersion: 1,
+			Entry: []Dispatch{send(1, toNode(0), toNode(1))},
+			Nodes: []PlanNode{
+				{NF: mon(0), Next: []Dispatch{send(1, toJoin(0))}, DropTo: toJoin(0)},
+				{NF: shared, Next: []Dispatch{send(1, toJoin(0))}, DropTo: toJoin(0)},
+			},
+			Joins: []JoinSpec{{ExpectTails: 2, BaseVersion: 1, Versions: []uint8{1}, Next: out, DropTo: toOutput}},
+		},
+		// A copy dispatch that distributes its own copy, in an NF's
+		// forwarding table.
+		"copy + distribute": {
+			MID: 1, BaseVersion: 1, MaxVersion: 2,
+			Entry: []Dispatch{send(1, toNode(0))},
+			Nodes: []PlanNode{
+				{NF: mon(0), Next: []Dispatch{copyTo(1, 2, toNode(2)), send(1, toNode(1))}, DropTo: toOutput},
+				{NF: mon(1), Next: []Dispatch{send(1, toJoin(0))}, DropTo: toJoin(0)},
+				{NF: copied, Next: []Dispatch{send(2, toJoin(0))}, DropTo: toJoin(0)},
+			},
+			Joins: []JoinSpec{{ExpectTails: 2, BaseVersion: 1, Versions: []uint8{1, 2}, Ops: carry(2), Next: out, DropTo: toOutput}},
+		},
+		// Entry-level copies with empty target lists, the second a copy
+		// of the first feeding a nested stage whose join continues into
+		// the outer join.
+		"nested copies, join into join": {
+			MID: 1, BaseVersion: 1, MaxVersion: 3,
+			Entry: []Dispatch{copyTo(1, 2), copyTo(2, 3), send(1, toNode(0)), send(2, toNode(1)), send(3, toNode(2))},
+			Nodes: []PlanNode{
+				{NF: mon(0), Next: []Dispatch{send(1, toJoin(0))}, DropTo: toJoin(0)},
+				{NF: mon(1), Next: []Dispatch{send(2, toJoin(1))}, DropTo: toJoin(1)},
+				{NF: copied, Next: []Dispatch{send(3, toJoin(1))}, DropTo: toJoin(1)},
+			},
+			Joins: []JoinSpec{
+				{ExpectTails: 2, BaseVersion: 1, Versions: []uint8{1, 2}, Ops: carry(2), Next: out, DropTo: toOutput},
+				{ExpectTails: 2, BaseVersion: 2, Versions: []uint8{2, 3}, Ops: carry(3), Next: []Dispatch{send(2, toJoin(0))}, DropTo: toJoin(0)},
+			},
+		},
+	}
+}
+
+type shapeRun struct {
+	Outputs     map[uint64]string
+	Drops       uint64
+	Copies      uint64
+	CopiedBytes uint64
+	MergerLoad  []uint64
+}
+
+func runShape(t *testing.T, p *Plan, burst int) shapeRun {
+	t.Helper()
+	const n = 231 // seven bursts of 33: full chunks and a tail at every size
+	s := New(Config{PoolSize: 1024, Mergers: 2, Burst: burst})
+	installPlan(t, s, p)
+	r := shapeRun{Outputs: map[uint64]string{}}
+	for _, pkt := range runTrafficBurst(t, s, n, burst, shapeSpec) {
+		r.Outputs[pkt.Meta.PID] = string(pkt.Bytes())
+		pkt.Free()
+	}
+	st := s.Stats()
+	r.Drops, r.Copies, r.CopiedBytes, r.MergerLoad = st.Drops, st.Copies, st.CopiedBytes, st.MergerLoad
+	if st.Injected != n || st.Outputs+st.Drops != n || int(st.Outputs) != len(r.Outputs) {
+		t.Errorf("burst %d conservation: injected=%d outputs=%d drops=%d collected=%d",
+			burst, st.Injected, st.Outputs, st.Drops, len(r.Outputs))
+	}
+	if leak := s.Pool().InUse(); leak != 0 {
+		t.Errorf("burst %d leaked %d buffers", burst, leak)
+	}
+	return r
+}
+
+// TestExecBurstShapes holds every dispatch-list shape to its burst-of-one
+// execution: the same per-PID output bytes (so the same drop set), the
+// same copy and merger accounting, at a burst of 3, a full chunk and one
+// past the chunk boundary.
+func TestExecBurstShapes(t *testing.T) {
+	for _, drop := range []bool{false, true} {
+		for name := range execShapes(drop) {
+			t.Run(fmt.Sprintf("%s/drop=%v", name, drop), func(t *testing.T) {
+				want := runShape(t, execShapes(drop)[name], 1)
+				if drop == (want.Drops == 0) {
+					t.Fatalf("drops = %d with drop=%v: drop routes not exercised as intended", want.Drops, drop)
+				}
+				if want.Copies == 0 && execShapes(drop)[name].MaxVersion > 1 {
+					t.Fatal("no copies made")
+				}
+				for _, burst := range []int{3, execChunk, execChunk + 1} {
+					got := runShape(t, execShapes(drop)[name], burst)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("burst %d differs from burst 1:\n got drops=%d copies=%d bytes=%d load=%v outputs=%d\nwant drops=%d copies=%d bytes=%d load=%v outputs=%d",
+							burst, got.Drops, got.Copies, got.CopiedBytes, got.MergerLoad, len(got.Outputs),
+							want.Drops, want.Copies, want.CopiedBytes, want.MergerLoad, len(want.Outputs))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestExecBurstFanoutAllocs: fanning a 32-burst out to two rings with
+// one copy, from an injector goroutine, allocates nothing — the
+// executor's scratch is on the injector's stack.
+func TestExecBurstFanoutAllocs(t *testing.T) {
+	s := New(Config{PoolSize: 256, RingSize: 64})
+	pr := installPlan(t, s, &Plan{
+		MID: 1, BaseVersion: 1, MaxVersion: 2,
+		Entry: []Dispatch{copyTo(1, 2, toNode(1)), send(1, toNode(0))},
+		Nodes: []PlanNode{
+			{NF: nfn(nfa.NFMonitor, 0), Next: []Dispatch{send(1, toOutput)}, DropTo: toOutput},
+			{NF: nfn(nfa.NFMonitor, 1), Next: []Dispatch{send(2, toOutput)}, DropTo: toOutput},
+		},
+	})
+	var pkts, drained [execChunk]*packet.Packet
+	if s.Pool().AllocBatch(pkts[:]) != len(pkts) {
+		t.Fatal("pool too small")
+	}
+	for i, p := range pkts {
+		packet.BuildInto(p, shapeSpec(i))
+	}
+	// The server is never started: the test goroutine is the only one
+	// running, and plays consumer between runs.
+	allocs := testing.AllocsPerRun(50, func() {
+		if s.InjectBatch(pkts[:]) != len(pkts) {
+			t.Fatal("burst rejected")
+		}
+		if pr.owner[0].rx.DequeueBatch(drained[:]) != len(pkts) {
+			t.Fatal("originals not delivered as one burst")
+		}
+		if pr.owner[1].rx.DequeueBatch(drained[:]) != len(pkts) {
+			t.Fatal("copies not delivered as one burst")
+		}
+		s.Pool().FreeBatch(drained[:])
+	})
+	if allocs != 0 {
+		t.Errorf("fan-out of one burst allocates %.1f times, want 0", allocs)
+	}
+	if got := s.Stats().Copies; got != 51*execChunk {
+		t.Errorf("copies = %d, want %d", got, 51*execChunk)
+	}
+	s.Pool().FreeBatch(pkts[:])
+}
+
+// backpressureSites returns the nodes named by the backpressure events
+// on the flight recorder.
+func backpressureSites(s *Server) map[string]bool {
+	sites := map[string]bool{}
+	for _, e := range s.FlightRecorder().Events(0) {
+		if e.Kind == "backpressure" {
+			sites[e.Node] = true
+		}
+	}
+	return sites
+}
+
+// TestExecBurstPoolExhaustionMidBurst: a burst whose copies the pool can
+// only partly provide. The first allocation fails outright (the producer
+// parks, charged to the pool), the second is granted in part (a co-tenant
+// holds the rest): the packets whose copies exist go ahead, the others
+// follow as buffers come back. Nothing is lost and the copy count is
+// exact.
+func TestExecBurstPoolExhaustionMidBurst(t *testing.T) {
+	const poolSize, burst = 64, 32 // reserve: 8 buffers
+	s := New(Config{PoolSize: poolSize, Burst: burst, SpinLimit: -1})
+	g := graph.Par{
+		Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
+		Groups:   [][]int{{0}, {1}},
+		FullCopy: []bool{false, false},
+		Ops:      carry(2),
+	}
+	if err := s.AddGraph(1, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	col := collectOutputs(s)
+
+	var pkts [burst]*packet.Packet
+	if s.Pool().AllocBatch(pkts[:]) != burst {
+		t.Fatal("pool too small")
+	}
+	for i, p := range pkts {
+		packet.BuildInto(p, shapeSpec(i))
+	}
+	hog := faultinject.NewPoolHog(s.Pool())
+	if hog.Grab(poolSize); s.Pool().Available() >= burst {
+		t.Fatalf("hog left %d buffers: the copy batch would be granted whole", s.Pool().Available())
+	}
+	sched := faultinject.NewAllocSchedule(1)
+	s.Pool().SetFaultHook(sched.Hook)
+	if s.InjectBatch(pkts[:]) != burst {
+		t.Fatal("burst rejected")
+	}
+	s.Pool().SetFaultHook(nil)
+	hog.ReleaseAll()
+	s.Stop()
+
+	st := s.Stats()
+	if outs := col.wait(); outs != burst || st.Outputs != burst || st.Drops != 0 {
+		t.Fatalf("lossless copy path lost packets: collected=%d outputs=%d drops=%d", outs, st.Outputs, st.Drops)
+	}
+	if st.Copies != burst {
+		t.Errorf("copies = %d, want %d", st.Copies, burst)
+	}
+	if sched.Failed() != 1 || sched.Batches() < 3 {
+		t.Errorf("allocation batches = %d (%d failed), want one failure, one partial grant and the rest",
+			sched.Batches(), sched.Failed())
+	}
+	if parks := s.Telemetry().Counter("nfp_backpressure_parks_total").Value(); parks == 0 {
+		t.Error("the producer never parked on the empty pool")
+	}
+	if !backpressureSites(s)["mempool"] {
+		t.Errorf("no backpressure event names the pool: %v", backpressureSites(s))
+	}
+	if leak := s.Pool().InUse(); leak != 0 {
+		t.Fatalf("pool leak: %d buffers", leak)
+	}
+}
+
+// TestJoinBackpressure: a stalled NF behind a join stops the merger,
+// whose ring fills; the branch tails feeding it then take the same
+// lossless spin → park path as behind any full NF ring, and say so —
+// on the parks counter and with an event naming the merger.
+func TestJoinBackpressure(t *testing.T) {
+	stall := faultinject.NewStallNF(nf.NewMonitor())
+	s := New(Config{PoolSize: 2048, RingSize: 8, Burst: 8, Mergers: 1, SpinLimit: 4})
+	g := graph.Seq{Items: []graph.Node{
+		graph.Par{Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1)}},
+		nfn(nfa.NFMonitor, 2),
+	}}
+	err := s.AddGraphInstances(1, g, map[graph.NF]nf.NF{nfn(nfa.NFMonitor, 2): stall})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	col := collectOutputs(s)
+	stall.Stall()
+
+	// Two tails per packet: 1200 packets overfill the merger ring
+	// (mergerQueue items) however the stalled NF's ring and bursts split.
+	const n = 1200
+	injDone := make(chan struct{})
+	go func() {
+		defer close(injDone)
+		for i := 0; i < n; i++ {
+			if !s.Inject(buildInto(t, s, shapeSpec(i))) {
+				t.Error("classification failed")
+				return
+			}
+		}
+	}()
+	for limit := time.Now().Add(10 * time.Second); !backpressureSites(s)["merger-0"]; {
+		if time.Now().After(limit) {
+			t.Fatalf("no producer parked behind the merger ring: sites=%v", backpressureSites(s))
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	// The gauge is set as each push returns, so a producer still parked
+	// on a partial accept has not reported the full ring yet — the last
+	// pushes that fit whole have.
+	m := s.shards[0].mergers[0]
+	if hw, min := m.ringHW.Value(), int64(m.rx.Cap()-2*8); hw < min {
+		t.Errorf("nfp_merger_ring_high_water = %d behind a full ring, want >= %d", hw, min)
+	}
+	if parks := s.Telemetry().Counter("nfp_backpressure_parks_total").Value(); parks == 0 {
+		t.Error("backpressure event without a counted park")
+	}
+
+	stall.Release()
+	<-injDone
+	s.Stop()
+	st := s.Stats()
+	if outs := col.wait(); outs != n || st.Injected != n || st.Outputs != n || st.Drops != 0 {
+		t.Fatalf("join backpressure lost packets: injected=%d outputs=%d drops=%d collected=%d",
+			st.Injected, st.Outputs, st.Drops, outs)
+	}
+	if leak := s.Pool().InUse(); leak != 0 {
+		t.Fatalf("pool leak: %d buffers", leak)
+	}
+}
+
+// TestInjectPreclassifiedRejectsForeignVersion: the version rides in off
+// the wire, so one the graph does not start from is refused — the caller
+// keeps the packet and the reserved in-flight slot is given back — while
+// 0 (unset) takes the graph's base version.
+func TestInjectPreclassifiedRejectsForeignVersion(t *testing.T) {
+	s := New(Config{PoolSize: 64})
+	g := graph.Par{
+		Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
+		Groups:   [][]int{{0}, {1}},
+		FullCopy: []bool{false, false},
+	}
+	if err := s.AddGraph(1, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	col := collectOutputs(s)
+	for _, v := range []uint8{2, 3, packet.MaxVersion} {
+		pkt := buildInto(t, s, shapeSpec(int(v)))
+		pkt.Meta = packet.Meta{MID: 1, PID: uint64(v), Version: v}
+		if s.InjectPreclassified(pkt) {
+			t.Fatalf("version %d accepted", v)
+		}
+		pkt.Free() // still the caller's
+	}
+	if inflight := (*s.shards[0].plans.Load())[1].inflight.Load(); inflight != 0 {
+		t.Errorf("rejected packets left %d in-flight slots reserved (a reload would never drain)", inflight)
+	}
+	for _, v := range []uint8{0, 1} {
+		pkt := buildInto(t, s, shapeSpec(int(v)))
+		pkt.Meta = packet.Meta{MID: 1, PID: 100 + uint64(v), Version: v}
+		if !s.InjectPreclassified(pkt) {
+			t.Fatalf("version %d rejected", v)
+		}
+	}
+	s.Stop()
+	if outs, st := col.wait(), s.Stats(); outs != 2 || st.Injected != 2 || st.Outputs != 2 {
+		t.Errorf("collected=%d injected=%d outputs=%d, want 2 each", outs, st.Injected, st.Outputs)
+	}
+	if leak := s.Pool().InUse(); leak != 0 {
+		t.Fatalf("pool leak: %d buffers", leak)
+	}
+}

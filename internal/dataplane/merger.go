@@ -7,6 +7,7 @@ import (
 
 	"nfp/internal/graph"
 	"nfp/internal/packet"
+	"nfp/internal/ring"
 	"nfp/internal/telemetry"
 )
 
@@ -73,14 +74,15 @@ type atEntry struct {
 
 // merger is one merger instance. The paper implements mergers as NFs so
 // they can be instantiated/destroyed dynamically; here each instance is
-// a goroutine with its own receive queue and a local Accumulating
-// Table, fed by the merger agent's PID hash.
+// a goroutine with its own receive ring (the inbox an NF runtime has,
+// carrying merge items) and a local Accumulating Table, fed by the
+// merger agent's PID hash (shard.joinPush).
 type merger struct {
-	id   int
 	name string // "merger-<id>" for trace events (shard via the span tag)
-	in   chan mergeItem
-	at   map[atKey]*atEntry
-	sh   *shard
+	inbox[mergeItem]
+	batch []mergeItem // drain scratch (single consumer)
+	at    map[atKey]*atEntry
+	sh    *shard
 
 	// Registry-backed per-instance metrics (labelled instance=<id>,
 	// plus shard=<i> on a sharded server).
@@ -95,10 +97,15 @@ type merger struct {
 func newMerger(id int, sh *shard) *merger {
 	tel := sh.srv.tel
 	inst := sh.labelShard([]telemetry.Label{telemetry.L("instance", strconv.Itoa(id))})
+	name := "merger-" + strconv.Itoa(id)
 	return &merger{
-		id:        id,
-		name:      "merger-" + strconv.Itoa(id),
-		in:        make(chan mergeItem, mergerQueue),
+		name: name,
+		inbox: inbox[mergeItem]{
+			rx:     ring.NewMPSCOf[mergeItem](mergerQueue),
+			ringHW: tel.Gauge("nfp_merger_ring_high_water", inst...),
+			site:   sh.srv.rec.Intern(name),
+		},
+		batch:     make([]mergeItem, sh.srv.cfg.Burst),
 		at:        make(map[atKey]*atEntry),
 		sh:        sh,
 		processed: tel.Counter("nfp_merger_processed_total", inst...),
@@ -110,41 +117,28 @@ func newMerger(id int, sh *shard) *merger {
 	}
 }
 
-// run is the merger goroutine body; it exits when the input channel
-// closes. Items are drained in bursts of up to Config.Burst: one
-// blocking receive, then an opportunistic non-blocking drain, with the
-// processed counter and Accumulating Table gauges updated once per
-// burst instead of once per item (the within-burst AT peak is still
-// tracked exactly). With burst=1 every item is its own burst and the
-// behavior is identical to the scalar merger.
+// run is the merger goroutine body: it drains the receive ring until
+// the server stops (Stop waits for conservation first, so it is empty).
 func (m *merger) run() {
-	burst := m.sh.srv.cfg.Burst
-	batch := make([]mergeItem, 0, burst)
-	for item := range m.in {
-		batch = append(batch[:0], item)
-	fill:
-		for len(batch) < burst {
-			select {
-			case it, ok := <-m.in:
-				if !ok {
-					break fill // closed; the outer range exits after this burst
-				}
-				batch = append(batch, it)
-			default:
-				break fill
-			}
+	srv := m.sh.srv
+	drain(&m.inbox, m.batch, srv.cfg.SpinLimit, srv.stopped.Load, m.accept)
+}
+
+// accept handles one burst of items, updating the processed counter
+// and the Accumulating Table gauges once per burst (the within-burst AT
+// peak is still tracked exactly). Merger goroutine only: from run, and
+// re-entered from joinPush when a continuation reaches an outer join.
+func (m *merger) accept(items []mergeItem) {
+	m.processed.Add(uint64(len(items)))
+	peak := len(m.at)
+	for _, it := range items {
+		m.handle(it)
+		if len(m.at) > peak {
+			peak = len(m.at)
 		}
-		m.processed.Add(uint64(len(batch)))
-		peak := len(m.at)
-		for _, it := range batch {
-			m.handle(it)
-			if len(m.at) > peak {
-				peak = len(m.at)
-			}
-		}
-		m.atSize.Set(int64(len(m.at)))
-		m.atHW.SetMax(int64(peak))
 	}
+	m.atSize.Set(int64(len(m.at)))
+	m.atHW.SetMax(int64(peak))
 }
 
 func (m *merger) handle(item mergeItem) {
@@ -171,7 +165,6 @@ func (m *merger) handle(item mergeItem) {
 		return
 	}
 	delete(m.at, key)
-	m.atSize.Set(int64(len(m.at)))
 	m.mergeLat.Record(time.Now().UnixNano() - e.firstNS)
 	m.finalize(item.pr, spec, e)
 }
@@ -203,55 +196,50 @@ func (m *merger) finalize(pr *planRuntime, spec JoinSpec, e *atEntry) {
 		}
 	}
 
-	if e.dropped {
-		m.drops.Add(1)
-		// Release every received copy except the base, which either
-		// propagates the drop to the outer join or is freed at output.
-		for v, pkt := range e.versions {
-			if pkt != nil && uint8(v) != spec.BaseVersion {
-				pkt.Free()
-			}
-		}
-		if base == nil {
-			// The base never arrived (its own branch dropped it and the
-			// buffer came through as a dropped item under the base
-			// version — or the entry is inconsistent). Synthesize a nil
-			// carrier for propagation, keeping the PID so trace spans of
-			// the drop stay attributed to the packet.
-			base = packet.NewNil(packet.Meta{MID: mid, PID: e.pid, Version: spec.BaseVersion})
-		}
-		m.sh.deliverDrop(pr, spec.DropTo, base, e.prov, cursor)
-		return
-	}
-
-	if base == nil {
+	switch {
+	case e.dropped && base == nil:
+		// The base never arrived (its own branch dropped it and the
+		// buffer came through as a dropped item under the base version —
+		// or the entry is inconsistent). Synthesize a nil carrier for
+		// propagation, keeping the PID so trace spans of the drop stay
+		// attributed to the packet.
+		base = packet.NewNil(packet.Meta{MID: mid, PID: e.pid, Version: spec.BaseVersion})
+	case base == nil:
 		// A non-dropped packet must always include its base version;
 		// anything else is a plan bug worth crashing loudly on.
 		panic(fmt.Sprintf("dataplane: join %d of mid %d completed without base version %d",
 			spec.ID, mid, spec.BaseVersion))
-	}
-
-	for _, op := range spec.Ops {
-		if err := applyMergeOp(base, op, &e.versions); err != nil {
-			// A malformed copy (e.g. truncated beyond the op's field)
-			// degrades to passing the base through unmodified; the
-			// operator sees the count.
-			m.sh.srv.mergeErrs.Add(1)
-			break
+	case !e.dropped:
+		for _, op := range spec.Ops {
+			if err := applyMergeOp(base, op, &e.versions); err != nil {
+				// A malformed copy (e.g. truncated beyond the op's field)
+				// degrades to passing the base through unmodified; the
+				// operator sees the count.
+				m.sh.srv.mergeErrs.Add(1)
+				break
+			}
+		}
+		if len(spec.Ops) > 0 {
+			// Merge ops pulled bytes from (possibly header-only) copies,
+			// so the base's L4 checksum is stale. NFs maintain the
+			// checksum after their own writes (the well-behaved-middlebox
+			// contract), so recomputing over the merged content reproduces
+			// exactly the checksum sequential execution would have left.
+			base.UpdateL4Checksum()
 		}
 	}
-	if len(spec.Ops) > 0 {
-		// Merge ops pulled bytes from (possibly header-only) copies, so
-		// the base's L4 checksum is stale. NFs maintain the checksum
-		// after their own writes (the well-behaved-middlebox contract),
-		// so recomputing over the merged content reproduces exactly the
-		// checksum sequential execution would have left.
-		base.UpdateL4Checksum()
-	}
+	// Release every received copy except the base, which goes on through
+	// the continuation, or carries the drop to the outer join or output.
 	for v, pkt := range e.versions {
 		if pkt != nil && uint8(v) != spec.BaseVersion {
 			pkt.Free()
 		}
+	}
+	one := [1]*packet.Packet{base}
+	if e.dropped {
+		m.drops.Add(1)
+		m.sh.deliver(pr, spec.DropTo, one[:], true, e.prov, cursor, m)
+		return
 	}
 	m.merged.Add(1)
 	if cursor != 0 {
@@ -266,7 +254,7 @@ func (m *merger) finalize(pr *planRuntime, spec JoinSpec, e *atEntry) {
 		})
 		cursor = now
 	}
-	m.sh.exec(pr, spec.Next, base, cursor)
+	m.sh.execBurst(pr, spec.Next, one[:], cursor, m)
 }
 
 // applyMergeOp applies one §5.3 merging operation to the base packet.

@@ -1,9 +1,12 @@
 package dataplane
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nfp/internal/graph"
 	"nfp/internal/nf"
@@ -29,12 +32,13 @@ func (d *dropEveryNth) Process(p *packet.Packet) nf.Verdict {
 	return nf.Pass
 }
 
-// TestNestedParallelLive exercises a two-level join tree end to end:
-// a -> ( b || (c -> (d || e)) ) with a copy group at both levels, the
-// way the orchestrator emits it: c and e write, so their branch runs on
-// its own copy while b reads the original, and each join carries the
-// LB's address rewrite one level up.
-func TestNestedParallelLive(t *testing.T) {
+// nestedGraph is a two-level join tree, a -> ( b || (c -> (d || e)) ),
+// with a copy group at both levels, the way the orchestrator emits it:
+// c and e write, so their branch runs on its own copy while b reads the
+// original, and each join carries the LB's address rewrite one level
+// up. The inner join's continuation IS the outer join, so a merger
+// continues into itself.
+func nestedGraph() graph.Node {
 	carryAddrs := []graph.MergeOp{
 		{Kind: graph.OpModify, SrcVersion: 2, SrcField: packet.FieldSrcIP, DstField: packet.FieldSrcIP},
 		{Kind: graph.OpModify, SrcVersion: 2, SrcField: packet.FieldDstIP, DstField: packet.FieldDstIP},
@@ -48,7 +52,7 @@ func TestNestedParallelLive(t *testing.T) {
 		FullCopy: []bool{false, false},
 		Ops:      carryAddrs,
 	}
-	g := graph.Seq{Items: []graph.Node{
+	return graph.Seq{Items: []graph.Node{
 		nfn(nfa.NFMonitor, 0), // a
 		graph.Par{
 			Branches: []graph.Node{
@@ -60,6 +64,11 @@ func TestNestedParallelLive(t *testing.T) {
 			Ops:      carryAddrs,
 		},
 	}}
+}
+
+// TestNestedParallelLive exercises the two-level join tree end to end.
+func TestNestedParallelLive(t *testing.T) {
+	g := nestedGraph()
 	s := New(Config{PoolSize: 128})
 	if err := s.AddGraph(1, g); err != nil {
 		t.Fatal(err)
@@ -84,6 +93,78 @@ func TestNestedParallelLive(t *testing.T) {
 	}
 	if s.Pool().Available() != 128 {
 		t.Errorf("pool leak: %d/128", s.Pool().Available())
+	}
+}
+
+// TestNestedJoinSustainedLoad is the regression test for the nested-join
+// wedge: under sustained burst injection a merger whose continuation
+// reaches the outer join used to enqueue to its own full queue from its
+// own goroutine and stop for good after a few thousand packets. The
+// server runs a zero-value Config; the watchdog turns a wedge into a
+// failure instead of a suite timeout.
+func TestNestedJoinSustainedLoad(t *testing.T) {
+	total := 200_000
+	if testing.Short() {
+		total = 50_000
+	}
+	for _, mergers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("mergers=%d", mergers), func(t *testing.T) {
+			s := New(Config{Mergers: mergers})
+			if err := s.AddGraph(1, nestedGraph()); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			col := collectOutputs(s)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				batch := make([]*packet.Packet, 32)
+				for i := 0; i < total; {
+					got := s.Pool().AllocBatch(batch[:min(len(batch), total-i)])
+					if got == 0 {
+						runtime.Gosched()
+						continue
+					}
+					for j := 0; j < got; j++ {
+						packet.BuildInto(batch[j], spec(byte((i+j)%4), uint16(4000+(i+j)%512), "nested"))
+					}
+					if acc := s.InjectBatch(batch[:got]); acc != got {
+						t.Errorf("InjectBatch accepted %d of %d", acc, got)
+						return
+					}
+					i += got
+				}
+				s.Stop()
+			}()
+			for last := uint64(0); ; {
+				select {
+				case <-done:
+				case <-time.After(20 * time.Second):
+					st := s.Stats()
+					if st.Outputs+st.Drops != last {
+						last = st.Outputs + st.Drops
+						continue // slow (race detector, loaded box), not stuck
+					}
+					t.Fatalf("no progress in 20 s: injected=%d outputs=%d drops=%d in_use=%d",
+						st.Injected, st.Outputs, st.Drops, s.Pool().InUse())
+				}
+				break
+			}
+			outs := uint64(col.wait())
+			st := s.Stats()
+			if st.Injected != uint64(total) || st.Injected != st.Outputs+st.Drops || outs != st.Outputs {
+				t.Fatalf("conservation: injected=%d outputs=%d drops=%d collected=%d, want %d in",
+					st.Injected, st.Outputs, st.Drops, outs, total)
+			}
+			if st.Copies != 2*uint64(total) {
+				t.Errorf("copies = %d, want %d (one per join level)", st.Copies, 2*total)
+			}
+			if leak := s.Pool().InUse(); leak != 0 {
+				t.Fatalf("pool leak: %d buffers", leak)
+			}
+		})
 	}
 }
 

@@ -50,7 +50,7 @@ func (t Target) String() string {
 }
 
 // Dispatch is one forwarding-table action (§5.2). The executor holds a
-// map version → packet, seeded with the packet being dispatched:
+// map version → burst, seeded with the burst being dispatched:
 //
 //   - NewVersion == 0: distribute(SrcVersion, Targets) — deliver the
 //     held version to every target without copying.
@@ -129,20 +129,23 @@ func (p *Plan) CompileHash() string {
 // CopiesPerPacket returns how many packet copies the plan makes per
 // packet on the drop-free path.
 func (p *Plan) CopiesPerPacket() int {
-	n := 0
-	count := func(ds []Dispatch) {
-		for _, d := range ds {
-			if d.NewVersion != 0 {
-				n++
-			}
-		}
-	}
-	count(p.Entry)
+	n := copiesIn(p.Entry)
 	for _, pn := range p.Nodes {
-		count(pn.Next)
+		n += copiesIn(pn.Next)
 	}
 	for _, j := range p.Joins {
-		count(j.Next)
+		n += copiesIn(j.Next)
+	}
+	return n
+}
+
+// copiesIn counts the copy dispatches of one dispatch list.
+func copiesIn(ds []Dispatch) int {
+	n := 0
+	for i := range ds {
+		if ds[i].NewVersion != 0 {
+			n++
+		}
 	}
 	return n
 }

@@ -6,7 +6,6 @@ import (
 
 	"nfp/internal/nf"
 	"nfp/internal/packet"
-	"nfp/internal/ring"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/flightrec"
 )
@@ -60,8 +59,8 @@ func (s *segNF) inst() nf.NF { return s.instP.Load().nf }
 // The runtime drains its ring in bursts of Config.Burst references
 // (DPDK-style burst receive): ring synchronization, counter updates and
 // the service-time histogram samples are paid once per burst, and the
-// passed packets of a burst are forwarded with one batched enqueue when
-// the next hop is a single NF.
+// packets a burst's NFs passed, like the ones they dropped, go on as
+// one burst (shard.execBurst, shard.deliver).
 //
 // The runtime is also the crash boundary, now scoped to the whole
 // segment: Process/ProcessBatch run under panic recovery, so a faulty
@@ -72,8 +71,10 @@ func (s *segNF) inst() nf.NF { return s.instP.Load().nf }
 // drained and dropped (graceful degradation: the rest of the graph,
 // and every other graph, keeps forwarding).
 type nodeRT struct {
-	nfs    []segNF // execution order; nfs[0] owns the receive ring
-	rx     *ring.MPSC
+	nfs []segNF // execution order; nfs[0] owns the receive ring
+	// The receive ring, its high-water mark (labelled by the head NF)
+	// and the backpressure policy resolved for it.
+	inbox[*packet.Packet]
 	server *Server
 	sh     *shard // the shard whose goroutines run this segment
 	pr     *planRuntime
@@ -86,17 +87,11 @@ type nodeRT struct {
 	restartAt atomic.Int64
 	backoffNS atomic.Int64
 
-	// Backpressure policy resolution for this segment's receive ring.
-	canShed       bool
-	shedImmediate bool
-
-	// Per-runtime burst scratch (single consumer, never shared).
+	// Per-runtime burst scratch (single consumer, never shared): the
+	// drained burst, its verdicts, the packets one NF dropped from it.
 	burst    []*packet.Packet
 	verdicts []nf.Verdict
-
-	// ringHW is the receive ring's high-water mark, labelled by the
-	// ring-owning head NF.
-	ringHW *telemetry.Gauge
+	dropped  []*packet.Packet
 }
 
 // head is the ring-owning first NF slot; producers stash span cursors
@@ -107,38 +102,13 @@ func (n *nodeRT) head() *segNF { return &n.nfs[0] }
 // survivors downstream.
 func (n *nodeRT) tail() *segNF { return &n.nfs[len(n.nfs)-1] }
 
-// run is the runtime goroutine body. It polls the receive ring —
-// DPDK-style busy polling softened with the bounded spin+park waiter,
-// so an idle or stalled runtime releases its core — until the server
-// stops, or a reload retires this runtime's generation, and the ring
-// drains (retirement implies it already has: retired is only set after
-// the generation's in-flight count reached zero).
+// run is the runtime goroutine body: it drains the receive ring until
+// the server stops or a reload retires this runtime's generation
+// (either implies an empty ring: both wait for the in-flight count).
 func (n *nodeRT) run() {
-	idle := ring.Waiter{SpinLimit: n.server.cfg.SpinLimit}
-	for {
-		cnt := n.rx.DequeueBatch(n.burst)
-		if cnt == 0 {
-			if n.server.stopped.Load() || n.pr.retired.Load() {
-				return
-			}
-			idle.Wait()
-			continue
-		}
-		idle.Reset()
-		if !n.healthy.Load() {
-			// Crashed and not yet restarted: keep the graph draining by
-			// dropping arrivals through the normal drop route (buffers
-			// return to the pool, joins complete, accounting balances).
-			// The drained packets never reached the segment, so their
-			// span chains close with a ring-wait span into the drop
-			// route, charged to the head NF.
-			h := n.head()
-			h.pktsIn.Add(uint64(cnt))
-			n.dropBurst(h, n.burst[:cnt], drainCause(n.pr), telemetry.StageRingWait, 0)
-			continue
-		}
-		n.processBurst(n.burst[:cnt])
-	}
+	drain(&n.inbox, n.burst, n.server.cfg.SpinLimit, func() bool {
+		return n.server.stopped.Load() || n.pr.retired.Load()
+	}, n.processBurst)
 }
 
 // invoke runs one NF over one burst inside the crash boundary. It
@@ -197,24 +167,22 @@ func (n *nodeRT) dropBurst(s *segNF, pkts []*packet.Packet, cause flightrec.Caus
 	tracer := n.server.tracer
 	var now int64
 	for _, pkt := range pkts {
-		c := cursor
 		if tracer.Sampled(pkt.Meta.PID) {
 			if now == 0 {
 				now = time.Now().UnixNano()
 			}
-			if c == 0 {
-				c = tracer.TakeCursor(pkt.Meta.PID, pkt.Meta.Version, n.head().plan.ID)
+			begin := cursor
+			if begin == 0 {
+				begin = tracer.TakeCursor(pkt.Meta.PID, pkt.Meta.Version, n.head().plan.ID)
 			}
-			tracer.RecordSpan(telemetry.TraceEvent{
-				PID: pkt.Meta.PID, MID: pkt.Meta.MID, Ver: pkt.Meta.Version,
-				Stage: stage, Name: s.plan.NF.String(), Begin: c, TS: now,
-				Shard: n.sh.spanID, Gen: n.pr.spanGen,
-			})
-			c = now
+			n.sh.span(n.pr, pkt, stage, s.plan.NF.String(), begin, now)
 		}
-		n.sh.deliverDrop(n.pr, s.plan.DropTo, pkt,
-			dropProv{cause: cause, stage: stage, node: int32(s.plan.ID)}, c)
 	}
+	if now != 0 {
+		cursor = now
+	}
+	n.sh.deliver(n.pr, s.plan.DropTo, pkts, true,
+		dropProv{cause: cause, stage: stage, node: int32(s.plan.ID)}, cursor, nil)
 }
 
 // maybeRestart is the supervisor's per-segment step: once the backoff
@@ -269,45 +237,40 @@ func (n *nodeRT) ringWaitSpans(tracer *telemetry.Tracer, pkts []*packet.Packet) 
 			if t1 == 0 {
 				t1 = time.Now().UnixNano()
 			}
-			tracer.RecordSpan(telemetry.TraceEvent{
-				PID: pkt.Meta.PID, MID: pkt.Meta.MID, Ver: pkt.Meta.Version,
-				Stage: telemetry.StageRingWait, Name: h.plan.NF.String(),
-				Begin: tracer.TakeCursor(pkt.Meta.PID, pkt.Meta.Version, h.plan.ID),
-				TS:    t1, Shard: n.sh.spanID, Gen: n.pr.spanGen,
-			})
+			n.sh.span(n.pr, pkt, telemetry.StageRingWait, h.plan.NF.String(),
+				tracer.TakeCursor(pkt.Meta.PID, pkt.Meta.Version, h.plan.ID), t1)
 		}
 	}
 	return t1
 }
 
-// nfSpan records one packet's NF service span against the burst's
-// amortized invoke interval. Out of line for the same hot-loop code
-// size reason as ringWaitSpans.
-func (s *segNF) nfSpan(tracer *telemetry.Tracer, pkt *packet.Packet, begin, end int64, shard, gen int) {
-	tracer.RecordSpan(telemetry.TraceEvent{
-		PID: pkt.Meta.PID, MID: pkt.Meta.MID, Ver: pkt.Meta.Version,
-		Stage: telemetry.StageNF, Name: s.plan.NF.String(),
-		Begin: begin, TS: end, Shard: shard, Gen: gen,
-	})
-}
-
 // processBurst handles one drained burst: for each NF of the segment
 // in order — one counter add for arrivals, one invocation (batched
 // when the NF supports it), one service-time sample (the burst's mean
-// per-packet time), per-verdict drops routed through that NF's own
-// drop target, and the surviving packets compacted in place on the
-// same burst buffer for the next NF. After the last NF the survivors
-// are forwarded through its forwarding table as one burst.
+// per-packet time), the packets it dropped routed as one burst through
+// that NF's own drop target, and the surviving packets compacted in
+// place on the same burst buffer for the next NF. After the last NF the
+// survivors are forwarded through its forwarding table as one burst.
 //
-// With burst=1 and singleton segments this degenerates to exactly the
-// scalar per-packet pipelined path: every counter, histogram sample
-// and trace event lands with the same cardinality and values as the
-// pre-burst dataplane. Clock reads stay within the existing 2/burst
+// With burst=1 and singleton segments every counter, histogram sample
+// and trace event lands once per packet, with the values a per-packet
+// pipeline would give it. Clock reads stay within the 2/burst
 // amortization: one boundary timestamp per NF (k+1 reads for a k-NF
 // segment, vs 2k pipelined), each serving as the previous NF's
 // service-span end and the next NF's begin, so sampled span chains
 // still tile exactly: ring-wait, then one service span per fused NF.
 func (n *nodeRT) processBurst(pkts []*packet.Packet) {
+	if !n.healthy.Load() {
+		// Crashed and not yet restarted: keep the graph draining by
+		// dropping arrivals through the normal drop route (buffers return
+		// to the pool, joins complete, accounting balances). They never
+		// reached the segment, so their span chains close with a ring-wait
+		// span into the drop route, charged to the head NF.
+		h := n.head()
+		h.pktsIn.Add(uint64(len(pkts)))
+		n.dropBurst(h, pkts, drainCause(n.pr), telemetry.StageRingWait, 0)
+		return
+	}
 	tracer := n.server.tracer
 	var t1 int64
 	if tracer != nil {
@@ -327,9 +290,9 @@ func (n *nodeRT) processBurst(pkts []*packet.Packet) {
 			return
 		}
 		// One amortized boundary timestamp per NF: the histogram sample
-		// is the burst's mean per-packet service time (identical to the
-		// scalar sample when the burst is 1), and the same read closes
-		// the sampled service spans.
+		// is the burst's mean per-packet service time (the packet's own
+		// when the burst is 1), and the same read closes the sampled
+		// service spans.
 		now := time.Now()
 		s.svcTime.Record(now.Sub(prev).Nanoseconds() / int64(len(pkts)))
 		begin := cursor
@@ -338,26 +301,26 @@ func (n *nodeRT) processBurst(pkts []*packet.Packet) {
 		}
 		prev = now
 		kept := 0
-		dropped := 0
+		dropped := n.dropped[:0]
 		for i, pkt := range pkts {
 			if tracer.Sampled(pkt.Meta.PID) {
-				s.nfSpan(tracer, pkt, begin, cursor, n.sh.spanID, n.pr.spanGen)
+				// The burst's amortized invoke interval.
+				n.sh.span(n.pr, pkt, telemetry.StageNF, s.plan.NF.String(), begin, cursor)
 			}
 			if n.verdicts[i] == nf.Drop {
-				dropped++
-				// §5.2 "ignore": skip the forwarding actions and convey
-				// the dropping intention (the packet reference rides along
-				// so the merger can release the buffer once all tails
-				// report).
-				n.sh.deliverDrop(n.pr, s.plan.DropTo, pkt,
-					dropProv{cause: flightrec.CauseNFVerdict, stage: telemetry.StageNF, node: int32(s.plan.ID)}, cursor)
+				dropped = append(dropped, pkt)
 				continue
 			}
 			pkts[kept] = pkt
 			kept++
 		}
-		if dropped > 0 {
-			s.drops.Add(uint64(dropped))
+		if len(dropped) > 0 {
+			// §5.2 "ignore": skip the forwarding actions and convey the
+			// dropping intention (the packet references ride along so the
+			// merger can release the buffers once all tails report).
+			s.drops.Add(uint64(len(dropped)))
+			n.sh.deliver(n.pr, s.plan.DropTo, dropped, true,
+				dropProv{cause: flightrec.CauseNFVerdict, stage: telemetry.StageNF, node: int32(s.plan.ID)}, cursor, nil)
 		}
 		if kept == 0 {
 			return
@@ -365,5 +328,5 @@ func (n *nodeRT) processBurst(pkts []*packet.Packet) {
 		s.pktsOut.Add(uint64(kept))
 		pkts = pkts[:kept]
 	}
-	n.sh.execBurst(n.pr, n.tail().plan.Next, pkts, cursor)
+	n.sh.execBurst(n.pr, n.tail().plan.Next, pkts, cursor, nil)
 }

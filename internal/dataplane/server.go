@@ -56,7 +56,7 @@ const (
 	// bufSize is the per-buffer byte size; it leaves headroom over the
 	// MTU for AH encapsulation.
 	bufSize = 2048
-	// mergerQueue is each merger's input queue length, and outputQueue
+	// mergerQueue is each merger's receive ring capacity, and outputQueue
 	// the capacity of every output channel: both absorb a few bursts so
 	// a momentarily slow consumer does not stall the NF runtimes.
 	mergerQueue = 1024
@@ -87,10 +87,10 @@ type Config struct {
 	// Sharded servers run this many mergers per shard.
 	Mergers int
 	// Burst is the dataplane burst size (default 32): how many packet
-	// references NF runtimes and mergers drain per ring/queue visit, and
-	// the granularity at which per-burst telemetry is amortized. Burst=1
-	// is the bit-exact compatibility mode — it reproduces the scalar
-	// per-packet dataplane behavior, metric for metric.
+	// references NF runtimes and mergers drain per ring visit, and the
+	// granularity at which per-burst telemetry is amortized. Every
+	// hand-off is a burst; Burst=1 makes each a burst of one, so every
+	// counter, histogram sample and span lands per packet.
 	Burst int
 	// Shards replicates the whole dataplane (RSS-style flow sharding):
 	// each shard gets its own microflow cache, plan runtimes and rings,
@@ -213,8 +213,8 @@ type planRuntime struct {
 
 	// inflight counts packets injected into this runtime that have not
 	// yet reached their terminal output/drop event. Injectors reserve a
-	// slot via shard.acquire BEFORE enqueueing, and deliver's ToOutput
-	// arm releases it, so inflight == 0 means no packet of this
+	// slot via shard.acquire BEFORE enqueueing, and shard.emit releases
+	// it, so inflight == 0 means no packet of this
 	// generation exists anywhere: rings, NF bursts, mergers, or drop
 	// routes.
 	inflight atomic.Int64
@@ -679,16 +679,20 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 		head := &plan.Nodes[seg[0]]
 		headLabels := labelGen(sh.labelShard([]telemetry.Label{telemetry.L("nf", head.NF.String()), midLabel}), gen)
 		n := &nodeRT{
-			nfs:           make([]segNF, len(seg)),
-			rx:            ring.NewMPSC(s.cfg.RingSize),
-			server:        s,
-			sh:            sh,
-			pr:            pr,
-			canShed:       s.cfg.RingPolicy == BPDropTail || (s.cfg.RingPolicy == BPShedLowestPriority && shedSet[seg[0]]),
-			shedImmediate: s.cfg.RingPolicy == BPDropTail,
-			burst:         make([]*packet.Packet, s.cfg.Burst),
-			verdicts:      make([]nf.Verdict, s.cfg.Burst),
-			ringHW:        s.tel.Gauge("nfp_nf_ring_high_water", headLabels...),
+			nfs: make([]segNF, len(seg)),
+			inbox: inbox[*packet.Packet]{
+				rx:            ring.NewMPSC(s.cfg.RingSize),
+				ringHW:        s.tel.Gauge("nfp_nf_ring_high_water", headLabels...),
+				site:          pr.nodeNames[seg[0]],
+				canShed:       s.cfg.RingPolicy == BPDropTail || (s.cfg.RingPolicy == BPShedLowestPriority && shedSet[seg[0]]),
+				shedImmediate: s.cfg.RingPolicy == BPDropTail,
+			},
+			server:   s,
+			sh:       sh,
+			pr:       pr,
+			burst:    make([]*packet.Packet, s.cfg.Burst),
+			verdicts: make([]nf.Verdict, s.cfg.Burst),
+			dropped:  make([]*packet.Packet, 0, s.cfg.Burst),
 		}
 		// Static capacity beside the high-water mark, so the diagnosis
 		// layer can express occupancy as a fill fraction.
@@ -927,11 +931,6 @@ func (s *Server) Stop() {
 	}
 	s.note(flightrec.KindStop, s.generation.Load(), 0, 0)
 	s.stopped.Store(true)
-	for _, sh := range s.shards {
-		for _, m := range sh.mergers {
-			close(m.in)
-		}
-	}
 	s.wg.Wait()
 	if s.sharded() {
 		for _, sh := range s.shards {
@@ -961,8 +960,10 @@ func (s *Server) Inject(pkt *packet.Packet) bool {
 // InjectPreclassified sends a packet whose metadata (MID, PID,
 // version) was assigned elsewhere — the cross-server ingress path,
 // where the upstream server's classifier already tagged the packet and
-// the NSH shim carried the tags over the wire (§7). It reports false
-// when the MID has no installed graph. On a sharded server the packet
+// the NSH shim carried the tags over the wire (§7). It reports false,
+// and the caller keeps the packet, when the MID has no installed graph
+// or the carried version is not the one its graph starts from (0 means
+// unset and takes that version). On a sharded server the packet
 // executes on its flow's shard (resolved by hash, like fresh ingress),
 // so cross-server flow affinity is preserved.
 func (s *Server) InjectPreclassified(pkt *packet.Packet) bool {
@@ -972,7 +973,12 @@ func (s *Server) InjectPreclassified(pkt *packet.Packet) bool {
 		return false
 	}
 	if pkt.Meta.Version == 0 {
-		pkt.Meta.Version = 1
+		pkt.Meta.Version = pr.plan.BaseVersion
+	}
+	if pkt.Meta.Version != pr.plan.BaseVersion {
+		// Off the wire: the executor trusts a burst's source version.
+		pr.inflight.Add(-1)
+		return false
 	}
 	one := [1]*packet.Packet{pkt}
 	sh.injectBurst(pr, one[:])

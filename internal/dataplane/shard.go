@@ -116,19 +116,13 @@ func (sh *shard) inject(pkts []*packet.Packet) int {
 	return n
 }
 
-// classifySpan records the classify span of a sampled packet: it
-// begins at the source's Ingress stamp when one is set (and sane) so
-// ingress queueing is attributed, and ends at now — the cursor every
-// downstream span chains from.
-func (sh *shard) classifySpan(pr *planRuntime, pkt *packet.Packet, now int64) {
-	begin := pkt.Ingress
-	if begin <= 0 || begin > now {
-		begin = now
-	}
+// span records one span of a sampled packet, [begin, end] on stage st
+// under name (the NF or "classifier"; none for the terminal spans). Out
+// of line, so traced-path work never bloats a hot loop's code.
+func (sh *shard) span(pr *planRuntime, pkt *packet.Packet, st telemetry.Stage, name string, begin, end int64) {
 	sh.srv.tracer.RecordSpan(telemetry.TraceEvent{
 		PID: pkt.Meta.PID, MID: pkt.Meta.MID, Ver: pkt.Meta.Version,
-		Stage: telemetry.StageClassify, Name: "classifier",
-		Begin: begin, TS: now, Shard: sh.spanID, Gen: pr.spanGen,
+		Stage: st, Name: name, Begin: begin, TS: end, Shard: sh.spanID, Gen: pr.spanGen,
 	})
 }
 
@@ -149,180 +143,216 @@ func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet) {
 			if now == 0 {
 				now = time.Now().UnixNano()
 			}
-			sh.classifySpan(pr, pkt, now)
+			// From the source's Ingress stamp when one is set (RecordSpan
+			// clamps an unset or insane one), so ingress queueing is
+			// attributed, to now — the cursor downstream spans chain from.
+			sh.span(pr, pkt, telemetry.StageClassify, "classifier", pkt.Ingress, now)
 		}
 	}
 	sh.srv.injected.Add(uint64(len(pkts)))
-	sh.execBurst(pr, pr.plan.Entry, pkts, now)
+	sh.execBurst(pr, pr.plan.Entry, pkts, now, nil)
 }
 
-// exec runs a forwarding-table dispatch list on a packet. The held map
-// collects the versions materialized so far, seeded with the incoming
-// packet under its own version. cursor is the span-chain position (end
-// timestamp of the packet's previous span; 0 when unsampled) — copies
-// fork their own chain off it, and every delivery carries its
-// version's cursor forward.
-func (sh *shard) exec(pr *planRuntime, ds []Dispatch, pkt *packet.Packet, cursor int64) {
-	s := sh.srv
-	var held [packet.MaxVersion + 1]*packet.Packet
-	held[pkt.Meta.Version] = pkt
+// execChunk sizes the hand-off scratch (copies, merge items), kept on
+// the caller's stack: an injector is an arbitrary goroutine.
+const execChunk = 32
+
+// execBurst is the one executor: it runs a forwarding-table dispatch
+// list over a non-empty burst whose packets all carry the list's source
+// version (a packet is a burst of one). A list that copies takes the
+// buffers for ALL its copy dispatches with one reserved batch
+// allocation, under lossless pool backpressure; when the pool grants
+// only part, the packets whose copies are complete go through at once,
+// so a producer never sits on buffers while it parks. cursor is shared
+// by the burst: its sampled packets chain from the same amortized clock
+// read. self is the merger whose goroutine this is, nil on any other.
+func (sh *shard) execBurst(pr *planRuntime, ds []Dispatch, pkts []*packet.Packet, cursor int64, self *merger) {
+	nc := copiesIn(ds)
+	if nc == 0 {
+		sh.dispatch(pr, ds, pkts, nil, cursor, self)
+		return
+	}
+	var bufs [packet.MaxVersion * execChunk]*packet.Packet
+	w := ring.Waiter{SpinLimit: sh.srv.cfg.SpinLimit}
+	have := 0
+	for len(pkts) > 0 {
+		want := nc * min(len(pkts), execChunk)
+		have += sh.pool.AllocBatchReserved(bufs[have:want])
+		if have < nc {
+			sh.backoff(&w, sh.srv.recPoolID, 0)
+			continue
+		}
+		w.Reset()
+		n := have / nc
+		sh.dispatch(pr, ds, pkts[:n], bufs[:n*nc], cursor, self)
+		pkts = pkts[n:]
+		have = copy(bufs[:], bufs[n*nc:have])
+	}
+}
+
+// dispatch walks a dispatch list over a burst. held collects the
+// versions materialized so far as per-version slices of the burst,
+// seeded with the incoming packets; bufs holds len(pkts) fresh buffers
+// per copy dispatch, in list order. curs is each version's span-chain
+// position (end timestamp of its previous span, 0 unsampled): copies
+// fork their own chain off their source's, and every delivery carries
+// its version's cursor forward.
+func (sh *shard) dispatch(pr *planRuntime, ds []Dispatch, pkts, bufs []*packet.Packet, cursor int64, self *merger) {
+	var held [packet.MaxVersion + 1][]*packet.Packet
 	var curs [packet.MaxVersion + 1]int64
-	curs[pkt.Meta.Version] = cursor
-	sampled := s.tracer.Sampled(pkt.Meta.PID)
-	for _, d := range ds {
-		src := held[d.SrcVersion]
-		if src == nil {
+	base := pkts[0].Meta.Version
+	held[base], curs[base] = pkts, cursor
+	for i := range ds {
+		d := &ds[i]
+		out, c := held[d.SrcVersion], curs[d.SrcVersion]
+		if out == nil {
 			panic(fmt.Sprintf("dataplane: dispatch references missing version %d", d.SrcVersion))
 		}
-		out := src
 		if d.NewVersion != 0 {
-			cp := sh.allocCopy()
-			if d.FullCopy {
-				packet.FullCopy(src, cp, d.NewVersion)
-			} else {
-				packet.HeaderOnlyCopy(src, cp, d.NewVersion)
-			}
-			s.copies.Add(1)
-			s.copiedB.Add(uint64(cp.Len()))
-			if sampled {
-				now := time.Now().UnixNano()
-				s.tracer.RecordSpan(telemetry.TraceEvent{
-					PID: pkt.Meta.PID, MID: pkt.Meta.MID, Ver: d.NewVersion,
-					Stage: telemetry.StageCopy, Name: "copy", SrcVer: d.SrcVersion,
-					Begin: curs[d.SrcVersion], TS: now, Shard: sh.spanID, Gen: pr.spanGen,
-				})
-				curs[d.NewVersion] = now
-			}
-			held[d.NewVersion] = cp
+			cp := bufs[:len(pkts)]
+			bufs = bufs[len(pkts):]
+			c = sh.copyBurst(pr, d, out, cp, c)
+			held[d.NewVersion], curs[d.NewVersion] = cp, c
 			out = cp
 		}
 		for _, t := range d.Targets {
-			sh.deliver(pr, t, out, false, dropProv{}, curs[out.Meta.Version])
+			sh.deliver(pr, t, out, false, dropProv{}, c, self)
 		}
 	}
 }
 
-// execBurst runs one dispatch list over a burst of packets. The common
-// chain shape — a single no-copy dispatch to one downstream NF — is
-// delivered with one batched ring enqueue and one high-water sample;
-// everything else (copies, joins, multi-target fan-out) falls back to
-// the scalar executor per packet, which already handles every shape.
-// cursor is shared by the whole burst: sampled packets of one burst
-// chain from the same amortized clock read.
-func (sh *shard) execBurst(pr *planRuntime, ds []Dispatch, pkts []*packet.Packet, cursor int64) {
-	if len(pkts) == 1 {
-		sh.exec(pr, ds, pkts[0], cursor)
-		return
-	}
-	if len(ds) == 1 && ds[0].NewVersion == 0 &&
-		len(ds[0].Targets) == 1 && ds[0].Targets[0].Kind == ToNode &&
-		len(pkts) > 0 && pkts[0].Meta.Version == ds[0].SrcVersion {
-		sh.ringPush(pr, pr.owner[ds[0].Targets[0].Node], pkts, cursor)
-		return
-	}
-	for _, pkt := range pkts {
-		sh.exec(pr, ds, pkt, cursor)
-	}
-}
-
-// allocCopy obtains a buffer from the shard's pool partition, applying
-// lossless backpressure (bounded spin, then park) when the partition is
-// momentarily exhausted.
-func (sh *shard) allocCopy() *packet.Packet {
-	if pkt := sh.pool.GetReserved(); pkt != nil {
-		return pkt
-	}
+// copyBurst materializes one copy dispatch: dst[i] becomes version
+// d.NewVersion of src[i]. A burst holding a sampled packet reads the
+// clock once: the shared timestamp ends every sampled copy span and is
+// where the new version's chain begins (the return value).
+func (sh *shard) copyBurst(pr *planRuntime, d *Dispatch, src, dst []*packet.Packet, cursor int64) int64 {
 	s := sh.srv
-	w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
-	engaged := false
-	for {
-		if w.Wait() {
-			s.bpParks.Add(1)
-			if !engaged {
-				engaged = true
-				sh.noteBackpressure(s.recPoolID, 0)
-			}
+	var bytes uint64
+	for i, from := range src {
+		if d.FullCopy {
+			packet.FullCopy(from, dst[i], d.NewVersion)
 		} else {
-			s.bpYields.Add(1)
+			packet.HeaderOnlyCopy(from, dst[i], d.NewVersion)
 		}
-		if pkt := sh.pool.GetReserved(); pkt != nil {
-			return pkt
+		bytes += uint64(dst[i].Len())
+	}
+	s.copies.Add(uint64(len(src)))
+	s.copiedB.Add(bytes)
+	var now int64
+	for _, from := range src {
+		if s.tracer.Sampled(from.Meta.PID) {
+			if now == 0 {
+				now = time.Now().UnixNano()
+			}
+			s.tracer.RecordSpan(telemetry.TraceEvent{
+				PID: from.Meta.PID, MID: from.Meta.MID, Ver: d.NewVersion,
+				Stage: telemetry.StageCopy, Name: "copy", SrcVer: d.SrcVersion,
+				Begin: cursor, TS: now, Shard: sh.spanID, Gen: pr.spanGen,
+			})
 		}
 	}
+	if now != 0 {
+		cursor = now
+	}
+	return cursor
 }
 
-// deliver sends one packet reference to a target, carrying the span
-// cursor (end timestamp of the packet's previous span, 0 unsampled)
-// into the next stage: ring deliveries stash it for the consumer, join
-// deliveries ride it on the merge item, and output closes the chain
-// with the terminal span. prov is the drop provenance (meaningful only
-// when dropped): the ToOutput arm is the single terminal accounting
-// point, so attributing the cause here — after mergers collapse
-// parallel copies to one verdict — keeps the per-cause counters
-// summing exactly to total drops.
-func (sh *shard) deliver(pr *planRuntime, t Target, pkt *packet.Packet, dropped bool, prov dropProv, cursor int64) {
-	s := sh.srv
+// deliver hands a burst of packet references to a target — the one
+// place a Target is resolved at run time. The burst shares one header:
+// dropped marks every packet a drop intention (the references ride
+// along so buffers can be reclaimed) with prov its provenance, and
+// cursor is the span-chain position carried into the next stage: ring
+// deliveries stash it for the consumer, join deliveries ride it on the
+// merge items, and output closes the chain with the terminal span.
+func (sh *shard) deliver(pr *planRuntime, t Target, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64, self *merger) {
 	switch t.Kind {
 	case ToNode:
-		var one [1]*packet.Packet
-		one[0] = pkt
-		sh.ringPush(pr, pr.owner[t.Node], one[:], cursor)
+		sh.ringPush(pr, pr.owner[t.Node], pkts, cursor, self)
 	case ToJoin:
-		// Merger agent (§5.3): hash the immutable PID to pick the
-		// merger instance, so all copies of one packet meet at the
-		// same merger while different packets spread across instances.
-		// The item carries the packet's OWN generation runtime: during
-		// a reload, old- and new-generation packets of the same MID can
-		// interleave at one merger, and each must finalize against its
-		// own plan tables.
-		m := sh.mergers[flow.HashPID(pkt.Meta.PID)%uint64(len(sh.mergers))]
-		m.in <- mergeItem{pkt: pkt, pr: pr, join: t.Join, dropped: dropped, prov: prov, cursor: cursor}
+		sh.joinPush(pr, t.Join, pkts, dropped, prov, cursor, self)
 	case ToOutput:
-		// now is the terminal timestamp of a sampled packet (0 when
-		// unsampled): the end of its last span and of its end-to-end
-		// latency, one clock read for both.
-		var now int64
+		sh.emit(pr, pkts, dropped, prov, cursor)
+	}
+}
+
+// joinPush is the merger agent (§5.3): it hashes the immutable PID to
+// pick the merger instance, so all copies of one packet meet at the
+// same merger while different packets spread across instances, and
+// partitions the burst accordingly — one queue operation per (burst,
+// instance). The items carry the packets' OWN generation runtime:
+// across a reload two generations of one MID interleave at a merger,
+// and each packet must finalize against its own plan tables.
+//
+// A merger never enqueues to itself: a continuation or drop route that
+// reaches a join from the merger's own goroutine (same PID, so the same
+// instance) is accepted in place. Blocking on its own ring, which only
+// it drains, would wedge it for good once the ring filled.
+func (sh *shard) joinPush(pr *planRuntime, join int, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64, self *merger) {
+	var items [execChunk]mergeItem
+	var inst [execChunk]int
+	for len(pkts) > 0 {
+		chunk := pkts[:min(len(pkts), execChunk)]
+		pkts = pkts[len(chunk):]
+		// Resolved before the first hand-off: a merger may finalize and
+		// recycle a packet the moment it has it.
+		for i, pkt := range chunk {
+			inst[i] = int(flow.HashPID(pkt.Meta.PID) % uint64(len(sh.mergers)))
+		}
+		for mi, m := range sh.mergers {
+			k := 0
+			for i, pkt := range chunk {
+				if inst[i] == mi {
+					items[k] = mergeItem{pkt: pkt, pr: pr, join: join, dropped: dropped, prov: prov, cursor: cursor}
+					k++
+				}
+			}
+			if m == self {
+				m.accept(items[:k])
+			} else if k > 0 {
+				push(sh, &m.inbox, pr.gen, items[:k])
+			}
+		}
+	}
+}
+
+// emit is the single terminal accounting point: exactly one terminal
+// event per injected packet (copies die at joins, drop intentions
+// resolve to one terminal drop), so attributing the drop cause here —
+// after mergers collapse parallel copies to one verdict — keeps the
+// per-cause counters summing exactly to total drops. The shared
+// counters and in-flight slots are settled once per burst, and only
+// after the last buffer was freed or the last output send completed, so
+// inflight == 0 — the reload drain condition — means every packet of
+// the generation has fully surfaced, not merely been handed off.
+func (sh *shard) emit(pr *planRuntime, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
+	s := sh.srv
+	for _, pkt := range pkts {
+		// One clock read ends a sampled packet's last span and its
+		// end-to-end latency, taken as the packet itself surfaces.
 		if s.tracer.Sampled(pkt.Meta.PID) {
-			now = time.Now().UnixNano()
+			now := time.Now().UnixNano()
 			st := telemetry.StageOutput
 			if dropped {
 				st = telemetry.StageDrop
+			} else if pkt.Ingress > 0 {
+				pr.e2eLat.Record(now - pkt.Ingress)
 			}
-			s.tracer.RecordSpan(telemetry.TraceEvent{
-				PID: pkt.Meta.PID, MID: pkt.Meta.MID, Ver: pkt.Meta.Version,
-				Stage: st, Begin: cursor, TS: now, Shard: sh.spanID,
-				Gen: pr.spanGen,
-			})
+			sh.span(pr, pkt, st, "", cursor, now)
 		}
-		// Terminal event: exactly one per injected packet (copies die
-		// at joins, drop intentions resolve to one terminal drop). The
-		// in-flight slot is released only after the buffer is freed or
-		// the output send completed, so inflight == 0 — the reload
-		// drain condition — means every packet of the generation has
-		// fully surfaced, not merely been handed off.
 		if dropped {
-			s.drops.Add(1)
-			sh.dropCounter(pr, prov).Inc()
 			sh.recordDrop(pr, prov, pkt, cursor)
 			pkt.Free()
-			pr.terminal.Add(1)
-			pr.inflight.Add(-1)
-			return
+		} else {
+			sh.out <- pkt
 		}
-		if now != 0 && pkt.Ingress > 0 {
-			pr.e2eLat.Record(now - pkt.Ingress)
-		}
-		s.outCount.Add(1)
-		sh.out <- pkt
-		pr.terminal.Add(1)
-		pr.inflight.Add(-1)
 	}
-}
-
-// deliverDrop routes a drop intention (with the packet reference so
-// buffers can be reclaimed, and its provenance so the terminal
-// accounting point can attribute the cause) to the nearest join or the
-// output.
-func (sh *shard) deliverDrop(pr *planRuntime, t Target, pkt *packet.Packet, prov dropProv, cursor int64) {
-	sh.deliver(pr, t, pkt, true, prov, cursor)
+	n := uint64(len(pkts))
+	if dropped {
+		s.drops.Add(n)
+		sh.dropCounter(pr, prov).Add(n)
+	} else {
+		s.outCount.Add(n)
+	}
+	pr.terminal.Add(n)
+	pr.inflight.Add(-int64(n))
 }

@@ -83,7 +83,7 @@ func New(n, bufSize int) *Pool {
 // buffer's release hook is re-pointed at its owning child, so pkt.Free
 // always returns a buffer to the partition it came from, no matter
 // which goroutine frees it. The parent becomes a facade: Get /
-// GetReserved / AllocBatch delegate round-robin across the children
+// AllocBatch / AllocBatchReserved delegate round-robin across the children
 // (so traffic sources that only hold a *Pool keep working), and
 // Available / InUse / Stats aggregate them. All children share the
 // parent's metric objects — never call MustRegister on a child.
@@ -139,11 +139,12 @@ func (p *Pool) Partitions() []*Pool {
 	return nil
 }
 
-// SetReserve keeps k buffers out of reach of Get, available only to
-// GetReserved. The dataplane reserves buffers for the packet copies its
-// parallel stages create: without the reserve, a traffic source that
-// greedily drains the pool deadlocks the copy path (the source waits
-// for buffers that can only be freed once a copy is allocated).
+// SetReserve keeps k buffers out of reach of Get and AllocBatch,
+// available only to AllocBatchReserved. The dataplane reserves buffers
+// for the packet copies its parallel stages create: without the
+// reserve, a traffic source that greedily drains the pool deadlocks the
+// copy path (the source waits for buffers that can only be freed once a
+// copy is allocated).
 //
 // On a partitioned pool the reserve is distributed across the
 // children, so every shard keeps its own slice of copy headroom.
@@ -182,16 +183,6 @@ func (p *Pool) Get() *packet.Packet {
 	return one[0]
 }
 
-// GetReserved is Get for the dataplane's internal copy path: it may
-// consume the reserved buffers.
-func (p *Pool) GetReserved() *packet.Packet {
-	var one [1]*packet.Packet
-	if p.allocBatch(one[:], false) == 0 {
-		return nil
-	}
-	return one[0]
-}
-
 // AllocBatch fills out with up to len(out) fresh packets under a single
 // lock acquisition — the burst analog of Get. It returns the count; a
 // short batch (possibly zero) means the pool is exhausted down to the
@@ -201,8 +192,14 @@ func (p *Pool) AllocBatch(out []*packet.Packet) int {
 	return p.allocBatch(out, true)
 }
 
-// allocBatch is the one allocation implementation; Get/GetReserved are
-// single-element bursts over it.
+// AllocBatchReserved is AllocBatch for the dataplane's internal copy
+// path: it may consume the reserved buffers.
+func (p *Pool) AllocBatchReserved(out []*packet.Packet) int {
+	return p.allocBatch(out, false)
+}
+
+// allocBatch is the one allocation implementation; Get is a
+// single-element burst over it.
 func (p *Pool) allocBatch(out []*packet.Packet, honorReserve bool) int {
 	if len(out) == 0 {
 		return 0

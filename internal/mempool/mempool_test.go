@@ -123,13 +123,13 @@ func TestReserve(t *testing.T) {
 	if len(got) != 5 {
 		t.Errorf("Get obtained %d buffers, want 5 (3 reserved)", len(got))
 	}
-	// The reserved path still reaches the remaining buffers.
-	for i := 0; i < 3; i++ {
-		if p.GetReserved() == nil {
-			t.Fatalf("GetReserved %d failed", i)
-		}
+	// The reserved path still reaches the remaining buffers: a batch
+	// larger than what is left comes back short, then empty.
+	rest := make([]*packet.Packet, 4)
+	if n := p.AllocBatchReserved(rest); n != 3 {
+		t.Fatalf("AllocBatchReserved = %d, want the 3 reserved buffers", n)
 	}
-	if p.GetReserved() != nil {
+	if p.AllocBatchReserved(rest[:1]) != 0 {
 		t.Error("empty pool returned a buffer")
 	}
 }
@@ -189,10 +189,8 @@ func TestAllocBatchHonorsReserve(t *testing.T) {
 	if p.AllocBatch(make([]*packet.Packet, 1)) != 0 {
 		t.Error("batch dug into the reserve")
 	}
-	for i := 0; i < 3; i++ {
-		if p.GetReserved() == nil {
-			t.Fatalf("GetReserved %d failed after batch", i)
-		}
+	if n := p.AllocBatchReserved(make([]*packet.Packet, 3)); n != 3 {
+		t.Fatalf("AllocBatchReserved after batch = %d, want 3", n)
 	}
 }
 
@@ -427,7 +425,7 @@ func TestPartitionedParentDelegates(t *testing.T) {
 }
 
 // SetReserve on a partitioned pool distributes copy headroom: every
-// partition keeps its own reserved slice for GetReserved.
+// partition keeps its own reserved slice for AllocBatchReserved.
 func TestPartitionSetReserve(t *testing.T) {
 	p := New(8, 128)
 	parts := p.Partition(2)
@@ -443,10 +441,11 @@ func TestPartitionSetReserve(t *testing.T) {
 		if c.Get() != nil {
 			t.Error("Get dipped into the partition reserve")
 		}
-		r := c.GetReserved()
-		if r == nil {
-			t.Error("GetReserved failed on the partition reserve")
+		var one [1]*packet.Packet
+		if c.AllocBatchReserved(one[:]) != 1 {
+			t.Error("AllocBatchReserved failed on the partition reserve")
 		}
+		r := one[0]
 		for _, pkt := range []*packet.Packet{a, b, cc, r} {
 			if pkt != nil {
 				pkt.Free()
