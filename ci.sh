@@ -42,6 +42,15 @@
 #                    (injected == outputs + drops, zero pool buffers
 #                    held) and a complete generation history. Also
 #                    exercises nfpinspect config.
+#   ./ci.sh twostage — the sequential-joins smoke: runs the chain the
+#                    compiler lowers to two parallel stages in a row,
+#                    [l3fwd || lb] -> [monitor || firewall], through
+#                    nfpd for a million packets under ten seeds, with
+#                    the default shard count and with one shard, each
+#                    under a 60 s timeout. nfpd exits non-zero on a leak
+#                    and the timeout catches a wedge (the shape stopped
+#                    for good before admission bounded what a packet can
+#                    occupy inside the graph, DESIGN.md §6).
 #   ./ci.sh benchcheck — the repo benchmark's correctness check: runs
 #                    the five frozen BENCHMARK.json workloads through
 #                    `go run ./bench -check`, which holds each against
@@ -51,6 +60,17 @@ set -eux
 
 if [ "${1:-}" = "benchcheck" ]; then
     go run ./bench -check
+    exit 0
+fi
+
+if [ "${1:-}" = "twostage" ]; then
+    bin="$(mktemp -d)"
+    trap 'rm -rf "$bin"' EXIT
+    go build -o "$bin/nfpd" ./cmd/nfpd
+    for seed in $(seq 1 10); do
+        timeout 60 "$bin/nfpd" -chain l3fwd,lb,monitor,firewall -packets 1000000 -seed "$seed" >/dev/null
+        timeout 60 "$bin/nfpd" -chain l3fwd,lb,monitor,firewall -packets 1000000 -seed "$seed" -shards 1 >/dev/null
+    done
     exit 0
 fi
 

@@ -44,6 +44,14 @@ func (p BackpressurePolicy) String() string {
 	return fmt.Sprintf("policy(%d)", uint8(p))
 }
 
+// shedCause is the drop cause of the packets a shedding policy gives up on.
+func (p BackpressurePolicy) shedCause() flightrec.Cause {
+	if p == BPDropTail {
+		return flightrec.CauseDropTail
+	}
+	return flightrec.CauseShedPriority
+}
+
 // ParseBackpressurePolicy parses a -ring-policy flag value.
 func ParseBackpressurePolicy(s string) (BackpressurePolicy, error) {
 	switch s {
@@ -62,24 +70,11 @@ func ParseBackpressurePolicy(s string) (BackpressurePolicy, error) {
 // genuine stall transitions to parking (or shedding) quickly.
 const DefaultSpinLimit = 256
 
-// inbox is a receive ring with its overload contract. Every NF runtime
-// owns one carrying packet references and every merger one carrying
-// branch-tail reports; push is the only way in, drain the only way out.
-type inbox[T any] struct {
-	rx     *ring.MPSC[T]
-	ringHW *telemetry.Gauge // the ring's high-water mark
-	site   uint32           // the ring's interned name on backpressure events
-	// canShed lets a producer give up on a ring that stays full — at
-	// once when shedImmediate, else after the bounded spin. Mergers never
-	// shed: a shed tail would need its own drop provenance at the join.
-	canShed       bool
-	shedImmediate bool
-}
-
 // backoff is one pacing step of a backpressured producer — bounded
 // spin, then park — counted as it happens, so a producer parked behind
 // a long stall is visible on /metrics while it is still parked, with
-// the episode's first park noted on the event ring against site.
+// the episode's first park noted on the event ring against site: a full
+// NF ring (push) or the admission budget (acquire), nothing else waits.
 func (sh *shard) backoff(w *ring.Waiter, site uint32, gen uint64) {
 	s := sh.srv
 	if !w.Wait() {
@@ -88,36 +83,36 @@ func (sh *shard) backoff(w *ring.Waiter, site uint32, gen uint64) {
 	}
 	s.bpParks.Add(1)
 	if _, parks := w.Stats(); parks == 1 {
-		s.rec.Event(flightrec.Note{
-			Shard: sh.id, Kind: flightrec.KindBackpressure, Gen: gen, Node: site, Count: 1,
-		})
+		sh.note(flightrec.KindBackpressure, gen, site, 1)
 	}
 }
 
-// push is the one producer loop: it enqueues a burst into an inbox and
-// returns the tail the inbox's policy gave up on, for the caller to shed
-// — empty when it cannot shed: the producer backs off until room is made.
-func push[T any](sh *shard, in *inbox[T], gen uint64, items []T) []T {
-	rem := items[in.rx.EnqueueBatch(items):]
+// push is the one producer loop: it enqueues a burst into n's receive
+// ring and returns the tail the ring's policy gave up on, for the caller
+// to shed — empty when it cannot shed: the producer backs off until room
+// is made.
+func (sh *shard) push(n *nodeRT, gen uint64, pkts []*packet.Packet) []*packet.Packet {
+	rem := pkts[n.rx.EnqueueBatch(pkts):]
 	w := ring.Waiter{SpinLimit: sh.srv.cfg.SpinLimit}
-	for len(rem) > 0 && !(in.canShed && (in.shedImmediate || w.Exhausted())) {
-		sh.backoff(&w, in.site, gen)
-		if k := in.rx.EnqueueBatch(rem); k > 0 {
+	for len(rem) > 0 && !(n.canShed && (n.shedImmediate || w.Exhausted())) {
+		sh.backoff(&w, n.site, gen)
+		if k := n.rx.EnqueueBatch(rem); k > 0 {
 			rem = rem[k:]
 			w.Reset()
 		}
 	}
-	in.ringHW.SetMax(int64(in.rx.Len()))
+	n.ringHW.SetMax(int64(n.rx.Len()))
 	return rem
 }
 
-// drain is the one consumer loop: it polls an inbox in bursts (busy
-// polling softened by the spin+park waiter, so an idle consumer releases
-// its core) and hands each to handle, until done() with the ring empty.
-func drain[T any](in *inbox[T], buf []T, spinLimit int, done func() bool, handle func([]T)) {
+// drain is the one consumer loop: it polls a receive ring in bursts
+// (busy polling softened by the spin+park waiter, so an idle consumer
+// releases its core) and hands each to handle, until done() with the ring
+// empty.
+func drain[T any](rx *ring.MPSC[T], buf []T, spinLimit int, done func() bool, handle func([]T)) {
 	idle := ring.Waiter{SpinLimit: spinLimit}
 	for {
-		cnt := in.rx.DequeueBatch(buf)
+		cnt := rx.DequeueBatch(buf)
 		if cnt == 0 {
 			if done() {
 				return
@@ -143,7 +138,7 @@ func drain[T any](in *inbox[T], buf []T, spinLimit int, done func() bool, handle
 // one packet never collide) BEFORE the enqueue, so the consumer — who
 // may dequeue instantly — always finds it. A shed packet's stash is
 // reclaimed here: the drop route continues its chain from cursor.
-func (sh *shard) ringPush(pr *planRuntime, n *nodeRT, pkts []*packet.Packet, cursor int64, self *merger) {
+func (sh *shard) ringPush(pr *planRuntime, n *nodeRT, pkts []*packet.Packet, cursor int64) {
 	tr, head := sh.srv.tracer, n.head().plan
 	if tr != nil { // untraced servers skip the per-packet hash on every hop
 		for _, pkt := range pkts {
@@ -152,22 +147,16 @@ func (sh *shard) ringPush(pr *planRuntime, n *nodeRT, pkts []*packet.Packet, cur
 			}
 		}
 	}
-	shed := push(sh, &n.inbox, pr.gen, pkts)
+	shed := sh.push(n, pr.gen, pkts)
 	if len(shed) == 0 {
 		return
 	}
-	cause := flightrec.CauseShedPriority
-	if n.shedImmediate {
-		cause = flightrec.CauseDropTail
-	}
-	sh.srv.rec.Event(flightrec.Note{
-		Shard: sh.id, Kind: flightrec.KindShed, Gen: pr.gen, Node: n.site, Count: uint64(len(shed)),
-	})
+	sh.note(flightrec.KindShed, pr.gen, n.site, uint64(len(shed)))
 	for _, pkt := range shed {
 		if tr.Sampled(pkt.Meta.PID) {
 			tr.TakeCursor(pkt.Meta.PID, pkt.Meta.Version, head.ID)
 		}
 	}
-	prov := dropProv{cause: cause, stage: telemetry.StageRingWait, node: int32(head.ID)}
-	sh.deliver(pr, head.DropTo, shed, true, prov, cursor, self)
+	prov := dropProv{cause: sh.srv.cfg.RingPolicy.shedCause(), stage: telemetry.StageRingWait, node: int32(head.ID)}
+	sh.deliver(pr, head.DropTo, shed, true, prov, cursor)
 }

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -295,4 +296,72 @@ func mustL3(t *testing.T) nf.NF {
 		t.Fatal(err)
 	}
 	return fwd
+}
+
+// TestOverloadBehindSequentialJoins: a shedding ring policy keeps the
+// injector moving whatever the graph weighs. On default-sized rings a
+// graph of joins in sequence weighs enough that the admission budget
+// covers fewer packets than one NF ring holds, so a stalled NF's ring
+// cannot overflow; the policy then sheds at admission, after the bounded
+// spin, instead of parking the injector there for as long as the stall
+// lasts.
+func TestOverloadBehindSequentialJoins(t *testing.T) {
+	for _, policy := range []BackpressurePolicy{BPDropTail, BPShedLowestPriority} {
+		for stages := 2; stages <= 3; stages++ {
+			for _, at := range []int{0, stages - 1} {
+				t.Run(fmt.Sprintf("%v/stages=%d/stalled=%d", policy, stages, at), func(t *testing.T) {
+					stall := faultinject.NewStallNF(nf.NewMonitor())
+					var g graph.Seq
+					for i := 0; i < stages; i++ {
+						g.Items = append(g.Items, copyStage(nfn(nfa.NFMonitor, i), nfn(nfa.NFLB, i)))
+					}
+					s := New(Config{RingPolicy: policy, SpinLimit: 8})
+					if err := s.AddGraphInstances(1, g, map[graph.NF]nf.NF{nfn(nfa.NFMonitor, at): stall}); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Start(); err != nil {
+						t.Fatal(err)
+					}
+					col := collectOutputs(s)
+					stall.Stall()
+
+					const n = 2000
+					injDone := make(chan struct{})
+					go func() {
+						defer close(injDone)
+						for i := 0; i < n; i++ {
+							if !s.Inject(buildInto(t, s, spec(byte(i%5), uint16(8000+i%64), "seqjoin"))) {
+								t.Error("classification failed")
+								return
+							}
+						}
+					}()
+					select {
+					case <-injDone:
+					case <-time.After(20 * time.Second):
+						st := s.Stats()
+						t.Errorf("injector still held behind the stalled NF: injected=%d sheds=%d sites=%v",
+							st.Injected, st.Sheds, backpressureSites(s))
+					}
+					stall.Release()
+					<-injDone
+					s.Stop()
+					outs := uint64(col.wait())
+
+					st := s.Stats()
+					if st.Sheds == 0 || shedsAt(s, "admission") == 0 {
+						t.Errorf("sheds = %d (%d at admission), want the overflow shed there", st.Sheds, shedsAt(s, "admission"))
+					}
+					if st.Injected != n || st.Injected != st.Outputs+st.Drops || st.Drops != st.Sheds || outs != st.Outputs {
+						t.Errorf("accounting: injected=%d outputs=%d drops=%d sheds=%d collected=%d",
+							st.Injected, st.Outputs, st.Drops, st.Sheds, outs)
+					}
+					auditLedger(t, s, st.Drops)
+					if leak := s.Pool().InUse(); leak != 0 {
+						t.Fatalf("pool leak: %d buffers", leak)
+					}
+				})
+			}
+		}
+	}
 }

@@ -36,14 +36,11 @@ type dropProv struct {
 // fails loudly.
 func (sh *shard) dropCounter(pr *planRuntime, prov dropProv) *telemetry.Counter {
 	idx := int(prov.node)*flightrec.NumCauses + int(prov.cause)
-	if idx < 0 || idx >= len(pr.dropCtrs) {
-		idx = int(prov.cause) % flightrec.NumCauses
-	}
 	if c := pr.dropCtrs[idx].Load(); c != nil {
 		return c
 	}
-	nf := "?"
-	if int(prov.node) >= 0 && int(prov.node) < len(pr.plan.Nodes) {
+	nf := "admission" // the row past the plan's nodes
+	if int(prov.node) < len(pr.plan.Nodes) {
 		nf = pr.plan.Nodes[prov.node].NF.String()
 	}
 	c := sh.srv.tel.Counter(flightrec.MetricDrops, labelGen(sh.labelShard([]telemetry.Label{
@@ -66,16 +63,20 @@ func (sh *shard) recordDrop(pr *planRuntime, prov dropProv, pkt *packet.Packet, 
 		Cause:  prov.cause,
 		Stage:  uint8(prov.stage),
 		Gen:    pr.gen,
+		Node:   pr.nodeNames[prov.node],
 		PID:    pkt.Meta.PID,
 		Cursor: cursor,
-	}
-	if int(prov.node) >= 0 && int(prov.node) < len(pr.nodeNames) {
-		d.Node = pr.nodeNames[prov.node]
 	}
 	if k, err := pkt.FlowKey(); err == nil {
 		d.Flow, d.HasKey = k, true
 	}
 	sh.srv.rec.Drop(d)
+}
+
+// note puts one event of this shard — a panic, restart, shed or
+// backpressure episode at node — on the flight recorder.
+func (sh *shard) note(kind flightrec.Kind, gen uint64, node uint32, count uint64) {
+	sh.srv.rec.Event(flightrec.Note{Shard: sh.id, Kind: kind, Gen: gen, Node: node, Count: count})
 }
 
 // note records a server-lifecycle event against shard 0.

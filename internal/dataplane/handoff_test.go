@@ -213,7 +213,8 @@ func TestExecBurstFanoutAllocs(t *testing.T) {
 		packet.BuildInto(p, shapeSpec(i))
 	}
 	// The server is never started: the test goroutine is the only one
-	// running, and plays consumer between runs.
+	// running, and plays consumer — and emit, settling the burst's budget —
+	// between runs.
 	allocs := testing.AllocsPerRun(50, func() {
 		if s.InjectBatch(pkts[:]) != len(pkts) {
 			t.Fatal("burst rejected")
@@ -225,6 +226,7 @@ func TestExecBurstFanoutAllocs(t *testing.T) {
 			t.Fatal("copies not delivered as one burst")
 		}
 		s.Pool().FreeBatch(drained[:])
+		s.shards[0].settle(pr, len(pkts), true)
 	})
 	if allocs != 0 {
 		t.Errorf("fan-out of one burst allocates %.1f times, want 0", allocs)
@@ -247,14 +249,30 @@ func backpressureSites(s *Server) map[string]bool {
 	return sites
 }
 
+// waitBackpressure polls until a backpressure event names site.
+func waitBackpressure(t *testing.T, s *Server, site string) {
+	t.Helper()
+	for limit := time.Now().Add(10 * time.Second); !backpressureSites(s)[site]; {
+		if time.Now().After(limit) {
+			t.Fatalf("no producer parked at %q: sites=%v", site, backpressureSites(s))
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
 // TestExecBurstPoolExhaustionMidBurst: a burst whose copies the pool can
-// only partly provide. The first allocation fails outright (the producer
-// parks, charged to the pool), the second is granted in part (a co-tenant
-// holds the rest): the packets whose copies exist go ahead, the others
-// follow as buffers come back. Nothing is lost and the copy count is
-// exact.
+// only partly provide — a co-tenant holds everything but the copy
+// reserve, and a stalled branch keeps the first copies alive. Admission
+// lets in exactly the prefix the reserve covers and the injector parks
+// there, at ingress, charged to admission; the copy allocation inside
+// the graph never comes back short even with the pool drained to its
+// last buffer and a fault schedule armed on it (which fails the traffic
+// source's next allocation, nothing inside the graph). Once the branch
+// moves the rest follows: nothing is lost and the copy count is exact.
 func TestExecBurstPoolExhaustionMidBurst(t *testing.T) {
-	const poolSize, burst = 64, 32 // reserve: 8 buffers
+	const poolSize, burst = 64, 32
+	const reserve = poolSize / copyReserveDiv
+	stall := faultinject.NewStallNF(nf.NewMonitor())
 	s := New(Config{PoolSize: poolSize, Burst: burst, SpinLimit: -1})
 	g := graph.Par{
 		Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
@@ -262,13 +280,14 @@ func TestExecBurstPoolExhaustionMidBurst(t *testing.T) {
 		FullCopy: []bool{false, false},
 		Ops:      carry(2),
 	}
-	if err := s.AddGraph(1, g); err != nil {
+	if err := s.AddGraphInstances(1, g, map[graph.NF]nf.NF{nfn(nfa.NFMonitor, 0): stall}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	col := collectOutputs(s)
+	stall.Stall()
 
 	var pkts [burst]*packet.Packet
 	if s.Pool().AllocBatch(pkts[:]) != burst {
@@ -278,17 +297,40 @@ func TestExecBurstPoolExhaustionMidBurst(t *testing.T) {
 		packet.BuildInto(p, shapeSpec(i))
 	}
 	hog := faultinject.NewPoolHog(s.Pool())
-	if hog.Grab(poolSize); s.Pool().Available() >= burst {
-		t.Fatalf("hog left %d buffers: the copy batch would be granted whole", s.Pool().Available())
+	if hog.Grab(poolSize); s.Pool().Available() != reserve {
+		t.Fatalf("hog left %d buffers, want the copy reserve of %d", s.Pool().Available(), reserve)
 	}
+	failsBefore := s.Pool().Stats().Failures
 	sched := faultinject.NewAllocSchedule(1)
 	s.Pool().SetFaultHook(sched.Hook)
-	if s.InjectBatch(pkts[:]) != burst {
-		t.Fatal("burst rejected")
+	injDone := make(chan int)
+	go func() { injDone <- s.InjectBatch(pkts[:]) }()
+
+	waitBackpressure(t, s, "admission")
+	if st := s.Stats(); st.Injected != reserve || st.Copies != reserve {
+		t.Errorf("behind the stalled branch: injected=%d copies=%d, want the %d packets the reserve covers",
+			st.Injected, st.Copies, reserve)
 	}
-	s.Pool().SetFaultHook(nil)
+	if s.Pool().InUse() != poolSize {
+		t.Errorf("pool in use = %d, want all %d: the admitted copies take exactly the reserve", s.Pool().InUse(), poolSize)
+	}
+	if parks := s.Telemetry().Counter("nfp_backpressure_parks_total").Value(); parks == 0 {
+		t.Error("backpressure event without a counted park")
+	}
+
+	stall.Release()
+	if acc := <-injDone; acc != burst {
+		t.Fatalf("InjectBatch accepted %d of %d", acc, burst)
+	}
 	hog.ReleaseAll()
 	s.Stop()
+	if sched.Batches() != 0 {
+		t.Errorf("the copy path consulted the fault schedule %d times", sched.Batches())
+	}
+	if s.Pool().Get() != nil || sched.Failed() != 1 {
+		t.Errorf("the schedule did not fail the source's allocation (%d failed)", sched.Failed())
+	}
+	s.Pool().SetFaultHook(nil)
 
 	st := s.Stats()
 	if outs := col.wait(); outs != burst || st.Outputs != burst || st.Drops != 0 {
@@ -297,28 +339,22 @@ func TestExecBurstPoolExhaustionMidBurst(t *testing.T) {
 	if st.Copies != burst {
 		t.Errorf("copies = %d, want %d", st.Copies, burst)
 	}
-	if sched.Failed() != 1 || sched.Batches() < 3 {
-		t.Errorf("allocation batches = %d (%d failed), want one failure, one partial grant and the rest",
-			sched.Batches(), sched.Failed())
-	}
-	if parks := s.Telemetry().Counter("nfp_backpressure_parks_total").Value(); parks == 0 {
-		t.Error("the producer never parked on the empty pool")
-	}
-	if !backpressureSites(s)["mempool"] {
-		t.Errorf("no backpressure event names the pool: %v", backpressureSites(s))
+	if fails := s.Pool().Stats().Failures - failsBefore; fails != 1 {
+		t.Errorf("%d allocation failures, want the source's scheduled one and none inside the graph", fails)
 	}
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Fatalf("pool leak: %d buffers", leak)
 	}
 }
 
-// TestJoinBackpressure: a stalled NF behind a join stops the merger,
-// whose ring fills; the branch tails feeding it then take the same
-// lossless spin → park path as behind any full NF ring, and say so —
-// on the parks counter and with an event naming the merger.
+// TestJoinBackpressure: a stalled NF behind a join stops the merger, in
+// the lossless spin → park push on that NF's ring; the merger's own ring
+// takes every tail in flight without filling, because admission stops
+// the injector at ingress once the tails it let in would no longer fit —
+// and says so, on the parks counter and with an event naming admission.
 func TestJoinBackpressure(t *testing.T) {
 	stall := faultinject.NewStallNF(nf.NewMonitor())
-	s := New(Config{PoolSize: 2048, RingSize: 8, Burst: 8, Mergers: 1, SpinLimit: 4})
+	s := New(Config{PoolSize: 2 * mergerQueue, RingSize: 8, Burst: 8, Mergers: 1, SpinLimit: 4})
 	g := graph.Seq{Items: []graph.Node{
 		graph.Par{Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1)}},
 		nfn(nfa.NFMonitor, 2),
@@ -333,9 +369,10 @@ func TestJoinBackpressure(t *testing.T) {
 	col := collectOutputs(s)
 	stall.Stall()
 
-	// Two tails per packet: 1200 packets overfill the merger ring
-	// (mergerQueue items) however the stalled NF's ring and bursts split.
-	const n = 1200
+	// Two tails per packet: the budget admits mergerQueue/2 packets, and
+	// the rest wait their turn outside the graph.
+	const admitted = mergerQueue / 2
+	const n = admitted + 200
 	injDone := make(chan struct{})
 	go func() {
 		defer close(injDone)
@@ -346,18 +383,14 @@ func TestJoinBackpressure(t *testing.T) {
 			}
 		}
 	}()
-	for limit := time.Now().Add(10 * time.Second); !backpressureSites(s)["merger-0"]; {
-		if time.Now().After(limit) {
-			t.Fatalf("no producer parked behind the merger ring: sites=%v", backpressureSites(s))
-		}
-		time.Sleep(200 * time.Microsecond)
+	waitBackpressure(t, s, "admission")
+	waitBackpressure(t, s, "monitor#2") // the merger, behind the stalled NF's ring
+	if got := s.Stats().Injected; got != admitted {
+		t.Errorf("injected = %d behind the stalled join, want the %d the merger ring covers", got, admitted)
 	}
-	// The gauge is set as each push returns, so a producer still parked
-	// on a partial accept has not reported the full ring yet — the last
-	// pushes that fit whole have.
 	m := s.shards[0].mergers[0]
-	if hw, min := m.ringHW.Value(), int64(m.rx.Cap()-2*8); hw < min {
-		t.Errorf("nfp_merger_ring_high_water = %d behind a full ring, want >= %d", hw, min)
+	if hw, max := m.ringHW.Value(), int64(m.rx.Cap()); hw > max {
+		t.Errorf("nfp_merger_ring_high_water = %d, over the ring's capacity %d", hw, max)
 	}
 	if parks := s.Telemetry().Counter("nfp_backpressure_parks_total").Value(); parks == 0 {
 		t.Error("backpressure event without a counted park")

@@ -2,9 +2,11 @@ package dataplane
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"nfp/internal/graph"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -55,6 +57,47 @@ func (st installState) same(got installState, wantFailed int) error {
 		return fmt.Errorf("reload_failed events %d -> %d, want +%d", st.failures, got.failures, wantFailed)
 	}
 	return nil
+}
+
+// TestInstallRefusesPlanOverBudget: a plan one packet of which needs
+// more than a shard can ever set aside could never be admitted, so it is
+// refused at install with an error naming the bound, and the graph it
+// would have replaced keeps forwarding.
+func TestInstallRefusesPlanOverBudget(t *testing.T) {
+	s := New(Config{PoolSize: 4}) // copy reserve: 2 buffers, half of a pool this small
+	one := copyStage(nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0))
+	three := graph.Seq{Items: []graph.Node{one,
+		copyStage(nfn(nfa.NFMonitor, 1), nfn(nfa.NFLB, 1)),
+		copyStage(nfn(nfa.NFMonitor, 2), nfn(nfa.NFLB, 2)),
+	}}
+	if err := s.AddGraph(1, one); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	col := collectOutputs(s)
+	before := snapshotInstall(s)
+	for name, call := range map[string]func() error{
+		"AddGraph": func() error { return s.AddGraph(2, three) },
+		"Reload":   func() error { return s.Reload(1, three) },
+	} {
+		err := call()
+		if err == nil || !strings.Contains(err.Error(), "needs 3 copies") || !strings.Contains(err.Error(), "budget of 2 (copy reserve") {
+			t.Errorf("%s of a 3-copy plan on a 2-buffer reserve: %v, want an error naming both", name, err)
+		}
+	}
+	if err := before.same(snapshotInstall(s), 1); err != nil {
+		t.Errorf("refused installs changed the server: %v", err)
+	}
+	const n = 64
+	for i := 0; i < n; i++ {
+		if !s.Inject(buildInto(t, s, shardSpec(i, 0))) {
+			t.Fatal("inject failed")
+		}
+	}
+	s.Stop()
+	checkConserved(t, s, col, n)
 }
 
 // TestInstallContract pins what AddGraph and Reload share as one

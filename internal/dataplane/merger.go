@@ -74,15 +74,16 @@ type atEntry struct {
 
 // merger is one merger instance. The paper implements mergers as NFs so
 // they can be instantiated/destroyed dynamically; here each instance is
-// a goroutine with its own receive ring (the inbox an NF runtime has,
-// carrying merge items) and a local Accumulating Table, fed by the
-// merger agent's PID hash (shard.joinPush).
+// a goroutine with its own receive ring of merge items (which cannot
+// fill, shard.admit) and a local Accumulating Table, fed by the merger
+// agent's PID hash (shard.joinPush).
 type merger struct {
-	name string // "merger-<id>" for trace events (shard via the span tag)
-	inbox[mergeItem]
-	batch []mergeItem // drain scratch (single consumer)
-	at    map[atKey]*atEntry
-	sh    *shard
+	name   string // "merger-<id>" for trace events (shard via the span tag)
+	rx     *ring.MPSC[mergeItem]
+	ringHW *telemetry.Gauge // the ring's high-water mark
+	batch  []mergeItem      // drain scratch (single consumer)
+	at     map[atKey]*atEntry
+	sh     *shard
 
 	// Registry-backed per-instance metrics (labelled instance=<id>,
 	// plus shard=<i> on a sharded server).
@@ -97,14 +98,10 @@ type merger struct {
 func newMerger(id int, sh *shard) *merger {
 	tel := sh.srv.tel
 	inst := sh.labelShard([]telemetry.Label{telemetry.L("instance", strconv.Itoa(id))})
-	name := "merger-" + strconv.Itoa(id)
 	return &merger{
-		name: name,
-		inbox: inbox[mergeItem]{
-			rx:     ring.NewMPSCOf[mergeItem](mergerQueue),
-			ringHW: tel.Gauge("nfp_merger_ring_high_water", inst...),
-			site:   sh.srv.rec.Intern(name),
-		},
+		name:      "merger-" + strconv.Itoa(id),
+		rx:        ring.NewMPSCOf[mergeItem](mergerQueue),
+		ringHW:    tel.Gauge("nfp_merger_ring_high_water", inst...),
 		batch:     make([]mergeItem, sh.srv.cfg.Burst),
 		at:        make(map[atKey]*atEntry),
 		sh:        sh,
@@ -121,13 +118,12 @@ func newMerger(id int, sh *shard) *merger {
 // the server stops (Stop waits for conservation first, so it is empty).
 func (m *merger) run() {
 	srv := m.sh.srv
-	drain(&m.inbox, m.batch, srv.cfg.SpinLimit, srv.stopped.Load, m.accept)
+	drain(m.rx, m.batch, srv.cfg.SpinLimit, srv.stopped.Load, m.accept)
 }
 
 // accept handles one burst of items, updating the processed counter
 // and the Accumulating Table gauges once per burst (the within-burst AT
-// peak is still tracked exactly). Merger goroutine only: from run, and
-// re-entered from joinPush when a continuation reaches an outer join.
+// peak is still tracked exactly).
 func (m *merger) accept(items []mergeItem) {
 	m.processed.Add(uint64(len(items)))
 	peak := len(m.at)
@@ -238,7 +234,7 @@ func (m *merger) finalize(pr *planRuntime, spec JoinSpec, e *atEntry) {
 	one := [1]*packet.Packet{base}
 	if e.dropped {
 		m.drops.Add(1)
-		m.sh.deliver(pr, spec.DropTo, one[:], true, e.prov, cursor, m)
+		m.sh.deliver(pr, spec.DropTo, one[:], true, e.prov, cursor)
 		return
 	}
 	m.merged.Add(1)
@@ -254,7 +250,7 @@ func (m *merger) finalize(pr *planRuntime, spec JoinSpec, e *atEntry) {
 		})
 		cursor = now
 	}
-	m.sh.execBurst(pr, spec.Next, one[:], cursor, m)
+	m.sh.execBurst(pr, spec.Next, one[:], cursor)
 }
 
 // applyMergeOp applies one §5.3 merging operation to the base packet.

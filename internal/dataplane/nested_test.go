@@ -96,12 +96,84 @@ func TestNestedParallelLive(t *testing.T) {
 	}
 }
 
+// copyStage is a parallel stage that copies once and joins once.
+func copyStage(a, b graph.NF) graph.Par {
+	return graph.Par{
+		Branches: []graph.Node{a, b},
+		Groups:   [][]int{{0}, {1}},
+		FullCopy: []bool{false, false},
+	}
+}
+
+// sustainedLoad floods a started-from-scratch server with total packets
+// in bursts of 32 while a consumer frees the outputs, and checks that it
+// finishes with exact conservation, copies copies per packet and an
+// empty pool. The watchdog turns a wedge into a failure instead of a
+// suite timeout.
+func sustainedLoad(t *testing.T, cfg Config, g graph.Node, total, copies int) {
+	t.Helper()
+	s := New(cfg)
+	if err := s.AddGraph(1, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	col := collectOutputs(s)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		batch := make([]*packet.Packet, 32)
+		for i := 0; i < total; {
+			got := s.Pool().AllocBatch(batch[:min(len(batch), total-i)])
+			if got == 0 {
+				runtime.Gosched()
+				continue
+			}
+			for j := 0; j < got; j++ {
+				packet.BuildInto(batch[j], spec(byte((i+j)%4), uint16(4000+(i+j)%512), "nested"))
+			}
+			if acc := s.InjectBatch(batch[:got]); acc != got {
+				t.Errorf("InjectBatch accepted %d of %d", acc, got)
+				return
+			}
+			i += got
+		}
+		s.Stop()
+	}()
+	for last := uint64(0); ; {
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			st := s.Stats()
+			if st.Outputs+st.Drops != last {
+				last = st.Outputs + st.Drops
+				continue // slow (race detector, loaded box), not stuck
+			}
+			t.Fatalf("no progress in 20 s: injected=%d outputs=%d drops=%d in_use=%d",
+				st.Injected, st.Outputs, st.Drops, s.Pool().InUse())
+		}
+		break
+	}
+	outs := uint64(col.wait())
+	st := s.Stats()
+	if st.Injected != uint64(total) || st.Injected != st.Outputs+st.Drops || outs != st.Outputs {
+		t.Fatalf("conservation: injected=%d outputs=%d drops=%d collected=%d, want %d in",
+			st.Injected, st.Outputs, st.Drops, outs, total)
+	}
+	if st.Copies != uint64(copies*total) {
+		t.Errorf("copies = %d, want %d (%d per packet)", st.Copies, copies*total, copies)
+	}
+	if leak := s.Pool().InUse(); leak != 0 {
+		t.Fatalf("pool leak: %d buffers", leak)
+	}
+}
+
 // TestNestedJoinSustainedLoad is the regression test for the nested-join
 // wedge: under sustained burst injection a merger whose continuation
 // reaches the outer join used to enqueue to its own full queue from its
 // own goroutine and stop for good after a few thousand packets. The
-// server runs a zero-value Config; the watchdog turns a wedge into a
-// failure instead of a suite timeout.
+// server runs a zero-value Config.
 func TestNestedJoinSustainedLoad(t *testing.T) {
 	total := 200_000
 	if testing.Short() {
@@ -109,62 +181,37 @@ func TestNestedJoinSustainedLoad(t *testing.T) {
 	}
 	for _, mergers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("mergers=%d", mergers), func(t *testing.T) {
-			s := New(Config{Mergers: mergers})
-			if err := s.AddGraph(1, nestedGraph()); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Start(); err != nil {
-				t.Fatal(err)
-			}
-			col := collectOutputs(s)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				batch := make([]*packet.Packet, 32)
-				for i := 0; i < total; {
-					got := s.Pool().AllocBatch(batch[:min(len(batch), total-i)])
-					if got == 0 {
-						runtime.Gosched()
-						continue
-					}
-					for j := 0; j < got; j++ {
-						packet.BuildInto(batch[j], spec(byte((i+j)%4), uint16(4000+(i+j)%512), "nested"))
-					}
-					if acc := s.InjectBatch(batch[:got]); acc != got {
-						t.Errorf("InjectBatch accepted %d of %d", acc, got)
-						return
-					}
-					i += got
-				}
-				s.Stop()
-			}()
-			for last := uint64(0); ; {
-				select {
-				case <-done:
-				case <-time.After(20 * time.Second):
-					st := s.Stats()
-					if st.Outputs+st.Drops != last {
-						last = st.Outputs + st.Drops
-						continue // slow (race detector, loaded box), not stuck
-					}
-					t.Fatalf("no progress in 20 s: injected=%d outputs=%d drops=%d in_use=%d",
-						st.Injected, st.Outputs, st.Drops, s.Pool().InUse())
-				}
-				break
-			}
-			outs := uint64(col.wait())
-			st := s.Stats()
-			if st.Injected != uint64(total) || st.Injected != st.Outputs+st.Drops || outs != st.Outputs {
-				t.Fatalf("conservation: injected=%d outputs=%d drops=%d collected=%d, want %d in",
-					st.Injected, st.Outputs, st.Drops, outs, total)
-			}
-			if st.Copies != 2*uint64(total) {
-				t.Errorf("copies = %d, want %d (one per join level)", st.Copies, 2*total)
-			}
-			if leak := s.Pool().InUse(); leak != 0 {
-				t.Fatalf("pool leak: %d buffers", leak)
-			}
+			sustainedLoad(t, Config{Mergers: mergers}, nestedGraph(), total, 2)
 		})
+	}
+}
+
+// TestSequentialJoinsSustainedLoad is the regression test for the
+// sequential-join wedge: with two parallel stages in a row — the shape
+// the compiler emits for l3fwd,lb,monitor,firewall — the merger stopped
+// pushing a continuation into the second stage's full ring while that
+// stage's runtimes stopped pushing tails into the merger's full ring,
+// for good after a few thousand packets; and with the ring out of the
+// way a small pool wedged the merger waiting for a copy buffer only its
+// own finalizations could free. Every stage here copies once and joins
+// once.
+func TestSequentialJoinsSustainedLoad(t *testing.T) {
+	total := 300_000
+	if testing.Short() {
+		total = 50_000
+	}
+	for stages := 2; stages <= 3; stages++ {
+		var g graph.Seq
+		for i := 0; i < stages; i++ {
+			g.Items = append(g.Items, copyStage(nfn(nfa.NFMonitor, i), nfn(nfa.NFLB, i)))
+		}
+		for _, pool := range []int{0, 256, 64} {
+			for _, mergers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("stages=%d/pool=%d/mergers=%d", stages, pool, mergers), func(t *testing.T) {
+					sustainedLoad(t, Config{PoolSize: pool, Mergers: mergers}, g, total, stages)
+				})
+			}
+		}
 	}
 }
 

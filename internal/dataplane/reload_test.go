@@ -395,6 +395,11 @@ func TestChaosReloadSaturatedRing(t *testing.T) {
 			graph.Par{Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFL3Fwd, 0)}},
 			nfn(nfa.NFL3Fwd, 1),
 		}},
+		// Two generations' copies and tails draw on one admission budget.
+		"two joins": graph.Seq{Items: []graph.Node{
+			copyStage(nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)),
+			copyStage(nfn(nfa.NFL3Fwd, 0), nfn(nfa.NFLB, 1)),
+		}},
 	}
 	for _, policy := range []BackpressurePolicy{BPBlock, BPDropTail, BPShedLowestPriority} {
 		for name, g := range graphs {

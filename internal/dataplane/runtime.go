@@ -6,14 +6,14 @@ import (
 
 	"nfp/internal/nf"
 	"nfp/internal/packet"
+	"nfp/internal/ring"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/flightrec"
 )
 
-// instBox wraps the live NF instance so the supervisor can swap in a
-// fresh one with a single atomic pointer store while the runtime
-// goroutine keeps draining (it picks the replacement up at its next
-// burst).
+// instBox wraps the live NF instance so a restart can swap in a fresh
+// one with a single atomic pointer store while the runtime goroutine
+// keeps draining (it picks the replacement up at its next burst).
 type instBox struct {
 	nf nf.NF
 }
@@ -27,8 +27,8 @@ type instBox struct {
 type segNF struct {
 	plan  *PlanNode
 	instP atomic.Pointer[instBox]
-	// panicked marks this slot for instance replacement when the
-	// supervisor restarts the segment.
+	// panicked marks this slot for instance replacement when the segment
+	// restarts.
 	panicked atomic.Bool
 
 	// Registry-backed per-NF metrics (labelled nf=<name>, mid=<mid>).
@@ -66,25 +66,29 @@ func (s *segNF) inst() nf.NF { return s.instP.Load().nf }
 // segment: Process/ProcessBatch run under panic recovery, so a faulty
 // NF loses (at most) the burst it was processing — every in-flight
 // packet of the panicked burst is routed through that NF's drop path
-// back to the pool — and the segment is marked unhealthy for the
-// supervisor to restart with backoff. While unhealthy, arrivals are
+// back to the pool — and the segment is marked unhealthy, to restart
+// after a backoff (onPanic). While unhealthy, arrivals are
 // drained and dropped (graceful degradation: the rest of the graph,
 // and every other graph, keeps forwarding).
 type nodeRT struct {
 	nfs []segNF // execution order; nfs[0] owns the receive ring
-	// The receive ring, its high-water mark (labelled by the head NF)
-	// and the backpressure policy resolved for it.
-	inbox[*packet.Packet]
-	server *Server
-	sh     *shard // the shard whose goroutines run this segment
-	pr     *planRuntime
+	// The receive ring (shard.push in, drain out), its high-water mark and
+	// backpressure-event name (the head NF's) and the policy resolved for
+	// it: canShed lets a producer give up on a ring that stays full — at
+	// once when shedImmediate, else after the bounded spin.
+	rx            *ring.MPSC[*packet.Packet]
+	ringHW        *telemetry.Gauge
+	site          uint32
+	canShed       bool
+	shedImmediate bool
+
+	sh *shard // the shard whose goroutines run this segment
+	pr *planRuntime
 
 	// Health and restart state, segment-scoped. healthy flips false on
-	// panic (runtime goroutine) and true on restart (supervisor
-	// goroutine); restartAt is the earliest restart time in unixnano;
+	// panic (runtime goroutine) and true on restart (timer goroutine);
 	// backoffNS doubles per panic up to restartBackoffMax.
 	healthy   atomic.Bool
-	restartAt atomic.Int64
 	backoffNS atomic.Int64
 
 	// Per-runtime burst scratch (single consumer, never shared): the
@@ -106,8 +110,8 @@ func (n *nodeRT) tail() *segNF { return &n.nfs[len(n.nfs)-1] }
 // the server stops or a reload retires this runtime's generation
 // (either implies an empty ring: both wait for the in-flight count).
 func (n *nodeRT) run() {
-	drain(&n.inbox, n.burst, n.server.cfg.SpinLimit, func() bool {
-		return n.server.stopped.Load() || n.pr.retired.Load()
+	drain(n.rx, n.burst, n.sh.srv.cfg.SpinLimit, func() bool {
+		return n.sh.srv.stopped.Load() || n.pr.retired.Load()
 	}, n.processBurst)
 }
 
@@ -116,8 +120,8 @@ func (n *nodeRT) run() {
 // meaningless and the caller must treat the whole burst as dropped.
 func (n *nodeRT) invoke(s *segNF, pkts []*packet.Packet) (ok bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			n.onPanic(s, r)
+		if recover() != nil { // the value is not propagated; counters tell the story
+			n.onPanic(s)
 			ok = false
 		}
 	}()
@@ -126,29 +130,17 @@ func (n *nodeRT) invoke(s *segNF, pkts []*packet.Packet) (ok bool) {
 }
 
 // onPanic records an NF crash: the whole segment is unhealthy from now
-// until the supervisor swaps a fresh instance into the panicked slot,
-// no earlier than the (exponentially backed off) restart time.
-func (n *nodeRT) onPanic(s *segNF, cause any) {
-	_ = cause // the panic value is intentionally not propagated; counters tell the story
+// until restart swaps a fresh instance into the panicked slot, which it
+// arms a timer for at the (exponentially backed off) restart time.
+func (n *nodeRT) onPanic(s *segNF) {
 	s.panics.Inc()
 	s.panicked.Store(true)
-	n.server.rec.Event(flightrec.Note{
-		Shard: n.sh.id, Kind: flightrec.KindPanic, Gen: n.pr.gen,
-		Node: n.pr.nodeNames[s.plan.ID],
-	})
-	backoff := n.backoffNS.Load()
-	if backoff == 0 {
-		backoff = int64(restartBackoff)
-	} else {
-		backoff *= 2
-		if backoff > int64(restartBackoffMax) {
-			backoff = int64(restartBackoffMax)
-		}
-	}
+	n.sh.note(flightrec.KindPanic, n.pr.gen, n.pr.nodeNames[s.plan.ID], 0)
+	backoff := min(max(2*n.backoffNS.Load(), int64(restartBackoff)), int64(restartBackoffMax))
 	n.backoffNS.Store(backoff)
-	n.restartAt.Store(time.Now().UnixNano() + backoff)
 	s.healthyG.Set(0)
 	n.healthy.Store(false)
+	time.AfterFunc(time.Duration(backoff), n.restart)
 }
 
 // dropBurst routes every packet of a burst through NF slot s's drop
@@ -164,7 +156,7 @@ func (n *nodeRT) onPanic(s *segNF, cause any) {
 // the last amortized boundary timestamp).
 func (n *nodeRT) dropBurst(s *segNF, pkts []*packet.Packet, cause flightrec.Cause, stage telemetry.Stage, cursor int64) {
 	s.drops.Add(uint64(len(pkts)))
-	tracer := n.server.tracer
+	tracer := n.sh.srv.tracer
 	var now int64
 	for _, pkt := range pkts {
 		if tracer.Sampled(pkt.Meta.PID) {
@@ -182,17 +174,18 @@ func (n *nodeRT) dropBurst(s *segNF, pkts []*packet.Packet, cause flightrec.Caus
 		cursor = now
 	}
 	n.sh.deliver(n.pr, s.plan.DropTo, pkts, true,
-		dropProv{cause: cause, stage: stage, node: int32(s.plan.ID)}, cursor, nil)
+		dropProv{cause: cause, stage: stage, node: int32(s.plan.ID)}, cursor)
 }
 
-// maybeRestart is the supervisor's per-segment step: once the backoff
-// deadline passes, build fresh instances for every panicked slot from
-// the registry and swap them in, then revive the segment. A registry
-// miss (the slot was installed with a caller-provided instance of an
-// unregistered type) counts as a failed restart and retries after
-// another backoff period.
-func (n *nodeRT) maybeRestart(now int64) {
-	if n.healthy.Load() || now < n.restartAt.Load() {
+// restart runs when a crashed segment's backoff deadline passes: it
+// builds fresh instances for every panicked slot from the registry and
+// swaps them in, then revives the segment, so a panicking NF degrades
+// its own shard's micrograph instead of killing the server. A registry
+// miss (a caller-provided instance of an unregistered type) counts as a
+// failed restart and retries after another backoff period. A stopped
+// server's segments and a superseded generation's stay down.
+func (n *nodeRT) restart() {
+	if n.sh.srv.stopped.Load() || n.pr.gone.Load() {
 		return
 	}
 	for i := range n.nfs {
@@ -200,22 +193,16 @@ func (n *nodeRT) maybeRestart(now int64) {
 		if !s.panicked.Load() {
 			continue
 		}
-		inst, err := n.server.cfg.Registry.New(s.plan.NF.Name)
+		inst, err := n.sh.srv.cfg.Registry.New(s.plan.NF.Name)
 		if err != nil {
 			s.restartFails.Inc()
-			n.server.rec.Event(flightrec.Note{
-				Shard: n.sh.id, Kind: flightrec.KindRestartFail, Gen: n.pr.gen,
-				Node: n.pr.nodeNames[s.plan.ID],
-			})
-			n.restartAt.Store(now + n.backoffNS.Load())
+			n.sh.note(flightrec.KindRestartFail, n.pr.gen, n.pr.nodeNames[s.plan.ID], 0)
+			time.AfterFunc(time.Duration(n.backoffNS.Load()), n.restart)
 			return
 		}
 		s.instP.Store(&instBox{nf: inst})
 		s.restarts.Inc()
-		n.server.rec.Event(flightrec.Note{
-			Shard: n.sh.id, Kind: flightrec.KindRestart, Gen: n.pr.gen,
-			Node: n.pr.nodeNames[s.plan.ID],
-		})
+		n.sh.note(flightrec.KindRestart, n.pr.gen, n.pr.nodeNames[s.plan.ID], 0)
 		s.panicked.Store(false)
 		s.healthyG.Set(1)
 	}
@@ -271,7 +258,7 @@ func (n *nodeRT) processBurst(pkts []*packet.Packet) {
 		n.dropBurst(h, pkts, drainCause(n.pr), telemetry.StageRingWait, 0)
 		return
 	}
-	tracer := n.server.tracer
+	tracer := n.sh.srv.tracer
 	var t1 int64
 	if tracer != nil {
 		t1 = n.ringWaitSpans(tracer, pkts)
@@ -320,7 +307,7 @@ func (n *nodeRT) processBurst(pkts []*packet.Packet) {
 			// merger can release the buffers once all tails report).
 			s.drops.Add(uint64(len(dropped)))
 			n.sh.deliver(n.pr, s.plan.DropTo, dropped, true,
-				dropProv{cause: flightrec.CauseNFVerdict, stage: telemetry.StageNF, node: int32(s.plan.ID)}, cursor, nil)
+				dropProv{cause: flightrec.CauseNFVerdict, stage: telemetry.StageNF, node: int32(s.plan.ID)}, cursor)
 		}
 		if kept == 0 {
 			return
@@ -328,5 +315,5 @@ func (n *nodeRT) processBurst(pkts []*packet.Packet) {
 		s.pktsOut.Add(uint64(kept))
 		pkts = pkts[:kept]
 	}
-	n.sh.execBurst(n.pr, n.tail().plan.Next, pkts, cursor, nil)
+	n.sh.execBurst(n.pr, n.tail().plan.Next, pkts, cursor)
 }

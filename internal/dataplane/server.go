@@ -56,13 +56,16 @@ const (
 	// bufSize is the per-buffer byte size; it leaves headroom over the
 	// MTU for AH encapsulation.
 	bufSize = 2048
-	// mergerQueue is each merger's receive ring capacity, and outputQueue
-	// the capacity of every output channel: both absorb a few bursts so
-	// a momentarily slow consumer does not stall the NF runtimes.
-	mergerQueue = 1024
+	// mergerQueue is each merger's receive ring capacity and
+	// copyReserveDiv the divisor of the pool kept for packet copies: a
+	// shard's admission budget (shard.admit), sized in DESIGN.md §14.
+	mergerQueue    = 2048
+	copyReserveDiv = 8
+	// outputQueue is the capacity of every output channel: a few bursts,
+	// so a momentarily slow consumer does not stall the NF runtimes.
 	outputQueue = 1024
-	// restartBackoff is the supervisor's initial delay before restarting
-	// a crashed NF instance; it doubles per panic up to restartBackoffMax.
+	// restartBackoff is the initial delay before a crashed NF instance is
+	// restarted; it doubles per panic up to restartBackoffMax.
 	restartBackoff    = time.Millisecond
 	restartBackoffMax = 250 * time.Millisecond
 	// flowCacheSlots is each shard's microflow cache size (a power of
@@ -211,6 +214,10 @@ type planRuntime struct {
 	gen     uint64
 	spanGen int
 
+	// weight is what one packet occupies of the shard's admission budget
+	// (buildRuntime); 0 without a join.
+	weight budget
+
 	// inflight counts packets injected into this runtime that have not
 	// yet reached their terminal output/drop event. Injectors reserve a
 	// slot via shard.acquire BEFORE enqueueing, and shard.emit releases
@@ -253,7 +260,7 @@ type Server struct {
 	// "server stopped"; a Stop that lands mid-reload waits for the reload
 	// to drain the outgoing generation, then drains the incoming one.
 	// started is guarded by ctl. stopped is written under ctl and also
-	// polled lock-free by the runtime and supervisor goroutines.
+	// read lock-free by the runtime goroutines and restart timers.
 	ctl     sync.Mutex
 	started bool
 	stopped atomic.Bool
@@ -273,11 +280,10 @@ type Server struct {
 	bpYields *telemetry.Counter
 	bpParks  *telemetry.Counter
 
-	// rec is the always-on flight recorder. recPoolID is the interned
-	// site name backpressure events outside any plan node charge
-	// against.
-	rec       *flightrec.Recorder
-	recPoolID uint32
+	// rec is the always-on flight recorder. recAdmitID is the interned
+	// site name of an injector's backpressure events at admission.
+	rec        *flightrec.Recorder
+	recAdmitID uint32
 
 	// Config-generation state. generation is the live config
 	// generation (1 after New; each successful Reload bumps it), also
@@ -323,7 +329,7 @@ func New(cfg Config) *Server {
 		Shards:     cfg.Shards,
 		StageNames: func(b uint8) string { return telemetry.Stage(b).String() },
 	})
-	s.recPoolID = s.rec.Intern("mempool")
+	s.recAdmitID = s.rec.Intern("admission")
 	// Self-description for scrapes and incident bundles: one constant
 	// gauge whose labels carry the build and topology facts.
 	bi := s.BuildInfo()
@@ -345,14 +351,12 @@ func New(cfg Config) *Server {
 		parts = s.pool.Partition(cfg.Shards)
 	}
 	s.pool.MustRegister(s.tel)
-	// Keep a slice of the pool for the copies parallel stages create;
-	// see mempool.SetReserve for the deadlock this prevents. On a
-	// partitioned pool the reserve distributes across the shards.
-	reserve := cfg.PoolSize / 8
+	// The slice of the pool kept for the copies parallel stages create,
+	// split over the shards: the copy half of each one's budget.
+	reserve := cfg.PoolSize / copyReserveDiv
 	if reserve < 8 {
 		reserve = cfg.PoolSize / 2
 	}
-	s.pool.SetReserve(reserve)
 	if !sharded || !cfg.ShardedOutputs {
 		s.out = make(chan *packet.Packet, outputQueue)
 	}
@@ -371,6 +375,10 @@ func New(cfg Config) *Server {
 		for m := 0; m < cfg.Mergers; m++ {
 			sh.mergers = append(sh.mergers, newMerger(m, sh))
 		}
+		// One merger ring: the PID hash may send every tail in flight to
+		// the same instance.
+		sh.room = newBudget(reserve/cfg.Shards, sh.mergers[0].rx.Cap())
+		sh.pool.SetReserve(sh.room.copies())
 		s.shards = append(s.shards, sh)
 	}
 	return s
@@ -648,15 +656,27 @@ func labelGen(labels []telemetry.Label, gen uint64) []telemetry.Label {
 // buildRuntime instantiates one shard's runtimes for a compiled plan
 // at config generation gen.
 func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF) nf.NF, gen uint64) (*planRuntime, error) {
-	pr := &planRuntime{plan: plan, owner: make([]*nodeRT, len(plan.Nodes)), gen: gen}
+	// What one packet can hold: its copies, and a merger-ring slot per
+	// branch tail (a drop cuts a branch short and reports once: never more).
+	copies, tails := plan.CopiesPerPacket(), 0
+	for _, j := range plan.Joins {
+		tails += j.ExpectTails
+	}
+	if copies > sh.room.copies() || tails > sh.room.tails() {
+		return nil, fmt.Errorf("dataplane: one packet of MID %d needs %d copies and %d merger slots, over a shard's admission budget of %d (copy reserve) and %d (merger ring)",
+			plan.MID, copies, tails, sh.room.copies(), sh.room.tails())
+	}
+	pr := &planRuntime{plan: plan, owner: make([]*nodeRT, len(plan.Nodes)), gen: gen, weight: newBudget(copies, tails)}
 	if gen > 1 {
 		pr.spanGen = int(gen)
 	}
-	pr.dropCtrs = make([]dropCtrSlot, len(plan.Nodes)*flightrec.NumCauses)
-	pr.nodeNames = make([]uint32, len(plan.Nodes))
+	// One row past the plan's nodes: sheds at admission (injectBurst).
+	pr.dropCtrs = make([]dropCtrSlot, (len(plan.Nodes)+1)*flightrec.NumCauses)
+	pr.nodeNames = make([]uint32, len(plan.Nodes)+1)
 	for i := range plan.Nodes {
 		pr.nodeNames[i] = s.rec.Intern(plan.Nodes[i].NF.String())
 	}
+	pr.nodeNames[len(plan.Nodes)] = s.recAdmitID
 	shedSet := plan.ShedSet(s.cfg.NodePriority)
 	// Segment layout: the shed-lowest-priority policy sheds into
 	// specific rings, so its shed set is an isolation boundary the
@@ -679,20 +699,17 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 		head := &plan.Nodes[seg[0]]
 		headLabels := labelGen(sh.labelShard([]telemetry.Label{telemetry.L("nf", head.NF.String()), midLabel}), gen)
 		n := &nodeRT{
-			nfs: make([]segNF, len(seg)),
-			inbox: inbox[*packet.Packet]{
-				rx:            ring.NewMPSC(s.cfg.RingSize),
-				ringHW:        s.tel.Gauge("nfp_nf_ring_high_water", headLabels...),
-				site:          pr.nodeNames[seg[0]],
-				canShed:       s.cfg.RingPolicy == BPDropTail || (s.cfg.RingPolicy == BPShedLowestPriority && shedSet[seg[0]]),
-				shedImmediate: s.cfg.RingPolicy == BPDropTail,
-			},
-			server:   s,
-			sh:       sh,
-			pr:       pr,
-			burst:    make([]*packet.Packet, s.cfg.Burst),
-			verdicts: make([]nf.Verdict, s.cfg.Burst),
-			dropped:  make([]*packet.Packet, 0, s.cfg.Burst),
+			nfs:           make([]segNF, len(seg)),
+			rx:            ring.NewMPSC(s.cfg.RingSize),
+			ringHW:        s.tel.Gauge("nfp_nf_ring_high_water", headLabels...),
+			site:          pr.nodeNames[seg[0]],
+			canShed:       s.cfg.RingPolicy == BPDropTail || (s.cfg.RingPolicy == BPShedLowestPriority && shedSet[seg[0]]),
+			shedImmediate: s.cfg.RingPolicy == BPDropTail,
+			sh:            sh,
+			pr:            pr,
+			burst:         make([]*packet.Packet, s.cfg.Burst),
+			verdicts:      make([]nf.Verdict, s.cfg.Burst),
+			dropped:       make([]*packet.Packet, 0, s.cfg.Burst),
 		}
 		// Static capacity beside the high-water mark, so the diagnosis
 		// layer can express occupancy as a fill fraction.
@@ -840,9 +857,9 @@ func (s *Server) Outputs() []<-chan *packet.Packet {
 	return chans
 }
 
-// Start launches every installed graph's NF runtimes, the mergers, the
-// output fan-in when sharded outputs share one channel, and the NF
-// supervisor. It needs at least one installed graph and runs once.
+// Start launches every installed graph's NF runtimes, the mergers and
+// the output fan-in when sharded outputs share one channel. It needs at
+// least one installed graph and runs once.
 // Graphs installed later start their own runtimes (see install); ctl
 // orders the two, so a runtime is started exactly once either way.
 func (s *Server) Start() error {
@@ -876,32 +893,7 @@ func (s *Server) Start() error {
 			}(sh.out)
 		}
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.supervise()
-	}()
 	return nil
-}
-
-// supervise is the NF supervisor goroutine: it periodically scans every
-// installed node on every shard for crashed instances whose restart
-// backoff elapsed and swaps in fresh instances from the registry, so a
-// panicking NF degrades its own shard's micrograph instead of killing
-// the server.
-func (s *Server) supervise() {
-	// Scanning at 4x the initial backoff rate honors it promptly.
-	for !s.stopped.Load() {
-		time.Sleep(restartBackoff / 4)
-		now := time.Now().UnixNano()
-		for _, sh := range s.shards {
-			for _, pr := range *sh.plans.Load() {
-				for _, n := range pr.rts {
-					n.maybeRestart(now)
-				}
-			}
-		}
-	}
 }
 
 // Stop drains in-flight packets and terminates all goroutines. Call it
@@ -968,7 +960,7 @@ func (s *Server) Inject(pkt *packet.Packet) bool {
 // so cross-server flow affinity is preserved.
 func (s *Server) InjectPreclassified(pkt *packet.Packet) bool {
 	sh := s.shards[s.ShardOf(pkt)]
-	pr := sh.acquire(pkt.Meta.MID, 1)
+	pr, _, admitted := sh.acquire(pkt.Meta.MID, 1)
 	if pr == nil {
 		return false
 	}
@@ -977,11 +969,11 @@ func (s *Server) InjectPreclassified(pkt *packet.Packet) bool {
 	}
 	if pkt.Meta.Version != pr.plan.BaseVersion {
 		// Off the wire: the executor trusts a burst's source version.
-		pr.inflight.Add(-1)
+		sh.settle(pr, 1, admitted)
 		return false
 	}
 	one := [1]*packet.Packet{pkt}
-	sh.injectBurst(pr, one[:])
+	sh.injectBurst(pr, one[:], admitted)
 	return true
 }
 
@@ -1050,7 +1042,7 @@ type Stats struct {
 	// for different reasons counts under the first cause reported.)
 	Sheds uint64
 	// Panics and Restarts count NF crashes caught at the runtime crash
-	// boundary and supervisor-performed instance replacements, summed
+	// boundary and the instance replacements that followed, summed
 	// over every shard.
 	Panics   uint64
 	Restarts uint64

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"nfp/internal/flow"
@@ -10,6 +11,7 @@ import (
 	"nfp/internal/packet"
 	"nfp/internal/ring"
 	"nfp/internal/telemetry"
+	"nfp/internal/telemetry/flightrec"
 )
 
 // shard is one replica of the whole dataplane (RSS-style flow
@@ -48,7 +50,20 @@ type shard struct {
 	// ingress counts packets dispatched to this shard, labelled
 	// shard=<id> (nil, a no-op, when unsharded).
 	ingress *telemetry.Counter
+
+	// The admission budget (admit): the pool partition's copy reserve and
+	// one merger ring's capacity, and what admitted packets hold of both.
+	room budget
+	held atomic.Uint64
 }
+
+// budget counts copy buffers (high half) and merger-ring slots (low
+// half) in one word, so both are taken and given back by one atomic.
+type budget uint64
+
+func newBudget(copies, tails int) budget { return budget(copies)<<32 | budget(tails) }
+func (b budget) copies() int             { return int(b >> 32) }
+func (b budget) tails() int              { return int(uint32(b)) }
 
 // labelShard appends the shard label to a label set when the server is
 // sharded; single-shard servers keep every pre-sharding series name and
@@ -60,26 +75,77 @@ func (sh *shard) labelShard(labels []telemetry.Label) []telemetry.Label {
 	return labels
 }
 
-// acquire resolves the live runtime of a MID and reserves n in-flight
-// slots on it — the injector half of the reload drain protocol. The
+// admit is the one admission rule (DESIGN.md §6): it sets aside, for the
+// longest prefix of n packets of pr the budget covers, every copy buffer
+// and merger-ring slot they can occupy (pr.weight each), and returns the
+// prefix length. Live copies and outstanding tails then stay within room
+// over every MID and generation on the shard: a copy allocation never
+// comes back short, a merger ring never fills, nothing in the graph
+// waits on anything upstream of it.
+func (sh *shard) admit(pr *planRuntime, n int) int {
+	for {
+		held := budget(sh.held.Load())
+		k := n
+		if t := pr.weight.tails(); t > 0 {
+			k = min(k, (sh.room.tails()-held.tails())/t)
+		}
+		if c := pr.weight.copies(); c > 0 {
+			k = min(k, (sh.room.copies()-held.copies())/c)
+		}
+		if k <= 0 {
+			return 0
+		}
+		if sh.held.CompareAndSwap(uint64(held), uint64(held)+uint64(k)*uint64(pr.weight)) {
+			return k
+		}
+	}
+}
+
+// settle gives back the in-flight slots of n packets of pr and, when
+// they were admitted rather than shed, their budget.
+func (sh *shard) settle(pr *planRuntime, n int, admitted bool) {
+	pr.inflight.Add(-int64(n))
+	if admitted && pr.weight != 0 {
+		sh.held.Add(-(uint64(n) * uint64(pr.weight)))
+	}
+}
+
+// acquire resolves the live runtime of a MID and admits a prefix of n
+// packets to it, at least one (all, when the plan weighs nothing). While
+// the budget covers none the injector waits here, where nothing in
+// flight depends on it — under a shedding ring policy only for the
+// bounded spin (the budget is no queue with a tail to drop at once, and
+// every packet visits the plan's lowest-priority NF): then it takes all
+// n unadmitted, for the caller to shed. Each packet holds an in-flight
+// slot either way — the injector half of the reload drain protocol. The
 // increment-then-check order against planRuntime.gone makes the race
 // with a concurrent generation swap safe: if the reloader observed
-// inflight == 0 after setting gone, this injector's increment must
-// come later, so it sees gone, backs out, and re-resolves the map —
-// which already publishes the successor generation. Returns nil only
-// when the MID has no installed graph (graphs are replaced, never
-// removed, so a retry cannot lose the MID).
-func (sh *shard) acquire(mid uint32, n int) *planRuntime {
+// inflight == 0 after setting gone, this injector's increment must come
+// later, so it sees gone, backs out, and re-resolves the map — which
+// already publishes the successor generation. Returns nil only when the
+// MID has no installed graph (graphs are replaced, never removed, so a
+// retry cannot lose the MID).
+func (sh *shard) acquire(mid uint32, n int) (pr *planRuntime, k int, admitted bool) {
+	w := ring.Waiter{SpinLimit: sh.srv.cfg.SpinLimit}
 	for {
-		pr := (*sh.plans.Load())[mid]
-		if pr == nil {
-			return nil
+		if pr = (*sh.plans.Load())[mid]; pr == nil {
+			return nil, 0, false
 		}
-		pr.inflight.Add(int64(n))
+		k, admitted = n, true
+		if pr.weight != 0 {
+			if k = sh.admit(pr, n); k == 0 {
+				if sh.srv.cfg.RingPolicy == BPBlock || !w.Exhausted() {
+					sh.backoff(&w, sh.srv.recAdmitID, pr.gen)
+					continue
+				}
+				k, admitted = n, false
+			}
+		}
+		pr.inflight.Add(int64(k))
 		if !pr.gone.Load() {
-			return pr
+			return pr, k, admitted
 		}
-		pr.inflight.Add(int64(-n))
+		sh.settle(pr, k, admitted)
 	}
 }
 
@@ -100,8 +166,8 @@ func (sh *shard) inject(pkts []*packet.Packet) int {
 			n++
 		}
 	}
-	// acquire re-resolves the runtime per run: a reload may swap the
-	// generation between the snapshot above and here, and the
+	// acquire re-resolves the runtime per run, or per prefix of it that
+	// was admitted: a reload may swap the generation meanwhile, and the
 	// snapshot's nil-check stays valid because graphs are only ever
 	// replaced, never removed.
 	for i := 0; i < n; {
@@ -110,8 +176,9 @@ func (sh *shard) inject(pkts []*packet.Packet) int {
 		for j < n && pkts[j].Meta.MID == mid {
 			j++
 		}
-		sh.injectBurst(sh.acquire(mid, j-i), pkts[i:j])
-		i = j
+		pr, k, admitted := sh.acquire(mid, j-i)
+		sh.injectBurst(pr, pkts[i:i+k], admitted)
+		i += k
 	}
 	return n
 }
@@ -126,10 +193,10 @@ func (sh *shard) span(pr *planRuntime, pkt *packet.Packet, st telemetry.Stage, n
 	})
 }
 
-// injectBurst sends a burst of same-MID packets into their graph. The
-// caller must have reserved the burst's in-flight slots on pr via
-// acquire.
-func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet) {
+// injectBurst sends a burst of same-MID packets, taken on pr via acquire,
+// into their graph — or, unadmitted, past it: shed to one terminal drop
+// each, charged to admission (the row after the plan's nodes).
+func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet, admitted bool) {
 	// The clock is read once per burst, and only when the burst holds a
 	// sampled packet: the span cursor is unused otherwise.
 	var now int64
@@ -150,7 +217,13 @@ func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet) {
 		}
 	}
 	sh.srv.injected.Add(uint64(len(pkts)))
-	sh.execBurst(pr, pr.plan.Entry, pkts, now, nil)
+	if admitted {
+		sh.execBurst(pr, pr.plan.Entry, pkts, now)
+		return
+	}
+	sh.note(flightrec.KindShed, pr.gen, sh.srv.recAdmitID, uint64(len(pkts)))
+	prov := dropProv{cause: sh.srv.cfg.RingPolicy.shedCause(), stage: telemetry.StageClassify, node: int32(len(pr.plan.Nodes))}
+	sh.emit(pr, pkts, true, prov, now, false)
 }
 
 // execChunk sizes the hand-off scratch (copies, merge items), kept on
@@ -160,33 +233,25 @@ const execChunk = 32
 // execBurst is the one executor: it runs a forwarding-table dispatch
 // list over a non-empty burst whose packets all carry the list's source
 // version (a packet is a burst of one). A list that copies takes the
-// buffers for ALL its copy dispatches with one reserved batch
-// allocation, under lossless pool backpressure; when the pool grants
-// only part, the packets whose copies are complete go through at once,
-// so a producer never sits on buffers while it parks. cursor is shared
-// by the burst: its sampled packets chain from the same amortized clock
-// read. self is the merger whose goroutine this is, nil on any other.
-func (sh *shard) execBurst(pr *planRuntime, ds []Dispatch, pkts []*packet.Packet, cursor int64, self *merger) {
+// buffers for ALL its copy dispatches with one reserved batch allocation
+// per chunk, which admission set aside: a short grant is a bug, not a
+// wait. cursor is shared by the burst: its sampled packets chain from
+// the same amortized clock read.
+func (sh *shard) execBurst(pr *planRuntime, ds []Dispatch, pkts []*packet.Packet, cursor int64) {
 	nc := copiesIn(ds)
 	if nc == 0 {
-		sh.dispatch(pr, ds, pkts, nil, cursor, self)
+		sh.dispatch(pr, ds, pkts, nil, cursor)
 		return
 	}
 	var bufs [packet.MaxVersion * execChunk]*packet.Packet
-	w := ring.Waiter{SpinLimit: sh.srv.cfg.SpinLimit}
-	have := 0
 	for len(pkts) > 0 {
-		want := nc * min(len(pkts), execChunk)
-		have += sh.pool.AllocBatchReserved(bufs[have:want])
-		if have < nc {
-			sh.backoff(&w, sh.srv.recPoolID, 0)
-			continue
+		n := min(len(pkts), execChunk)
+		if got := sh.pool.AllocBatchReserved(bufs[:n*nc]); got < n*nc {
+			panic(fmt.Sprintf("dataplane: %d of %d copies granted inside the admission budget (reserve %d, %d held)",
+				got, n*nc, sh.room.copies(), budget(sh.held.Load()).copies()))
 		}
-		w.Reset()
-		n := have / nc
-		sh.dispatch(pr, ds, pkts[:n], bufs[:n*nc], cursor, self)
+		sh.dispatch(pr, ds, pkts[:n], bufs[:n*nc], cursor)
 		pkts = pkts[n:]
-		have = copy(bufs[:], bufs[n*nc:have])
 	}
 }
 
@@ -197,7 +262,7 @@ func (sh *shard) execBurst(pr *planRuntime, ds []Dispatch, pkts []*packet.Packet
 // position (end timestamp of its previous span, 0 unsampled): copies
 // fork their own chain off their source's, and every delivery carries
 // its version's cursor forward.
-func (sh *shard) dispatch(pr *planRuntime, ds []Dispatch, pkts, bufs []*packet.Packet, cursor int64, self *merger) {
+func (sh *shard) dispatch(pr *planRuntime, ds []Dispatch, pkts, bufs []*packet.Packet, cursor int64) {
 	var held [packet.MaxVersion + 1][]*packet.Packet
 	var curs [packet.MaxVersion + 1]int64
 	base := pkts[0].Meta.Version
@@ -216,7 +281,7 @@ func (sh *shard) dispatch(pr *planRuntime, ds []Dispatch, pkts, bufs []*packet.P
 			out = cp
 		}
 		for _, t := range d.Targets {
-			sh.deliver(pr, t, out, false, dropProv{}, c, self)
+			sh.deliver(pr, t, out, false, dropProv{}, c)
 		}
 	}
 }
@@ -264,14 +329,14 @@ func (sh *shard) copyBurst(pr *planRuntime, d *Dispatch, src, dst []*packet.Pack
 // cursor is the span-chain position carried into the next stage: ring
 // deliveries stash it for the consumer, join deliveries ride it on the
 // merge items, and output closes the chain with the terminal span.
-func (sh *shard) deliver(pr *planRuntime, t Target, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64, self *merger) {
+func (sh *shard) deliver(pr *planRuntime, t Target, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
 	switch t.Kind {
 	case ToNode:
-		sh.ringPush(pr, pr.owner[t.Node], pkts, cursor, self)
+		sh.ringPush(pr, pr.owner[t.Node], pkts, cursor)
 	case ToJoin:
-		sh.joinPush(pr, t.Join, pkts, dropped, prov, cursor, self)
+		sh.joinPush(pr, t.Join, pkts, dropped, prov, cursor)
 	case ToOutput:
-		sh.emit(pr, pkts, dropped, prov, cursor)
+		sh.emit(pr, pkts, dropped, prov, cursor, true)
 	}
 }
 
@@ -283,11 +348,10 @@ func (sh *shard) deliver(pr *planRuntime, t Target, pkts []*packet.Packet, dropp
 // across a reload two generations of one MID interleave at a merger,
 // and each packet must finalize against its own plan tables.
 //
-// A merger never enqueues to itself: a continuation or drop route that
-// reaches a join from the merger's own goroutine (same PID, so the same
-// instance) is accepted in place. Blocking on its own ring, which only
-// it drains, would wedge it for good once the ring filled.
-func (sh *shard) joinPush(pr *planRuntime, join int, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64, self *merger) {
+// A tail never waits: admission holds a ring slot for every tail in
+// flight on the shard, so the enqueue fits — from a merger's goroutine
+// into its own ring too (a continuation reaching an outer join).
+func (sh *shard) joinPush(pr *planRuntime, join int, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
 	var items [execChunk]mergeItem
 	var inst [execChunk]int
 	for len(pkts) > 0 {
@@ -306,11 +370,14 @@ func (sh *shard) joinPush(pr *planRuntime, join int, pkts []*packet.Packet, drop
 					k++
 				}
 			}
-			if m == self {
-				m.accept(items[:k])
-			} else if k > 0 {
-				push(sh, &m.inbox, pr.gen, items[:k])
+			if k == 0 {
+				continue
 			}
+			if got := m.rx.EnqueueBatch(items[:k]); got < k {
+				panic(fmt.Sprintf("dataplane: %s took %d of %d tails inside the admission budget (ring %d, %d held)",
+					m.name, got, k, sh.room.tails(), budget(sh.held.Load()).tails()))
+			}
+			m.ringHW.SetMax(int64(m.rx.Len()))
 		}
 	}
 }
@@ -320,11 +387,12 @@ func (sh *shard) joinPush(pr *planRuntime, join int, pkts []*packet.Packet, drop
 // resolve to one terminal drop), so attributing the drop cause here —
 // after mergers collapse parallel copies to one verdict — keeps the
 // per-cause counters summing exactly to total drops. The shared
-// counters and in-flight slots are settled once per burst, and only
-// after the last buffer was freed or the last output send completed, so
-// inflight == 0 — the reload drain condition — means every packet of
-// the generation has fully surfaced, not merely been handed off.
-func (sh *shard) emit(pr *planRuntime, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
+// counters, in-flight slots and budget (of admitted packets; their copies
+// and tails died at the joins upstream) are settled once per burst, and
+// only after the last buffer was freed or the last output send
+// completed, so inflight == 0 — the reload drain condition — means every
+// packet of the generation has fully surfaced, not merely been handed off.
+func (sh *shard) emit(pr *planRuntime, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64, admitted bool) {
 	s := sh.srv
 	for _, pkt := range pkts {
 		// One clock read ends a sampled packet's last span and its
@@ -354,5 +422,5 @@ func (sh *shard) emit(pr *planRuntime, pkts []*packet.Packet, dropped bool, prov
 		s.outCount.Add(n)
 	}
 	pr.terminal.Add(n)
-	pr.inflight.Add(-int64(n))
+	sh.settle(pr, len(pkts), admitted)
 }

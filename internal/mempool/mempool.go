@@ -48,12 +48,11 @@ type Pool struct {
 	// The pool owns its metrics (so standalone pools still count) and
 	// attaches them to a server's registry via MustRegister. Partitions
 	// alias their parent's objects — see Partition.
-	allocs      *telemetry.Counter
-	frees       *telemetry.Counter
-	failures    *telemetry.Counter
-	reserveDips *telemetry.Counter
-	inUse       *telemetry.Gauge
-	inUseHW     *telemetry.Gauge
+	allocs   *telemetry.Counter
+	frees    *telemetry.Counter
+	failures *telemetry.Counter
+	inUse    *telemetry.Gauge
+	inUseHW  *telemetry.Gauge
 }
 
 // New creates a pool of n buffers of bufSize bytes each. bufSize should
@@ -65,8 +64,8 @@ func New(n, bufSize int) *Pool {
 	p := &Pool{
 		bufSize: bufSize, cap: n, free: make([]*packet.Packet, 0, n),
 		allocs: telemetry.NewCounter(), frees: telemetry.NewCounter(),
-		failures: telemetry.NewCounter(), reserveDips: telemetry.NewCounter(),
-		inUse: telemetry.NewGauge(), inUseHW: telemetry.NewGauge(),
+		failures: telemetry.NewCounter(),
+		inUse:    telemetry.NewGauge(), inUseHW: telemetry.NewGauge(),
 	}
 	backing := make([]byte, n*bufSize) // one slab, like a hugepage region
 	for i := 0; i < n; i++ {
@@ -115,8 +114,8 @@ func (p *Pool) Partition(k int) []*Pool {
 			bufSize: p.bufSize, cap: share,
 			free:   make([]*packet.Packet, 0, share),
 			allocs: p.allocs, frees: p.frees,
-			failures: p.failures, reserveDips: p.reserveDips,
-			inUse: p.inUse, inUseHW: p.inUseHW,
+			failures: p.failures,
+			inUse:    p.inUse, inUseHW: p.inUseHW,
 		}
 		c.free = append(c.free, p.free[base:base+share]...)
 		for _, pkt := range c.free {
@@ -130,42 +129,15 @@ func (p *Pool) Partition(k int) []*Pool {
 	return parts
 }
 
-// Partitions returns the child pools created by Partition, or nil for
-// an unpartitioned pool.
-func (p *Pool) Partitions() []*Pool {
-	if pp := p.parts.Load(); pp != nil {
-		return *pp
-	}
-	return nil
-}
-
 // SetReserve keeps k buffers out of reach of Get and AllocBatch,
 // available only to AllocBatchReserved. The dataplane reserves buffers
-// for the packet copies its parallel stages create: without the
-// reserve, a traffic source that greedily drains the pool deadlocks the
-// copy path (the source waits for buffers that can only be freed once a
-// copy is allocated).
-//
-// On a partitioned pool the reserve is distributed across the
-// children, so every shard keeps its own slice of copy headroom.
+// for the packet copies its parallel stages create, and admits packets
+// only while their copies fit the reserve: whatever a traffic source
+// holds, a copy allocation then never fails. A partitioned pool has no
+// reserve of its own; each partition (each shard) sets its own.
 func (p *Pool) SetReserve(k int) {
-	if k < 0 || k >= p.cap {
-		panic(fmt.Sprintf("mempool: reserve %d out of range for pool of %d", k, p.cap))
-	}
-	if pp := p.parts.Load(); pp != nil {
-		parts := *pp
-		n := len(parts)
-		for i, c := range parts {
-			share := k / n
-			if i < k%n {
-				share++
-			}
-			if share >= c.cap {
-				share = c.cap - 1
-			}
-			c.SetReserve(share)
-		}
-		return
+	if k < 0 || k >= p.cap || p.parts.Load() != nil {
+		panic(fmt.Sprintf("mempool: reserve %d out of range for pool of %d, or pool partitioned", k, p.cap))
 	}
 	p.mu.Lock()
 	p.reserve = k
@@ -219,7 +191,7 @@ func (p *Pool) partitionedAlloc(parts []*Pool, out []*packet.Packet, honorReserv
 	p.mu.Lock()
 	hook := p.faultHook
 	p.mu.Unlock()
-	if hook != nil && !hook(len(out)) {
+	if honorReserve && hook != nil && !hook(len(out)) {
 		p.failures.Add(1)
 		return 0
 	}
@@ -240,7 +212,7 @@ func (p *Pool) partitionedAlloc(parts []*Pool, out []*packet.Packet, honorReserv
 // failure per parent burst, not one per empty child probed).
 func (p *Pool) localAlloc(out []*packet.Packet, honorReserve, quiet bool) int {
 	p.mu.Lock()
-	if p.faultHook != nil && !p.faultHook(len(out)) {
+	if honorReserve && p.faultHook != nil && !p.faultHook(len(out)) {
 		p.mu.Unlock()
 		p.failures.Add(1)
 		return 0
@@ -263,17 +235,11 @@ func (p *Pool) localAlloc(out []*packet.Packet, honorReserve, quiet bool) int {
 	base := len(p.free) - n
 	copy(out[:n], p.free[base:])
 	p.free = p.free[:base]
-	dip := !honorReserve && base < p.reserve
 	p.mu.Unlock()
 	if n < len(out) && !quiet {
 		// The burst came back short: one exhaustion event, like a
 		// rejected scalar Get.
 		p.failures.Add(1)
-	}
-	if dip {
-		// The copy path is eating into the buffers held back for it —
-		// the early-warning sign of the SetReserve deadlock scenario.
-		p.reserveDips.Add(1)
 	}
 	// Delta update so sibling partitions sharing the gauge compose; the
 	// high-water mark trails the aggregate value it observes.
@@ -291,8 +257,9 @@ func (p *Pool) localAlloc(out []*packet.Packet, honorReserve, quiet bool) int {
 }
 
 // SetFaultHook installs (or clears, with nil) a hook consulted before
-// every allocation batch; returning false fails the whole batch as a
-// pool-exhaustion event. The fault-injection layer uses it to fail
+// every allocation batch of a traffic source (Get, AllocBatch; the
+// reserved path's buffers are spoken for, so it cannot be exhausted);
+// returning false fails the whole batch as a pool-exhaustion event. The fault-injection layer uses it to fail
 // allocations on a deterministic schedule; production code never sets
 // it, so the fast path pays only a nil check under the existing lock.
 func (p *Pool) SetFaultHook(fn func(want int) bool) {
@@ -387,7 +354,6 @@ func (p *Pool) MustRegister(reg *telemetry.Registry) {
 	reg.MustRegisterCounter("nfp_mempool_allocs_total", p.allocs)
 	reg.MustRegisterCounter("nfp_mempool_frees_total", p.frees)
 	reg.MustRegisterCounter("nfp_mempool_alloc_failures_total", p.failures)
-	reg.MustRegisterCounter("nfp_mempool_reserve_dips_total", p.reserveDips)
 	reg.MustRegisterGauge("nfp_mempool_in_use", p.inUse)
 	reg.MustRegisterGauge("nfp_mempool_in_use_high_water", p.inUseHW)
 	reg.Gauge("nfp_mempool_capacity").Set(int64(p.cap))
@@ -396,19 +362,16 @@ func (p *Pool) MustRegister(reg *telemetry.Registry) {
 // Stats reports cumulative pool activity.
 type Stats struct {
 	Allocs, Frees, Failures uint64
-	// ReserveDips counts reserved-path allocations that dug below the
-	// reserve line; InUse is the current leak gauge.
-	ReserveDips uint64
-	InUse       int
+	// InUse is the current leak gauge.
+	InUse int
 }
 
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Allocs:      p.allocs.Value(),
-		Frees:       p.frees.Value(),
-		Failures:    p.failures.Value(),
-		ReserveDips: p.reserveDips.Value(),
-		InUse:       p.InUse(),
+		Allocs:   p.allocs.Value(),
+		Frees:    p.frees.Value(),
+		Failures: p.failures.Value(),
+		InUse:    p.InUse(),
 	}
 }

@@ -343,9 +343,6 @@ func TestPartitionDistributesBuffers(t *testing.T) {
 	if total != p.Cap() {
 		t.Errorf("partition caps sum to %d, want %d", total, p.Cap())
 	}
-	if p.Partitions() == nil {
-		t.Error("Partitions() returned nil after Partition")
-	}
 }
 
 // A buffer freed from any goroutine must return to the partition it was
@@ -424,13 +421,12 @@ func TestPartitionedParentDelegates(t *testing.T) {
 	}
 }
 
-// SetReserve on a partitioned pool distributes copy headroom: every
-// partition keeps its own reserved slice for AllocBatchReserved.
+// Every partition keeps its own reserved slice for AllocBatchReserved.
 func TestPartitionSetReserve(t *testing.T) {
 	p := New(8, 128)
 	parts := p.Partition(2)
-	p.SetReserve(2)
 	for _, c := range parts {
+		c.SetReserve(1)
 		// Each partition of 4 holds 1 reserved buffer.
 		a := c.Get()
 		b := c.Get()
@@ -475,5 +471,10 @@ func TestPartitionMisusePanics(t *testing.T) {
 	})
 	expectPanic("more partitions than buffers", func() {
 		New(2, 128).Partition(3)
+	})
+	expectPanic("reserve on the facade", func() {
+		p := New(4, 128)
+		p.Partition(2)
+		p.SetReserve(1)
 	})
 }

@@ -99,5 +99,12 @@ func FuzzHeaderOnlyCopy(f *testing.F) {
 		if err := dst.Parse(); err != nil {
 			t.Fatalf("header-only copy unparseable: %v", err)
 		}
+		// The layout and flow key the copy inherited are the ones its own
+		// bytes parse to.
+		fresh := New(append([]byte(nil), dst.Bytes()...))
+		if err := fresh.Parse(); err != nil || fresh.layout != dst.layout || fresh.fkey != dst.fkey {
+			t.Fatalf("inherited caches differ from a parse of the copy: %v\n got %+v %+v\nwant %+v %+v",
+				err, dst.layout, dst.fkey, fresh.layout, fresh.fkey)
+		}
 	})
 }

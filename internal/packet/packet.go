@@ -141,21 +141,24 @@ func (p *Packet) Free() {
 }
 
 // CloneInto copies the full wire contents and metadata of p into dst,
-// which must have a buffer at least p.Len() bytes long. The destination
-// layout is re-parsed lazily.
-func (p *Packet) CloneInto(dst *Packet) {
-	if len(dst.buf) < p.wire {
-		panic(fmt.Sprintf("packet: CloneInto needs %d bytes, dst has %d", p.wire, len(dst.buf)))
+// which must have a buffer at least p.Len() bytes long.
+func (p *Packet) CloneInto(dst *Packet) { p.copyInto(dst, p.wire) }
+
+// copyInto is the one copy body: the first n wire bytes of p and its
+// metadata go into dst. The copy's bytes are p's bytes — identical
+// header bytes have identical offsets — so p's parsed layout and flow
+// key (when warm) are the copy's too, provided n covers the header
+// chain: nothing is re-parsed, and a copy of a warm packet is born warm.
+func (p *Packet) copyInto(dst *Packet, n int) {
+	if len(dst.buf) < n {
+		panic(fmt.Sprintf("packet: copy needs %d bytes, dst has %d", n, len(dst.buf)))
 	}
-	copy(dst.buf, p.buf[:p.wire])
-	dst.wire = p.wire
+	copy(dst.buf, p.buf[:n])
+	dst.wire = n
 	dst.Meta = p.Meta
 	dst.Ingress = p.Ingress
 	dst.Nil = p.Nil
-	dst.layout = Layout{}
-	// The clone's bytes are p's bytes, so p's cached flow key (when
-	// warm) is the clone's too.
-	dst.fkey, dst.fkeyOK = p.fkey, p.fkeyOK
+	dst.layout, dst.fkey, dst.fkeyOK = p.layout, p.fkey, p.fkeyOK
 }
 
 // String implements fmt.Stringer for debugging.

@@ -317,6 +317,13 @@ func TestHeaderOnlyCopy(t *testing.T) {
 	if len(dst.Payload()) != 0 {
 		t.Errorf("header-only copy has %d payload bytes", len(dst.Payload()))
 	}
+	// The incrementally updated IP checksum is the one a full re-sum
+	// over the rewritten header gives.
+	resummed := New(append([]byte(nil), dst.Bytes()...))
+	resummed.SetTotalLen(dst.TotalLen())
+	if !bytes.Equal(dst.Bytes(), resummed.Bytes()) {
+		t.Errorf("IP checksum after the length rewrite:\n got %x\nwant %x", dst.Bytes(), resummed.Bytes())
+	}
 }
 
 func TestFullCopy(t *testing.T) {
