@@ -299,6 +299,7 @@ if [ "${1:-}" = "fuzz" ]; then
     # than one target (or package) at a time.
     go test -run '^$' -fuzz '^FuzzPolicyCompile$' -fuzztime "$ft" ./internal/core/
     go test -run '^$' -fuzz '^FuzzClassify$' -fuzztime "$ft" ./internal/dataplane/
+    go test -run '^$' -fuzz '^FuzzAccumulatingTable$' -fuzztime "$ft" ./internal/dataplane/
     go test -run '^$' -fuzz '^FuzzRuleIndex$' -fuzztime "$ft" ./internal/ruleindex/
     exit 0
 fi

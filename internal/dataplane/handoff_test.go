@@ -392,6 +392,9 @@ func TestJoinBackpressure(t *testing.T) {
 	if hw, max := m.ringHW.Value(), int64(m.rx.Cap()); hw > max {
 		t.Errorf("nfp_merger_ring_high_water = %d, over the ring's capacity %d", hw, max)
 	}
+	if hw, bound := m.atHW.Value(), int64(m.at.bound); hw > bound || bound != admitted {
+		t.Errorf("nfp_merger_at_high_water = %d, table bound %d, want both within the %d packets admitted", hw, bound, admitted)
+	}
 	if parks := s.Telemetry().Counter("nfp_backpressure_parks_total").Value(); parks == 0 {
 		t.Error("backpressure event without a counted park")
 	}
@@ -403,6 +406,83 @@ func TestJoinBackpressure(t *testing.T) {
 	if outs := col.wait(); outs != n || st.Injected != n || st.Outputs != n || st.Drops != 0 {
 		t.Fatalf("join backpressure lost packets: injected=%d outputs=%d drops=%d collected=%d",
 			st.Injected, st.Outputs, st.Drops, outs)
+	}
+	if leak := s.Pool().InUse(); leak != 0 {
+		t.Fatalf("pool leak: %d buffers", leak)
+	}
+}
+
+// TestJoinBackpressureStalledBranch: one branch of a copying stage stalls
+// while the other keeps reporting, so Accumulating Table entries pile up
+// with one tail each — as far as admission lets them: the merger ring
+// divided by the two tails a packet brings, which is the table's entry
+// bound, held in an array twice that. The merger neither waits nor
+// overfills (it would panic, naming the bound); once the branch moves
+// everything completes, with exactly one copy per packet.
+func TestJoinBackpressureStalledBranch(t *testing.T) {
+	stall := faultinject.NewStallNF(nf.NewMonitor())
+	// A copy reserve (an eighth of the pool) and NF rings that cover what
+	// the merger ring admits, so the tails budget is what binds.
+	const admitted = mergerQueue / 2
+	s := New(Config{PoolSize: 8 * admitted, RingSize: mergerQueue, Burst: 8, Mergers: 1, SpinLimit: 4})
+	g := graph.Par{
+		Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
+		Groups:   [][]int{{0}, {1}},
+		FullCopy: []bool{false, false},
+		Ops:      carry(2),
+	}
+	if err := s.AddGraphInstances(1, g, map[graph.NF]nf.NF{nfn(nfa.NFMonitor, 0): stall}); err != nil {
+		t.Fatal(err)
+	}
+	m := s.shards[0].mergers[0]
+	if m.at.bound != admitted || len(m.at.slots) != 2*admitted {
+		t.Fatalf("table of %d slots bounded at %d entries, want %d and %d", len(m.at.slots), m.at.bound, 2*admitted, admitted)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	col := collectOutputs(s)
+	stall.Stall()
+
+	const n = admitted + 200
+	injDone := make(chan struct{})
+	go func() {
+		defer close(injDone)
+		for i := 0; i < n; i++ {
+			if !s.Inject(buildInto(t, s, shapeSpec(i))) {
+				t.Error("classification failed")
+				return
+			}
+		}
+	}()
+	waitBackpressure(t, s, "admission")
+	// Every admitted packet's LB tail reaches the merger; none completes.
+	for limit := time.Now().Add(10 * time.Second); m.atSize.Value() != admitted; {
+		if time.Now().After(limit) {
+			t.Fatalf("nfp_merger_at_size = %d behind the stalled branch, want the %d admitted", m.atSize.Value(), admitted)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	if got := s.Stats().Injected; got != admitted {
+		t.Errorf("injected = %d, want the %d the merger ring covers", got, admitted)
+	}
+	if merged := m.merged.Value(); merged != 0 {
+		t.Errorf("%d packets merged with one branch stalled", merged)
+	}
+
+	stall.Release()
+	<-injDone
+	s.Stop()
+	if hw := m.atHW.Value(); hw != admitted {
+		t.Errorf("nfp_merger_at_high_water = %d, want exactly the entry bound %d", hw, admitted)
+	}
+	st := s.Stats()
+	if outs := col.wait(); outs != n || st.Injected != n || st.Outputs != n || st.Drops != 0 {
+		t.Fatalf("stalled branch lost packets: injected=%d outputs=%d drops=%d collected=%d",
+			st.Injected, st.Outputs, st.Drops, outs)
+	}
+	if st.Copies != n {
+		t.Errorf("copies = %d, want %d", st.Copies, n)
 	}
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Fatalf("pool leak: %d buffers", leak)

@@ -745,6 +745,16 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 		n.healthy.Store(true)
 		pr.rts = append(pr.rts, n)
 	}
+	if len(plan.Joins) > 0 && sh.mergers[0].at == nil {
+		// The first plan on this shard that joins: its mergers get their
+		// Accumulating Tables, before a tail can exist (the plan is not
+		// published yet). A join waits for at least two tails, so the
+		// entries live on the shard — on one merger, if the PID hash will
+		// have it — are at most half the tails admission lets in.
+		for _, m := range sh.mergers {
+			m.at = newATTable(sh.room.tails() / 2)
+		}
+	}
 	return pr, nil
 }
 

@@ -398,7 +398,7 @@ func TestServerLifecycleErrors(t *testing.T) {
 }
 
 // TestStopConcurrent: Stop racing Stop. The stopped check must hold
-// under the control-plane lock or the loser closes the merger channels a
+// under the control-plane lock or the loser closes the output channels a
 // second time. Every call must return, with the server stopped once.
 func TestStopConcurrent(t *testing.T) {
 	for round := 0; round < 20; round++ {

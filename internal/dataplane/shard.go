@@ -382,6 +382,22 @@ func (sh *shard) joinPush(pr *planRuntime, join int, pkts []*packet.Packet, drop
 	}
 }
 
+// release frees a burst of packets the graph is done with: under one
+// lock when all are the shard's own partition's, as copies always are;
+// each through its own owner otherwise (a source may allocate from any
+// partition, a nil carrier comes from none).
+func (sh *shard) release(pkts []*packet.Packet) {
+	for _, pkt := range pkts {
+		if pkt.Owner() != packet.Owner(sh.pool) {
+			for _, pkt := range pkts {
+				pkt.Free()
+			}
+			return
+		}
+	}
+	sh.pool.FreeBatch(pkts)
+}
+
 // emit is the single terminal accounting point: exactly one terminal
 // event per injected packet (copies die at joins, drop intentions
 // resolve to one terminal drop), so attributing the drop cause here —
@@ -409,13 +425,13 @@ func (sh *shard) emit(pr *planRuntime, pkts []*packet.Packet, dropped bool, prov
 		}
 		if dropped {
 			sh.recordDrop(pr, prov, pkt, cursor)
-			pkt.Free()
 		} else {
 			sh.out <- pkt
 		}
 	}
 	n := uint64(len(pkts))
 	if dropped {
+		sh.release(pkts)
 		s.drops.Add(n)
 		sh.dropCounter(pr, prov).Add(n)
 	} else {

@@ -71,7 +71,7 @@ func New(n, bufSize int) *Pool {
 	for i := 0; i < n; i++ {
 		pkt := &packet.Packet{}
 		buf := backing[i*bufSize : (i+1)*bufSize : (i+1)*bufSize]
-		pkt.Attach(buf, 0, p.put)
+		pkt.Attach(buf, 0, p)
 		p.free = append(p.free, pkt)
 	}
 	return p
@@ -79,7 +79,7 @@ func New(n, bufSize int) *Pool {
 
 // Partition splits a full (entirely free) pool into k child pools and
 // returns them. Buffers are divided as evenly as possible; each
-// buffer's release hook is re-pointed at its owning child, so pkt.Free
+// buffer's owner is re-pointed at its owning child, so pkt.Free
 // always returns a buffer to the partition it came from, no matter
 // which goroutine frees it. The parent becomes a facade: Get /
 // AllocBatch / AllocBatchReserved delegate round-robin across the children
@@ -119,7 +119,7 @@ func (p *Pool) Partition(k int) []*Pool {
 		}
 		c.free = append(c.free, p.free[base:base+share]...)
 		for _, pkt := range c.free {
-			pkt.Attach(pkt.Buffer(), 0, c.put)
+			pkt.Attach(pkt.Buffer(), 0, c)
 		}
 		base += share
 		parts[i] = c
@@ -270,15 +270,16 @@ func (p *Pool) SetFaultHook(fn func(want int) bool) {
 
 // FreeBatch returns a batch of packets to the pool under a single lock
 // acquisition — the burst analog of per-packet Free. Every packet must
-// have been allocated from this pool and not freed since; mixing pools
-// or double-freeing trips the capacity guard.
+// have been allocated from this pool and not freed since (a caller that
+// cannot know asks packet.Owner first); mixing pools or double-freeing
+// trips the capacity guard.
 func (p *Pool) FreeBatch(pkts []*packet.Packet) {
 	if len(pkts) == 0 {
 		return
 	}
 	if p.parts.Load() != nil {
-		// Partitioned facade: each packet's release hook knows its
-		// owning child, so the batch degrades to per-packet frees.
+		// Partitioned facade: each packet knows its owning child, so the
+		// batch degrades to per-packet frees.
 		for _, pkt := range pkts {
 			pkt.Free()
 		}
@@ -295,9 +296,9 @@ func (p *Pool) FreeBatch(pkts []*packet.Packet) {
 	p.frees.Add(uint64(len(pkts)))
 }
 
-// put returns a packet to the free list. Installed as the packet's
-// release hook so callers just call pkt.Free().
-func (p *Pool) put(pkt *packet.Packet) {
+// Put returns a packet to the free list: what pkt.Free calls on the
+// packet's owner.
+func (p *Pool) Put(pkt *packet.Packet) {
 	p.mu.Lock()
 	if len(p.free) == p.cap {
 		p.mu.Unlock()

@@ -95,6 +95,16 @@ func (p *Packet) pseudoHeaderSum(l Layout, segLen int) uint32 {
 	return sum
 }
 
+// updateIPChecksum adjusts the checksum of the IPv4 header h for 16-bit
+// words rewritten in place (RFC 1624, eq. 3), without re-summing the
+// header: delta is the sum of every changed word's old value,
+// complemented, and its new value. On a header whose checksum verified
+// the result is the checksum a full re-sum would write.
+func updateIPChecksum(h []byte, delta uint32) {
+	sum := uint32(^binary.BigEndian.Uint16(h[10:12])) + delta
+	binary.BigEndian.PutUint16(h[10:12], ^foldOnes(sum))
+}
+
 // addOnes accumulates b into a ones-complement running sum.
 func addOnes(sum uint32, b []byte) uint32 {
 	for i := 0; i+1 < len(b); i += 2 {

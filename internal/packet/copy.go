@@ -24,9 +24,8 @@ func HeaderOnlyCopy(src, dst *Packet, version uint8) {
 	// header checksum is updated for it (RFC 1624, eq. 3), not re-summed.
 	h := dst.buf[dst.layout.L3Off:]
 	old, total := binary.BigEndian.Uint16(h[2:4]), uint16(n-EthHeaderLen)
-	sum := uint32(^binary.BigEndian.Uint16(h[10:12])) + uint32(^old) + uint32(total)
 	binary.BigEndian.PutUint16(h[2:4], total)
-	binary.BigEndian.PutUint16(h[10:12], ^foldOnes(sum))
+	updateIPChecksum(h, uint32(^old)+uint32(total))
 }
 
 // FullCopy copies the entire wire contents of src into dst and tags dst

@@ -1,6 +1,9 @@
 package packet
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Field names a region of a packet that NFs read or write. The set
 // mirrors the columns of the paper's Table 2 (SIP, DIP, SPORT, DPORT,
@@ -144,6 +147,41 @@ func (p *Packet) FieldBytes(f Field) []byte {
 		return nil
 	}
 	return p.buf[r.Off : r.Off+r.Len]
+}
+
+// OverwriteField replaces the value of f — an address, the TTL or a
+// port: the fixed-length fields whose value fixes no header offset and
+// covers no checksum word — with data, of the field's length. Nothing
+// moves, so the parsed layout stays, the cached flow key is read again
+// from the bytes (the caches stay warm: the packet may be shared right
+// after), and a rewrite inside the IPv4 header updates its checksum for
+// the words that changed. Any other field, one the packet lacks or
+// another length panics: the caller has ranged both.
+func (p *Packet) OverwriteField(f Field, data []byte) {
+	r, ok := p.FieldRange(f)
+	if !ok || r.Len != len(data) {
+		panic(fmt.Sprintf("packet: %d bytes over field %v (present %v, %d bytes)", len(data), f, ok, r.Len))
+	}
+	l, off, end := p.layout, r.Off, r.Off+r.Len
+	switch f {
+	case FieldSrcIP, FieldDstIP, FieldTTL:
+		// The 16-bit words of the IPv4 header the field touches.
+		a, b := off-(off-l.L3Off)&1, end+(end-l.L3Off)&1
+		var delta uint32
+		for i := a; i < b; i += 2 {
+			delta += uint32(^binary.BigEndian.Uint16(p.buf[i : i+2]))
+		}
+		copy(p.buf[off:end], data)
+		for i := a; i < b; i += 2 {
+			delta += uint32(binary.BigEndian.Uint16(p.buf[i : i+2]))
+		}
+		updateIPChecksum(p.buf[l.L3Off:], delta)
+	case FieldSrcPort, FieldDstPort:
+		copy(p.buf[off:end], data)
+	default:
+		panic(fmt.Sprintf("packet: field %v cannot be overwritten in place", f))
+	}
+	p.fkey = flowKeyAt(p.buf, l.L3Off, l.L4Off, l.L4Proto)
 }
 
 // InsertAt splices data into the packet at offset off, shifting the

@@ -72,8 +72,10 @@ type Packet struct {
 	// the merger output.
 	Ingress int64
 
-	// Nil marks a nil packet conveying a drop intention.
-	Nil bool
+	// owner is the pool the packet returns to on Free; set by the pool.
+	// Nil for packets created outside a pool (tests, builders). It sits
+	// with the fields whoever frees a packet has just read.
+	owner Owner
 
 	buf  []byte
 	wire int // valid wire length
@@ -86,9 +88,14 @@ type Packet struct {
 	fkey   FlowKey
 	fkeyOK bool
 
-	// Release returns the packet to its owning pool; set by the pool.
-	// May be nil for packets created outside a pool (tests, builders).
-	release func(*Packet)
+	// Nil marks a nil packet conveying a drop intention.
+	Nil bool
+}
+
+// Owner is what a pooled packet goes back to (a mempool.Pool).
+type Owner interface {
+	// Put takes back a packet the owner handed out.
+	Put(*Packet)
 }
 
 // New wraps buf as a standalone packet (no pool). The packet's wire
@@ -105,11 +112,11 @@ func NewNil(meta Meta) *Packet {
 }
 
 // Attach configures the packet to use buf as backing storage with the
-// given wire length and release hook. Used by mempool.
-func (p *Packet) Attach(buf []byte, wire int, release func(*Packet)) {
+// given wire length and owner (nil for none). Used by mempool.
+func (p *Packet) Attach(buf []byte, wire int, owner Owner) {
 	p.buf = buf
 	p.wire = wire
-	p.release = release
+	p.owner = owner
 	p.layout = Layout{}
 	p.fkeyOK = false
 	p.Nil = false
@@ -135,10 +142,15 @@ func (p *Packet) SetLen(n int) {
 // Free returns the packet to its pool, if it has one. Freeing a packet
 // twice is a bug in the caller; the pool guards against it.
 func (p *Packet) Free() {
-	if p.release != nil {
-		p.release(p)
+	if p.owner != nil {
+		p.owner.Put(p)
 	}
 }
+
+// Owner returns the pool the packet goes back to, nil when it has none:
+// what tells a holder of mixed packets which of them one pool's
+// FreeBatch may take.
+func (p *Packet) Owner() Owner { return p.owner }
 
 // CloneInto copies the full wire contents and metadata of p into dst,
 // which must have a buffer at least p.Len() bytes long.

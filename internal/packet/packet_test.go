@@ -405,3 +405,57 @@ func TestFieldStrings(t *testing.T) {
 		t.Errorf("out-of-range field name = %q", Field(200).String())
 	}
 }
+
+// TestOverwriteKeepsCachesAndChecksum: rewriting an address, the TTL or
+// a port in place leaves the IP checksum a full re-sum would write, the
+// flow key a fresh parse would read, and the layout untouched — at every
+// alignment inside the IP header, with the bytes around the range intact.
+func TestOverwriteKeepsCachesAndChecksum(t *testing.T) {
+	for _, f := range []Field{FieldSrcIP, FieldDstIP, FieldTTL, FieldSrcPort, FieldDstPort} {
+		for round := 0; round < 64; round++ {
+			p := Build(BuildSpec{
+				SrcIP: netip.AddrFrom4([4]byte{10, byte(round), 3, 4}), DstIP: netip.AddrFrom4([4]byte{172, 16, byte(round * 7), 9}),
+				Proto: []uint8{ProtoTCP, ProtoUDP}[round%2], SrcPort: uint16(1000 + round), DstPort: 443,
+				TTL: uint8(1 + round), Payload: []byte("overwrite"),
+			})
+			if _, err := p.FlowKey(); err != nil {
+				t.Fatal(err)
+			}
+			lay, _ := p.Layout()
+			r, _ := p.FieldRange(f)
+			data := []byte{byte(round * 37), byte(round*11 + 1), 0xff, byte(round)}[:r.Len]
+
+			want := New(append([]byte(nil), p.Bytes()...))
+			copy(want.Buffer()[r.Off:], data)
+			want.SetTotalLen(want.TotalLen()) // re-sums the whole header
+
+			p.OverwriteField(f, data)
+			if !bytes.Equal(p.Bytes(), want.Bytes()) {
+				t.Fatalf("%v round %d: bytes\n got %x\nwant %x", f, round, p.Bytes(), want.Bytes())
+			}
+			gotKey, _ := p.FlowKey()
+			wantKey, _ := want.FlowKey()
+			if gotLay, _ := p.Layout(); gotKey != wantKey || gotLay != lay {
+				t.Fatalf("%v round %d: key %v layout %+v, want %v %+v", f, round, gotKey, gotLay, wantKey, lay)
+			}
+		}
+	}
+	// Only those five: a range covering the checksum word, a field that
+	// fixes an offset or a value of another length is refused outright.
+	p := Build(BuildSpec{SrcIP: netip.AddrFrom4([4]byte{10, 0, 0, 1}), DstIP: netip.AddrFrom4([4]byte{10, 0, 0, 2}), Proto: ProtoUDP})
+	for name, call := range map[string]func(){
+		"whole IP header": func() { p.OverwriteField(FieldIPHeader, p.FieldBytes(FieldIPHeader)) },
+		"payload":         func() { p.OverwriteField(FieldPayload, nil) },
+		"short address":   func() { p.OverwriteField(FieldSrcIP, []byte{1, 2}) },
+		"absent field":    func() { p.OverwriteField(FieldAH, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("OverwriteField of %s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

@@ -98,19 +98,26 @@ func (p *Packet) Parse() error {
 	// makes FlowKey a pure read on packets shared across no-copy
 	// parallel groups — any structural editor that Invalidates re-warms
 	// both through its own next accessor, inside single-owner context.
-	fk := FlowKey{
-		Src:   [4]byte(b[l3+12 : l3+16]),
-		Dst:   [4]byte(b[l3+16 : l3+20]),
-		Proto: lay.L4Proto,
-	}
-	if lay.L4Off >= 0 {
-		fk.SrcPort = binary.BigEndian.Uint16(b[lay.L4Off : lay.L4Off+2])
-		fk.DstPort = binary.BigEndian.Uint16(b[lay.L4Off+2 : lay.L4Off+4])
-	}
-	p.fkey = fk
+	p.fkey = flowKeyAt(b, l3, lay.L4Off, proto)
 	p.fkeyOK = true
 	p.layout = lay
 	return nil
+}
+
+// flowKeyAt reads the packed 5-tuple out of header bytes whose IPv4
+// header starts at l3 and TCP/UDP header at l4 (negative: none), proto
+// being the protocol above IP (and AH).
+func flowKeyAt(b []byte, l3, l4 int, proto uint8) FlowKey {
+	fk := FlowKey{
+		Src:   [4]byte(b[l3+12 : l3+16]),
+		Dst:   [4]byte(b[l3+16 : l3+20]),
+		Proto: proto,
+	}
+	if l4 >= 0 {
+		fk.SrcPort = binary.BigEndian.Uint16(b[l4 : l4+2])
+		fk.DstPort = binary.BigEndian.Uint16(b[l4+2 : l4+4])
+	}
+	return fk
 }
 
 // Invalidate discards the cached layout and flow key; the next
