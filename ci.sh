@@ -3,7 +3,12 @@
 # Mirrors .github/workflows/ci.yml so the gate is reproducible locally.
 #
 #   ./ci.sh        — the blocking gate (build + vet + race tests, plus
-#                    staticcheck when it is on PATH)
+#                    staticcheck when it is on PATH). The race tests
+#                    include the new-flow storm against the per-flow
+#                    state tables at a scaled-down ceiling (seconds);
+#                    the storm against the real 2^20 ceiling runs in a
+#                    plain `go test ./...` and is skipped under -race
+#                    and -short.
 #   ./ci.sh bench  — the repo benchmark (BENCHMARK.json): every
 #                    workload, end-to-end and per-layer metrics, through
 #                    `go run ./bench -seed 1`; the artifact is
@@ -301,6 +306,7 @@ if [ "${1:-}" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzClassify$' -fuzztime "$ft" ./internal/dataplane/
     go test -run '^$' -fuzz '^FuzzAccumulatingTable$' -fuzztime "$ft" ./internal/dataplane/
     go test -run '^$' -fuzz '^FuzzRuleIndex$' -fuzztime "$ft" ./internal/ruleindex/
+    go test -run '^$' -fuzz '^FuzzFlowTable$' -fuzztime "$ft" ./internal/flowtab/
     exit 0
 fi
 

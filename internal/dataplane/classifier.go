@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"nfp/internal/flow"
+	"nfp/internal/flowtab"
 	"nfp/internal/packet"
 	"nfp/internal/ruleindex"
 	"nfp/internal/telemetry"
@@ -113,39 +114,68 @@ type Classifier struct {
 	// no fast path: a zero-value Classifier, as the tests build to hold
 	// the cache to the plain lookup). Injector goroutines classify
 	// inline, so any number of them may probe and install into one cache
-	// at once; that is safe because slots are atomic pointers to
-	// immutable entries — a racing install is last-writer-wins, never a
-	// torn read. Cache hit/miss/eviction counters are amortized per burst
-	// like the outcome counters.
+	// at once; each slot's sequence word keeps that safe (fcSlot). Cache
+	// hit/miss/eviction counters are amortized per burst like the
+	// outcome counters.
 	caches     []microCache
 	cacheHits  *telemetry.Counter
 	cacheMiss  *telemetry.Counter
 	cacheEvict *telemetry.Counter
 }
 
-// flowCacheEntry is one installed microflow: the packed key, the
-// classification it resolved to, and the exact table version it was
-// computed against. Entries are immutable after publication; staleness
-// is a single pointer compare with the live table, so every rule
-// mutation (and Reload's republish) invalidates the whole cache for
-// free — no generation counters on the probe path.
-type flowCacheEntry struct {
-	table      *classTable
-	key        packet.FlowKey
-	mid        uint32
-	viaDefault bool
+// fcSlot is one microflow, inline and pointer-free: the packed key, the
+// classification it resolved to, and the generation of the table it was
+// computed against. Injectors classify inline, so any number of them
+// may probe and install into one cache at once; a per-slot sequence
+// word (odd while a writer is inside) makes a probe see a whole entry
+// or none, and every field is an atomic so the race detector agrees.
+// Staleness is one compare with the live table's generation, so every
+// rule mutation (and Reload's republish) invalidates the whole cache
+// for free.
+type fcSlot struct {
+	seq atomic.Uint64
+	gen atomic.Uint64 // classTable.gen the entry was computed against; 0 = empty
+	a   atomic.Uint64 // flowtab.Pack: source and destination address
+	b   atomic.Uint64 // flowtab.Pack: ports and protocol; above them fcViaDefault, MID
+}
+
+const (
+	fcKeyMask    = 1<<40 - 1
+	fcViaDefault = 1 << 40
+	fcMIDShift   = 41
+)
+
+// load returns the slot's entry; ok is false while a writer is inside
+// or when one got in between the reads.
+func (s *fcSlot) load() (gen, a, b uint64, ok bool) {
+	seq := s.seq.Load()
+	gen, a, b = s.gen.Load(), s.a.Load(), s.b.Load()
+	return gen, a, b, seq&1 == 0 && s.seq.Load() == seq
+}
+
+// store installs an entry, unless another injector is installing into
+// the slot right now: then that one's entry will do.
+func (s *fcSlot) store(gen, a, b uint64) {
+	seq := s.seq.Load()
+	if seq&1 != 0 || !s.seq.CompareAndSwap(seq, seq+1) {
+		return
+	}
+	s.gen.Store(gen)
+	s.a.Store(a)
+	s.b.Store(b)
+	s.seq.Store(seq + 2)
 }
 
 // microCache is one shard's microflow cache in the OVS EMC mold: a
-// power-of-two array of atomic entry pointers, probed two-way — each
-// flow hashes to a primary and a secondary slot (disjoint hash bits),
-// so two flows colliding on one index coexist instead of thrashing
-// each other with a full rule walk per packet. Only when both ways
-// hold live entries does an install overwrite in place (cheap
-// eviction); the displaced flow simply takes the rule walk again on
-// its next packet, so the cache bounds memory, never correctness.
+// power-of-two array of slots, probed two-way — each flow hashes to a
+// primary and a secondary slot (disjoint hash bits), so two flows
+// colliding on one index coexist instead of thrashing each other with a
+// full rule walk per packet. Only when both ways hold live entries does
+// an install overwrite in place (cheap eviction); the displaced flow
+// simply takes the rule walk again on its next packet, so the cache
+// bounds memory, never correctness.
 type microCache struct {
-	slots []atomic.Pointer[flowCacheEntry]
+	slots []fcSlot
 	mask  uint64
 }
 
@@ -164,7 +194,7 @@ func (c *Classifier) bindFlowCache(shards, slots int) {
 	c.caches = make([]microCache, shards)
 	for i := range c.caches {
 		c.caches[i] = microCache{
-			slots: make([]atomic.Pointer[flowCacheEntry], size),
+			slots: make([]fcSlot, size),
 			mask:  uint64(size - 1),
 		}
 	}
@@ -176,8 +206,8 @@ func (c *Classifier) bindFlowCache(shards, slots int) {
 }
 
 // InvalidateCache force-expires every microflow cache entry by
-// republishing the classification table under a fresh pointer: entries
-// are stamped with the table they were computed against, so the
+// republishing the classification table as a new generation: entries
+// are stamped with the generation they were computed against, so the
 // republish makes all of them stale at once without touching a slot.
 // Rule mutations do this implicitly; Server.Reload calls it explicitly
 // so a config-generation swap never serves a pre-swap cache line.
@@ -253,6 +283,7 @@ func (c *Classifier) midCounter(mid uint32) *telemetry.Counter {
 // writer fills its spare capacity beyond every published len (see
 // AddRule).
 type classTable struct {
+	gen        uint64 // counts published versions, from 1: what a cache entry is stamped with
 	rules      []classRule
 	index      *lazyIndex // compiled rules; shared by every version with this rule list
 	defaultMID uint32
@@ -304,6 +335,7 @@ func (c *Classifier) mutate(fn func(*classTable)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	next := *c.loadTable()
+	next.gen++
 	fn(&next)
 	c.table.Store(&next)
 	c.rulesG.Set(int64(len(next.rules)))
@@ -387,11 +419,12 @@ func (c *Classifier) scanRules(t *classTable, p *packet.Packet) (mid uint32, ok,
 }
 
 // lookupFast resolves a packet through the microflow cache: a hit is
-// one atomic load plus two compares (table pointer, packed key); a miss
-// runs the rule walk and installs the result — including via-default
-// resolutions, which paid for the full failed walk and are worth
-// caching — under the current table pointer. Unroutable results are not
-// installed: the cache holds only flows the dataplane will accept.
+// one slot read plus three compares (table generation, packed key); a
+// miss runs the rule walk and installs the result — including
+// via-default resolutions, which paid for the full failed walk and are
+// worth caching — under the current table generation. Unroutable
+// results are not installed: the cache holds only flows the dataplane
+// will accept.
 // Unparseable packets carry no 5-tuple and bypass the cache for
 // scanRules' default fallthrough, so outcomes (and therefore counters,
 // PIDs and digests) are identical cache-on and cache-off.
@@ -402,13 +435,15 @@ func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet)
 		return mid, ok, viaDefault, fcBypass
 	}
 	h := fk.Hash()
-	s1 := &mc.slots[h&mc.mask]
-	if e := s1.Load(); e != nil && e.table == t && e.key == fk {
-		return e.mid, true, e.viaDefault, fcHit
+	a, b := flowtab.Pack(fk)
+	s1, s2 := &mc.slots[h&mc.mask], &mc.slots[(h>>16)&mc.mask]
+	g1, a1, b1, ok1 := s1.load()
+	if ok1 && g1 == t.gen && a1 == a && b1&fcKeyMask == b {
+		return uint32(b1 >> fcMIDShift), true, b1&fcViaDefault != 0, fcHit
 	}
-	s2 := &mc.slots[(h>>16)&mc.mask]
-	if e := s2.Load(); e != nil && e.table == t && e.key == fk {
-		return e.mid, true, e.viaDefault, fcHit
+	g2, a2, b2, ok2 := s2.load()
+	if ok2 && g2 == t.gen && a2 == a && b2&fcKeyMask == b {
+		return uint32(b2 >> fcMIDShift), true, b2&fcViaDefault != 0, fcHit
 	}
 	mid, ok, viaDefault = c.scanRules(t, p)
 	if ok {
@@ -417,14 +452,18 @@ func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet)
 		// is free or stale. Displacing a live entry counts as an
 		// eviction; overwriting a stale one is reclamation.
 		slot := s1
-		if old := s1.Load(); old != nil && old.table == t && old.key != fk {
-			if old2 := s2.Load(); old2 == nil || old2.table != t {
+		if ok1 && g1 == t.gen {
+			if !ok2 || g2 != t.gen {
 				slot = s2
 			} else {
 				c.cacheEvict.Add(1)
 			}
 		}
-		slot.Store(&flowCacheEntry{table: t, key: fk, mid: mid, viaDefault: viaDefault})
+		b |= uint64(mid) << fcMIDShift
+		if viaDefault {
+			b |= fcViaDefault
+		}
+		slot.store(t.gen, a, b)
 	}
 	return mid, ok, viaDefault, fcMiss
 }

@@ -1,7 +1,9 @@
 package dataplane
 
 import (
+	"fmt"
 	"net/netip"
+	"sync"
 	"testing"
 
 	"nfp/internal/graph"
@@ -272,5 +274,72 @@ func TestFlowCachePrependRedirectImmediate(t *testing.T) {
 	// invalidate): 3 misses, 45 hits.
 	if misses != 3 || hits != 45 {
 		t.Errorf("cache hits=%d misses=%d, want 45/3", hits, misses)
+	}
+}
+
+// TestFlowCacheConcurrentInstall has four injectors classify through a
+// two-slot cache while a fifth goroutine keeps republishing the table.
+// The flows share ports and protocol and differ only in addresses, and
+// the two prefixes' flows resolve to different MIDs: a probe that read
+// one entry's address word and another's port-and-MID word would take
+// it for a hit and stamp the wrong graph — the read the sequence word
+// rules out. Every slot is overwritten constantly and every answer is
+// checked; under -race the detector holds the slot to atomics only.
+// A miss installs in place: no allocation.
+func TestFlowCacheConcurrentInstall(t *testing.T) {
+	c, _ := cachedClassifier(2)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.InvalidateCache()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			pkts := make([]*packet.Packet, 16)
+			want := make([]uint32, len(pkts))
+			for i := range pkts {
+				src, mid := fmt.Sprintf("10.%d.0.%d", g, i+1), uint32(1)
+				if i%2 == 1 {
+					src, mid = fmt.Sprintf("172.16.%d.%d", g, i+1), 2
+				}
+				pkts[i], want[i] = classPkt(src, 1024), mid
+			}
+			for round := 0; round < 2000; round++ {
+				for i, p := range pkts {
+					if mid, ok := c.Classify(p); !ok || mid != want[i] {
+						t.Errorf("injector %d flow %d: classified (%d, %v), want MID %d", g, i, mid, ok, want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+
+	a, b := classPkt("10.9.9.1", 1024), classPkt("10.9.9.2", 1024)
+	c.Classify(a) // materialize the per-MID counter
+	// Republishing makes every classification after it a miss and an
+	// install; what it allocates itself (the table copy) is the baseline.
+	base := testing.AllocsPerRun(200, func() { c.InvalidateCache() })
+	got := testing.AllocsPerRun(200, func() {
+		c.InvalidateCache()
+		c.Classify(a)
+		c.Classify(b)
+	})
+	if got > base {
+		t.Errorf("two cache misses allocate %v objects beyond the republish's %v, want 0", got-base, base)
 	}
 }

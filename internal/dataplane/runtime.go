@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nfp/internal/flowtab"
 	"nfp/internal/nf"
 	"nfp/internal/packet"
 	"nfp/internal/ring"
@@ -40,6 +41,42 @@ type segNF struct {
 	restartFails *telemetry.Counter
 	healthyG     *telemetry.Gauge
 	svcTime      *telemetry.Histogram
+}
+
+// stateReporter is the optional capability of an NF that keeps per-flow
+// state in a flowtab.Table: how full the table is and how often its
+// ceiling turned a flow away or displaced one. StateStats is called
+// from the scraping goroutine while the NF processes packets.
+type stateReporter interface {
+	StateStats() flowtab.Stats
+}
+
+// stateMetrics are the nfp_nf_state_* series of one NF slot whose
+// instance is a stateReporter, with the counts last seen behind the two
+// counters, which a restarted instance starts over. They are kept by
+// the Server (Server.stateful), not on the slot: its layout is the fast
+// path's.
+type stateMetrics struct {
+	sn                   *segNF
+	entries              *telemetry.Gauge
+	evictions, refusals  *telemetry.Counter
+	seenEvict, seenRefus uint64
+}
+
+// poll publishes what the live instance reports.
+func (m *stateMetrics) poll() {
+	r, ok := m.sn.inst().(stateReporter)
+	if !ok {
+		return
+	}
+	st := r.StateStats()
+	m.entries.Set(int64(st.Entries))
+	if st.Evictions < m.seenEvict || st.Refusals < m.seenRefus {
+		m.seenEvict, m.seenRefus = 0, 0 // a fresh instance after a restart
+	}
+	m.evictions.Add(st.Evictions - m.seenEvict)
+	m.refusals.Add(st.Refusals - m.seenRefus)
+	m.seenEvict, m.seenRefus = st.Evictions, st.Refusals
 }
 
 // inst returns the live NF instance.

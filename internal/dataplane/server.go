@@ -299,14 +299,22 @@ type Server struct {
 	// stays cumulative across reloads.
 	retiredPanics   atomic.Uint64
 	retiredRestarts atomic.Uint64
+
+	// stateful lists, per live runtime, the NF slots that report per-flow
+	// state (pollState). It is kept here rather than on the planRuntime,
+	// whose size decides which cache lines its per-packet atomics share.
+	// stateMu guards it and serializes pollState: scrapes may overlap.
+	stateMu  sync.Mutex
+	stateful map[*planRuntime][]*stateMetrics
 }
 
 // New creates a server from cfg.
 func New(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{
-		cfg:  cfg,
-		pool: mempool.New(cfg.PoolSize, bufSize),
+		cfg:      cfg,
+		pool:     mempool.New(cfg.PoolSize, bufSize),
+		stateful: map[*planRuntime][]*stateMetrics{},
 	}
 	s.tel = cfg.Telemetry
 	s.tracer = telemetry.NewTracer(cfg.TraceSampleRate, cfg.TraceCapacity)
@@ -340,6 +348,7 @@ func New(cfg Config) *Server {
 		telemetry.L("burst", bi["burst"]),
 		telemetry.L("fusion", bi["fusion"]),
 	).Set(1)
+	s.tel.OnSnapshot(s.pollState)
 	s.classifier.bindTelemetry(s.tel)
 	s.classifier.bindFlowCache(cfg.Shards, flowCacheSlots)
 	if cfg.FlowAccount != nil {
@@ -542,6 +551,7 @@ func (s *Server) install(mid uint32, g graph.Node, provide func(shard int, node 
 	prs := make([]*planRuntime, len(s.shards))
 	for i, sh := range s.shards {
 		if prs[i], err = s.buildRuntime(sh, plan, provide, gen); err != nil {
+			s.forgetState(prs[:i])
 			return err
 		}
 	}
@@ -637,6 +647,7 @@ func (s *Server) retire(old []*planRuntime) (terminal uint64) {
 		}
 		pr.wg.Wait()
 	}
+	s.forgetState(old)
 	return terminal
 }
 
@@ -667,6 +678,7 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 			plan.MID, copies, tails, sh.room.copies(), sh.room.tails())
 	}
 	pr := &planRuntime{plan: plan, owner: make([]*nodeRT, len(plan.Nodes)), gen: gen, weight: newBudget(copies, tails)}
+	var stateful []*stateMetrics
 	if gen > 1 {
 		pr.spanGen = int(gen)
 	}
@@ -738,6 +750,14 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 			sn.restartFails = s.tel.Counter("nfp_nf_restart_failures_total", labels...)
 			sn.healthyG = s.tel.Gauge("nfp_nf_healthy", labels...)
 			sn.svcTime = s.tel.Histogram("nfp_nf_service_time_ns", labels...)
+			if _, ok := inst.(stateReporter); ok {
+				stateful = append(stateful, &stateMetrics{
+					sn:        sn,
+					entries:   s.tel.Gauge("nfp_nf_state_entries", labels...),
+					evictions: s.tel.Counter("nfp_nf_state_evictions_total", labels...),
+					refusals:  s.tel.Counter("nfp_nf_state_refusals_total", labels...),
+				})
+			}
 			sn.instP.Store(&instBox{nf: inst})
 			sn.healthyG.Set(1)
 			pr.owner[id] = n
@@ -754,6 +774,11 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 		for _, m := range sh.mergers {
 			m.at = newATTable(sh.room.tails() / 2)
 		}
+	}
+	if len(stateful) > 0 {
+		s.stateMu.Lock()
+		s.stateful[pr] = stateful
+		s.stateMu.Unlock()
 	}
 	return pr, nil
 }
@@ -1105,6 +1130,33 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	return st
+}
+
+// pollState brings the nfp_nf_state_* series of every live table-backed
+// NF up to date. It runs at scrape time (Registry.OnSnapshot), so the
+// packet path pays nothing for them.
+func (s *Server) pollState() {
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	for _, ms := range s.stateful {
+		for _, m := range ms {
+			m.poll()
+		}
+	}
+}
+
+// forgetState stops polling runtimes that are going away — retired, or
+// built for an install that failed — after one last reading, so their
+// series end on the final counts and their NF instances can be collected.
+func (s *Server) forgetState(prs []*planRuntime) {
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	for _, pr := range prs {
+		for _, m := range s.stateful[pr] {
+			m.poll()
+		}
+		delete(s.stateful, pr)
+	}
 }
 
 // Telemetry returns the server's metrics registry (for serving

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nfp/internal/core"
+	"nfp/internal/flowtab"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
@@ -191,3 +192,70 @@ func TestTelemetryTraceHopOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestStateSeriesPolledAtScrape: every table-backed NF — and only those
+// — gets the three nfp_nf_state_* series, a scrape reads them off the
+// live instance, and scraping twice counts nothing twice.
+func TestStateSeriesPolledAtScrape(t *testing.T) {
+	res, err := core.Compile(policy.FromChain(nfa.NFFirewall, nfa.NFMonitor, nfa.NFNAT), nil, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{PoolSize: 256})
+	if err := s.AddGraph(1, res.Graph); err != nil {
+		t.Fatal(err)
+	}
+	const flows = 8
+	for _, p := range runTraffic(t, s, 200, func(i int) packet.BuildSpec {
+		return spec(byte(i%flows), uint16(3000+i%flows), "state")
+	}) {
+		p.Free()
+	}
+	for scrape := 0; scrape < 2; scrape++ {
+		snap := s.Telemetry().Snapshot()
+		for _, name := range []string{nfa.NFMonitor, nfa.NFNAT} {
+			labels := []telemetry.Label{telemetry.L("nf", name), telemetry.L("mid", "1")}
+			if got := snap.GaugeValue("nfp_nf_state_entries", labels...); got != flows {
+				t.Errorf("scrape %d: %s state entries = %d, want %d", scrape, name, got, flows)
+			}
+			if ev, rf := snap.CounterValue("nfp_nf_state_evictions_total", labels...), snap.CounterValue("nfp_nf_state_refusals_total", labels...); ev != 0 || rf != 0 {
+				t.Errorf("scrape %d: %s evictions %d, refusals %d under the ceiling", scrape, name, ev, rf)
+			}
+		}
+		for _, g := range snap.Gauges {
+			if g.Name == "nfp_nf_state_entries" && g.Labels["nf"] == nfa.NFFirewall {
+				t.Error("the firewall keeps no flow table, yet reports one")
+			}
+		}
+		if findings := telemetry.LintNames(snap); len(findings) != 0 {
+			t.Errorf("metric names: %v", findings)
+		}
+	}
+
+	// The counters follow the instance: up by what it reports, and from
+	// zero again for the fresh instance a restart puts in its place.
+	reg := telemetry.NewRegistry()
+	var slot segNF
+	m := &stateMetrics{
+		sn:        &slot,
+		entries:   reg.Gauge("nfp_nf_state_entries"),
+		evictions: reg.Counter("nfp_nf_state_evictions_total"),
+		refusals:  reg.Counter("nfp_nf_state_refusals_total"),
+	}
+	for _, st := range []flowtab.Stats{{Entries: 5, Evictions: 10, Refusals: 1}, {Entries: 5, Evictions: 10, Refusals: 4}, {Entries: 1, Evictions: 2}} {
+		slot.instP.Store(&instBox{nf: statsOf(st)})
+		m.poll()
+	}
+	if m.entries.Value() != 1 || m.evictions.Value() != 12 || m.refusals.Value() != 4 {
+		t.Errorf("after 10, 10 and a restarted 2 evictions: entries %d, evictions %d, refusals %d",
+			m.entries.Value(), m.evictions.Value(), m.refusals.Value())
+	}
+}
+
+// statsOf is an NF that reports the state stats it is.
+type statsOf flowtab.Stats
+
+func (s statsOf) StateStats() flowtab.Stats         { return flowtab.Stats(s) }
+func (s statsOf) Name() string                      { return "stats" }
+func (s statsOf) Profile() nfa.Profile              { return nfa.Profile{} }
+func (s statsOf) Process(*packet.Packet) nf.Verdict { return nf.Pass }

@@ -55,6 +55,18 @@ var methodActions = map[string][]nfa.Action{
 	"XORKeyStream": {nfa.Read(packet.FieldPayload), nfa.Write(packet.FieldPayload)},
 }
 
+// keyFieldWrites maps the fields of a packet.FlowKey to the write an
+// assignment to one implies once the key goes back into the packet:
+// SetTuple writes exactly the fields of the key that were changed, so
+// `k.Src = vip; p.SetTuple(k)` is a write of the source address and of
+// nothing else. Counted only in source that calls SetTuple.
+var keyFieldWrites = map[string]nfa.Action{
+	"Src":     nfa.Write(packet.FieldSrcIP),
+	"Dst":     nfa.Write(packet.FieldDstIP),
+	"SrcPort": nfa.Write(packet.FieldSrcPort),
+	"DstPort": nfa.Write(packet.FieldDstPort),
+}
+
 // InspectSource derives the action profile of the NF implemented by
 // the given Go source text. name becomes the profile name.
 func InspectSource(name, src string) (nfa.Profile, error) {
@@ -78,6 +90,8 @@ func InspectFile(name, path string) (nfa.Profile, error) {
 func inspect(name string, file *ast.File) nfa.Profile {
 	found := map[nfa.Action]bool{}
 	drops := false
+	var keyWrites []nfa.Action
+	setsTuple := false
 
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch v := n.(type) {
@@ -85,6 +99,15 @@ func inspect(name string, file *ast.File) nfa.Profile {
 			if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
 				for _, a := range methodActions[sel.Sel.Name] {
 					found[a] = true
+				}
+				setsTuple = setsTuple || sel.Sel.Name == "SetTuple"
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range v.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					if a, ok := keyFieldWrites[sel.Sel.Name]; ok {
+						keyWrites = append(keyWrites, a)
+					}
 				}
 			}
 		case *ast.ReturnStmt:
@@ -107,6 +130,11 @@ func inspect(name string, file *ast.File) nfa.Profile {
 
 	if drops {
 		found[nfa.Drop()] = true
+	}
+	if setsTuple {
+		for _, a := range keyWrites {
+			found[a] = true
+		}
 	}
 	actions := make([]nfa.Action, 0, len(found))
 	for a := range found {

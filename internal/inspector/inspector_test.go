@@ -1,6 +1,7 @@
 package inspector
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -78,6 +79,50 @@ func TestInspectRealLoadBalancer(t *testing.T) {
 	}
 	if prof.Drops() {
 		t.Error("LB should not drop")
+	}
+}
+
+// TestInspectSetTuple: a key handed back through SetTuple writes the
+// fields assigned on it and no others; the same assignments in code that
+// never calls SetTuple write nothing.
+func TestInspectSetTuple(t *testing.T) {
+	body := `package mynf
+
+func (x *MyNF) Process(p *packet.Packet) Verdict {
+	k, _ := p.FlowKey()
+	k.Src, k.SrcPort = x.ext, x.port
+	%s
+	return Pass
+}
+`
+	prof, err := InspectSource("mynf", fmt.Sprintf(body, "p.SetTuple(k)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prof.Writes(packet.FieldSrcIP) || !prof.Writes(packet.FieldSrcPort) {
+		t.Errorf("missing write(sip)/write(sport): %v", prof)
+	}
+	if prof.Writes(packet.FieldDstIP) || prof.Writes(packet.FieldDstPort) {
+		t.Errorf("phantom destination writes: %v", prof)
+	}
+	prof, err = InspectSource("mynf", fmt.Sprintf(body, "x.lookup(k)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prof.WriteSet()) != 0 {
+		t.Errorf("a key that never goes back into the packet wrote %v", prof.WriteSet())
+	}
+
+	// The NAT rewrites through SetTuple alone: its declared profile
+	// (R/W on the whole 5-tuple) must still follow from its source.
+	nat, err := InspectFile(nfa.NFNAT, filepath.Join("..", "nf", "nat.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []packet.Field{packet.FieldSrcIP, packet.FieldDstIP, packet.FieldSrcPort, packet.FieldDstPort} {
+		if !nat.Reads(f) || !nat.Writes(f) {
+			t.Errorf("NAT inspection missing read or write of %v: %v", f, nat)
+		}
 	}
 }
 

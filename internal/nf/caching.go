@@ -13,12 +13,22 @@ import (
 // reads the destination address, destination port, and payload — it
 // never modifies packets, which is what lets the orchestrator
 // parallelize it freely.
+//
+// The cache is content-keyed, not flow-keyed, and bounded by its
+// capacity, so it stays off flowtab: the entries sit by value in a ring
+// of capacity slots in insertion order, the oldest of which a miss at
+// capacity replaces, and a map finds a key's slot.
 type Cache struct {
-	capacity int
-	entries  map[cacheKey]*CacheEntry
-	order    []cacheKey // FIFO eviction
-	hits     uint64
-	misses   uint64
+	index  map[cacheKey]int32 // key -> its slot in ring
+	ring   []cacheSlot        // FIFO; len grows to cap, then wraps
+	oldest int                // slot of the oldest entry, once full
+	hits   uint64
+	misses uint64
+}
+
+type cacheSlot struct {
+	key cacheKey
+	CacheEntry
 }
 
 type cacheKey struct {
@@ -38,7 +48,10 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Cache{capacity: capacity, entries: map[cacheKey]*CacheEntry{}}
+	return &Cache{
+		index: make(map[cacheKey]int32, capacity),
+		ring:  make([]cacheSlot, 0, capacity),
+	}
 }
 
 // Name implements NF.
@@ -60,19 +73,22 @@ func (c *Cache) Process(p *packet.Packet) Verdict {
 	key := cacheKey{dst: p.DstIP().As4(), port: p.DstPort()}
 	copy(key.digest[:], sum[:8])
 
-	if e, ok := c.entries[key]; ok {
-		e.Hits++
+	if i, ok := c.index[key]; ok {
+		c.ring[i].Hits++
 		c.hits++
 		return Pass
 	}
 	c.misses++
-	if len(c.order) >= c.capacity {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, oldest)
+	slot := cacheSlot{key, CacheEntry{Size: len(payload)}}
+	if len(c.ring) < cap(c.ring) {
+		c.index[key] = int32(len(c.ring))
+		c.ring = append(c.ring, slot)
+		return Pass
 	}
-	c.entries[key] = &CacheEntry{Size: len(payload)}
-	c.order = append(c.order, key)
+	delete(c.index, c.ring[c.oldest].key)
+	c.index[key] = int32(c.oldest)
+	c.ring[c.oldest] = slot
+	c.oldest = (c.oldest + 1) % len(c.ring)
 	return Pass
 }
 
@@ -80,4 +96,4 @@ func (c *Cache) Process(p *packet.Packet) Verdict {
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // Len returns the number of cached objects.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return len(c.ring) }

@@ -1,8 +1,10 @@
 package nf
 
 import (
+	"bytes"
 	"net/netip"
 
+	"nfp/internal/flowtab"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -11,8 +13,12 @@ import (
 // it tracks media sessions by address pair and classifies each packet
 // into a session context. Per its profile it only reads the source and
 // destination addresses.
+//
+// Sessions live in a flowtab.Table under a key holding the ordered
+// address pair and nothing else; at the ceiling a new session displaces
+// one that has gone quiet (flowtab.Evict).
 type Gateway struct {
-	sessions map[[2]netip.Addr]*GatewaySession
+	sessions *flowtab.Table[FlowStats]
 	packets  uint64
 }
 
@@ -25,7 +31,7 @@ type GatewaySession struct {
 
 // NewGateway creates an empty gateway.
 func NewGateway() *Gateway {
-	return &Gateway{sessions: map[[2]netip.Addr]*GatewaySession{}}
+	return &Gateway{sessions: flowtab.New[FlowStats](flowtab.Ceiling, flowtab.Evict)}
 }
 
 // Name implements NF.
@@ -34,22 +40,22 @@ func (g *Gateway) Name() string { return nfa.NFGateway }
 // Profile implements NF.
 func (g *Gateway) Profile() nfa.Profile { return profileFor(nfa.NFGateway) }
 
-// Process classifies the packet into its session (directionless: both
-// directions of a call share a context).
-func (g *Gateway) Process(p *packet.Packet) Verdict {
-	if err := p.Parse(); err != nil {
-		return Pass
-	}
-	a, b := p.SrcIP(), p.DstIP()
-	if b.Less(a) {
+// sessionKey is the directionless key of an address pair: both
+// directions of a call share a context.
+func sessionKey(a, b [4]byte) packet.FlowKey {
+	if bytes.Compare(b[:], a[:]) < 0 {
 		a, b = b, a
 	}
-	key := [2]netip.Addr{a, b}
-	s := g.sessions[key]
-	if s == nil {
-		s = &GatewaySession{Peer: key}
-		g.sessions[key] = s
+	return packet.FlowKey{Src: a, Dst: b}
+}
+
+// Process classifies the packet into its session.
+func (g *Gateway) Process(p *packet.Packet) Verdict {
+	fk, err := p.FlowKey()
+	if err != nil {
+		return Pass
 	}
+	s, _ := g.sessions.Insert(sessionKey(fk.Src, fk.Dst))
 	s.Packets++
 	s.Bytes += uint64(p.Len())
 	g.packets++
@@ -57,13 +63,20 @@ func (g *Gateway) Process(p *packet.Packet) Verdict {
 }
 
 // Sessions returns the number of tracked sessions.
-func (g *Gateway) Sessions() int { return len(g.sessions) }
+func (g *Gateway) Sessions() int { return g.sessions.Len() }
 
 // Session returns the context for an address pair, if tracked.
-func (g *Gateway) Session(a, b netip.Addr) (*GatewaySession, bool) {
-	if b.Less(a) {
-		a, b = b, a
+func (g *Gateway) Session(a, b netip.Addr) (GatewaySession, bool) {
+	k := sessionKey(a.As4(), b.As4())
+	s := g.sessions.Get(k)
+	if s == nil {
+		return GatewaySession{}, false
 	}
-	s, ok := g.sessions[[2]netip.Addr{a, b}]
-	return s, ok
+	return GatewaySession{
+		Peer:    [2]netip.Addr{netip.AddrFrom4(k.Src), netip.AddrFrom4(k.Dst)},
+		Packets: s.Packets, Bytes: s.Bytes,
+	}, true
 }
+
+// StateStats reports the session table's occupancy and evictions.
+func (g *Gateway) StateStats() flowtab.Stats { return g.sessions.Stats() }

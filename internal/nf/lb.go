@@ -19,8 +19,8 @@ const DefaultBackendCount = 16
 // its own VIP (source NAT), matching the Table 2 profile (R/W SIP,
 // R/W DIP, R SPORT, R DPORT).
 type LoadBalancer struct {
-	vip      netip.Addr
-	backends []netip.Addr
+	vip      [4]byte
+	backends [][4]byte
 	counts   []uint64
 }
 
@@ -31,11 +31,11 @@ func NewLoadBalancer(n int) (*LoadBalancer, error) {
 		return nil, fmt.Errorf("lb: need at least one backend, got %d", n)
 	}
 	lb := &LoadBalancer{
-		vip:    netip.MustParseAddr("10.100.0.1"),
+		vip:    [4]byte{10, 100, 0, 1},
 		counts: make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
-		lb.backends = append(lb.backends, netip.AddrFrom4([4]byte{10, 200, byte(i >> 8), byte(i + 1)}))
+		lb.backends = append(lb.backends, [4]byte{10, 200, byte(i >> 8), byte(i + 1)})
 	}
 	return lb, nil
 }
@@ -57,8 +57,8 @@ func (lb *LoadBalancer) Process(p *packet.Packet) Verdict {
 // 5-tuple and rewrites its src/dst addresses. The hash runs on the
 // packet-carried packed key, so no address widening happens per packet,
 // and it is computed once per run of identical keys; the address rewrite
-// and checksum refresh still happen per packet (each packet has its own
-// buffer).
+// happens per packet (each packet has its own buffer), patching the IP
+// and TCP/UDP checksums for the words it changed (packet.SetTuple).
 func (lb *LoadBalancer) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 	var lastKey packet.FlowKey
 	lastIdx := -1
@@ -73,16 +73,15 @@ func (lb *LoadBalancer) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) 
 			lastKey = fk
 		}
 		lb.counts[lastIdx]++
-		p.SetDstIP(lb.backends[lastIdx])
-		p.SetSrcIP(lb.vip)
-		p.UpdateL4Checksum() // address rewrite invalidates the TCP/UDP checksum
+		fk.Src, fk.Dst = lb.vip, lb.backends[lastIdx]
+		p.SetTuple(fk)
 	}
 }
 
 // Backend returns the backend a flow key maps to (for tests and for
 // verifying ECMP stability).
 func (lb *LoadBalancer) Backend(k flow.Key) netip.Addr {
-	return lb.backends[int(k.Hash()%uint64(len(lb.backends)))]
+	return netip.AddrFrom4(lb.backends[int(k.Hash()%uint64(len(lb.backends)))])
 }
 
 // Counts returns per-backend packet counts.

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"nfp/internal/flow"
+	"nfp/internal/flowtab"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -18,18 +19,24 @@ type FlowStats struct {
 // operator. The counter table uses the hash value of the 5-tuple as
 // the key" (§6.1). It is the canonical read-only NF of the paper's
 // parallelism examples (Figure 1).
-// The counter table is keyed on the packed packet.FlowKey — the
-// packet-carried key classification already computed — so the hot path
-// never widens to netip addresses; the exported API still speaks
-// flow.Key and converts at the edge.
+// The counter table is a flowtab.Table keyed on the packed
+// packet.FlowKey — the packet-carried key classification already
+// computed — so the hot path never widens to netip addresses; the
+// exported API still speaks flow.Key and converts at the edge. At the
+// table's ceiling the newest flow displaces one that has gone quiet
+// (flowtab.Evict): per-flow counters stop covering every flow ever
+// seen, the totals do not.
 type Monitor struct {
-	counters map[packet.FlowKey]*FlowStats
+	counters *flowtab.Table[FlowStats]
 	total    FlowStats
 }
 
 // NewMonitor creates an empty monitor.
-func NewMonitor() *Monitor {
-	return &Monitor{counters: make(map[packet.FlowKey]*FlowStats)}
+func NewMonitor() *Monitor { return newMonitor(flowtab.Ceiling) }
+
+// newMonitor is NewMonitor with the flow ceiling a test wants to reach.
+func newMonitor(ceiling int) *Monitor {
+	return &Monitor{counters: flowtab.New[FlowStats](ceiling, flowtab.Evict)}
 }
 
 // Name implements NF.
@@ -46,8 +53,8 @@ func (m *Monitor) Process(p *packet.Packet) Verdict {
 }
 
 // ProcessBatch implements BatchProcessor: it counts each packet against
-// its flow, with one map lookup per run of same-flow packets instead of
-// one per packet.
+// its flow, with one table lookup per run of same-flow packets instead
+// of one per packet.
 func (m *Monitor) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 	var lastKey packet.FlowKey
 	var lastStats *FlowStats
@@ -58,12 +65,8 @@ func (m *Monitor) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 			continue
 		}
 		if lastStats == nil || fk != lastKey {
-			st := m.counters[fk]
-			if st == nil {
-				st = &FlowStats{}
-				m.counters[fk] = st
-			}
-			lastKey, lastStats = fk, st
+			lastStats, _ = m.counters.Insert(fk)
+			lastKey = fk
 		}
 		lastStats.Packets++
 		lastStats.Bytes += uint64(p.Len())
@@ -74,8 +77,8 @@ func (m *Monitor) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 
 // Flow returns the counters of one flow.
 func (m *Monitor) Flow(k flow.Key) (FlowStats, bool) {
-	st, ok := m.counters[k.Packed()]
-	if !ok {
+	st := m.counters.Get(k.Packed())
+	if st == nil {
 		return FlowStats{}, false
 	}
 	return *st, true
@@ -85,30 +88,36 @@ func (m *Monitor) Flow(k flow.Key) (FlowStats, bool) {
 func (m *Monitor) Total() FlowStats { return m.total }
 
 // FlowCount returns the number of tracked flows.
-func (m *Monitor) FlowCount() int { return len(m.counters) }
+func (m *Monitor) FlowCount() int { return m.counters.Len() }
+
+// StateStats reports the counter table's occupancy and evictions.
+func (m *Monitor) StateStats() flowtab.Stats { return m.counters.Stats() }
+
+// records returns every tracked flow, in table order.
+func (m *Monitor) records() []FlowRecord {
+	out := make([]FlowRecord, 0, m.counters.Len())
+	m.counters.Range(func(fk packet.FlowKey, st *FlowStats) bool {
+		out = append(out, FlowRecord{Key: flow.FromPacked(fk), Stats: *st})
+		return true
+	})
+	return out
+}
 
 // TopFlows returns up to n flows by packet count, descending.
 func (m *Monitor) TopFlows(n int) []flow.Key {
-	type kv struct {
-		k  flow.Key
-		st *FlowStats
-	}
-	all := make([]kv, 0, len(m.counters))
-	for fk, st := range m.counters {
-		all = append(all, kv{flow.FromPacked(fk), st})
-	}
+	all := m.records()
 	sort.Slice(all, func(i, j int) bool {
-		if all[i].st.Packets != all[j].st.Packets {
-			return all[i].st.Packets > all[j].st.Packets
+		if all[i].Stats.Packets != all[j].Stats.Packets {
+			return all[i].Stats.Packets > all[j].Stats.Packets
 		}
-		return all[i].k.String() < all[j].k.String()
+		return all[i].Key.String() < all[j].Key.String()
 	})
 	if len(all) > n {
 		all = all[:n]
 	}
 	keys := make([]flow.Key, len(all))
 	for i := range all {
-		keys[i] = all[i].k
+		keys[i] = all[i].Key
 	}
 	return keys
 }
@@ -122,10 +131,7 @@ type FlowRecord struct {
 // Snapshot returns all tracked flows in deterministic (sorted) order,
 // the input to the NetFlow exporter.
 func (m *Monitor) Snapshot() []FlowRecord {
-	out := make([]FlowRecord, 0, len(m.counters))
-	for fk, st := range m.counters {
-		out = append(out, FlowRecord{Key: flow.FromPacked(fk), Stats: *st})
-	}
+	out := m.records()
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].Key.String() < out[j].Key.String()
 	})

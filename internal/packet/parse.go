@@ -156,36 +156,40 @@ func (p *Packet) DstIP() netip.Addr {
 	return netip.AddrFrom4([4]byte(p.buf[l.L3Off+16 : l.L3Off+20]))
 }
 
-// SetSrcIP rewrites the IPv4 source address and fixes the IP checksum.
+// SetSrcIP rewrites the IPv4 source address and updates the IP header
+// checksum for it; the TCP/UDP checksum is left to UpdateL4Checksum
+// (or use SetTuple, which carries both).
 func (p *Packet) SetSrcIP(a netip.Addr) {
 	l := p.mustLayout()
 	b := a.As4()
-	copy(p.buf[l.L3Off+12:l.L3Off+16], b[:])
+	updateIPChecksum(p.buf[l.L3Off:], p.putAddr(l.L3Off+12, b))
 	if p.fkeyOK {
 		p.fkey.Src = b
 	}
-	p.fixIPChecksum(l)
 }
 
-// SetDstIP rewrites the IPv4 destination address and fixes the checksum.
+// SetDstIP rewrites the IPv4 destination address and updates the IP
+// header checksum for it.
 func (p *Packet) SetDstIP(a netip.Addr) {
 	l := p.mustLayout()
 	b := a.As4()
-	copy(p.buf[l.L3Off+16:l.L3Off+20], b[:])
+	updateIPChecksum(p.buf[l.L3Off:], p.putAddr(l.L3Off+16, b))
 	if p.fkeyOK {
 		p.fkey.Dst = b
 	}
-	p.fixIPChecksum(l)
 }
 
 // TTL returns the IPv4 time-to-live.
 func (p *Packet) TTL() uint8 { return p.buf[p.mustLayout().L3Off+8] }
 
-// SetTTL rewrites the TTL and fixes the checksum.
+// SetTTL rewrites the TTL and updates the IP header checksum for it.
 func (p *Packet) SetTTL(ttl uint8) {
 	l := p.mustLayout()
-	p.buf[l.L3Off+8] = ttl
-	p.fixIPChecksum(l)
+	// The TTL is the high byte of the header's fifth word.
+	w := p.buf[l.L3Off+8 : l.L3Off+10]
+	old := binary.BigEndian.Uint16(w)
+	w[0] = ttl
+	updateIPChecksum(p.buf[l.L3Off:], wordDelta(old, binary.BigEndian.Uint16(w)))
 }
 
 // Protocol returns the effective L4 protocol (after AH, if present).
@@ -197,8 +201,10 @@ func (p *Packet) TotalLen() uint16 {
 	return binary.BigEndian.Uint16(p.buf[l.L3Off+2 : l.L3Off+4])
 }
 
-// SetTotalLen rewrites the IPv4 total-length field and fixes the
-// checksum. Header-Only Copying uses it to mark truncated copies valid.
+// SetTotalLen rewrites the IPv4 total-length field and re-sums the
+// header checksum: it is what structural editors (AH insertion, payload
+// splices, a merged-in IP header) call last, after writing other header
+// bytes directly.
 func (p *Packet) SetTotalLen(n uint16) {
 	l := p.mustLayout()
 	binary.BigEndian.PutUint16(p.buf[l.L3Off+2:l.L3Off+4], n)

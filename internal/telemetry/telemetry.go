@@ -178,9 +178,10 @@ func metricKey(name string, labels []Label) string {
 // Registry is a set of named metrics. Lookup/registration takes a lock;
 // holders of the returned metric pointers never do.
 type Registry struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	order   []string // registration order for stable output
+	mu       sync.Mutex
+	entries  map[string]*entry
+	order    []string // registration order for stable output
+	onScrape []func() // run before every Snapshot (see OnSnapshot)
 }
 
 // NewRegistry creates an empty registry.
@@ -321,12 +322,32 @@ func labelMap(labels []Label) map[string]string {
 	return m
 }
 
+// OnSnapshot registers fn to run at the start of every Snapshot, on the
+// scraping goroutine: the hook for values that are polled when someone
+// looks rather than pushed from a hot path. fn sets ordinary metrics of
+// this registry; Snapshots may overlap, so it locks what it must. Safe
+// on a nil receiver (no-op).
+func (r *Registry) OnSnapshot(fn func()) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.onScrape = append(r.onScrape, fn)
+	r.mu.Unlock()
+}
+
 // Snapshot copies every metric in registration order. Safe on a nil
 // receiver (returns an empty snapshot).
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
+	}
+	r.mu.Lock()
+	polls := r.onScrape[:len(r.onScrape):len(r.onScrape)]
+	r.mu.Unlock()
+	for _, poll := range polls {
+		poll()
 	}
 	r.mu.Lock()
 	keys := append([]string(nil), r.order...)

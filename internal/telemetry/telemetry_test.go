@@ -224,3 +224,26 @@ func TestHTTPHandler(t *testing.T) {
 		t.Errorf("JSON dump traces wrong: %+v", dump.Traces)
 	}
 }
+
+// TestOnSnapshotPollsBeforeReading: what a hook sets is in the very
+// snapshot that ran it, every snapshot runs every hook, and a nil
+// registry takes the registration as the no-op everything else is.
+func TestOnSnapshotPollsBeforeReading(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge("nfp_polled")
+	polls := int64(0)
+	r.OnSnapshot(func() { polls++; g.Set(polls) })
+	r.OnSnapshot(func() { r.Counter("nfp_polls_total").Inc() })
+	for want := int64(1); want <= 3; want++ {
+		s := r.Snapshot()
+		if got := s.GaugeValue("nfp_polled"); got != want {
+			t.Errorf("snapshot %d read the gauge as %d", want, got)
+		}
+		if got := s.CounterValue("nfp_polls_total"); got != uint64(want) {
+			t.Errorf("snapshot %d: second hook ran %d times", want, got)
+		}
+	}
+	var none *Registry
+	none.OnSnapshot(func() { t.Error("hook of a nil registry ran") })
+	none.Snapshot()
+}
