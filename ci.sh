@@ -307,6 +307,7 @@ if [ "${1:-}" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzAccumulatingTable$' -fuzztime "$ft" ./internal/dataplane/
     go test -run '^$' -fuzz '^FuzzRuleIndex$' -fuzztime "$ft" ./internal/ruleindex/
     go test -run '^$' -fuzz '^FuzzFlowTable$' -fuzztime "$ft" ./internal/flowtab/
+    go test -run '^$' -fuzz '^FuzzMatch$' -fuzztime "$ft" ./internal/ahocorasick/
     exit 0
 fi
 

@@ -18,6 +18,34 @@ type Alert struct {
 	PID       uint64
 }
 
+// alertLogCap is how many of the most recent alerts an IDS keeps, so an
+// attack flood cannot grow its log without bound.
+const alertLogCap = 1024
+
+// alertLog is a ring of the most recent alerts and a count of them all.
+type alertLog[T any] struct {
+	buf  []T // grows to alertLogCap, then wraps
+	next int // the oldest alert once buf is full
+	hits uint64
+}
+
+func (l *alertLog[T]) add(a T) {
+	l.hits++
+	if len(l.buf) < alertLogCap {
+		l.buf = append(l.buf, a)
+		return
+	}
+	l.buf[l.next] = a
+	l.next = (l.next + 1) % alertLogCap
+}
+
+// list returns a copy of the retained alerts, oldest first.
+func (l *alertLog[T]) list() []T {
+	out := make([]T, 0, len(l.buf))
+	out = append(out, l.buf[l.next:]...)
+	return append(out, l.buf[:l.next]...)
+}
+
 // IDS performs multi-pattern signature matching over packet payloads
 // with an Aho-Corasick automaton, modeling Snort's core matcher
 // (§6.1). In inline mode (intrusion *prevention*) matching packets are
@@ -26,7 +54,7 @@ type Alert struct {
 type IDS struct {
 	matcher *ahocorasick.Matcher
 	inline  bool
-	alerts  []Alert
+	alerts  alertLog[Alert]
 	scanned uint64
 }
 
@@ -61,9 +89,8 @@ func (d *IDS) Name() string {
 // Profile implements NF.
 func (d *IDS) Profile() nfa.Profile { return profileFor(d.Name()) }
 
-// Process scans the payload; the header fields are folded into the
-// scan by matching over the full wire bytes, mirroring Snort rules
-// that constrain headers and content together.
+// Process scans the L4 payload for the signatures, stopping at the
+// first hit.
 func (d *IDS) Process(p *packet.Packet) Verdict {
 	d.scanned++
 	if err := p.Parse(); err != nil {
@@ -73,15 +100,19 @@ func (d *IDS) Process(p *packet.Packet) Verdict {
 	if sig < 0 {
 		return Pass
 	}
-	d.alerts = append(d.alerts, Alert{Signature: sig, PID: p.Meta.PID})
+	d.alerts.add(Alert{Signature: sig, PID: p.Meta.PID})
 	if d.inline {
 		return Drop
 	}
 	return Pass
 }
 
-// Alerts returns the recorded alerts.
-func (d *IDS) Alerts() []Alert { return d.alerts }
+// Alerts returns the most recent alerts (up to alertLogCap), oldest
+// first.
+func (d *IDS) Alerts() []Alert { return d.alerts.list() }
+
+// Hits returns the number of alerts raised, retained or not.
+func (d *IDS) Hits() uint64 { return d.alerts.hits }
 
 // Scanned returns the number of packets inspected.
 func (d *IDS) Scanned() uint64 { return d.scanned }

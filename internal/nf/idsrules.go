@@ -233,7 +233,7 @@ func parsePort(s string) (uint16, error) {
 type RuleIDS struct {
 	rules   []IDSRule
 	matcher *ahocorasick.Matcher
-	alerts  []RuleAlert
+	alerts  alertLog[RuleAlert]
 	scanned uint64
 }
 
@@ -273,7 +273,7 @@ func (d *RuleIDS) Process(p *packet.Packet) Verdict {
 		if !r.matchesHeader(k) {
 			return true
 		}
-		d.alerts = append(d.alerts, RuleAlert{SID: r.SID, Msg: r.Msg, PID: p.Meta.PID})
+		d.alerts.add(RuleAlert{SID: r.SID, Msg: r.Msg, PID: p.Meta.PID})
 		if r.Action == "drop" {
 			verdict = Drop
 			return false // strictest action found; stop scanning
@@ -283,8 +283,12 @@ func (d *RuleIDS) Process(p *packet.Packet) Verdict {
 	return verdict
 }
 
-// Alerts returns the recorded rule hits.
-func (d *RuleIDS) Alerts() []RuleAlert { return d.alerts }
+// Alerts returns the most recent rule hits (up to alertLogCap), oldest
+// first.
+func (d *RuleIDS) Alerts() []RuleAlert { return d.alerts.list() }
+
+// Hits returns the number of rule hits, retained or not.
+func (d *RuleIDS) Hits() uint64 { return d.alerts.hits }
 
 // Scanned returns the number of inspected packets.
 func (d *RuleIDS) Scanned() uint64 { return d.scanned }

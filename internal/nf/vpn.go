@@ -5,6 +5,7 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -31,15 +32,20 @@ type VPN struct {
 	done  uint64
 
 	// Per-instance scratch. An NF instance runs on one goroutine (seq
-	// already relies on that), so the HMAC state and CTR blocks are
-	// reused across packets instead of allocated per call — the
-	// north-south path's dominant allocation site before this existed.
+	// already relies on that), so the HMAC state, the counter block and
+	// the keystream are reused across packets instead of allocated per
+	// call — the north-south path's dominant allocation site before this
+	// existed.
 	hm   hash.Hash
 	sum  [sha256.Size]byte
 	seqb [4]byte
 	ctr  [aes.BlockSize]byte
-	ks   [aes.BlockSize]byte
+	ks   [ksChunk]byte
 }
+
+// ksChunk is how much keystream crypt generates before XORing it in:
+// 16 AES blocks, a 1500 B frame's payload in six chunks.
+const ksChunk = 16 * aes.BlockSize
 
 // NewVPN creates a VPN NF. A nil key selects a fixed test key;
 // otherwise the key must be 16, 24 or 32 bytes (AES-128/192/256).
@@ -138,33 +144,26 @@ func (v *VPN) Decap(p *packet.Packet) error {
 	return nil
 }
 
-// crypt en/decrypts data in place with AES-CTR keyed by seq. The CTR
-// loop is inlined over the instance's scratch blocks — identical output
-// to cipher.NewCTR over the same IV (initial counter = IV, whole-block
-// big-endian increment), without the per-packet stream-state
-// allocation.
+// crypt en/decrypts data in place with AES-CTR keyed by seq: the
+// initial counter block is spi‖seq‖0⁸ and it increments as one
+// big-endian 128-bit number — cipher.NewCTR's output over that IV. The
+// keystream goes into instance scratch a chunk at a time and is XORed
+// in by words. NewCTR would be faster but allocates its stream state
+// on every call, and this path allocates nothing.
 func (v *VPN) crypt(data []byte, seq uint32) {
-	if len(data) == 0 {
-		return
-	}
-	clear(v.ctr[:])
-	binary.BigEndian.PutUint32(v.ctr[0:4], v.spi)
-	binary.BigEndian.PutUint32(v.ctr[4:8], seq)
-	for i := 0; i < len(data); i += aes.BlockSize {
-		v.block.Encrypt(v.ks[:], v.ctr[:])
-		n := len(data) - i
-		if n > aes.BlockSize {
-			n = aes.BlockSize
-		}
-		for j := 0; j < n; j++ {
-			data[i+j] ^= v.ks[j]
-		}
-		for k := aes.BlockSize - 1; k >= 0; k-- {
-			v.ctr[k]++
-			if v.ctr[k] != 0 {
-				break
+	hi, lo := uint64(v.spi)<<32|uint64(seq), uint64(0)
+	for len(data) > 0 {
+		n := min(len(data), ksChunk)
+		for off := 0; off < n; off += aes.BlockSize {
+			binary.BigEndian.PutUint64(v.ctr[0:8], hi)
+			binary.BigEndian.PutUint64(v.ctr[8:16], lo)
+			v.block.Encrypt(v.ks[off:], v.ctr[:])
+			if lo++; lo == 0 {
+				hi++
 			}
 		}
+		subtle.XORBytes(data, data, v.ks[:n])
+		data = data[n:]
 	}
 }
 

@@ -1,6 +1,9 @@
 package packet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // L4 checksum maintenance. Address- and port-rewriting NFs (NAT, load
 // balancer) and the merger leave the TCP/UDP checksum stale after
@@ -80,12 +83,13 @@ func (p *Packet) VerifyL4Checksum() bool {
 }
 
 // pseudoHeaderSum computes the IPv4 pseudo-header contribution.
+// Four fixed words, summed inline: addOnes is too large to inline, and
+// its call would cost a 64 B frame more than these adds.
 func (p *Packet) pseudoHeaderSum(l Layout, segLen int) uint32 {
-	var sum uint32
-	sum = addOnes(sum, p.buf[l.L3Off+12:l.L3Off+20]) // src + dst
-	sum += uint32(l.L4Proto)
-	sum += uint32(segLen)
-	return sum
+	a := p.buf[l.L3Off+12 : l.L3Off+20] // src + dst
+	return uint32(binary.BigEndian.Uint16(a[0:2])) + uint32(binary.BigEndian.Uint16(a[2:4])) +
+		uint32(binary.BigEndian.Uint16(a[4:6])) + uint32(binary.BigEndian.Uint16(a[6:8])) +
+		uint32(l.L4Proto) + uint32(segLen)
 }
 
 // wordDelta is what rewriting one 16-bit word from old to new adds to a
@@ -179,15 +183,51 @@ func updateIPChecksum(h []byte, delta uint32) {
 	binary.BigEndian.PutUint16(h[10:12], ^foldOnes(sum))
 }
 
-// addOnes accumulates b into a ones-complement running sum.
+// addOnes adds b, as big-endian 16-bit words (an odd last byte padded
+// with zero), to a ones-complement running sum. It sums little-endian
+// 64-bit words with deferred carries and folds once at the end: RFC 1071
+// §2(B) — byte order is a swap of the folded result, and 2^16 ≡ 1
+// modulo 0xffff, so a 64-bit word is four 16-bit words summed. The
+// return is congruent to sum + Σ words modulo 0xffff, and zero only if
+// both are: foldOnes of it is the 16-bit one-word-at-a-time sum's,
+// except that a carry out of 32 bits wraps around instead of being lost.
 func addOnes(sum uint32, b []byte) uint32 {
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	var acc, c uint64
+	for len(b) >= 32 {
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[0:8]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[8:16]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[16:24]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[24:32]), c)
+		b = b[32:]
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for len(b) >= 8 {
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b), c)
+		b = b[8:]
 	}
-	return sum
+	// The tail: each piece starts at an even offset, so its 16-bit
+	// words stay words.
+	var t uint64
+	if len(b) >= 4 {
+		t = uint64(binary.LittleEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		t += uint64(binary.LittleEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		t += uint64(b[0])
+	}
+	acc, c = bits.Add64(acc, t, c)
+	acc, c = bits.Add64(acc, 0, c)
+	acc += c // acc was all ones only if c is now 0
+	// Fold 64 → 16 bits, swap to big-endian and add in sum.
+	acc = acc>>32 + acc&0xffffffff
+	acc = acc>>32 + acc&0xffffffff
+	acc = acc>>16 + acc&0xffff
+	acc = acc>>16 + acc&0xffff
+	r := uint64(sum) + uint64(bits.ReverseBytes16(uint16(acc)))
+	return uint32(r>>32) + uint32(r)
 }
 
 // foldOnes folds a 32-bit running sum to 16 bits.

@@ -287,16 +287,4 @@ func (p *Packet) fixIPChecksum(l Layout) {
 }
 
 // ipChecksum computes the ones-complement checksum over b.
-func ipChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
+func ipChecksum(b []byte) uint16 { return ^foldOnes(addOnes(0, b)) }
