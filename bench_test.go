@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"nfp/internal/baseline/onvm"
-	"nfp/internal/baseline/rtc"
 	"nfp/internal/cluster"
 	"nfp/internal/core"
 	"nfp/internal/dataplane"
@@ -157,18 +156,6 @@ func benchONVM(b *testing.B, chain []string, payload string) {
 	pump(b, inject, srv.Pool(), srv.Output(), srv.Stop, payload)
 }
 
-func benchRTC(b *testing.B, chain []string, replicas int, payload string) {
-	srv, err := rtc.New(rtc.Config{PoolSize: 2048, Replicas: replicas}, chain...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		b.Fatal(err)
-	}
-	inject := func(p *packet.Packet) bool { srv.Inject(p); return true }
-	pump(b, inject, srv.Pool(), srv.Output(), srv.Stop, payload)
-}
-
 func fwChain(n int) []string {
 	c := make([]string, n)
 	for i := range c {
@@ -220,8 +207,12 @@ func BenchmarkTable4_NFP_Len3(b *testing.B) {
 }
 func BenchmarkTable4_ONVM_Len1(b *testing.B) { benchONVM(b, fwChain(1), "x") }
 func BenchmarkTable4_ONVM_Len3(b *testing.B) { benchONVM(b, fwChain(3), "x") }
-func BenchmarkTable4_BESS_Len1(b *testing.B) { benchRTC(b, fwChain(1), 1, "x") }
-func BenchmarkTable4_BESS_Len3(b *testing.B) { benchRTC(b, fwChain(3), 1, "x") }
+
+// BESS run-to-completion is the sequential chain on the fused
+// dataplane (its Len1 is exactly Table4_NFP_Len1's graph).
+func BenchmarkTable4_BESS_Len3(b *testing.B) {
+	benchNFPGraph(b, seqGraph(nfa.NFFirewall, 3), "x")
+}
 
 // --- Figure 7: sequential forwarder chains ---
 

@@ -69,7 +69,7 @@ func run() int {
 	size := flag.String("size", "64", "frame size in bytes, or 'dc' for the datacenter mixture")
 	flows := flag.Int("flows", 64, "distinct flows")
 	seed := flag.Int64("seed", 0, "traffic generator seed (0 = derive from the clock; set for reproducible runs)")
-	baseline := flag.String("baseline", "", "run a baseline instead: 'onvm' or 'rtc'")
+	baseline := flag.String("baseline", "", "run a baseline instead: 'onvm', or 'rtc' (the sequential chain on the fused dataplane: -no-parallel -fusion)")
 	pcapPath := flag.String("pcap", "", "capture output packets to this pcap file")
 	idsRules := flag.String("ids-rules", "", "Snort-subset rule file; replaces the built-in IDS signatures")
 	noParallel := flag.Bool("no-parallel", false, "compile sequentially (NFP compatibility mode)")
@@ -128,12 +128,9 @@ func run() int {
 		report("OpenNetVM baseline: "+strings.Join(names, " -> "), res)
 		return res.PoolLeak
 	case "rtc":
-		res, err := experiments.RunLiveRTC(names, 1, *packets, gen)
-		if err != nil {
-			fail(err)
-		}
-		report("run-to-completion baseline: "+strings.Join(names, " -> "), res)
-		return res.PoolLeak
+		// Run-to-completion is a graph shape, not a second dataplane:
+		// the sequential chain, fused into one runtime per shard.
+		*noParallel, *fusion = true, true
 	case "":
 	default:
 		fail(fmt.Errorf("unknown baseline %q (onvm, rtc)", *baseline))

@@ -25,30 +25,15 @@ import (
 
 // Config sizes the baseline server.
 type Config struct {
-	PoolSize    int // default 4096
-	BufSize     int // default 2048
-	RingSize    int // default 512
-	OutputQueue int // default 1024
-	Registry    *nf.Registry
+	PoolSize int // packet buffers (default 4096)
 }
 
-func (c *Config) setDefaults() {
-	if c.PoolSize == 0 {
-		c.PoolSize = 4096
-	}
-	if c.BufSize == 0 {
-		c.BufSize = 2048
-	}
-	if c.RingSize == 0 {
-		c.RingSize = 512
-	}
-	if c.OutputQueue == 0 {
-		c.OutputQueue = 1024
-	}
-	if c.Registry == nil {
-		c.Registry = nf.NewRegistry()
-	}
-}
+// Fixed sizings no caller varies; they match the NFP dataplane's.
+const (
+	bufSize     = 2048
+	ringSize    = 512
+	outputQueue = 1024
+)
 
 // nfSlot is one NF with its receive and transmit rings (Figure 3's
 // R/T pairs, but forwarded by the central switch instead of the NF).
@@ -60,7 +45,6 @@ type nfSlot struct {
 
 // Server is a sequential service chain behind a centralized vswitch.
 type Server struct {
-	cfg   Config
 	pool  *mempool.Pool
 	chain []*nfSlot
 	in    *ring.MPSC[*packet.Packet]
@@ -78,25 +62,27 @@ type Server struct {
 
 // New builds a baseline server running the named NFs in sequence.
 func New(cfg Config, chain ...string) (*Server, error) {
-	cfg.setDefaults()
+	if cfg.PoolSize == 0 {
+		cfg.PoolSize = 4096
+	}
 	if len(chain) == 0 {
 		return nil, fmt.Errorf("onvm: empty chain")
 	}
 	s := &Server{
-		cfg:  cfg,
-		pool: mempool.New(cfg.PoolSize, cfg.BufSize),
-		in:   ring.NewMPSC(cfg.RingSize),
-		out:  make(chan *packet.Packet, cfg.OutputQueue),
+		pool: mempool.New(cfg.PoolSize, bufSize),
+		in:   ring.NewMPSC(ringSize),
+		out:  make(chan *packet.Packet, outputQueue),
 	}
+	reg := nf.NewRegistry()
 	for _, name := range chain {
-		inst, err := cfg.Registry.New(name)
+		inst, err := reg.New(name)
 		if err != nil {
 			return nil, err
 		}
 		s.chain = append(s.chain, &nfSlot{
 			inst: inst,
-			rx:   ring.NewMPSC(cfg.RingSize),
-			tx:   ring.NewMPSC(cfg.RingSize),
+			rx:   ring.NewMPSC(ringSize),
+			tx:   ring.NewMPSC(ringSize),
 		})
 	}
 	return s, nil

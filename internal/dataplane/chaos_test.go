@@ -50,13 +50,18 @@ func nodesOf(s *Server, mid uint32) []*nodeRT {
 	return pr.rts
 }
 
-// waitHealthy polls until every node of the MID is healthy again (the
-// supervisor has swapped in fresh instances) or the deadline passes.
-func waitHealthy(t *testing.T, s *Server, mid uint32, deadline time.Duration) {
+// waitHealthy polls until the supervisor has made restarts restarts —
+// one per scheduled panic — and every node of the MID is healthy again,
+// or the deadline passes. Health alone is not recovery: PanicNF counts
+// a panic before it raises it, so a node still reads healthy between
+// that count and the runtime's recover, and a wave released then runs
+// into a segment about to go down.
+func waitHealthy(t *testing.T, s *Server, mid uint32, restarts uint64, deadline time.Duration) {
 	t.Helper()
 	limit := time.Now().Add(deadline)
 	for {
-		ok := true
+		got := s.Stats().Restarts
+		ok := got >= restarts
 		for _, n := range nodesOf(s, mid) {
 			if !n.healthy.Load() {
 				ok = false
@@ -66,7 +71,7 @@ func waitHealthy(t *testing.T, s *Server, mid uint32, deadline time.Duration) {
 			return
 		}
 		if time.Now().After(limit) {
-			t.Fatal("nodes did not recover within the deadline")
+			t.Fatalf("nodes did not recover within the deadline (restarts %d of %d)", got, restarts)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -138,7 +143,7 @@ func TestChaosNFPanic(t *testing.T) {
 			}
 			// The server is still alive: wait for the supervisor to swap
 			// in a fresh instance, then prove recovery with a second wave.
-			waitHealthy(t, s, 1, 2*time.Second)
+			waitHealthy(t, s, 1, 1, 2*time.Second)
 			inject(wave)
 			s.Stop()
 			outs := uint64(col.wait())
@@ -374,7 +379,7 @@ func TestChaosSpanConservation(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	waitHealthy(t, s, 1, 2*time.Second)
+	waitHealthy(t, s, 1, 1, 2*time.Second)
 	inject(wave)
 	s.Stop()
 	col.wait()
@@ -470,7 +475,7 @@ func TestChaosFusedSegmentPanic(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	waitHealthy(t, s, 1, 2*time.Second)
+	waitHealthy(t, s, 1, 1, 2*time.Second)
 	inject(wave)
 	s.Stop()
 	outs := uint64(col.wait())

@@ -226,8 +226,10 @@ func (m *merger) finalize(pr *planRuntime, join int, spec *JoinSpec, e *atEntry)
 	// made, out of the shard's partition: the version that entered the
 	// stage is its join's base, compilePar); the base goes on through the
 	// continuation, or carries the drop to the outer join or output.
-	for v := range e.versions {
-		if pkt := e.versions[v]; pkt != nil && uint8(v) != spec.BaseVersion {
+	// Only the join's own versions can arrive (spec.Versions, base
+	// first).
+	for _, v := range spec.Versions[1:] {
+		if pkt := e.versions[v]; pkt != nil {
 			m.spent = append(m.spent, pkt)
 		}
 	}

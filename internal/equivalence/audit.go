@@ -8,11 +8,10 @@ import (
 )
 
 // auditConservation is the "no anonymous packet death" law, asserted
-// after every drained run in this package (plain, overload, sharded and
-// reload executions alike): every injected packet surfaced exactly once
-// as an output or a drop, every terminal drop carries a taxonomy cause,
-// and the per-cause nfp_drops_total series sum exactly — not
-// approximately — to the unlabeled grand total. A nonzero
+// after every drained Execute replay: every injected packet surfaced
+// exactly once as an output or a drop, every terminal drop carries a
+// taxonomy cause, and the per-cause nfp_drops_total series sum exactly
+// — not approximately — to the unlabeled grand total. A nonzero
 // cause=unknown row means some future drop site forgot to thread
 // provenance; a sum mismatch means a drop was double-counted or lost.
 func auditConservation(srv *dataplane.Server, st dataplane.Stats) error {

@@ -28,8 +28,6 @@ import (
 	"net/netip"
 
 	"nfp/internal/core"
-	"nfp/internal/dataplane"
-	"nfp/internal/faultinject"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
@@ -234,238 +232,6 @@ func NewTrial(rng *rand.Rand) (*Trial, error) {
 	return t, nil
 }
 
-// RunResult is one execution's observable state.
-type RunResult struct {
-	Outputs map[uint64][]byte // PID → final bytes
-	Drops   uint64
-	Digests map[string]uint64 // NF name → observation digest
-	Copies  uint64
-}
-
-// Execute replays n deterministic packets (seeded by trafficSeed)
-// through g on the live dataplane and captures outputs, drops and
-// per-NF digests. It runs the dataplane in scalar (burst=1) mode; use
-// ExecuteBurst to exercise the batched fast path.
-func (t *Trial) Execute(g graph.Node, n int, trafficSeed int64) (*RunResult, error) {
-	return t.ExecuteBurst(g, n, trafficSeed, 1)
-}
-
-// ExecuteBurst is Execute with the dataplane's burst size pinned. With
-// burst > 1 the traffic is also injected through the batched
-// AllocBatch/InjectBatch path, so the whole pipeline — classify,
-// NF runtimes, mergers — runs at burst granularity. The observable
-// results (outputs by PID, drops, digests, copies) must not depend on
-// the burst size; the differential tests hold this harness to that.
-func (t *Trial) ExecuteBurst(g graph.Node, n int, trafficSeed int64, burst int) (*RunResult, error) {
-	res, _, err := t.ExecuteOpts(g, n, trafficSeed, ExecOptions{Burst: burst})
-	return res, err
-}
-
-// ExecOptions pins the execution-engine knobs of an ExecuteOpts run.
-type ExecOptions struct {
-	// Burst is the dataplane burst size (<=1 runs the scalar path).
-	Burst int
-	// Fusion selects the execution engine (zero value = FusionOn).
-	// Fused and pipelined runs of the same trial and seed
-	// must be observationally identical — the fusion differential
-	// tests hold the engine to that.
-	Fusion dataplane.FusionMode
-	// PanicNF, when non-empty, wraps that synthetic NF in a fault
-	// injector that panics once, at the PanicAt-th packet it sees, so
-	// crash recovery can be exercised under either engine. Runs with a
-	// panic are compared on conservation laws, not digests: the drop
-	// window depends on runtime timing.
-	PanicNF string
-	PanicAt uint64
-}
-
-// ExecuteOpts replays n deterministic packets (seeded by trafficSeed)
-// through g with the execution engine pinned by opts, and returns the
-// run observations plus the server's stats snapshot. It fails if the
-// pool leaks buffers after the drained stop.
-func (t *Trial) ExecuteOpts(g graph.Node, n int, trafficSeed int64, opts ExecOptions) (*RunResult, dataplane.Stats, error) {
-	burst := opts.Burst
-	instances := map[graph.NF]nf.NF{}
-	syns := map[string]*SynNF{}
-	for name, prof := range t.Profiles {
-		s := NewSynNF(name, prof)
-		syns[name] = s
-		if name == opts.PanicNF {
-			instances[graph.NF{Name: name}] = faultinject.NewPanicNF(s, opts.PanicAt)
-		} else {
-			instances[graph.NF{Name: name}] = s
-		}
-	}
-	srv := dataplane.New(dataplane.Config{PoolSize: 512, Mergers: 2, Burst: burst, Fusion: opts.Fusion})
-	if err := srv.AddGraphInstances(1, g, instances); err != nil {
-		return nil, dataplane.Stats{}, err
-	}
-	if err := srv.Start(); err != nil {
-		return nil, dataplane.Stats{}, err
-	}
-	res := &RunResult{Outputs: map[uint64][]byte{}, Digests: map[string]uint64{}}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for p := range srv.Output() {
-			res.Outputs[p.Meta.PID] = append([]byte(nil), p.Bytes()...)
-			p.Free()
-		}
-	}()
-	rng := rand.New(rand.NewSource(trafficSeed))
-	if burst <= 1 {
-		for i := 0; i < n; i++ {
-			pkt := srv.Pool().Get()
-			for pkt == nil {
-				pkt = srv.Pool().Get()
-			}
-			buildRandomPacket(pkt, rng)
-			if !srv.Inject(pkt) {
-				return nil, dataplane.Stats{}, fmt.Errorf("classification failed")
-			}
-		}
-	} else {
-		batch := make([]*packet.Packet, burst)
-		for i := 0; i < n; {
-			want := burst
-			if n-i < want {
-				want = n - i
-			}
-			// Partial batches are fine under transient pool pressure —
-			// a burst NIC driver hands up short bursts too.
-			got := srv.Pool().AllocBatch(batch[:want])
-			for got == 0 {
-				got = srv.Pool().AllocBatch(batch[:want])
-			}
-			for j := 0; j < got; j++ {
-				buildRandomPacket(batch[j], rng)
-			}
-			if acc := srv.InjectBatch(batch[:got]); acc != got {
-				return nil, dataplane.Stats{}, fmt.Errorf("batch classification failed: %d of %d", acc, got)
-			}
-			i += got
-		}
-	}
-	srv.Stop()
-	<-done
-	st := srv.Stats()
-	if err := auditConservation(srv, st); err != nil {
-		return nil, st, err
-	}
-	res.Drops = st.Drops
-	res.Copies = st.Copies
-	for name, s := range syns {
-		res.Digests[name] = s.Digest()
-	}
-	if leak := srv.Pool().InUse(); leak != 0 {
-		return nil, st, fmt.Errorf("pool leak after drained stop: %d buffers", leak)
-	}
-	return res, st, nil
-}
-
-// OverloadSpec shapes an ExecuteOverload run: an intentionally
-// undersized ring plus a backpressure policy, so the injection pressure
-// exceeds what the graph drains and the overload machinery engages.
-type OverloadSpec struct {
-	RingSize  int
-	Policy    dataplane.BackpressurePolicy
-	SpinLimit int
-	Burst     int
-	// Fusion selects the execution engine (zero value =
-	// FusionOn); the overload conservation law must hold under both.
-	Fusion dataplane.FusionMode
-}
-
-// ExecuteOverload replays n deterministic packets through g with the
-// ring sized to overload, interleaving scalar Inject and batched
-// InjectBatch calls in a seed-determined random order (batch sizes
-// drawn from [1, Burst]). It returns the run observations plus the
-// server's stats snapshot so callers can check the overload
-// conservation law: Injected == Outputs + Drops exactly, with sheds
-// accounted inside Drops.
-func (t *Trial) ExecuteOverload(g graph.Node, n int, trafficSeed int64, spec OverloadSpec) (*RunResult, dataplane.Stats, error) {
-	instances := map[graph.NF]nf.NF{}
-	syns := map[string]*SynNF{}
-	for name, prof := range t.Profiles {
-		s := NewSynNF(name, prof)
-		syns[name] = s
-		instances[graph.NF{Name: name}] = s
-	}
-	srv := dataplane.New(dataplane.Config{
-		PoolSize: 512, Mergers: 2,
-		Burst:      spec.Burst,
-		RingSize:   spec.RingSize,
-		RingPolicy: spec.Policy,
-		SpinLimit:  spec.SpinLimit,
-		Fusion:     spec.Fusion,
-	})
-	if err := srv.AddGraphInstances(1, g, instances); err != nil {
-		return nil, dataplane.Stats{}, err
-	}
-	if err := srv.Start(); err != nil {
-		return nil, dataplane.Stats{}, err
-	}
-	res := &RunResult{Outputs: map[uint64][]byte{}, Digests: map[string]uint64{}}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for p := range srv.Output() {
-			res.Outputs[p.Meta.PID] = append([]byte(nil), p.Bytes()...)
-			p.Free()
-		}
-	}()
-	rng := rand.New(rand.NewSource(trafficSeed))
-	burst := spec.Burst
-	if burst < 1 {
-		burst = 1
-	}
-	batch := make([]*packet.Packet, burst)
-	for i := 0; i < n; {
-		if burst == 1 || rng.Intn(2) == 0 {
-			pkt := srv.Pool().Get()
-			for pkt == nil {
-				pkt = srv.Pool().Get()
-			}
-			buildRandomPacket(pkt, rng)
-			if !srv.Inject(pkt) {
-				return nil, dataplane.Stats{}, fmt.Errorf("classification failed")
-			}
-			i++
-			continue
-		}
-		want := 1 + rng.Intn(burst)
-		if n-i < want {
-			want = n - i
-		}
-		got := srv.Pool().AllocBatch(batch[:want])
-		for got == 0 {
-			got = srv.Pool().AllocBatch(batch[:want])
-		}
-		for j := 0; j < got; j++ {
-			buildRandomPacket(batch[j], rng)
-		}
-		if acc := srv.InjectBatch(batch[:got]); acc != got {
-			return nil, dataplane.Stats{}, fmt.Errorf("batch classification failed: %d of %d", acc, got)
-		}
-		i += got
-	}
-	srv.Stop()
-	<-done
-	st := srv.Stats()
-	if err := auditConservation(srv, st); err != nil {
-		return nil, st, err
-	}
-	res.Drops = st.Drops
-	res.Copies = st.Copies
-	for name, s := range syns {
-		res.Digests[name] = s.Digest()
-	}
-	if leak := srv.Pool().InUse(); leak != 0 {
-		return nil, st, fmt.Errorf("pool leak after drained stop: %d buffers", leak)
-	}
-	return res, st, nil
-}
-
 // buildRandomPacket fills pkt with a deterministic random TCP packet.
 func buildRandomPacket(pkt *packet.Packet, rng *rand.Rand) {
 	payload := make([]byte, 16+rng.Intn(128))
@@ -481,12 +247,13 @@ func buildRandomPacket(pkt *packet.Packet, rng *rand.Rand) {
 	})
 }
 
-// Compare checks two runs for the three equivalence properties and
-// returns human-readable violations (empty = equivalent).
-func Compare(seq, par *RunResult) []string {
+// Compare checks two single-shard, single-injector runs for the three
+// equivalence properties, packet by packet, and returns human-readable
+// violations (empty = equivalent).
+func Compare(seq, par *Result) []string {
 	var out []string
-	if seq.Drops != par.Drops {
-		out = append(out, fmt.Sprintf("drops: sequential %d, parallel %d", seq.Drops, par.Drops))
+	if seq.Stats.Drops != par.Stats.Drops {
+		out = append(out, fmt.Sprintf("drops: sequential %d, parallel %d", seq.Stats.Drops, par.Stats.Drops))
 	}
 	if len(seq.Outputs) != len(par.Outputs) {
 		out = append(out, fmt.Sprintf("output count: sequential %d, parallel %d",

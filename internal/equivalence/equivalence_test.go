@@ -11,6 +11,9 @@ import (
 	"nfp/internal/packet"
 )
 
+// scalarOpts replays packet by packet on the burst-1 dataplane.
+var scalarOpts = Options{Config: dataplane.Config{Burst: 1}}
+
 // TestRandomizedEquivalence is the §4.1 result-correctness property
 // test: over many random chains of random synthetic NFs, the compiled
 // parallel graph must be observationally equivalent to the sequential
@@ -33,11 +36,11 @@ func TestRandomizedEquivalence(t *testing.T) {
 			parallelized++
 		}
 		seed := int64(1000 + i)
-		seq, err := trial.Execute(trial.SeqGraph, packets, seed)
+		seq, err := trial.Execute(trial.SeqGraph, packets, seed, scalarOpts)
 		if err != nil {
 			t.Fatalf("trial %d sequential: %v", i, err)
 		}
-		par, err := trial.Execute(trial.ParGraph, packets, seed)
+		par, err := trial.Execute(trial.ParGraph, packets, seed, scalarOpts)
 		if err != nil {
 			t.Fatalf("trial %d parallel: %v", i, err)
 		}
@@ -59,7 +62,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 // interleaving of scalar Inject and batched InjectBatch calls. However
 // the overload machinery sheds, the conservation law must hold exactly
 // — Injected == Outputs + Drops, sheds never exceed drops, and not one
-// buffer leaks (ExecuteOverload fails the run on a leak). Both the
+// buffer leaks (Execute fails the run on a leak). Both the
 // scalar and the burst dataplane are held to it, on the sequential and
 // the parallelized compilation.
 func TestOverloadConservationProperty(t *testing.T) {
@@ -78,12 +81,16 @@ func TestOverloadConservationProperty(t *testing.T) {
 		}
 		for _, burst := range []int{1, 32} {
 			for gi, g := range []graph.Node{trial.SeqGraph, trial.ParGraph} {
-				_, st, err := trial.ExecuteOverload(g, packets, int64(4000+i), OverloadSpec{
-					RingSize: 8, Policy: dataplane.BPDropTail, Burst: burst,
+				res, err := trial.Execute(g, packets, int64(4000+i), Options{
+					Config: dataplane.Config{
+						RingSize: 8, RingPolicy: dataplane.BPDropTail, Burst: burst,
+					},
+					Interleave: true,
 				})
 				if err != nil {
 					t.Fatalf("trial %d burst %d graph %d: %v", i, burst, gi, err)
 				}
+				st := res.Stats
 				if st.Injected != uint64(packets) {
 					t.Fatalf("trial %d burst %d graph %d: injected %d of %d",
 						i, burst, gi, st.Injected, packets)
@@ -135,11 +142,11 @@ func TestBurstScalarEquivalence(t *testing.T) {
 			name string
 			g    graph.Node
 		}{{"sequential", trial.SeqGraph}, {"parallel", trial.ParGraph}} {
-			scalar, err := trial.ExecuteBurst(g.g, packets, seed, 1)
+			scalar, err := trial.Execute(g.g, packets, seed, scalarOpts)
 			if err != nil {
 				t.Fatalf("trial %d %s burst=1: %v", i, g.name, err)
 			}
-			burst, err := trial.ExecuteBurst(g.g, packets, seed, 32)
+			burst, err := trial.Execute(g.g, packets, seed, Options{Config: dataplane.Config{Burst: 32}})
 			if err != nil {
 				t.Fatalf("trial %d %s burst=32: %v", i, g.name, err)
 			}
@@ -147,9 +154,9 @@ func TestBurstScalarEquivalence(t *testing.T) {
 				t.Errorf("trial %d %s graph: burst=32 NOT equivalent to burst=1\nchain: %v\ngraph: %v\nviolations: %v",
 					i, g.name, trial.Chain, g.g, diffs)
 			}
-			if scalar.Copies != burst.Copies {
+			if scalar.Stats.Copies != burst.Stats.Copies {
 				t.Errorf("trial %d %s graph: copies %d at burst=1, %d at burst=32",
-					i, g.name, scalar.Copies, burst.Copies)
+					i, g.name, scalar.Stats.Copies, burst.Stats.Copies)
 			}
 		}
 	}
@@ -164,11 +171,11 @@ func TestEquivalenceWithoutDirtyReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := trial.Execute(trial.SeqGraph, 80, int64(i))
+		seq, err := trial.Execute(trial.SeqGraph, 80, int64(i), scalarOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := trial.Execute(trial.ParGraph, 80, int64(i))
+		par, err := trial.Execute(trial.ParGraph, 80, int64(i), scalarOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,14 +293,14 @@ func TestFusionEquivalenceProperty(t *testing.T) {
 		seed := int64(7000 + i)
 		for _, burst := range []int{1, 32} {
 			for gi, g := range []graph.Node{trial.SeqGraph, trial.ParGraph} {
-				pipelined, _, err := trial.ExecuteOpts(g, packets, seed, ExecOptions{
-					Burst: burst, Fusion: dataplane.FusionOff,
+				pipelined, err := trial.Execute(g, packets, seed, Options{
+					Config: dataplane.Config{Burst: burst, Fusion: dataplane.FusionOff},
 				})
 				if err != nil {
 					t.Fatalf("trial %d burst %d graph %d pipelined: %v", i, burst, gi, err)
 				}
-				fused, _, err := trial.ExecuteOpts(g, packets, seed, ExecOptions{
-					Burst: burst, Fusion: dataplane.FusionOn,
+				fused, err := trial.Execute(g, packets, seed, Options{
+					Config: dataplane.Config{Burst: burst, Fusion: dataplane.FusionOn},
 				})
 				if err != nil {
 					t.Fatalf("trial %d burst %d graph %d fused: %v", i, burst, gi, err)
@@ -302,9 +309,9 @@ func TestFusionEquivalenceProperty(t *testing.T) {
 					t.Errorf("trial %d burst %d graph %d: fused NOT equivalent to pipelined\nchain: %v\nviolations: %v",
 						i, burst, gi, trial.Chain, diffs)
 				}
-				if pipelined.Copies != fused.Copies {
+				if pipelined.Stats.Copies != fused.Stats.Copies {
 					t.Errorf("trial %d burst %d graph %d: copies differ: pipelined=%d fused=%d",
-						i, burst, gi, pipelined.Copies, fused.Copies)
+						i, burst, gi, pipelined.Stats.Copies, fused.Stats.Copies)
 				}
 			}
 		}
@@ -315,8 +322,8 @@ func TestFusionEquivalenceProperty(t *testing.T) {
 // mid-chain synthetic NF and runs the same trial under both engines:
 // the crash window makes digests timing-dependent, so the property
 // held here is the conservation law — every injected packet surfaces
-// as an output or a drop, with no pool leak (ExecuteOpts fails the
-// run on one), under the pipelined and the fused crash boundary alike.
+// as an output or a drop, with no pool leak (Execute fails the run on
+// one), under the pipelined and the fused crash boundary alike.
 func TestFusionPanicConservation(t *testing.T) {
 	trials := 6
 	packets := 200
@@ -333,12 +340,14 @@ func TestFusionPanicConservation(t *testing.T) {
 		panicNF := trial.Chain[len(trial.Chain)/2]
 		for _, fusion := range []dataplane.FusionMode{dataplane.FusionOff, dataplane.FusionOn} {
 			for _, burst := range []int{1, 32} {
-				_, st, err := trial.ExecuteOpts(trial.SeqGraph, packets, int64(8000+i), ExecOptions{
-					Burst: burst, Fusion: fusion, PanicNF: panicNF, PanicAt: 10,
+				res, err := trial.Execute(trial.SeqGraph, packets, int64(8000+i), Options{
+					Config:  dataplane.Config{Burst: burst, Fusion: fusion},
+					PanicNF: panicNF, PanicAt: 10,
 				})
 				if err != nil {
 					t.Fatalf("trial %d fusion=%v burst %d: %v", i, fusion, burst, err)
 				}
+				st := res.Stats
 				if st.Injected != uint64(packets) || st.Outputs+st.Drops != st.Injected {
 					t.Errorf("trial %d fusion=%v burst %d: conservation broken: injected=%d outputs=%d drops=%d",
 						i, fusion, burst, st.Injected, st.Outputs, st.Drops)
@@ -373,12 +382,16 @@ func TestFusionOverloadConservation(t *testing.T) {
 		}
 		for _, pol := range policies {
 			for _, fusion := range []dataplane.FusionMode{dataplane.FusionOff, dataplane.FusionOn} {
-				_, st, err := trial.ExecuteOverload(trial.SeqGraph, packets, int64(9000+i), OverloadSpec{
-					RingSize: 8, Policy: pol, Burst: 16, Fusion: fusion,
+				res, err := trial.Execute(trial.SeqGraph, packets, int64(9000+i), Options{
+					Config: dataplane.Config{
+						RingSize: 8, RingPolicy: pol, Burst: 16, Fusion: fusion,
+					},
+					Interleave: true,
 				})
 				if err != nil {
 					t.Fatalf("trial %d policy=%v fusion=%v: %v", i, pol, fusion, err)
 				}
+				st := res.Stats
 				if st.Injected != uint64(packets) || st.Outputs+st.Drops != st.Injected {
 					t.Errorf("trial %d policy=%v fusion=%v: conservation broken: injected=%d outputs=%d drops=%d sheds=%d",
 						i, pol, fusion, st.Injected, st.Outputs, st.Drops, st.Sheds)

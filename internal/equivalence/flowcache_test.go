@@ -39,20 +39,20 @@ func TestFlowCacheEquivalenceProperty(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			for _, burst := range []int{1, 32} {
 				for _, fusion := range []dataplane.FusionMode{dataplane.FusionOff, dataplane.FusionOn} {
-					opts := ExecShardOptions{
-						Shards: shards, Burst: burst, Fusion: fusion,
+					opts := Options{
+						Config:    dataplane.Config{Shards: shards, Burst: burst, Fusion: fusion},
 						RuleSplit: true,
 					}
-					on, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
+					on, err := trial.Execute(trial.ParGraph, packets, seed, opts)
 					if err != nil {
 						t.Fatalf("trial %d shards=%d burst=%d fusion=%v cache-on: %v", i, shards, burst, fusion, err)
 					}
 					opts.RuleSplit = false
-					off, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
+					off, err := trial.Execute(trial.ParGraph, packets, seed, opts)
 					if err != nil {
 						t.Fatalf("trial %d shards=%d burst=%d fusion=%v cache-off: %v", i, shards, burst, fusion, err)
 					}
-					if diffs := CompareSharded(off, on); len(diffs) != 0 {
+					if diffs := CompareFlows(off, on); len(diffs) != 0 {
 						t.Errorf("trial %d shards=%d burst=%d fusion=%v: cache-on NOT equivalent to cache-off\nchain: %v\nviolations: %v",
 							i, shards, burst, fusion, trial.Chain, diffs)
 					}
@@ -89,20 +89,20 @@ func TestFlowCacheChurnEquivalence(t *testing.T) {
 		churns := []int{packets / 4, packets / 2, 3 * packets / 4}
 		for _, shards := range []int{1, 4} {
 			for _, burst := range []int{1, 32} {
-				opts := ExecShardOptions{
-					Shards: shards, Burst: burst,
+				opts := Options{
+					Config:    dataplane.Config{Shards: shards, Burst: burst},
 					RuleSplit: true, Churns: churns,
 				}
-				on, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
+				on, err := trial.Execute(trial.ParGraph, packets, seed, opts)
 				if err != nil {
 					t.Fatalf("trial %d shards=%d burst=%d churn cache-on: %v", i, shards, burst, err)
 				}
 				opts.RuleSplit, opts.Churns = false, nil
-				off, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
+				off, err := trial.Execute(trial.ParGraph, packets, seed, opts)
 				if err != nil {
 					t.Fatalf("trial %d shards=%d burst=%d churn cache-off: %v", i, shards, burst, err)
 				}
-				if diffs := CompareSharded(off, on); len(diffs) != 0 {
+				if diffs := CompareFlows(off, on); len(diffs) != 0 {
 					t.Errorf("trial %d shards=%d burst=%d: churned cache-on NOT equivalent to cache-off\nchain: %v\nviolations: %v",
 						i, shards, burst, trial.Chain, diffs)
 				}
@@ -133,19 +133,20 @@ func TestFlowCacheReloadEquivalence(t *testing.T) {
 		}
 		seed := int64(13000 + i)
 		for _, shards := range []int{1, 4} {
-			opts := ExecShardOptions{
-				Shards: shards, Burst: 32, Reloads: 2, RuleSplit: true,
+			opts := Options{
+				Config:  dataplane.Config{Shards: shards, Burst: 32},
+				Reloads: 2, RuleSplit: true,
 			}
-			on, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
+			on, err := trial.Execute(trial.ParGraph, packets, seed, opts)
 			if err != nil {
 				t.Fatalf("trial %d shards=%d reload cache-on: %v", i, shards, err)
 			}
 			opts.RuleSplit = false
-			off, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, opts)
+			off, err := trial.Execute(trial.ParGraph, packets, seed, opts)
 			if err != nil {
 				t.Fatalf("trial %d shards=%d reload cache-off: %v", i, shards, err)
 			}
-			if diffs := CompareSharded(off, on); len(diffs) != 0 {
+			if diffs := CompareFlows(off, on); len(diffs) != 0 {
 				t.Errorf("trial %d shards=%d: reloaded cache-on NOT equivalent to cache-off\nchain: %v\nviolations: %v",
 					i, shards, trial.Chain, diffs)
 			}

@@ -39,21 +39,22 @@ func TestReloadEquivalenceProperty(t *testing.T) {
 		for _, burst := range []int{1, 32} {
 			for _, fusion := range []dataplane.FusionMode{dataplane.FusionOff, dataplane.FusionOn} {
 				for _, shards := range []int{1, 4} {
-					base, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, ExecShardOptions{
-						Shards: shards, Burst: burst, Fusion: fusion,
+					base, err := trial.Execute(trial.ParGraph, packets, seed, Options{
+						Config: dataplane.Config{Shards: shards, Burst: burst, Fusion: fusion},
 					})
 					if err != nil {
 						t.Fatalf("trial %d burst %d fusion %v shards %d baseline: %v",
 							i, burst, fusion, shards, err)
 					}
-					reloaded, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, ExecShardOptions{
-						Shards: shards, Burst: burst, Fusion: fusion, Reloads: 2,
+					reloaded, err := trial.Execute(trial.ParGraph, packets, seed, Options{
+						Config:  dataplane.Config{Shards: shards, Burst: burst, Fusion: fusion},
+						Reloads: 2,
 					})
 					if err != nil {
 						t.Fatalf("trial %d burst %d fusion %v shards %d reload run: %v",
 							i, burst, fusion, shards, err)
 					}
-					if diffs := CompareSharded(base, reloaded); len(diffs) != 0 {
+					if diffs := CompareFlows(base, reloaded); len(diffs) != 0 {
 						t.Errorf("trial %d burst %d fusion %v shards %d: reload NOT equivalent\nchain: %v\nprofiles: %v\nviolations: %v",
 							i, burst, fusion, shards, trial.Chain, trial.Profiles, diffs)
 					}
@@ -81,19 +82,20 @@ func TestReloadEquivalenceSequentialGraph(t *testing.T) {
 			t.Fatalf("trial %d: %v", i, err)
 		}
 		seed := int64(9900 + i)
-		base, err := trial.ExecuteSharded(trial.SeqGraph, packets, seed, ExecShardOptions{
-			Shards: 2, Burst: 8,
+		base, err := trial.Execute(trial.SeqGraph, packets, seed, Options{
+			Config: dataplane.Config{Shards: 2, Burst: 8},
 		})
 		if err != nil {
 			t.Fatalf("trial %d baseline: %v", i, err)
 		}
-		reloaded, err := trial.ExecuteSharded(trial.SeqGraph, packets, seed, ExecShardOptions{
-			Shards: 2, Burst: 8, Reloads: 3,
+		reloaded, err := trial.Execute(trial.SeqGraph, packets, seed, Options{
+			Config:  dataplane.Config{Shards: 2, Burst: 8},
+			Reloads: 3,
 		})
 		if err != nil {
 			t.Fatalf("trial %d reload run: %v", i, err)
 		}
-		if diffs := CompareSharded(base, reloaded); len(diffs) != 0 {
+		if diffs := CompareFlows(base, reloaded); len(diffs) != 0 {
 			t.Errorf("trial %d: sequential-graph reload NOT equivalent\nchain: %v\nviolations: %v",
 				i, trial.Chain, diffs)
 		}
@@ -111,18 +113,18 @@ func TestReloadRunConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const packets = 120
-	a, err := trial.ExecuteSharded(trial.ParGraph, packets, 13, ExecShardOptions{Shards: 2, Reloads: 2})
+	a, err := trial.Execute(trial.ParGraph, packets, 13, Options{Config: dataplane.Config{Shards: 2}, Reloads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Outputs+a.Drops != packets {
-		t.Fatalf("conservation across reloads: outputs=%d drops=%d injected=%d", a.Outputs, a.Drops, packets)
+	if a.Stats.Outputs+a.Stats.Drops != packets {
+		t.Fatalf("conservation across reloads: outputs=%d drops=%d injected=%d", a.Stats.Outputs, a.Stats.Drops, packets)
 	}
-	b, err := trial.ExecuteSharded(trial.ParGraph, packets, 13, ExecShardOptions{Shards: 2, Reloads: 2})
+	b, err := trial.Execute(trial.ParGraph, packets, 13, Options{Config: dataplane.Config{Shards: 2}, Reloads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := CompareSharded(a, b); len(diffs) != 0 {
+	if diffs := CompareFlows(a, b); len(diffs) != 0 {
 		t.Fatalf("identical reload runs differ: %v", diffs)
 	}
 }

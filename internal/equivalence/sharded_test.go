@@ -15,7 +15,7 @@ import (
 // and NF observations — at burst 1 and 32, on both the sequential and
 // the parallelized compilation, under both execution engines.
 //
-// The comparison is PID-free (see ShardedRun): concurrent classifiers
+// The comparison is PID-free (see Result): concurrent classifiers
 // assign PIDs in timing-dependent order, which is exactly why the
 // sharded harness digests multisets instead of PID-keyed maps. Run
 // with -race this doubles as the strongest flow-state-locality check:
@@ -37,19 +37,19 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 		seed := int64(9000 + i)
 		for _, burst := range []int{1, 32} {
 			for gi, g := range []graph.Node{trial.SeqGraph, trial.ParGraph} {
-				one, err := trial.ExecuteSharded(g, packets, seed, ExecShardOptions{
-					Shards: 1, Burst: burst,
+				one, err := trial.Execute(g, packets, seed, Options{
+					Config: dataplane.Config{Shards: 1, Burst: burst},
 				})
 				if err != nil {
 					t.Fatalf("trial %d burst %d graph %d shards=1: %v", i, burst, gi, err)
 				}
-				four, err := trial.ExecuteSharded(g, packets, seed, ExecShardOptions{
-					Shards: 4, Burst: burst,
+				four, err := trial.Execute(g, packets, seed, Options{
+					Config: dataplane.Config{Shards: 4, Burst: burst},
 				})
 				if err != nil {
 					t.Fatalf("trial %d burst %d graph %d shards=4: %v", i, burst, gi, err)
 				}
-				if diffs := CompareSharded(one, four); len(diffs) != 0 {
+				if diffs := CompareFlows(one, four); len(diffs) != 0 {
 					t.Errorf("trial %d burst %d graph %d: sharded NOT equivalent\nchain: %v\nprofiles: %v\nviolations: %v",
 						i, burst, gi, trial.Chain, trial.Profiles, diffs)
 				}
@@ -76,19 +76,19 @@ func TestShardedFusionEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: %v", i, err)
 		}
 		seed := int64(9500 + i)
-		ref, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, ExecShardOptions{
-			Shards: 1, Burst: 1, Fusion: dataplane.FusionOff,
+		ref, err := trial.Execute(trial.ParGraph, packets, seed, Options{
+			Config: dataplane.Config{Shards: 1, Burst: 1, Fusion: dataplane.FusionOff},
 		})
 		if err != nil {
 			t.Fatalf("trial %d reference: %v", i, err)
 		}
-		got, err := trial.ExecuteSharded(trial.ParGraph, packets, seed, ExecShardOptions{
-			Shards: 4, Burst: 32, Fusion: dataplane.FusionOn,
+		got, err := trial.Execute(trial.ParGraph, packets, seed, Options{
+			Config: dataplane.Config{Shards: 4, Burst: 32, Fusion: dataplane.FusionOn},
 		})
 		if err != nil {
 			t.Fatalf("trial %d sharded+fused: %v", i, err)
 		}
-		if diffs := CompareSharded(ref, got); len(diffs) != 0 {
+		if diffs := CompareFlows(ref, got); len(diffs) != 0 {
 			t.Errorf("trial %d: sharded+fused NOT equivalent to scalar reference\nchain: %v\nviolations: %v",
 				i, trial.Chain, diffs)
 		}
@@ -118,24 +118,25 @@ func TestShardedMultiInjectorEquivalence(t *testing.T) {
 		}
 		seed := int64(14000 + i)
 		for gi, g := range []graph.Node{trial.SeqGraph, trial.ParGraph} {
-			ref, err := trial.ExecuteSharded(g, packets, seed, ExecShardOptions{
-				Shards: 1, Burst: 8, RuleSplit: true,
+			ref, err := trial.Execute(g, packets, seed, Options{
+				Config:    dataplane.Config{Shards: 1, Burst: 8},
+				RuleSplit: true,
 			})
 			if err != nil {
 				t.Fatalf("trial %d graph %d reference: %v", i, gi, err)
 			}
-			if ref.Outputs+ref.Drops != uint64(packets) {
+			if ref.Stats.Outputs+ref.Stats.Drops != uint64(packets) {
 				t.Fatalf("trial %d graph %d reference: outputs=%d drops=%d injected=%d",
-					i, gi, ref.Outputs, ref.Drops, packets)
+					i, gi, ref.Stats.Outputs, ref.Stats.Drops, packets)
 			}
-			got, err := trial.ExecuteSharded(g, packets, seed, ExecShardOptions{
-				Shards: 4, Burst: 8, RuleSplit: true, Injectors: 4,
-				Churns: []int{packets / 3}, Reloads: 1,
+			got, err := trial.Execute(g, packets, seed, Options{
+				Config:    dataplane.Config{Shards: 4, Burst: 8},
+				RuleSplit: true, Injectors: 4, Churns: []int{packets / 3}, Reloads: 1,
 			})
 			if err != nil {
 				t.Fatalf("trial %d graph %d multi-injector: %v", i, gi, err)
 			}
-			if diffs := CompareSharded(ref, got); len(diffs) != 0 {
+			if diffs := CompareFlows(ref, got); len(diffs) != 0 {
 				t.Errorf("trial %d graph %d: 4 injectors x 4 shards NOT equivalent to 1 x 1\nchain: %v\nprofiles: %v\nviolations: %v",
 					i, gi, trial.Chain, trial.Profiles, diffs)
 			}
@@ -144,7 +145,7 @@ func TestShardedMultiInjectorEquivalence(t *testing.T) {
 }
 
 // TestShardedRunSelfConsistency pins the harness itself: two identical
-// single-shard runs must produce identical ShardedRun observations
+// single-shard runs must produce identical PID-free observations
 // (the PID-free digests really are deterministic), and a run must
 // account every packet (outputs + drops == injected).
 func TestShardedRunSelfConsistency(t *testing.T) {
@@ -154,18 +155,18 @@ func TestShardedRunSelfConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	const packets = 120
-	a, err := trial.ExecuteSharded(trial.ParGraph, packets, 7, ExecShardOptions{Shards: 1})
+	a, err := trial.Execute(trial.ParGraph, packets, 7, Options{Config: dataplane.Config{Shards: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := trial.ExecuteSharded(trial.ParGraph, packets, 7, ExecShardOptions{Shards: 1})
+	b, err := trial.Execute(trial.ParGraph, packets, 7, Options{Config: dataplane.Config{Shards: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := CompareSharded(a, b); len(diffs) != 0 {
+	if diffs := CompareFlows(a, b); len(diffs) != 0 {
 		t.Fatalf("identical runs differ: %v", diffs)
 	}
-	if a.Outputs+a.Drops != packets {
-		t.Fatalf("conservation: outputs=%d drops=%d injected=%d", a.Outputs, a.Drops, packets)
+	if a.Stats.Outputs+a.Stats.Drops != packets {
+		t.Fatalf("conservation: outputs=%d drops=%d injected=%d", a.Stats.Outputs, a.Stats.Drops, packets)
 	}
 }

@@ -29,6 +29,15 @@ func parOf(name string, n int) graph.Node {
 	return graph.Par{Branches: branches}
 }
 
+// seqOf returns a sequential chain of n instances of an NF.
+func seqOf(name string, n int) graph.Node {
+	items := make([]graph.Node, n)
+	for i := range items {
+		items[i] = graph.NF{Name: name, Instance: i}
+	}
+	return graph.Seq{Items: items}
+}
+
 // parCopyOf returns a Par of n instances, each in its own copy group —
 // the "NFP-parallel-copy" setups of Figures 8–12 (Figure 10's third
 // configuration).
