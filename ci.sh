@@ -28,11 +28,12 @@
 #   ./ci.sh fuzz   — the non-blocking fuzz smoke: each native fuzz
 #                    target gets a short -fuzztime budget (override with
 #                    FUZZ_TIME) on top of its checked-in seed corpus.
-#   ./ci.sh trace  — the non-blocking span-tooling smoke: builds
-#                    nfpinspect and runs the trace and criticalpath
-#                    subcommands against an in-process chain, including
-#                    a Chrome trace export (schema is gated by the
-#                    golden test in the blocking job).
+#   ./ci.sh trace  — the non-blocking inspector smoke: builds
+#                    nfpinspect and runs every in-process (-chain) path
+#                    once — trace (including a Chrome trace export whose
+#                    schema is gated by the golden test in the blocking
+#                    job), criticalpath, metrics -json, health, top and
+#                    incident with an injected panic.
 #   ./ci.sh diagnose — the diagnosis smoke: boots nfpd with live
 #                    traffic and the diagnosis layer on, curls
 #                    /debug/health and /debug/topflows, asserts the
@@ -87,6 +88,10 @@ if [ "${1:-}" = "trace" ]; then
     "$bin/nfpinspect" trace -chain ids,monitor,lb -packets 500 -chrome "$bin/trace.json" -max 0 >/dev/null
     test -s "$bin/trace.json"
     "$bin/nfpinspect" criticalpath -chain ids,monitor,lb -packets 500
+    "$bin/nfpinspect" metrics -chain ids,monitor,lb -packets 500 -json >/dev/null
+    "$bin/nfpinspect" health -chain ids,monitor,lb -packets 2000
+    "$bin/nfpinspect" top -chain ids,monitor,lb -packets 2000 -n 5
+    "$bin/nfpinspect" incident -chain monitor,lb -packets 2000 -panic-at 100
     exit 0
 fi
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -14,18 +13,16 @@ import (
 // hashes, reload/drain history, and the conservation counters that
 // prove the swaps lost nothing.
 func configCmd(args []string) {
-	fs := flag.NewFlagSet("config", flag.ExitOnError)
-	addr := fs.String("addr", "", "read a running server's /debug/config at this host:port")
-	asJSON := fs.Bool("json", false, "emit raw JSON instead of the report")
-	_ = fs.Parse(args)
+	src := newSource("config", 0, "read a running server's /debug/config at this host:port", "", jsonReport)
+	_ = src.fs.Parse(args)
 
-	if *addr == "" {
+	if src.addr == "" {
 		fmt.Fprintln(os.Stderr, "usage: nfpinspect config -addr HOST:PORT [-json]")
 		os.Exit(2)
 	}
 	var ci dataplane.ConfigInfo
-	fetchJSON(*addr, "/debug/config", &ci)
-	if *asJSON {
+	fetchJSON(src.addr, "/debug/config", &ci)
+	if src.asJSON {
 		emitJSON(ci)
 		return
 	}

@@ -1,51 +1,35 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"net/http"
-	"os"
 	"strings"
 	"time"
 
-	"nfp/internal/core"
 	"nfp/internal/dataplane"
 	"nfp/internal/experiments"
-	"nfp/internal/policy"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/diagnose"
-	"nfp/internal/trafficgen"
 )
 
 // healthFlags is the option set shared by `nfpinspect health` and
 // `nfpinspect top`: read a running nfpd's diagnosis endpoints (-addr)
 // or run a chain in-process with diagnosis enabled (-chain).
 type healthFlags struct {
-	fs      *flag.FlagSet
-	addr    *string
-	chain   *string
-	packets *int
-	seed    *int64
-	sloP99  *time.Duration
-	zipf    *float64
-	shards  *int
-	asJSON  *bool
+	*source
+	sloP99 time.Duration
+	zipf   float64
+	shards int
 }
 
 func newHealthFlags(name string) *healthFlags {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	return &healthFlags{
-		fs:      fs,
-		addr:    fs.String("addr", "", "read a running server's diagnosis endpoints at this host:port"),
-		chain:   fs.String("chain", "", "run this comma-separated chain in-process with diagnosis enabled"),
-		packets: fs.Int("packets", 20000, "packets for the in-process run"),
-		seed:    fs.Int64("seed", 1, "traffic seed for the in-process run"),
-		sloP99:  fs.Duration("slo-p99", 0, "p99 latency objective for the in-process run (0 = none)"),
-		zipf:    fs.Float64("zipf", 1.3, "Zipf skew of the in-process flow mix (0 = round-robin)"),
-		shards:  fs.Int("shards", 1, "flow-sharded execution domains for the in-process run (1 = unsharded)"),
-		asJSON:  fs.Bool("json", false, "emit raw JSON instead of the report"),
-	}
+	hf := &healthFlags{source: newSource(name, 20000,
+		"read a running server's diagnosis endpoints at this host:port",
+		"run this comma-separated chain in-process with diagnosis enabled",
+		jsonReport)}
+	hf.fs.DurationVar(&hf.sloP99, "slo-p99", 0, "p99 latency objective for the in-process run (0 = none)")
+	hf.fs.Float64Var(&hf.zipf, "zipf", 1.3, "Zipf skew of the in-process flow mix (0 = round-robin)")
+	hf.fs.IntVar(&hf.shards, "shards", 1, "flow-sharded execution domains for the in-process run (1 = unsharded)")
+	return hf
 }
 
 // healthCmd implements `nfpinspect health`: the live health verdict —
@@ -56,15 +40,14 @@ func healthCmd(args []string) {
 
 	var rep diagnose.HealthReport
 	switch {
-	case *hf.addr != "":
-		fetchJSON(*hf.addr, "/debug/health", &rep)
-	case *hf.chain != "":
+	case hf.addr != "":
+		fetchJSON(hf.addr, "/debug/health", &rep)
+	case hf.chain != "":
 		rep, _ = runDiagnosis(hf)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: nfpinspect health (-addr HOST:PORT | -chain nf1,nf2,...) [-json]")
-		os.Exit(2)
+		hf.usage("")
 	}
-	if *hf.asJSON {
+	if hf.asJSON {
 		emitJSON(rep)
 		return
 	}
@@ -80,41 +63,31 @@ func topCmd(args []string) {
 
 	var rep diagnose.TopFlowsReport
 	switch {
-	case *hf.addr != "":
-		fetchJSON(*hf.addr, fmt.Sprintf("/debug/topflows?n=%d", *n), &rep)
-	case *hf.chain != "":
+	case hf.addr != "":
+		fetchJSON(hf.addr, fmt.Sprintf("/debug/topflows?n=%d", *n), &rep)
+	case hf.chain != "":
 		_, rep = runDiagnosis(hf)
 		if len(rep.Flows) > *n {
 			rep.Flows = rep.Flows[:*n]
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: nfpinspect top (-addr HOST:PORT | -chain nf1,nf2,...) [-n 20] [-json]")
-		os.Exit(2)
+		hf.usage(" [-n 20]")
 	}
-	if *hf.asJSON {
+	if hf.asJSON {
 		emitJSON(rep)
 		return
 	}
 	printTopFlows(rep)
 }
 
-// runDiagnosis compiles -chain, runs it with flow accounting + e2e
-// latency sampling + a diagnosis sampler, and returns both reports.
+// runDiagnosis runs -chain with flow accounting + e2e latency sampling +
+// a diagnosis sampler, and returns both reports.
 func runDiagnosis(hf *healthFlags) (diagnose.HealthReport, diagnose.TopFlowsReport) {
-	names := strings.Split(*hf.chain, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	res, err := core.Compile(policy.FromChain(names...), nil, core.Options{})
-	if err != nil {
-		metricsFail(err)
-	}
-	gen := trafficgen.New(trafficgen.Config{Flows: 32, Seed: *hf.seed, Zipf: *hf.zipf})
 	sketch := diagnose.NewTopK(16)
 	reg := telemetry.NewRegistry()
 	d := diagnose.New(diagnose.Config{
 		Registry:     reg,
-		SLOTargetP99: *hf.sloP99,
+		SLOTargetP99: hf.sloP99,
 		TopK:         sketch,
 	})
 	opts := experiments.LiveOptions{
@@ -122,16 +95,15 @@ func runDiagnosis(hf *healthFlags) (diagnose.HealthReport, diagnose.TopFlowsRepo
 			Telemetry:       reg,
 			FlowAccount:     sketch,
 			TraceSampleRate: 1, // short run: observe every packet for exact counts
-			Shards:          *hf.shards,
+			Shards:          hf.shards,
 		},
 		OnServer: func(*dataplane.Server) { d.SampleNow() }, // window start
 	}
-	if _, err := experiments.RunLiveGraphOpts(res.Graph, *hf.packets, gen, opts); err != nil {
+	if _, err := hf.run(hf.zipf, opts); err != nil {
 		metricsFail(err)
 	}
 	d.SampleNow() // window end
-	fmt.Fprintf(os.Stderr, "in-process run: %s, %d packets, seed %d, zipf %.2f\n\n",
-		strings.Join(names, " -> "), *hf.packets, *hf.seed, *hf.zipf)
+	hf.banner(fmt.Sprintf("seed %d, zipf %.2f", hf.seed, hf.zipf))
 	return d.Report(), sketch.Top(0)
 }
 
@@ -207,32 +179,5 @@ func printTopFlows(rep diagnose.TopFlowsReport) {
 	}
 	if len(rep.Flows) > 0 {
 		fmt.Printf("  (* = guaranteed heavy hitter: lower-bound count exceeds N/k)\n")
-	}
-}
-
-// fetchJSON scrapes one JSON endpoint of a running server.
-func fetchJSON(addr, path string, v any) {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(addr + path)
-	if err != nil {
-		metricsFail(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		metricsFail(fmt.Errorf("%s returned %s", addr+path, resp.Status))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		metricsFail(fmt.Errorf("decoding %s: %w", path, err))
-	}
-}
-
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		metricsFail(err)
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,15 +8,12 @@ import (
 	"strings"
 	"time"
 
-	"nfp/internal/core"
 	"nfp/internal/dataplane"
 	"nfp/internal/experiments"
 	"nfp/internal/faultinject"
 	"nfp/internal/nf"
-	"nfp/internal/policy"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/flightrec"
-	"nfp/internal/trafficgen"
 )
 
 // incidentCmd implements `nfpinspect incident`: the post-mortem
@@ -31,23 +27,21 @@ import (
 //	-chain nf1,...    run the chain in-process with an injected NF
 //	                  panic and read the bundle it produces
 func incidentCmd(args []string) {
-	fs := flag.NewFlagSet("incident", flag.ExitOnError)
-	addr := fs.String("addr", "", "read a running server's /debug/flightrecorder at this host:port")
-	spool := fs.String("spool", "", "read the newest incident bundle from this spool directory")
-	file := fs.String("file", "", "read this specific bundle file")
-	chain := fs.String("chain", "", "run this comma-separated chain in-process with an injected panic")
-	packets := fs.Int("packets", 50000, "packets for the in-process run")
-	seed := fs.Int64("seed", 1, "traffic seed for the in-process run")
-	panicAt := fs.Uint64("panic-at", 1000, "in-process run: panic the first NF on this packet")
-	tail := fs.Int("n", 32, "event-ring tail length to show")
-	asJSON := fs.Bool("json", false, "emit raw JSON instead of the report")
-	_ = fs.Parse(args)
+	src := newSource("incident", 50000,
+		"read a running server's /debug/flightrecorder at this host:port",
+		"run this comma-separated chain in-process with an injected panic",
+		jsonReport)
+	spool := src.fs.String("spool", "", "read the newest incident bundle from this spool directory")
+	file := src.fs.String("file", "", "read this specific bundle file")
+	panicAt := src.fs.Uint64("panic-at", 1000, "in-process run: panic the first NF on this packet")
+	tail := src.fs.Int("n", 32, "event-ring tail length to show")
+	_ = src.fs.Parse(args)
 
 	switch {
-	case *addr != "":
+	case src.addr != "":
 		var st flightrec.Status
-		fetchJSON(*addr, fmt.Sprintf("/debug/flightrecorder?n=%d", *tail), &st)
-		if *asJSON {
+		fetchJSON(src.addr, fmt.Sprintf("/debug/flightrecorder?n=%d", *tail), &st)
+		if src.asJSON {
 			emitJSON(st)
 			return
 		}
@@ -55,7 +49,7 @@ func incidentCmd(args []string) {
 		if len(st.Incidents) > 0 {
 			newest := st.Incidents[len(st.Incidents)-1]
 			var b flightrec.Bundle
-			fetchJSON(*addr, "/debug/flightrecorder?incident="+newest.File, &b)
+			fetchJSON(src.addr, "/debug/flightrecorder?incident="+newest.File, &b)
 			fmt.Printf("\nNEWEST BUNDLE: %s\n", newest.File)
 			printBundle(b, *tail)
 		}
@@ -64,7 +58,7 @@ func incidentCmd(args []string) {
 		if err != nil {
 			metricsFail(err)
 		}
-		if *asJSON {
+		if src.asJSON {
 			emitJSON(bp)
 			return
 		}
@@ -88,18 +82,18 @@ func incidentCmd(args []string) {
 		if err != nil {
 			metricsFail(err)
 		}
-		if *asJSON {
+		if src.asJSON {
 			emitJSON(bp)
 			return
 		}
 		fmt.Printf("\nNEWEST BUNDLE: %s\n", newest.File)
 		printBundle(*bp, *tail)
-	case *chain != "":
-		bp, err := runIncident(*chain, *packets, *seed, *panicAt)
+	case src.chain != "":
+		bp, err := runIncident(src, *panicAt)
 		if err != nil {
 			metricsFail(err)
 		}
-		if *asJSON {
+		if src.asJSON {
 			emitJSON(bp)
 			return
 		}
@@ -113,26 +107,18 @@ func incidentCmd(args []string) {
 // runIncident compiles the chain, runs it in-process with the first NF
 // scheduled to panic, spools the triggered bundle into a temp dir, and
 // returns it parsed.
-func runIncident(chain string, packets int, seed int64, panicAt uint64) (*flightrec.Bundle, error) {
-	names := strings.Split(chain, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	res, err := core.Compile(policy.FromChain(names...), nil, core.Options{})
-	if err != nil {
-		return nil, err
-	}
+func runIncident(src *source, panicAt uint64) (*flightrec.Bundle, error) {
+	first := src.names()[0]
 	dir, err := os.MkdirTemp("", "nfp-incident-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	gen := trafficgen.New(trafficgen.Config{Flows: 32, Seed: seed})
 	var snap *flightrec.Snapshotter
 	opts := experiments.LiveOptions{
 		Config: dataplane.Config{Telemetry: telemetry.NewRegistry()},
 		WrapNF: func(name string, inst nf.NF) nf.NF {
-			if name == names[0] {
+			if name == first {
 				return faultinject.NewPanicNF(inst, panicAt)
 			}
 			return inst
@@ -150,7 +136,7 @@ func runIncident(chain string, packets int, seed int64, panicAt uint64) (*flight
 			}
 		},
 	}
-	if _, rerr := experiments.RunLiveGraphOpts(res.Graph, packets, gen, opts); rerr != nil {
+	if _, rerr := src.run(0, opts); rerr != nil {
 		return nil, rerr
 	}
 	if err != nil {
@@ -164,8 +150,7 @@ func runIncident(chain string, packets int, seed int64, panicAt uint64) (*flight
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("injected panic at packet %d produced no incident bundle", panicAt)
 	}
-	fmt.Fprintf(os.Stderr, "in-process run: %s, %d packets, %s panicked at packet %d\n\n",
-		strings.Join(names, " -> "), packets, names[0], panicAt)
+	src.banner(fmt.Sprintf("%s panicked at packet %d", first, panicAt))
 	return flightrec.ReadBundle(filepath.Join(dir, entries[len(entries)-1].File))
 }
 

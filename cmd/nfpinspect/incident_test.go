@@ -11,7 +11,7 @@ import (
 // parseable bundle whose reason and event ring carry the injected
 // panic.
 func TestRunIncidentProducesBundle(t *testing.T) {
-	b, err := runIncident("monitor,lb", 20000, 1, 500)
+	b, err := runIncident(&source{chain: "monitor,lb", packets: 20000, seed: 1}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRunIncidentProducesBundle(t *testing.T) {
 // TestRunIncidentBadChain: an unknown NF fails compilation, not the
 // spool walk.
 func TestRunIncidentBadChain(t *testing.T) {
-	if _, err := runIncident("no-such-nf", 10, 1, 1); err == nil {
+	if _, err := runIncident(&source{chain: "no-such-nf", packets: 10, seed: 1}, 1); err == nil {
 		t.Fatal("bogus chain must fail")
 	}
 }

@@ -1,107 +1,45 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
-	"nfp/internal/core"
 	"nfp/internal/dataplane"
-	"nfp/internal/experiments"
-	"nfp/internal/policy"
 	"nfp/internal/telemetry"
-	"nfp/internal/trafficgen"
 )
 
 // metricsCmd implements `nfpinspect metrics`: snapshot the telemetry of
 // a running nfpd (-addr) or of a fresh in-process run (-chain), and
 // pretty-print it.
 func metricsCmd(args []string) {
-	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	addr := fs.String("addr", "", "scrape a running server's /debug/telemetry at this host:port")
-	chain := fs.String("chain", "", "run this comma-separated chain in-process and snapshot it")
-	packets := fs.Int("packets", 2000, "packets for the in-process run")
-	seed := fs.Int64("seed", 1, "traffic seed for the in-process run")
+	src := newSource("metrics", 2000,
+		"scrape a running server's /debug/telemetry at this host:port",
+		"run this comma-separated chain in-process and snapshot it",
+		"emit the raw JSON dump instead of the table")
 	var cfg dataplane.Config // of the in-process run
-	fs.IntVar(&cfg.TraceSampleRate, "trace-sample", 0, "trace ~1/N packets during the in-process run")
-	fs.IntVar(&cfg.Shards, "shards", 1, "flow-sharded execution domains for the in-process run (1 = unsharded)")
-	asJSON := fs.Bool("json", false, "emit the raw JSON dump instead of the table")
-	watch := fs.Duration("watch", 0, "re-poll -addr at this interval and print counter deltas (requires -addr)")
-	_ = fs.Parse(args)
+	src.fs.IntVar(&cfg.TraceSampleRate, "trace-sample", 0, "trace ~1/N packets during the in-process run")
+	src.fs.IntVar(&cfg.Shards, "shards", 1, "flow-sharded execution domains for the in-process run (1 = unsharded)")
+	watch := src.fs.Duration("watch", 0, "re-poll -addr at this interval and print counter deltas (requires -addr)")
+	_ = src.fs.Parse(args)
 
 	if *watch > 0 {
-		if *addr == "" {
+		if src.addr == "" {
 			fmt.Fprintln(os.Stderr, "nfpinspect metrics: -watch requires -addr")
 			os.Exit(2)
 		}
-		watchMetrics(*addr, *watch)
+		watchMetrics(src.addr, *watch)
 		return
 	}
 
-	var dump telemetry.Dump
-	switch {
-	case *addr != "":
-		dump = fetchDump(*addr)
-	case *chain != "":
-		dump = runDump(*chain, *packets, *seed, cfg)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: nfpinspect metrics (-addr HOST:PORT | -chain nf1,nf2,...) [-json]")
-		os.Exit(2)
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(dump); err != nil {
-			metricsFail(err)
-		}
+	dump := src.dump(cfg)
+	if src.asJSON {
+		emitJSON(dump)
 		return
 	}
 	printDump(dump)
-}
-
-func fetchDump(addr string) telemetry.Dump {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(addr + "/debug/telemetry")
-	if err != nil {
-		metricsFail(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		metricsFail(fmt.Errorf("%s returned %s", addr, resp.Status))
-	}
-	var dump telemetry.Dump
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		metricsFail(fmt.Errorf("decoding /debug/telemetry: %w", err))
-	}
-	return dump
-}
-
-func runDump(chain string, packets int, seed int64, cfg dataplane.Config) telemetry.Dump {
-	names := strings.Split(chain, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	res, err := core.Compile(policy.FromChain(names...), nil, core.Options{})
-	if err != nil {
-		metricsFail(err)
-	}
-	gen := trafficgen.New(trafficgen.Config{Flows: 32, Seed: seed})
-	live, err := experiments.RunLiveGraphOpts(res.Graph, packets, gen, experiments.LiveOptions{Config: cfg})
-	if err != nil {
-		metricsFail(err)
-	}
-	// The banner goes to stderr so -json output stays machine-parseable.
-	fmt.Fprintf(os.Stderr, "in-process run: %s, %d packets, seed %d\n\n", strings.Join(names, " -> "), packets, seed)
-	return telemetry.Dump{Metrics: *live.Telemetry, Traces: live.Traces}
 }
 
 // watchMetrics re-polls a running server and prints what changed since
@@ -109,12 +47,16 @@ func runDump(chain string, packets int, seed int64, cfg dataplane.Config) teleme
 // and histogram count/p99 updates. Unchanged series stay silent, so the
 // output diffs cleanly across intervals.
 func watchMetrics(addr string, interval time.Duration) {
-	prev := fetchDump(addr).Metrics
-	prev.Sort()
+	poll := func() telemetry.Snapshot {
+		var d telemetry.Dump
+		fetchJSON(addr, "/debug/telemetry", &d)
+		d.Metrics.Sort()
+		return d.Metrics
+	}
+	prev := poll()
 	fmt.Fprintf(os.Stderr, "watching %s every %v (Ctrl-C to stop)\n", addr, interval)
 	for range time.Tick(interval) {
-		cur := fetchDump(addr).Metrics
-		cur.Sort()
+		cur := poll()
 		secs := interval.Seconds()
 		fmt.Printf("--- %s\n", time.Now().Format("15:04:05"))
 		for _, c := range cur.Counters {
@@ -256,9 +198,4 @@ func series(name string, labels map[string]string) string {
 		parts[i] = k + "=" + labels[k]
 	}
 	return name + "{" + strings.Join(parts, ",") + "}"
-}
-
-func metricsFail(err error) {
-	fmt.Fprintf(os.Stderr, "nfpinspect metrics: %v\n", err)
-	os.Exit(1)
 }

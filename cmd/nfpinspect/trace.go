@@ -1,14 +1,9 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
-	"strings"
-	"time"
 
 	"nfp/internal/dataplane"
 	"nfp/internal/telemetry"
@@ -18,42 +13,18 @@ import (
 // `nfpinspect criticalpath`: where the spans come from (a live server
 // or a fresh in-process run) and how to render them.
 type traceFlags struct {
-	fs      *flag.FlagSet
-	addr    *string
-	chain   *string
-	packets *int
-	seed    *int64
-	cfg     dataplane.Config // of the in-process run
-	asJSON  *bool
+	*source
+	cfg dataplane.Config // of the in-process run
 }
 
 func newTraceFlags(name string) *traceFlags {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	tf := &traceFlags{
-		fs:      fs,
-		addr:    fs.String("addr", "", "read a running server's spans at this host:port"),
-		chain:   fs.String("chain", "", "run this comma-separated chain in-process and analyze it"),
-		packets: fs.Int("packets", 2000, "packets for the in-process run"),
-		seed:    fs.Int64("seed", 1, "traffic seed for the in-process run"),
-		asJSON:  fs.Bool("json", false, "emit raw JSON instead of the report"),
-	}
-	fs.IntVar(&tf.cfg.TraceSampleRate, "trace-sample", 1, "trace ~1/N packets during the in-process run")
-	fs.IntVar(&tf.cfg.TraceCapacity, "trace-buf", 1<<16, "tracer span ring capacity for the in-process run")
+	tf := &traceFlags{source: newSource(name, 2000,
+		"read a running server's spans at this host:port",
+		"run this comma-separated chain in-process and analyze it",
+		jsonReport)}
+	tf.fs.IntVar(&tf.cfg.TraceSampleRate, "trace-sample", 1, "trace ~1/N packets during the in-process run")
+	tf.fs.IntVar(&tf.cfg.TraceCapacity, "trace-buf", 1<<16, "tracer span ring capacity for the in-process run")
 	return tf
-}
-
-// events resolves the span source: a live server's /debug/telemetry or
-// an in-process run of -chain.
-func (tf *traceFlags) events(cmd string) []telemetry.TraceEvent {
-	switch {
-	case *tf.addr != "":
-		return fetchDump(*tf.addr).Traces
-	case *tf.chain != "":
-		return runDump(*tf.chain, *tf.packets, *tf.seed, tf.cfg).Traces
-	}
-	fmt.Fprintf(os.Stderr, "usage: nfpinspect %s (-addr HOST:PORT | -chain nf1,nf2,...) [-json]\n", cmd)
-	os.Exit(2)
-	return nil
 }
 
 // traceCmd implements `nfpinspect trace`: render per-PID span trees
@@ -63,7 +34,7 @@ func traceCmd(args []string) {
 	max := tf.fs.Int("max", 5, "packets to render (0 = all)")
 	chrome := tf.fs.String("chrome", "", "also write the Chrome trace-event JSON to this file ('-' for stdout)")
 	_ = tf.fs.Parse(args)
-	events := tf.events("trace")
+	events := tf.dump(tf.cfg).Traces
 
 	if *chrome != "" {
 		out := os.Stdout
@@ -82,18 +53,14 @@ func traceCmd(args []string) {
 			fmt.Fprintf(os.Stderr, "chrome trace: %d events -> %s (open in chrome://tracing or ui.perfetto.dev)\n",
 				len(events), *chrome)
 		}
-		if *tf.asJSON {
+		if tf.asJSON {
 			return
 		}
 	}
 
 	groups, truncated := telemetry.GroupEvents(events)
-	if *tf.asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(telemetry.SpansDump{TruncatedPIDs: truncated, Spans: groups}); err != nil {
-			metricsFail(err)
-		}
+	if tf.asJSON {
+		emitJSON(telemetry.SpansDump{TruncatedPIDs: truncated, Spans: groups})
 		return
 	}
 
@@ -154,18 +121,14 @@ func criticalPathCmd(args []string) {
 	_ = tf.fs.Parse(args)
 
 	var rep telemetry.CriticalPathReport
-	if *tf.addr != "" {
-		rep = fetchCriticalPath(*tf.addr)
+	if tf.addr != "" {
+		fetchJSON(tf.addr, "/debug/criticalpath", &rep)
 	} else {
-		rep = telemetry.BuildCriticalPathReport(tf.events("criticalpath"))
+		rep = telemetry.BuildCriticalPathReport(tf.dump(tf.cfg).Traces)
 	}
 
-	if *tf.asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			metricsFail(err)
-		}
+	if tf.asJSON {
+		emitJSON(rep)
 		return
 	}
 
@@ -193,27 +156,6 @@ func criticalPathCmd(args []string) {
 				pctOf(mc.MergeWait, total), pctOf(mc.Merge, total), pctOf(mc.Output, total))
 		}
 	}
-}
-
-// fetchCriticalPath scrapes a running server's /debug/criticalpath.
-func fetchCriticalPath(addr string) telemetry.CriticalPathReport {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(addr + "/debug/criticalpath")
-	if err != nil {
-		metricsFail(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		metricsFail(fmt.Errorf("%s returned %s", addr, resp.Status))
-	}
-	var rep telemetry.CriticalPathReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		metricsFail(fmt.Errorf("decoding /debug/criticalpath: %w", err))
-	}
-	return rep
 }
 
 func us(ns int64) string {

@@ -23,7 +23,6 @@ import (
 	"nfp/internal/packet"
 	"nfp/internal/policy"
 	"nfp/internal/sim"
-	"nfp/internal/stats"
 	"nfp/internal/trafficgen"
 )
 
@@ -52,7 +51,7 @@ func runChain(label string, chain []string) {
 	fmt.Printf("model latency: sequential %.0f µs -> NFP %.0f µs (%.1f%% reduction)\n",
 		onvm, nfpLat, (1-nfpLat/onvm)*100)
 	fmt.Printf("resource overhead: %.1f%% (header-only copies at mean %d B)\n",
-		stats.MeanResourceOverhead(dist.Mean(), graph.TotalCopies(res.Graph)+1)*100, mean)
+		sim.MeanResourceOverhead(dist.Mean(), graph.TotalCopies(res.Graph)+1)*100, mean)
 
 	// Live run with inspectable NF instances.
 	mon := nf.NewMonitor()

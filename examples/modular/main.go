@@ -19,7 +19,6 @@ import (
 
 	"nfp"
 	"nfp/internal/ahocorasick"
-	"nfp/internal/flow"
 	"nfp/internal/nf"
 	"nfp/internal/packet"
 )
@@ -55,12 +54,12 @@ func main() {
 
 	// hdrcls: the header classifier both the firewall and the IPS
 	// contain; after OpenBox-style decomposition it is shared.
-	classes := map[flow.Key]int{}
+	classes := map[packet.FlowKey]int{}
 	hdrcls := &block{
 		name:    "hdrcls",
 		profile: tupleProfile(),
 		process: func(p *packet.Packet) nf.Verdict {
-			if k, err := flow.FromPacket(p); err == nil {
+			if k, err := p.FlowKey(); err == nil {
 				classes[k] = int(k.Hash() % 4)
 			}
 			return nf.Pass

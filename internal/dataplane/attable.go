@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"nfp/internal/flow"
 	"nfp/internal/packet"
 )
 
@@ -77,7 +76,7 @@ func newATTable(bound int) *atTable {
 // spent the low bits of the same hash picking the instance; the top bits
 // are still spread.
 func (t *atTable) home(join int32, pid uint64) int {
-	return int(flow.HashPID(pid^uint64(join)<<packet.PIDBits) >> t.shift)
+	return int(hashPID(pid^uint64(join)<<packet.PIDBits) >> t.shift)
 }
 
 // at returns the slot of (pr, join, pid), claiming a free one when the

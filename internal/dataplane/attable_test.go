@@ -234,3 +234,15 @@ func FuzzAccumulatingTable(f *testing.F) {
 		atScript(h, prs, collidingPIDs(h.tab, 0, int(home)%len(h.tab.slots), 3, 16), script)
 	})
 }
+
+func TestHashPIDSpreads(t *testing.T) {
+	// Consecutive PIDs must land on different merger instances (mod 2)
+	// reasonably evenly — the §6.3.3 load-balancing requirement.
+	buckets := [2]int{}
+	for pid := uint64(0); pid < 1000; pid++ {
+		buckets[hashPID(pid)%2]++
+	}
+	if buckets[0] < 300 || buckets[1] < 300 {
+		t.Errorf("PID hash badly skewed: %v", buckets)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nfp/internal/flow"
 	"nfp/internal/flowtab"
 	"nfp/internal/packet"
 	"nfp/internal/ruleindex"
@@ -26,11 +25,11 @@ type Match struct {
 // Covers reports whether the match covers a flow key. It is the
 // executable spec of a rule: the dataplane matches through the compiled
 // index (indexRule), and the tests hold the index to this.
-func (m Match) Covers(k flow.Key) bool {
-	if m.SrcPrefix.IsValid() && !m.SrcPrefix.Contains(k.SrcIP) {
+func (m Match) Covers(k packet.FlowKey) bool {
+	if m.SrcPrefix.IsValid() && !m.SrcPrefix.Contains(netip.AddrFrom4(k.Src)) {
 		return false
 	}
-	if m.DstPrefix.IsValid() && !m.DstPrefix.Contains(k.DstIP) {
+	if m.DstPrefix.IsValid() && !m.DstPrefix.Contains(netip.AddrFrom4(k.Dst)) {
 		return false
 	}
 	if m.SrcPort != 0 && m.SrcPort != k.SrcPort {
@@ -236,9 +235,9 @@ func (c *Classifier) bindFlowObserver(obs FlowObserver, sampler *telemetry.Trace
 
 // observeFlow feeds one sampled packet to the flow observer. The
 // packet's layout cache is warm or warming anyway (classification just
-// parsed it), so FromPacket costs a cache read.
+// parsed it), so FlowKey costs a cache read.
 func (c *Classifier) observeFlow(p *packet.Packet) {
-	if k, err := flow.FromPacket(p); err == nil {
+	if k, err := p.FlowKey(); err == nil {
 		rate := c.flowSampler.Rate()
 		c.flowObs.ObserveFlow(k, rate, rate*uint64(p.Len()))
 	}

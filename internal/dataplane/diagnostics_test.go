@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
@@ -18,16 +17,16 @@ type recordingObserver struct {
 	calls int
 	pkts  uint64
 	bytes uint64
-	flows map[flow.Key]uint64
+	flows map[packet.FlowKey]uint64
 }
 
-func (r *recordingObserver) ObserveFlow(k flow.Key, pkts, bytes uint64) {
+func (r *recordingObserver) ObserveFlow(k packet.FlowKey, pkts, bytes uint64) {
 	r.mu.Lock()
 	r.calls++
 	r.pkts += pkts
 	r.bytes += bytes
 	if r.flows == nil {
-		r.flows = map[flow.Key]uint64{}
+		r.flows = map[packet.FlowKey]uint64{}
 	}
 	r.flows[k] += pkts
 	r.mu.Unlock()

@@ -1,10 +1,8 @@
 package dataplane
 
 import (
-	"net/netip"
 	"testing"
 
-	"nfp/internal/flow"
 	"nfp/internal/packet"
 )
 
@@ -73,8 +71,8 @@ func TestParseMatchCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := flow.Key{
-		SrcIP: netip.AddrFrom4([4]byte{10, 9, 8, 7}), DstIP: netip.AddrFrom4([4]byte{1, 1, 1, 1}),
+	key := packet.FlowKey{
+		Src: [4]byte{10, 9, 8, 7}, Dst: [4]byte{1, 1, 1, 1},
 		SrcPort: 1234, DstPort: 443, Proto: packet.ProtoTCP,
 	}
 	if !m.Covers(key) {
@@ -118,12 +116,12 @@ func FuzzClassify(f *testing.F) {
 			t.Fatalf("Spec() is not a fixed point: %q -> %q", canon, again.Spec())
 		}
 		// Classification behavior must survive the round trip.
-		keys := []flow.Key{
-			{SrcIP: netip.AddrFrom4([4]byte{10, 0, 0, 1}), DstIP: netip.AddrFrom4([4]byte{192, 168, 0, 1}),
+		keys := []packet.FlowKey{
+			{Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{192, 168, 0, 1},
 				SrcPort: 80, DstPort: 443, Proto: packet.ProtoTCP},
-			{SrcIP: netip.AddrFrom4([4]byte{172, 16, 5, 5}), DstIP: netip.AddrFrom4([4]byte{8, 8, 8, 8}),
+			{Src: [4]byte{172, 16, 5, 5}, Dst: [4]byte{8, 8, 8, 8},
 				SrcPort: 53, DstPort: 53, Proto: packet.ProtoUDP},
-			{}, // zero key: invalid addresses must not panic Covers
+			{}, // the zero key: 0.0.0.0:0 on both ends, any protocol
 		}
 		for _, k := range keys {
 			if m.Covers(k) != again.Covers(k) {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nfp/internal/flow"
 	"nfp/internal/packet"
 	"nfp/internal/ruleindex"
 	"nfp/internal/telemetry"
@@ -17,7 +16,7 @@ import (
 // replaced, kept as the executable spec: first rule whose Match.Covers
 // the key, else the default route.
 func refClassify(rules []classRule, hasDefault bool, defaultMID uint32, p *packet.Packet) (mid uint32, ok, viaDefault bool) {
-	if k, err := flow.FromPacket(p); err == nil {
+	if k, err := p.FlowKey(); err == nil {
 		for _, r := range rules {
 			if r.match.Covers(k) {
 				return r.mid, true, false
@@ -98,7 +97,7 @@ func TestRuleIndexAgreesWithCovers(t *testing.T) {
 		}
 		ix := ruleindex.Build(len(rules), func(i int) (ruleindex.Rule, bool) { return rules[i].indexRule() })
 		for _, p := range traffic {
-			k, err := flow.FromPacket(p)
+			k, err := p.FlowKey()
 			if err != nil {
 				continue
 			}
@@ -109,7 +108,7 @@ func TestRuleIndexAgreesWithCovers(t *testing.T) {
 					break
 				}
 			}
-			if got := ix.Lookup(k.Packed()); got != want {
+			if got := ix.Lookup(k); got != want {
 				t.Fatalf("round %d: Lookup(%v) = %d, first covering rule is %d\nrules: %+v", round, k, got, want, rules)
 			}
 		}

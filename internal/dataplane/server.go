@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/mempool"
 	"nfp/internal/nf"
@@ -48,7 +47,7 @@ type atomicPlans = atomic.Pointer[map[uint32]*planRuntime]
 // arrive pre-scaled by the sample rate (pkts = rate, bytes = wire length
 // × rate), so estimates approximate true per-flow totals.
 type FlowObserver interface {
-	ObserveFlow(k flow.Key, pkts, bytes uint64)
+	ObserveFlow(k packet.FlowKey, pkts, bytes uint64)
 }
 
 // Fixed sizings no deployment, test or benchmark ever varied.
@@ -414,10 +413,9 @@ func shardMix(h uint64) uint64 {
 // ShardOfKey returns the shard a flow executes on: the (mixed)
 // symmetric 5-tuple hash modulo the shard count, so both directions of
 // a flow — what stateful NFs key their tables by — land on the same
-// shard. Keys that are not IPv4 (the zero Key included) fall to shard
-// 0, like ShardOf's unparseable packets.
-func (s *Server) ShardOfKey(k flow.Key) int {
-	if !s.sharded() || !k.SrcIP.Unmap().Is4() || !k.DstIP.Unmap().Is4() {
+// shard.
+func (s *Server) ShardOfKey(k packet.FlowKey) int {
+	if !s.sharded() {
 		return 0
 	}
 	return int(shardMix(k.SymmetricHash()) % uint64(len(s.shards)))
@@ -433,7 +431,7 @@ func (s *Server) ShardOf(pkt *packet.Packet) int {
 	if err != nil {
 		return 0
 	}
-	return int(shardMix(fk.SymmetricHash()) % uint64(len(s.shards)))
+	return s.ShardOfKey(fk)
 }
 
 // ShardPool returns shard i's mempool partition (the shared pool when

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nfp/internal/flow"
 	"nfp/internal/mempool"
 	"nfp/internal/packet"
 	"nfp/internal/ring"
@@ -340,6 +339,13 @@ func (sh *shard) deliver(pr *planRuntime, t Target, pkts []*packet.Packet, dropp
 	}
 }
 
+// hashPID hashes a packet ID for merger-agent load balancing. §5.3:
+// "the merger agent performs a simple and fast hashing on the immutable
+// PID field". A multiplicative (Fibonacci) hash spreads consecutive PIDs.
+func hashPID(pid uint64) uint64 {
+	return pid * 0x9e3779b97f4a7c15
+}
+
 // joinPush is the merger agent (§5.3): it hashes the immutable PID to
 // pick the merger instance, so all copies of one packet meet at the
 // same merger while different packets spread across instances, and
@@ -360,7 +366,7 @@ func (sh *shard) joinPush(pr *planRuntime, join int, pkts []*packet.Packet, drop
 		// Resolved before the first hand-off: a merger may finalize and
 		// recycle a packet the moment it has it.
 		for i, pkt := range chunk {
-			inst[i] = int(flow.HashPID(pkt.Meta.PID) % uint64(len(sh.mergers)))
+			inst[i] = int(hashPID(pkt.Meta.PID) % uint64(len(sh.mergers)))
 		}
 		for mi, m := range sh.mergers {
 			k := 0

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"nfp/internal/faultinject"
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
+	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 )
 
@@ -32,8 +32,8 @@ func shardFlows(s *Server, shard, want int) []int {
 			panic("no flows hash to shard")
 		}
 		sp := shardSpec(id, 0)
-		k := flow.Key{
-			SrcIP: sp.SrcIP, DstIP: sp.DstIP, Proto: sp.Proto,
+		k := packet.FlowKey{
+			Src: sp.SrcIP.As4(), Dst: sp.DstIP.As4(), Proto: sp.Proto,
 			SrcPort: sp.SrcPort, DstPort: sp.DstPort,
 		}
 		if s.ShardOfKey(k) == shard {

@@ -2,10 +2,8 @@ package dataplane
 
 import (
 	"fmt"
-	"net/netip"
 	"testing"
 
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
@@ -110,7 +108,7 @@ func TestShardFlowAffinity(t *testing.T) {
 
 			// Every flow's packets must all land on the shard its key
 			// hashes to — and on no other shard.
-			seen := make(map[flow.Key]int)
+			seen := make(map[packet.FlowKey]int)
 			var total uint64
 			for sid, m := range monitors {
 				for _, rec := range m.Snapshot() {
@@ -275,20 +273,26 @@ func TestInjectContract(t *testing.T) {
 	}
 }
 
-// TestShardOfKeyNonIPv4: keys ShardOf could never produce — the zero
-// Key, IPv6 endpoints — fall to shard 0 instead of panicking.
-func TestShardOfKeyNonIPv4(t *testing.T) {
+// TestShardOfKeyAgreesWithShardOf: a packet runs on the shard its key
+// names, a packet with no IPv4 flow key runs on shard 0, and an
+// unsharded server names shard 0 for every key.
+func TestShardOfKeyAgreesWithShardOf(t *testing.T) {
 	s := New(Config{Shards: 4, PoolSize: 64})
-	v4 := netip.MustParseAddr("10.0.0.1")
-	v6 := netip.MustParseAddr("2001:db8::1")
-	for _, k := range []flow.Key{
-		{},
-		{SrcIP: v6, DstIP: v6, Proto: packet.ProtoTCP, SrcPort: 1, DstPort: 2},
-		{SrcIP: v4, DstIP: v6, Proto: packet.ProtoTCP, SrcPort: 1, DstPort: 2},
-		{SrcIP: v4},
-	} {
-		if got := s.ShardOfKey(k); got != 0 {
-			t.Errorf("ShardOfKey(%v) = %d, want 0", k, got)
+	one := New(Config{Shards: 1, PoolSize: 64})
+	if got := s.ShardOf(packet.New(make([]byte, 64))); got != 0 {
+		t.Errorf("ShardOf(non-IPv4 frame) = %d, want 0", got)
+	}
+	for i := 0; i < 32; i++ {
+		pkt := packet.Build(shardSpec(i, 0))
+		k, err := pkt.FlowKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.ShardOf(pkt), s.ShardOfKey(k); got != want {
+			t.Errorf("flow %v: ShardOf = %d, ShardOfKey = %d", k, got, want)
+		}
+		if got := one.ShardOfKey(k); got != 0 {
+			t.Errorf("unsharded ShardOfKey(%v) = %d, want 0", k, got)
 		}
 	}
 }

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"nfp/internal/dataplane"
 	"nfp/internal/faultinject"
-	"nfp/internal/flow"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/packet"
@@ -91,8 +90,8 @@ type Result struct {
 	// FlowDigests sums hash(final packet bytes) per output flow key
 	// (the 5-tuple the packet leaves with), FlowCounts the per-flow
 	// output packet counts — together the "per-flow output digest".
-	FlowDigests map[flow.Key]uint64
-	FlowCounts  map[flow.Key]uint64
+	FlowDigests map[packet.FlowKey]uint64
+	FlowCounts  map[packet.FlowKey]uint64
 	// ContentDigests aggregates every NF's PID-free observation digest
 	// over all of its instances; Processed the packet counts.
 	ContentDigests map[string]uint64
@@ -175,8 +174,8 @@ func (t *Trial) Execute(g graph.Node, n int, trafficSeed int64, opts Options) (*
 	res := &Result{
 		Outputs:        map[uint64][]byte{},
 		Digests:        map[string]uint64{},
-		FlowDigests:    map[flow.Key]uint64{},
-		FlowCounts:     map[flow.Key]uint64{},
+		FlowDigests:    map[packet.FlowKey]uint64{},
+		FlowCounts:     map[packet.FlowKey]uint64{},
 		ContentDigests: map[string]uint64{},
 		Processed:      map[string]uint64{},
 	}
@@ -187,7 +186,7 @@ func (t *Trial) Execute(g graph.Node, n int, trafficSeed int64, opts Options) (*
 		for p := range srv.Output() {
 			b := append([]byte(nil), p.Bytes()...)
 			res.Outputs[p.Meta.PID] = b
-			k, _ := flow.FromPacket(p) // unparseable packets share the zero key
+			k, _ := p.FlowKey() // unparseable packets share the zero key
 			h := fnv.New64a()
 			h.Write(b)
 			res.FlowDigests[k] += h.Sum64()
@@ -209,7 +208,7 @@ func (t *Trial) Execute(g graph.Node, n int, trafficSeed int64, opts Options) (*
 	// due.
 	burst := max(cfg.Burst, 1)
 	churns := append([]int(nil), opts.Churns...)
-	sort.Ints(churns)
+	slices.Sort(churns)
 	reloadErrs := make(chan error, opts.Reloads)
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(trafficSeed))
@@ -347,23 +346,18 @@ func CompareFlows(a, b *Result) []string {
 	return out
 }
 
-// sortedFlowKeys returns the union of both maps' keys in a stable
-// order, so violation lists are deterministic.
-func sortedFlowKeys(a, b map[flow.Key]uint64) []flow.Key {
-	seen := make(map[flow.Key]bool, len(a)+len(b))
-	var keys []flow.Key
+// sortedFlowKeys returns the union of both maps' keys in
+// FlowKey.Compare order, so violation lists are deterministic.
+func sortedFlowKeys(a, b map[packet.FlowKey]uint64) []packet.FlowKey {
+	keys := make([]packet.FlowKey, 0, len(a)+len(b))
 	for k := range a {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	for k := range b {
-		if !seen[k] {
-			seen[k] = true
+		if _, ok := a[k]; !ok {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	slices.SortFunc(keys, packet.FlowKey.Compare)
 	return keys
 }

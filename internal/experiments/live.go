@@ -16,7 +16,6 @@ import (
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 	"nfp/internal/policy"
-	"nfp/internal/stats"
 	"nfp/internal/telemetry"
 	"nfp/internal/trafficgen"
 )
@@ -173,8 +172,7 @@ func runTraffic(srv platform, inject func([]*packet.Packet) int, n, burst int, g
 			p.Free()
 		}
 	}()
-	var th stats.Throughput
-	th.StartNow()
+	start := time.Now()
 	batch := make([]*packet.Packet, burst)
 	var err error
 	for i := 0; i < n && err == nil; {
@@ -197,10 +195,10 @@ func runTraffic(srv platform, inject func([]*packet.Packet) int, n, burst int, g
 		i += got
 	}
 	srv.Stop()
-	th.StopNow()
+	elapsed := time.Since(start)
 	<-done
 	res := LiveResult{
-		Mpps:     float64(n) / th.Elapsed().Seconds() / 1e6,
+		Mpps:     float64(n) / elapsed.Seconds() / 1e6,
 		PoolLeak: srv.Pool().InUse(),
 	}
 	if latCount > 0 {

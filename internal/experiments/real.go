@@ -8,7 +8,6 @@ import (
 	"nfp/internal/nfa"
 	"nfp/internal/policy"
 	"nfp/internal/sim"
-	"nfp/internal/stats"
 	"nfp/internal/trafficgen"
 )
 
@@ -88,7 +87,7 @@ func Fig13() Table {
 		onvm := p.LatencyONVM(rc.chain, meanSize)
 		nfp := p.LatencyGraph(res.Graph, meanSize)
 		copies := graph.TotalCopies(res.Graph)
-		ro := stats.MeanResourceOverhead(dist.Mean(), copies+1)
+		ro := sim.MeanResourceOverhead(dist.Mean(), copies+1)
 		t.Rows = append(t.Rows, []string{
 			rc.label,
 			res.Graph.String(),
@@ -117,14 +116,14 @@ func OverheadTable() Table {
 	for _, size := range []int{64, 128, 256, 512, 724, 1024, 1500} {
 		row := []string{fmt.Sprint(size)}
 		for d := 2; d <= 5; d++ {
-			row = append(row, pct(stats.ResourceOverhead(size, d)))
+			row = append(row, pct(sim.ResourceOverhead(size, d)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	dist := trafficgen.NewDataCenter(1)
 	row := []string{fmt.Sprintf("DC mix (mean %.0f)", dist.Mean())}
 	for d := 2; d <= 5; d++ {
-		row = append(row, pct(stats.MeanResourceOverhead(dist.Mean(), d)))
+		row = append(row, pct(sim.MeanResourceOverhead(dist.Mean(), d)))
 	}
 	t.Rows = append(t.Rows, row)
 	return t

@@ -9,11 +9,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net/netip"
 	"time"
 
-	"nfp/internal/flow"
 	"nfp/internal/nf"
+	"nfp/internal/packet"
 )
 
 // V5 wire geometry.
@@ -37,19 +36,16 @@ type Header struct {
 	Sampling     uint16
 }
 
-// Record is one NetFlow v5 flow record (the fields NFP's monitor
-// populates; AS/mask/interface fields are zero as on a host exporter).
+// Record is one NetFlow v5 flow record: the flow's 5-tuple and the
+// fields NFP's monitor populates (AS/mask/interface fields are zero as
+// on a host exporter).
 type Record struct {
-	SrcAddr  netip.Addr
-	DstAddr  netip.Addr
+	Flow     packet.FlowKey
 	Packets  uint32
 	Octets   uint32
 	FirstMS  uint32
 	LastMS   uint32
-	SrcPort  uint16
-	DstPort  uint16
 	TCPFlags uint8
-	Proto    uint8
 	TOS      uint8
 }
 
@@ -120,19 +116,17 @@ func (e *Exporter) writeDatagram(records []Record) error {
 	for i, r := range records {
 		off := HeaderLen + i*RecordLen
 		b := buf[off : off+RecordLen]
-		src := r.SrcAddr.As4()
-		dst := r.DstAddr.As4()
-		copy(b[0:4], src[:])
-		copy(b[4:8], dst[:])
+		copy(b[0:4], r.Flow.Src[:])
+		copy(b[4:8], r.Flow.Dst[:])
 		// nexthop (8:12), input (12:14), output (14:16) stay zero.
 		binary.BigEndian.PutUint32(b[16:20], r.Packets)
 		binary.BigEndian.PutUint32(b[20:24], r.Octets)
 		binary.BigEndian.PutUint32(b[24:28], r.FirstMS)
 		binary.BigEndian.PutUint32(b[28:32], r.LastMS)
-		binary.BigEndian.PutUint16(b[32:34], r.SrcPort)
-		binary.BigEndian.PutUint16(b[34:36], r.DstPort)
+		binary.BigEndian.PutUint16(b[32:34], r.Flow.SrcPort)
+		binary.BigEndian.PutUint16(b[34:36], r.Flow.DstPort)
 		b[37] = r.TCPFlags
-		b[38] = r.Proto
+		b[38] = r.Flow.Proto
 		b[39] = r.TOS
 	}
 	e.sequence += uint32(len(records))
@@ -149,15 +143,10 @@ func recordsFromSnapshot(snap []nf.FlowRecord, nowMS uint32) []Record {
 	out := make([]Record, 0, len(snap))
 	for _, fr := range snap {
 		out = append(out, Record{
-			SrcAddr: fr.Key.SrcIP,
-			DstAddr: fr.Key.DstIP,
+			Flow:    fr.Key,
 			Packets: saturate32(fr.Stats.Packets),
 			Octets:  saturate32(fr.Stats.Bytes),
-			FirstMS: 0,
 			LastMS:  nowMS,
-			SrcPort: fr.Key.SrcPort,
-			DstPort: fr.Key.DstPort,
-			Proto:   fr.Key.Proto,
 		})
 	}
 	return out
@@ -197,16 +186,18 @@ func Decode(b []byte) (Header, []Record, error) {
 		off := HeaderLen + i*RecordLen
 		rb := b[off : off+RecordLen]
 		records[i] = Record{
-			SrcAddr:  netip.AddrFrom4([4]byte(rb[0:4])),
-			DstAddr:  netip.AddrFrom4([4]byte(rb[4:8])),
+			Flow: packet.FlowKey{
+				Src:     [4]byte(rb[0:4]),
+				Dst:     [4]byte(rb[4:8]),
+				SrcPort: binary.BigEndian.Uint16(rb[32:34]),
+				DstPort: binary.BigEndian.Uint16(rb[34:36]),
+				Proto:   rb[38],
+			},
 			Packets:  binary.BigEndian.Uint32(rb[16:20]),
 			Octets:   binary.BigEndian.Uint32(rb[20:24]),
 			FirstMS:  binary.BigEndian.Uint32(rb[24:28]),
 			LastMS:   binary.BigEndian.Uint32(rb[28:32]),
-			SrcPort:  binary.BigEndian.Uint16(rb[32:34]),
-			DstPort:  binary.BigEndian.Uint16(rb[34:36]),
 			TCPFlags: rb[37],
-			Proto:    rb[38],
 			TOS:      rb[39],
 		}
 	}
@@ -214,9 +205,4 @@ func Decode(b []byte) (Header, []Record, error) {
 }
 
 // Key returns the flow key of a decoded record.
-func (r Record) Key() flow.Key {
-	return flow.Key{
-		SrcIP: r.SrcAddr, DstIP: r.DstAddr,
-		SrcPort: r.SrcPort, DstPort: r.DstPort, Proto: r.Proto,
-	}
-}
+func (r Record) Key() packet.FlowKey { return r.Flow }

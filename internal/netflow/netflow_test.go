@@ -64,7 +64,7 @@ func TestExportDecodeRoundTrip(t *testing.T) {
 		if r.Packets != 3 || r.Octets != 300 {
 			t.Errorf("record = %+v", r)
 		}
-		if r.Proto != packet.ProtoTCP || r.DstPort != 443 {
+		if r.Flow.Proto != packet.ProtoTCP || r.Flow.DstPort != 443 {
 			t.Errorf("record tuple = %+v", r)
 		}
 		// Decoded keys map back onto the monitor's counters.

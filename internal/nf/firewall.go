@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/netip"
 
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 	"nfp/internal/ruleindex"
@@ -37,8 +36,8 @@ type ACLRule struct {
 // Matches reports whether the rule covers the flow key. It is the
 // executable spec of a rule: the firewall matches through the compiled
 // index (indexRule), and the tests hold the index to this.
-func (r ACLRule) Matches(k flow.Key) bool {
-	return r.Src.Contains(k.SrcIP) && r.Dst.Contains(k.DstIP) &&
+func (r ACLRule) Matches(k packet.FlowKey) bool {
+	return r.Src.Contains(netip.AddrFrom4(k.Src)) && r.Dst.Contains(netip.AddrFrom4(k.Dst)) &&
 		k.SrcPort >= r.SrcPortLo && k.SrcPort <= r.SrcPortHi &&
 		k.DstPort >= r.DstPortLo && k.DstPort <= r.DstPortHi &&
 		(r.Proto == 0 || r.Proto == k.Proto)

@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"testing"
 
-	"nfp/internal/flow"
 	"nfp/internal/packet"
 )
 
@@ -91,7 +90,7 @@ func TestFirewallMatchesReferenceWalk(t *testing.T) {
 		want := make([]Verdict, len(traffic))
 		for i, p := range traffic {
 			action := Deny
-			if k, err := flow.FromPacket(p); err == nil {
+			if k, err := p.FlowKey(); err == nil {
 				pos := -1
 				for j, r := range rules {
 					if r.Matches(k) {
@@ -99,7 +98,7 @@ func TestFirewallMatchesReferenceWalk(t *testing.T) {
 						break
 					}
 				}
-				if got := fw.index.Lookup(k.Packed()); got != pos {
+				if got := fw.index.Lookup(k); got != pos {
 					t.Fatalf("round %d: index position for %v = %d, first matching rule is %d\nrules: %+v", round, k, got, pos, rules)
 				}
 				action = def

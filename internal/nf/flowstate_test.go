@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"nfp/internal/flow"
 	"nfp/internal/flowtab"
 	"nfp/internal/packet"
 )
@@ -116,13 +115,13 @@ func stormTest(t *testing.T, ceiling int) {
 	heapEnd := heapInUse()
 
 	for i := 0; i < established; i++ {
-		k, _ := flow.FromPacket(fp.flow(0, i))
+		k, _ := fp.flow(0, i).FlowKey()
 		st, ok := mon.Flow(k)
 		if !ok || st.Packets != sent {
 			t.Fatalf("established flow %d: counters %+v (held %v), want %d packets", i, st, ok, sent)
 		}
 		in := tcpPacket("198.51.100.7", "203.0.113.1", 80, natPort[i], nil)
-		if v := nat.Process(in); v != Pass || in.DstIP() != k.SrcIP || in.DstPort() != k.SrcPort {
+		if v := nat.Process(in); v != Pass || in.DstIP() != netip.AddrFrom4(k.Src) || in.DstPort() != k.SrcPort {
 			t.Fatalf("established flow %d: reply to port %d -> %v %v:%d", i, natPort[i], v, in.DstIP(), in.DstPort())
 		}
 	}
@@ -211,7 +210,7 @@ func TestNATPortExhaustion(t *testing.T) {
 	}
 
 	gone := fp.flow(0, 777)
-	k, _ := flow.FromPacket(gone)
+	k, _ := gone.FlowKey()
 	n.Process(gone)
 	port := gone.SrcPort()
 	if !n.Release(k) || n.Release(k) {

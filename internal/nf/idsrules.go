@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"nfp/internal/ahocorasick"
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -35,14 +34,14 @@ type IDSRule struct {
 
 // matchesHeader reports whether the rule's header constraints cover a
 // flow.
-func (r IDSRule) matchesHeader(k flow.Key) bool {
+func (r IDSRule) matchesHeader(k packet.FlowKey) bool {
 	if r.Proto != 0 && r.Proto != k.Proto {
 		return false
 	}
-	if r.Src.IsValid() && !r.Src.Contains(k.SrcIP) {
+	if r.Src.IsValid() && !r.Src.Contains(netip.AddrFrom4(k.Src)) {
 		return false
 	}
-	if r.Dst.IsValid() && !r.Dst.Contains(k.DstIP) {
+	if r.Dst.IsValid() && !r.Dst.Contains(netip.AddrFrom4(k.Dst)) {
 		return false
 	}
 	if r.SrcPort != 0 && r.SrcPort != k.SrcPort {
@@ -262,11 +261,10 @@ func (d *RuleIDS) Profile() nfa.Profile { return profileFor(nfa.NFIDS) }
 // Process evaluates all rules against the packet.
 func (d *RuleIDS) Process(p *packet.Packet) Verdict {
 	d.scanned++
-	fk, err := p.FlowKey()
+	k, err := p.FlowKey()
 	if err != nil {
 		return Pass
 	}
-	k := flow.FromPacked(fk)
 	verdict := Pass
 	d.matcher.Match(p.Payload(), func(ruleIdx, _ int) bool {
 		r := &d.rules[ruleIdx]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -80,7 +79,7 @@ func (lb *LoadBalancer) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) 
 
 // Backend returns the backend a flow key maps to (for tests and for
 // verifying ECMP stability).
-func (lb *LoadBalancer) Backend(k flow.Key) netip.Addr {
+func (lb *LoadBalancer) Backend(k packet.FlowKey) netip.Addr {
 	return netip.AddrFrom4(lb.backends[int(k.Hash()%uint64(len(lb.backends)))])
 }
 

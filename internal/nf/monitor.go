@@ -1,9 +1,8 @@
 package nf
 
 import (
-	"sort"
+	"slices"
 
-	"nfp/internal/flow"
 	"nfp/internal/flowtab"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
@@ -21,11 +20,10 @@ type FlowStats struct {
 // parallelism examples (Figure 1).
 // The counter table is a flowtab.Table keyed on the packed
 // packet.FlowKey — the packet-carried key classification already
-// computed — so the hot path never widens to netip addresses; the
-// exported API still speaks flow.Key and converts at the edge. At the
-// table's ceiling the newest flow displaces one that has gone quiet
-// (flowtab.Evict): per-flow counters stop covering every flow ever
-// seen, the totals do not.
+// computed — so the hot path never widens to netip addresses, and the
+// exported API speaks the same key. At the table's ceiling the newest
+// flow displaces one that has gone quiet (flowtab.Evict): per-flow
+// counters stop covering every flow ever seen, the totals do not.
 type Monitor struct {
 	counters *flowtab.Table[FlowStats]
 	total    FlowStats
@@ -76,8 +74,8 @@ func (m *Monitor) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
 }
 
 // Flow returns the counters of one flow.
-func (m *Monitor) Flow(k flow.Key) (FlowStats, bool) {
-	st := m.counters.Get(k.Packed())
+func (m *Monitor) Flow(k packet.FlowKey) (FlowStats, bool) {
+	st := m.counters.Get(k)
 	if st == nil {
 		return FlowStats{}, false
 	}
@@ -93,47 +91,20 @@ func (m *Monitor) FlowCount() int { return m.counters.Len() }
 // StateStats reports the counter table's occupancy and evictions.
 func (m *Monitor) StateStats() flowtab.Stats { return m.counters.Stats() }
 
-// records returns every tracked flow, in table order.
-func (m *Monitor) records() []FlowRecord {
-	out := make([]FlowRecord, 0, m.counters.Len())
-	m.counters.Range(func(fk packet.FlowKey, st *FlowStats) bool {
-		out = append(out, FlowRecord{Key: flow.FromPacked(fk), Stats: *st})
-		return true
-	})
-	return out
-}
-
-// TopFlows returns up to n flows by packet count, descending.
-func (m *Monitor) TopFlows(n int) []flow.Key {
-	all := m.records()
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Stats.Packets != all[j].Stats.Packets {
-			return all[i].Stats.Packets > all[j].Stats.Packets
-		}
-		return all[i].Key.String() < all[j].Key.String()
-	})
-	if len(all) > n {
-		all = all[:n]
-	}
-	keys := make([]flow.Key, len(all))
-	for i := range all {
-		keys[i] = all[i].Key
-	}
-	return keys
-}
-
 // FlowRecord pairs a flow key with its counters, for export.
 type FlowRecord struct {
-	Key   flow.Key
+	Key   packet.FlowKey
 	Stats FlowStats
 }
 
-// Snapshot returns all tracked flows in deterministic (sorted) order,
-// the input to the NetFlow exporter.
+// Snapshot returns all tracked flows in deterministic order (by
+// FlowKey.Compare), the input to the NetFlow exporter.
 func (m *Monitor) Snapshot() []FlowRecord {
-	out := m.records()
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Key.String() < out[j].Key.String()
+	out := make([]FlowRecord, 0, m.counters.Len())
+	m.counters.Range(func(fk packet.FlowKey, st *FlowStats) bool {
+		out = append(out, FlowRecord{Key: fk, Stats: *st})
+		return true
 	})
+	slices.SortFunc(out, func(a, b FlowRecord) int { return a.Key.Compare(b.Key) })
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"sync/atomic"
 
-	"nfp/internal/flow"
 	"nfp/internal/flowtab"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
@@ -136,15 +135,14 @@ func (n *NAT) bind(fk packet.FlowKey, port uint16) {
 // Release forgets an internal flow's binding and returns its external
 // port to the free stack (the next allocation reuses it). It reports
 // whether the flow was bound.
-func (n *NAT) Release(k flow.Key) bool {
-	fk := k.Packed()
-	ext := n.forward.Get(fk)
+func (n *NAT) Release(k packet.FlowKey) bool {
+	ext := n.forward.Get(k)
 	if ext == nil {
 		return false
 	}
 	n.reverse[*ext-natPortBase] = natBinding{freeIdx: uint16(len(n.free))}
 	n.free = append(n.free, *ext)
-	n.forward.Delete(fk)
+	n.forward.Delete(k)
 	return true
 }
 

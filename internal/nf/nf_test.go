@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"testing"
 
-	"nfp/internal/flow"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
@@ -82,7 +81,7 @@ func TestLoadBalancerRewritesAndIsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tcpPacket("10.0.0.1", "10.100.0.1", 1234, 80, nil)
-	k, _ := flow.FromPacket(p)
+	k, _ := p.FlowKey()
 	want := lb.Backend(k)
 	lb.Process(p)
 	if p.DstIP() != want {
@@ -292,7 +291,7 @@ func TestMonitorCountsPerFlow(t *testing.T) {
 	}
 	m.Process(tcpPacket("10.0.0.9", "10.0.0.2", 1000, 80, nil))
 
-	k, _ := flow.FromPacket(tcpPacket("10.0.0.1", "10.0.0.2", 1000, 80, nil))
+	k, _ := tcpPacket("10.0.0.1", "10.0.0.2", 1000, 80, nil).FlowKey()
 	st, ok := m.Flow(k)
 	if !ok || st.Packets != 3 {
 		t.Errorf("flow stats = %+v, %v", st, ok)
@@ -302,10 +301,6 @@ func TestMonitorCountsPerFlow(t *testing.T) {
 	}
 	if m.Total().Packets != 4 {
 		t.Errorf("total = %+v", m.Total())
-	}
-	top := m.TopFlows(1)
-	if len(top) != 1 || top[0] != k {
-		t.Errorf("top flows = %v", top)
 	}
 	if _, ok := m.Flow(k.Reverse()); ok {
 		t.Error("reverse flow tracked without traffic")

@@ -1,10 +1,9 @@
 package nf
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nfp/internal/packet"
 )
@@ -49,27 +48,11 @@ const flowRecLen = 13 + 16 // key, two value words
 
 func stateHeader(n NF) string { return "nfpflows1 " + n.Name() + "\n" }
 
-func keyLess(a, b packet.FlowKey) bool {
-	if c := bytes.Compare(a.Src[:], b.Src[:]); c != 0 {
-		return c < 0
-	}
-	if c := bytes.Compare(a.Dst[:], b.Dst[:]); c != 0 {
-		return c < 0
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
-}
-
 // exportFlows serializes every flow n holds.
 func exportFlows(n flowState) ([]byte, error) {
 	var recs []flowRecord
 	n.rangeFlows(func(r flowRecord) { recs = append(recs, r) })
-	sort.Slice(recs, func(i, j int) bool { return keyLess(recs[i].key, recs[j].key) })
+	slices.SortFunc(recs, func(a, b flowRecord) int { return a.key.Compare(b.key) })
 
 	hdr := stateHeader(n)
 	out := make([]byte, 0, len(hdr)+4+len(recs)*flowRecLen)

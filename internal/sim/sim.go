@@ -27,7 +27,6 @@ import (
 	"nfp/internal/graph"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
-	"nfp/internal/stats"
 )
 
 // NFCost models one NF type's contribution.
@@ -260,11 +259,40 @@ func (p Params) LatencyRTC(chain []string, frameSize int) float64 {
 	return total
 }
 
+// --- Resource overhead (§6.3.1) ---
+
+// ResourceOverhead evaluates the §6.3.1 model: with Header-Only
+// Copying, a parallelism degree of d costs 64·(d−1) extra bytes per
+// packet of size s, i.e. ro = 64×(d−1)/s.
+func ResourceOverhead(pktSize, degree int) float64 {
+	return MeanResourceOverhead(float64(pktSize), degree)
+}
+
+// MeanResourceOverhead weighs ResourceOverhead by a packet-size
+// distribution's mean, reproducing the paper's ro = 0.088×(d−1) for
+// the datacenter mixture (mean ≈724 B).
+func MeanResourceOverhead(meanPktSize float64, degree int) float64 {
+	if meanPktSize <= 0 || degree <= 1 {
+		return 0
+	}
+	return 64 * float64(degree-1) / meanPktSize
+}
+
 // --- Throughput (Mpps) ---
+
+// LineRatePPS returns the 10GbE line rate in packets per second for a
+// frame size (adding the 20B inter-frame gap + preamble the paper's
+// "Line Speed" series includes): 14.88 Mpps at 64 B.
+func LineRatePPS(frameSize int) float64 {
+	if frameSize < 64 {
+		frameSize = 64
+	}
+	return 10e9 / (float64(frameSize+20) * 8)
+}
 
 // lineMpps caps a rate at 10GbE line rate for the frame size.
 func lineMpps(frameSize int) float64 {
-	return stats.LineRatePPS(frameSize) / 1e6
+	return LineRatePPS(frameSize) / 1e6
 }
 
 // ThroughputGraph returns NFP's zero-loss rate for a service graph:

@@ -283,3 +283,47 @@ func TestUnknownNFDefaultsToFirewall(t *testing.T) {
 		t.Error("unknown NF cost != firewall default")
 	}
 }
+
+func TestResourceOverheadModel(t *testing.T) {
+	// §6.3.1: ro = 64×(d−1)/s.
+	cases := []struct {
+		size, degree int
+		want         float64
+	}{
+		{64, 2, 1.0},
+		{1500, 2, 64.0 / 1500},
+		{724, 2, 64.0 / 724},
+		{724, 5, 4 * 64.0 / 724},
+		{724, 1, 0},
+		{0, 2, 0},
+	}
+	for _, c := range cases {
+		if got := ResourceOverhead(c.size, c.degree); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("ro(%d,%d) = %.4f, want %.4f", c.size, c.degree, got, c.want)
+		}
+	}
+	// The paper's datacenter figure: ro ≈ 0.088×(d−1) at mean 724 B.
+	got := MeanResourceOverhead(724, 2)
+	if math.Abs(got-0.0884) > 0.001 {
+		t.Errorf("mean ro = %.4f, want ≈0.088", got)
+	}
+	if MeanResourceOverhead(724, 5) <= got {
+		t.Error("overhead must grow with degree")
+	}
+	if MeanResourceOverhead(0, 2) != 0 || MeanResourceOverhead(724, 1) != 0 {
+		t.Error("degenerate cases not zero")
+	}
+}
+
+func TestLineRate(t *testing.T) {
+	// 64B at 10GbE: 14.88 Mpps; 1500B: 0.822 Mpps.
+	if got := LineRatePPS(64) / 1e6; math.Abs(got-14.88) > 0.01 {
+		t.Errorf("line rate 64B = %.2f Mpps", got)
+	}
+	if got := LineRatePPS(1500) / 1e6; math.Abs(got-0.8224) > 0.001 {
+		t.Errorf("line rate 1500B = %.4f Mpps", got)
+	}
+	if LineRatePPS(10) != LineRatePPS(64) {
+		t.Error("sub-minimum frames not clamped")
+	}
+}

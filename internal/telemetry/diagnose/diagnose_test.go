@@ -5,19 +5,18 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/netip"
 	"testing"
 	"time"
 
-	"nfp/internal/flow"
+	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/flightrec"
 )
 
-func fkey(i int) flow.Key {
-	return flow.Key{
-		SrcIP:   netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}),
-		DstIP:   netip.AddrFrom4([4]byte{192, 168, 0, 1}),
+func fkey(i int) packet.FlowKey {
+	return packet.FlowKey{
+		Src:     [4]byte{10, 0, byte(i >> 8), byte(i)},
+		Dst:     [4]byte{192, 168, 0, 1},
 		SrcPort: uint16(1000 + i), DstPort: 80, Proto: 6,
 	}
 }

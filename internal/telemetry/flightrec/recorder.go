@@ -2,7 +2,6 @@ package flightrec
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -299,9 +298,8 @@ func (r *Recorder) decode(shard int, e slot) Event {
 	}
 	ev.PID = e.pid
 	ev.Cursor = e.cursor
-	if f := e.flow; e.hasFlow {
-		ev.Flow = fmt.Sprintf("%s:%d>%s:%d/%d",
-			netip.AddrFrom4(f.Src), f.SrcPort, netip.AddrFrom4(f.Dst), f.DstPort, f.Proto)
+	if e.hasFlow {
+		ev.Flow = e.flow.String()
 	}
 	return ev
 }

@@ -149,8 +149,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) in nanoseconds
-// using the same equal-rank definition as internal/stats: the sample of
-// rank ceil(p/100·n). The returned value is the containing bucket's
+// using the equal-rank definition: the sample of rank ceil(p/100·n). The returned value is the containing bucket's
 // upper bound clamped to the observed min/max, so the worst-case error
 // versus the exact sample is the bucket's relative width (≤12.5%).
 func (s *HistSnapshot) Percentile(p float64) uint64 {

@@ -1,11 +1,11 @@
 package telemetry
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
-
-	"nfp/internal/stats"
 )
 
 // TestBucketBoundaries proves the bucket layout is a partition of the
@@ -51,11 +51,18 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 }
 
+// exactPercentile is the equal-rank percentile of sorted samples: the
+// sample of rank ceil(p/100·n).
+func exactPercentile(sorted []int64, p float64) int64 {
+	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	return sorted[max(0, min(idx, len(sorted)-1))]
+}
+
 // TestPercentileVsStats checks the histogram's percentile extraction
-// against internal/stats.Latency (exact, sample-keeping) ground truth:
-// both use equal-rank semantics, so the exact percentile must land in
-// the bucket the histogram reports, i.e. within one relative bucket
-// width (12.5%).
+// against an exact, sample-keeping ground truth (a sorted slice): both
+// use equal-rank semantics, so the exact percentile must land in the
+// bucket the histogram reports, i.e. within one relative bucket width
+// (12.5%).
 func TestPercentileVsStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, dist := range []struct {
@@ -73,15 +80,16 @@ func TestPercentileVsStats(t *testing.T) {
 		{"constant", func() int64 { return 5000 }},
 	} {
 		h := NewHistogram()
-		exact := stats.NewLatency(10000)
+		exact := make([]int64, 0, 10000)
 		for i := 0; i < 10000; i++ {
 			v := dist.gen()
 			h.Record(v)
-			exact.Record(v)
+			exact = append(exact, v)
 		}
+		slices.Sort(exact)
 		snap := h.Snapshot()
 		for _, p := range []float64{50, 90, 95, 99, 100} {
-			want := exact.Percentile(p)
+			want := exactPercentile(exact, p)
 			got := snap.Percentile(p)
 			// The histogram reports the bucket's upper bound, so got is
 			// >= want and within one bucket width above it.
@@ -99,8 +107,8 @@ func TestPercentileVsStats(t *testing.T) {
 				}
 			}
 		}
-		if snap.Count != uint64(exact.Count()) {
-			t.Errorf("%s: count %d != %d", dist.name, snap.Count, exact.Count())
+		if snap.Count != uint64(len(exact)) {
+			t.Errorf("%s: count %d != %d", dist.name, snap.Count, len(exact))
 		}
 	}
 }
