@@ -83,10 +83,8 @@ func run() int {
 		"dataplane burst size: packets moved per ring operation (1 = every hand-off a burst of one)")
 	flag.IntVar(&cfg.Shards, "shards", dataplane.DefaultShards(),
 		"flow-sharded execution domains: the whole plan replicated per shard, packets dispatched by 5-tuple hash (1 = classic single-shard layout; default = cores, capped at 8)")
-	ringPolicy := flag.String("ring-policy", "block",
-		"receive-ring backpressure policy: block (lossless), drop-tail, or shed-lowest-priority")
 	flag.IntVar(&cfg.SpinLimit, "spin-limit", dataplane.DefaultSpinLimit,
-		"bounded-spin yields before a full-ring producer parks or sheds")
+		"bounded-spin yields before a full-ring producer parks")
 	flag.IntVar(&cfg.RingSize, "ring-size", 0,
 		"per-NF receive ring capacity (0 = dataplane default; small rings surface overload sooner)")
 	diagInterval := flag.Duration("diagnose-interval", 0,
@@ -163,9 +161,6 @@ func run() int {
 		fmt.Printf("warning:           %s\n", w)
 	}
 
-	if cfg.RingPolicy, err = dataplane.ParseBackpressurePolicy(*ringPolicy); err != nil {
-		fail(err)
-	}
 	if !*fusion {
 		cfg.Fusion = dataplane.FusionOff
 	}
@@ -182,15 +177,9 @@ func run() int {
 		}
 		fmt.Printf("fault injection:   %s panics on packet %d (supervisor restarts it)\n", name, call)
 	}
-	if cfg.RingPolicy == dataplane.BPShedLowestPriority {
-		// Rank NFs from the policy's Priority rules so only the
-		// lowest-ranked rings shed under overload.
-		cfg.NodePriority = pol.PriorityRanks()
-	}
 	fmt.Printf("burst size:        %d\n", cfg.Burst)
 	fmt.Printf("shards:            %d\n", cfg.Shards)
 	fmt.Printf("execution engine:  fusion %s\n", cfg.Fusion)
-	fmt.Printf("ring policy:       %s (spin limit %d)\n", cfg.RingPolicy, cfg.SpinLimit)
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)
 		if err != nil {
@@ -453,9 +442,6 @@ func report(label string, r experiments.LiveResult) {
 	fmt.Printf("  outputs/drops:   %d / %d\n", r.Outputs, r.Drops)
 	fmt.Printf("  mean latency:    %.1f µs (this host)\n", r.MeanLatencyUS)
 	fmt.Printf("  throughput:      %.3f Mpps (this host)\n", r.Mpps)
-	if r.Sheds > 0 {
-		fmt.Printf("  ring sheds:      %d (backpressure policy)\n", r.Sheds)
-	}
 	if r.Panics > 0 {
 		fmt.Printf("  NF panics:       %d (%d restarts)\n", r.Panics, r.Restarts)
 	}

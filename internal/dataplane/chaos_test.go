@@ -188,19 +188,15 @@ func TestChaosNFPanic(t *testing.T) {
 	}
 }
 
-// TestChaosRingStallDropTail wedges the only NF so its receive ring
-// fills, with the drop-tail policy: injection must keep succeeding
-// (sheds, not blocking), accounting must stay exact, and releasing the
-// stall must restore end-to-end flow.
-func TestChaosRingStallDropTail(t *testing.T) {
+// TestChaosRingStallBlocks wedges the only NF so its 8-slot receive
+// ring fills: the injector must park on the full ring — a backpressure
+// event naming the monitor — and lose nothing, and releasing the stall
+// must bring every packet out.
+func TestChaosRingStallBlocks(t *testing.T) {
 	stallMon := faultinject.NewStallNF(nf.NewMonitor())
-	s := New(Config{
-		PoolSize: 512, RingSize: 8, Burst: 32,
-		RingPolicy: BPDropTail,
-	})
-	if err := s.AddGraphInstances(1, nfn(nfa.NFMonitor, 0), map[graph.NF]nf.NF{
-		nfn(nfa.NFMonitor, 0): stallMon,
-	}); err != nil {
+	s := New(Config{PoolSize: 512, RingSize: 8, Burst: 32})
+	mon := nfn(nfa.NFMonitor, 0)
+	if err := s.AddGraphInstances(1, mon, map[graph.NF]nf.NF{mon: stallMon}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Start(); err != nil {
@@ -209,69 +205,40 @@ func TestChaosRingStallDropTail(t *testing.T) {
 	col := collectOutputs(s)
 
 	stallMon.Stall()
-	// Give the runtime a moment to park inside the stalled NF, then
-	// flood: an 8-slot ring swallows a handful, everything else must
-	// shed immediately instead of blocking the injector.
-	for stallMon.Stalled() == 0 {
-		pkt := buildInto(t, s, spec(1, 1000, "prime"))
-		if !s.Inject(pkt) {
-			t.Fatal("classification failed")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
 	const flood = 300
-	for i := 0; i < flood; i++ {
-		pkt := buildInto(t, s, spec(byte(i%5), uint16(2000+i%5), "flood"))
-		if !s.Inject(pkt) {
-			t.Fatal("classification failed")
+	injDone := make(chan struct{})
+	go func() {
+		defer close(injDone)
+		for i := 0; i < flood; i++ {
+			if !s.Inject(buildInto(t, s, spec(byte(i%5), uint16(2000+i%5), "flood"))) {
+				t.Error("classification failed")
+				return
+			}
 		}
+	}()
+	waitBackpressure(t, s, mon.String())
+	if st := s.Stats(); st.Drops != 0 {
+		t.Fatalf("a full ring dropped %d packets", st.Drops)
 	}
-	if s.Stats().Sheds == 0 {
-		t.Fatal("flooding a stalled 8-slot ring shed nothing")
+	select {
+	case <-injDone:
+		t.Fatal("injector finished while the only NF was stalled")
+	default:
 	}
 
-	// Recovery: release the stall and run a paced second wave (waiting
-	// for ring space, as a backpressure-aware source would) — none of
-	// it may shed.
 	stallMon.Release()
-	node := nodesOf(s, 1)[0]
-	shedsBefore := s.Stats().Sheds
-	const wave2 = 100
-	for i := 0; i < wave2; i++ {
-		for node.rx.Len() >= 4 {
-			time.Sleep(10 * time.Microsecond)
-		}
-		pkt := buildInto(t, s, spec(byte(i%5), uint16(3000+i%5), "recovery"))
-		if !s.Inject(pkt) {
-			t.Fatal("classification failed")
-		}
-	}
+	<-injDone
 	s.Stop()
 	outs := uint64(col.wait())
 
 	st := s.Stats()
-	if st.Sheds != shedsBefore {
-		t.Errorf("paced recovery wave shed %d packets", st.Sheds-shedsBefore)
+	if st.Injected != flood || st.Outputs != flood || st.Drops != 0 || outs != flood {
+		t.Fatalf("accounting: injected=%d outputs=%d drops=%d collected=%d, want all %d out",
+			st.Injected, st.Outputs, st.Drops, outs, flood)
 	}
-	if st.Outputs+st.Drops != st.Injected {
-		t.Fatalf("conservation broken: injected=%d outputs=%d drops=%d",
-			st.Injected, st.Outputs, st.Drops)
-	}
-	if outs != st.Outputs {
-		t.Fatalf("collected %d outputs, counter says %d", outs, st.Outputs)
-	}
-	// Sheds are terminal drops on a single-NF graph.
-	if st.Drops < st.Sheds {
-		t.Fatalf("drops=%d < sheds=%d", st.Drops, st.Sheds)
-	}
-	if st.Outputs < wave2 {
-		t.Fatalf("outputs = %d, want >= %d (post-release traffic must flow)", st.Outputs, wave2)
-	}
+	auditLedger(t, s, st.Drops)
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Fatalf("pool leak: %d buffers", leak)
-	}
-	if n := causeSum(s.Telemetry().Snapshot(), flightrec.CauseDropTail); n != st.Sheds {
-		t.Errorf("nfp_drops_total{cause=drop_tail} = %d disagrees with Stats().Sheds = %d", n, st.Sheds)
 	}
 }
 

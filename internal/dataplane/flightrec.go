@@ -39,13 +39,9 @@ func (sh *shard) dropCounter(pr *planRuntime, prov dropProv) *telemetry.Counter 
 	if c := pr.dropCtrs[idx].Load(); c != nil {
 		return c
 	}
-	nf := "admission" // the row past the plan's nodes
-	if int(prov.node) < len(pr.plan.Nodes) {
-		nf = pr.plan.Nodes[prov.node].NF.String()
-	}
 	c := sh.srv.tel.Counter(flightrec.MetricDrops, labelGen(sh.labelShard([]telemetry.Label{
 		telemetry.L("cause", prov.cause.String()),
-		telemetry.L("nf", nf),
+		telemetry.L("nf", pr.plan.Nodes[prov.node].NF.String()),
 	}), pr.gen)...)
 	pr.dropCtrs[idx].Store(c)
 	return c
@@ -73,7 +69,7 @@ func (sh *shard) recordDrop(pr *planRuntime, prov dropProv, pkt *packet.Packet, 
 	sh.srv.rec.Drop(d)
 }
 
-// note puts one event of this shard — a panic, restart, shed or
+// note puts one event of this shard — a panic, restart or
 // backpressure episode at node — on the flight recorder.
 func (sh *shard) note(kind flightrec.Kind, gen uint64, node uint32, count uint64) {
 	sh.srv.rec.Event(flightrec.Note{Shard: sh.id, Kind: kind, Gen: gen, Node: node, Count: count})
@@ -91,12 +87,11 @@ func (s *Server) FlightRecorder() *flightrec.Recorder { return s.rec }
 // and the incident bundles' build section.
 func (s *Server) BuildInfo() map[string]string {
 	return map[string]string{
-		"version":     Version,
-		"go_version":  runtime.Version(),
-		"shards":      strconv.Itoa(s.cfg.Shards),
-		"burst":       strconv.Itoa(s.cfg.Burst),
-		"fusion":      s.cfg.Fusion.String(),
-		"ring_policy": s.cfg.RingPolicy.String(),
+		"version":    Version,
+		"go_version": runtime.Version(),
+		"shards":     strconv.Itoa(s.cfg.Shards),
+		"burst":      strconv.Itoa(s.cfg.Burst),
+		"fusion":     s.cfg.Fusion.String(),
 	}
 }
 

@@ -30,12 +30,6 @@ func dropsAt(s *Server, nf string, causes ...flightrec.Cause) uint64 {
 	return n
 }
 
-// shedsAt totals the packets the backpressure policy shed at one NF's
-// ring.
-func shedsAt(s *Server, nf string) uint64 {
-	return dropsAt(s, nf, flightrec.CauseDropTail, flightrec.CauseShedPriority)
-}
-
 // causeSum totals the cause-labeled nfp_drops_total family for one
 // cause across nf/shard/gen series.
 func causeSum(snap telemetry.Snapshot, c flightrec.Cause) uint64 {
@@ -198,70 +192,6 @@ func TestDropProvenancePanic(t *testing.T) {
 	}
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Fatalf("pool leak: %d buffers", leak)
-	}
-}
-
-// TestDropProvenanceShed pins the two backpressure policies to their
-// two causes: drop-tail → drop_tail, shed-lowest-priority →
-// shed_priority — with a KindShed note on the ring either way.
-func TestDropProvenanceShed(t *testing.T) {
-	cases := []struct {
-		name   string
-		policy BackpressurePolicy
-		cause  flightrec.Cause
-	}{
-		{"drop-tail", BPDropTail, flightrec.CauseDropTail},
-		{"shed-lowest-priority", BPShedLowestPriority, flightrec.CauseShedPriority},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			stallMon := faultinject.NewStallNF(nf.NewMonitor())
-			s := New(Config{
-				PoolSize: 256, RingSize: 8, Burst: 4,
-				RingPolicy: tc.policy, SpinLimit: 4,
-			})
-			if err := s.AddGraphInstances(1, nfn(nfa.NFMonitor, 0), map[graph.NF]nf.NF{
-				nfn(nfa.NFMonitor, 0): stallMon,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Start(); err != nil {
-				t.Fatal(err)
-			}
-			col := collectOutputs(s)
-			stallMon.Stall()
-			const n = 64
-			for i := 0; i < n; i++ {
-				if !s.Inject(buildInto(t, s, spec(byte(i%3), uint16(5000+i%3), "shed"))) {
-					t.Fatal("classification failed")
-				}
-			}
-			stallMon.Release()
-			s.Stop()
-			col.wait()
-
-			st := s.Stats()
-			if st.Drops == 0 {
-				t.Fatal("overfilling a stalled ring shed nothing")
-			}
-			snap := s.Telemetry().Snapshot()
-			if got := causeSum(snap, tc.cause); got != st.Drops {
-				t.Fatalf("cause=%s = %d, want %d (every shed attributed)", tc.cause, got, st.Drops)
-			}
-			auditLedger(t, s, st.Drops)
-			sawShed := false
-			for _, e := range s.FlightRecorder().Events(0) {
-				if e.Kind == "shed" && e.Count > 0 {
-					sawShed = true
-				}
-			}
-			if !sawShed {
-				t.Fatal("no shed note on the event ring")
-			}
-			if leak := s.Pool().InUse(); leak != 0 {
-				t.Fatalf("pool leak: %d buffers", leak)
-			}
-		})
 	}
 }
 

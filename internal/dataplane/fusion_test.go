@@ -36,7 +36,7 @@ func TestFusedSegmentsSeqChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := p.FusedSegments(nil)
+	segs := p.FusedSegments()
 	if len(segs) != 1 || len(segs[0]) != 5 {
 		t.Fatalf("segments = %v, want one maximal segment of 5", segs)
 	}
@@ -67,7 +67,7 @@ func TestFusedSegmentsParallelBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := p.FusedSegments(nil)
+	segs := p.FusedSegments()
 	if len(segs) != 4 {
 		t.Fatalf("segments = %v, want 4 (fused prefix + 2 branches + join continuation)", segs)
 	}
@@ -95,34 +95,6 @@ func TestFusedSegmentsParallelBoundaries(t *testing.T) {
 	}
 	if len(seen) != len(p.Nodes) {
 		t.Fatalf("segments cover %d of %d nodes: %v", len(seen), len(p.Nodes), segs)
-	}
-}
-
-// TestFusedSegmentsBarrier: an isolation barrier (the shed set under
-// shed-lowest-priority) splits an otherwise fusable chain at every
-// class boundary, so sheddable rings survive fusion.
-func TestFusedSegmentsBarrier(t *testing.T) {
-	p, err := CompilePlan(1, seqChainGraph(nfa.NFMonitor, nfa.NFMonitor, nfa.NFL3Fwd))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plan IDs are allocated callee-first; build the barrier by name so
-	// the test does not depend on ID layout: l3fwd is the shed class.
-	barrier := make([]bool, len(p.Nodes))
-	for i := range p.Nodes {
-		barrier[i] = p.Nodes[i].NF.Name == nfa.NFL3Fwd
-	}
-	segs := p.FusedSegments(barrier)
-	if len(segs) != 2 {
-		t.Fatalf("segments = %v, want 2 (barrier must split the chain)", segs)
-	}
-	for _, seg := range segs {
-		class := barrier[seg[0]]
-		for _, id := range seg {
-			if barrier[id] != class {
-				t.Fatalf("segment %v crosses the barrier", seg)
-			}
-		}
 	}
 }
 

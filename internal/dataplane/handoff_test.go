@@ -226,7 +226,7 @@ func TestExecBurstFanoutAllocs(t *testing.T) {
 			t.Fatal("copies not delivered as one burst")
 		}
 		s.Pool().FreeBatch(drained[:])
-		s.shards[0].settle(pr, len(pkts), true)
+		s.shards[0].settle(pr, len(pkts))
 	})
 	if allocs != 0 {
 		t.Errorf("fan-out of one burst allocates %.1f times, want 0", allocs)

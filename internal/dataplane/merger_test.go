@@ -93,7 +93,7 @@ func (r *mergerRig) merge(tb testing.TB) {
 	if got := r.pr.owner[2].rx.DequeueBatch(r.merged[:]); got != execChunk {
 		tb.Fatalf("join continued with a burst of %d, want all %d as one", got, execChunk)
 	}
-	r.sh.settle(r.pr, execChunk, true)
+	r.sh.settle(r.pr, execChunk)
 }
 
 // TestMergerAcceptAllocs: in steady state a merger accepts a burst —
@@ -168,7 +168,7 @@ func TestMergerBacklogLeavesInFullBursts(t *testing.T) {
 				t.Fatalf("%d packets behind the join, want %d", got, execChunk)
 			}
 		}
-		r.sh.settle(r.pr, 2*execChunk, true)
+		r.sh.settle(r.pr, 2*execChunk)
 	})
 	if allocs != 0 {
 		t.Errorf("a drain completing 2×Burst packets allocates %.1f times, want 0", allocs)
@@ -291,8 +291,8 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 	dropped := map[uint64]bool{}
 	for i := 0; i < n; i++ {
 		mid := uint32(1 + rng.Intn(2))
-		pr, k, admitted := sh.acquire(mid, 1)
-		if pr != plans[mid] || k != 1 || !admitted {
+		pr, k := sh.acquire(mid, 1)
+		if pr != plans[mid] || k != 1 {
 			t.Fatalf("packet %d not admitted", i)
 		}
 		pkt := buildInto(t, s, shapeSpec(i))

@@ -150,27 +150,6 @@ func copiesIn(ds []Dispatch) int {
 	return n
 }
 
-// ShedSet resolves which nodes the shed-lowest-priority backpressure
-// policy may shed into: nodes whose priority rank — looked up in prio
-// by NF name, with unlisted names ranking 0 (lowest) — equals the
-// plan's minimum rank. With no Priority rules every node ranks 0 and
-// the whole plan is sheddable (the policy degrades to bounded-spin
-// drop-tail), which is the documented fallback.
-func (p *Plan) ShedSet(prio map[string]int) []bool {
-	min := 0
-	for i := range p.Nodes {
-		r := prio[p.Nodes[i].NF.Name]
-		if i == 0 || r < min {
-			min = r
-		}
-	}
-	out := make([]bool, len(p.Nodes))
-	for i := range p.Nodes {
-		out[i] = prio[p.Nodes[i].NF.Name] == min
-	}
-	return out
-}
-
 // FusedSegments is the segment-fusion pass: it partitions the plan's
 // nodes into maximal fusable segments — chains where every interior
 // edge a→b is strictly sequential, meaning a's forwarding table is a
@@ -183,15 +162,11 @@ func (p *Plan) ShedSet(prio map[string]int) []bool {
 // Copy dispatches, multi-target fan-outs and join continuations are
 // never fused across (they are the graph's real branch/merge points),
 // and drop routes cannot form fusion edges (DropTo is always a join or
-// the output). barrier, when non-nil, marks an isolation class per
-// node: edges whose endpoints differ are kept pipelined — the server
-// passes the shed-lowest-priority shed set here so a sheddable ring
-// stays a ring (fusing it away would silently promote a low-priority
-// NF to its upstream's lossless behavior).
+// the output), so the segments follow from graph structure alone.
 //
 // Every node appears in exactly one segment, ordered execution-first;
 // each segment's first node owns the receive ring.
-func (p *Plan) FusedSegments(barrier []bool) [][]int {
+func (p *Plan) FusedSegments() [][]int {
 	n := len(p.Nodes)
 	pred := make([]int, n)
 	countTargets := func(ds []Dispatch) {
@@ -226,9 +201,6 @@ func (p *Plan) FusedSegments(barrier []bool) [][]int {
 		}
 		b := t.Node
 		if b == a || pred[b] != 1 {
-			continue
-		}
-		if barrier != nil && barrier[a] != barrier[b] {
 			continue
 		}
 		succ[a] = b

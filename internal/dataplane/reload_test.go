@@ -380,14 +380,12 @@ func TestChaosReloadStorm(t *testing.T) {
 }
 
 // TestChaosReloadSaturatedRing reloads while a tiny NF ring is
-// saturated behind a slow NF, once per backpressure policy: block must
-// stay lossless, drop-tail and shed account every lost reference as a
-// drop, and in all three the reload drains without deadlock or leak.
-// Each policy runs over a chain and over a graph with a join, where
-// branch tails (and shed tails' drop intentions) sit in the merger ring
-// across the swap and must finalize against their own generation. After
-// Stop every dataplane goroutine — the mergers included, which no longer
-// have a channel close to wake them — is gone.
+// saturated behind a slow NF: nothing may be lost, and the reload must
+// drain without deadlock or leak. It runs over a chain and over graphs
+// with joins, where branch tails sit in the merger ring across the swap
+// and must finalize against their own generation. After Stop every
+// dataplane goroutine — the mergers included, which no longer have a
+// channel close to wake them — is gone.
 func TestChaosReloadSaturatedRing(t *testing.T) {
 	graphs := map[string]graph.Node{
 		"chain": graph.Seq{Items: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFL3Fwd, 0)}},
@@ -401,78 +399,72 @@ func TestChaosReloadSaturatedRing(t *testing.T) {
 			copyStage(nfn(nfa.NFL3Fwd, 0), nfn(nfa.NFLB, 1)),
 		}},
 	}
-	for _, policy := range []BackpressurePolicy{BPBlock, BPDropTail, BPShedLowestPriority} {
-		for name, g := range graphs {
-			t.Run(policy.String()+"/"+name, func(t *testing.T) {
-				baseline := runtime.NumGoroutine()
-				slow := faultinject.NewStallNF(nf.NewMonitor())
-				slow.SetDelay(20 * time.Microsecond)
-				s := New(Config{
-					PoolSize: 512, RingSize: 8, Burst: 4,
-					RingPolicy: policy,
-					// Isolate the slow NF in its own segment so its ring —
-					// not a fused segment's — is the saturation point.
-					Fusion: FusionOff,
-				})
-				err := s.AddGraphProvide(1, g, func(_ int, node graph.NF) nf.NF {
-					if node.Name == nfa.NFMonitor {
-						return slow
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Start(); err != nil {
-					t.Fatal(err)
-				}
-				col := collectOutputs(s)
-
-				const total = 1200
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < total; i++ {
-						pkt := buildInto(t, s, spec(byte(i%13), uint16(1000+i%7), "saturate"))
-						if !s.Inject(pkt) {
-							pkt.Free()
-						}
-					}
-				}()
-
-				// Let the ring wedge solid, then swap generations under it.
-				time.Sleep(2 * time.Millisecond)
-				if err := s.Reload(1, g); err != nil {
-					t.Fatalf("reload under saturation: %v", err)
-				}
-				wg.Wait()
-				s.Stop()
-				outs := uint64(col.wait())
-
-				st := s.Stats()
-				if st.Outputs+st.Drops != st.Injected || outs != st.Outputs {
-					t.Fatalf("conservation broken: injected=%d outputs=%d drops=%d collected=%d",
-						st.Injected, st.Outputs, st.Drops, outs)
-				}
-				if policy == BPBlock && st.Drops != 0 {
-					t.Fatalf("block policy dropped %d packets across the reload", st.Drops)
-				}
-				if leak := s.Pool().InUse(); leak != 0 {
-					t.Fatalf("pool leak: %d buffers", leak)
-				}
-				if got := s.Generation(); got != 2 {
-					t.Fatalf("generation = %d, want 2", got)
-				}
-				for limit := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
-					if time.Now().After(limit) {
-						t.Fatalf("%d goroutines after Stop, %d before New: a runtime or merger leaked",
-							runtime.NumGoroutine(), baseline)
-					}
-					time.Sleep(time.Millisecond)
-				}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			slow := faultinject.NewStallNF(nf.NewMonitor())
+			slow.SetDelay(20 * time.Microsecond)
+			s := New(Config{
+				PoolSize: 512, RingSize: 8, Burst: 4,
+				// Isolate the slow NF in its own segment so its ring —
+				// not a fused segment's — is the saturation point.
+				Fusion: FusionOff,
 			})
-		}
+			err := s.AddGraphProvide(1, g, func(_ int, node graph.NF) nf.NF {
+				if node.Name == nfa.NFMonitor {
+					return slow
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			col := collectOutputs(s)
+
+			const total = 1200
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < total; i++ {
+					pkt := buildInto(t, s, spec(byte(i%13), uint16(1000+i%7), "saturate"))
+					if !s.Inject(pkt) {
+						pkt.Free()
+					}
+				}
+			}()
+
+			// Let the ring wedge solid, then swap generations under it.
+			time.Sleep(2 * time.Millisecond)
+			if err := s.Reload(1, g); err != nil {
+				t.Fatalf("reload under saturation: %v", err)
+			}
+			wg.Wait()
+			s.Stop()
+			outs := uint64(col.wait())
+
+			st := s.Stats()
+			if st.Outputs != st.Injected || st.Drops != 0 || outs != st.Outputs {
+				t.Fatalf("a full ring lost packets across the reload: injected=%d outputs=%d drops=%d collected=%d",
+					st.Injected, st.Outputs, st.Drops, outs)
+			}
+			if leak := s.Pool().InUse(); leak != 0 {
+				t.Fatalf("pool leak: %d buffers", leak)
+			}
+			if got := s.Generation(); got != 2 {
+				t.Fatalf("generation = %d, want 2", got)
+			}
+			for limit := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+				if time.Now().After(limit) {
+					t.Fatalf("%d goroutines after Stop, %d before New: a runtime or merger leaked",
+						runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

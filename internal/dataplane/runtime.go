@@ -110,14 +110,10 @@ func (s *segNF) inst() nf.NF { return s.instP.Load().nf }
 type nodeRT struct {
 	nfs []segNF // execution order; nfs[0] owns the receive ring
 	// The receive ring (shard.push in, drain out), its high-water mark and
-	// backpressure-event name (the head NF's) and the policy resolved for
-	// it: canShed lets a producer give up on a ring that stays full — at
-	// once when shedImmediate, else after the bounded spin.
-	rx            *ring.MPSC[*packet.Packet]
-	ringHW        *telemetry.Gauge
-	site          uint32
-	canShed       bool
-	shedImmediate bool
+	// backpressure-event name (the head NF's).
+	rx     *ring.MPSC[*packet.Packet]
+	ringHW *telemetry.Gauge
+	site   uint32
 
 	sh *shard // the shard whose goroutines run this segment
 	pr *planRuntime
@@ -136,7 +132,7 @@ type nodeRT struct {
 }
 
 // head is the ring-owning first NF slot; producers stash span cursors
-// and shed against it.
+// against it.
 func (n *nodeRT) head() *segNF { return &n.nfs[0] }
 
 // tail is the last NF slot; its forwarding table routes the segment's

@@ -105,10 +105,9 @@ type Config struct {
 	// 1: a single shard, no hashing, no shard labels. When sharded,
 	// per-NF and per-merger series gain a shard=<i> label.
 	Shards int
-	// ShardedOutputs, with Shards > 1, skips the output fan-in: each
-	// shard's finished packets surface on its own channel (Outputs()),
-	// and Output() returns nil. Parallel consumers drain shards
-	// without the single-channel hop.
+	// ShardedOutputs, with Shards > 1, gives each shard its own output
+	// channel (Outputs()) instead of the one every shard sends into,
+	// and Output() returns nil.
 	ShardedOutputs bool
 	// Registry provides NF factories (default nf.NewRegistry()).
 	Registry *nf.Registry
@@ -126,16 +125,9 @@ type Config struct {
 	TraceSampleRate int
 	// TraceCapacity bounds the trace event ring (default 4096).
 	TraceCapacity int
-	// RingPolicy is the backpressure policy applied when an NF receive
-	// ring is full (default BPBlock: bounded spin, then park — lossless).
-	RingPolicy BackpressurePolicy
 	// SpinLimit bounds the Gosched-yield phase of every retry loop
-	// before it parks or sheds (default DefaultSpinLimit).
+	// before it parks (default DefaultSpinLimit).
 	SpinLimit int
-	// NodePriority ranks NFs by name for the shed-lowest-priority
-	// policy (higher = more important; unlisted NFs rank 0). Derive it
-	// from a policy's Priority rules with policy.PriorityRanks.
-	NodePriority map[string]int
 	// FlowAccount, when set, receives per-flow (5-tuple) accounting of
 	// the sampled packets from the classifier (see TraceSampleRate).
 	FlowAccount FlowObserver
@@ -264,7 +256,6 @@ type Server struct {
 	started bool
 	stopped atomic.Bool
 	wg      sync.WaitGroup
-	fanWG   sync.WaitGroup
 
 	// End-to-end counters, registry-backed (Config.Telemetry).
 	tel       *telemetry.Registry
@@ -369,15 +360,18 @@ func New(cfg Config) *Server {
 		s.out = make(chan *packet.Packet, outputQueue)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{id: i, srv: s}
+		// Every shard sends into the one output channel unless outputs
+		// are sharded: a channel takes concurrent senders, no fan-in.
+		sh := &shard{id: i, srv: s, out: s.out}
 		if sharded {
 			sh.spanID = i + 1
 			sh.pool = parts[i]
-			sh.out = make(chan *packet.Packet, outputQueue)
+			if cfg.ShardedOutputs {
+				sh.out = make(chan *packet.Packet, outputQueue)
+			}
 			sh.ingress = s.tel.Counter("nfp_shard_ingress_total", telemetry.L("shard", strconv.Itoa(i)))
 		} else {
 			sh.pool = s.pool
-			sh.out = s.out
 		}
 		sh.plans.Store(&map[uint32]*planRuntime{})
 		for m := 0; m < cfg.Mergers; m++ {
@@ -680,24 +674,14 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 	if gen > 1 {
 		pr.spanGen = int(gen)
 	}
-	// One row past the plan's nodes: sheds at admission (injectBurst).
-	pr.dropCtrs = make([]dropCtrSlot, (len(plan.Nodes)+1)*flightrec.NumCauses)
-	pr.nodeNames = make([]uint32, len(plan.Nodes)+1)
+	pr.dropCtrs = make([]dropCtrSlot, len(plan.Nodes)*flightrec.NumCauses)
+	pr.nodeNames = make([]uint32, len(plan.Nodes))
 	for i := range plan.Nodes {
 		pr.nodeNames[i] = s.rec.Intern(plan.Nodes[i].NF.String())
 	}
-	pr.nodeNames[len(plan.Nodes)] = s.recAdmitID
-	shedSet := plan.ShedSet(s.cfg.NodePriority)
-	// Segment layout: the shed-lowest-priority policy sheds into
-	// specific rings, so its shed set is an isolation boundary the
-	// fusion pass must not erase.
-	var barrier []bool
-	if s.cfg.RingPolicy == BPShedLowestPriority {
-		barrier = shedSet
-	}
 	var segs [][]int
 	if s.cfg.Fusion.enabled() {
-		segs = plan.FusedSegments(barrier)
+		segs = plan.FusedSegments()
 	} else {
 		segs = singletonSegments(len(plan.Nodes))
 	}
@@ -709,17 +693,15 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 		head := &plan.Nodes[seg[0]]
 		headLabels := labelGen(sh.labelShard([]telemetry.Label{telemetry.L("nf", head.NF.String()), midLabel}), gen)
 		n := &nodeRT{
-			nfs:           make([]segNF, len(seg)),
-			rx:            ring.NewMPSC(s.cfg.RingSize),
-			ringHW:        s.tel.Gauge("nfp_nf_ring_high_water", headLabels...),
-			site:          pr.nodeNames[seg[0]],
-			canShed:       s.cfg.RingPolicy == BPDropTail || (s.cfg.RingPolicy == BPShedLowestPriority && shedSet[seg[0]]),
-			shedImmediate: s.cfg.RingPolicy == BPDropTail,
-			sh:            sh,
-			pr:            pr,
-			burst:         make([]*packet.Packet, s.cfg.Burst),
-			verdicts:      make([]nf.Verdict, s.cfg.Burst),
-			dropped:       make([]*packet.Packet, 0, s.cfg.Burst),
+			nfs:      make([]segNF, len(seg)),
+			rx:       ring.NewMPSC(s.cfg.RingSize),
+			ringHW:   s.tel.Gauge("nfp_nf_ring_high_water", headLabels...),
+			site:     pr.nodeNames[seg[0]],
+			sh:       sh,
+			pr:       pr,
+			burst:    make([]*packet.Packet, s.cfg.Burst),
+			verdicts: make([]nf.Verdict, s.cfg.Burst),
+			dropped:  make([]*packet.Packet, 0, s.cfg.Burst),
 		}
 		// Static capacity beside the high-water mark, so the diagnosis
 		// layer can express occupancy as a fill fraction.
@@ -876,11 +858,11 @@ func (s *Server) Pool() *mempool.Pool { return s.pool }
 // Config.ShardedOutputs routed outputs to per-shard channels.
 func (s *Server) Output() <-chan *packet.Packet { return s.out }
 
-// Outputs returns the per-shard output channels (a single channel on
-// an unsharded server, or when the fan-in is active the fan-in
-// channel). Consumers own the packets and must Free them.
+// Outputs returns the per-shard output channels (the single output
+// channel unless Config.ShardedOutputs split it). Consumers own the
+// packets and must Free them.
 func (s *Server) Outputs() []<-chan *packet.Packet {
-	if !s.sharded() || !s.cfg.ShardedOutputs {
+	if s.out != nil {
 		return []<-chan *packet.Packet{s.out}
 	}
 	chans := make([]<-chan *packet.Packet, len(s.shards))
@@ -890,9 +872,8 @@ func (s *Server) Outputs() []<-chan *packet.Packet {
 	return chans
 }
 
-// Start launches every installed graph's NF runtimes, the mergers and
-// the output fan-in when sharded outputs share one channel. It needs at
-// least one installed graph and runs once.
+// Start launches every installed graph's NF runtimes and the mergers.
+// It needs at least one installed graph and runs once.
 // Graphs installed later start their own runtimes (see install); ctl
 // orders the two, so a runtime is started exactly once either way.
 func (s *Server) Start() error {
@@ -915,15 +896,6 @@ func (s *Server) Start() error {
 				defer s.wg.Done()
 				m.run()
 			}(m)
-		}
-		if s.sharded() && s.out != nil {
-			s.fanWG.Add(1)
-			go func(ch chan *packet.Packet) {
-				defer s.fanWG.Done()
-				for p := range ch {
-					s.out <- p
-				}
-			}(sh.out)
 		}
 	}
 	return nil
@@ -957,19 +929,13 @@ func (s *Server) Stop() {
 	s.note(flightrec.KindStop, s.generation.Load(), 0, 0)
 	s.stopped.Store(true)
 	s.wg.Wait()
-	if s.sharded() {
+	if s.out == nil {
 		for _, sh := range s.shards {
 			close(sh.out)
 		}
-		if s.out != nil {
-			// Fan-in goroutines drain the closed shard channels dry,
-			// then the single output closes.
-			s.fanWG.Wait()
-			close(s.out)
-		}
-	} else {
-		close(s.out)
+		return
 	}
+	close(s.out)
 }
 
 // Inject sends one packet (built in a pool buffer) into the dataplane:
@@ -993,7 +959,7 @@ func (s *Server) Inject(pkt *packet.Packet) bool {
 // so cross-server flow affinity is preserved.
 func (s *Server) InjectPreclassified(pkt *packet.Packet) bool {
 	sh := s.shards[s.ShardOf(pkt)]
-	pr, _, admitted := sh.acquire(pkt.Meta.MID, 1)
+	pr, _ := sh.acquire(pkt.Meta.MID, 1)
 	if pr == nil {
 		return false
 	}
@@ -1002,11 +968,11 @@ func (s *Server) InjectPreclassified(pkt *packet.Packet) bool {
 	}
 	if pkt.Meta.Version != pr.plan.BaseVersion {
 		// Off the wire: the executor trusts a burst's source version.
-		sh.settle(pr, 1, admitted)
+		sh.settle(pr, 1)
 		return false
 	}
 	one := [1]*packet.Packet{pkt}
-	sh.injectBurst(pr, one[:], admitted)
+	sh.injectBurst(pr, one[:])
 	return true
 }
 
@@ -1069,11 +1035,6 @@ type Stats struct {
 	Injected uint64
 	Outputs  uint64
 	Drops    uint64
-	// Sheds counts the packets lost to the ring backpressure policy:
-	// the drops whose cause is drop_tail or shed_priority, so
-	// Sheds <= Drops. (A packet whose parallel branches shed and dropped
-	// for different reasons counts under the first cause reported.)
-	Sheds uint64
 	// Panics and Restarts count NF crashes caught at the runtime crash
 	// boundary and the instance replacements that followed, summed
 	// over every shard.
@@ -1096,12 +1057,10 @@ type Stats struct {
 
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats {
-	byCause := flightrec.ReadLedger(s.tel.Snapshot()).ByCause
 	st := Stats{
 		Injected:    s.injected.Value(),
 		Outputs:     s.outCount.Value(),
 		Drops:       s.drops.Value(),
-		Sheds:       byCause[flightrec.CauseDropTail.String()] + byCause[flightrec.CauseShedPriority.String()],
 		Copies:      s.copies.Value(),
 		CopiedBytes: s.copiedB.Value(),
 		MergeErrors: s.mergeErrs.Value(),

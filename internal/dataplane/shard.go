@@ -10,7 +10,6 @@ import (
 	"nfp/internal/packet"
 	"nfp/internal/ring"
 	"nfp/internal/telemetry"
-	"nfp/internal/telemetry/flightrec"
 )
 
 // shard is one replica of the whole dataplane (RSS-style flow
@@ -42,8 +41,8 @@ type shard struct {
 	// mergers are this shard's merger instances; the merger agent
 	// PID-hash load-balances within the shard.
 	mergers []*merger
-	// out receives the shard's finished packets (the server output
-	// channel when unsharded; fanned in unless Config.ShardedOutputs).
+	// out receives the shard's finished packets: the server output
+	// channel, or the shard's own under Config.ShardedOutputs.
 	out chan *packet.Packet
 
 	// ingress counts packets dispatched to this shard, labelled
@@ -100,11 +99,11 @@ func (sh *shard) admit(pr *planRuntime, n int) int {
 	}
 }
 
-// settle gives back the in-flight slots of n packets of pr and, when
-// they were admitted rather than shed, their budget.
-func (sh *shard) settle(pr *planRuntime, n int, admitted bool) {
+// settle gives back the in-flight slots and the budget of n packets of
+// pr.
+func (sh *shard) settle(pr *planRuntime, n int) {
 	pr.inflight.Add(-int64(n))
-	if admitted && pr.weight != 0 {
+	if pr.weight != 0 {
 		sh.held.Add(-(uint64(n) * uint64(pr.weight)))
 	}
 }
@@ -112,11 +111,8 @@ func (sh *shard) settle(pr *planRuntime, n int, admitted bool) {
 // acquire resolves the live runtime of a MID and admits a prefix of n
 // packets to it, at least one (all, when the plan weighs nothing). While
 // the budget covers none the injector waits here, where nothing in
-// flight depends on it — under a shedding ring policy only for the
-// bounded spin (the budget is no queue with a tail to drop at once, and
-// every packet visits the plan's lowest-priority NF): then it takes all
-// n unadmitted, for the caller to shed. Each packet holds an in-flight
-// slot either way — the injector half of the reload drain protocol. The
+// flight depends on it. Each admitted packet holds an in-flight slot —
+// the injector half of the reload drain protocol. The
 // increment-then-check order against planRuntime.gone makes the race
 // with a concurrent generation swap safe: if the reloader observed
 // inflight == 0 after setting gone, this injector's increment must come
@@ -124,27 +120,24 @@ func (sh *shard) settle(pr *planRuntime, n int, admitted bool) {
 // already publishes the successor generation. Returns nil only when the
 // MID has no installed graph (graphs are replaced, never removed, so a
 // retry cannot lose the MID).
-func (sh *shard) acquire(mid uint32, n int) (pr *planRuntime, k int, admitted bool) {
+func (sh *shard) acquire(mid uint32, n int) (pr *planRuntime, k int) {
 	w := ring.Waiter{SpinLimit: sh.srv.cfg.SpinLimit}
 	for {
 		if pr = (*sh.plans.Load())[mid]; pr == nil {
-			return nil, 0, false
+			return nil, 0
 		}
-		k, admitted = n, true
+		k = n
 		if pr.weight != 0 {
 			if k = sh.admit(pr, n); k == 0 {
-				if sh.srv.cfg.RingPolicy == BPBlock || !w.Exhausted() {
-					sh.backoff(&w, sh.srv.recAdmitID, pr.gen)
-					continue
-				}
-				k, admitted = n, false
+				sh.backoff(&w, sh.srv.recAdmitID, pr.gen)
+				continue
 			}
 		}
 		pr.inflight.Add(int64(k))
 		if !pr.gone.Load() {
-			return pr, k, admitted
+			return pr, k
 		}
-		sh.settle(pr, k, admitted)
+		sh.settle(pr, k)
 	}
 }
 
@@ -175,8 +168,8 @@ func (sh *shard) inject(pkts []*packet.Packet) int {
 		for j < n && pkts[j].Meta.MID == mid {
 			j++
 		}
-		pr, k, admitted := sh.acquire(mid, j-i)
-		sh.injectBurst(pr, pkts[i:i+k], admitted)
+		pr, k := sh.acquire(mid, j-i)
+		sh.injectBurst(pr, pkts[i:i+k])
 		i += k
 	}
 	return n
@@ -192,10 +185,9 @@ func (sh *shard) span(pr *planRuntime, pkt *packet.Packet, st telemetry.Stage, n
 	})
 }
 
-// injectBurst sends a burst of same-MID packets, taken on pr via acquire,
-// into their graph — or, unadmitted, past it: shed to one terminal drop
-// each, charged to admission (the row after the plan's nodes).
-func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet, admitted bool) {
+// injectBurst sends a burst of same-MID packets, admitted to pr via
+// acquire, into their graph.
+func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet) {
 	// The clock is read once per burst, and only when the burst holds a
 	// sampled packet: the span cursor is unused otherwise.
 	var now int64
@@ -216,13 +208,7 @@ func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet, admitted bo
 		}
 	}
 	sh.srv.injected.Add(uint64(len(pkts)))
-	if admitted {
-		sh.execBurst(pr, pr.plan.Entry, pkts, now)
-		return
-	}
-	sh.note(flightrec.KindShed, pr.gen, sh.srv.recAdmitID, uint64(len(pkts)))
-	prov := dropProv{cause: sh.srv.cfg.RingPolicy.shedCause(), stage: telemetry.StageClassify, node: int32(len(pr.plan.Nodes))}
-	sh.emit(pr, pkts, true, prov, now, false)
+	sh.execBurst(pr, pr.plan.Entry, pkts, now)
 }
 
 // execChunk sizes the hand-off scratch (copies, merge items), kept on
@@ -335,7 +321,7 @@ func (sh *shard) deliver(pr *planRuntime, t Target, pkts []*packet.Packet, dropp
 	case ToJoin:
 		sh.joinPush(pr, t.Join, pkts, dropped, prov, cursor)
 	case ToOutput:
-		sh.emit(pr, pkts, dropped, prov, cursor, true)
+		sh.emit(pr, pkts, dropped, prov, cursor)
 	}
 }
 
@@ -409,12 +395,12 @@ func (sh *shard) release(pkts []*packet.Packet) {
 // resolve to one terminal drop), so attributing the drop cause here —
 // after mergers collapse parallel copies to one verdict — keeps the
 // per-cause counters summing exactly to total drops. The shared
-// counters, in-flight slots and budget (of admitted packets; their copies
-// and tails died at the joins upstream) are settled once per burst, and
+// counters, in-flight slots and budget (the packets' copies and tails
+// died at the joins upstream) are settled once per burst, and
 // only after the last buffer was freed or the last output send
 // completed, so inflight == 0 — the reload drain condition — means every
 // packet of the generation has fully surfaced, not merely been handed off.
-func (sh *shard) emit(pr *planRuntime, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64, admitted bool) {
+func (sh *shard) emit(pr *planRuntime, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
 	s := sh.srv
 	for _, pkt := range pkts {
 		// One clock read ends a sampled packet's last span and its
@@ -444,5 +430,5 @@ func (sh *shard) emit(pr *planRuntime, pkts []*packet.Packet, dropped bool, prov
 		s.outCount.Add(n)
 	}
 	pr.terminal.Add(n)
-	sh.settle(pr, len(pkts), admitted)
+	sh.settle(pr, len(pkts))
 }

@@ -9,6 +9,7 @@ import (
 	"nfp/internal/graph"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
+	"nfp/internal/telemetry"
 )
 
 // scalarOpts replays packet by packet on the burst-1 dataplane.
@@ -56,24 +57,23 @@ func TestRandomizedEquivalence(t *testing.T) {
 	}
 }
 
-// TestOverloadConservationProperty extends the differential harness to
-// overload: random chains of random synthetic NFs run against an
-// 8-slot ring under the drop-tail policy, injected through a random
-// interleaving of scalar Inject and batched InjectBatch calls. However
-// the overload machinery sheds, the conservation law must hold exactly
-// — Injected == Outputs + Drops, sheds never exceed drops, and not one
-// buffer leaks (Execute fails the run on a leak). Both the
-// scalar and the burst dataplane are held to it, on the sequential and
-// the parallelized compilation.
+// TestOverloadConservationProperty: saturation is invisible. A full
+// ring backpressures and never loses a packet, so a run on 8-slot rings
+// — random chains of random synthetic NFs, injected through a seeded
+// interleaving of scalar Inject and batched InjectBatch calls — must
+// Compare equal to the same run on default rings: the same outputs,
+// drops and observation digests, the same copies, and not one buffer
+// leaked (Execute fails the run on a leak). It covers burst 1 and 32,
+// the sequential and the parallelized compilation, fusion off and on.
 func TestOverloadConservationProperty(t *testing.T) {
-	trials := 12
+	trials := 8
 	packets := 400
 	if testing.Short() {
-		trials = 4
+		trials = 3
 		packets = 150
 	}
 	rng := rand.New(rand.NewSource(20260806))
-	shedding := 0
+	var waits uint64
 	for i := 0; i < trials; i++ {
 		trial, err := NewTrial(rng)
 		if err != nil {
@@ -81,40 +81,34 @@ func TestOverloadConservationProperty(t *testing.T) {
 		}
 		for _, burst := range []int{1, 32} {
 			for gi, g := range []graph.Node{trial.SeqGraph, trial.ParGraph} {
-				res, err := trial.Execute(g, packets, int64(4000+i), Options{
-					Config: dataplane.Config{
-						RingSize: 8, RingPolicy: dataplane.BPDropTail, Burst: burst,
-					},
-					Interleave: true,
-				})
-				if err != nil {
-					t.Fatalf("trial %d burst %d graph %d: %v", i, burst, gi, err)
-				}
-				st := res.Stats
-				if st.Injected != uint64(packets) {
-					t.Fatalf("trial %d burst %d graph %d: injected %d of %d",
-						i, burst, gi, st.Injected, packets)
-				}
-				if st.Outputs+st.Drops != st.Injected {
-					t.Errorf("trial %d burst %d graph %d: conservation broken: injected=%d outputs=%d drops=%d sheds=%d",
-						i, burst, gi, st.Injected, st.Outputs, st.Drops, st.Sheds)
-				}
-				// Sheds are the drops charged to a shed cause, so the
-				// bound holds on the parallel compilation too.
-				if st.Sheds > st.Drops {
-					t.Errorf("trial %d burst %d graph %d: sheds=%d exceed drops=%d",
-						i, burst, gi, st.Sheds, st.Drops)
-				}
-				if st.Sheds > 0 {
-					shedding++
+				for _, fusion := range []dataplane.FusionMode{dataplane.FusionOff, dataplane.FusionOn} {
+					cfg := dataplane.Config{Burst: burst, Fusion: fusion}
+					ref, err := trial.Execute(g, packets, int64(4000+i), Options{Config: cfg, Interleave: true})
+					if err != nil {
+						t.Fatalf("trial %d burst %d graph %d fusion=%v default rings: %v", i, burst, gi, fusion, err)
+					}
+					cfg.RingSize, cfg.Telemetry = 8, telemetry.NewRegistry()
+					sat, err := trial.Execute(g, packets, int64(4000+i), Options{Config: cfg, Interleave: true})
+					if err != nil {
+						t.Fatalf("trial %d burst %d graph %d fusion=%v 8-slot rings: %v", i, burst, gi, fusion, err)
+					}
+					if diffs := Compare(ref, sat); len(diffs) != 0 {
+						t.Errorf("trial %d burst %d graph %d fusion=%v: saturation changed the result: %v", i, burst, gi, fusion, diffs)
+					}
+					if ref.Stats.Copies != sat.Stats.Copies {
+						t.Errorf("trial %d burst %d graph %d fusion=%v: copies %d on default rings, %d on 8-slot rings",
+							i, burst, gi, fusion, ref.Stats.Copies, sat.Stats.Copies)
+					}
+					waits += cfg.Telemetry.Counter("nfp_backpressure_parks_total").Value() +
+						cfg.Telemetry.Counter("nfp_backpressure_yields_total").Value()
 				}
 			}
 		}
 	}
-	// The rings must actually overflow in a decent share of runs, or
-	// the property is vacuous.
-	if shedding == 0 {
-		t.Error("no run shed anything; overload generator too weak")
+	t.Logf("producer waits on 8-slot rings: %d", waits)
+	// The 8-slot rings must actually fill, or the property is vacuous.
+	if waits == 0 {
+		t.Error("no producer ever waited on an 8-slot ring; overload generator too weak")
 	}
 }
 
@@ -360,10 +354,12 @@ func TestFusionPanicConservation(t *testing.T) {
 	}
 }
 
-// TestFusionOverloadConservation runs the overload property under the
-// fused engine for every backpressure policy: whatever the shed/block
-// behavior, Injected == Outputs + Drops holds exactly and nothing
-// leaks, with fusion on as with fusion off.
+// TestFusionOverloadConservation runs the overload case under the fused
+// engine: on 8-slot rings, with a seeded interleaving of scalar and
+// batched injects, Injected == Outputs + Drops holds exactly and
+// nothing leaks, and the fused run Compares equal to the pipelined run
+// on the same saturated rings — a full ring parks its producer rather
+// than losing a packet, with fusion on as with fusion off.
 func TestFusionOverloadConservation(t *testing.T) {
 	trials := 6
 	packets := 300
@@ -372,31 +368,29 @@ func TestFusionOverloadConservation(t *testing.T) {
 		packets = 120
 	}
 	rng := rand.New(rand.NewSource(20260809))
-	policies := []dataplane.BackpressurePolicy{
-		dataplane.BPBlock, dataplane.BPDropTail, dataplane.BPShedLowestPriority,
-	}
 	for i := 0; i < trials; i++ {
 		trial, err := NewTrial(rng)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
-		for _, pol := range policies {
-			for _, fusion := range []dataplane.FusionMode{dataplane.FusionOff, dataplane.FusionOn} {
-				res, err := trial.Execute(trial.SeqGraph, packets, int64(9000+i), Options{
-					Config: dataplane.Config{
-						RingSize: 8, RingPolicy: pol, Burst: 16, Fusion: fusion,
-					},
-					Interleave: true,
-				})
-				if err != nil {
-					t.Fatalf("trial %d policy=%v fusion=%v: %v", i, pol, fusion, err)
-				}
-				st := res.Stats
-				if st.Injected != uint64(packets) || st.Outputs+st.Drops != st.Injected {
-					t.Errorf("trial %d policy=%v fusion=%v: conservation broken: injected=%d outputs=%d drops=%d sheds=%d",
-						i, pol, fusion, st.Injected, st.Outputs, st.Drops, st.Sheds)
-				}
+		var runs [2]*Result
+		for fi, fusion := range []dataplane.FusionMode{dataplane.FusionOff, dataplane.FusionOn} {
+			res, err := trial.Execute(trial.SeqGraph, packets, int64(9000+i), Options{
+				Config:     dataplane.Config{RingSize: 8, Burst: 16, Fusion: fusion},
+				Interleave: true,
+			})
+			if err != nil {
+				t.Fatalf("trial %d fusion=%v: %v", i, fusion, err)
 			}
+			st := res.Stats
+			if st.Injected != uint64(packets) || st.Outputs+st.Drops != st.Injected {
+				t.Errorf("trial %d fusion=%v: conservation broken: injected=%d outputs=%d drops=%d",
+					i, fusion, st.Injected, st.Outputs, st.Drops)
+			}
+			runs[fi] = res
+		}
+		if diffs := Compare(runs[0], runs[1]); len(diffs) != 0 {
+			t.Errorf("trial %d: fused NOT equivalent to pipelined on 8-slot rings: %v", i, diffs)
 		}
 	}
 }

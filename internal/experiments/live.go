@@ -23,9 +23,7 @@ import (
 // LiveResult summarizes one live dataplane run.
 type LiveResult struct {
 	Outputs, Drops uint64
-	// Sheds counts packets lost to the ring backpressure policy;
 	// Panics/Restarts count NF crashes and supervisor recoveries.
-	Sheds         uint64
 	Panics        uint64
 	Restarts      uint64
 	Copies        uint64
@@ -128,7 +126,6 @@ func RunLiveGraphOpts(g graph.Node, n int, gen *trafficgen.Generator, opts LiveO
 	st := srv.Stats()
 	res.Outputs = st.Outputs
 	res.Drops = st.Drops
-	res.Sheds = st.Sheds
 	res.Panics = st.Panics
 	res.Restarts = st.Restarts
 	res.Copies = st.Copies

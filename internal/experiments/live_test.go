@@ -34,14 +34,13 @@ func TestLiveOptionsConfigPassThrough(t *testing.T) {
 	}
 
 	seen := false
-	run(dataplane.Config{Burst: 8, Shards: 2, Fusion: dataplane.FusionOff, RingPolicy: dataplane.BPDropTail},
+	run(dataplane.Config{Burst: 8, Shards: 2, Fusion: dataplane.FusionOff},
 		func(s *dataplane.Server) {
 			seen = true
 			bi := s.BuildInfo()
 			for k, want := range map[string]string{
 				"burst": "8", "shards": "2",
-				"fusion":      dataplane.FusionOff.String(),
-				"ring_policy": dataplane.BPDropTail.String(),
+				"fusion": dataplane.FusionOff.String(),
 			} {
 				if bi[k] != want {
 					t.Errorf("BuildInfo[%q] = %q, want %q", k, bi[k], want)

@@ -141,53 +141,6 @@ func (p Policy) String() string {
 	return strings.Join(lines, "\n")
 }
 
-// PriorityRanks derives a per-NF importance rank from the policy's
-// Priority rules: every Priority(A > B) rule is an edge A→B, and an
-// NF's rank is the length of the longest Priority chain below it, so
-// NFs that dominate others rank higher and NFs mentioned in no
-// Priority rule rank 0 (lowest). The dataplane's shed-lowest-priority
-// backpressure policy uses these ranks to decide which NF rings may
-// shed under overload: only the lowest-ranked NFs lose traffic first.
-// Cycles (already flagged by Validate for Order rules; Priority cycles
-// are an operator error) are broken by treating a revisited NF as rank
-// 0, so the function always terminates.
-func (p Policy) PriorityRanks() map[string]int {
-	adj := map[string][]string{}
-	for _, r := range p.Rules {
-		if r.Kind == KindPriority && r.NF1 != "" && r.NF2 != "" && r.NF1 != r.NF2 {
-			adj[r.NF1] = append(adj[r.NF1], r.NF2)
-		}
-	}
-	ranks := map[string]int{}
-	for _, n := range p.NFs() {
-		ranks[n] = 0
-	}
-	const visiting = -1
-	memo := map[string]int{}
-	var rank func(n string) int
-	rank = func(n string) int {
-		if v, ok := memo[n]; ok {
-			if v == visiting {
-				return 0 // cycle: break deterministically
-			}
-			return v
-		}
-		memo[n] = visiting
-		best := 0
-		for _, m := range adj[n] {
-			if d := rank(m) + 1; d > best {
-				best = d
-			}
-		}
-		memo[n] = best
-		return best
-	}
-	for n := range ranks {
-		ranks[n] = rank(n)
-	}
-	return ranks
-}
-
 // Conflict describes a pair (or set) of rules that cannot both hold.
 // NFP detects conflicts and reports them to the operator (resolution is
 // future work, as in the paper §3).

@@ -201,76 +201,3 @@ func TestRuleStrings(t *testing.T) {
 		}
 	}
 }
-
-// TestPriorityRanks pins the rank derivation the dataplane's
-// shed-lowest-priority backpressure policy depends on: longest Priority
-// chain below an NF, unlisted NFs rank 0, cycles broken to 0.
-func TestPriorityRanks(t *testing.T) {
-	cases := []struct {
-		name  string
-		rules []Rule
-		want  map[string]int
-	}{
-		{
-			name:  "single edge",
-			rules: []Rule{Priority("IPS", "Monitor")},
-			want:  map[string]int{"IPS": 1, "Monitor": 0},
-		},
-		{
-			name: "three-deep chain",
-			rules: []Rule{
-				Priority("A", "B"),
-				Priority("B", "C"),
-			},
-			want: map[string]int{"A": 2, "B": 1, "C": 0},
-		},
-		{
-			name: "diamond takes the longest path",
-			rules: []Rule{
-				Priority("Top", "Mid"),
-				Priority("Mid", "Bot"),
-				Priority("Top", "Bot"),
-			},
-			want: map[string]int{"Top": 2, "Mid": 1, "Bot": 0},
-		},
-		{
-			name: "unlisted NFs rank zero",
-			rules: []Rule{
-				Priority("IPS", "Monitor"),
-				Order("Monitor", "LB"),
-			},
-			want: map[string]int{"IPS": 1, "Monitor": 0, "LB": 0},
-		},
-		{
-			name: "cycle breaks and terminates",
-			rules: []Rule{
-				Priority("A", "B"),
-				Priority("B", "A"),
-				Priority("C", "A"),
-			},
-			// Exact ranks inside the A<->B cycle depend on which node
-			// the break lands on, so this case only pins termination
-			// and the completeness check below.
-			want: map[string]int{},
-		},
-		{
-			name:  "self edge ignored",
-			rules: []Rule{Priority("A", "A"), Priority("A", "B")},
-			want:  map[string]int{"A": 1, "B": 0},
-		},
-	}
-	for _, c := range cases {
-		ranks := Policy{Rules: c.rules}.PriorityRanks()
-		for nf, want := range c.want {
-			if got := ranks[nf]; got != want {
-				t.Errorf("%s: rank[%s] = %d, want %d", c.name, nf, got, want)
-			}
-		}
-		// Every NF the policy mentions gets a rank entry.
-		for _, nf := range (Policy{Rules: c.rules}).NFs() {
-			if _, ok := ranks[nf]; !ok {
-				t.Errorf("%s: NF %s missing from ranks", c.name, nf)
-			}
-		}
-	}
-}

@@ -56,10 +56,6 @@ func (w *Waiter) Wait() bool {
 	return true
 }
 
-// Exhausted reports whether the spin budget is used up — the point
-// where a shedding policy gives up instead of parking.
-func (w *Waiter) Exhausted() bool { return w.spins >= w.SpinLimit }
-
 // Reset rearms the spin budget and park backoff after progress.
 func (w *Waiter) Reset() { w.spins, w.park = 0, 0 }
 

@@ -14,8 +14,8 @@ import (
 //	ok         no rule below fired.
 //	degraded   any NF unhealthy or panicking this window, any ρ ≥
 //	           RhoDegraded, or any chain burning error budget (> 1×).
-//	overloaded any ρ ≥ RhoOverloaded, packets shed this window, or a
-//	           chain burning ≥ 10× its error budget.
+//	overloaded any ρ ≥ RhoOverloaded, or a chain burning ≥ 10× its
+//	           error budget.
 //
 // Overloaded wins over degraded; every fired rule is listed in Reasons.
 const (
@@ -60,7 +60,6 @@ type NFDiag struct {
 	RingFill      float64 `json:"ring_fill"`
 	RingRising    bool    `json:"ring_rising"`
 
-	ShedPPS float64 `json:"shed_pps"`
 	DropPPS float64 `json:"drop_pps"`
 	Healthy bool    `json:"healthy"`
 
@@ -198,9 +197,7 @@ func (d *Diagnoser) rankNFs(oldest, newest sample, elapsed float64) []NFDiag {
 		}
 		nd.RingRising = nd.RingHighWater > gaugeAt(oldest.snap, metricNFRingHW, c.Labels)
 
-		shedDelta := dropsAt(newest.snap, c.Labels, shedCauses) - dropsAt(oldest.snap, c.Labels, shedCauses)
-		nd.ShedPPS = float64(shedDelta) / elapsed
-		dropDelta := dropsAt(newest.snap, c.Labels, faultCauses) - dropsAt(oldest.snap, c.Labels, faultCauses)
+		dropDelta := faultDropsAt(newest.snap, c.Labels) - faultDropsAt(oldest.snap, c.Labels)
 		nd.DropPPS = float64(dropDelta) / elapsed
 
 		if hasGauge(newest.snap, metricNFHealthy, c.Labels) {
@@ -238,9 +235,6 @@ func verdict(nd NFDiag) string {
 	}
 	if nd.RingRising {
 		s += ", rising"
-	}
-	if nd.ShedPPS > 0 {
-		s += fmt.Sprintf(", shedding %.0f pps", nd.ShedPPS)
 	}
 	if !nd.Healthy {
 		s += ", UNHEALTHY"
@@ -304,9 +298,6 @@ func (d *Diagnoser) judge(oldest, newest sample, rep HealthReport) (string, []st
 		}
 	}
 
-	if sheds := dropsAt(newest.snap, nil, shedCauses) - dropsAt(oldest.snap, nil, shedCauses); sheds > 0 {
-		raise(StateOverloaded, fmt.Sprintf("%d packets shed this window", sheds))
-	}
 	if panics := newest.snap.SumCounters(metricNFPanics) - oldest.snap.SumCounters(metricNFPanics); panics > 0 {
 		raise(StateDegraded, fmt.Sprintf("%d NF panics this window", panics))
 	}
@@ -334,27 +325,24 @@ func nfIdent(nd NFDiag) string {
 	return fmt.Sprintf("%s (mid %s)", nd.NF, nd.MID)
 }
 
-// The drop causes behind the per-NF rates: packets the backpressure
-// policy shed at the NF's ring, and packets lost to the NF crashing.
-var (
-	shedCauses  = []flightrec.Cause{flightrec.CauseDropTail, flightrec.CauseShedPriority}
-	faultCauses = []flightrec.Cause{flightrec.CausePanic, flightrec.CauseUnhealthyDrain, flightrec.CauseReloadDrain}
-)
+// faultCauses are the drop causes behind an NF's DropPPS: packets lost
+// to the NF crashing or drained from its rings.
+var faultCauses = []flightrec.Cause{flightrec.CausePanic, flightrec.CauseUnhealthyDrain, flightrec.CauseReloadDrain}
 
-// dropsAt sums the terminal drop family nfp_drops_total{cause,nf,shard,
-// gen} over causes, for the NF instance whose own series carry the
-// labels of (nil = every NF). The family has no mid label, so graphs
-// that share an NF name share its drop series.
-func dropsAt(s telemetry.Snapshot, of map[string]string, causes []flightrec.Cause) uint64 {
+// faultDropsAt sums the terminal drop family nfp_drops_total{cause,nf,
+// shard,gen} over faultCauses, for the NF instance whose own series
+// carry the labels of. The family has no mid label, so graphs that share
+// an NF name share its drop series.
+func faultDropsAt(s telemetry.Snapshot, of map[string]string) uint64 {
 	var sum uint64
 	for _, c := range s.Counters {
 		if c.Name != flightrec.MetricDrops {
 			continue
 		}
-		if of != nil && (c.Labels["nf"] != of["nf"] || c.Labels["shard"] != of["shard"] || c.Labels["gen"] != of["gen"]) {
+		if c.Labels["nf"] != of["nf"] || c.Labels["shard"] != of["shard"] || c.Labels["gen"] != of["gen"] {
 			continue
 		}
-		for _, cause := range causes {
+		for _, cause := range faultCauses {
 			if c.Labels["cause"] == cause.String() {
 				sum += c.Value
 			}

@@ -30,12 +30,6 @@ const (
 	// CauseUnhealthyDrain is a packet drained from an unhealthy NF's
 	// ring while the supervisor waits to restart it.
 	CauseUnhealthyDrain
-	// CauseShedPriority is the shed-lowest-priority backpressure
-	// policy discarding a packet on ring exhaustion.
-	CauseShedPriority
-	// CauseDropTail is the drop-tail backpressure policy discarding a
-	// packet on a full ring.
-	CauseDropTail
 	// CauseReloadDrain is a packet drained from a sealed (superseded)
 	// generation's rings after a config swap.
 	CauseReloadDrain
@@ -54,8 +48,6 @@ var causeNames = [NumCauses]string{
 	"nf_verdict",
 	"panic",
 	"unhealthy_drain",
-	"shed_priority",
-	"drop_tail",
 	"reload_drain",
 	"stop_drain",
 }

@@ -24,10 +24,9 @@ const (
 	KindRestart
 	// KindRestartFail is a supervised NF restart failing.
 	KindRestartFail
-	// KindShed is a backpressure shed discarding a burst.
-	KindShed
-	// KindBackpressure is a producer parking on a full ring under the
-	// block policy (one event per engagement, not per spin).
+	// KindBackpressure is a producer parking on a full ring or an
+	// exhausted admission budget (one event per engagement, not per
+	// spin).
 	KindBackpressure
 	// KindHealth is a diagnose health-state transition.
 	KindHealth
@@ -45,7 +44,7 @@ const (
 )
 
 var kindNames = [...]string{
-	"none", "drop", "panic", "restart", "restart_fail", "shed",
+	"none", "drop", "panic", "restart", "restart_fail",
 	"backpressure", "health", "reload_swap", "reload_drained",
 	"reload_failed", "install", "stop",
 }
@@ -62,13 +61,13 @@ func (k Kind) String() string {
 // Count is additive. Every other kind is a lifecycle edge and keeps one
 // slot per occurrence.
 func (k Kind) coalesces() bool {
-	return k == KindDrop || k == KindShed || k == KindBackpressure
+	return k == KindDrop || k == KindBackpressure
 }
 
 // Event is one decoded event-ring record, ready for JSON. A coalesced
 // run reads as its first event — TS, Stage, PID, Flow and Cursor are
 // that exemplar's — plus LastTS, the time of its latest event, and
-// Count, the events (shed: packets) it stands for.
+// Count, the events it stands for.
 type Event struct {
 	TS     int64  `json:"ts_ns"`
 	LastTS int64  `json:"last_ts_ns,omitempty"`
@@ -98,7 +97,7 @@ type DropRecord struct {
 	HasKey bool
 }
 
-// Note is a non-drop event (panic, restart, shed, backpressure,
+// Note is a non-drop event (panic, restart, backpressure,
 // health, reload lifecycle).
 type Note struct {
 	Shard  int
@@ -107,7 +106,7 @@ type Note struct {
 	Node   uint32 // interned NF/site name (0 = none)
 	Detail uint32 // interned free-form detail (0 = none)
 	// Count is the event's payload; for the coalescing kinds it is the
-	// weight the event adds to its run (shed: packets, backpressure: 1).
+	// weight the event adds to its run (backpressure: 1).
 	Count uint64
 }
 

@@ -118,7 +118,7 @@ func TestRecorderIncidentHook(t *testing.T) {
 }
 
 // TestRecorderKeepsPanicUnderFlood is the lost-panic regression: one
-// panic, then a flood of benign drop, shed and backpressure events —
+// panic, then a flood of benign drop and backpressure events —
 // four runs, four concurrent producers, a hundred times the ring's
 // capacity, with a reader snapshotting throughout. The runs coalesce,
 // so the panic is still in the ring afterwards, and no event went
@@ -152,9 +152,9 @@ func TestRecorderKeepsPanicUnderFlood(t *testing.T) {
 				case 0:
 					r.Drop(DropRecord{Cause: CauseNFVerdict, Gen: 1, Node: ids, PID: uint64(i)})
 				case 1:
-					r.Drop(DropRecord{Cause: CauseDropTail, Gen: 1, Node: mon, PID: uint64(i)})
+					r.Drop(DropRecord{Cause: CauseUnhealthyDrain, Gen: 1, Node: mon, PID: uint64(i)})
 				case 2:
-					r.Event(Note{Kind: KindShed, Gen: 1, Node: mon, Count: 1})
+					r.Event(Note{Kind: KindBackpressure, Gen: 1, Node: mon, Count: 1})
 				case 3:
 					r.Event(Note{Kind: KindBackpressure, Gen: 1, Node: ids, Count: 1})
 				}
@@ -176,7 +176,7 @@ func TestRecorderKeepsPanicUnderFlood(t *testing.T) {
 		t.Fatalf("the panic was lapped out of the ring: %v", counts)
 	}
 	const perRun = producers * perProducer / 4
-	for _, run := range []string{"drop/nf_verdict/ids", "drop/drop_tail/monitor", "shed//monitor", "backpressure//ids"} {
+	for _, run := range []string{"drop/nf_verdict/ids", "drop/unhealthy_drain/monitor", "backpressure//monitor", "backpressure//ids"} {
 		if counts[run] != perRun {
 			t.Errorf("run %s counts %d events, recorded %d", run, counts[run], perRun)
 		}
@@ -210,10 +210,10 @@ func TestIntern(t *testing.T) {
 func TestKindStrings(t *testing.T) {
 	want := map[Kind]string{
 		KindDrop: "drop", KindPanic: "panic", KindRestart: "restart",
-		KindRestartFail: "restart_fail", KindShed: "shed",
-		KindBackpressure: "backpressure", KindHealth: "health",
-		KindReloadSwap: "reload_swap", KindReloadDrained: "reload_drained",
-		KindReloadFailed: "reload_failed", KindInstall: "install", KindStop: "stop",
+		KindRestartFail: "restart_fail", KindBackpressure: "backpressure",
+		KindHealth: "health", KindReloadSwap: "reload_swap",
+		KindReloadDrained: "reload_drained", KindReloadFailed: "reload_failed",
+		KindInstall: "install", KindStop: "stop",
 	}
 	for k, s := range want {
 		if k.String() != s {

@@ -36,8 +36,8 @@ type slot struct {
 // ring is one shard's fixed-size event ring. Appending overwrites the
 // oldest slot once full; an event of a coalescing kind whose run still
 // has a slot in the ring folds into that slot instead of appending. So
-// however many packets a drop cause, a shedding ring or a parked
-// producer accounts for, it holds one slot, and the rare events — a
+// however many packets a drop cause or a parked producer accounts for,
+// it holds one slot, and the rare events — a
 // panic, a restart, a reload — are lapped only by the ring's size in
 // DISTINCT happenings, not by traffic.
 type ring struct {

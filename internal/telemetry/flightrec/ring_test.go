@@ -77,7 +77,7 @@ func TestRingCoalescesRuns(t *testing.T) {
 		ts++
 		r.record(drop(CauseNFVerdict, 1, ts))
 		ts++
-		r.record(drop(CauseDropTail, 2, ts))
+		r.record(drop(CauseUnhealthyDrain, 2, ts))
 	}
 	got := r.snapshot(0)
 	if len(got) != 3 {
@@ -87,7 +87,7 @@ func TestRingCoalescesRuns(t *testing.T) {
 	if a.cause != CauseNFVerdict || a.first != 1 || a.pid != 1 || a.last != 199 || a.count != 100 {
 		t.Fatalf("first run = %+v", a)
 	}
-	if b.cause != CauseDropTail || b.first != 2 || b.pid != 2 || b.last != 200 || b.count != 100 {
+	if b.cause != CauseUnhealthyDrain || b.first != 2 || b.pid != 2 || b.last != 200 || b.count != 100 {
 		t.Fatalf("second run = %+v", b)
 	}
 	if e.kind != KindRestart || e.first != -1 {
