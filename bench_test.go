@@ -3,6 +3,9 @@
 // regressions in the infrastructure are visible, plus the ablation
 // benches listed in DESIGN.md §5. The analytic figure reproduction
 // lives in cmd/nfpbench; these measure this repository's actual code.
+// Every compiled graph here is Algorithm 1's, through the cost-free
+// lookup: the paper's shapes, which the default compile runs as chains
+// where their stages cost more than they save (DESIGN.md §17).
 //
 // Run: go test -bench=. -benchmem
 package nfp_test
@@ -373,14 +376,14 @@ func BenchmarkFig7_NFP_SeqChain5_Burst32_Diagnose(b *testing.B) {
 }
 
 func BenchmarkFig13_NorthSouth_Burst1(b *testing.B) {
-	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nil, core.Options{})
+	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchNFPGraphBurst(b, res.Graph, 1, "north-south payload")
 }
 func BenchmarkFig13_NorthSouth_Burst32(b *testing.B) {
-	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nil, core.Options{})
+	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -400,7 +403,7 @@ func BenchmarkFig7_NFP_SeqChain5_Burst32_NoFusion(b *testing.B) {
 	benchNFPGraphBurstFusion(b, seqGraph(nfa.NFL3Fwd, 5), 32, dataplane.FusionOff, "x")
 }
 func BenchmarkFig13_NorthSouth_Burst32_NoFusion(b *testing.B) {
-	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nil, core.Options{})
+	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -473,7 +476,7 @@ func BenchmarkFig12_Graph1_Sequential(b *testing.B) {
 // --- Figure 13: the real-world chains, orchestrator-compiled ---
 
 func benchCompiled(b *testing.B, chain []string, payload string) {
-	res, err := core.Compile(policy.FromChain(chain...), nil, core.Options{})
+	res, err := core.Compile(policy.FromChain(chain...), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -527,7 +530,7 @@ func BenchmarkAblation_FullCopy(b *testing.B) {
 // Dirty Memory Reusing on/off: the west-east stage with and without a
 // shared original copy.
 func BenchmarkAblation_DirtyReuse_On(b *testing.B) {
-	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nil, core.Options{})
+	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -536,7 +539,7 @@ func BenchmarkAblation_DirtyReuse_On(b *testing.B) {
 func BenchmarkAblation_DirtyReuse_Off(b *testing.B) {
 	opts := core.Options{}
 	opts.Analysis.DisableDirtyMemoryReusing = true
-	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nil, opts)
+	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nfa.LookupCostFree, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -586,7 +589,7 @@ func BenchmarkAblation_XORMergeStrawman(b *testing.B) {
 // benchCluster measures per-packet cost of the north-south graph
 // partitioned across two servers with an in-memory NSH link.
 func BenchmarkCluster_TwoServers(b *testing.B) {
-	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nil, core.Options{})
+	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -601,7 +604,7 @@ func BenchmarkCluster_TwoServers(b *testing.B) {
 }
 
 func BenchmarkCluster_SingleServerReference(b *testing.B) {
-	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nil, core.Options{})
+	res, err := core.Compile(policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

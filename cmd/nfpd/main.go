@@ -156,6 +156,9 @@ func run() int {
 	fmt.Printf("compiled graph:    %s\n", res.Graph)
 	fmt.Printf("equivalent length: %d of %d NFs, %d copies/packet\n",
 		graph.EquivalentLength(res.Graph), graph.NFCount(res.Graph), graph.TotalCopies(res.Graph))
+	for _, st := range res.Stages {
+		fmt.Printf("stage:             %s\n", st)
+	}
 	fmt.Printf("seed:              %d (rerun with -seed %d to reproduce)\n", *seed, *seed)
 	for _, w := range res.Warnings {
 		fmt.Printf("warning:           %s\n", w)
@@ -199,6 +202,7 @@ func run() int {
 		// The registry outlives the run so /metrics stays truthful after
 		// the traffic stops.
 		cfg.Telemetry = telemetry.NewRegistry()
+		core.ExportStages(cfg.Telemetry, 1, res.Stages)
 	}
 	if cfg.TraceSampleRate == 0 && (*diagInterval > 0 || *sloP99 > 0 || *reload) {
 		// The diagnosis layer's sketch and SLO verdicts, and the reload
@@ -395,6 +399,7 @@ func watchSIGHUP(s *dataplane.Server, policyPath, chain string, noParallel bool)
 				fmt.Fprintf(os.Stderr, "nfpd: reload: %v\n", err)
 				continue
 			}
+			core.ExportStages(s.Telemetry(), 1, compiled.Stages)
 			fmt.Printf("reload:            generation %d live (%s)\n", s.Generation(), compiled.Graph)
 		}
 	}()

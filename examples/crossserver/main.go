@@ -27,9 +27,11 @@ import (
 )
 
 func main() {
+	// The cost-free lookup keeps the paper's graph: with measured costs
+	// the north-south chain's one parallel stage is too light to keep.
 	res, err := core.Compile(
 		policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB),
-		nil, core.Options{})
+		nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

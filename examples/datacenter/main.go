@@ -35,7 +35,10 @@ func main() {
 func runChain(label string, chain []string) {
 	fmt.Printf("=== %s: %v ===\n", label, chain)
 
-	res, err := core.Compile(policy.FromChain(chain...), nil, core.Options{})
+	// The paper's graph: Algorithm 1 through the cost-free lookup. The
+	// default compile weighs measured NF costs and runs both chains
+	// sequentially, as `nfpcompile -chain` shows.
+	res, err := core.Compile(policy.FromChain(chain...), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

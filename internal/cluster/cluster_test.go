@@ -14,6 +14,18 @@ import (
 	"nfp/internal/policy"
 )
 
+// compileJoin compiles a chain through the cost-free lookup — the
+// paper's graph, every parallel stage Algorithm 1 proves correct kept —
+// and fails the test when no join is left to partition across servers.
+func compileJoin(t *testing.T, names ...string) (*core.Result, error) {
+	t.Helper()
+	res, err := core.Compile(policy.FromChain(names...), nfa.LookupCostFree, core.Options{})
+	if err == nil && graph.MaxDegree(res.Graph) < 2 {
+		t.Fatalf("%v has no join to exercise", res.Graph)
+	}
+	return res, err
+}
+
 func testPacket(i int, payload string) packet.BuildSpec {
 	return packet.BuildSpec{
 		SrcIP:   netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + i%8)}),
@@ -156,9 +168,7 @@ func runCluster(t *testing.T, c *Cluster, n int, payload string) map[uint64][]by
 // across two servers and verifies full-path semantics: the output is
 // VPN-encapsulated AND LB-rewritten, with one copy per hop.
 func TestClusterEndToEnd(t *testing.T) {
-	res, err := core.Compile(
-		policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB),
-		nil, core.Options{})
+	res, err := compileJoin(t, nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +220,7 @@ func TestClusterEndToEnd(t *testing.T) {
 // TestClusterMatchesSingleServer replays the same traffic through a
 // partitioned cluster and a single server and compares outputs.
 func TestClusterMatchesSingleServer(t *testing.T) {
-	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nil, core.Options{})
+	res, err := compileJoin(t, nfa.NFIDS, nfa.NFMonitor, nfa.NFLB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +256,7 @@ func TestClusterMatchesSingleServer(t *testing.T) {
 // TestClusterDropsPropagate verifies that an inline IDS dropping on the
 // first server prevents any downstream transmission for that packet.
 func TestClusterDropsPropagate(t *testing.T) {
-	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nil, core.Options{})
+	res, err := compileJoin(t, nfa.NFIDS, nfa.NFMonitor, nfa.NFLB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +286,7 @@ func TestClusterDropsPropagate(t *testing.T) {
 // TestClusterOverTCP runs a two-server cluster over a real loopback
 // TCP link.
 func TestClusterOverTCP(t *testing.T) {
-	res, err := core.Compile(policy.FromChain(nfa.NFMonitor, nfa.NFFirewall), nil, core.Options{})
+	res, err := compileJoin(t, nfa.NFMonitor, nfa.NFFirewall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,9 +375,7 @@ func TestChanLinkClose(t *testing.T) {
 // reclaimed, not taken into the dataplane (where a version the dispatch
 // lists do not know used to panic the ingress goroutine).
 func TestClusterIngressRejectsPreclassifiedForgedVersion(t *testing.T) {
-	res, err := core.Compile(
-		policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB),
-		nil, core.Options{})
+	res, err := compileJoin(t, nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB)
 	if err != nil {
 		t.Fatal(err)
 	}

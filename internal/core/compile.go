@@ -23,6 +23,11 @@
 //     operators will be informed"), Position-pinned NFs wrap the
 //     result.
 //
+// Every parallel stage Algorithm 1 allows is then judged by its cost
+// (cost.go): it stays parallel only when a Priority rule asks for it,
+// an NF's cost is unknown, or its lighter branches outweigh the copy,
+// hand-off and merge that buy it; otherwise its NFs run as a chain.
+//
 // Copy groups are assigned per parallel level by a share-compatibility
 // predicate (Dirty Memory Reusing, §4.2 OP#1); copies default to
 // Header-Only (§4.2 OP#2) unless a branch NF touches the payload; and
@@ -41,7 +46,8 @@ import (
 )
 
 // ProfileLookup resolves an NF name from a policy to its action
-// profile. nfa.LookupProfile is the default.
+// profile. nfa.LookupProfile is the default; nfa.LookupCostFree leaves
+// every cost unknown, so the compile keeps Algorithm 1's graph.
 type ProfileLookup func(name string) (nfa.Profile, bool)
 
 // Options tune compilation.
@@ -63,6 +69,9 @@ type Result struct {
 	// Warnings lists the compiler's messages to the operator:
 	// auto-sequentialized NF pairs, implicit priorities, ignored rules.
 	Warnings []string
+	// Stages lists the cost rule's verdict on every stage Algorithm 1
+	// let run in parallel, in compile order.
+	Stages []Stage
 }
 
 // Compile builds a service graph from pol. Every NF referenced by the
@@ -100,11 +109,13 @@ type compiler struct {
 	profiles map[string]nfa.Profile
 	index    map[string]int // mention order of NF names
 	warnings []string
+	stages   []Stage
 
-	hard  map[string]map[string]bool // hard sequential edges
-	soft  map[string]map[string]bool // rank edges loser->winner
-	pairs map[[2]string]bool         // rule-connected pairs (either direction)
-	order map[string]map[string]bool // Order-rule digraph (for transitivity)
+	hard     map[string]map[string]bool // hard sequential edges
+	soft     map[string]map[string]bool // rank edges loser->winner
+	pairs    map[[2]string]bool         // rule-connected pairs (either direction)
+	order    map[string]map[string]bool // Order-rule digraph (for transitivity)
+	priority map[[2]string]policy.Rule  // Priority rules by NF pair (either direction)
 }
 
 func (c *compiler) warnf(format string, args ...any) {
@@ -135,6 +146,7 @@ func (c *compiler) compile(pol policy.Policy) (*Result, error) {
 	c.soft = map[string]map[string]bool{}
 	c.pairs = map[[2]string]bool{}
 	c.order = map[string]map[string]bool{}
+	c.priority = map[[2]string]policy.Rule{}
 
 	// --- Step 1: transform rules into intermediate representations ---
 	var first, last []string
@@ -180,6 +192,8 @@ func (c *compiler) compile(pol policy.Policy) (*Result, error) {
 				continue
 			}
 			c.connect(r.NF1, r.NF2)
+			c.priority[[2]string{r.NF1, r.NF2}] = r
+			c.priority[[2]string{r.NF2, r.NF1}] = r
 			if c.opts.NoParallelism {
 				c.addHard(r.NF2, r.NF1) // low before high preserves winner
 				continue
@@ -214,11 +228,7 @@ func (c *compiler) compile(pol policy.Policy) (*Result, error) {
 		items = append(items, graph.NF{Name: n})
 	}
 	if midNode != nil {
-		if s, ok := midNode.(graph.Seq); ok {
-			items = append(items, s.Items...)
-		} else {
-			items = append(items, midNode)
-		}
+		items = appendFlat(items, midNode)
 	}
 	for _, n := range last {
 		items = append(items, graph.NF{Name: n})
@@ -233,7 +243,7 @@ func (c *compiler) compile(pol policy.Policy) (*Result, error) {
 	if err := graph.Validate(g); err != nil {
 		return nil, fmt.Errorf("core: compiled graph invalid: %w", err)
 	}
-	return &Result{Graph: g, Warnings: c.warnings}, nil
+	return &Result{Graph: g, Warnings: c.warnings, Stages: c.stages}, nil
 }
 
 // analyzeOrderedPairs runs Algorithm 1 on every transitively ordered

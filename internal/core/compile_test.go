@@ -10,9 +10,12 @@ import (
 	"nfp/internal/policy"
 )
 
+// compileOK compiles through the cost-free lookup: the tests below pin
+// Algorithm 1's graphs, the paper's figures, and TestCostRuleDecisions
+// pins what the cost rule makes of them.
 func compileOK(t *testing.T, pol policy.Policy, opts Options) *Result {
 	t.Helper()
-	res, err := Compile(pol, nil, opts)
+	res, err := Compile(pol, nfa.LookupCostFree, opts)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

@@ -74,13 +74,19 @@ func (c *compiler) scheduleMiddle(middle map[string]bool) (graph.Node, error) {
 				branches = append(branches, nodes[i])
 			}
 		}
-		switch len(branches) {
-		case 0:
+		switch {
+		case len(branches) == 0:
 			continue
-		case 1:
+		case len(branches) == 1:
 			items = append(items, branches[0])
-		default:
+		case c.keepParallel(branches):
 			items = append(items, graph.Par{Branches: branches})
+		default:
+			// Not worth a stage: mention order, as execution order
+			// between compatible micrographs is irrelevant.
+			for _, b := range branches {
+				items = appendFlat(items, b)
+			}
 		}
 	}
 	if len(items) == 1 {
@@ -244,11 +250,11 @@ func (c *compiler) scheduleComponent(comp []string) (graph.Node, error) {
 			items = append(items, graph.NF{Name: lv[0]})
 			continue
 		}
-		par, err := c.buildPar(lv)
+		stage, err := c.buildPar(lv)
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, par)
+		items = appendFlat(items, stage)
 	}
 	if len(items) == 1 {
 		return items[0], nil
@@ -296,11 +302,28 @@ func (c *compiler) resolveLevelPairs(byLevel [][]string) bool {
 	return false
 }
 
-// buildPar constructs the Par node for one level: copy groups by
-// share-compatibility (payload-touching NFs first so they land in the
-// original, full copy), FullCopy flags, and merge operations ordered by
-// NF rank.
-func (c *compiler) buildPar(level []string) (graph.Par, error) {
+// buildPar constructs the node for one level. A level the cost rule
+// keeps parallel becomes a Par: copy groups by share-compatibility
+// (payload-touching NFs first so they land in the original, full copy),
+// FullCopy flags, and merge operations ordered by NF rank. Any other
+// level becomes a Seq of its members in rank order, the merge winner
+// last — the sequential execution the Par's merge reproduces.
+func (c *compiler) buildPar(level []string) (graph.Node, error) {
+	branches := make([]graph.Node, len(level))
+	branchIdx := map[string]int{}
+	for i, n := range level {
+		branches[i] = graph.NF{Name: n}
+		branchIdx[n] = i
+	}
+	if !c.keepParallel(branches) {
+		ranked := c.rankOrder(level)
+		items := make([]graph.Node, len(ranked))
+		for i, n := range ranked {
+			items[i] = graph.NF{Name: n}
+		}
+		return graph.Seq{Items: items}, nil
+	}
+
 	// Assignment order: payload-touching NFs first (so the full v1 copy
 	// hosts them and copies can stay header-only), then mention order.
 	order := append([]string(nil), level...)
@@ -334,17 +357,11 @@ func (c *compiler) buildPar(level []string) (graph.Par, error) {
 		}
 	}
 	if len(groups) > packet.MaxVersion {
-		return graph.Par{}, fmt.Errorf("core: level %v needs %d packet versions; metadata supports %d",
+		return nil, fmt.Errorf("core: level %v needs %d packet versions; metadata supports %d",
 			level, len(groups), packet.MaxVersion)
 	}
 
-	// Branch list in mention order; group indices refer to branches.
-	branches := make([]graph.Node, len(level))
-	branchIdx := map[string]int{}
-	for i, n := range level {
-		branches[i] = graph.NF{Name: n}
-		branchIdx[n] = i
-	}
+	// Group indices refer to branches, which are in mention order.
 	groupIdx := make([][]int, len(groups))
 	fullCopy := make([]bool, len(groups))
 	versionOf := map[string]uint8{}
@@ -359,15 +376,11 @@ func (c *compiler) buildPar(level []string) (graph.Par, error) {
 		sort.Ints(groupIdx[gi])
 	}
 
-	ops, err := c.mergeOps(level, versionOf)
-	if err != nil {
-		return graph.Par{}, err
-	}
 	return graph.Par{
 		Branches: branches,
 		Groups:   groupIdx,
 		FullCopy: fullCopy,
-		Ops:      ops,
+		Ops:      c.mergeOps(level, versionOf),
 	}, nil
 }
 
@@ -375,13 +388,12 @@ func (c *compiler) buildPar(level []string) (graph.Par, error) {
 // for every field written at the level, the highest-ranked writer wins;
 // if that writer worked on a copy, a modify() pulls its value into v1.
 // Header additions/removals from copied versions become add() splices.
-func (c *compiler) mergeOps(level []string, versionOf map[string]uint8) ([]graph.MergeOp, error) {
-	ranked := append([]string(nil), level...)
-	rank, err := c.ranks(level)
-	if err != nil {
-		return nil, err
+func (c *compiler) mergeOps(level []string, versionOf map[string]uint8) []graph.MergeOp {
+	ranked := c.rankOrder(level)
+	rank := make(map[string]int, len(ranked))
+	for i, n := range ranked {
+		rank[n] = i
 	}
-	sort.Slice(ranked, func(i, j int) bool { return rank[ranked[i]] < rank[ranked[j]] })
 
 	var ops []graph.MergeOp
 	winner := map[packet.Field]string{}
@@ -428,15 +440,15 @@ func (c *compiler) mergeOps(level []string, versionOf map[string]uint8) ([]graph
 			}
 		}
 	}
-	return ops, nil
+	return ops
 }
 
-// ranks computes the sequential-equivalence rank of each level member:
-// a topological order over the soft (loser→winner) edges restricted to
-// the level, with mention order breaking ties. A soft-edge cycle
-// (contradictory Priority/Order combinations) is broken deterministically
-// with a warning.
-func (c *compiler) ranks(level []string) (map[string]int, error) {
+// rankOrder returns the level's members in sequential-equivalence
+// order, the merge winner last: a topological order over the soft
+// (loser→winner) edges restricted to the level, with mention order
+// breaking ties. A soft-edge cycle (contradictory Priority/Order
+// combinations) is broken deterministically with a warning.
+func (c *compiler) rankOrder(level []string) []string {
 	in := map[string]int{}
 	adj := map[string][]string{}
 	members := map[string]bool{}
@@ -455,8 +467,7 @@ func (c *compiler) ranks(level []string) (map[string]int, error) {
 			}
 		}
 	}
-	rank := map[string]int{}
-	next := 0
+	ranked := make([]string, 0, len(level))
 	remaining := append([]string(nil), level...)
 	c.sortedByMention(remaining)
 	for len(remaining) > 0 {
@@ -474,13 +485,12 @@ func (c *compiler) ranks(level []string) (map[string]int, error) {
 		}
 		n := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		rank[n] = next
-		next++
+		ranked = append(ranked, n)
 		for _, m := range adj[n] {
 			in[m]--
 		}
 	}
-	return rank, nil
+	return ranked
 }
 
 // shareCompatible reports whether two NFs may operate on the same

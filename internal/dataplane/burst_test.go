@@ -279,7 +279,7 @@ func TestBurstDifferentialExampleGraphs(t *testing.T) {
 			{"sequential", core.Options{NoParallelism: true}},
 			{"parallel", core.Options{}},
 		} {
-			res, err := core.Compile(policy.FromChain(chain...), nil, mode.opts)
+			res, err := compileJoin(t, policy.FromChain(chain...), mode.opts)
 			if err != nil {
 				t.Fatalf("chain %v %s compile: %v", chain, mode.name, err)
 			}
@@ -317,7 +317,7 @@ func TestBurstOneMatchesDefaultScalarBehavior(t *testing.T) {
 // zero in-use through the batched alloc/free path.
 func TestTelemetryBalanceUnderBurst(t *testing.T) {
 	chain := []string{nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB}
-	res, err := core.Compile(policy.FromChain(chain...), nil, core.Options{})
+	res, err := compileJoin(t, policy.FromChain(chain...), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

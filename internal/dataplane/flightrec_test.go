@@ -4,10 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"nfp/internal/core"
 	"nfp/internal/faultinject"
 	"nfp/internal/graph"
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
+	"nfp/internal/policy"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/diagnose"
 	"nfp/internal/telemetry/flightrec"
@@ -228,6 +230,19 @@ func TestMetricLintClean(t *testing.T) {
 	d.SampleNow()
 	d.SampleNow()
 
+	// The compile's stage verdicts nfpd exports beside the dataplane's
+	// series: one chain kept sequential, two Priority stages kept.
+	for mid, pol := range map[uint32]policy.Policy{
+		1: policy.FromChain(nfa.NFFirewall, nfa.NFMonitor, nfa.NFLB),
+		2: {Rules: []policy.Rule{policy.Priority(nfa.NFLB, nfa.NFL3Fwd), policy.Priority(nfa.NFFirewall, nfa.NFMonitor)}},
+	} {
+		res, err := core.Compile(pol, nil, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.ExportStages(reg, mid, res.Stages)
+	}
+
 	snap := reg.Snapshot()
 	// The flow-cache counters register eagerly with the cache, so the
 	// lint always exercises them; prove they are actually in the snap.
@@ -247,9 +262,10 @@ func TestMetricLintClean(t *testing.T) {
 			t.Errorf("flow-cache series %s missing from the lint snapshot", name)
 		}
 	}
-	// So do the rule-table gauges, with the classifier's counters, and
-	// each merger's ring high-water mark, with the merger.
-	for _, name := range []string{"nfp_classifier_rules", "nfp_classifier_tuples", "nfp_merger_ring_high_water"} {
+	// So do the rule-table gauges, with the classifier's counters, each
+	// merger's ring high-water mark, with the merger, and the stage
+	// verdicts.
+	for _, name := range []string{"nfp_classifier_rules", "nfp_classifier_tuples", "nfp_merger_ring_high_water", "nfp_plan_stage_parallel"} {
 		found := false
 		for _, g := range snap.Gauges {
 			found = found || g.Name == name

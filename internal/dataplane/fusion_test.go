@@ -147,7 +147,7 @@ func TestFusionDifferentialExampleGraphs(t *testing.T) {
 			{"sequential", core.Options{NoParallelism: true}},
 			{"parallel", core.Options{}},
 		} {
-			res, err := core.Compile(policy.FromChain(chain...), nil, mode.opts)
+			res, err := compileJoin(t, policy.FromChain(chain...), mode.opts)
 			if err != nil {
 				t.Fatalf("chain %v %s compile: %v", chain, mode.name, err)
 			}

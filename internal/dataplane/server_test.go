@@ -37,6 +37,19 @@ func spec(srcLastByte byte, sport uint16, payload string) packet.BuildSpec {
 	}
 }
 
+// compileJoin compiles pol through the cost-free lookup, so the graph
+// keeps every parallel stage Algorithm 1 proves correct however light
+// its NFs, and fails the test when a parallel compile has no join left
+// to exercise.
+func compileJoin(t *testing.T, pol policy.Policy, opts core.Options) (*core.Result, error) {
+	t.Helper()
+	res, err := core.Compile(pol, nfa.LookupCostFree, opts)
+	if err == nil && !opts.NoParallelism && graph.MaxDegree(res.Graph) < 2 {
+		t.Fatalf("%v has no join to exercise", res.Graph)
+	}
+	return res, err
+}
+
 // runTraffic injects n packets built by mk and returns the outputs.
 func runTraffic(t *testing.T, s *Server, n int, mk func(i int) packet.BuildSpec) []*packet.Packet {
 	t.Helper()
@@ -184,7 +197,7 @@ func TestCopyMergeAppliesLBWrites(t *testing.T) {
 	// copy; the merge must pull the LB's rewritten addresses into the
 	// output while the monitor counted the ORIGINAL addresses.
 	pol := policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB)
-	res, err := core.Compile(pol, nil, core.Options{})
+	res, err := compileJoin(t, pol, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +261,7 @@ func TestCopyMergeAppliesLBWrites(t *testing.T) {
 
 func TestInlineIDSDropsAttackTraffic(t *testing.T) {
 	pol := policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB)
-	res, err := core.Compile(pol, nil, core.Options{})
+	res, err := compileJoin(t, pol, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +293,7 @@ func TestVPNMergeSplicesAH(t *testing.T) {
 	// Monitor || VPN with a copy: the VPN owns v1 (payload-touching);
 	// monitor reads a header-only copy; output must be encapsulated.
 	pol := policy.FromChain(nfa.NFMonitor, nfa.NFVPN)
-	res, err := core.Compile(pol, nil, core.Options{})
+	res, err := compileJoin(t, pol, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

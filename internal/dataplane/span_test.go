@@ -55,7 +55,7 @@ func spanNF(t *testing.T, name string) nf.NF {
 // around it with the given injection burst size.
 func spanServer(t *testing.T, burst int, names ...string) *Server {
 	t.Helper()
-	res, err := core.Compile(policy.FromChain(names...), nil, core.Options{})
+	res, err := compileJoin(t, policy.FromChain(names...), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

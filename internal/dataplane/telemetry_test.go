@@ -19,7 +19,7 @@ import (
 // accounted each injection, and the mempool returned to zero in-use.
 func TestTelemetryCountersBalance(t *testing.T) {
 	pol := policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB)
-	res, err := core.Compile(pol, nil, core.Options{})
+	res, err := compileJoin(t, pol, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestTelemetryCountersBalance(t *testing.T) {
 // sequence order, then merge (parallel stage) and output last.
 func TestTelemetryTraceHopOrder(t *testing.T) {
 	pol := policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB)
-	res, err := core.Compile(pol, nil, core.Options{})
+	res, err := compileJoin(t, pol, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

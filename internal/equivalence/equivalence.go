@@ -195,6 +195,13 @@ func GenProfile(rng *rand.Rand) nfa.Profile {
 	return prof
 }
 
+// trialCosts are the CostNS values NewTrial draws from: unknown, far
+// under core's break-even (500 ns, however many light branches a stage
+// has) and a Fig 9 heavy branch far over it. The cost rule then keeps
+// some stages, turns others into chains and leaves the unknown ones to
+// Algorithm 1, so trials cover every shape it can produce.
+var trialCosts = []int64{0, 40, 4000}
+
 // Trial is one randomized equivalence experiment.
 type Trial struct {
 	Chain    []string
@@ -202,17 +209,21 @@ type Trial struct {
 	// SeqGraph and ParGraph are the two compilations.
 	SeqGraph, ParGraph graph.Node
 	Warnings           []string
+	// Stages is the cost rule's verdict on ParGraph's candidate stages.
+	Stages []core.Stage
 }
 
-// NewTrial draws a random chain of 2–6 synthetic NFs and compiles it
-// both ways.
+// NewTrial draws a random chain of 2–6 synthetic NFs, each with a cost
+// from trialCosts, and compiles it both ways.
 func NewTrial(rng *rand.Rand) (*Trial, error) {
 	n := 2 + rng.Intn(5)
 	t := &Trial{Profiles: map[string]nfa.Profile{}}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("syn%d", i)
 		t.Chain = append(t.Chain, name)
-		t.Profiles[name] = GenProfile(rng)
+		p := GenProfile(rng)
+		p.CostNS = trialCosts[rng.Intn(len(trialCosts))]
+		t.Profiles[name] = p
 	}
 	lookup := func(name string) (nfa.Profile, bool) {
 		p, ok := t.Profiles[name]
@@ -228,7 +239,7 @@ func NewTrial(rng *rand.Rand) (*Trial, error) {
 		return nil, fmt.Errorf("parallel compile: %w", err)
 	}
 	t.SeqGraph, t.ParGraph = seq.Graph, par.Graph
-	t.Warnings = par.Warnings
+	t.Warnings, t.Stages = par.Warnings, par.Stages
 	return t, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"nfp/internal/core"
 	"nfp/internal/dataplane"
 	"nfp/internal/graph"
 	"nfp/internal/nfa"
@@ -55,6 +56,73 @@ func TestRandomizedEquivalence(t *testing.T) {
 	if parallelized < trials/4 {
 		t.Errorf("only %d/%d trials parallelized anything; generator too conservative", parallelized, trials)
 	}
+}
+
+// TestCostRuleShapesEquivalence: with a cost drawn per NF, random
+// chains compile to fully parallel, fully sequentialised and mixed
+// graphs, and every shape Compares equal to the NoParallelism
+// reference. Trials are drawn from one seed until each shape has run
+// `per` times, so the corpus cannot silently lose a shape.
+func TestCostRuleShapesEquivalence(t *testing.T) {
+	per, packets := 4, 150
+	if testing.Short() {
+		per, packets = 2, 60
+	}
+	rng := rand.New(rand.NewSource(20261015))
+	ran := map[string]int{}
+	for i := 0; i < 1000 && (ran["parallel"] < per || ran["sequential"] < per || ran["mixed"] < per); i++ {
+		trial, err := NewTrial(rng)
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		shape := shapeOf(trial.Stages)
+		if shape == "" || ran[shape] >= per {
+			continue
+		}
+		ran[shape]++
+		if joins := graph.MaxDegree(trial.ParGraph) > 1; joins != (shape != "sequential") {
+			t.Errorf("trial %d: %s stages %v, but graph %v", i, shape, trial.Stages, trial.ParGraph)
+		}
+		seed := int64(3000 + i)
+		seq, err := trial.Execute(trial.SeqGraph, packets, seed, scalarOpts)
+		if err != nil {
+			t.Fatalf("trial %d sequential: %v", i, err)
+		}
+		par, err := trial.Execute(trial.ParGraph, packets, seed, scalarOpts)
+		if err != nil {
+			t.Fatalf("trial %d %s: %v", i, shape, err)
+		}
+		if diffs := Compare(seq, par); len(diffs) != 0 {
+			t.Errorf("trial %d (%s) NOT equivalent\nprofiles: %v\nstages: %v\nseq graph: %v\npar graph: %v\nviolations: %v",
+				i, shape, trial.Profiles, trial.Stages, trial.SeqGraph, trial.ParGraph, diffs)
+		}
+	}
+	for _, shape := range []string{"parallel", "sequential", "mixed"} {
+		if ran[shape] < per {
+			t.Errorf("%d %s trials in the seeded corpus, want %d", ran[shape], shape, per)
+		}
+	}
+}
+
+// shapeOf names what the cost rule made of a compile's candidate
+// stages: "parallel" (all kept), "sequential" (none kept), "mixed", or
+// "" when Algorithm 1 offered none.
+func shapeOf(stages []core.Stage) string {
+	kept := 0
+	for _, st := range stages {
+		if st.Parallel {
+			kept++
+		}
+	}
+	switch {
+	case len(stages) == 0:
+		return ""
+	case kept == len(stages):
+		return "parallel"
+	case kept == 0:
+		return "sequential"
+	}
+	return "mixed"
 }
 
 // TestOverloadConservationProperty: saturation is invisible. A full

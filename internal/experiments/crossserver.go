@@ -25,7 +25,7 @@ func CrossServer() Table {
 	}
 	res, err := core.Compile(
 		policy.FromChain(nfa.NFVPN, nfa.NFMonitor, nfa.NFFirewall, nfa.NFLB),
-		nil, core.Options{})
+		nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t
@@ -105,7 +105,7 @@ func CrossServerEquivalence() Table {
 		Title:  "cross-server deployment produces byte-identical results",
 		Header: []string{"deployment", "outputs", "identical to single-server"},
 	}
-	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nil, core.Options{})
+	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t

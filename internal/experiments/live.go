@@ -251,7 +251,7 @@ func liveCorrectness() Table {
 	const n = 300
 	for _, chain := range chains {
 		seqRes, err1 := core.Compile(policy.FromChain(chain...), nil, core.Options{NoParallelism: true})
-		parRes, err2 := core.Compile(policy.FromChain(chain...), nil, core.Options{})
+		parRes, err2 := core.Compile(policy.FromChain(chain...), nfa.LookupCostFree, core.Options{})
 		if err1 != nil || err2 != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%v: compile errors %v %v", chain, err1, err2))
 			continue
@@ -355,7 +355,7 @@ func liveThroughput() Table {
 // liveOverhead measures the real copy counters of the west-east graph
 // against the §6.3.1 model.
 func liveOverhead() Table {
-	res, _ := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nil, core.Options{})
+	res, _ := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nfa.LookupCostFree, core.Options{})
 	gen := trafficgen.New(trafficgen.Config{Flows: 16, Seed: 9, Sizes: trafficgen.NewDataCenter(4)})
 	const n = 5000
 	t := Table{

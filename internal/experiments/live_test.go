@@ -6,6 +6,7 @@ import (
 
 	"nfp/internal/core"
 	"nfp/internal/dataplane"
+	"nfp/internal/graph"
 	"nfp/internal/nfa"
 	"nfp/internal/policy"
 	"nfp/internal/trafficgen"
@@ -16,9 +17,12 @@ import (
 // the server reports — and the injection burst it derives from
 // Config.Burst changes how packets enter, never what comes out.
 func TestLiveOptionsConfigPassThrough(t *testing.T) {
-	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nil, core.Options{})
+	res, err := core.Compile(policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB), nfa.LookupCostFree, core.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if graph.MaxDegree(res.Graph) < 2 {
+		t.Fatalf("%v has no join to exercise", res.Graph)
 	}
 	run := func(cfg dataplane.Config, onServer func(*dataplane.Server)) LiveResult {
 		t.Helper()

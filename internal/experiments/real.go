@@ -74,12 +74,12 @@ func Fig13() Table {
 		},
 		Notes: []string{
 			fmt.Sprintf("latency evaluated at the mixture mean (%d B); overhead from the §6.3.1 model", meanSize),
-			"graphs compiled from the chains' Order rules by the orchestrator (internal/core)",
+			"graphs compiled from the chains' Order rules by Algorithm 1 (internal/core, cost-free lookup); the default compile, which weighs each stage's NF costs, runs both chains sequentially",
 			"macro calibration (sim.MacroParams): Fig 13 runs loaded chains whose per-NF latency is ~10x the Table 4 microbenchmarks",
 		},
 	}
 	for _, rc := range chains {
-		res, err := core.Compile(policy.FromChain(rc.chain...), nil, core.Options{})
+		res, err := core.Compile(policy.FromChain(rc.chain...), nfa.LookupCostFree, core.Options{})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: compile error: %v", rc.label, err))
 			continue

@@ -82,6 +82,12 @@ type Profile struct {
 	// DeployShare is the fraction of enterprise deployments running
 	// this NF (0 when the paper gives no figure for the row).
 	DeployShare float64
+	// CostNS is the NF's busy nanoseconds per packet: what the
+	// orchestrator weighs a parallel stage against the copy, hand-off
+	// and merge that buy it. 0 means unknown, and Algorithm 1 alone
+	// decides the NF's stages; inspector-derived and third-party
+	// profiles and the synthetic NF carry 0.
+	CostNS int64
 }
 
 // Reads reports whether the profile contains a read of f.

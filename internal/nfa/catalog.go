@@ -1,6 +1,10 @@
 package nfa
 
-import "nfp/internal/packet"
+import (
+	"sort"
+
+	"nfp/internal/packet"
+)
 
 // Canonical NF type names used across the catalog, the orchestrator and
 // the dataplane NF registry.
@@ -164,16 +168,46 @@ func EvalProfiles() map[string]Profile {
 	return m
 }
 
-// LookupProfile finds a profile by NF name across the default catalog
-// and the evaluation profiles.
-func LookupProfile(name string) (Profile, bool) {
-	if p, ok := EvalProfiles()[name]; ok {
-		return p, true
-	}
+// builtins returns every built-in profile by name — the evaluation
+// profiles, then the rest of the Table 2 catalog — each carrying its
+// measured CostNS.
+func builtins() map[string]Profile {
+	m := EvalProfiles()
 	for _, p := range DefaultCatalog() {
-		if p.Name == name {
-			return p, true
+		if _, ok := m[p.Name]; !ok {
+			m[p.Name] = p
 		}
 	}
-	return Profile{}, false
+	for name, p := range m {
+		p.CostNS = builtinCostNS[name]
+		m[name] = p
+	}
+	return m
+}
+
+// LookupProfile finds a profile by NF name across the default catalog
+// and the evaluation profiles, carrying the NF's measured CostNS.
+func LookupProfile(name string) (Profile, bool) {
+	p, ok := builtins()[name]
+	return p, ok
+}
+
+// LookupCostFree is LookupProfile with every cost left unknown. A
+// policy compiled through it gets Algorithm 1's graph, every stage it
+// proves correct kept parallel: the paper's shapes, whatever they cost
+// on the machine at hand.
+func LookupCostFree(name string) (Profile, bool) {
+	p, ok := LookupProfile(name)
+	p.CostNS = 0
+	return p, ok
+}
+
+// Names returns every NF name LookupProfile resolves, sorted.
+func Names() []string {
+	var out []string
+	for name := range builtins() {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -20,7 +20,8 @@
 //	sys := nfp.NewSystem()
 //	pol := nfp.FromChain("ids", "monitor", "lb")
 //	res, err := sys.Compile(pol, nfp.CompileOptions{})
-//	// res.Graph is ids -> (monitor || lb)
+//	// res.Graph is ids -> monitor -> lb: res.Stages says monitor || lb
+//	// saves less than its copy and merge cost
 //	srv := sys.NewServer(nfp.ServerConfig{})
 //	srv.AddGraph(1, res.Graph)
 //	srv.Start()

@@ -10,8 +10,31 @@ import (
 )
 
 func TestFacadeCompileWestEast(t *testing.T) {
+	pol := FromChain(NFIDS, NFMonitor, NFLoadBalancer)
 	sys := NewSystem()
-	res, err := sys.Compile(FromChain(NFIDS, NFMonitor, NFLoadBalancer), CompileOptions{})
+	// The built-in NFs carry measured costs: monitor || lb saves less
+	// than its copy and merge cost, so it runs as a chain.
+	res, err := sys.Compile(pol, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if EquivalentLength(res.Graph) != 3 || TotalCopies(res.Graph) != 0 {
+		t.Errorf("graph = %v, want the 3-NF chain", res.Graph)
+	}
+	if len(res.Stages) != 1 || res.Stages[0].Parallel {
+		t.Errorf("stages = %v, want monitor || lb judged sequential", res.Stages)
+	}
+	// Registered without a cost, as a third-party NF is, the same NFs
+	// compile to the paper's west-east graph.
+	reg := nf.NewRegistry()
+	for _, name := range pol.NFs() {
+		prof, _ := sys.Profile(name)
+		prof.CostNS = 0
+		if err := sys.RegisterNF(name, prof, func() (NetworkFunction, error) { return reg.New(name) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err = sys.Compile(pol, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +59,8 @@ func TestFacadeDeployAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if EquivalentLength(res.Graph) != 1 {
-		t.Errorf("monitor||firewall length = %d", EquivalentLength(res.Graph))
+	if EquivalentLength(res.Graph) != 2 {
+		t.Errorf("monitor -> firewall length = %d (a stage this light runs as a chain)", EquivalentLength(res.Graph))
 	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
