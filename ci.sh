@@ -28,6 +28,10 @@
 #   ./ci.sh fuzz   — the non-blocking fuzz smoke: each native fuzz
 #                    target gets a short -fuzztime budget (override with
 #                    FUZZ_TIME) on top of its checked-in seed corpus.
+#                    Targets: policy compile, classifier, Accumulating
+#                    Table, rule index, flow table, signature matcher
+#                    and the VPN (Process then Decap restores the frame;
+#                    one flipped bit makes Decap fail).
 #   ./ci.sh trace  — the non-blocking inspector smoke: builds
 #                    nfpinspect and runs every in-process (-chain) path
 #                    once — trace (including a Chrome trace export whose
@@ -324,6 +328,7 @@ if [ "${1:-}" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzRuleIndex$' -fuzztime "$ft" ./internal/ruleindex/
     go test -run '^$' -fuzz '^FuzzFlowTable$' -fuzztime "$ft" ./internal/flowtab/
     go test -run '^$' -fuzz '^FuzzMatch$' -fuzztime "$ft" ./internal/ahocorasick/
+    go test -run '^$' -fuzz '^FuzzVPN$' -fuzztime "$ft" ./internal/nf/
     exit 0
 fi
 

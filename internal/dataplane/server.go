@@ -344,7 +344,7 @@ func New(cfg Config) *Server {
 	if cfg.FlowAccount != nil {
 		s.classifier.bindFlowObserver(cfg.FlowAccount, s.tracer)
 	}
-	sharded := cfg.Shards > 1
+	sharded := s.sharded()
 	var parts []*mempool.Pool
 	if sharded {
 		parts = s.pool.Partition(cfg.Shards)
@@ -387,8 +387,9 @@ func New(cfg Config) *Server {
 }
 
 // sharded reports whether the server replicates the plan across
-// multiple shards.
-func (s *Server) sharded() bool { return len(s.shards) > 1 }
+// multiple shards. It reads the configuration, not s.shards: New labels
+// each shard's mergers while s.shards is still being filled.
+func (s *Server) sharded() bool { return s.cfg.Shards > 1 }
 
 // Shards returns the number of dataplane shards.
 func (s *Server) Shards() int { return len(s.shards) }

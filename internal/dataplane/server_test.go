@@ -347,6 +347,46 @@ func TestMergerLoadBalancing(t *testing.T) {
 	}
 }
 
+// TestShardedMergerLoad: each shard's mergers count into series of their
+// own (labelled shard=<i>), so the per-instance loads add up to every
+// packet's tails once — not twice, as when both shards' merger-0 shared
+// one counter.
+func TestShardedMergerLoad(t *testing.T) {
+	g := graph.Par{Branches: []graph.Node{
+		nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1),
+	}}
+	const n, shards, mergers, tails = 400, 2, 2, 2 // a tail per branch
+	s := New(Config{PoolSize: 512, Shards: shards, Mergers: mergers})
+	if err := s.AddGraph(1, g); err != nil {
+		t.Fatal(err)
+	}
+	if got := runShardTraffic(t, s, n, func(i int) packet.BuildSpec { return shardSpec(i%40, i/40) }); got != n {
+		t.Fatalf("collected %d outputs, want %d", got, n)
+	}
+	st := s.Stats()
+	var load uint64
+	for _, l := range st.MergerLoad {
+		load += l
+	}
+	if len(st.MergerLoad) != shards*mergers || load != n*tails {
+		t.Errorf("merger load %v sums to %d over %d instances, want %d over %d",
+			st.MergerLoad, load, len(st.MergerLoad), n*tails, shards*mergers)
+	}
+	snap := s.Telemetry().Snapshot()
+	series := map[string]bool{}
+	for _, c := range snap.Counters {
+		if c.Name == "nfp_merger_processed_total" {
+			series[c.Labels["shard"]+"/"+c.Labels["instance"]] = true
+		}
+	}
+	if len(series) != shards*mergers || series["/0"] {
+		t.Errorf("nfp_merger_processed_total series (shard/instance) %v, want one per shard and instance", series)
+	}
+	if got := snap.SumCounters("nfp_merger_processed_total"); got != n*tails {
+		t.Errorf("nfp_merger_processed_total sums to %d, want %d", got, n*tails)
+	}
+}
+
 func TestClassifierRoutesToGraphs(t *testing.T) {
 	monA := nf.NewMonitor()
 	monB := nf.NewMonitor()

@@ -277,10 +277,10 @@ func liveCorrectness() Table {
 
 // comparePIDOutputs checks that both runs produced the same packet set
 // with identical bytes. Chains containing the VPN are compared on
-// length and header fields only: AES-CTR keying is per-instance
-// sequence numbered, and parallel delivery can reorder which sequence
-// number a packet gets — the paper's replay has the same property, so
-// we compare the structure the merge must preserve.
+// length and header fields only: the AES-GCM nonce carries the
+// instance's AH sequence number, and parallel delivery can reorder
+// which sequence number a packet gets — the paper's replay has the same
+// property, so we compare the structure the merge must preserve.
 func comparePIDOutputs(a, b map[uint64][]byte, chain []string) bool {
 	if len(a) != len(b) {
 		return false

@@ -46,8 +46,9 @@ var methodActions = map[string][]nfa.Action{
 		nfa.Read(packet.FieldSrcIP), nfa.Read(packet.FieldDstIP),
 		nfa.Read(packet.FieldSrcPort), nfa.Read(packet.FieldDstPort),
 	},
-	// Writing through XORKeyStream over a payload slice.
+	// Writing through XORKeyStream or an AEAD's Seal over a payload slice.
 	"XORKeyStream": {nfa.Read(packet.FieldPayload), nfa.Write(packet.FieldPayload)},
+	"Seal":         {nfa.Read(packet.FieldPayload), nfa.Write(packet.FieldPayload)},
 }
 
 // keyFieldWrites maps the fields of a packet.FlowKey to the write an

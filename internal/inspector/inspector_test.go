@@ -150,6 +150,9 @@ func TestInspectRealVPN(t *testing.T) {
 	if !prof.TouchesPayload() {
 		t.Error("VPN inspection missed payload access")
 	}
+	if !prof.Writes(packet.FieldPayload) {
+		t.Error("VPN inspection missed the in-place Seal (payload write)")
+	}
 }
 
 func TestDiffDirections(t *testing.T) {

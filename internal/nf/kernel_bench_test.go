@@ -59,8 +59,8 @@ func BenchmarkIDSProcess_DCMix(b *testing.B) {
 }
 
 // BenchmarkVPNProcess_DCMix is the per-packet cost of AH encapsulation
-// (AES-CTR, HMAC-SHA256-96, checksum re-sum), plus restoring the frame
-// it rewrote — one copy of at most 1500 B.
+// (one in-place AES-GCM Seal with a 12-byte tag, checksum re-sum), plus
+// restoring the frame it rewrote — one copy of at most 1500 B.
 func BenchmarkVPNProcess_DCMix(b *testing.B) {
 	v, err := NewVPN(nil)
 	if err != nil {

@@ -254,13 +254,25 @@ func TestVPNEncapDecapRoundTrip(t *testing.T) {
 
 func TestVPNDetectsTampering(t *testing.T) {
 	v, _ := NewVPN(nil)
-	p := tcpPacket("10.0.0.1", "10.0.0.2", 1, 2, []byte("data-to-protect!"))
-	v.Process(p)
-	// Flip a payload bit.
-	pl := p.Payload()
-	pl[0] ^= 0xff
-	if err := v.Decap(p); err == nil {
-		t.Error("tampered packet passed integrity check")
+	for _, c := range []struct {
+		name  string
+		field packet.Field
+		at    int // byte offset within the field
+	}{
+		{"payload", packet.FieldPayload, 0},
+		{"AH SPI", packet.FieldAH, 4},
+		{"AH sequence number", packet.FieldAH, 8},
+		{"ICV", packet.FieldAH, 12},
+		{"source address", packet.FieldSrcIP, 0},
+		{"destination address", packet.FieldDstIP, 3},
+	} {
+		p := vpnFrame([]byte("data-to-protect!"))
+		v.Process(p)
+		r, _ := p.FieldRange(c.field)
+		p.Buffer()[r.Off+c.at] ^= 0x10
+		if err := v.Decap(p); err == nil {
+			t.Errorf("%s bit flipped: tampered packet passed integrity check", c.name)
+		}
 	}
 }
 

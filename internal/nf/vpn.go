@@ -3,12 +3,9 @@ package nf
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
-	"hash"
+	"math"
 
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
@@ -21,31 +18,25 @@ import (
 // Substitution note (DESIGN.md): we realize the AH wrap as a
 // transport-style insertion after the IP header — exactly the
 // structural change the paper's merging operation add(v2.AH, after,
-// v1.IP) describes — with AES-CTR payload encryption and an
-// HMAC-SHA256-96 integrity check value, all from the Go standard
-// library.
+// v1.IP) describes — and "AES plus an integrity value" as one AES-GCM
+// pass with a 12-byte tag in the AH ICV slot, the IPsec form of RFC 4106
+// and RFC 4543, from the Go standard library. The nonce is spi‖seq‖0⁴
+// and the additional data seq‖src‖dst.
 type VPN struct {
-	block cipher.Block
-	mac   []byte // HMAC key
-	spi   uint32
-	seq   uint32
-	done  uint64
+	aead cipher.AEAD
+	spi  uint32
+	seq  uint32
+	done uint64
 
-	// Per-instance scratch. An NF instance runs on one goroutine (seq
-	// already relies on that), so the HMAC state, the counter block and
-	// the keystream are reused across packets instead of allocated per
-	// call — the north-south path's dominant allocation site before this
-	// existed.
-	hm   hash.Hash
-	sum  [sha256.Size]byte
-	seqb [4]byte
-	ctr  [aes.BlockSize]byte
-	ks   [ksChunk]byte
+	// Per-instance scratch: Seal and Open are interface calls, so a
+	// nonce or AAD array on the stack would escape to the heap on every
+	// packet. An NF instance runs on one goroutine (seq relies on that).
+	nonce [12]byte
+	aad   [12]byte
 }
 
-// ksChunk is how much keystream crypt generates before XORing it in:
-// 16 AES blocks, a 1500 B frame's payload in six chunks.
-const ksChunk = 16 * aes.BlockSize
+// vpnTagLen is the GCM tag length: the AH header's ICV slot.
+const vpnTagLen = 12
 
 // NewVPN creates a VPN NF. A nil key selects a fixed test key;
 // otherwise the key must be 16, 24 or 32 bytes (AES-128/192/256).
@@ -57,9 +48,11 @@ func NewVPN(key []byte) (*VPN, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vpn: %w", err)
 	}
-	v := &VPN{block: block, mac: append([]byte(nil), key...), spi: 0x4e4650}
-	v.hm = hmac.New(sha256.New, v.mac)
-	return v, nil
+	aead, err := cipher.NewGCMWithTagSize(block, vpnTagLen)
+	if err != nil {
+		return nil, fmt.Errorf("vpn: %w", err)
+	}
+	return &VPN{aead: aead, spi: 0x4e4650}, nil
 }
 
 // Name implements NF.
@@ -68,8 +61,10 @@ func (v *VPN) Name() string { return nfa.NFVPN }
 // Profile implements NF.
 func (v *VPN) Profile() nfa.Profile { return profileFor(nfa.NFVPN) }
 
-// Process encrypts the payload in place and splices an AH header after
-// the IP header.
+// Process splices an AH header after the IP header and seals the
+// payload in place, the tag going into the header's ICV slot. A frame
+// whose buffer cannot take the header plus the tag's tailroom passes
+// through unmodified.
 func (v *VPN) Process(p *packet.Packet) Verdict {
 	if err := p.Parse(); err != nil {
 		return Pass
@@ -77,43 +72,49 @@ func (v *VPN) Process(p *packet.Packet) Verdict {
 	if p.HasAH() {
 		return Pass // already encapsulated
 	}
+	// Seal appends the tag past the payload: checked here, because an
+	// append past the buffer would allocate and seal out of place.
+	if p.Len()+packet.AHHeaderLen+vpnTagLen > len(p.Buffer()) {
+		return Pass
+	}
 	l, _ := p.Layout()
+	// The counter must not cycle (RFC 4302 §3.3.3): where it would, the
+	// instance moves to the next SA, so no (spi, seq) — no GCM nonce —
+	// repeats under the key.
+	if v.seq == math.MaxUint32 {
+		v.spi, v.seq = v.spi+1, 0
+	}
 	v.seq++
-	seq := v.seq
 
-	// Encrypt the payload with AES-CTR; the IV is derived from the AH
-	// sequence number so Decap can reconstruct it.
-	v.crypt(p.Payload(), seq)
-
-	// Build the AH header.
+	// Every AH field but the ICV is written before the IP protocol
+	// flips: the re-parse behind SetTotalLen reads the next header.
 	var ah [packet.AHHeaderLen]byte
-	ah[0] = p.Protocol()             // next header
+	ah[0] = l.L4Proto                // next header
 	ah[1] = packet.AHHeaderLen/4 - 2 // payload length in 32-bit words - 2
 	binary.BigEndian.PutUint32(ah[4:8], v.spi)
-	binary.BigEndian.PutUint32(ah[8:12], seq)
-	icv := v.icv(p, seq)
-	copy(ah[12:24], icv)
-
-	ipEnd := l.L3Off + packet.IPv4HeaderLen
-	if err := p.InsertAt(ipEnd, ah[:]); err != nil {
-		// Buffer too small for encapsulation: decrypt back and pass
-		// through unmodified rather than corrupting the packet.
-		v.crypt(p.Payload(), seq)
+	binary.BigEndian.PutUint32(ah[8:12], v.seq)
+	ahOff := l.L3Off + packet.IPv4HeaderLen
+	if err := p.InsertAt(ahOff, ah[:]); err != nil {
 		return Pass
 	}
 	b := p.Bytes()
 	b[l.L3Off+9] = packet.ProtoAH
 	p.Invalidate()
 	p.SetTotalLen(uint16(p.Len() - packet.EthHeaderLen))
+
+	v.bind(b[ahOff+4:ahOff+12], b[l.L3Off+12:l.L3Off+20])
+	pl := p.Payload()
+	copy(b[ahOff+12:ahOff+packet.AHHeaderLen], v.aead.Seal(pl[:0], v.nonce[:], pl, v.aad[:])[len(pl):])
 	p.UpdateL4Checksum() // checksum over the encrypted payload (wire-correct)
 	v.done++
 	return Pass
 }
 
-// Decap reverses Process on an encapsulated packet: verifies and
-// removes the AH header and decrypts the payload. It returns an error
-// if the packet carries no AH header or fails integrity verification.
-// Used by tests and the decapsulating endpoint of examples.
+// Decap reverses Process on an encapsulated packet: it removes the AH
+// header and opens the payload in place. It returns an error if the
+// packet carries no well-formed AH header or fails the integrity check;
+// a failed check leaves the packet stripped and its payload zeroed. Used
+// by tests and the decapsulating endpoint of examples.
 func (v *VPN) Decap(p *packet.Packet) error {
 	if err := p.Parse(); err != nil {
 		return err
@@ -122,13 +123,15 @@ func (v *VPN) Decap(p *packet.Packet) error {
 		return fmt.Errorf("vpn: packet has no AH header")
 	}
 	ahb := p.FieldBytes(packet.FieldAH)
+	if ahb[1] != packet.AHHeaderLen/4-2 || ahb[2]|ahb[3] != 0 {
+		return fmt.Errorf("vpn: malformed AH header")
+	}
 	next := ahb[0]
-	seq := binary.BigEndian.Uint32(ahb[8:12])
-	wantICV := append([]byte(nil), ahb[12:24]...)
-
-	r, _ := p.FieldRange(packet.FieldAH)
+	var tag [vpnTagLen]byte
+	copy(tag[:], ahb[12:])
 	l, _ := p.Layout()
-	if err := p.RemoveAt(r.Off, r.Len); err != nil {
+	v.bind(ahb[4:12], p.Bytes()[l.L3Off+12:l.L3Off+20])
+	if err := p.RemoveAt(l.AHOff, packet.AHHeaderLen); err != nil {
 		return err
 	}
 	b := p.Bytes()
@@ -136,49 +139,23 @@ func (v *VPN) Decap(p *packet.Packet) error {
 	p.Invalidate()
 	p.SetTotalLen(uint16(p.Len() - packet.EthHeaderLen))
 
-	if gotICV := v.icv(p, seq); !hmac.Equal(gotICV, wantICV) {
+	// The removed header left the tailroom the tag goes back into.
+	pl := p.Payload()
+	sealed := pl[:len(pl)+vpnTagLen]
+	copy(sealed[len(pl):], tag[:])
+	if _, err := v.aead.Open(pl[:0], v.nonce[:], sealed, v.aad[:]); err != nil {
 		return fmt.Errorf("vpn: AH integrity check failed")
 	}
-	v.crypt(p.Payload(), seq) // CTR: decryption = encryption
 	p.UpdateL4Checksum()
 	return nil
 }
 
-// crypt en/decrypts data in place with AES-CTR keyed by seq: the
-// initial counter block is spi‖seq‖0⁸ and it increments as one
-// big-endian 128-bit number — cipher.NewCTR's output over that IV. The
-// keystream goes into instance scratch a chunk at a time and is XORed
-// in by words. NewCTR would be faster but allocates its stream state
-// on every call, and this path allocates nothing.
-func (v *VPN) crypt(data []byte, seq uint32) {
-	hi, lo := uint64(v.spi)<<32|uint64(seq), uint64(0)
-	for len(data) > 0 {
-		n := min(len(data), ksChunk)
-		for off := 0; off < n; off += aes.BlockSize {
-			binary.BigEndian.PutUint64(v.ctr[0:8], hi)
-			binary.BigEndian.PutUint64(v.ctr[8:16], lo)
-			v.block.Encrypt(v.ks[off:], v.ctr[:])
-			if lo++; lo == 0 {
-				hi++
-			}
-		}
-		subtle.XORBytes(data, data, v.ks[:n])
-		data = data[n:]
-	}
-}
-
-// icv computes the truncated HMAC-SHA256 integrity value over the
-// addresses and (encrypted) payload of the un-encapsulated packet. The
-// returned slice aliases instance scratch — valid until the next icv
-// call.
-func (v *VPN) icv(p *packet.Packet, seq uint32) []byte {
-	v.hm.Reset()
-	binary.BigEndian.PutUint32(v.seqb[:], seq)
-	v.hm.Write(v.seqb[:])
-	v.hm.Write(p.FieldBytes(packet.FieldSrcIP))
-	v.hm.Write(p.FieldBytes(packet.FieldDstIP))
-	v.hm.Write(p.Payload())
-	return v.hm.Sum(v.sum[:0])[:12]
+// bind sets the nonce (spi‖seq‖0⁴) and the additional data (seq‖src‖dst)
+// of one packet from its AH spi‖seq and IPv4 src‖dst bytes.
+func (v *VPN) bind(spiSeq, addrs []byte) {
+	copy(v.nonce[:8], spiSeq)
+	copy(v.aad[:4], spiSeq[4:])
+	copy(v.aad[4:], addrs)
 }
 
 // Encapsulated returns how many packets were wrapped.

@@ -1,50 +1,46 @@
 package nf
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"nfp/internal/packet"
 )
 
 // TestVPNProcessAllocFree pins the north-south hot path's allocation
-// behavior: encapsulation must reuse the instance's HMAC and CTR
-// scratch instead of allocating per packet. The budget is deliberately
-// loose (one alloc per ~10 packets) to absorb runtime noise while
-// still failing hard if a per-packet allocation creeps back in — the
-// pre-fix cost was ~6 allocations per packet. Every other frame is a
-// full 1500 B one, whose payload takes several keystream chunks.
+// behavior: Process seals and Decap opens in place, in the frame's own
+// buffer, so neither allocates — over a short frame, a full 1500 B one
+// and the largest frame that still takes the AH header and the tag.
 func TestVPNProcessAllocFree(t *testing.T) {
 	v, err := NewVPN(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 200
-	inputs := make([]*packet.Packet, n)
-	for i := range inputs {
-		payload := []byte(fmt.Sprintf("payload %03d padding to exceed one AES block", i))
-		if i%2 == 1 {
-			payload = make([]byte, 1500-packet.EthHeaderLen-packet.IPv4HeaderLen-packet.TCPHeaderLen)
-		}
-		inputs[i] = tcpPacket("10.0.0.1", "10.100.0.1", uint16(2000+i), 80, payload)
+	var frames []*packet.Packet
+	var origs [][]byte
+	for _, n := range []int{40, 1446, vpnMaxPayload} {
+		p := vpnGoldenFrame(n)
+		frames, origs = append(frames, p), append(origs, append([]byte(nil), p.Bytes()...))
 	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, p := range inputs {
-		if verd := v.Process(p); verd != Pass {
-			t.Fatalf("unexpected verdict %v", verd)
+	i := 0
+	encap := func() *packet.Packet {
+		p, o := frames[i%len(frames)], origs[i%len(frames)]
+		i++
+		copy(p.Buffer(), o)
+		p.SetLen(len(o))
+		p.Invalidate()
+		if v.Process(p) != Pass || !p.HasAH() {
+			t.Fatalf("frame of %d B not encapsulated", len(o))
 		}
+		return p
 	}
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	if allocs > n/10 {
-		t.Fatalf("VPN.Process allocated %d times over %d packets — per-packet allocation regressed", allocs, n)
+	if a := testing.AllocsPerRun(300, func() { encap() }); a != 0 {
+		t.Errorf("Process: %v allocs per packet, want 0", a)
 	}
-	for _, p := range inputs {
-		if !p.HasAH() {
-			t.Fatalf("packet not encapsulated")
+	if a := testing.AllocsPerRun(300, func() {
+		if err := v.Decap(encap()); err != nil {
+			t.Fatal(err)
 		}
+	}); a != 0 {
+		t.Errorf("Process then Decap: %v allocs per packet, want 0", a)
 	}
 }

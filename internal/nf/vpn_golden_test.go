@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"net/netip"
 	"testing"
 
@@ -14,12 +15,12 @@ import (
 )
 
 // vpnBufSize is the dataplane's pool buffer size (dataplane.bufSize):
-// the frame plus the AH header must fit in it.
+// the frame plus the AH header and the tag Seal appends must fit in it.
 const vpnBufSize = 2048
 
 // vpnMaxPayload is the largest TCP payload a pool buffer can carry and
-// still take the AH header.
-const vpnMaxPayload = vpnBufSize - packet.AHHeaderLen -
+// still take the AH header plus the GCM tag's tailroom.
+const vpnMaxPayload = vpnBufSize - packet.AHHeaderLen - vpnTagLen -
 	packet.EthHeaderLen - packet.IPv4HeaderLen - packet.TCPHeaderLen
 
 // vpnGoldenLens are the payload lengths whose encapsulated bytes are
@@ -29,22 +30,41 @@ var vpnGoldenLens = []int{0, 1, 15, 16, 17, 31, 33, 542, 1446, vpnMaxPayload}
 
 // vpnGolden holds SHA-256 digests of VPN.Process output for
 // vpnGoldenFrame(n) under the default key with AH sequence number
-// vpnGoldenSeq, recorded at commit 2a92569 — before crypt was
-// rewritten. A change here changes the bytes on the wire.
+// vpnGoldenSeq. They were re-recorded when the payload protection went
+// from AES-CTR plus HMAC-SHA256-96 to one AES-GCM pass (same header
+// layout, new ciphertext and ICV). A change here changes the bytes on
+// the wire.
 var vpnGolden = map[int]string{
-	0:             "318da11103e15b495a98b5740d2882d32239ad67a2563f6672654d1f1bb5be41",
-	1:             "36e551985a5336ddb5567582ca6e8ca80e7b879e8a740eddc7422adf8811480b",
-	15:            "4f5a2b51ac90966b17ab20cdd6e49b67fcfea0d0bc4d6dc1efb2dd7f38a1416f",
-	16:            "fa2f00b5fbb6ed3100126be9b1951012c64f43721aa56d960acfc3bd9835ac41",
-	17:            "21acda9ecec925bfaa6bccdc7a79858f986bfe6bb4609ce4061999a1f2305b1b",
-	31:            "a0ed157a73bc0c72f65ecf9207f7f50f56981747b08cdb0e2972c0f3676d3f7b",
-	33:            "1ab16a0bc5767ad52b7111fd2b0c373795ef05ad19f9ee36185bffcdf5dcab56",
-	542:           "7f13aa5cac560ead761dd2f6b1d7144ef3885e33e5379a1dd93ca438ca3bdf09",
-	1446:          "af4a380830a66e15084e348239fefde09535fc78cea9067f9b5dc2bf210ebdc6",
-	vpnMaxPayload: "0e43d859acc2718277c076ec7f7c6bf20d2666ae4cd4c27f60058baf3d61277a",
+	0:             "d94f394c3b027658a655341087808fe27e0623fc22c3b9dc8add7b2948f53087",
+	1:             "cd5ef32a905bbd9dcb1ec2d0c50eb8ba228c467767e56002e4e5c2c38c291e95",
+	15:            "ed87c2ad8ac7edd03a5c53858f23fbd674058a79ca7c7431a430774da9deefd2",
+	16:            "c09982ee22c79d5aa7e58ef738681a7af4d9ca261fb44940e1bce37351f7b9da",
+	17:            "25f7cff80cb352a7bb805d66a2e93edb9bbe49f8b96c58868eae513565fdcf7e",
+	31:            "13980dfcc5c0911c852edd0ca7341618252233d87d0dac2fdfe7a0cfcd134361",
+	33:            "98b43f4e820c23e8554c7cb1192fcebe8eaaca6b5638d81cd6f93937bc5ab38c",
+	542:           "81d3cd0b49fee78eb3e844ac45676f338d685df690b983a6bff5eb68bf8718c8",
+	1446:          "23412be312c3e9d12ce11f1554741df5b21288148494ed41300404d3c506d589",
+	vpnMaxPayload: "a66ac1de9506a566728115a3f5930d0b6bd8304bdf2430348376be954f933d70",
 }
 
-const vpnGoldenSeq = 0x00c0ffee
+// The wire constants a GCM built outside the VPN derives its nonce and
+// additional data from.
+const (
+	vpnGoldenSPI = 0x4e4650
+	vpnGoldenSeq = 0x00c0ffee
+)
+
+var vpnGoldenSrc, vpnGoldenDst = netip.MustParseAddr("10.1.2.3"), netip.MustParseAddr("192.0.2.9")
+
+// vpnFrame builds a TCP frame carrying payload in a pool-sized buffer.
+func vpnFrame(payload []byte) *packet.Packet {
+	p := packet.New(make([]byte, vpnBufSize))
+	packet.BuildInto(p, packet.BuildSpec{
+		SrcIP: vpnGoldenSrc, DstIP: vpnGoldenDst,
+		Proto: packet.ProtoTCP, SrcPort: 40000, DstPort: 443, Payload: payload,
+	})
+	return p
+}
 
 // vpnGoldenFrame builds a TCP frame with an n-byte patterned payload in
 // a pool-sized buffer.
@@ -53,12 +73,7 @@ func vpnGoldenFrame(n int) *packet.Packet {
 	for i := range payload {
 		payload[i] = byte(i*7 + n)
 	}
-	p := packet.New(make([]byte, vpnBufSize))
-	packet.BuildInto(p, packet.BuildSpec{
-		SrcIP: netip.MustParseAddr("10.1.2.3"), DstIP: netip.MustParseAddr("192.0.2.9"),
-		Proto: packet.ProtoTCP, SrcPort: 40000, DstPort: 443, Payload: payload,
-	})
-	return p
+	return vpnFrame(payload)
 }
 
 func goldenVPN(t testing.TB) *VPN {
@@ -81,6 +96,13 @@ func TestVPNGoldenWire(t *testing.T) {
 			t.Errorf("payload %d: wire digest %s, want %s", n, got, vpnGolden[n])
 		}
 	}
+	// One byte more and the tag has no tailroom: the frame passes as it
+	// came.
+	p := vpnGoldenFrame(vpnMaxPayload + 1)
+	orig := append([]byte(nil), p.Bytes()...)
+	if v := goldenVPN(t); v.Process(p) != Pass || p.HasAH() || !bytes.Equal(p.Bytes(), orig) {
+		t.Fatalf("payload %d: frame changed, want it passed unmodified", vpnMaxPayload+1)
+	}
 }
 
 func TestVPNDecapRoundTrip(t *testing.T) {
@@ -101,24 +123,111 @@ func TestVPNDecapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVPNCryptMatchesStdlibCTR holds crypt to cipher.NewCTR over the
-// same IV (spi‖seq‖0⁸) at lengths past 256 blocks, where the
-// whole-block increment carries out of the last counter byte.
-func TestVPNCryptMatchesStdlibCTR(t *testing.T) {
-	v := goldenVPN(t)
-	var iv [aes.BlockSize]byte
-	binary.BigEndian.PutUint32(iv[0:4], v.spi)
-	binary.BigEndian.PutUint32(iv[4:8], vpnGoldenSeq)
-	for _, n := range []int{0, 1, 15, 16, 17, 255, 256, 257, 1446, 4095, 4096, 4097, 5000} {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i*13 + 1)
-		}
-		want := make([]byte, n)
-		cipher.NewCTR(v.block, iv[:]).XORKeyStream(want, data)
-		v.crypt(data, vpnGoldenSeq)
-		if !bytes.Equal(data, want) {
-			t.Fatalf("length %d: crypt differs from AES-CTR", n)
+// TestVPNSealMatchesStdlibGCM holds the wire to an AES-GCM built here
+// from the test's own constants: at every pinned length, the payload on
+// the wire followed by the ICV is Seal of the plaintext under nonce
+// spi‖seq‖0⁴ and additional data seq‖src‖dst.
+func TestVPNSealMatchesStdlibGCM(t *testing.T) {
+	block, err := aes.NewCipher([]byte("nfp-eval-aes-key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcm, err := cipher.NewGCMWithTagSize(block, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nonce [12]byte
+	binary.BigEndian.PutUint32(nonce[0:4], vpnGoldenSPI)
+	binary.BigEndian.PutUint32(nonce[4:8], vpnGoldenSeq)
+	aad := binary.BigEndian.AppendUint32(nil, vpnGoldenSeq)
+	aad = append(append(aad, vpnGoldenSrc.AsSlice()...), vpnGoldenDst.AsSlice()...)
+	for _, n := range vpnGoldenLens {
+		p := vpnGoldenFrame(n)
+		want := gcm.Seal(nil, nonce[:], p.Payload(), aad)
+		goldenVPN(t).Process(p)
+		got := append(append([]byte(nil), p.Payload()...), p.FieldBytes(packet.FieldAH)[12:]...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("payload %d: wire payload‖ICV differs from AES-GCM Seal", n)
 		}
 	}
+}
+
+// TestVPNSequenceNeverCycles sends an instance's first packet, then
+// moves it two packets short of the 32-bit sequence wrap: the packets
+// past the wrap must go out under the next SA rather than reuse an
+// (spi, seq) pair of the first SA, and every packet must decapsulate.
+func TestVPNSequenceNeverCycles(t *testing.T) {
+	v, err := NewVPN(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[[8]byte]bool{}
+	for i := 0; i < 4; i++ {
+		if i == 1 {
+			v.seq = math.MaxUint32 - 1
+		}
+		p := vpnGoldenFrame(542)
+		orig := append([]byte(nil), p.Bytes()...)
+		v.Process(p)
+		id := [8]byte(p.FieldBytes(packet.FieldAH)[4:12])
+		if seen[id] {
+			t.Fatalf("packet %d reuses spi‖seq %x", i, id)
+		}
+		seen[id] = true
+		if err := v.Decap(p); err != nil || !bytes.Equal(p.Bytes(), orig) {
+			t.Fatalf("packet %d (spi‖seq %x): Decap %v", i, id, err)
+		}
+	}
+}
+
+// FuzzVPN holds Process and Decap to each other on random payloads: the
+// round trip restores the frame byte for byte, and one flipped bit in
+// the AH header, the addresses or the payload makes Decap fail.
+func FuzzVPN(f *testing.F) {
+	// Bit flips in the next header, the length, the reserved field, the
+	// ICV and the payload.
+	f.Add([]byte("confidential"), uint16(12), uint32(0))
+	f.Add([]byte{0xff, 0}, uint16(1446), uint32(12))
+	f.Add([]byte{1, 2, 3}, uint16(542), uint32(25))
+	f.Add([]byte{}, uint16(0), uint32(100))
+	f.Add([]byte("x"), uint16(vpnMaxPayload), uint32(1<<20))
+	f.Fuzz(func(t *testing.T, seed []byte, size uint16, bit uint32) {
+		payload := make([]byte, int(size)%(vpnMaxPayload+1))
+		for i := range payload {
+			if len(seed) > 0 {
+				payload[i] = seed[i%len(seed)]
+			}
+		}
+		p := vpnFrame(payload)
+		orig := append([]byte(nil), p.Bytes()...)
+		v, err := NewVPN(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Process(p) != Pass || !p.HasAH() {
+			t.Fatalf("payload %d: not encapsulated", len(payload))
+		}
+		sealed := append([]byte(nil), p.Bytes()...)
+		if err := v.Decap(p); err != nil || !bytes.Equal(p.Bytes(), orig) {
+			t.Fatalf("payload %d: round trip: %v", len(payload), err)
+		}
+
+		copy(p.Buffer(), sealed)
+		p.SetLen(len(sealed))
+		p.Invalidate()
+		ah, _ := p.FieldRange(packet.FieldAH)
+		src, _ := p.FieldRange(packet.FieldSrcIP)
+		pl, _ := p.FieldRange(packet.FieldPayload)
+		regions := []packet.Range{ah, {Off: src.Off, Len: 8}, pl} // src‖dst
+		flip := int(bit) % (8 * (ah.Len + 8 + pl.Len))
+		for k, r := flip, 0; ; k, r = k-8*regions[r].Len, r+1 {
+			if k < 8*regions[r].Len {
+				p.Buffer()[regions[r].Off+k/8] ^= 1 << (k % 8)
+				break
+			}
+		}
+		if err := v.Decap(p); err == nil {
+			t.Fatalf("payload %d: Decap accepted bit %d of AH‖addresses‖payload flipped", len(payload), flip)
+		}
+	})
 }
