@@ -665,8 +665,8 @@ func benchClassifierInstall(b *testing.B, rules int) {
 			c.AddRule(dataplane.Match{SrcPrefix: netip.PrefixFrom(addr, 32)}, 2)
 		}
 		c.AddRule(dataplane.Match{DstPort: 80}, 1)
-		if mid, ok := c.Classify(p); !ok || mid != 1 {
-			b.Fatalf("first lookup = (%d, %v), want (1, true)", mid, ok)
+		if one := []*packet.Packet{p}; c.ClassifyBatch(one) != 1 || p.Meta.MID != 1 {
+			b.Fatalf("first lookup = MID %d, want 1", p.Meta.MID)
 		}
 	}
 }

@@ -28,8 +28,8 @@
 #   ./ci.sh fuzz   — the non-blocking fuzz smoke: each native fuzz
 #                    target gets a short -fuzztime budget (override with
 #                    FUZZ_TIME) on top of its checked-in seed corpus.
-#                    Targets: policy compile, classifier, Accumulating
-#                    Table, rule index, flow table, signature matcher
+#                    Targets: policy compile, Accumulating Table, rule
+#                    index, flow table, signature matcher
 #                    and the VPN (Process then Decap restores the frame;
 #                    one flipped bit makes Decap fail).
 #   ./ci.sh trace  — the non-blocking inspector smoke: builds
@@ -323,7 +323,6 @@ if [ "${1:-}" = "fuzz" ]; then
     # One -fuzz invocation per target: go test refuses to fuzz more
     # than one target (or package) at a time.
     go test -run '^$' -fuzz '^FuzzPolicyCompile$' -fuzztime "$ft" ./internal/core/
-    go test -run '^$' -fuzz '^FuzzClassify$' -fuzztime "$ft" ./internal/dataplane/
     go test -run '^$' -fuzz '^FuzzAccumulatingTable$' -fuzztime "$ft" ./internal/dataplane/
     go test -run '^$' -fuzz '^FuzzRuleIndex$' -fuzztime "$ft" ./internal/ruleindex/
     go test -run '^$' -fuzz '^FuzzFlowTable$' -fuzztime "$ft" ./internal/flowtab/

@@ -16,13 +16,16 @@
 // recompiles the policy and hot-swaps it into the running dataplane
 // with zero downtime (a new config generation; old in-flight packets
 // drain on their original plan); /debug/config reports the generation
-// history. nfpd exits non-zero when the buffer pool leaked.
+// history. nfpd exits non-zero when the buffer pool leaked or a -pcap
+// capture could not be written in full.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -183,18 +186,16 @@ func run() int {
 	fmt.Printf("burst size:        %d\n", cfg.Burst)
 	fmt.Printf("shards:            %d\n", cfg.Shards)
 	fmt.Printf("execution engine:  fusion %s\n", cfg.Fusion)
+	var capt *capture
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)
 		if err != nil {
 			fail(err)
 		}
-		defer f.Close()
-		w, err := pcap.NewWriter(f, 0)
-		if err != nil {
+		if capt, err = newCapture(f); err != nil {
 			fail(err)
 		}
-		opts.Tap = func(p *packet.Packet) { _ = w.WritePacket(time.Now(), p.Bytes()) }
-		defer func() { fmt.Printf("  pcap:            %d packets -> %s\n", w.Packets(), *pcapPath) }()
+		opts.Tap = capt.tap
 	}
 	var diag *diagnose.Diagnoser
 	var sketch *diagnose.TopK
@@ -301,7 +302,7 @@ func run() int {
 				diag.SampleNow() // open the window before the first packet
 				diag.Start()
 			}
-			_, bound, err := telemetry.ServeWith(bindAddr, cfg.Telemetry, s.Tracer(), extra)
+			_, bound, err := telemetry.Serve(bindAddr, cfg.Telemetry, s.Tracer(), extra)
 			if err != nil {
 				fail(err)
 			}
@@ -324,6 +325,14 @@ func run() int {
 	}
 	if cfg.TraceSampleRate > 0 {
 		fmt.Printf("  traced packets:  %d hop events retained\n", len(live.Traces))
+	}
+	if capt != nil {
+		// A capture that lost frames (a full disk) fails the run rather
+		// than leaving a silently truncated file behind.
+		if err := capt.close(); err != nil {
+			fail(err)
+		}
+		fmt.Printf("  pcap:            %d packets -> %s\n", capt.w.Packets(), *pcapPath)
 	}
 	if *reload && srvRef != nil {
 		ci := srvRef.ConfigInfo()
@@ -481,10 +490,6 @@ func loadPolicy(path, chain string) (policy.Policy, []string, error) {
 	return policy.Policy{}, nil, fmt.Errorf("provide -policy FILE or -chain nf1,nf2,...")
 }
 
-func parseSizes(s string) (trafficgen.SizeDist, error) {
-	return parseSizesSeeded(s, time.Now().UnixNano())
-}
-
 func parseSizesSeeded(s string, seed int64) (trafficgen.SizeDist, error) {
 	if s == "dc" {
 		return trafficgen.NewDataCenter(seed), nil
@@ -494,6 +499,44 @@ func parseSizesSeeded(s string, seed int64) (trafficgen.SizeDist, error) {
 		return nil, fmt.Errorf("size must be 64..1500 or 'dc'")
 	}
 	return trafficgen.Fixed(n), nil
+}
+
+// capture writes every output frame to a pcap file through a buffer.
+// The first write error is kept (later frames are skipped) and reported
+// by close, which also flushes the buffer and checks the file's close.
+type capture struct {
+	file io.WriteCloser
+	buf  *bufio.Writer
+	w    *pcap.Writer
+	err  error
+}
+
+func newCapture(file io.WriteCloser) (*capture, error) {
+	buf := bufio.NewWriter(file)
+	w, err := pcap.NewWriter(buf, 0)
+	if err != nil {
+		file.Close()
+		return nil, err
+	}
+	return &capture{file: file, buf: buf, w: w}, nil
+}
+
+// tap is the LiveOptions.Tap hook; the run's one output collector calls it.
+func (c *capture) tap(p *packet.Packet) {
+	if c.err == nil {
+		c.err = c.w.WritePacket(time.Now(), p.Bytes())
+	}
+}
+
+// close flushes and closes the file and returns the capture's first error.
+func (c *capture) close() error {
+	if err := c.buf.Flush(); c.err == nil && err != nil {
+		c.err = fmt.Errorf("pcap: %w", err)
+	}
+	if err := c.file.Close(); c.err == nil && err != nil {
+		c.err = fmt.Errorf("pcap: %w", err)
+	}
+	return c.err
 }
 
 func fail(err error) {

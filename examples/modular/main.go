@@ -5,7 +5,7 @@
 // instead of as a four-stage pipeline.
 //
 // This also demonstrates registering custom NFs: each block implements
-// the NF interface with its own action profile, and the same
+// the NF interface, registers its own action profile, and the same
 // orchestrator compiles block-level policies.
 //
 //	go run ./examples/modular
@@ -23,8 +23,9 @@ import (
 	"nfp/internal/packet"
 )
 
-// block adapts a per-packet function plus a declared action profile
-// into the NF interface — the shape of an OpenBox processing block.
+// block adapts a per-packet function into the NF interface — the shape
+// of an OpenBox processing block. Its declared action profile goes to
+// the orchestrator through RegisterNF, not through the instance.
 type block struct {
 	name    string
 	profile nfp.Profile
@@ -32,8 +33,7 @@ type block struct {
 	count   uint64
 }
 
-func (b *block) Name() string         { return b.name }
-func (b *block) Profile() nfp.Profile { return b.profile }
+func (b *block) Name() string { return b.name }
 func (b *block) Process(p *packet.Packet) nf.Verdict {
 	b.count++
 	return b.process(p)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"net"
 	"net/netip"
 	"runtime"
 	"strings"
@@ -282,72 +281,6 @@ func TestClusterDropsPropagate(t *testing.T) {
 		t.Errorf("link carried %d frames for dropped packets", frames)
 	}
 }
-
-// TestClusterOverTCP runs a two-server cluster over a real loopback
-// TCP link.
-func TestClusterOverTCP(t *testing.T) {
-	res, err := compileJoin(t, nfa.NFMonitor, nfa.NFFirewall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Monitor||Firewall is one stage; chain a second monitor for a cut
-	// point.
-	g := graph.Seq{Items: []graph.Node{res.Graph, graph.NF{Name: nfa.NFMonitor, Instance: 1}}}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type accepted struct {
-		l   *TCPLink
-		err error
-	}
-	acceptCh := make(chan accepted, 1)
-	go func() {
-		l, err := ListenTCPLink(ln)
-		acceptCh <- accepted{l, err}
-	}()
-	sender, err := DialTCPLink(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := <-acceptCh
-	if acc.err != nil {
-		t.Fatal(acc.err)
-	}
-	// Compose: frames sent on `sender` arrive at acc.l; the cluster
-	// needs a single Link with Send->wire->Frames, so bridge them.
-	bridged := &bridgeLink{send: sender, recv: acc.l}
-
-	c, err := New(g, Config{
-		Capacity: 2,
-		NewLink:  func(int) Link { return bridged },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outputs := runCluster(t, c, 25, "over tcp")
-	if len(outputs) != 25 {
-		t.Fatalf("outputs = %d", len(outputs))
-	}
-	if st := c.Stats(); st.HopDrops != 0 {
-		t.Errorf("hop drops = %d", st.HopDrops)
-	}
-}
-
-// bridgeLink sends on one TCP link and receives on its peer.
-type bridgeLink struct {
-	send *TCPLink
-	recv *TCPLink
-}
-
-func (b *bridgeLink) Send(frame []byte) error { return b.send.Send(frame) }
-func (b *bridgeLink) Frames() <-chan []byte   { return b.recv.Frames() }
-
-// Close shuts the sending side only: the receiver drains buffered
-// frames and ends on EOF, like a real NSH overlay teardown.
-func (b *bridgeLink) Close() error { return b.send.Close() }
 
 func TestChanLinkClose(t *testing.T) {
 	l := NewChanLink(4)

@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 )
 
@@ -72,86 +69,4 @@ func (l *ChanLink) Stats() (frames, bytes uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.sent, l.bytes
-}
-
-// TCPLink carries length-prefixed frames over a real TCP connection —
-// the closest stdlib stand-in for an NSH overlay between NFV servers.
-type TCPLink struct {
-	conn   net.Conn
-	frames chan []byte
-	mu     sync.Mutex
-	closed bool
-}
-
-// DialTCPLink connects the sending side to addr.
-func DialTCPLink(addr string) (*TCPLink, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return newTCPLink(conn), nil
-}
-
-// ListenTCPLink accepts one receiving side on ln.
-func ListenTCPLink(ln net.Listener) (*TCPLink, error) {
-	conn, err := ln.Accept()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return newTCPLink(conn), nil
-}
-
-func newTCPLink(conn net.Conn) *TCPLink {
-	l := &TCPLink{conn: conn, frames: make(chan []byte, 1024)}
-	go l.readLoop()
-	return l
-}
-
-func (l *TCPLink) readLoop() {
-	defer close(l.frames)
-	var lenb [4]byte
-	for {
-		if _, err := io.ReadFull(l.conn, lenb[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(lenb[:])
-		if n == 0 || n > 1<<16 {
-			return // corrupt stream
-		}
-		frame := make([]byte, n)
-		if _, err := io.ReadFull(l.conn, frame); err != nil {
-			return
-		}
-		l.frames <- frame
-	}
-}
-
-// Send implements Link.
-func (l *TCPLink) Send(frame []byte) error {
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(frame)))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("cluster: send on closed link")
-	}
-	if _, err := l.conn.Write(lenb[:]); err != nil {
-		return err
-	}
-	_, err := l.conn.Write(frame)
-	return err
-}
-
-// Frames implements Link.
-func (l *TCPLink) Frames() <-chan []byte { return l.frames }
-
-// Close implements Link.
-func (l *TCPLink) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	return l.conn.Close()
 }

@@ -11,9 +11,8 @@
 //   - a service-graph partitioner that cuts only at one-copy points,
 //   - an NSH-style shim header carrying the NFP metadata (service
 //     path, service index, MID, PID) across servers,
-//   - inter-server links (in-memory for tests and simulation, TCP for
-//     real sockets), and a Cluster that wires partitioned dataplane
-//     servers together.
+//   - an inter-server link contract with an in-memory implementation,
+//     and a Cluster that wires partitioned dataplane servers together.
 package cluster
 
 import (

@@ -106,12 +106,12 @@ func TestCompileRespectsTransitiveConstraints(t *testing.T) {
 			for j := i + 1; j < n; j++ {
 				a := graph.NF{Name: chain[i]}
 				b := graph.NF{Name: chain[j]}
-				verdict := nfa.Analyze(profiles[chain[i]], profiles[chain[j]], nfa.Options{}).Verdict()
-				switch verdict {
-				case nfa.NotParallelizable:
+				pair := nfa.Analyze(profiles[chain[i]], profiles[chain[j]], nfa.Options{})
+				switch {
+				case !pair.Parallelizable:
 					if !(iv[a][1] <= iv[b][0]) {
-						t.Errorf("trial %d: %s must finish before %s starts (verdict %v)\nprofiles %v %v\ngraph %v",
-							trial, a, b, verdict, profiles[chain[i]], profiles[chain[j]], res.Graph)
+						t.Errorf("trial %d: %s must finish before %s starts (not parallelizable)\nprofiles %v %v\ngraph %v",
+							trial, a, b, profiles[chain[i]], profiles[chain[j]], res.Graph)
 					}
 				default:
 					// Parallelizable: the successor may share a window

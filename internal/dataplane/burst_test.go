@@ -29,8 +29,7 @@ type obsNF struct {
 	seen   uint64
 }
 
-func (o *obsNF) Name() string         { return o.inner.Name() }
-func (o *obsNF) Profile() nfa.Profile { return o.inner.Profile() }
+func (o *obsNF) Name() string { return o.inner.Name() }
 
 func (o *obsNF) observe(p *packet.Packet) {
 	h := fnv.New64a()

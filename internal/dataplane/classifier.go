@@ -467,17 +467,6 @@ func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet)
 	return mid, ok, viaDefault, fcMiss
 }
 
-// Classify resolves the MID for a packet and stamps its metadata: a
-// one-packet ClassifyBatch. It returns false when no rule matches and
-// no default is set.
-func (c *Classifier) Classify(p *packet.Packet) (uint32, bool) {
-	one := [1]*packet.Packet{p}
-	if c.ClassifyBatch(one[:]) == 0 {
-		return 0, false
-	}
-	return p.Meta.MID, true
-}
-
 // ClassifyBatch resolves and stamps MIDs for a whole burst — the §5.1
 // classifier operating at DPDK burst granularity. MIDs and PIDs are
 // assigned in burst order and the counter totals are per packet, but

@@ -8,6 +8,41 @@ import (
 	"nfp/internal/telemetry"
 )
 
+// classifyOne resolves and stamps one packet's MID — a one-packet
+// ClassifyBatch; ok is false when no rule matches and no default is set.
+func classifyOne(c *Classifier, p *packet.Packet) (mid uint32, ok bool) {
+	if c.ClassifyBatch([]*packet.Packet{p}) == 0 {
+		return 0, false
+	}
+	return p.Meta.MID, true
+}
+
+// TestParseMatchCovers checks a match naming a prefix, a port and a
+// protocol covers a flow only when all three agree.
+func TestParseMatchCovers(t *testing.T) {
+	m := Match{
+		SrcPrefix: netip.MustParsePrefix("10.0.0.0/8"),
+		DstPort:   443,
+		Proto:     packet.ProtoTCP,
+	}
+	key := packet.FlowKey{
+		Src: [4]byte{10, 9, 8, 7}, Dst: [4]byte{1, 1, 1, 1},
+		SrcPort: 1234, DstPort: 443, Proto: packet.ProtoTCP,
+	}
+	if !m.Covers(key) {
+		t.Errorf("match %+v should cover %+v", m, key)
+	}
+	key.Proto = packet.ProtoUDP
+	if m.Covers(key) {
+		t.Errorf("match %+v should not cover UDP", m)
+	}
+	key.Proto = packet.ProtoTCP
+	key.Src = [4]byte{11, 9, 8, 7}
+	if m.Covers(key) {
+		t.Errorf("match %+v should not cover a source outside 10/8", m)
+	}
+}
+
 // classPkt builds a standalone packet (no pool) from the given source
 // address; 10/8 and 172.16/12 sources are matched by the rules the
 // batch tests install, 192.168/16 stays unmatched.

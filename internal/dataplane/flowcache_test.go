@@ -30,19 +30,19 @@ func TestFlowCacheHitMiss(t *testing.T) {
 	a := classPkt("10.0.0.1", 1024)
 	b := classPkt("172.16.0.1", 1024)
 
-	if mid, ok := c.Classify(a); !ok || mid != 1 {
+	if mid, ok := classifyOne(c, a); !ok || mid != 1 {
 		t.Fatalf("first classify = (%d, %v)", mid, ok)
 	}
 	if h, m, _ := cacheCounters(c); h != 0 || m != 1 {
 		t.Fatalf("after first: hits=%d misses=%d, want 0/1", h, m)
 	}
-	if mid, ok := c.Classify(a); !ok || mid != 1 {
+	if mid, ok := classifyOne(c, a); !ok || mid != 1 {
 		t.Fatalf("second classify = (%d, %v)", mid, ok)
 	}
 	if h, m, _ := cacheCounters(c); h != 1 || m != 1 {
 		t.Fatalf("after repeat: hits=%d misses=%d, want 1/1", h, m)
 	}
-	if mid, ok := c.Classify(b); !ok || mid != 2 {
+	if mid, ok := classifyOne(c, b); !ok || mid != 2 {
 		t.Fatalf("other flow = (%d, %v)", mid, ok)
 	}
 	if h, m, _ := cacheCounters(c); h != 1 || m != 2 {
@@ -63,10 +63,10 @@ func TestFlowCacheEvictionSingleSlot(t *testing.T) {
 	a := classPkt("10.0.0.1", 1024)
 	b := classPkt("172.16.0.1", 1024)
 	for i := 0; i < 4; i++ {
-		if mid, ok := c.Classify(a); !ok || mid != 1 {
+		if mid, ok := classifyOne(c, a); !ok || mid != 1 {
 			t.Fatalf("iter %d: a = (%d, %v)", i, mid, ok)
 		}
-		if mid, ok := c.Classify(b); !ok || mid != 2 {
+		if mid, ok := classifyOne(c, b); !ok || mid != 2 {
 			t.Fatalf("iter %d: b = (%d, %v)", i, mid, ok)
 		}
 	}
@@ -85,8 +85,8 @@ func TestFlowCacheStaleAfterMutations(t *testing.T) {
 	c, _ := cachedClassifier(64)
 	p := classPkt("10.0.0.1", 1024)
 
-	c.Classify(p) // miss, installs
-	c.Classify(p) // hit
+	classifyOne(c, p) // miss, installs
+	classifyOne(c, p) // hit
 	if h, m, _ := cacheCounters(c); h != 1 || m != 1 {
 		t.Fatalf("warmup: hits=%d misses=%d", h, m)
 	}
@@ -94,7 +94,7 @@ func TestFlowCacheStaleAfterMutations(t *testing.T) {
 	// PrependRule is the §7 redirect primitive: the very next lookup
 	// must see the new rule, not the cached MID.
 	c.PrependRule(Match{SrcPrefix: netip.MustParsePrefix("10.0.0.0/8")}, 9)
-	if mid, ok := c.Classify(p); !ok || mid != 9 {
+	if mid, ok := classifyOne(c, p); !ok || mid != 9 {
 		t.Fatalf("after prepend: (%d, %v), want (9, true)", mid, ok)
 	}
 	if h, m, _ := cacheCounters(c); h != 1 || m != 2 {
@@ -102,7 +102,7 @@ func TestFlowCacheStaleAfterMutations(t *testing.T) {
 	}
 
 	c.AddRule(Match{DstPort: 443}, 5) // irrelevant rule, still invalidates
-	if mid, _ := c.Classify(p); mid != 9 {
+	if mid, _ := classifyOne(c, p); mid != 9 {
 		t.Fatalf("after add: mid=%d", mid)
 	}
 	if h, m, _ := cacheCounters(c); h != 1 || m != 3 {
@@ -110,7 +110,7 @@ func TestFlowCacheStaleAfterMutations(t *testing.T) {
 	}
 
 	c.InvalidateCache()
-	if mid, _ := c.Classify(p); mid != 9 {
+	if mid, _ := classifyOne(c, p); mid != 9 {
 		t.Fatalf("after explicit invalidate: mid=%d", mid)
 	}
 	if h, m, _ := cacheCounters(c); h != 1 || m != 4 {
@@ -120,7 +120,7 @@ func TestFlowCacheStaleAfterMutations(t *testing.T) {
 	// Clear empties the rule table — the cache disengages entirely
 	// (empty-table bypass) and the packet goes unmatched (no default).
 	c.Clear()
-	if _, ok := c.Classify(p); ok {
+	if _, ok := classifyOne(c, p); ok {
 		t.Fatal("classified after Clear with no default")
 	}
 	if h, m, _ := cacheCounters(c); h != 1 || m != 4 {
@@ -138,7 +138,7 @@ func TestFlowCacheEmptyTableBypass(t *testing.T) {
 	c.SetDefault(3)
 	p := classPkt("10.0.0.1", 1024)
 	for i := 0; i < 3; i++ {
-		if mid, ok := c.Classify(p); !ok || mid != 3 {
+		if mid, ok := classifyOne(&c, p); !ok || mid != 3 {
 			t.Fatalf("(%d, %v)", mid, ok)
 		}
 	}
@@ -154,10 +154,10 @@ func TestFlowCacheViaDefaultCached(t *testing.T) {
 	c, _ := cachedClassifier(64)
 	c.SetDefault(7)
 	p := classPkt("192.168.0.1", 1024) // matches neither prefix rule
-	if mid, ok := c.Classify(p); !ok || mid != 7 {
+	if mid, ok := classifyOne(c, p); !ok || mid != 7 {
 		t.Fatalf("first: (%d, %v)", mid, ok)
 	}
-	if mid, ok := c.Classify(p); !ok || mid != 7 {
+	if mid, ok := classifyOne(c, p); !ok || mid != 7 {
 		t.Fatalf("second: (%d, %v)", mid, ok)
 	}
 	if h, m, _ := cacheCounters(c); h != 1 || m != 1 {
@@ -317,7 +317,7 @@ func TestFlowCacheConcurrentInstall(t *testing.T) {
 			}
 			for round := 0; round < 2000; round++ {
 				for i, p := range pkts {
-					if mid, ok := c.Classify(p); !ok || mid != want[i] {
+					if mid, ok := classifyOne(c, p); !ok || mid != want[i] {
 						t.Errorf("injector %d flow %d: classified (%d, %v), want MID %d", g, i, mid, ok, want[i])
 						return
 					}
@@ -330,14 +330,14 @@ func TestFlowCacheConcurrentInstall(t *testing.T) {
 	<-done
 
 	a, b := classPkt("10.9.9.1", 1024), classPkt("10.9.9.2", 1024)
-	c.Classify(a) // materialize the per-MID counter
+	classifyOne(c, a) // materialize the per-MID counter
 	// Republishing makes every classification after it a miss and an
 	// install; what it allocates itself (the table copy) is the baseline.
 	base := testing.AllocsPerRun(200, func() { c.InvalidateCache() })
 	got := testing.AllocsPerRun(200, func() {
 		c.InvalidateCache()
-		c.Classify(a)
-		c.Classify(b)
+		classifyOne(c, a)
+		classifyOne(c, b)
 	})
 	if got > base {
 		t.Errorf("two cache misses allocate %v objects beyond the republish's %v, want 0", got-base, base)

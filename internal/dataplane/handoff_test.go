@@ -40,9 +40,6 @@ func carry(v uint8) []graph.MergeOp {
 type portDropper struct{}
 
 func (portDropper) Name() string { return "portdrop" }
-func (portDropper) Profile() nfa.Profile {
-	return nfa.Profile{Name: "portdrop", Actions: []nfa.Action{nfa.Drop()}}
-}
 func (portDropper) Process(p *packet.Packet) nf.Verdict {
 	if p.SrcPort()%3 == 0 {
 		return nf.Drop

@@ -21,9 +21,6 @@ type dropEveryNth struct {
 }
 
 func (d *dropEveryNth) Name() string { return "dropnth" }
-func (d *dropEveryNth) Profile() nfa.Profile {
-	return nfa.Profile{Name: "dropnth", Actions: []nfa.Action{nfa.Drop()}}
-}
 func (d *dropEveryNth) Process(p *packet.Packet) nf.Verdict {
 	d.seen++
 	if d.n > 0 && d.seen%d.n == 0 {

@@ -26,7 +26,6 @@ type countNF struct {
 }
 
 func (c *countNF) Name() string                        { return c.inner.Name() }
-func (c *countNF) Profile() nfa.Profile                { return c.inner.Profile() }
 func (c *countNF) Process(p *packet.Packet) nf.Verdict { c.n.Add(1); return c.inner.Process(p) }
 func (c *countNF) processedTotal() uint64              { return c.n.Load() }
 func newCountNF(t *testing.T, name string) *countNF    { return &countNF{inner: mustNF(t, name)} }

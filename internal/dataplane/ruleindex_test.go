@@ -273,7 +273,7 @@ func TestRuleIndexBuiltOncePerRuleList(t *testing.T) {
 	classify := func() {
 		t.Helper()
 		for i := 0; i < 4; i++ {
-			if mid, ok := c.Classify(classPkt("10.0.0.1", uint16(1000+i))); !ok || mid != 1 {
+			if mid, ok := classifyOne(&c, classPkt("10.0.0.1", uint16(1000+i))); !ok || mid != 1 {
 				t.Fatalf("classify = (%d, %v), want (1, true)", mid, ok)
 			}
 		}

@@ -257,5 +257,4 @@ type statsOf flowtab.Stats
 
 func (s statsOf) StateStats() flowtab.Stats         { return flowtab.Stats(s) }
 func (s statsOf) Name() string                      { return "stats" }
-func (s statsOf) Profile() nfa.Profile              { return nfa.Profile{} }
 func (s statsOf) Process(*packet.Packet) nf.Verdict { return nf.Pass }

@@ -80,9 +80,6 @@ func NewSynNF(name string, profile nfa.Profile) *SynNF {
 // Name implements nf.NF.
 func (s *SynNF) Name() string { return s.name }
 
-// Profile implements nf.NF.
-func (s *SynNF) Profile() nfa.Profile { return s.profile }
-
 // Digest returns the accumulated observation digest.
 func (s *SynNF) Digest() uint64 { return s.digest }
 

@@ -18,7 +18,6 @@ import (
 
 	"nfp/internal/mempool"
 	"nfp/internal/nf"
-	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
 
@@ -45,11 +44,10 @@ func NewPanicNF(inner nf.NF, panicOnCalls ...uint64) *PanicNF {
 	return &PanicNF{Inner: inner, panicOn: m}
 }
 
-// Name and Profile delegate to the inner NF so the wrapper slots into
-// any graph position the inner NF could occupy (and so the supervisor
-// restarts it from the inner NF's registry entry).
-func (p *PanicNF) Name() string         { return p.Inner.Name() }
-func (p *PanicNF) Profile() nfa.Profile { return p.Inner.Profile() }
+// Name delegates to the inner NF so the wrapper slots into any graph
+// position the inner NF could occupy (and so the supervisor restarts it
+// from the inner NF's registry entry).
+func (p *PanicNF) Name() string { return p.Inner.Name() }
 
 // Process panics when the current call number is scheduled, otherwise
 // delegates.
@@ -90,8 +88,7 @@ func NewStallNF(inner nf.NF) *StallNF {
 	return &StallNF{Inner: inner, gate: make(chan struct{})}
 }
 
-func (s *StallNF) Name() string         { return s.Inner.Name() }
-func (s *StallNF) Profile() nfa.Profile { return s.Inner.Profile() }
+func (s *StallNF) Name() string { return s.Inner.Name() }
 
 // Stall arms the wrapper: subsequent Process calls block until Release.
 func (s *StallNF) Stall() {

@@ -3,6 +3,7 @@ package inspector
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"nfp/internal/nfa"
@@ -24,10 +25,10 @@ func (x *MyNF) Process(p *packet.Packet) Verdict {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prof.Reads(packet.FieldSrcIP) {
+	if !slices.Contains(prof.Actions, nfa.Read(packet.FieldSrcIP)) {
 		t.Error("missing read(sip)")
 	}
-	if !prof.Writes(packet.FieldDstIP) {
+	if !slices.Contains(prof.Actions, nfa.Write(packet.FieldDstIP)) {
 		t.Error("missing write(dip)")
 	}
 	if !prof.Drops() {
@@ -69,9 +70,9 @@ func TestInspectRealLoadBalancer(t *testing.T) {
 		check bool
 		what  string
 	}{
-		{prof.Writes(packet.FieldSrcIP), "write(sip)"},
-		{prof.Writes(packet.FieldDstIP), "write(dip)"},
-		{prof.Reads(packet.FieldSrcPort), "read(sport)"},
+		{slices.Contains(prof.Actions, nfa.Write(packet.FieldSrcIP)), "write(sip)"},
+		{slices.Contains(prof.Actions, nfa.Write(packet.FieldDstIP)), "write(dip)"},
+		{slices.Contains(prof.Actions, nfa.Read(packet.FieldSrcPort)), "read(sport)"},
 	} {
 		if !want.check {
 			t.Errorf("LB inspection missing %s: %v", want.what, prof)
@@ -99,10 +100,10 @@ func (x *MyNF) Process(p *packet.Packet) Verdict {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prof.Writes(packet.FieldSrcIP) || !prof.Writes(packet.FieldSrcPort) {
+	if !slices.Contains(prof.Actions, nfa.Write(packet.FieldSrcIP)) || !slices.Contains(prof.Actions, nfa.Write(packet.FieldSrcPort)) {
 		t.Errorf("missing write(sip)/write(sport): %v", prof)
 	}
-	if prof.Writes(packet.FieldDstIP) || prof.Writes(packet.FieldDstPort) {
+	if slices.Contains(prof.Actions, nfa.Write(packet.FieldDstIP)) || slices.Contains(prof.Actions, nfa.Write(packet.FieldDstPort)) {
 		t.Errorf("phantom destination writes: %v", prof)
 	}
 	prof, err = InspectSource("mynf", fmt.Sprintf(body, "x.lookup(k)"))
@@ -120,7 +121,7 @@ func (x *MyNF) Process(p *packet.Packet) Verdict {
 		t.Fatal(err)
 	}
 	for _, f := range []packet.Field{packet.FieldSrcIP, packet.FieldDstIP, packet.FieldSrcPort, packet.FieldDstPort} {
-		if !nat.Reads(f) || !nat.Writes(f) {
+		if !slices.Contains(nat.Actions, nfa.Read(f)) || !slices.Contains(nat.Actions, nfa.Write(f)) {
 			t.Errorf("NAT inspection missing read or write of %v: %v", f, nat)
 		}
 	}
@@ -150,7 +151,7 @@ func TestInspectRealVPN(t *testing.T) {
 	if !prof.TouchesPayload() {
 		t.Error("VPN inspection missed payload access")
 	}
-	if !prof.Writes(packet.FieldPayload) {
+	if !slices.Contains(prof.Actions, nfa.Write(packet.FieldPayload)) {
 		t.Error("VPN inspection missed the in-place Seal (payload write)")
 	}
 }

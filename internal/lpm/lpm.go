@@ -3,9 +3,10 @@
 // matching entry from a longest prefix matching table with 1000 entries
 // to find out the next hop", §6.1).
 //
-// The implementation is a binary trie with path compression on lookup
-// hot fields; inserts are rare (control plane), lookups are the fast
-// path.
+// The implementation is a plain, uncompressed binary trie: one node per
+// prefix bit, so a lookup walks at most 33 nodes. Inserts are rare
+// (control plane); lookups are the fast path. There is no delete: the
+// forwarder builds its table once.
 package lpm
 
 import (
@@ -82,29 +83,6 @@ func (t *Table) LookupUint(addr uint32) (nextHop int, ok bool) {
 		n = n.children[addr>>(31-i)&1]
 	}
 	return best, found
-}
-
-// Remove deletes exactly the given prefix. It reports whether the prefix
-// was present. Interior nodes are left in place (the table is rebuilt,
-// not compacted, in control-plane churn scenarios).
-func (t *Table) Remove(prefix netip.Prefix) bool {
-	if !prefix.Addr().Is4() {
-		return false
-	}
-	addr := ipv4ToUint(prefix.Addr())
-	n := t.root
-	for i := 0; i < prefix.Bits(); i++ {
-		n = n.children[addr>>(31-i)&1]
-		if n == nil {
-			return false
-		}
-	}
-	if !n.hasValue {
-		return false
-	}
-	n.hasValue = false
-	t.size--
-	return true
 }
 
 func ipv4ToUint(a netip.Addr) uint32 {

@@ -75,27 +75,6 @@ func TestInsertErrors(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	tb := New()
-	tb.Insert(mustPrefix("10.0.0.0/8"), 1)
-	tb.Insert(mustPrefix("10.1.0.0/16"), 2)
-	if !tb.Remove(mustPrefix("10.1.0.0/16")) {
-		t.Fatal("remove failed")
-	}
-	if tb.Remove(mustPrefix("10.1.0.0/16")) {
-		t.Error("second remove succeeded")
-	}
-	if tb.Remove(mustPrefix("10.9.0.0/16")) {
-		t.Error("removing absent prefix succeeded")
-	}
-	if nh, _ := tb.Lookup(netip.MustParseAddr("10.1.2.3")); nh != 1 {
-		t.Errorf("after remove nh = %d, want covering /8", nh)
-	}
-	if tb.Len() != 1 {
-		t.Errorf("Len = %d", tb.Len())
-	}
-}
-
 func TestDefaultRouteOnly(t *testing.T) {
 	tb := New()
 	tb.Insert(mustPrefix("0.0.0.0/0"), 7)

@@ -7,7 +7,7 @@ import "testing"
 // counter sees them all — for the signature IDS and the rule IDS.
 func TestAlertLogsBounded(t *testing.T) {
 	const floods = 10 * alertLogCap
-	rules, err := ParseIDSRulesString(`alert tcp any any -> any any (content:"EVIL"; sid:7;)`)
+	rules, err := parseRules(`alert tcp any any -> any any (content:"EVIL"; sid:7;)`)
 	if err != nil {
 		t.Fatal(err)
 	}

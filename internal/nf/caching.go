@@ -57,9 +57,6 @@ func NewCache(capacity int) *Cache {
 // Name implements NF.
 func (c *Cache) Name() string { return nfa.NFCaching }
 
-// Profile implements NF.
-func (c *Cache) Profile() nfa.Profile { return profileFor(nfa.NFCaching) }
-
 // Process looks the request up and records a hit or inserts an entry.
 func (c *Cache) Process(p *packet.Packet) Verdict {
 	if err := p.Parse(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
 
@@ -209,19 +208,5 @@ func TestShaperDisabled(t *testing.T) {
 	shaped, _ := s.Stats()
 	if shaped != 1000 {
 		t.Errorf("shaped = %d", shaped)
-	}
-}
-
-func TestNewNFsRegistered(t *testing.T) {
-	r := NewRegistry()
-	for _, name := range []string{nfa.NFGateway, nfa.NFCaching, nfa.NFProxy, nfa.NFCompress, nfa.NFShaper} {
-		inst, err := r.New(name)
-		if err != nil {
-			t.Errorf("New(%q): %v", name, err)
-			continue
-		}
-		if inst.Name() != name || inst.Profile().Name != name {
-			t.Errorf("%q identity mismatch", name)
-		}
 	}
 }

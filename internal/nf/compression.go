@@ -43,9 +43,6 @@ func NewCompressor(level int) (*Compressor, error) {
 // Name implements NF.
 func (c *Compressor) Name() string { return nfa.NFCompress }
 
-// Profile implements NF.
-func (c *Compressor) Profile() nfa.Profile { return profileFor(nfa.NFCompress) }
-
 // Process compresses the payload in place when profitable.
 func (c *Compressor) Process(p *packet.Packet) Verdict {
 	if err := p.Parse(); err != nil {

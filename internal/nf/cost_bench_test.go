@@ -20,7 +20,10 @@ func BenchmarkNFCost(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			prof := n.Profile()
+			prof, ok := nfa.LookupProfile(name)
+			if !ok {
+				b.Fatalf("%s: no catalog profile", name)
+			}
 			rewrites := len(prof.WriteSet()) > 0 || prof.AddsOrRemoves()
 			pkts, orig := dcMixFrames(1024)
 			b.ResetTimer()

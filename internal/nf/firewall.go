@@ -103,9 +103,6 @@ func NewFirewallFromRules(rules []ACLRule, def ACLAction) *Firewall {
 // Name implements NF.
 func (fw *Firewall) Name() string { return nfa.NFFirewall }
 
-// Profile implements NF.
-func (fw *Firewall) Profile() nfa.Profile { return profileFor(nfa.NFFirewall) }
-
 // Process applies the first ACL rule covering the packet, else the
 // default action.
 func (fw *Firewall) Process(p *packet.Packet) Verdict {

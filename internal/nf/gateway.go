@@ -37,9 +37,6 @@ func NewGateway() *Gateway {
 // Name implements NF.
 func (g *Gateway) Name() string { return nfa.NFGateway }
 
-// Profile implements NF.
-func (g *Gateway) Profile() nfa.Profile { return profileFor(nfa.NFGateway) }
-
 // sessionKey is the directionless key of an address pair: both
 // directions of a call share a context.
 func sessionKey(a, b [4]byte) packet.FlowKey {

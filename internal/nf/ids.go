@@ -86,9 +86,6 @@ func (d *IDS) Name() string {
 	return nfa.NFNIDS
 }
 
-// Profile implements NF.
-func (d *IDS) Profile() nfa.Profile { return profileFor(d.Name()) }
-
 // Process scans the L4 payload for the signatures, stopping at the
 // first hit.
 func (d *IDS) Process(p *packet.Packet) Verdict {

@@ -77,11 +77,6 @@ func ParseIDSRules(r io.Reader) ([]IDSRule, error) {
 	return rules, nil
 }
 
-// ParseIDSRulesString parses rules from a string.
-func ParseIDSRulesString(s string) ([]IDSRule, error) {
-	return ParseIDSRules(strings.NewReader(s))
-}
-
 func parseIDSRule(line string) (IDSRule, error) {
 	open := strings.IndexByte(line, '(')
 	if open < 0 || !strings.HasSuffix(line, ")") {
@@ -254,9 +249,6 @@ func NewRuleIDS(rules []IDSRule) *RuleIDS {
 
 // Name implements NF. The rule IDS presents the inline-IDS profile.
 func (d *RuleIDS) Name() string { return nfa.NFIDS }
-
-// Profile implements NF.
-func (d *RuleIDS) Profile() nfa.Profile { return profileFor(nfa.NFIDS) }
 
 // Process evaluates all rules against the packet.
 func (d *RuleIDS) Process(p *packet.Packet) Verdict {

@@ -15,8 +15,11 @@ alert udp any 53 -> any any (content:"tunnel"; msg:"dns tunnel"; sid:1003;)
 drop ip any any -> 10.100.0.1 any (content:"PAYLOAD;WITH;SEMI"; msg:"quoted \"semi\""; sid:1004;)
 `
 
+// parseRules parses a rule file held in a string.
+func parseRules(s string) ([]IDSRule, error) { return ParseIDSRules(strings.NewReader(s)) }
+
 func TestParseIDSRules(t *testing.T) {
-	rules, err := ParseIDSRulesString(sampleRules)
+	rules, err := parseRules(sampleRules)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +58,14 @@ func TestParseIDSRuleErrors(t *testing.T) {
 		`alert tcp any any -> any any (content:"x"; msg:nope;)`, // msg quoting
 	}
 	for _, line := range bad {
-		if _, err := ParseIDSRulesString(line); err == nil {
+		if _, err := parseRules(line); err == nil {
 			t.Errorf("accepted %q", line)
 		}
 	}
 }
 
 func TestRuleIDSVerdicts(t *testing.T) {
-	rules, err := ParseIDSRulesString(sampleRules)
+	rules, err := parseRules(sampleRules)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestRuleIDSVerdicts(t *testing.T) {
 }
 
 func TestRuleIDSMultipleMatches(t *testing.T) {
-	rules, _ := ParseIDSRulesString(`
+	rules, _ := parseRules(`
 alert tcp any any -> any any (content:"aaa"; msg:"a"; sid:1;)
 drop tcp any any -> any any (content:"bbb"; msg:"b"; sid:2;)
 `)
@@ -120,7 +123,7 @@ drop tcp any any -> any any (content:"bbb"; msg:"b"; sid:2;)
 }
 
 func TestRuleIDSLineNumbersInErrors(t *testing.T) {
-	_, err := ParseIDSRulesString("# ok\n\nalert tcp any any -> any any (content:\"x\";)\nbroken line\n")
+	_, err := parseRules("# ok\n\nalert tcp any any -> any any (content:\"x\";)\nbroken line\n")
 	if err == nil || !strings.Contains(err.Error(), "line 4") {
 		t.Errorf("err = %v, want line 4", err)
 	}

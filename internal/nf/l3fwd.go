@@ -54,9 +54,6 @@ func NewL3Forwarder(n int) (*L3Forwarder, error) {
 // Name implements NF.
 func (f *L3Forwarder) Name() string { return nfa.NFL3Fwd }
 
-// Profile implements NF.
-func (f *L3Forwarder) Profile() nfa.Profile { return profileFor(nfa.NFL3Fwd) }
-
 // Process is a one-packet ProcessBatch.
 func (f *L3Forwarder) Process(p *packet.Packet) Verdict {
 	pkts, verdicts := [1]*packet.Packet{p}, [1]Verdict{}

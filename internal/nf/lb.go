@@ -42,9 +42,6 @@ func NewLoadBalancer(n int) (*LoadBalancer, error) {
 // Name implements NF.
 func (lb *LoadBalancer) Name() string { return nfa.NFLB }
 
-// Profile implements NF.
-func (lb *LoadBalancer) Profile() nfa.Profile { return profileFor(nfa.NFLB) }
-
 // Process is a one-packet ProcessBatch.
 func (lb *LoadBalancer) Process(p *packet.Packet) Verdict {
 	pkts, verdicts := [1]*packet.Packet{p}, [1]Verdict{}

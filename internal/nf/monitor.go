@@ -40,9 +40,6 @@ func newMonitor(ceiling int) *Monitor {
 // Name implements NF.
 func (m *Monitor) Name() string { return nfa.NFMonitor }
 
-// Profile implements NF.
-func (m *Monitor) Profile() nfa.Profile { return profileFor(nfa.NFMonitor) }
-
 // Process is a one-packet ProcessBatch.
 func (m *Monitor) Process(p *packet.Packet) Verdict {
 	pkts, verdicts := [1]*packet.Packet{p}, [1]Verdict{}

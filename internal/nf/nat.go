@@ -79,9 +79,6 @@ func NewNAT() (*NAT, error) {
 // Name implements NF.
 func (n *NAT) Name() string { return nfa.NFNAT }
 
-// Profile implements NF.
-func (n *NAT) Profile() nfa.Profile { return profileFor(nfa.NFNAT) }
-
 // Process translates outbound packets (anything not addressed to the
 // external address) and reverses inbound ones.
 func (n *NAT) Process(p *packet.Packet) Verdict {
@@ -130,20 +127,6 @@ func (n *NAT) bind(fk packet.FlowKey, port uint16) {
 	n.reverse[last-natPortBase].freeIdx = b.freeIdx
 	n.free = n.free[:len(n.free)-1]
 	*b = natBinding{addr: fk.Src, port: fk.SrcPort, proto: fk.Proto, bound: true}
-}
-
-// Release forgets an internal flow's binding and returns its external
-// port to the free stack (the next allocation reuses it). It reports
-// whether the flow was bound.
-func (n *NAT) Release(k packet.FlowKey) bool {
-	ext := n.forward.Get(k)
-	if ext == nil {
-		return false
-	}
-	n.reverse[*ext-natPortBase] = natBinding{freeIdx: uint16(len(n.free))}
-	n.free = append(n.free, *ext)
-	n.forward.Delete(k)
-	return true
 }
 
 // Bindings returns the number of active translations.

@@ -3,10 +3,13 @@
 // Load Balancer, Firewall, IDS, VPN and Monitor, plus NAT and the
 // synthetic busy-loop NF of Figure 9.
 //
-// Each NF exposes the action profile the orchestrator reasons about;
-// the dataplane calls Process from the NF's own runtime goroutine, so
-// implementations may keep unsynchronized per-instance state (this
-// models the paper's one-container-per-core deployment).
+// An NF is a Name and a Process function. Its action profile — what
+// the orchestrator reasons about — is not asked of the instance: it
+// lives in the nfa catalog under the NF's name (or is handed to
+// nfp.System.RegisterNF), declared once, ahead of time. The dataplane
+// calls Process from the NF's own runtime goroutine, so implementations
+// may keep unsynchronized per-instance state (this models the paper's
+// one-container-per-core deployment).
 package nf
 
 import (
@@ -39,11 +42,9 @@ func (v Verdict) String() string {
 // NF is a network function instance. Instances are single-goroutine:
 // the runtime serializes Process calls.
 type NF interface {
-	// Name returns the NF type name (matching its catalog profile).
+	// Name returns the NF type name, the key of its action profile in
+	// the nfa catalog (or in nfp.System.RegisterNF).
 	Name() string
-	// Profile returns the action profile used for parallelism
-	// identification.
-	Profile() nfa.Profile
 	// Process handles one packet in place and returns a verdict.
 	Process(p *packet.Packet) Verdict
 }
@@ -144,14 +145,4 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// profileFor fetches the catalog profile for an NF name, panicking on
-// unknown names — implementations only reference catalog entries.
-func profileFor(name string) nfa.Profile {
-	p, ok := nfa.LookupProfile(name)
-	if !ok {
-		panic(fmt.Sprintf("nf: no catalog profile for %q", name))
-	}
-	return p
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"nfp/internal/nfa"
@@ -20,12 +21,17 @@ func tcpPacket(src, dst string, sp, dp uint16, payload []byte) *packet.Packet {
 	})
 }
 
+// TestRegistryCoversEvaluationNFs ties the registry to the catalog: an
+// NF instance carries no profile of its own, so every registered name
+// must resolve to a catalog profile of that name, and every instance must
+// answer to the name it was registered under.
 func TestRegistryCoversEvaluationNFs(t *testing.T) {
 	r := NewRegistry()
-	for _, name := range []string{
-		nfa.NFL3Fwd, nfa.NFLB, nfa.NFFirewall, nfa.NFIDS, nfa.NFNIDS,
-		nfa.NFVPN, nfa.NFMonitor, nfa.NFNAT, nfa.NFSynthetic,
-	} {
+	names := r.Names()
+	for _, name := range names {
+		if prof, ok := nfa.LookupProfile(name); !ok || prof.Name != name {
+			t.Errorf("LookupProfile(%q) = %q, %v", name, prof.Name, ok)
+		}
 		inst, err := r.New(name)
 		if err != nil {
 			t.Errorf("New(%q): %v", name, err)
@@ -34,15 +40,32 @@ func TestRegistryCoversEvaluationNFs(t *testing.T) {
 		if inst.Name() != name {
 			t.Errorf("New(%q).Name() = %q", name, inst.Name())
 		}
-		if inst.Profile().Name != name {
-			t.Errorf("New(%q).Profile().Name = %q", name, inst.Profile().Name)
-		}
+	}
+	want := []string{
+		nfa.NFL3Fwd, nfa.NFLB, nfa.NFFirewall, nfa.NFIDS, nfa.NFNIDS,
+		nfa.NFVPN, nfa.NFMonitor, nfa.NFNAT, nfa.NFSynthetic,
+		nfa.NFGateway, nfa.NFCaching, nfa.NFProxy, nfa.NFCompress, nfa.NFShaper,
+	}
+	slices.Sort(want)
+	if !slices.Equal(names, want) {
+		t.Errorf("Names() = %v, want %v", names, want)
 	}
 	if _, err := r.New("bogus"); err == nil {
 		t.Error("unknown NF instantiated")
 	}
-	if len(r.Names()) < 9 {
-		t.Errorf("Names() = %v", r.Names())
+}
+
+func TestNewNFsRegistered(t *testing.T) {
+	r := NewRegistry()
+	for _, name := range []string{nfa.NFGateway, nfa.NFCaching, nfa.NFProxy, nfa.NFCompress, nfa.NFShaper} {
+		inst, err := r.New(name)
+		if err != nil {
+			t.Errorf("New(%q): %v", name, err)
+			continue
+		}
+		if prof, ok := nfa.LookupProfile(name); inst.Name() != name || !ok || prof.Name != name {
+			t.Errorf("%q identity mismatch", name)
+		}
 	}
 }
 

@@ -43,9 +43,6 @@ func NewProxy(n int) (*Proxy, error) {
 // Name implements NF.
 func (x *Proxy) Name() string { return nfa.NFProxy }
 
-// Profile implements NF.
-func (x *Proxy) Profile() nfa.Profile { return profileFor(nfa.NFProxy) }
-
 // Process forwards proxy-addressed packets to a flow-stable origin and
 // stamps the payload; other traffic passes untouched.
 func (x *Proxy) Process(p *packet.Packet) Verdict {

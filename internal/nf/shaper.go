@@ -40,9 +40,6 @@ func NewShaper(rate float64, burst int) *Shaper {
 // Name implements NF.
 func (s *Shaper) Name() string { return nfa.NFShaper }
 
-// Profile implements NF.
-func (s *Shaper) Profile() nfa.Profile { return profileFor(nfa.NFShaper) }
-
 // Process consumes one token, refilling by elapsed time, and blocks
 // briefly when the bucket is empty.
 func (s *Shaper) Process(p *packet.Packet) Verdict {

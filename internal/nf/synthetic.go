@@ -29,9 +29,6 @@ func NewSynthetic(cycles int) *Synthetic {
 // Name implements NF.
 func (s *Synthetic) Name() string { return nfa.NFSynthetic }
 
-// Profile implements NF.
-func (s *Synthetic) Profile() nfa.Profile { return profileFor(nfa.NFSynthetic) }
-
 // Cycles returns the configured busy-loop length.
 func (s *Synthetic) Cycles() int { return s.cycles }
 

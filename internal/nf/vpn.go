@@ -58,9 +58,6 @@ func NewVPN(key []byte) (*VPN, error) {
 // Name implements NF.
 func (v *VPN) Name() string { return nfa.NFVPN }
 
-// Profile implements NF.
-func (v *VPN) Profile() nfa.Profile { return profileFor(nfa.NFVPN) }
-
 // Process splices an AH header after the IP header and seals the
 // payload in place, the tag going into the header's ICV slot. A frame
 // whose buffer cannot take the header plus the tag's tailroom passes

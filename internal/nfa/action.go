@@ -90,14 +90,15 @@ type Profile struct {
 	CostNS int64
 }
 
-// Reads reports whether the profile contains a read of f.
-func (p Profile) Reads(f packet.Field) bool { return p.has(OpRead, f) }
-
-// Writes reports whether the profile contains a write of f.
-func (p Profile) Writes(f packet.Field) bool { return p.has(OpWrite, f) }
-
 // Drops reports whether the profile may drop packets.
-func (p Profile) Drops() bool { return p.has(OpDrop, packet.FieldNone) }
+func (p Profile) Drops() bool {
+	for _, a := range p.Actions {
+		if a.Op == OpDrop {
+			return true
+		}
+	}
+	return false
+}
 
 // AddsOrRemoves reports whether the profile changes packet structure.
 func (p Profile) AddsOrRemoves() bool {
@@ -129,15 +130,6 @@ func (p Profile) WriteSet() []packet.Field {
 		}
 	}
 	return out
-}
-
-func (p Profile) has(op Op, f packet.Field) bool {
-	for _, a := range p.Actions {
-		if a.Op == op && a.Field == f {
-			return true
-		}
-	}
-	return false
 }
 
 func (p Profile) String() string {

@@ -1,16 +1,10 @@
 package nfa
 
-import "fmt"
-
 // ConflictPair records one conflicting action pair found by Algorithm 1
 // (its "ca" output). The orchestrator turns conflict pairs into merging
 // operations (§5.3).
 type ConflictPair struct {
 	A1, A2 Action
-}
-
-func (c ConflictPair) String() string {
-	return fmt.Sprintf("(%s,%s)", c.A1, c.A2)
 }
 
 // Result is the output of Algorithm 1 for an ordered NF pair.
@@ -25,18 +19,6 @@ type Result struct {
 // NeedCopy reports whether parallel execution requires packet copying.
 func (r Result) NeedCopy() bool {
 	return r.Parallelizable && len(r.Conflicts) > 0
-}
-
-// Verdict compresses the result to a single CellVerdict.
-func (r Result) Verdict() CellVerdict {
-	switch {
-	case !r.Parallelizable:
-		return NotParallelizable
-	case len(r.Conflicts) > 0:
-		return ParallelWithCopy
-	default:
-		return ParallelNoCopy
-	}
 }
 
 // Options tune the analysis.
@@ -80,17 +62,4 @@ func dirtyReuseCell(a1, a2 Action) bool {
 	rw := a1.Op == OpRead && a2.Op == OpWrite
 	ww := a1.Op == OpWrite && a2.Op == OpWrite
 	return (rw || ww) && !a1.Field.Overlaps(a2.Field)
-}
-
-// AnalyzePriority runs Algorithm 1 for a Priority(high > low) rule. Two
-// NFs in a Priority rule are parallelized unconditionally — the operator
-// asserted the intent — but the algorithm is still needed to find the
-// conflicting actions that decide copying and merging (§4.3). The pair
-// is analyzed in low-before-high order so that the merge prefers the
-// high-priority NF's output, mirroring how an Order rule's later NF
-// wins.
-func AnalyzePriority(high, low Profile, opts Options) Result {
-	res := Analyze(low, high, opts)
-	res.Parallelizable = true
-	return res
 }

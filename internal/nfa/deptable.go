@@ -1,7 +1,5 @@
 package nfa
 
-import "fmt"
-
 // CellVerdict is the value of one cell of the action dependency table
 // (Table 3) for an ordered action pair (a1 from the earlier NF, a2 from
 // the later NF).
@@ -18,27 +16,6 @@ const (
 	// block).
 	NotParallelizable
 )
-
-func (v CellVerdict) String() string {
-	switch v {
-	case ParallelNoCopy:
-		return "parallelizable/no-copy"
-	case ParallelWithCopy:
-		return "parallelizable/copy"
-	case NotParallelizable:
-		return "not-parallelizable"
-	}
-	return fmt.Sprintf("verdict(%d)", uint8(v))
-}
-
-// worse returns the more restrictive of two verdicts; the ordering of
-// the constants encodes severity.
-func worse(a, b CellVerdict) CellVerdict {
-	if b > a {
-		return b
-	}
-	return a
-}
 
 // Decide evaluates one cell of Table 3 for Order(NF1 before NF2) with
 // a1 ∈ NF1's actions and a2 ∈ NF2's actions.

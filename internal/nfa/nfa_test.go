@@ -1,6 +1,7 @@
 package nfa
 
 import (
+	"slices"
 	"testing"
 
 	"nfp/internal/packet"
@@ -160,21 +161,6 @@ func TestAnalyzeSameNFPairs(t *testing.T) {
 	}
 }
 
-func TestAnalyzePriorityForcesParallel(t *testing.T) {
-	// Priority(IPS > Firewall) — §3's example. Both drop; Order
-	// analysis says sequential, Priority forces parallel and Algorithm 1
-	// still reports the conflicts for merger programming.
-	ips := mustProfile(t, NFIPS)
-	fw := mustProfile(t, NFFirewall)
-	if res := Analyze(fw, ips, Options{}); res.Parallelizable {
-		t.Fatal("Order(FW,IPS) should be sequential (both drop)")
-	}
-	res := AnalyzePriority(ips, fw, Options{})
-	if !res.Parallelizable {
-		t.Error("Priority(IPS>FW) not parallelized")
-	}
-}
-
 func TestDirtyMemoryReusingSwitch(t *testing.T) {
 	// Two NFs writing disjoint fields share a copy with OP#1 on, and
 	// need a copy with it off.
@@ -242,7 +228,7 @@ func TestWeightedPairStatsDirtyReuseAblation(t *testing.T) {
 
 func TestProfileHelpers(t *testing.T) {
 	lb := mustProfile(t, NFLB)
-	if !lb.Reads(packet.FieldSrcPort) || !lb.Writes(packet.FieldSrcIP) {
+	if !slices.Contains(lb.Actions, Read(packet.FieldSrcPort)) || !slices.Contains(lb.WriteSet(), packet.FieldSrcIP) {
 		t.Error("LB profile helpers wrong")
 	}
 	if lb.Drops() || lb.AddsOrRemoves() || lb.TouchesPayload() {
@@ -295,11 +281,6 @@ func TestStringers(t *testing.T) {
 	}
 	if Read(packet.FieldSrcIP).String() != "read(sip)" {
 		t.Errorf("Read String = %q", Read(packet.FieldSrcIP).String())
-	}
-	for _, v := range []CellVerdict{ParallelNoCopy, ParallelWithCopy, NotParallelizable} {
-		if v.String() == "" {
-			t.Error("empty verdict string")
-		}
 	}
 	if Op(99).String() != "op(99)" {
 		t.Errorf("bad op string %q", Op(99).String())

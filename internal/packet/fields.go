@@ -56,16 +56,6 @@ func (f Field) String() string {
 	return fmt.Sprintf("field(%d)", uint8(f))
 }
 
-// Fields returns all concrete fields (excluding FieldNone), useful for
-// table-driven tests and the action model.
-func Fields() []Field {
-	out := make([]Field, 0, numFields-1)
-	for f := FieldSrcIP; f < numFields; f++ {
-		out = append(out, f)
-	}
-	return out
-}
-
 // Overlaps reports whether two fields occupy overlapping byte ranges in
 // any packet. Dirty Memory Reusing (§4.2, OP#1) allows two NFs to share
 // a packet copy when the fields they touch do NOT overlap.

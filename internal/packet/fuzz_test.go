@@ -37,7 +37,7 @@ func FuzzParse(f *testing.F) {
 		err := p.Parse()
 		if err != nil {
 			// Unparseable packets still answer range queries safely.
-			for _, fd := range Fields() {
+			for fd := FieldSrcIP; fd < numFields; fd++ {
 				if _, ok := p.FieldRange(fd); ok {
 					t.Fatalf("field %v resolvable on unparseable packet", fd)
 				}
@@ -52,7 +52,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("AppOff %d beyond len %d", l.AppOff, p.Len())
 		}
 		// Every resolvable field stays within the wire bytes.
-		for _, fd := range Fields() {
+		for fd := FieldSrcIP; fd < numFields; fd++ {
 			if r, ok := p.FieldRange(fd); ok {
 				if r.Off < 0 || r.Len < 0 || r.Off+r.Len > p.Len() {
 					t.Fatalf("field %v range %+v outside packet of %d", fd, r, p.Len())

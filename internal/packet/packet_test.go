@@ -396,7 +396,7 @@ func TestChecksumProperty(t *testing.T) {
 }
 
 func TestFieldStrings(t *testing.T) {
-	for _, f := range Fields() {
+	for f := FieldSrcIP; f < numFields; f++ {
 		if f.String() == "" || f.String() == "none" {
 			t.Errorf("field %d has bad name %q", f, f.String())
 		}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 
 	"nfp/internal/dataplane"
 	"nfp/internal/graph"
@@ -47,11 +46,8 @@ type joinState struct {
 }
 
 type desStage struct {
-	name      string
 	serviceUS float64
 	busyUntil float64
-	queued    int
-	busyTime  float64
 }
 
 // event is one packet arriving at a stage at a virtual time.
@@ -97,19 +93,16 @@ func NewDES(params Params, g graph.Node, frameSize, mergers int) (*DES, error) {
 		mergers: mergers,
 		pending: map[joinKey]*joinState{},
 	}
-	d.stages = append(d.stages, &desStage{name: "classifier", serviceUS: params.ClassifyServiceUS})
+	d.stages = append(d.stages, &desStage{serviceUS: params.ClassifyServiceUS})
 	pl := payloadBytes(frameSize)
 	for _, n := range plan.Nodes {
 		svc := params.cost(n.NF.Name).ServiceUS +
 			params.cost(n.NF.Name).PerKBUS*float64(pl)/1024 +
 			params.HopServiceUS
-		d.stages = append(d.stages, &desStage{name: n.NF.String(), serviceUS: svc})
+		d.stages = append(d.stages, &desStage{serviceUS: svc})
 	}
 	for m := 0; m < mergers; m++ {
-		d.stages = append(d.stages, &desStage{
-			name:      fmt.Sprintf("merger%d", m),
-			serviceUS: params.MergeItemServiceUS,
-		})
+		d.stages = append(d.stages, &desStage{serviceUS: params.MergeItemServiceUS})
 	}
 	return d, nil
 }
@@ -138,7 +131,6 @@ func (d *DES) Run(n int, intervalUS float64) (meanLatencyUS, outputMpps float64)
 		}
 		finish := start + st.serviceUS
 		st.busyUntil = finish
-		st.busyTime += st.serviceUS
 		d.dispatch(e, finish)
 	}
 	if d.completed == 0 {
@@ -207,19 +199,6 @@ func (d *DES) execList(ds []dataplane.Dispatch, e event, t float64) {
 			}
 		}
 	}
-}
-
-// Utilization returns per-stage busy fractions after Run, keyed by
-// stage name — the bottleneck diagnosis view.
-func (d *DES) Utilization() map[string]float64 {
-	out := map[string]float64{}
-	if d.lastOut <= 0 {
-		return out
-	}
-	for _, st := range d.stages {
-		out[st.name] = st.busyTime / d.lastOut
-	}
-	return out
 }
 
 // SaturationMpps estimates the zero-loss capacity by driving the DES

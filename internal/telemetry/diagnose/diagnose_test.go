@@ -318,7 +318,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	seedNF(reg, "fw", "1", 100, 10_000)
 	d.sampleAt(time.Unix(101, 0))
 
-	srv := httptest.NewServer(telemetry.HandlerWith(reg, nil, d.Handlers()))
+	srv := httptest.NewServer(telemetry.Handler(reg, nil, d.Handlers()))
 	defer srv.Close()
 
 	var rep HealthReport

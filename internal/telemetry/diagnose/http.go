@@ -10,7 +10,7 @@ import (
 const defaultTopN = 20
 
 // Handlers returns the diagnosis endpoints, keyed by pattern, in the
-// shape telemetry.ServeWith/HandlerWith accept:
+// shape telemetry.Serve/Handler accept as extra endpoints:
 //
 //	/debug/health    the HealthReport JSON document
 //	/debug/topflows  the TopFlowsReport JSON document (?n=limit)

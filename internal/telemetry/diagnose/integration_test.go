@@ -52,7 +52,7 @@ func TestStalledNFRanksTopBottleneck(t *testing.T) {
 	d.SampleNow() // close the window on the run's final state
 
 	// Read the verdict the way an operator would: over HTTP.
-	srv := httptest.NewServer(telemetry.HandlerWith(treg, nil, d.Handlers()))
+	srv := httptest.NewServer(telemetry.Handler(treg, nil, d.Handlers()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/health")
 	if err != nil {

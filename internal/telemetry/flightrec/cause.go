@@ -59,16 +59,6 @@ func (c Cause) String() string {
 	return fmt.Sprintf("cause(%d)", uint8(c))
 }
 
-// Causes lists every named cause (including the unknown sentinel) in
-// taxonomy order.
-func Causes() []Cause {
-	out := make([]Cause, NumCauses)
-	for i := range out {
-		out[i] = Cause(i)
-	}
-	return out
-}
-
 // ParseCause maps a taxonomy name back to its Cause; ok is false for
 // names outside the closed set.
 func ParseCause(s string) (Cause, bool) {

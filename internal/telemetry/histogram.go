@@ -80,38 +80,6 @@ func (h *Histogram) Record(ns int64) {
 	}
 }
 
-// Merge adds o's buckets into h (both keep recording safely — the
-// merge is a race-free sum of atomic loads and adds, though not an
-// atomic snapshot of o). Safe when either receiver is nil.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	if m := o.min.Load(); m != 0 {
-		for {
-			cur := h.min.Load()
-			if cur != 0 && ^cur <= ^m || h.min.CompareAndSwap(cur, m) {
-				break
-			}
-		}
-	}
-	if m := o.max.Load(); m != 0 {
-		for {
-			cur := h.max.Load()
-			if m <= cur || h.max.CompareAndSwap(cur, m) {
-				break
-			}
-		}
-	}
-}
-
 // Count returns the number of recorded samples. Safe on nil.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

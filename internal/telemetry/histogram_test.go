@@ -130,26 +130,6 @@ func TestHistogramMinMaxMean(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := int64(1); i <= 1000; i++ {
-		a.Record(i)
-		b.Record(i * 1000)
-	}
-	a.Merge(b)
-	s := a.Snapshot()
-	if s.Count != 2000 {
-		t.Errorf("merged count = %d, want 2000", s.Count)
-	}
-	if s.Min != 1 || s.Max != 1_000_000 {
-		t.Errorf("merged min/max = %d/%d", s.Min, s.Max)
-	}
-	// p50 of the merged set sits at the top of a's range.
-	if p := s.Percentile(50); p < 900 || p > 1200 {
-		t.Errorf("merged p50 = %d, want ≈1000", p)
-	}
-}
-
 // TestHistogramConcurrent hammers one histogram from many goroutines;
 // run under -race this is the lock-freedom proof, and the final count
 // and sum must balance exactly.

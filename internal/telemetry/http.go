@@ -128,16 +128,12 @@ type SpansDump struct {
 //	/debug/criticalpath  per-MID latency attribution + parallel speedup
 //	/debug/pprof/...     the standard Go profiles (always mounted)
 //
-// reg and tr may be nil (empty sections).
-func Handler(reg *Registry, tr *Tracer) http.Handler {
-	return HandlerWith(reg, tr, nil)
-}
-
-// HandlerWith is Handler plus caller-supplied endpoints (pattern →
-// handler), the hook subsystems layered above telemetry (diagnosis,
-// future control surfaces) use to join the same introspection server.
-// Extra patterns must not collide with the built-in ones.
-func HandlerWith(reg *Registry, tr *Tracer, extra map[string]http.Handler) http.Handler {
+// plus caller-supplied endpoints (pattern → handler), the hook
+// subsystems layered above telemetry (diagnosis, the flight recorder,
+// the config view) use to join the same introspection server. Extra
+// patterns must not collide with the built-in ones. reg, tr and extra
+// may be nil (empty sections).
+func Handler(reg *Registry, tr *Tracer, extra map[string]http.Handler) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()
 	for pattern, h := range extra {
@@ -182,21 +178,16 @@ func HandlerWith(reg *Registry, tr *Tracer, extra map[string]http.Handler) http.
 	return mux
 }
 
-// Serve binds addr and serves Handler in a background goroutine. It
-// returns the server (for Close/Shutdown) and the bound address — so
-// ":0" callers learn their port. Errors after binding are the server's
-// to log; binding errors return immediately.
-func Serve(addr string, reg *Registry, tr *Tracer) (*http.Server, string, error) {
-	return ServeWith(addr, reg, tr, nil)
-}
-
-// ServeWith is Serve with extra endpoints (see HandlerWith).
-func ServeWith(addr string, reg *Registry, tr *Tracer, extra map[string]http.Handler) (*http.Server, string, error) {
+// Serve binds addr and serves Handler(reg, tr, extra) in a background
+// goroutine. It returns the server (for Close/Shutdown) and the bound
+// address — so ":0" callers learn their port. Errors after binding are
+// the server's to log; binding errors return immediately.
+func Serve(addr string, reg *Registry, tr *Tracer, extra map[string]http.Handler) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: HandlerWith(reg, tr, extra)}
+	srv := &http.Server{Handler: Handler(reg, tr, extra)}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }

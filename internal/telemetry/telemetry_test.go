@@ -73,7 +73,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil gauge has a value")
 	}
 	h.Record(1)
-	h.Merge(nil)
 	if h.Count() != 0 || h.Snapshot().Count != 0 {
 		t.Error("nil histogram recorded")
 	}
@@ -192,7 +191,7 @@ func TestHTTPHandler(t *testing.T) {
 	tr := NewTracer(1, 16)
 	recordPoint(tr, 7, 1, StageClassify, "classifier", 100)
 	recordPoint(tr, 7, 1, StageOutput, "", 200)
-	srv := httptest.NewServer(Handler(r, tr))
+	srv := httptest.NewServer(Handler(r, tr, nil))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")

@@ -2,6 +2,7 @@ package nfp
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestFacadeInspectAndRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prof.Reads(FieldSrcIP) {
+	if !slices.Contains(prof.Actions, ReadAction(FieldSrcIP)) {
 		t.Errorf("inspected profile = %v", prof)
 	}
 	if _, err := sys.InspectAndRegisterNF("x", "/missing.go", nil); err == nil {
