@@ -29,7 +29,8 @@
 #                    target gets a short -fuzztime budget (override with
 #                    FUZZ_TIME) on top of its checked-in seed corpus.
 #                    Targets: policy compile, Accumulating Table, rule
-#                    index, flow table, signature matcher
+#                    index, flow table, signature matcher, the LPM
+#                    table (against a linear-scan longest match)
 #                    and the VPN (Process then Decap restores the frame;
 #                    one flipped bit makes Decap fail).
 #   ./ci.sh trace  — the non-blocking inspector smoke: builds
@@ -327,6 +328,7 @@ if [ "${1:-}" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzRuleIndex$' -fuzztime "$ft" ./internal/ruleindex/
     go test -run '^$' -fuzz '^FuzzFlowTable$' -fuzztime "$ft" ./internal/flowtab/
     go test -run '^$' -fuzz '^FuzzMatch$' -fuzztime "$ft" ./internal/ahocorasick/
+    go test -run '^$' -fuzz '^FuzzLPM$' -fuzztime "$ft" ./internal/lpm/
     go test -run '^$' -fuzz '^FuzzVPN$' -fuzztime "$ft" ./internal/nf/
     exit 0
 fi

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"sync"
 
 	"nfp/internal/lpm"
 	"nfp/internal/nfa"
@@ -24,13 +25,31 @@ type L3Forwarder struct {
 	misses  uint64
 }
 
-// NewL3Forwarder builds a forwarder with n synthetic routes plus a
-// default route, deterministically seeded so all instances share the
-// same table (as chained identical NFs in the paper do).
+// fibs holds the FIB of each route count, built on first use and never
+// written again, so every forwarder, shard, restart and reload reads the
+// same table.
+var fibs sync.Map // int -> *lpm.Table
+
+// NewL3Forwarder returns a forwarder over n synthetic routes plus a
+// default route. The routes are deterministically seeded, and all
+// instances with the same n share one table (as chained identical NFs
+// in the paper do); only the counters are per instance.
 func NewL3Forwarder(n int) (*L3Forwarder, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("l3fwd: negative route count %d", n)
 	}
+	t, ok := fibs.Load(n)
+	if !ok {
+		built, err := buildFIB(n)
+		if err != nil {
+			return nil, err
+		}
+		t, _ = fibs.LoadOrStore(n, built)
+	}
+	return &L3Forwarder{table: t.(*lpm.Table)}, nil
+}
+
+func buildFIB(n int) (*lpm.Table, error) {
 	t := lpm.New()
 	if err := t.Insert(netip.MustParsePrefix("0.0.0.0/0"), 0); err != nil {
 		return nil, err
@@ -48,7 +67,7 @@ func NewL3Forwarder(n int) (*L3Forwarder, error) {
 			return nil, err
 		}
 	}
-	return &L3Forwarder{table: t}, nil
+	return t, nil
 }
 
 // Name implements NF.
@@ -63,31 +82,22 @@ func (f *L3Forwarder) Process(p *packet.Packet) Verdict {
 
 // ProcessBatch implements BatchProcessor: it looks up every packet's
 // destination address. The chosen next hop is recorded internally; the
-// packets are not modified (profile: read DIP). One pass over the burst
-// with the last destination's LPM result cached, so runs of
-// same-destination packets (the common case inside a burst) cost one
-// table walk.
+// packets are not modified (profile: read DIP).
 func (f *L3Forwarder) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
-	var lastAddr uint32
-	var lastOK, haveLast bool
 	for i, p := range pkts {
 		verdicts[i] = Pass
-		if err := p.Parse(); err != nil {
+		fk, err := p.FlowKey()
+		if err != nil {
 			f.misses++
 			continue
 		}
-		b := p.FieldBytes(packet.FieldDstIP)
-		addr := binary.BigEndian.Uint32(b)
-		if !haveLast || addr != lastAddr {
-			_, lastOK = f.table.LookupUint(addr)
-			lastAddr, haveLast = addr, true
-		}
-		if !lastOK {
+		if _, ok := f.table.LookupUint(binary.BigEndian.Uint32(fk.Dst[:])); !ok {
 			f.misses++
 		}
 		f.lookups++
 	}
 }
 
-// Lookups returns the number of successful table consultations.
+// Lookups returns the number of packets whose destination was looked
+// up: every parsed packet, those without a matching route included.
 func (f *L3Forwarder) Lookups() uint64 { return f.lookups }

@@ -8,12 +8,12 @@ package nfa
 //
 // The six NFs a bench workload runs take `go run ./bench -trace 1`'s
 // nf.<x>.busy_ns_per_pkt (4 s runs, seeds 1 and 3 agreeing within 2 %,
-// vpn within 5 %) on the workload named. The rest take `go test -run '^$' -bench
+// vpn and l3fwd within 5 %) on the workload named. The rest take `go test -run '^$' -bench
 // NFCost ./internal/nf/`, one Process call over fig13_dcmix's frame
 // mix. The synthetic NF is absent: its cost is whatever its loop count
 // makes it, so it stays unknown.
 var builtinCostNS = map[string]int64{
-	NFL3Fwd:    43,  // fwd64
+	NFL3Fwd:    32,  // fwd64 (seeds 1 and 3: 31, 33)
 	NFFirewall: 49,  // stateful_manyflow
 	NFLB:       167, // stateful_manyflow
 	NFMonitor:  227, // stateful_manyflow (70 on fig13_dcmix)
