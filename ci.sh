@@ -51,8 +51,10 @@
 #                    mid-run, polls /debug/config until each new config
 #                    generation goes live, then asserts conservation
 #                    (injected == outputs + drops, zero pool buffers
-#                    held) and a complete generation history. Also
-#                    exercises nfpinspect config.
+#                    held), a complete generation history, and as
+#                    many nfp_nf_* series on /metrics at generation 3
+#                    as at generation 2. Also exercises nfpinspect
+#                    config.
 #   ./ci.sh twostage — the sequential-joins smoke: runs the checked-in
 #                    policy cmd/nfpcompile/testdata/twostage.pol, whose
 #                    two Priority rules keep two parallel stages in a
@@ -201,8 +203,15 @@ if [ "${1:-}" = "reload" ]; then
         done
         echo "generation never reached $1 (got $gen)"; cat "$log"; return 1
     }
+    # A reload continues its graph's series: the per-NF series on
+    # /metrics must not grow from one generation to the next.
+    nf_series() { curl -fsS "http://$addr/metrics" | grep -c '^nfp_nf_'; }
     hup_to_gen 2
+    series2="$(nf_series)"
     hup_to_gen 3
+    series3="$(nf_series)"
+    [ "$series2" = "$series3" ] || {
+        echo "nfp_nf_* series grew across a reload: $series2 at gen 2, $series3 at gen 3"; exit 1; }
     # Wait for the traffic run to finish (nfpd prints its summary, then
     # keeps serving), so the conservation check sees the final counts.
     for _ in $(seq 1 600); do

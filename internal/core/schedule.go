@@ -57,9 +57,10 @@ func (c *compiler) scheduleMiddle(middle map[string]bool) (graph.Node, error) {
 		}
 	}
 
-	// Layer the components by hard edges; each layer is a Par of the
-	// member component graphs, all sharing the original packet copy.
-	levels := levelize(len(comps), compHard)
+	// Layer the components by hard edges (always i → j with i < j, so
+	// acyclic); each layer is a Par of the member component graphs, all
+	// sharing the original packet copy.
+	levels := c.levelizeMixed(len(comps), compHard, nil, nil)
 	maxLevel := 0
 	for _, l := range levels {
 		if l > maxLevel {
@@ -667,43 +668,6 @@ func (c *compiler) levelizeMixed(n int, hard, soft map[int]map[int]bool, names [
 				}
 			}
 		}
-	}
-	return levels
-}
-
-// levelize assigns longest-path levels to n nodes under hard edges.
-func levelize(n int, hard map[int]map[int]bool) []int {
-	levels := make([]int, n)
-	memo := make([]int, n)
-	for i := range memo {
-		memo[i] = -1
-	}
-	// level(i) = 1 + max(level(pred)); compute via reverse adjacency.
-	preds := map[int][]int{}
-	for a, tos := range hard {
-		for b := range tos {
-			preds[b] = append(preds[b], a)
-		}
-	}
-	var depth func(int, int) int
-	depth = func(i, guard int) int {
-		if memo[i] >= 0 {
-			return memo[i]
-		}
-		if guard > n {
-			return 0 // cycle guard; policy validation prevents this
-		}
-		d := 0
-		for _, p := range preds[i] {
-			if pd := depth(p, guard+1) + 1; pd > d {
-				d = pd
-			}
-		}
-		memo[i] = d
-		return d
-	}
-	for i := 0; i < n; i++ {
-		levels[i] = depth(i, 0)
 	}
 	return levels
 }

@@ -28,8 +28,8 @@ type dropProv struct {
 	node  int32
 }
 
-// dropCounter resolves the terminal nfp_drops_total{cause,nf,shard,
-// gen} counter for one provenance, with a lazy per-runtime cache so
+// dropCounter resolves the terminal nfp_drops_total{cause,nf,shard}
+// counter for one provenance, with a lazy per-runtime cache so
 // the hot path pays one atomic load after first use (registry lookups
 // hash label sets). The cause=unknown row exists only if a drop site
 // ever forgets to stamp provenance — and then the conservation audit
@@ -39,10 +39,10 @@ func (sh *shard) dropCounter(pr *planRuntime, prov dropProv) *telemetry.Counter 
 	if c := pr.dropCtrs[idx].Load(); c != nil {
 		return c
 	}
-	c := sh.srv.tel.Counter(flightrec.MetricDrops, labelGen(sh.labelShard([]telemetry.Label{
+	c := sh.srv.tel.Counter(flightrec.MetricDrops, sh.labelShard([]telemetry.Label{
 		telemetry.L("cause", prov.cause.String()),
 		telemetry.L("nf", pr.plan.Nodes[prov.node].NF.String()),
-	}), pr.gen)...)
+	})...)
 	pr.dropCtrs[idx].Store(c)
 	return c
 }

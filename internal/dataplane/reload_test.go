@@ -1,9 +1,10 @@
 package dataplane
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 	"nfp/internal/telemetry"
+	"nfp/internal/telemetry/diagnose"
 )
 
 // countNF wraps an NF and counts its Process calls — the per-generation
@@ -101,6 +103,7 @@ func TestReloadGenerationsAndDrainCompleteness(t *testing.T) {
 			}
 
 			prevHash := ""
+			var drained uint64
 			for round := 0; round < 2; round++ {
 				oldPrs := runtimesOf(s, 1)
 				mu.Lock()
@@ -149,13 +152,11 @@ func TestReloadGenerationsAndDrainCompleteness(t *testing.T) {
 					t.Fatalf("compile hash changed across a same-policy reload: %s -> %s", prevHash, last.Hash)
 				}
 				prevHash = last.Hash
-				// The per-generation drain counter matches the recorded
-				// drain exactly.
-				drainedC := s.Telemetry().Counter("nfp_reload_drained_total",
-					telemetry.L("gen", strconv.FormatUint(want-1, 10)))
-				if drainedC.Value() != last.Drained {
-					t.Fatalf("nfp_reload_drained_total{gen=%d} = %d, history says %d",
-						want-1, drainedC.Value(), last.Drained)
+				// The drain counter grows by exactly the recorded drain.
+				drained += last.Drained
+				if got := s.Telemetry().Counter("nfp_reload_drained_total").Value(); got != drained {
+					t.Fatalf("nfp_reload_drained_total = %d after generation %d, history sums to %d",
+						got, want, drained)
 				}
 			}
 
@@ -247,7 +248,9 @@ func TestReloadUnderLoadConservation(t *testing.T) {
 // stall detonates a scheduled panic inside the drain window. The drain
 // must still complete (panicked burst + unhealthy arrivals all resolve
 // to accounted drops), the reload must return, and the new generation
-// must carry traffic.
+// must carry traffic. The panicked instance is never restarted, but its
+// series are the successor's: they must report the live generation,
+// which is healthy, and the panic must stay counted.
 func TestChaosReloadPanicDuringDrain(t *testing.T) {
 	stallMon := faultinject.NewStallNF(faultinject.NewPanicNF(nf.NewMonitor(), 1))
 	fwd := mustNF(t, nfa.NFL3Fwd)
@@ -321,6 +324,116 @@ func TestChaosReloadPanicDuringDrain(t *testing.T) {
 	}
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Fatalf("pool leak: %d buffers", leak)
+	}
+
+	snap := s.Telemetry().Snapshot()
+	mon := []telemetry.Label{telemetry.L("nf", nfa.NFMonitor), telemetry.L("mid", "1")}
+	if v := snap.GaugeValue("nfp_nf_healthy", mon...); v != 1 {
+		t.Fatalf("nfp_nf_healthy{nf=monitor,mid=1} = %d after the drain, want 1 (the live generation's)", v)
+	}
+	if v := snap.CounterValue("nfp_nf_panics_total", mon...); v != st.Panics {
+		t.Fatalf("nfp_nf_panics_total{nf=monitor,mid=1} = %d, Stats().Panics = %d", v, st.Panics)
+	}
+	// /debug/health over a window that opens after the panic: one row
+	// per NF, and nothing the retired generation did degrades it.
+	d := diagnose.New(diagnose.Config{Registry: s.Telemetry()})
+	d.SampleNow()
+	d.SampleNow()
+	w := httptest.NewRecorder()
+	d.Handlers()["/debug/health"].ServeHTTP(w, httptest.NewRequest("GET", "/debug/health", nil))
+	var rep diagnose.HealthReport
+	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Bottlenecks) != 2 || rep.State != diagnose.StateOK {
+		t.Fatalf("/debug/health: state %q, %d rows (want ok, one per NF): %+v reasons %v",
+			rep.State, len(rep.Bottlenecks), rep.Bottlenecks, rep.Reasons)
+	}
+}
+
+// TestReloadSeriesBounded is the registry-bound property: a series is
+// named by what it measures, not by the generation that built it, so a
+// thousand reloads of fwd64's five-forwarder chain leave exactly the
+// series the install made, and the per-NF counters run on across them.
+func TestReloadSeriesBounded(t *testing.T) {
+	var chain graph.Seq
+	for i := 0; i < 5; i++ {
+		chain.Items = append(chain.Items, nfn(nfa.NFL3Fwd, i))
+	}
+	s := New(Config{PoolSize: 256, Burst: 8})
+	if err := s.AddGraph(1, chain); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	col := collectOutputs(s)
+	const wave = 50
+	inject := func() {
+		for i := 0; i < wave; i++ {
+			if !s.Inject(buildInto(t, s, spec(byte(i%7), uint16(1000+i), "series"))) {
+				t.Fatal("classification failed")
+			}
+		}
+	}
+	series := func() int {
+		snap := s.Telemetry().Snapshot()
+		return len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	inject()
+	installed, heap0 := series(), liveHeap()
+	const reloads = 1000
+	for r := 0; r < reloads; r++ {
+		if err := s.Reload(1, chain); err != nil {
+			t.Fatalf("reload %d: %v", r, err)
+		}
+	}
+	if got := series(); got != installed {
+		t.Fatalf("registry holds %d series after %d reloads, %d after the install", got, reloads, installed)
+	}
+	heap1 := liveHeap()
+	t.Logf("%d series; live heap after GC %.1f -> %.1f MB over %d reloads",
+		installed, float64(heap0)/1e6, float64(heap1)/1e6, reloads)
+
+	inject()
+	s.Stop()
+	col.wait()
+	snap := s.Telemetry().Snapshot()
+	for i := range chain.Items {
+		name := nfn(nfa.NFL3Fwd, i).String()
+		got := snap.CounterValue("nfp_nf_packets_in_total", telemetry.L("nf", name), telemetry.L("mid", "1"))
+		if got != 2*wave {
+			t.Fatalf("nfp_nf_packets_in_total{nf=%s} = %d across the reloads, want %d", name, got, 2*wave)
+		}
+	}
+}
+
+// TestReloadFailedBuildRegistersNoSeries: a reload whose graph names an
+// NF no registry can build fails before it registers a series, so no
+// health gauge is left behind that no runtime publishes.
+func TestReloadFailedBuildRegistersNoSeries(t *testing.T) {
+	s := New(Config{PoolSize: 64})
+	if err := s.AddGraph(1, reloadGraph()); err != nil {
+		t.Fatal(err)
+	}
+	series := func() int {
+		snap := s.Telemetry().Snapshot()
+		return len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms)
+	}
+	before := series()
+	bad := graph.Seq{Items: []graph.Node{nfn(nfa.NFMonitor, 1), nfn("no-such-nf", 0)}}
+	if err := s.Reload(1, bad); err == nil {
+		t.Fatal("reload of an unbuildable graph succeeded")
+	}
+	if got := series(); got != before {
+		t.Fatalf("failed reload left %d series, want %d", got, before)
 	}
 }
 

@@ -33,6 +33,10 @@ type segNF struct {
 	panicked atomic.Bool
 
 	// Registry-backed per-NF metrics (labelled nf=<name>, mid=<mid>).
+	// healthyG is published at scrape time (Server.pollState) from the
+	// live generation's panicked flag: a slot that panics while its
+	// generation drains is never restarted, and must not speak for the
+	// successor that shares its series.
 	pktsIn       *telemetry.Counter
 	pktsOut      *telemetry.Counter
 	drops        *telemetry.Counter
@@ -167,11 +171,11 @@ func (n *nodeRT) invoke(s *segNF, pkts []*packet.Packet) (ok bool) {
 // arms a timer for at the (exponentially backed off) restart time.
 func (n *nodeRT) onPanic(s *segNF) {
 	s.panics.Inc()
+	n.sh.srv.panics.Add(1)
 	s.panicked.Store(true)
 	n.sh.note(flightrec.KindPanic, n.pr.gen, n.pr.nodeNames[s.plan.ID], 0)
 	backoff := min(max(2*n.backoffNS.Load(), int64(restartBackoff)), int64(restartBackoffMax))
 	n.backoffNS.Store(backoff)
-	s.healthyG.Set(0)
 	n.healthy.Store(false)
 	time.AfterFunc(time.Duration(backoff), n.restart)
 }
@@ -235,9 +239,9 @@ func (n *nodeRT) restart() {
 		}
 		s.instP.Store(&instBox{nf: inst})
 		s.restarts.Inc()
+		n.sh.srv.restarts.Add(1)
 		n.sh.note(flightrec.KindRestart, n.pr.gen, n.pr.nodeNames[s.plan.ID], 0)
 		s.panicked.Store(false)
-		s.healthyG.Set(1)
 	}
 	n.healthy.Store(true)
 }

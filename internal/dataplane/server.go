@@ -282,13 +282,14 @@ type Server struct {
 	generation atomic.Uint64
 	genG       *telemetry.Gauge
 	reloadsC   *telemetry.Counter
+	drainedC   *telemetry.Counter
 	cfgMu      sync.Mutex
 	history    []GenerationInfo
-	// retiredPanics/retiredRestarts preserve the crash counters of
-	// drained generations after their runtimes are torn down, so Stats
-	// stays cumulative across reloads.
-	retiredPanics   atomic.Uint64
-	retiredRestarts atomic.Uint64
+	// panics and restarts count every NF crash and instance replacement
+	// of the server's lifetime, whatever generation or graph it hit, for
+	// Stats.
+	panics   atomic.Uint64
+	restarts atomic.Uint64
 
 	// stateful lists, per live runtime, the NF slots that report per-flow
 	// state (pollState). It is kept here rather than on the planRuntime,
@@ -323,10 +324,8 @@ func New(cfg Config) *Server {
 	s.genG = s.tel.Gauge("nfp_config_generation")
 	s.genG.Set(1)
 	s.reloadsC = s.tel.Counter("nfp_reloads_total")
-	s.rec = flightrec.NewRecorder(flightrec.Config{
-		Shards:     cfg.Shards,
-		StageNames: func(b uint8) string { return telemetry.Stage(b).String() },
-	})
+	s.drainedC = s.tel.Counter("nfp_reload_drained_total")
+	s.rec = flightrec.NewRecorder(flightrec.Config{Shards: cfg.Shards})
 	s.recAdmitID = s.rec.Intern("admission")
 	// Self-description for scrapes and incident bundles: one constant
 	// gauge whose labels carry the build and topology facts.
@@ -595,8 +594,7 @@ func (s *Server) install(mid uint32, g graph.Node, provide func(shard int, node 
 	info.SwappedNS = info.InstalledNS
 	info.Drained = s.retire(old) - preTerm
 	info.DrainNS = time.Now().UnixNano() - info.SwappedNS
-	s.tel.Counter("nfp_reload_drained_total",
-		telemetry.L("gen", strconv.FormatUint(old[0].gen, 10))).Add(info.Drained)
+	s.drainedC.Add(info.Drained)
 	s.note(flightrec.KindReloadDrained, old[0].gen, 0, info.Drained)
 	s.recordGeneration(info)
 	return nil
@@ -627,38 +625,23 @@ func (s *Server) retire(old []*planRuntime) (terminal uint64) {
 		}
 		w.Wait()
 	}
-	// Retire: runtimes exit (rings are provably empty) and crash
-	// counters roll up so Stats stays cumulative.
+	// Retire: runtimes exit (rings are provably empty).
 	for _, pr := range old {
 		pr.retired.Store(true)
 		terminal += pr.terminal.Load()
-		for _, n := range pr.rts {
-			for i := range n.nfs {
-				s.retiredPanics.Add(n.nfs[i].panics.Value())
-				s.retiredRestarts.Add(n.nfs[i].restarts.Value())
-			}
-		}
 		pr.wg.Wait()
 	}
 	s.forgetState(old)
 	return terminal
 }
 
-// labelGen appends the config-generation label for reloaded
-// generations; generation 1 keeps every pre-reload series name and
-// label set bit-identical (mirroring labelShard). The label is
-// load-bearing, not just cosmetic: the registry's create-or-get
-// semantics would otherwise silently merge a reloaded graph's series
-// into the old generation's.
-func labelGen(labels []telemetry.Label, gen uint64) []telemetry.Label {
-	if gen > 1 {
-		return append(labels, telemetry.L("gen", strconv.FormatUint(gen, 10)))
-	}
-	return labels
-}
-
 // buildRuntime instantiates one shard's runtimes for a compiled plan
-// at config generation gen.
+// at config generation gen. A series is named by what it measures —
+// family, nf, mid and shard — never by the generation, so a reload's
+// runtimes get the live ones' counters, gauges and histograms back
+// from the registry and continue them: counters stay monotone, and
+// the registry holds one set of series per installed graph however
+// many reloads run.
 func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF) nf.NF, gen uint64) (*planRuntime, error) {
 	// What one packet can hold: its copies, and a merger-ring slot per
 	// branch tail (a drop cuts a branch short and reports once: never more).
@@ -669,6 +652,20 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 	if copies > sh.room.copies() || tails > sh.room.tails() {
 		return nil, fmt.Errorf("dataplane: one packet of MID %d needs %d copies and %d merger slots, over a shard's admission budget of %d (copy reserve) and %d (merger ring)",
 			plan.MID, copies, tails, sh.room.copies(), sh.room.tails())
+	}
+	// Every instance first, so a build that fails registers no series:
+	// the health gauge of an NF no runtime serves would read 0.
+	insts := make([]nf.NF, len(plan.Nodes))
+	for i := range plan.Nodes {
+		if provide != nil {
+			insts[i] = provide(sh.id, plan.Nodes[i].NF)
+		}
+		if insts[i] == nil {
+			var err error
+			if insts[i], err = s.cfg.Registry.New(plan.Nodes[i].NF.Name); err != nil {
+				return nil, fmt.Errorf("dataplane: node %v: %w", plan.Nodes[i].NF, err)
+			}
+		}
 	}
 	pr := &planRuntime{plan: plan, owner: make([]*nodeRT, len(plan.Nodes)), gen: gen, weight: newBudget(copies, tails)}
 	var stateful []*stateMetrics
@@ -688,11 +685,11 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 	}
 	midLabel := telemetry.L("mid", strconv.FormatUint(uint64(plan.MID), 10))
 	if s.tracer != nil {
-		pr.e2eLat = s.tel.Histogram("nfp_e2e_latency_ns", labelGen(sh.labelShard([]telemetry.Label{midLabel}), gen)...)
+		pr.e2eLat = s.tel.Histogram("nfp_e2e_latency_ns", sh.labelShard([]telemetry.Label{midLabel})...)
 	}
 	for _, seg := range segs {
 		head := &plan.Nodes[seg[0]]
-		headLabels := labelGen(sh.labelShard([]telemetry.Label{telemetry.L("nf", head.NF.String()), midLabel}), gen)
+		headLabels := sh.labelShard([]telemetry.Label{telemetry.L("nf", head.NF.String()), midLabel})
 		n := &nodeRT{
 			nfs:      make([]segNF, len(seg)),
 			rx:       ring.NewMPSC(s.cfg.RingSize),
@@ -708,19 +705,8 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 		// layer can express occupancy as a fill fraction.
 		s.tel.Gauge("nfp_nf_ring_capacity", headLabels...).Set(int64(n.rx.Cap()))
 		for k, id := range seg {
-			pn := &plan.Nodes[id]
-			var inst nf.NF
-			if provide != nil {
-				inst = provide(sh.id, pn.NF)
-			}
-			if inst == nil {
-				var err error
-				inst, err = s.cfg.Registry.New(pn.NF.Name)
-				if err != nil {
-					return nil, fmt.Errorf("dataplane: node %v: %w", pn.NF, err)
-				}
-			}
-			labels := labelGen(sh.labelShard([]telemetry.Label{telemetry.L("nf", pn.NF.String()), midLabel}), gen)
+			pn, inst := &plan.Nodes[id], insts[id]
+			labels := sh.labelShard([]telemetry.Label{telemetry.L("nf", pn.NF.String()), midLabel})
 			sn := &n.nfs[k]
 			sn.plan = pn
 			sn.pktsIn = s.tel.Counter("nfp_nf_packets_in_total", labels...)
@@ -740,7 +726,6 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 				})
 			}
 			sn.instP.Store(&instBox{nf: inst})
-			sn.healthyG.Set(1)
 			pr.owner[id] = n
 		}
 		n.healthy.Store(true)
@@ -1037,8 +1022,8 @@ type Stats struct {
 	Outputs  uint64
 	Drops    uint64
 	// Panics and Restarts count NF crashes caught at the runtime crash
-	// boundary and the instance replacements that followed, summed
-	// over every shard.
+	// boundary and the instance replacements that followed, over every
+	// shard and generation, NFs a reload removed included.
 	Panics   uint64
 	Restarts uint64
 	// Copies and CopiedBytes quantify the §6.3.1 resource overhead.
@@ -1066,20 +1051,10 @@ func (s *Server) Stats() Stats {
 		CopiedBytes: s.copiedB.Value(),
 		MergeErrors: s.mergeErrs.Value(),
 		Pool:        s.pool.Stats(),
+		Panics:      s.panics.Load(),
+		Restarts:    s.restarts.Load(),
 	}
-	// Crash counters of drained generations were rolled up at retire
-	// time; live runtimes add their own.
-	st.Panics = s.retiredPanics.Load()
-	st.Restarts = s.retiredRestarts.Load()
 	for _, sh := range s.shards {
-		for _, pr := range *sh.plans.Load() {
-			for _, n := range pr.rts {
-				for i := range n.nfs {
-					st.Panics += n.nfs[i].panics.Value()
-					st.Restarts += n.nfs[i].restarts.Value()
-				}
-			}
-		}
 		for _, m := range sh.mergers {
 			st.MergerLoad = append(st.MergerLoad, m.processed.Value())
 		}
@@ -1090,10 +1065,24 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// pollState brings the nfp_nf_state_* series of every live table-backed
-// NF up to date. It runs at scrape time (Registry.OnSnapshot), so the
-// packet path pays nothing for them.
+// pollState brings the scrape-time series up to date: nfp_nf_healthy of
+// every NF the dispatch maps reach, and the nfp_nf_state_* series of
+// every table-backed one. It runs at scrape time (Registry.OnSnapshot),
+// so the packet path pays nothing for them.
 func (s *Server) pollState() {
+	for _, sh := range s.shards {
+		for _, pr := range *sh.plans.Load() {
+			for _, n := range pr.rts {
+				for i := range n.nfs {
+					var healthy int64
+					if !n.nfs[i].panicked.Load() {
+						healthy = 1
+					}
+					n.nfs[i].healthyG.Set(healthy)
+				}
+			}
+		}
+	}
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	for _, ms := range s.stateful {

@@ -148,7 +148,7 @@ func TestReportUnknownUntilTwoSamples(t *testing.T) {
 
 func TestRhoRankingAndVerdict(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	d := New(Config{Registry: reg, Window: 4})
+	d := New(Config{Registry: reg})
 	d.sampleAt(time.Unix(100, 0))
 
 	// Over a 1-second window: fw sees 1000 pps at 100µs → ρ=0.1;
@@ -194,7 +194,7 @@ func TestRhoRankingAndVerdict(t *testing.T) {
 
 func TestOverloadedOnShedsAndHighRho(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	d := New(Config{Registry: reg, Window: 4})
+	d := New(Config{Registry: reg})
 	d.sampleAt(time.Unix(100, 0))
 	seedNF(reg, "ids", "1", 1000, 990_000) // ρ≈0.99
 	d.sampleAt(time.Unix(101, 0))
@@ -209,7 +209,7 @@ func TestOverloadedOnShedsAndHighRho(t *testing.T) {
 
 func TestDegradedOnUnhealthyAndPanics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	d := New(Config{Registry: reg, Window: 4})
+	d := New(Config{Registry: reg})
 	seedNF(reg, "nat", "2", 10, 1000)
 	reg.Gauge(metricNFHealthy, nfLabels("nat", "2")...).Set(1)
 	d.sampleAt(time.Unix(100, 0))
@@ -228,7 +228,7 @@ func TestDegradedOnUnhealthyAndPanics(t *testing.T) {
 
 func TestSLOBurnEvaluation(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	d := New(Config{Registry: reg, Window: 4, SLOTargetP99: time.Millisecond})
+	d := New(Config{Registry: reg, SLOTargetP99: time.Millisecond})
 	h := reg.Histogram(metricE2ELatency, telemetry.L("mid", "1"))
 	d.sampleAt(time.Unix(100, 0))
 	// 5% of window samples breach a 1ms target → burn 5×.
@@ -275,19 +275,19 @@ func TestSLOBurnEvaluation(t *testing.T) {
 
 func TestRingBufferWindowSlides(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	d := New(Config{Registry: reg, Window: 3})
-	for i := 0; i < 10; i++ {
+	d := New(Config{Registry: reg})
+	for i := 0; i < window+7; i++ {
 		seedNF(reg, "fw", "1", 100, 10_000)
 		d.sampleAt(time.Unix(int64(100+i), 0))
 	}
 	rep := d.Report()
-	if rep.Samples != 3 {
-		t.Fatalf("retained samples = %d, want window of 3", rep.Samples)
+	if rep.Samples != window {
+		t.Fatalf("retained samples = %d, want window of %d", rep.Samples, window)
 	}
-	if rep.WindowSeconds != 2 {
-		t.Fatalf("window = %.0fs, want 2s (3 samples, 1s apart)", rep.WindowSeconds)
+	if rep.WindowSeconds != window-1 {
+		t.Fatalf("window = %.0fs, want %ds (%d samples, 1s apart)", rep.WindowSeconds, window-1, window)
 	}
-	// 100 pkts per tick over a 2s window = 100 pps.
+	// 100 pkts per tick over the window = 100 pps.
 	if pps := rep.Bottlenecks[0].ArrivalPPS; pps != 100 {
 		t.Fatalf("arrival = %.0f pps, want 100", pps)
 	}
@@ -295,7 +295,7 @@ func TestRingBufferWindowSlides(t *testing.T) {
 
 func TestStartStopBackgroundSampling(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	d := New(Config{Registry: reg, Interval: 5 * time.Millisecond, Window: 8})
+	d := New(Config{Registry: reg, Interval: 5 * time.Millisecond})
 	d.Start()
 	defer d.Stop()
 	deadline := time.Now().Add(2 * time.Second)

@@ -13,8 +13,8 @@ import (
 //	unknown    fewer than two samples retained — no window to judge.
 //	ok         no rule below fired.
 //	degraded   any NF unhealthy or panicking this window, any ρ ≥
-//	           RhoDegraded, or any chain burning error budget (> 1×).
-//	overloaded any ρ ≥ RhoOverloaded, or a chain burning ≥ 10× its
+//	           rhoDegraded, or any chain burning error budget (> 1×).
+//	overloaded any ρ ≥ rhoOverloaded, or a chain burning ≥ 10× its
 //	           error budget.
 //
 // Overloaded wins over degraded; every fired rule is listed in Reasons.
@@ -288,10 +288,10 @@ func (d *Diagnoser) judge(oldest, newest sample, rep HealthReport) (string, []st
 
 	for _, nf := range rep.Bottlenecks {
 		switch {
-		case nf.Rho >= d.cfg.RhoOverloaded:
-			raise(StateOverloaded, fmt.Sprintf("nf %s at ρ=%.2f ≥ %.2f", nfIdent(nf), nf.Rho, d.cfg.RhoOverloaded))
-		case nf.Rho >= d.cfg.RhoDegraded:
-			raise(StateDegraded, fmt.Sprintf("nf %s at ρ=%.2f ≥ %.2f", nfIdent(nf), nf.Rho, d.cfg.RhoDegraded))
+		case nf.Rho >= rhoOverloaded:
+			raise(StateOverloaded, fmt.Sprintf("nf %s at ρ=%.2f ≥ %.2f", nfIdent(nf), nf.Rho, rhoOverloaded))
+		case nf.Rho >= rhoDegraded:
+			raise(StateDegraded, fmt.Sprintf("nf %s at ρ=%.2f ≥ %.2f", nfIdent(nf), nf.Rho, rhoDegraded))
 		}
 		if !nf.Healthy {
 			raise(StateDegraded, fmt.Sprintf("nf %s reported unhealthy", nfIdent(nf)))
@@ -330,16 +330,16 @@ func nfIdent(nd NFDiag) string {
 var faultCauses = []flightrec.Cause{flightrec.CausePanic, flightrec.CauseUnhealthyDrain, flightrec.CauseReloadDrain}
 
 // faultDropsAt sums the terminal drop family nfp_drops_total{cause,nf,
-// shard,gen} over faultCauses, for the NF instance whose own series
-// carry the labels of. The family has no mid label, so graphs that share
-// an NF name share its drop series.
+// shard} over faultCauses, for the NF instance whose own series carry
+// the labels of. The family has no mid label, so graphs that share an
+// NF name share its drop series.
 func faultDropsAt(s telemetry.Snapshot, of map[string]string) uint64 {
 	var sum uint64
 	for _, c := range s.Counters {
 		if c.Name != flightrec.MetricDrops {
 			continue
 		}
-		if c.Labels["nf"] != of["nf"] || c.Labels["shard"] != of["shard"] || c.Labels["gen"] != of["gen"] {
+		if c.Labels["nf"] != of["nf"] || c.Labels["shard"] != of["shard"] {
 			continue
 		}
 		for _, cause := range faultCauses {

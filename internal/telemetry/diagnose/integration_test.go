@@ -90,6 +90,121 @@ func TestStalledNFRanksTopBottleneck(t *testing.T) {
 	}
 }
 
+// TestReloadRhoGaugeFollowsLiveRow reloads a chain three times before
+// its traffic: a reloaded graph continues its series, so /debug/health
+// has one row per NF and the exported nfp_nf_rho_milli is the live row's
+// ρ, not a drained generation's.
+func TestReloadRhoGaugeFollowsLiveRow(t *testing.T) {
+	stall := faultinject.NewStallNF(nf.NewMonitor())
+	stall.SetDelay(200 * time.Microsecond)
+	reg := nf.NewRegistry()
+	reg.MustRegister(nfa.NFMonitor, func() (nf.NF, error) { return stall, nil })
+	g := graph.Seq{Items: []graph.Node{graph.NF{Name: nfa.NFMonitor}, graph.NF{Name: nfa.NFLB}}}
+
+	treg := telemetry.NewRegistry()
+	d := diagnose.New(diagnose.Config{Registry: treg})
+	_, err := experiments.RunLiveGraphOpts(g, 300, trafficgen.New(trafficgen.Config{Flows: 16, Seed: 3}),
+		experiments.LiveOptions{
+			Config: dataplane.Config{Registry: reg, Telemetry: treg},
+			OnServer: func(s *dataplane.Server) {
+				for i := 0; i < 3; i++ {
+					if err := s.Reload(1, g); err != nil {
+						t.Error(err)
+					}
+				}
+				d.SampleNow()
+			},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SampleNow()
+
+	rep := d.Report()
+	top := rep.Bottlenecks[0]
+	if top.NF != nfa.NFMonitor || top.Rho < 0.1 {
+		t.Fatalf("top row %s ρ=%.3f, want the stalled monitor", top.NF, top.Rho)
+	}
+	got := treg.Snapshot().GaugeValue("nfp_nf_rho_milli", telemetry.L("nf", top.NF), telemetry.L("mid", top.MID))
+	if want := int64(top.Rho * 1000); got != want {
+		t.Fatalf("nfp_nf_rho_milli{nf=%s} = %d, live row reads %d", top.NF, got, want)
+	}
+	if len(rep.Bottlenecks) != 2 {
+		t.Fatalf("%d rows after 3 reloads, want one per NF: %+v", len(rep.Bottlenecks), rep.Bottlenecks)
+	}
+}
+
+// TestShardedRhoGaugesPerShard stalls one shard's instance of an NF: each
+// shard's row is exported under its own shard label, so the loaded
+// shard's gauge is not overwritten by the idle one's.
+func TestShardedRhoGaugesPerShard(t *testing.T) {
+	stall := faultinject.NewStallNF(nf.NewMonitor())
+	stall.SetDelay(200 * time.Microsecond)
+	treg := telemetry.NewRegistry()
+	d := diagnose.New(diagnose.Config{Registry: treg, SLOTargetP99: time.Millisecond})
+	s := dataplane.New(dataplane.Config{Shards: 2, Telemetry: treg, TraceSampleRate: 1})
+	g := graph.Seq{Items: []graph.Node{graph.NF{Name: nfa.NFMonitor}, graph.NF{Name: nfa.NFLB}}}
+	err := s.AddGraphProvide(1, g, func(shard int, node graph.NF) nf.NF {
+		if shard == 0 && node.Name == nfa.NFMonitor {
+			return stall
+		}
+		return nil // the server's registry builds the rest
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for p := range s.Output() {
+			p.Free()
+		}
+	}()
+	d.SampleNow()
+	var perShard [2]int
+	gen := trafficgen.New(trafficgen.Config{Flows: 64, Seed: 5})
+	for i := 0; i < 400; i++ {
+		p := s.Pool().Get()
+		if p == nil {
+			t.Fatal("pool exhausted")
+		}
+		packet.BuildInto(p, gen.Next())
+		perShard[s.ShardOf(p)]++
+		if !s.Inject(p) {
+			t.Fatal("classification failed")
+		}
+	}
+	s.Stop()
+	d.SampleNow()
+	if perShard[0] == 0 || perShard[1] == 0 {
+		t.Fatalf("traffic reached shards %v, want both", perShard)
+	}
+
+	rep := d.Report()
+	if len(rep.Bottlenecks) != 4 || len(rep.SLO) != 2 {
+		t.Fatalf("%d NF rows and %d SLO rows, want one per NF and shard: %+v %+v",
+			len(rep.Bottlenecks), len(rep.SLO), rep.Bottlenecks, rep.SLO)
+	}
+	if top := rep.Bottlenecks[0]; top.NF != nfa.NFMonitor || top.Shard != "0" || top.Rho < 0.1 {
+		t.Fatalf("top row %s shard %s ρ=%.3f, want shard 0's stalled monitor", top.NF, top.Shard, top.Rho)
+	}
+	snap := treg.Snapshot()
+	for _, row := range rep.Bottlenecks {
+		got := snap.GaugeValue("nfp_nf_rho_milli",
+			telemetry.L("nf", row.NF), telemetry.L("mid", row.MID), telemetry.L("shard", row.Shard))
+		if want := int64(row.Rho * 1000); got != want {
+			t.Errorf("nfp_nf_rho_milli{nf=%s,shard=%s} = %d, its row reads %d", row.NF, row.Shard, got, want)
+		}
+	}
+	for _, slo := range rep.SLO {
+		got := snap.GaugeValue("nfp_slo_burn_milli", telemetry.L("mid", slo.MID), telemetry.L("shard", slo.Shard))
+		if want := int64(slo.BurnRate * 1000); got != want {
+			t.Errorf("nfp_slo_burn_milli{shard=%s} = %d, its row reads %d", slo.Shard, got, want)
+		}
+	}
+}
+
 // TestZipfElephantsInTopKWithinBounds is the end-to-end heavy-hitter
 // acceptance test: a Zipf-skewed flow mix runs through the live
 // classifier into the sketch, and every guaranteed flow's estimate must

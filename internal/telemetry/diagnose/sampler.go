@@ -45,6 +45,18 @@ const (
 	gaugeSLOBurnMilli = "nfp_slo_burn_milli"
 )
 
+// The sampling window and the health state machine's utilization
+// thresholds.
+const (
+	// window is how many samples the ring retains; rates and deltas
+	// span oldest→newest retained sample.
+	window = 60
+	// rhoDegraded and rhoOverloaded are the ρ at which an NF makes the
+	// state degraded and overloaded.
+	rhoDegraded   = 0.8
+	rhoOverloaded = 0.95
+)
+
 // Config parameterizes a Diagnoser. Zero values get defaults.
 type Config struct {
 	// Registry is the metric registry to sample (required).
@@ -52,29 +64,12 @@ type Config struct {
 	// Interval between background samples (default 1s). Ignored by
 	// SampleNow callers.
 	Interval time.Duration
-	// Window is how many samples the ring retains (default 60); rates
-	// and deltas span oldest→newest retained sample.
-	Window int
 	// SLOTargetP99 is the per-chain p99 latency objective. Zero means
 	// no SLO is configured and SLO evaluation is skipped.
 	SLOTargetP99 time.Duration
 	// TopK, when set, is served at /debug/topflows and reported by
 	// Report. The sketch is fed by the dataplane, not the sampler.
 	TopK *TopK
-	// RhoDegraded / RhoOverloaded are the utilization thresholds for
-	// the health state machine (defaults 0.8 and 0.95).
-	RhoDegraded   float64
-	RhoOverloaded float64
-	// Recorder, when set, receives one health event per state
-	// transition on the flight recorder's event ring (see also
-	// SetRecorder — nfpd builds the diagnoser before the server that
-	// owns the recorder).
-	Recorder *flightrec.Recorder
-	// OnTransition fires — off the hot path, on the sampler goroutine —
-	// when the health state WORSENS to degraded or overloaded: the
-	// incident-snapshot trigger hook. Recoveries and first verdicts are
-	// recorded on the event ring but do not fire it.
-	OnTransition func(old, new string, reasons []string)
 }
 
 // sample is one point of the time series: the summary snapshot plus
@@ -89,6 +84,10 @@ type sample struct {
 // Diagnoser owns the sampling ring and the derived verdicts.
 type Diagnoser struct {
 	cfg Config
+	// rec and onTransition are wired after construction (SetRecorder,
+	// SetOnTransition).
+	rec          *flightrec.Recorder
+	onTransition func(old, new string, reasons []string)
 
 	mu        sync.Mutex
 	ring      []sample
@@ -105,27 +104,23 @@ func New(cfg Config) *Diagnoser {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.Window < 2 {
-		cfg.Window = 60
-	}
-	if cfg.RhoDegraded <= 0 {
-		cfg.RhoDegraded = 0.8
-	}
-	if cfg.RhoOverloaded <= 0 {
-		cfg.RhoOverloaded = 0.95
-	}
-	return &Diagnoser{cfg: cfg, ring: make([]sample, cfg.Window)}
+	return &Diagnoser{cfg: cfg, ring: make([]sample, window)}
 }
 
-// SetRecorder wires the flight recorder after construction — nfpd
-// builds the diagnoser (the server's FlowObserver) before the server
-// that owns the recorder exists. Call before Start.
-func (d *Diagnoser) SetRecorder(rec *flightrec.Recorder) { d.cfg.Recorder = rec }
+// SetRecorder wires the flight recorder, which then receives one health
+// event per state transition on its event ring. It comes after
+// construction because nfpd builds the diagnoser (the server's
+// FlowObserver) before the server that owns the recorder exists. Call
+// before Start.
+func (d *Diagnoser) SetRecorder(rec *flightrec.Recorder) { d.rec = rec }
 
-// SetOnTransition wires the worsening-transition hook after
-// construction (see Config.OnTransition). Call before Start.
+// SetOnTransition wires the hook that fires — off the hot path, on the
+// sampler goroutine — when the health state WORSENS to degraded or
+// overloaded: the incident-snapshot trigger. Recoveries and first
+// verdicts are recorded on the event ring but do not fire it. Call
+// before Start.
 func (d *Diagnoser) SetOnTransition(fn func(old, new string, reasons []string)) {
-	d.cfg.OnTransition = fn
+	d.onTransition = fn
 }
 
 // Start launches the background sampling loop. Stop once per Start.
@@ -196,7 +191,7 @@ func (d *Diagnoser) sampleAt(ts time.Time) {
 
 // noteTransition compares the fresh verdict against the previous one:
 // every change lands as a health event on the flight recorder's ring,
-// and a worsening to degraded/overloaded fires the OnTransition hook
+// and a worsening to degraded/overloaded fires the SetOnTransition hook
 // (the incident-snapshot trigger). The first verdict seeds the state
 // without an event — a booting server is not an incident.
 func (d *Diagnoser) noteTransition(rep HealthReport) {
@@ -207,7 +202,7 @@ func (d *Diagnoser) noteTransition(rep HealthReport) {
 	if old == "" || old == rep.State {
 		return
 	}
-	if rec := d.cfg.Recorder; rec != nil {
+	if rec := d.rec; rec != nil {
 		rec.Event(flightrec.Note{
 			Kind:   flightrec.KindHealth,
 			Detail: rec.Intern(old + "->" + rep.State),
@@ -215,8 +210,8 @@ func (d *Diagnoser) noteTransition(rep HealthReport) {
 	}
 	worse := rep.State == StateOverloaded ||
 		rep.State == StateDegraded && old != StateOverloaded
-	if worse && d.cfg.OnTransition != nil {
-		d.cfg.OnTransition(old, rep.State, rep.Reasons)
+	if worse && d.onTransition != nil {
+		d.onTransition(old, rep.State, rep.Reasons)
 	}
 }
 
@@ -255,7 +250,9 @@ func histKey(name string, labels map[string]string) string {
 }
 
 // exportGauges publishes the report's headline numbers back into the
-// registry so any Prometheus scraper sees the diagnosis too.
+// registry so any Prometheus scraper sees the diagnosis too. A row's
+// gauge carries the row's labels, shard included on a sharded server,
+// so each shard's instance keeps its own value.
 func (d *Diagnoser) exportGauges(rep HealthReport) {
 	reg := d.cfg.Registry
 	reg.Gauge(gaugeHealthState).Set(int64(stateValue(rep.State)))
@@ -263,11 +260,20 @@ func (d *Diagnoser) exportGauges(rep HealthReport) {
 		reg.Gauge(gaugeSLOTargetP99).Set(int64(d.cfg.SLOTargetP99))
 	}
 	for _, nf := range rep.Bottlenecks {
-		reg.Gauge(gaugeRhoMilli,
-			telemetry.L("nf", nf.NF), telemetry.L("mid", nf.MID),
+		reg.Gauge(gaugeRhoMilli, withShard(nf.Shard,
+			telemetry.L("nf", nf.NF), telemetry.L("mid", nf.MID))...,
 		).Set(int64(nf.Rho * 1000))
 	}
 	for _, slo := range rep.SLO {
-		reg.Gauge(gaugeSLOBurnMilli, telemetry.L("mid", slo.MID)).Set(int64(slo.BurnRate * 1000))
+		reg.Gauge(gaugeSLOBurnMilli, withShard(slo.Shard, telemetry.L("mid", slo.MID))...).Set(int64(slo.BurnRate * 1000))
 	}
+}
+
+// withShard appends the shard label when the row has one (a sharded
+// server's series); unsharded rows keep their label set unchanged.
+func withShard(shard string, labels ...telemetry.Label) []telemetry.Label {
+	if shard == "" {
+		return labels
+	}
+	return append(labels, telemetry.L("shard", shard))
 }

@@ -10,7 +10,7 @@ import (
 
 // MetricDrops is the metric the ledger reconciles. It doubles as both
 // the unlabeled grand-total counter (registered by the server) and the
-// per-cause family (cause/nf/shard/gen labels) — the registry keys
+// per-cause family (cause/nf/shard labels) — the registry keys
 // series by name+labels, so they coexist.
 const MetricDrops = "nfp_drops_total"
 
@@ -19,7 +19,7 @@ const MetricDrops = "nfp_drops_total"
 // unlabeled totals.
 type Ledger struct {
 	// ByCause sums the cause-labeled nfp_drops_total family per cause
-	// name (across nf/shard/gen).
+	// name (across nf/shard).
 	ByCause map[string]uint64 `json:"by_cause"`
 	// Terminal is the sum over the cause series — packets that were
 	// injected and died inside.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nfp/internal/packet"
+	"nfp/internal/telemetry"
 )
 
 // Kind is the event-ring record type.
@@ -110,28 +111,20 @@ type Note struct {
 	Count uint64
 }
 
-// StageNamer turns the packed telemetry.Stage byte back into a name;
-// injected by the recorder's owner so flightrec needs no dataplane
-// import. Nil falls back to the numeric value.
-type StageNamer func(uint8) string
+// ringSize is each shard's event-ring capacity.
+const ringSize = 1024
 
 // Config sizes a Recorder.
 type Config struct {
 	// Shards is the number of independent event rings (>= 1).
 	Shards int
-	// RingSize is the per-shard ring capacity (rounded up to a power
-	// of two; default 1024).
-	RingSize int
-	// StageNames renders stage bytes in decoded events.
-	StageNames StageNamer
 }
 
 // Recorder is the always-on flight recorder: per-shard coalescing
 // event rings plus a string intern table so the hot path records only
 // integers. All methods are safe on a nil receiver (no-ops).
 type Recorder struct {
-	rings      []*ring
-	stageNames StageNamer
+	rings []*ring
 
 	mu    sync.RWMutex
 	names []string
@@ -145,17 +138,13 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 1024
-	}
 	r := &Recorder{
-		rings:      make([]*ring, cfg.Shards),
-		stageNames: cfg.StageNames,
-		names:      []string{""},
-		idx:        map[string]uint32{"": 0},
+		rings: make([]*ring, cfg.Shards),
+		names: []string{""},
+		idx:   map[string]uint32{"": 0},
 	}
 	for i := range r.rings {
-		r.rings[i] = newRing(cfg.RingSize)
+		r.rings[i] = newRing(ringSize)
 	}
 	return r
 }
@@ -290,11 +279,7 @@ func (r *Recorder) decode(shard int, e slot) Event {
 		return ev
 	}
 	ev.Cause = e.cause.String()
-	if r.stageNames != nil {
-		ev.Stage = r.stageNames(e.stage)
-	} else {
-		ev.Stage = fmt.Sprintf("stage(%d)", e.stage)
-	}
+	ev.Stage = telemetry.Stage(e.stage).String()
 	ev.PID = e.pid
 	ev.Cursor = e.cursor
 	if e.hasFlow {

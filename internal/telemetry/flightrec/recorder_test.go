@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nfp/internal/packet"
+	"nfp/internal/telemetry"
 )
 
 // TestRecorderNilSafe: every method must no-op on a nil receiver.
@@ -25,15 +26,10 @@ func TestRecorderNilSafe(t *testing.T) {
 // TestRecorderDropDecode round-trips a full DropRecord through the
 // packed ring word format.
 func TestRecorderDropDecode(t *testing.T) {
-	r := NewRecorder(Config{Shards: 2, StageNames: func(s uint8) string {
-		if s == 3 {
-			return "ring_wait"
-		}
-		return "?"
-	}})
+	r := NewRecorder(Config{Shards: 2})
 	node := r.Intern("firewall")
 	r.Drop(DropRecord{
-		Shard: 1, Cause: CausePanic, Stage: 3, Gen: 7, Node: node,
+		Shard: 1, Cause: CausePanic, Stage: uint8(telemetry.StageRingWait), Gen: 7, Node: node,
 		PID: 12345, Cursor: 999,
 		Flow: packet.FlowKey{
 			Src: [4]byte{10, 1, 2, 3}, Dst: [4]byte{10, 4, 5, 6},
@@ -46,7 +42,7 @@ func TestRecorderDropDecode(t *testing.T) {
 		t.Fatalf("got %d events, want 1", len(evs))
 	}
 	e := evs[0]
-	if e.Kind != "drop" || e.Cause != "panic" || e.Stage != "ring_wait" ||
+	if e.Kind != "drop" || e.Cause != "panic" || e.Stage != "ring-wait" ||
 		e.Shard != 1 || e.Gen != 7 || e.Node != "firewall" ||
 		e.PID != 12345 || e.Cursor != 999 {
 		t.Fatalf("decoded event mismatch: %+v", e)
@@ -124,11 +120,11 @@ func TestRecorderIncidentHook(t *testing.T) {
 // so the panic is still in the ring afterwards, and no event went
 // uncounted: each run's Count is exactly what its producers recorded.
 func TestRecorderKeepsPanicUnderFlood(t *testing.T) {
-	r := NewRecorder(Config{RingSize: 1024})
+	r := NewRecorder(Config{})
 	ids, mon := r.Intern("ids"), r.Intern("monitor")
 	r.Event(Note{Kind: KindPanic, Gen: 1, Node: mon})
 
-	const producers, perProducer = 4, 25600 // 102400 events
+	const producers, perProducer = 4, 25 * ringSize // 100 × ringSize events
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
 	go func() {

@@ -20,6 +20,15 @@ import (
 // shape changes so spooled bundles stay parseable.
 const BundleSchema = 1
 
+// The spool's size and each bundle's event tail.
+const (
+	// maxBundles caps the spool; the oldest bundles are pruned.
+	maxBundles = 16
+	// eventTail caps the per-shard event-ring tail captured into a
+	// bundle.
+	eventTail = 256
+)
+
 // Source is one named data collector contributing a section to every
 // incident bundle (config info, health report, top flows, critical
 // path, ...). Collect runs on the snapshotter's writer goroutine.
@@ -35,12 +44,6 @@ type SnapConfig struct {
 	// MinInterval rate-limits bundle writes: triggers inside the
 	// window are counted as suppressed, not spooled (default 30s).
 	MinInterval time.Duration
-	// MaxBundles caps the spool; the oldest bundles are pruned
-	// (default 16).
-	MaxBundles int
-	// EventTail caps the per-shard event-ring tail captured into a
-	// bundle (default 256).
-	EventTail int
 	// Recorder supplies the event-ring tail (may be nil).
 	Recorder *Recorder
 	// Registry supplies the metric snapshot and drop ledger (may be
@@ -89,12 +92,6 @@ func NewSnapshotter(cfg SnapConfig) (*Snapshotter, error) {
 	}
 	if cfg.MinInterval <= 0 {
 		cfg.MinInterval = 30 * time.Second
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 16
-	}
-	if cfg.EventTail <= 0 {
-		cfg.EventTail = 256
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("flightrec: spool dir: %w", err)
@@ -193,7 +190,7 @@ func (s *Snapshotter) collect(reason string) Bundle {
 		Reason: reason,
 		TSNS:   time.Now().UnixNano(),
 		Build:  s.cfg.Build,
-		Events: s.cfg.Recorder.Events(s.cfg.EventTail),
+		Events: s.cfg.Recorder.Events(eventTail),
 	}
 	if s.cfg.Registry != nil {
 		snap := s.cfg.Registry.Snapshot()
@@ -222,13 +219,13 @@ func (s *Snapshotter) collect(reason string) Bundle {
 	return b
 }
 
-// prune keeps the newest MaxBundles bundles in the spool.
+// prune keeps the newest maxBundles bundles in the spool.
 func (s *Snapshotter) prune() {
 	entries, err := ListSpool(s.cfg.Dir)
-	if err != nil || len(entries) <= s.cfg.MaxBundles {
+	if err != nil || len(entries) <= maxBundles {
 		return
 	}
-	for _, e := range entries[:len(entries)-s.cfg.MaxBundles] {
+	for _, e := range entries[:len(entries)-maxBundles] {
 		os.Remove(filepath.Join(s.cfg.Dir, e.File))
 	}
 }

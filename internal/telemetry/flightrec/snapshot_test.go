@@ -2,6 +2,7 @@ package flightrec
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,12 +112,12 @@ func TestSnapshotterRateLimit(t *testing.T) {
 	}
 }
 
-// TestSnapshotterPrune: the spool keeps only the newest MaxBundles.
+// TestSnapshotterPrune: the spool keeps only the newest maxBundles.
 func TestSnapshotterPrune(t *testing.T) {
-	s := testSnapshotter(t, SnapConfig{MaxBundles: 3})
-	reasons := []string{"a", "b", "c", "d", "e"}
-	for _, r := range reasons {
-		if _, err := s.WriteBundle(r); err != nil {
+	s := testSnapshotter(t, SnapConfig{})
+	const written = maxBundles + 2
+	for i := 0; i < written; i++ {
+		if _, err := s.WriteBundle(fmt.Sprintf("r%d", i)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond) // distinct spool timestamps
@@ -125,12 +126,12 @@ func TestSnapshotterPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 3 {
-		t.Fatalf("spool has %d bundles after prune, want 3", len(entries))
+	if len(entries) != maxBundles {
+		t.Fatalf("spool has %d bundles after prune, want %d", len(entries), maxBundles)
 	}
-	for i, want := range []string{"c", "d", "e"} {
-		if entries[i].Reason != want {
-			t.Fatalf("prune kept %q at %d, want %q (newest must survive)", entries[i].Reason, i, want)
+	for i, e := range entries {
+		if want := fmt.Sprintf("r%d", written-maxBundles+i); e.Reason != want {
+			t.Fatalf("prune kept %q at %d, want %q (newest must survive)", e.Reason, i, want)
 		}
 	}
 }
