@@ -8,7 +8,11 @@
 #                    state tables at a scaled-down ceiling (seconds);
 #                    the storm against the real 2^20 ceiling runs in a
 #                    plain `go test ./...` and is skipped under -race
-#                    and -short.
+#                    and -short. Then every benchmark under internal/
+#                    runs once (-benchtime 1x, untimed): several carry
+#                    checks of their own — zero allocations per op or
+#                    burst, the shared FIB — that gate only when a
+#                    benchmark body runs.
 #   ./ci.sh bench  — the repo benchmark (BENCHMARK.json): every
 #                    workload, end-to-end and per-layer metrics, through
 #                    `go run ./bench -seed 1`; the artifact is
@@ -354,3 +358,4 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
 go test -race ./...
+go test -run '^$' -bench . -benchtime 1x ./internal/...

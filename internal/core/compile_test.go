@@ -173,6 +173,21 @@ func TestCompileSequentialFallback(t *testing.T) {
 	}
 }
 
+// TestCompileDroppingNFBeforeShaperSequential: NAT drops unsolicited
+// inbound packets, so the shaper behind it — which takes no action on
+// the packet but counts it — must not see what NAT drops. Algorithm 1
+// alone (cost-free) keeps the chain.
+func TestCompileDroppingNFBeforeShaperSequential(t *testing.T) {
+	res := compileOK(t, policy.FromChain(nfa.NFNAT, nfa.NFShaper), Options{})
+	if graph.MaxDegree(res.Graph) != 1 {
+		t.Fatalf("graph = %v, want no parallel stage", res.Graph)
+	}
+	seq, ok := res.Graph.(graph.Seq)
+	if !ok || len(seq.Items) != 2 || seq.Items[0].(graph.NF).Name != nfa.NFNAT {
+		t.Fatalf("graph = %v, want nat -> shaper", res.Graph)
+	}
+}
+
 func TestCompileNoParallelismOption(t *testing.T) {
 	pol := policy.FromChain(nfa.NFIDS, nfa.NFMonitor, nfa.NFLB)
 	res := compileOK(t, pol, Options{NoParallelism: true})

@@ -83,7 +83,7 @@ func TestCostRuleDecisions(t *testing.T) {
 			}
 		}
 		// The stateful workloads' stage, as nfpcompile prints it.
-		want := "[monitor || lb]  sequential  Σ 394 ns − max 227 ns = 167 ns ≤ 500 ns"
+		want := "[monitor || lb]  sequential  Σ 267 ns − max 167 ns = 100 ns ≤ 500 ns"
 		if got := mustCompile(t, fml, nil).Stages[0].String(); got != want {
 			t.Errorf("stage = %q, want %q", got, want)
 		}

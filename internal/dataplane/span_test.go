@@ -164,7 +164,7 @@ func TestSpanDecompositionAcrossReload(t *testing.T) {
 			defer wg.Done()
 			var batch [burst]*packet.Packet
 			for i := 0; i < perWorker; {
-				got := s.Pool().AllocBatch(batch[:])
+				got := s.Pool().AllocBatch(batch[:min(burst, perWorker-i)])
 				if got == 0 {
 					runtime.Gosched()
 					continue

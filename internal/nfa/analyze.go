@@ -36,9 +36,16 @@ type Options struct {
 // action pair against the dependency table, short-circuits on a
 // not-parallelizable pair, and accumulates conflicting actions that
 // force packet copying.
+//
+// Table 3's (Add/Rm, ·) and (Drop, ·) rows are gray whatever NF2 does,
+// so they hold against an NF2 with no actions too: a shaper beside a
+// firewall would still count and delay the packets the chain drops.
 func Analyze(nf1, nf2 Profile, opts Options) Result {
 	res := Result{Parallelizable: true}
 	for _, a1 := range nf1.Actions {
+		if a1.Op == OpAddRm || a1.Op == OpDrop {
+			return Result{Parallelizable: false}
+		}
 		for _, a2 := range nf2.Actions {
 			v := Decide(a1, a2)
 			if opts.DisableDirtyMemoryReusing && v == ParallelNoCopy && dirtyReuseCell(a1, a2) {

@@ -92,13 +92,16 @@ func DefaultCatalog() []Profile {
 			},
 		},
 		{
-			// iptables NAT: rewrites the whole 5-tuple.
+			// iptables NAT: rewrites the whole 5-tuple; drops unsolicited
+			// inbound packets and new flows once its port space or
+			// binding table is full.
 			Name: NFNAT,
 			Actions: []Action{
 				Read(packet.FieldSrcIP), Write(packet.FieldSrcIP),
 				Read(packet.FieldDstIP), Write(packet.FieldDstIP),
 				Read(packet.FieldSrcPort), Write(packet.FieldSrcPort),
 				Read(packet.FieldDstPort), Write(packet.FieldDstPort),
+				Drop(),
 			},
 		},
 		{

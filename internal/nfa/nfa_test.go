@@ -177,7 +177,8 @@ func TestDirtyMemoryReusingSwitch(t *testing.T) {
 }
 
 func TestAnalyzeEmptyProfiles(t *testing.T) {
-	// The traffic shaper touches nothing; it parallelizes with anything.
+	// The traffic shaper touches nothing; it parallelizes with any NF
+	// that neither drops nor restructures packets.
 	shaper := mustProfile(t, NFShaper)
 	lb := mustProfile(t, NFLB)
 	if res := Analyze(shaper, lb, Options{}); !res.Parallelizable || res.NeedCopy() {
@@ -185,6 +186,23 @@ func TestAnalyzeEmptyProfiles(t *testing.T) {
 	}
 	if res := Analyze(lb, shaper, Options{}); !res.Parallelizable || res.NeedCopy() {
 		t.Errorf("LB→shaper: %+v", res)
+	}
+}
+
+// TestDropAndAddRmRowsBindActionlessNF2: Table 3's (Drop, ·) and
+// (Add/Rm, ·) rows hold when NF2 has no actions at all. The shaper counts
+// every packet it sees, so beside an NF that drops or restructures it
+// would count packets the sequential chain never hands it.
+func TestDropAndAddRmRowsBindActionlessNF2(t *testing.T) {
+	shaper := mustProfile(t, NFShaper)
+	for _, name := range []string{NFNAT, NFFirewall, NFIPS, NFVPN} {
+		if res := Analyze(mustProfile(t, name), shaper, Options{}); res.Parallelizable {
+			t.Errorf("%s→shaper: %+v, want not parallelizable", name, res)
+		}
+	}
+	// The rows bind NF1 only: NF2's drop stays the merger's to reconcile.
+	if res := Analyze(shaper, mustProfile(t, NFFirewall), Options{}); !res.Parallelizable || res.NeedCopy() {
+		t.Errorf("shaper→firewall: %+v, want parallel without a copy", res)
 	}
 }
 

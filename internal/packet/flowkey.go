@@ -16,10 +16,23 @@ import (
 //
 // It is computed at most once per packet and cached on the Packet
 // beside the parsed layout (see Packet.FlowKey).
+//
+// The blank pad makes the key 16 bytes. At 14, a copy is two
+// overlapping 8-byte stores (bytes 0–7 and 6–13), and a later 4-byte
+// read of Dst spans both: the CPU cannot forward it from the store
+// buffer and waits for both stores to commit, which in turn waits for
+// every older load — the previous packet's cache-missing lookup among
+// them. flowtab.Pack, the classifier's cache probe and l3fwd each copy
+// a key and then read Dst, so every flow lookup queued behind the last
+// one (BenchmarkFlowTableColdHit in internal/flowtab: 150–200 ns at 14
+// bytes, ≈ 50 at 16). At 16 bytes a copy is one 16-byte move and every
+// field read falls inside it. == ignores blank fields;
+// TestFlowKeyLayout pins the size and the offsets.
 type FlowKey struct {
 	Src, Dst         [4]byte
 	SrcPort, DstPort uint16
 	Proto            uint8
+	_                [3]byte
 }
 
 // String spells the key as src:sport>dst:dport/proto, e.g.
