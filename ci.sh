@@ -34,9 +34,12 @@
 #                    FUZZ_TIME) on top of its checked-in seed corpus.
 #                    Targets: policy compile, Accumulating Table, rule
 #                    index, flow table, signature matcher, the LPM
-#                    table (against a linear-scan longest match)
-#                    and the VPN (Process then Decap restores the frame;
-#                    one flipped bit makes Decap fail).
+#                    table (against a linear-scan longest match),
+#                    the VPN (Process then Decap restores the frame;
+#                    one flipped bit makes Decap fail), the packet
+#                    parser and header-only copy, the packet builder
+#                    (equals a re-sum and a parse of the frame it
+#                    wrote) and the policy-language parser.
 #   ./ci.sh trace  — the non-blocking inspector smoke: builds
 #                    nfpinspect and runs every in-process (-chain) path
 #                    once — trace (including a Chrome trace export whose
@@ -343,6 +346,10 @@ if [ "${1:-}" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzMatch$' -fuzztime "$ft" ./internal/ahocorasick/
     go test -run '^$' -fuzz '^FuzzLPM$' -fuzztime "$ft" ./internal/lpm/
     go test -run '^$' -fuzz '^FuzzVPN$' -fuzztime "$ft" ./internal/nf/
+    go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$ft" ./internal/packet/
+    go test -run '^$' -fuzz '^FuzzHeaderOnlyCopy$' -fuzztime "$ft" ./internal/packet/
+    go test -run '^$' -fuzz '^FuzzBuildInto$' -fuzztime "$ft" ./internal/packet/
+    go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$ft" ./internal/policy/
     exit 0
 fi
 

@@ -178,9 +178,13 @@ func runTraffic(srv platform, inject func([]*packet.Packet) int, n, burst int, g
 			runtime.Gosched()
 			continue
 		}
-		now := time.Now().UnixNano()
 		for _, p := range batch[:got] {
 			packet.BuildInto(p, gen.Next())
+		}
+		// Stamp after the build: the latency is the dataplane's, not
+		// the generator's.
+		now := time.Now().UnixNano()
+		for _, p := range batch[:got] {
 			p.Ingress = now
 		}
 		if acc := inject(batch[:got]); acc != got {
