@@ -39,7 +39,8 @@
 #                    one flipped bit makes Decap fail), the packet
 #                    parser and header-only copy, the packet builder
 #                    (equals a re-sum and a parse of the frame it
-#                    wrote) and the policy-language parser.
+#                    wrote), the tuple setters (equal a byte-by-byte
+#                    rewrite and re-sum) and the policy-language parser.
 #   ./ci.sh trace  — the non-blocking inspector smoke: builds
 #                    nfpinspect and runs every in-process (-chain) path
 #                    once — trace (including a Chrome trace export whose
@@ -349,6 +350,7 @@ if [ "${1:-}" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$ft" ./internal/packet/
     go test -run '^$' -fuzz '^FuzzHeaderOnlyCopy$' -fuzztime "$ft" ./internal/packet/
     go test -run '^$' -fuzz '^FuzzBuildInto$' -fuzztime "$ft" ./internal/packet/
+    go test -run '^$' -fuzz '^FuzzSetTuple$' -fuzztime "$ft" ./internal/packet/
     go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$ft" ./internal/policy/
     exit 0
 fi

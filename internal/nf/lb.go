@@ -55,7 +55,10 @@ func (lb *LoadBalancer) Process(p *packet.Packet) Verdict {
 // and it is computed once per run of identical keys; the address rewrite
 // happens per packet (each packet has its own buffer), patching the IP
 // and TCP/UDP checksums for the words it changed (packet.SetTuple).
+// The burst's header lines are fetched in one pass first, so frames
+// built on another core miss together rather than one per iteration.
 func (lb *LoadBalancer) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
+	packet.WarmHeaders(pkts)
 	var lastKey packet.FlowKey
 	lastIdx := -1
 	for i, p := range pkts {

@@ -118,6 +118,17 @@ func (n *NAT) Process(p *packet.Packet) Verdict {
 	return Pass
 }
 
+// ProcessBatch implements BatchProcessor: Process per packet, after
+// fetching the burst's header lines in one pass (packet.WarmHeaders),
+// so frames built on another core miss together rather than one per
+// rewrite.
+func (n *NAT) ProcessBatch(pkts []*packet.Packet, verdicts []Verdict) {
+	packet.WarmHeaders(pkts)
+	for i, p := range pkts {
+		verdicts[i] = n.Process(p)
+	}
+}
+
 // bind takes the free port off the stack — wherever on it the port is:
 // the last port fills its place — and points it at fk's source.
 func (n *NAT) bind(fk packet.FlowKey, port uint16) {

@@ -96,22 +96,11 @@ func (p *Packet) pseudoHeaderSum(l Layout, segLen int) uint32 {
 // checksum's running sum (RFC 1624, eq. 3: ~m + m'). Deltas add.
 func wordDelta(old, new uint16) uint32 { return uint32(^old) + uint32(new) }
 
-// putAddr writes the 4-byte address at off and returns the delta of its
-// two words.
-func (p *Packet) putAddr(off int, a [4]byte) uint32 {
-	b := p.buf[off : off+4]
-	d := wordDelta(binary.BigEndian.Uint16(b[0:2]), binary.BigEndian.Uint16(a[0:2])) +
-		wordDelta(binary.BigEndian.Uint16(b[2:4]), binary.BigEndian.Uint16(a[2:4]))
-	copy(b, a[:])
-	return d
-}
-
-// putWord writes the 16-bit word (a port) at off and returns its delta.
-func (p *Packet) putWord(off int, port uint16) uint32 {
-	b := p.buf[off : off+2]
-	d := wordDelta(binary.BigEndian.Uint16(b), port)
-	binary.BigEndian.PutUint16(b, port)
-	return d
+// addrDelta is what rewriting a 4-byte address from old to new adds to
+// a checksum's running sum: the deltas of its two words.
+func addrDelta(old, new [4]byte) uint32 {
+	return wordDelta(binary.BigEndian.Uint16(old[0:2]), binary.BigEndian.Uint16(new[0:2])) +
+		wordDelta(binary.BigEndian.Uint16(old[2:4]), binary.BigEndian.Uint16(new[2:4]))
 }
 
 // SetTuple rewrites the packet's addresses and ports to k's — what a
@@ -131,23 +120,29 @@ func (p *Packet) putWord(off int, port uint16) uint32 {
 // that comes out 0 is sent as 0xffff (RFC 768).
 func (p *Packet) SetTuple(k FlowKey) {
 	l := p.mustLayout()
-	cur := p.fkey // warm: mustLayout parsed
+	// The old words come from the key (see mustLayout), not from the
+	// frame, whose bytes may still sit on the core that wrote them.
+	cur := p.fkey
 	var ip, l4 uint32
 	if k.Src != cur.Src {
-		ip += p.putAddr(l.L3Off+12, k.Src)
+		ip += addrDelta(cur.Src, k.Src)
+		copy(p.buf[l.L3Off+12:l.L3Off+16], k.Src[:])
 		p.fkey.Src = k.Src
 	}
 	if k.Dst != cur.Dst {
-		ip += p.putAddr(l.L3Off+16, k.Dst)
+		ip += addrDelta(cur.Dst, k.Dst)
+		copy(p.buf[l.L3Off+16:l.L3Off+20], k.Dst[:])
 		p.fkey.Dst = k.Dst
 	}
 	if l.L4Off >= 0 {
 		if k.SrcPort != cur.SrcPort {
-			l4 += p.putWord(l.L4Off, k.SrcPort)
+			l4 += wordDelta(cur.SrcPort, k.SrcPort)
+			binary.BigEndian.PutUint16(p.buf[l.L4Off:l.L4Off+2], k.SrcPort)
 			p.fkey.SrcPort = k.SrcPort
 		}
 		if k.DstPort != cur.DstPort {
-			l4 += p.putWord(l.L4Off+2, k.DstPort)
+			l4 += wordDelta(cur.DstPort, k.DstPort)
+			binary.BigEndian.PutUint16(p.buf[l.L4Off+2:l.L4Off+4], k.DstPort)
 			p.fkey.DstPort = k.DstPort
 		}
 	}

@@ -122,6 +122,36 @@ func (p *Packet) Attach(buf []byte, wire int, owner Owner) {
 	p.Nil = false
 }
 
+// WarmHeaders loads one byte of every packet's IPv4 header, in one
+// pass before the caller's per-packet loop, and returns their OR so the
+// loads are not removed; the caller may discard it. A frame built on
+// another core misses on its first touch. Inside a long per-packet loop
+// those misses come one after another; issued back to back they overlap
+// (DPDK's rte_prefetch0 over a burst).
+//
+// The byte is the first of the IPv4 header checksum. Pool buffers are
+// 2048-byte slots of one slab, so the Ethernet, IPv4 and TCP headers
+// (54 B) share the slot's first cache line and the one load fetches them
+// all. Every tuple rewriter writes the checksum, so the read stays
+// inside its own action row and no-copy parallel groups stay race-free.
+// Nil packets and frames shorter than Ethernet + IPv4 are skipped. It
+// never parses: a parse writes the layout cache.
+//
+// A batch NF that writes frame bytes calls it first (DESIGN.md §16,
+// "Cross-core first touch").
+//
+//go:noinline
+func WarmHeaders(pkts []*Packet) byte {
+	var acc byte
+	for _, p := range pkts {
+		if p == nil || p.wire < EthHeaderLen+IPv4HeaderLen {
+			continue
+		}
+		acc |= p.buf[EthHeaderLen+10]
+	}
+	return acc
+}
+
 // Bytes returns the valid wire bytes of the packet.
 func (p *Packet) Bytes() []byte { return p.buf[:p.wire] }
 

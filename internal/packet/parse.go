@@ -135,6 +135,11 @@ func (p *Packet) Layout() (Layout, error) {
 	return p.layout, nil
 }
 
+// mustLayout returns the parsed layout, parsing on demand, and panics
+// on a packet that does not parse. A warm layout always has a warm key
+// (see Parse), so past this call p.fkey holds the frame's current
+// tuple: the tuple setters take the words they replace from it instead
+// of reading them back from the frame.
 func (p *Packet) mustLayout() Layout {
 	if err := p.Parse(); err != nil {
 		panic(fmt.Sprintf("packet: accessor on unparseable packet: %v", err))
@@ -162,10 +167,9 @@ func (p *Packet) DstIP() netip.Addr {
 func (p *Packet) SetSrcIP(a netip.Addr) {
 	l := p.mustLayout()
 	b := a.As4()
-	updateIPChecksum(p.buf[l.L3Off:], p.putAddr(l.L3Off+12, b))
-	if p.fkeyOK {
-		p.fkey.Src = b
-	}
+	updateIPChecksum(p.buf[l.L3Off:], addrDelta(p.fkey.Src, b))
+	copy(p.buf[l.L3Off+12:l.L3Off+16], b[:])
+	p.fkey.Src = b
 }
 
 // SetDstIP rewrites the IPv4 destination address and updates the IP
@@ -173,10 +177,9 @@ func (p *Packet) SetSrcIP(a netip.Addr) {
 func (p *Packet) SetDstIP(a netip.Addr) {
 	l := p.mustLayout()
 	b := a.As4()
-	updateIPChecksum(p.buf[l.L3Off:], p.putAddr(l.L3Off+16, b))
-	if p.fkeyOK {
-		p.fkey.Dst = b
-	}
+	updateIPChecksum(p.buf[l.L3Off:], addrDelta(p.fkey.Dst, b))
+	copy(p.buf[l.L3Off+16:l.L3Off+20], b[:])
+	p.fkey.Dst = b
 }
 
 // TTL returns the IPv4 time-to-live.
@@ -238,9 +241,7 @@ func (p *Packet) SetSrcPort(port uint16) {
 		return
 	}
 	binary.BigEndian.PutUint16(p.buf[l.L4Off:l.L4Off+2], port)
-	if p.fkeyOK {
-		p.fkey.SrcPort = port
-	}
+	p.fkey.SrcPort = port
 }
 
 // SetDstPort rewrites the TCP/UDP destination port.
@@ -250,9 +251,7 @@ func (p *Packet) SetDstPort(port uint16) {
 		return
 	}
 	binary.BigEndian.PutUint16(p.buf[l.L4Off+2:l.L4Off+4], port)
-	if p.fkeyOK {
-		p.fkey.DstPort = port
-	}
+	p.fkey.DstPort = port
 }
 
 // Payload returns the application payload bytes (may be empty).
