@@ -86,8 +86,6 @@ func run() int {
 		"dataplane burst size: packets moved per ring operation (1 = every hand-off a burst of one)")
 	flag.IntVar(&cfg.Shards, "shards", dataplane.DefaultShards(),
 		"flow-sharded execution domains: the whole plan replicated per shard, packets dispatched by 5-tuple hash (1 = classic single-shard layout; default = cores, capped at 8)")
-	flag.IntVar(&cfg.SpinLimit, "spin-limit", dataplane.DefaultSpinLimit,
-		"bounded-spin yields before a full-ring producer parks")
 	flag.IntVar(&cfg.RingSize, "ring-size", 0,
 		"per-NF receive ring capacity (0 = dataplane default; small rings surface overload sooner)")
 	diagInterval := flag.Duration("diagnose-interval", 0,

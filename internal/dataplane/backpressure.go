@@ -6,26 +6,20 @@ import (
 	"nfp/internal/telemetry/flightrec"
 )
 
-// DefaultSpinLimit is the default bounded-spin budget: enough yields to
-// ride out a consumer that is merely descheduled, small enough that a
-// genuine stall transitions to parking quickly.
-const DefaultSpinLimit = 256
-
-// backoff is one pacing step of a backpressured producer — bounded
-// spin, then park — counted as it happens, so a producer parked behind
-// a long stall is visible on /metrics while it is still parked, with
-// the episode's first park noted on the event ring against site: a full
-// NF ring (push) or the admission budget (acquire), nothing else waits.
-func (sh *shard) backoff(w *ring.Waiter, site uint32, gen uint64) {
+// backoff is one step of a backpressured producer — a yield while the
+// spin budget lasts, then a park in await until what it waits on moves —
+// counted as it happens, so a parked producer is visible on /metrics
+// while still parked, and each park noted on the event ring against
+// site: a full NF ring (push) or the admission budget (acquire).
+func (sh *shard) backoff(spin *ring.Spin, await func(), site uint32, gen uint64) {
 	s := sh.srv
-	if !w.Wait() {
+	if spin.Yield() {
 		s.bpYields.Add(1)
 		return
 	}
 	s.bpParks.Add(1)
-	if _, parks := w.Stats(); parks == 1 {
-		sh.note(flightrec.KindBackpressure, gen, site, 1)
-	}
+	sh.note(flightrec.KindBackpressure, gen, site, 1)
+	await()
 }
 
 // push is the one producer loop: it enqueues a whole burst into n's
@@ -33,33 +27,33 @@ func (sh *shard) backoff(w *ring.Waiter, site uint32, gen uint64) {
 // backpressures, it never loses a packet.
 func (sh *shard) push(n *nodeRT, gen uint64, pkts []*packet.Packet) {
 	rem := pkts[n.rx.EnqueueBatch(pkts):]
-	w := ring.Waiter{SpinLimit: sh.srv.cfg.SpinLimit}
+	var spin ring.Spin
 	for len(rem) > 0 {
-		sh.backoff(&w, n.site, gen)
+		sh.backoff(&spin, n.rx.AwaitRoom, n.site, gen)
 		if k := n.rx.EnqueueBatch(rem); k > 0 {
-			rem = rem[k:]
-			w.Reset()
+			rem, spin = rem[k:], 0
 		}
 	}
 	n.ringHW.SetMax(int64(n.rx.Len()))
 }
 
-// drain is the one consumer loop: it polls a receive ring in bursts
-// (busy polling softened by the spin+park waiter, so an idle consumer
-// releases its core) and hands each to handle, until done() with the ring
-// empty.
-func drain[T any](rx *ring.MPSC[T], buf []T, spinLimit int, done func() bool, handle func([]T)) {
-	idle := ring.Waiter{SpinLimit: spinLimit}
+// drain is the one consumer loop: it hands a receive ring's bursts to
+// handle until done() with the ring empty. An idle consumer spins, then
+// parks until an enqueue (or the Wake after done turns true).
+func drain[T any](rx *ring.MPSC[T], buf []T, done func() bool, handle func([]T)) {
+	var spin ring.Spin
 	for {
 		cnt := rx.DequeueBatch(buf)
 		if cnt == 0 {
 			if done() {
 				return
 			}
-			idle.Wait()
+			if !spin.Yield() {
+				rx.AwaitItems(done)
+			}
 			continue
 		}
-		idle.Reset()
+		spin = 0
 		handle(buf[:cnt])
 	}
 }

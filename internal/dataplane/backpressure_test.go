@@ -1,7 +1,10 @@
 package dataplane
 
 import (
+	"bytes"
 	"fmt"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,17 +14,51 @@ import (
 	"nfp/internal/nfa"
 )
 
+// spinBudget mirrors the ring package's: the yields a waiter spends
+// before it parks.
+const spinBudget = 256
+
+// goroutines returns the goroutine profile's entries — a header line
+// naming the goroutine's state, then its stack — whose stack contains
+// every one of needles.
+func goroutines(needles ...string) []string {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 2); err != nil {
+		panic(err)
+	}
+	var out []string
+next:
+	for _, g := range strings.Split(buf.String(), "\n\n") {
+		for _, n := range needles {
+			if !strings.Contains(g, n) {
+				continue next
+			}
+		}
+		out = append(out, g)
+	}
+	return out
+}
+
+// blockedOnCond reports whether every goroutine in gs is blocked in the
+// ring's wait primitive: parked on a channel, not asleep on a clock.
+func blockedOnCond(gs []string) bool {
+	for _, g := range gs {
+		if !strings.Contains(g, "[chan receive") || !strings.Contains(g, "ring.(*Cond).Park") {
+			return false
+		}
+	}
+	return len(gs) > 0
+}
+
 // TestBackpressureBlockParksNotSpins is the busy-wait regression test:
 // a producer stuck behind a stalled downstream ring must transition
-// from bounded yielding to parking (observable on the parks counter
-// while still stuck) instead of pegging a core with unbounded
-// Gosched retries — and stay lossless.
+// from bounded yielding to parking — observable on the parks counter,
+// and as a goroutine blocked until the ring moves, while still stuck —
+// instead of pegging a core with unbounded Gosched retries or waking on
+// a clock; and stay lossless.
 func TestBackpressureBlockParksNotSpins(t *testing.T) {
-	const spinLimit = 16
 	stallMon := faultinject.NewStallNF(nf.NewMonitor())
-	s := New(Config{
-		PoolSize: 256, RingSize: 8, Burst: 4, SpinLimit: spinLimit,
-	})
+	s := New(Config{PoolSize: 256, RingSize: 8, Burst: 4})
 	if err := s.AddGraphInstances(1, nfn(nfa.NFMonitor, 0), map[graph.NF]nf.NF{
 		nfn(nfa.NFMonitor, 0): stallMon,
 	}); err != nil {
@@ -50,17 +87,33 @@ func TestBackpressureBlockParksNotSpins(t *testing.T) {
 
 	parks := s.Telemetry().Counter("nfp_backpressure_parks_total")
 	yields := s.Telemetry().Counter("nfp_backpressure_yields_total")
-	for limit := time.Now().Add(2 * time.Second); parks.Value() < 3; {
+	for limit := time.Now().Add(2 * time.Second); parks.Value() < 1; {
 		if time.Now().After(limit) {
 			t.Fatalf("producer never parked: parks=%d yields=%d", parks.Value(), yields.Value())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	// Bounded spin: at most SpinLimit yields per push episode (one per
-	// injected packet, plus the stuck one) — a busy-wait regression
-	// would blow through this by orders of magnitude.
-	if y := yields.Value(); y > uint64((n+1)*spinLimit) {
-		t.Fatalf("yields = %d, want <= %d (spin must be bounded)", y, (n+1)*spinLimit)
+	// Parked means blocked until the ring moves: the injector sits in a
+	// channel receive, not in time.Sleep.
+	injector := "TestBackpressureBlockParksNotSpins.func1"
+	for limit := time.Now().Add(2 * time.Second); !blockedOnCond(goroutines(injector, "(*shard).push")); {
+		if time.Now().After(limit) {
+			t.Fatalf("parked injector is not blocked on the ring:\n%s", strings.Join(goroutines(injector), "\n\n"))
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Bounded spin: at most the spin budget of yields per push episode
+	// (one per injected packet, plus the stuck one) — a busy-wait
+	// regression would blow through this by orders of magnitude.
+	if y := yields.Value(); y > uint64((n+1)*spinBudget) {
+		t.Fatalf("yields = %d, want <= %d (spin must be bounded)", y, (n+1)*spinBudget)
+	}
+	// A park lasts until the ring moves: however long the stall, the
+	// parked injector neither wakes nor counts another park.
+	p := parks.Value()
+	time.Sleep(10 * time.Millisecond)
+	if got := parks.Value(); got != p || !blockedOnCond(goroutines(injector, "(*shard).push")) {
+		t.Errorf("parks %d -> %d over 10 ms of stall: a parked producer woke with nothing moved", p, got)
 	}
 
 	stallMon.Release()
@@ -95,7 +148,7 @@ func TestOverloadBehindSequentialJoins(t *testing.T) {
 				for i := 0; i < stages; i++ {
 					g.Items = append(g.Items, copyStage(nfn(nfa.NFMonitor, i), nfn(nfa.NFLB, i)))
 				}
-				s := New(Config{SpinLimit: 8})
+				s := New(Config{})
 				if err := s.AddGraphInstances(1, g, map[graph.NF]nf.NF{nfn(nfa.NFMonitor, at): stall}); err != nil {
 					t.Fatal(err)
 				}
@@ -138,5 +191,48 @@ func TestOverloadBehindSequentialJoins(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestIdleServerBlocksUntilTraffic: an idle consumer gives its core back
+// by blocking until its ring moves, not by sleeping on a clock — so a
+// started server left idle has every runtime and merger goroutine
+// blocked on its ring, and the next packet injected wakes them and
+// comes out.
+func TestIdleServerBlocksUntilTraffic(t *testing.T) {
+	s := New(Config{})
+	if err := s.AddGraph(1, nfn(nfa.NFMonitor, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	consumers := func() (rts, mergers []string) {
+		return goroutines("(*nodeRT).run"), goroutines("(*merger).run")
+	}
+	for limit := time.Now().Add(5 * time.Second); ; {
+		rts, mergers := consumers()
+		if len(rts) > 0 && len(mergers) > 0 && blockedOnCond(rts) && blockedOnCond(mergers) {
+			break
+		}
+		if time.Now().After(limit) {
+			t.Fatalf("idle consumers are not blocked on their rings:\n%s", strings.Join(append(rts, mergers...), "\n\n"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if !s.Inject(buildInto(t, s, spec(1, 5000, "idle"))) {
+		t.Fatal("classification failed")
+	}
+	select {
+	case p := <-s.Output():
+		p.Free()
+	case <-time.After(5 * time.Second):
+		t.Fatal("a packet injected into an idle server never came out")
+	}
+	s.Stop()
+	if st := s.Stats(); st.Injected != 1 || st.Outputs != 1 {
+		t.Fatalf("accounting: injected=%d outputs=%d, want 1 and 1", st.Injected, st.Outputs)
 	}
 }

@@ -270,7 +270,7 @@ func TestExecBurstPoolExhaustionMidBurst(t *testing.T) {
 	const poolSize, burst = 64, 32
 	const reserve = poolSize / copyReserveDiv
 	stall := faultinject.NewStallNF(nf.NewMonitor())
-	s := New(Config{PoolSize: poolSize, Burst: burst, SpinLimit: -1})
+	s := New(Config{PoolSize: poolSize, Burst: burst})
 	g := graph.Par{
 		Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
 		Groups:   [][]int{{0}, {1}},
@@ -351,7 +351,7 @@ func TestExecBurstPoolExhaustionMidBurst(t *testing.T) {
 // and says so, on the parks counter and with an event naming admission.
 func TestJoinBackpressure(t *testing.T) {
 	stall := faultinject.NewStallNF(nf.NewMonitor())
-	s := New(Config{PoolSize: 2 * mergerQueue, RingSize: 8, Burst: 8, Mergers: 1, SpinLimit: 4})
+	s := New(Config{PoolSize: 2 * mergerQueue, RingSize: 8, Burst: 8, Mergers: 1})
 	g := graph.Seq{Items: []graph.Node{
 		graph.Par{Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1)}},
 		nfn(nfa.NFMonitor, 2),
@@ -421,7 +421,7 @@ func TestJoinBackpressureStalledBranch(t *testing.T) {
 	// A copy reserve (an eighth of the pool) and NF rings that cover what
 	// the merger ring admits, so the tails budget is what binds.
 	const admitted = mergerQueue / 2
-	s := New(Config{PoolSize: 8 * admitted, RingSize: mergerQueue, Burst: 8, Mergers: 1, SpinLimit: 4})
+	s := New(Config{PoolSize: 8 * admitted, RingSize: mergerQueue, Burst: 8, Mergers: 1})
 	g := graph.Par{
 		Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
 		Groups:   [][]int{{0}, {1}},

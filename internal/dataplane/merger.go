@@ -116,10 +116,10 @@ func newMerger(id int, sh *shard) *merger {
 }
 
 // run is the merger goroutine body: it drains the receive ring until
-// the server stops (Stop waits for conservation first, so it is empty).
+// the server stops (Stop waits for conservation first, so it is empty,
+// and then wakes it).
 func (m *merger) run() {
-	srv := m.sh.srv
-	drain(m.rx, m.batch, srv.cfg.SpinLimit, srv.stopped.Load, m.accept)
+	drain(m.rx, m.batch, m.sh.srv.stopped.Load, m.accept)
 }
 
 // accept handles one drained burst of tails. Everything per burst is

@@ -147,7 +147,7 @@ func (n *nodeRT) tail() *segNF { return &n.nfs[len(n.nfs)-1] }
 // the server stops or a reload retires this runtime's generation
 // (either implies an empty ring: both wait for the in-flight count).
 func (n *nodeRT) run() {
-	drain(n.rx, n.burst, n.sh.srv.cfg.SpinLimit, func() bool {
+	drain(n.rx, n.burst, func() bool {
 		return n.sh.srv.stopped.Load() || n.pr.retired.Load()
 	}, n.processBurst)
 }

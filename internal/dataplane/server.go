@@ -67,6 +67,9 @@ const (
 	// restarted; it doubles per panic up to restartBackoffMax.
 	restartBackoff    = time.Millisecond
 	restartBackoffMax = 250 * time.Millisecond
+	// drainPoll is how often Stop and retire re-read the counts they
+	// wait on to reach zero: control-plane waits, off the packet path.
+	drainPoll = 50 * time.Microsecond
 	// flowCacheSlots is each shard's microflow cache size (a power of
 	// two; see microCache).
 	flowCacheSlots = 4096
@@ -125,9 +128,6 @@ type Config struct {
 	TraceSampleRate int
 	// TraceCapacity bounds the trace event ring (default 4096).
 	TraceCapacity int
-	// SpinLimit bounds the Gosched-yield phase of every retry loop
-	// before it parks (default DefaultSpinLimit).
-	SpinLimit int
 	// FlowAccount, when set, receives per-flow (5-tuple) accounting of
 	// the sampled packets from the classifier (see TraceSampleRate).
 	FlowAccount FlowObserver
@@ -164,12 +164,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRegistry()
-	}
-	if c.SpinLimit == 0 {
-		c.SpinLimit = DefaultSpinLimit
-	}
-	if c.SpinLimit < 0 {
-		c.SpinLimit = 0
 	}
 }
 
@@ -361,7 +355,7 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Shards; i++ {
 		// Every shard sends into the one output channel unless outputs
 		// are sharded: a channel takes concurrent senders, no fan-in.
-		sh := &shard{id: i, srv: s, out: s.out}
+		sh := &shard{id: i, srv: s, out: s.out, freed: ring.NewCond()}
 		if sharded {
 			sh.spanID = i + 1
 			sh.pool = parts[i]
@@ -613,21 +607,19 @@ func (s *Server) retire(old []*planRuntime) (terminal uint64) {
 	}
 	// Drain: wait for every packet of the generation to reach its
 	// terminal output/drop event. Like Stop, this requires the output
-	// consumer to keep draining.
-	w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
-	for {
-		var inflight int64
-		for _, pr := range old {
-			inflight += pr.inflight.Load()
+	// consumer to keep draining. Once sealed, a runtime's inflight only
+	// falls (an injector that raises it past the seal backs out).
+	for _, pr := range old {
+		for pr.inflight.Load() != 0 {
+			time.Sleep(drainPoll)
 		}
-		if inflight == 0 {
-			break
-		}
-		w.Wait()
 	}
-	// Retire: runtimes exit (rings are provably empty).
+	// Retire: runtimes exit (rings are provably empty), woken to see it.
 	for _, pr := range old {
 		pr.retired.Store(true)
+		for _, rt := range pr.rts {
+			rt.rx.Wake()
+		}
 		terminal += pr.terminal.Load()
 		pr.wg.Wait()
 	}
@@ -908,12 +900,21 @@ func (s *Server) Stop() {
 	// Wait until every injected packet surfaced as an output or a
 	// drop. The output channel consumer must keep draining until Stop
 	// returns, or this backpressures forever.
-	w := ring.Waiter{SpinLimit: s.cfg.SpinLimit}
 	for s.injected.Value() > s.outCount.Value()+s.drops.Value() {
-		w.Wait()
+		time.Sleep(drainPoll)
 	}
 	s.note(flightrec.KindStop, s.generation.Load(), 0, 0)
 	s.stopped.Store(true)
+	for _, sh := range s.shards { // wake every consumer to see it
+		for _, pr := range *sh.plans.Load() {
+			for _, rt := range pr.rts {
+				rt.rx.Wake()
+			}
+		}
+		for _, m := range sh.mergers {
+			m.rx.Wake()
+		}
+	}
 	s.wg.Wait()
 	if s.out == nil {
 		for _, sh := range s.shards {

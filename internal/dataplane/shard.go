@@ -51,8 +51,9 @@ type shard struct {
 
 	// The admission budget (admit): the pool partition's copy reserve and
 	// one merger ring's capacity, and what admitted packets hold of both.
-	room budget
-	held atomic.Uint64
+	room  budget
+	held  atomic.Uint64
+	freed *ring.Cond // wakes injectors parked at admission (settle)
 }
 
 // budget counts copy buffers (high half) and merger-ring slots (low
@@ -100,11 +101,12 @@ func (sh *shard) admit(pr *planRuntime, n int) int {
 }
 
 // settle gives back the in-flight slots and the budget of n packets of
-// pr.
+// pr, waking an injector parked at admission.
 func (sh *shard) settle(pr *planRuntime, n int) {
 	pr.inflight.Add(-int64(n))
 	if pr.weight != 0 {
 		sh.held.Add(-(uint64(n) * uint64(pr.weight)))
+		sh.freed.Notify()
 	}
 }
 
@@ -121,15 +123,17 @@ func (sh *shard) settle(pr *planRuntime, n int) {
 // MID has no installed graph (graphs are replaced, never removed, so a
 // retry cannot lose the MID).
 func (sh *shard) acquire(mid uint32, n int) (pr *planRuntime, k int) {
-	w := ring.Waiter{SpinLimit: sh.srv.cfg.SpinLimit}
+	var spin ring.Spin
 	for {
 		if pr = (*sh.plans.Load())[mid]; pr == nil {
 			return nil, 0
 		}
 		k = n
 		if pr.weight != 0 {
+			seen := sh.held.Load()
 			if k = sh.admit(pr, n); k == 0 {
-				sh.backoff(&w, sh.srv.recAdmitID, pr.gen)
+				moved := func() bool { return sh.held.Load() != seen }
+				sh.backoff(&spin, func() { sh.freed.Park(moved) }, sh.srv.recAdmitID, pr.gen)
 				continue
 			}
 		}

@@ -1,7 +1,8 @@
 // Package ring implements the bounded queues every stage boundary of
-// the NFP infrastructure crosses (§5, Figure 3): lock-free SPSC rings,
-// cache-friendly, generic over their element — NF receive rings carry
-// packet references, merger receive rings branch-tail reports by value.
+// the NFP infrastructure crosses (§5, Figure 3): spinlocked MPSC rings
+// over a lock-free SPSC core, generic over their element — NF receive
+// rings carry packet references, merger receive rings branch-tail
+// reports by value.
 //
 // "An NF simply writes packet references into the receive ring buffer of
 // the other NF to realize packet delivery" — Enqueue/Dequeue move only
@@ -12,6 +13,8 @@
 // of per element, so the synchronization cost amortizes across the whole
 // burst. The scalar Enqueue/Dequeue are thin wrappers over the batch
 // path — there is exactly one drain implementation.
+//
+// A stalled side spins, then parks until the other side moves (wait.go).
 package ring
 
 import (
@@ -29,10 +32,12 @@ type Ring[T any] struct {
 	mask uint64
 	buf  []T
 
-	_    [56]byte // pad head/tail onto separate cache lines
-	head atomic.Uint64
-	_    [56]byte
-	tail atomic.Uint64
+	_     [56]byte // pad head/tail onto separate cache lines
+	head  atomic.Uint64
+	room  Cond // parked producers: each dequeue's one load
+	_     [40]byte
+	tail  atomic.Uint64
+	items Cond // the parked consumer: each enqueue's one load
 }
 
 // New creates a ring of packet references with the given capacity,
@@ -49,6 +54,7 @@ func (r *Ring[T]) init(capacity int) {
 		n <<= 1
 	}
 	r.mask, r.buf = uint64(n-1), make([]T, n)
+	r.room.wake, r.items.wake = make(chan struct{}, 1), make(chan struct{}, 1)
 }
 
 // Cap returns the ring capacity.
@@ -86,6 +92,7 @@ func (r *Ring[T]) EnqueueBatch(items []T) int {
 	k := copy(r.buf[tail&r.mask:], items[:n])
 	copy(r.buf, items[k:n]) // the part that wrapped
 	r.tail.Store(tail + n)
+	r.items.Notify()
 	return int(n)
 }
 
@@ -118,7 +125,22 @@ func (r *Ring[T]) DequeueBatch(out []T) int {
 	w := copy(out[k:n], r.buf) // the part that wrapped
 	clear(r.buf[:w])
 	r.head.Store(head + n)
+	r.room.Notify()
 	return int(n)
+}
+
+// AwaitItems parks the consumer until the ring holds an element or
+// done reports true; whoever makes done true calls Wake after.
+func (r *Ring[T]) AwaitItems(done func() bool) {
+	r.items.Park(func() bool { return r.Len() > 0 || done() })
+}
+
+// Wake wakes a consumer parked in AwaitItems, so it checks done again.
+func (r *Ring[T]) Wake() { r.items.Notify() }
+
+// AwaitRoom parks a producer until the ring has a free slot.
+func (r *Ring[T]) AwaitRoom() {
+	r.room.Park(func() bool { return r.Len() < r.Cap() })
 }
 
 // MPSC is a Ring whose enqueue side any goroutine may use: it overrides
