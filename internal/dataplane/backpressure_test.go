@@ -208,18 +208,25 @@ func TestIdleServerBlocksUntilTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	consumers := func() (rts, mergers []string) {
-		return goroutines("(*nodeRT).run"), goroutines("(*merger).run")
+	// This server's consumers, told apart from any other test's by the
+	// ring each one drains (drain's first argument).
+	sh := s.shards[0]
+	rings := []string{fmt.Sprintf("drain[...](%p", sh.mergers[0].rx), fmt.Sprintf("drain[...](%p", sh.mergers[1].rx)}
+	for _, pr := range *sh.plans.Load() {
+		for _, rt := range pr.rts {
+			rings = append(rings, fmt.Sprintf("drain[...](%p", rt.rx))
+		}
 	}
-	for limit := time.Now().Add(5 * time.Second); ; {
-		rts, mergers := consumers()
-		if len(rts) > 0 && len(mergers) > 0 && blockedOnCond(rts) && blockedOnCond(mergers) {
-			break
+	if len(rings) != 3 {
+		t.Fatalf("%d consumers, want one runtime and two mergers", len(rings))
+	}
+	for _, ring := range rings {
+		for limit := time.Now().Add(5 * time.Second); !blockedOnCond(goroutines(ring)); {
+			if time.Now().After(limit) {
+				t.Fatalf("idle consumer of %s is not blocked on its ring:\n%s", ring, strings.Join(goroutines(ring), "\n\n"))
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(limit) {
-			t.Fatalf("idle consumers are not blocked on their rings:\n%s", strings.Join(append(rts, mergers...), "\n\n"))
-		}
-		time.Sleep(time.Millisecond)
 	}
 
 	if !s.Inject(buildInto(t, s, spec(1, 5000, "idle"))) {
