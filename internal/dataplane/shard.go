@@ -54,6 +54,11 @@ type shard struct {
 	room  budget
 	held  atomic.Uint64
 	freed *ring.Cond // wakes injectors parked at admission (settle)
+
+	// The injector and every runtime read this header each burst: pad
+	// it to two whole cache lines, so it shares none with whatever the
+	// allocator puts next to it (TestShardLayout).
+	_ [24]byte
 }
 
 // budget counts copy buffers (high half) and merger-ring slots (low

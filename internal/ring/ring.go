@@ -31,14 +31,21 @@ import (
 type Ring[T any] struct {
 	mask uint64
 	buf  []T
+	// wait is written only by a park, so it sits out of line, beside
+	// mask and buf on the line both sides only read, and leaves the
+	// index lines and the header's size as they were (TestRingLayout).
+	wait *waits
 
-	_     [56]byte // pad head/tail onto separate cache lines
-	head  atomic.Uint64
-	room  Cond // parked producers: each dequeue's one load
-	_     [40]byte
-	tail  atomic.Uint64
-	items Cond // the parked consumer: each enqueue's one load
+	_    [48]byte // pad head/tail onto separate cache lines
+	head atomic.Uint64
+	_    [56]byte
+	tail atomic.Uint64
 }
+
+// waits are a ring's two conds: producers parked on a full ring (room,
+// one load per dequeue) and the consumer parked on an empty one (items,
+// one load per enqueue).
+type waits struct{ room, items Cond }
 
 // New creates a ring of packet references with the given capacity,
 // rounded up to a power of two (minimum 2).
@@ -54,7 +61,7 @@ func (r *Ring[T]) init(capacity int) {
 		n <<= 1
 	}
 	r.mask, r.buf = uint64(n-1), make([]T, n)
-	r.room.wake, r.items.wake = make(chan struct{}, 1), make(chan struct{}, 1)
+	r.wait = &waits{room: Cond{wake: make(chan struct{}, 1)}, items: Cond{wake: make(chan struct{}, 1)}}
 }
 
 // Cap returns the ring capacity.
@@ -92,7 +99,7 @@ func (r *Ring[T]) EnqueueBatch(items []T) int {
 	k := copy(r.buf[tail&r.mask:], items[:n])
 	copy(r.buf, items[k:n]) // the part that wrapped
 	r.tail.Store(tail + n)
-	r.items.Notify()
+	r.wait.items.Notify()
 	return int(n)
 }
 
@@ -125,22 +132,22 @@ func (r *Ring[T]) DequeueBatch(out []T) int {
 	w := copy(out[k:n], r.buf) // the part that wrapped
 	clear(r.buf[:w])
 	r.head.Store(head + n)
-	r.room.Notify()
+	r.wait.room.Notify()
 	return int(n)
 }
 
 // AwaitItems parks the consumer until the ring holds an element or
 // done reports true; whoever makes done true calls Wake after.
 func (r *Ring[T]) AwaitItems(done func() bool) {
-	r.items.Park(func() bool { return r.Len() > 0 || done() })
+	r.wait.items.Park(func() bool { return r.Len() > 0 || done() })
 }
 
 // Wake wakes a consumer parked in AwaitItems, so it checks done again.
-func (r *Ring[T]) Wake() { r.items.Notify() }
+func (r *Ring[T]) Wake() { r.wait.items.Notify() }
 
 // AwaitRoom parks a producer until the ring has a free slot.
 func (r *Ring[T]) AwaitRoom() {
-	r.room.Park(func() bool { return r.Len() < r.Cap() })
+	r.wait.room.Park(func() bool { return r.Len() < r.Cap() })
 }
 
 // MPSC is a Ring whose enqueue side any goroutine may use: it overrides
