@@ -4,12 +4,16 @@
 // Snort intrusion detection system", §6.1).
 //
 // The automaton is built once from the rule set (control plane) and
-// matched per packet with no allocation (fast path).
+// matched per packet with no allocation (fast path). At the root the
+// scan skips ahead a window of the shortest pattern's length at a time
+// (the Set-Horspool rule), so its speed depends on that length and on
+// how many payload bytes occur in no pattern's leading window.
 package ahocorasick
 
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Matcher is an immutable Aho-Corasick automaton over byte patterns,
@@ -23,10 +27,17 @@ import (
 //     step is next[s+class[b]] — one dependent load per byte.
 //   - Output states last. States at which some pattern ends are
 //     numbered after all others, so "has output" is s >= matchMin.
-//   - Root skip. At the root, bytes that start no pattern are skipped
-//     through start, lookups independent of each other and of the
-//     table, eight bytes at a time, until one leaves the root. It costs
-//     the same whatever the number of distinct start bytes.
+//   - Window skip. Every pattern is at least win bytes long (win is
+//     the shortest pattern's length, capped at 255). At the root, the
+//     scan reads the byte that ends the win-byte window at i and moves
+//     i on by shift of it; it steps the table only on a shift of 0.
+//     shift[b] is the least win-1-o over every pattern byte p[o] == b
+//     with o < win, and win for a byte in no pattern's first win
+//     bytes, so no occurrence starts in the bytes passed over and the
+//     state there is the root. Four windows are sampled at once, their
+//     loads independent; when all four shift win, i moves 4·win, and
+//     otherwise the scan takes those four one at a time. With win == 1
+//     this is a check of each byte against the pattern starts.
 //
 // Bound: states × classes must fit in an int32 (premultiplied ids);
 // New panics on a rule set past it, which takes about eight million
@@ -34,7 +45,8 @@ import (
 type Matcher struct {
 	next     []int32
 	class    [256]uint8
-	start    [256]uint8 // start[b] is 1 if b moves the root to another state
+	shift    [256]uint8 // how far the root skip may move past a window ending in b
+	win      int        // skip window: the shortest pattern's length, at most 255
 	stride   int32      // number of classes
 	matchMin int32      // id of the first output state
 	// outs[outOff[k]:outOff[k+1]] are the pattern indices reported at
@@ -132,12 +144,27 @@ func New(patterns [][]byte) *Matcher {
 			row[c] = id[t]
 		}
 	}
-	for b := 0; b < 256; b++ {
-		if m.next[m.class[b]] != 0 {
-			m.start[b] = 1
+	m.skipTable(patterns)
+	return m
+}
+
+// skipTable sets win and shift (see Matcher). With no pattern, win is
+// 255 and every byte shifts by it.
+func (m *Matcher) skipTable(patterns [][]byte) {
+	m.win = math.MaxUint8
+	for _, p := range patterns {
+		if len(p) > 0 && len(p) < m.win {
+			m.win = len(p)
 		}
 	}
-	return m
+	for b := range m.shift {
+		m.shift[b] = uint8(m.win)
+	}
+	for _, p := range patterns {
+		for o := 0; o < len(p) && o < m.win; o++ {
+			m.shift[p[o]] = min(m.shift[p[o]], uint8(m.win-1-o))
+		}
+	}
 }
 
 // classify assigns byte classes in O(Σ|p|): pattern bytes number 0..k-1
@@ -172,31 +199,51 @@ func (m *Matcher) States() int { return len(m.next) / int(m.stride) }
 // run advances the automaton from state s over data[i:] and stops just
 // past the first byte that lands on an output state, returning that
 // offset and state; with no output state ahead it returns len(data) and
-// the state at the end.
+// a state below matchMin.
 func (m *Matcher) run(data []byte, i int, s int32) (int, int32) {
-	next, class, start, matchMin := m.next, &m.class, &m.start, m.matchMin
+	next, class, shift := m.next, &m.class, &m.shift
+	w := m.win
+	w1, w2, w3, step := w-1, 2*w, 3*w, 4*w
 	for i < len(data) {
-		if s == 0 { // root skip
-			for ; i+8 <= len(data); i += 8 {
-				d := data[i : i+8]
-				if start[d[0]]|start[d[1]]|start[d[2]]|start[d[3]]|start[d[4]]|start[d[5]]|start[d[6]]|start[d[7]] != 0 {
-					break
+		if s == 0 { // window skip; e ends the window that starts at i
+			e := i + w1
+		skip:
+			for {
+				// Each shift is at most w, so the four AND to w only
+				// when all four are w.
+				for e+w3 < len(data) && shift[byteAt(data, e)]&shift[byteAt(data, e+w)]&shift[byteAt(data, e+w2)]&shift[byteAt(data, e+w3)] == uint8(w) {
+					e += step
+				}
+				// Some window among those four shifts less, or they
+				// run past the end: take them one at a time.
+				for last := e + w3; e <= last; {
+					if e >= len(data) {
+						return len(data), 0 // no pattern fits in what is left
+					}
+					d := shift[data[e]]
+					if d == 0 {
+						break skip
+					}
+					e += int(d)
 				}
 			}
-			for i < len(data) && start[data[i]] == 0 {
-				i++
-			}
-			if i == len(data) {
-				return i, 0
-			}
+			i = e - w1
 		}
 		s = next[s+int32(class[data[i]])]
 		i++
-		if s >= matchMin {
+		if s >= m.matchMin {
 			return i, s
 		}
 	}
 	return i, s
+}
+
+// byteAt is data[j] without the bounds check. The skip loop's condition
+// bounds all four of its reads (0 <= e < e+w < e+2w < e+3w < len(data),
+// since i >= 0 and w >= 1); with a 1-byte window, checking them makes
+// the scan about a quarter slower.
+func byteAt(data []byte, j int) byte {
+	return *(*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(data)), j))
 }
 
 // outputs returns the pattern indices reported at output state s.

@@ -93,6 +93,63 @@ func TestMatchesOracle(t *testing.T) {
 	}
 }
 
+// skipCase is one input aimed at the window skip.
+type skipCase struct {
+	name     string
+	patterns [][]byte
+	data     []byte
+}
+
+// skipCases are rule sets whose shortest pattern, and so the skip
+// window, is 1, 2, 3, 15 or 300 bytes (the window capped at 255), with
+// that pattern also inside and at the end of longer ones. Each runs
+// over all-0x00 and all-0xFF data: clean, shorter than the window,
+// exactly one window holding the pattern, and with a hit at, across or
+// just past the first four-window block edge or ending at len(data).
+func skipCases() []skipCase {
+	var cases []skipCase
+	for _, l := range []int{1, 2, 3, 15, 300} {
+		w := min(l, 255)
+		short := make([]byte, l)
+		for k := range short {
+			short[k] = 'a' + byte(k%7)
+		}
+		infix := append(append([]byte("Q"), short...), 'R')
+		suffix := append([]byte("PP"), short...)
+		patterns := [][]byte{infix, suffix, short}
+		for _, fill := range []byte{0x00, 0xff} {
+			n := 8*w + l + 3
+			add := func(what string, size, at int, hit []byte) {
+				data := bytes.Repeat([]byte{fill}, size)
+				copy(data[at:], hit)
+				cases = append(cases, skipCase{fmt.Sprintf("L%d/%#02x/%s", l, fill, what), patterns, data})
+			}
+			add("clean", n, 0, nil)
+			add("shorter than the window", w-1, 0, nil)
+			add("one window", l, 0, short)
+			add("at the block edge", n, 4*w, short)
+			add("across the block edge", n, 4*w-(l+1)/2, short)
+			add("infix across the block edge", n, 4*w-1, infix)
+			add("past the block edge", n, 4*w+1, short)
+			add("at the end", n, n-len(suffix), suffix)
+		}
+	}
+	return cases
+}
+
+// joinPatterns encodes patterns as FuzzMatch's blob, '|'-separated.
+func joinPatterns(patterns [][]byte) []byte {
+	return append([]byte("|"), bytes.Join(patterns, []byte("|"))...)
+}
+
+func TestSkipWindowAgainstOracle(t *testing.T) {
+	for _, c := range skipCases() {
+		t.Run(c.name, func(t *testing.T) {
+			checkOracle(t, c.patterns, c.data)
+		})
+	}
+}
+
 // TestAllByteValues: a rule set that uses every byte value has exactly
 // 256 classes and no shared "other" class; one that misses a byte has
 // 256 with it.
@@ -165,6 +222,9 @@ func FuzzMatch(f *testing.F) {
 	f.Add([]byte("|he|she|his|hers"), []byte("ushers"))
 	f.Add([]byte("|aa|aaa|a"), []byte("aaaaaa"))
 	f.Add([]byte("\x00\xff\x00\x01\x00\x00\x00\xfe"), []byte("\x01\xff\x01\x00\xfe"))
+	for _, c := range skipCases() {
+		f.Add(joinPatterns(c.patterns), c.data)
+	}
 	f.Fuzz(func(t *testing.T, blob, data []byte) {
 		patterns := splitPatterns(blob)
 		if len(patterns) > 64 || len(data) > 4096 {

@@ -59,7 +59,7 @@ type IDS struct {
 }
 
 // NewIDS builds an IDS with n synthetic signatures. Signatures are
-// "SIG-%04d-<i>" strings; generator traffic never contains them, so
+// "SIG-%04d-ATTACK" strings; generator traffic never contains them, so
 // benchmarks measure pure scan cost, while tests inject hits
 // deliberately.
 func NewIDS(n int, inline bool) (*IDS, error) {

@@ -22,14 +22,20 @@ package nfa
 // with the others or with the rule's 500 ns limit. Rows whose ratio
 // stayed within 10 % (lb ×0.93, ids ×0.94, vpn ×0.94, nids, caching,
 // shaper, compression) were left as they were.
+//
+// The rows marked "window skip" moved when the signature matcher began
+// skipping a shortest-signature window at a time. They were re-measured
+// the same way, the per-byte and the window-skipping matcher run
+// alternately on one VM (three 4 s bench runs per seed, six NFCost
+// rounds), and scaled by the median ratio.
 var builtinCostNS = map[string]int64{
 	NFL3Fwd:    13,  // fwd64; 16-byte key ×0.40 (seeds 1 and 3: ×0.41, ×0.40)
 	NFFirewall: 42,  // stateful_manyflow; 16-byte key ×0.85 (×0.94, ×0.76)
 	NFLB:       167, // stateful_manyflow
 	NFMonitor:  100, // stateful_manyflow; 16-byte key ×0.44 (×0.46, ×0.42; 38 on fig13_dcmix)
-	NFIDS:      344, // fig13_dcmix
+	NFIDS:      116, // fig13_dcmix; window skip ×0.34 (seeds 1 and 3: ×0.33, ×0.34)
 	NFVPN:      561, // fig13_dcmix (seeds 1 and 3: 574, 548)
-	NFNIDS:     277, // BenchmarkNFCost
+	NFNIDS:     85,  // BenchmarkNFCost; window skip ×0.31
 	NFNAT:      138, // 16-byte key ×0.80
 	NFGateway:  42,  // 16-byte key ×0.58
 	NFProxy:    65,  // 16-byte key ×0.85
