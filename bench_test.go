@@ -109,7 +109,7 @@ func pumpBurst(b *testing.B, srv *dataplane.Server, burst int, payload string) {
 
 // benchNFPGraph measures per-packet cost of a graph on the dataplane.
 func benchNFPGraph(b *testing.B, g graph.Node, payload string) {
-	srv := dataplane.New(dataplane.Config{PoolSize: 2048, Mergers: 2})
+	srv := dataplane.New(dataplane.Config{PoolSize: 2048})
 	if err := srv.AddGraph(1, g); err != nil {
 		b.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func benchNFPGraphBurst(b *testing.B, g graph.Node, burst int, payload string) {
 // engine pinned — the _NoFusion variants measure the pipelined
 // one-ring-per-NF layout against the default fused engine.
 func benchNFPGraphBurstFusion(b *testing.B, g graph.Node, burst int, fusion dataplane.FusionMode, payload string) {
-	srv := dataplane.New(dataplane.Config{PoolSize: 2048, Mergers: 2, Burst: burst, Fusion: fusion})
+	srv := dataplane.New(dataplane.Config{PoolSize: 2048, Burst: burst, Fusion: fusion})
 	if err := srv.AddGraph(1, g); err != nil {
 		b.Fatal(err)
 	}
@@ -255,7 +255,6 @@ func BenchmarkFig7_NFP_SeqChain5_Burst32(b *testing.B) {
 func benchNFPGraphShards(b *testing.B, g graph.Node, shards int, payload string) {
 	srv := dataplane.New(dataplane.Config{
 		PoolSize:       2048 * shards,
-		Mergers:        2,
 		Burst:          32,
 		Shards:         shards,
 		ShardedOutputs: shards > 1,
@@ -358,7 +357,7 @@ func BenchmarkFig7_NFP_SeqChain5_Burst32_Diagnose(b *testing.B) {
 	reg := telemetry.NewRegistry()
 	sketch := diagnose.NewTopK(16)
 	srv := dataplane.New(dataplane.Config{
-		PoolSize: 2048, Mergers: 2, Burst: 32,
+		PoolSize: 2048, Burst: 32,
 		Telemetry:       reg,
 		FlowAccount:     sketch,
 		TraceSampleRate: 64,
@@ -444,7 +443,7 @@ func benchSynthetic(b *testing.B, cycles, degree int, seq bool) {
 	} else {
 		g = parGraph(nfa.NFSynthetic, degree, false)
 	}
-	srv := dataplane.New(dataplane.Config{PoolSize: 2048, Mergers: 2, Registry: reg})
+	srv := dataplane.New(dataplane.Config{PoolSize: 2048, Registry: reg})
 	if err := srv.AddGraph(1, g); err != nil {
 		b.Fatal(err)
 	}
@@ -489,23 +488,6 @@ func BenchmarkFig13_NorthSouth(b *testing.B) {
 func BenchmarkFig13_WestEast(b *testing.B) {
 	benchCompiled(b, []string{nfa.NFIDS, nfa.NFMonitor, nfa.NFLB}, "west-east payload")
 }
-
-// --- §6.3.3: merger load balancing ---
-
-func benchMergers(b *testing.B, mergers int) {
-	srv := dataplane.New(dataplane.Config{PoolSize: 2048, Mergers: mergers})
-	if err := srv.AddGraph(1, parGraph(nfa.NFMonitor, 2, false)); err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		b.Fatal(err)
-	}
-	pump(b, srv.Inject, srv.Pool(), srv.Output(), srv.Stop, "x")
-}
-
-func BenchmarkMergerLoadBalance_1Instance(b *testing.B)  { benchMergers(b, 1) }
-func BenchmarkMergerLoadBalance_2Instances(b *testing.B) { benchMergers(b, 2) }
-func BenchmarkMergerLoadBalance_4Instances(b *testing.B) { benchMergers(b, 4) }
 
 // --- Ablations (DESIGN.md §5) ---
 

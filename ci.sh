@@ -72,6 +72,7 @@
 #                    reports two parallel stages, then runs the policy
 #                    through nfpd for a million packets under ten seeds,
 #                    with the default shard count and with one shard,
+#                    and at -burst 1 under seeds 1–3 the same two ways,
 #                    each under a 60 s timeout. nfpd exits non-zero on a
 #                    leak and the timeout catches a wedge (the shape
 #                    stopped for good before admission bounded what a
@@ -102,6 +103,13 @@ if [ "${1:-}" = "twostage" ]; then
     for seed in $(seq 1 10); do
         timeout 60 "$bin/nfpd" -policy "$pol" -packets 1000000 -seed "$seed" >/dev/null
         timeout 60 "$bin/nfpd" -policy "$pol" -packets 1000000 -seed "$seed" -shards 1 >/dev/null
+    done
+    # At burst 1 every tail completes its join on its own, and a
+    # completed first stage pushes straight into the second stage from
+    # the goroutine that completed it.
+    for seed in $(seq 1 3); do
+        timeout 60 "$bin/nfpd" -policy "$pol" -packets 1000000 -seed "$seed" -burst 1 >/dev/null
+        timeout 60 "$bin/nfpd" -policy "$pol" -packets 1000000 -seed "$seed" -burst 1 -shards 1 >/dev/null
     done
     exit 0
 fi

@@ -315,9 +315,7 @@ func run() int {
 		fail(err)
 	}
 	report("NFP dataplane", live)
-	if len(live.MergerLoad) > 0 {
-		fmt.Printf("  merger load:     %v\n", live.MergerLoad)
-	}
+	fmt.Printf("  join load:       %v tails per shard\n", live.MergerLoad)
 	if live.Copies > 0 {
 		fmt.Printf("  copies:          %d (%d bytes total)\n", live.Copies, live.CopiedBytes)
 	}

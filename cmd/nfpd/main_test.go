@@ -116,8 +116,8 @@ func TestLoadPolicyVariants(t *testing.T) {
 // if a BENCHMARK.json workload, an EXPERIMENTS.md figure or a test suite
 // selects it (DESIGN.md §14 lists which, per switch).
 func TestConfigSurface(t *testing.T) {
-	if n := reflect.TypeOf(dataplane.Config{}).NumField(); n != 12 {
-		t.Errorf("dataplane.Config has %d fields, want 12", n)
+	if n := reflect.TypeOf(dataplane.Config{}).NumField(); n != 11 {
+		t.Errorf("dataplane.Config has %d fields, want 11", n)
 	}
 	src, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
 	if err != nil {

@@ -111,7 +111,7 @@ func runChain(label string, chain []string) {
 	if o.encapsulated > 0 {
 		fmt.Printf("  VPN encapsulated %d outputs (AH header present)\n", o.encapsulated)
 	}
-	fmt.Printf("  copies: %d (%d bytes), merger load %v\n",
+	fmt.Printf("  copies: %d (%d bytes), join load %v tails per shard\n",
 		st.Copies, st.CopiedBytes, st.MergerLoad)
 
 	exportNetFlow(mon)

@@ -90,5 +90,5 @@ func main() {
 	fmt.Printf("delivered: %d (LB-rewritten)\n", r.outputs)
 	fmt.Printf("dropped:   %d (IDS signature hits)\n", st.Drops)
 	fmt.Printf("copies:    %d header-only copies, %d bytes total\n", st.Copies, st.CopiedBytes)
-	fmt.Printf("mergers:   load split %v\n", st.MergerLoad)
+	fmt.Printf("joins:     %v tails per shard\n", st.MergerLoad)
 }

@@ -8,24 +8,21 @@ import (
 )
 
 // atEntry accumulates the copies of one packet at one join (§5.3,
-// Figure 4: current count and received versions). The key is (pr, join,
-// pid): keying by the generation runtime (pointer identity is per shard
-// per generation) keeps old- and new-generation entries of one MID
-// disjoint; PIDs are never reused across a packet's lifetime, so the
-// copies of one packet always land on one entry.
+// Figure 4: current count and received versions). The key is the PID
+// alone: a table belongs to one join of one generation runtime, and
+// PIDs are never reused across a packet's lifetime, so the copies of
+// one packet always land on one entry.
 type atEntry struct {
-	pr    *planRuntime // nil: the slot is free
 	pid   uint64
-	join  int32
-	count int32 // tails received so far
+	count int32 // tails received so far; 0: the slot is free
 	// dropped: a tail reported a drop; prov is the provenance of the
 	// FIRST one. Parallel branches can each report a drop for one
 	// packet, but the packet dies exactly once, so one cause must win
-	// deterministically (arrival order at this merger).
+	// deterministically (arrival order at the table).
 	dropped bool
 	prov    dropProv
-	// firstNS is the clock read of the drained burst the first tail came
-	// in; finalize's burst read − firstNS is the merge latency (how long
+	// firstNS is the clock read of the pass the first tail came in;
+	// finalize's pass read − firstNS is the merge latency (how long
 	// copies waited in the Accumulating Table).
 	firstNS  int64
 	versions [packet.MaxVersion + 1]*packet.Packet
@@ -45,7 +42,7 @@ type atTail struct {
 	cursor int64
 }
 
-// atTable is one merger's Accumulating Table: a preallocated
+// atTable is one join's Accumulating Table: a preallocated
 // open-addressed array of entries (linear probing, backward-shift
 // delete, so no tombstone ever lengthens a probe). Admission bounds the
 // entries that can be live (DESIGN.md §6) and the array holds twice
@@ -58,8 +55,8 @@ type atTable struct {
 	bound int
 	// tails holds the span cursors of the sampled packets' tails, off the
 	// entries: only one packet in TraceSampleRate pays for them. It grows
-	// to the most ever waiting at once (at most the merger ring) and is
-	// reused through freeTail from then on.
+	// to the most ever waiting at once (at most the tails admission lets
+	// in) and is reused through freeTail from then on.
 	tails    []atTail
 	freeTail int32
 }
@@ -72,29 +69,28 @@ func newATTable(bound int) *atTable {
 	return &atTable{slots: make([]atEntry, n), shift: uint(64 - bits.TrailingZeros(uint(n))), bound: bound}
 }
 
-// home is the slot a key's probe starts at. The merger agent already
-// spent the low bits of the same hash picking the instance; the top bits
-// are still spread.
-func (t *atTable) home(join int32, pid uint64) int {
-	return int(hashPID(pid^uint64(join)<<packet.PIDBits) >> t.shift)
+// home is the slot a PID's probe starts at: the top bits of its hash.
+func (t *atTable) home(pid uint64) int {
+	return int(hashPID(pid) >> t.shift)
 }
 
-// at returns the slot of (pr, join, pid), claiming a free one when the
-// key has none yet (fresh: the entry is zero but for its key).
-func (t *atTable) at(pr *planRuntime, join int32, pid uint64) (i int, fresh bool) {
+// at returns the slot of pid, claiming a free one when the PID has none
+// yet (fresh: the entry is zero but for its key; the caller counts the
+// tail before the table is probed again).
+func (t *atTable) at(pid uint64) (i int, fresh bool) {
 	mask := len(t.slots) - 1
-	for i = t.home(join, pid); ; i = (i + 1) & mask {
+	for i = t.home(pid); ; i = (i + 1) & mask {
 		e := &t.slots[i]
-		if e.pr == nil {
+		if e.count == 0 {
 			if t.live == t.bound {
-				panic(fmt.Sprintf("dataplane: accumulating table full: %d entries live, the most the admission budget lets in (merger ring / 2; %d slots)",
+				panic(fmt.Sprintf("dataplane: accumulating table full: %d entries live, the most the admission budget lets in (%d slots)",
 					t.live, len(t.slots)))
 			}
 			t.live++
-			e.pr, e.join, e.pid = pr, join, pid
+			e.pid = pid
 			return i, true
 		}
-		if e.pid == pid && e.pr == pr && e.join == join {
+		if e.pid == pid {
 			return i, false
 		}
 	}
@@ -131,10 +127,10 @@ func (t *atTable) dropTails(e *atEntry) {
 // never needs to look past a free slot.
 func (t *atTable) remove(i int) {
 	mask := len(t.slots) - 1
-	for j := (i + 1) & mask; t.slots[j].pr != nil; j = (j + 1) & mask {
+	for j := (i + 1) & mask; t.slots[j].count != 0; j = (j + 1) & mask {
 		e := &t.slots[j]
 		// e may move to i unless its home lies in (i, j].
-		if (j-t.home(e.join, e.pid))&mask >= (j-i)&mask {
+		if (j-t.home(e.pid))&mask >= (j-i)&mask {
 			t.slots[i] = *e
 			i = j
 		}

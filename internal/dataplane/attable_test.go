@@ -6,31 +6,24 @@ import (
 	"testing"
 )
 
-// atOracleKey is the Accumulating Table key as a map would hold it.
-type atOracleKey struct {
-	pr   *planRuntime
-	join int32
-	pid  uint64
-}
-
 // atHarness drives an atTable and a map oracle in lock step.
 type atHarness struct {
 	t      *testing.T
 	tab    *atTable
-	oracle map[atOracleKey][]int64 // the cursors of the tails received so far
-	keys   []atOracleKey           // the live keys, for picking one
+	oracle map[uint64][]int64 // the cursors of the tails received so far, by PID
+	keys   []uint64           // the live keys, for picking one
 	clock  int64
 	peak   int // the most tails ever waiting at once
 }
 
 func newATHarness(t *testing.T, bound int) *atHarness {
-	return &atHarness{t: t, tab: newATTable(bound), oracle: map[atOracleKey][]int64{}}
+	return &atHarness{t: t, tab: newATTable(bound), oracle: map[uint64][]int64{}}
 }
 
-// tail delivers one tail of k, as merger.accept does for a sampled
+// tail delivers one tail of k, as shard.accept does for a sampled
 // packet: find or claim the entry, count the tail, note its cursor.
-func (h *atHarness) tail(k atOracleKey) {
-	i, fresh := h.tab.at(k.pr, k.join, k.pid)
+func (h *atHarness) tail(k uint64) {
+	i, fresh := h.tab.at(k)
 	if _, live := h.oracle[k]; fresh == live {
 		h.t.Fatalf("key %v: fresh=%v but the oracle has live=%v", k, fresh, live)
 	}
@@ -58,7 +51,7 @@ func (h *atHarness) complete(n int) {
 	k := h.keys[n]
 	h.keys[n] = h.keys[len(h.keys)-1]
 	h.keys = h.keys[:len(h.keys)-1]
-	i, fresh := h.tab.at(k.pr, k.join, k.pid)
+	i, fresh := h.tab.at(k)
 	if fresh {
 		h.t.Fatalf("key %v vanished before its completion", k)
 	}
@@ -73,7 +66,7 @@ func (h *atHarness) check() {
 		h.t.Fatalf("table holds %d entries, oracle %d", h.tab.live, len(h.oracle))
 	}
 	for k, want := range h.oracle {
-		i, fresh := h.tab.at(k.pr, k.join, k.pid)
+		i, fresh := h.tab.at(k)
 		if fresh {
 			h.t.Fatalf("live key %v not found after a delete (claimed slot %d instead)", k, i)
 		}
@@ -98,7 +91,7 @@ func (h *atHarness) check() {
 	}
 	occupied := 0
 	for i := range h.tab.slots {
-		if h.tab.slots[i].pr != nil {
+		if h.tab.slots[i].count != 0 {
 			occupied++
 		}
 	}
@@ -107,16 +100,16 @@ func (h *atHarness) check() {
 	}
 }
 
-// collidingPIDs returns n PIDs of join whose probes all start within
-// width slots of home (the array's last slots, when home is -1: their
-// cluster wraps the end).
-func collidingPIDs(tab *atTable, join int32, home, width, n int) []uint64 {
+// collidingPIDs returns n PIDs whose probes all start within width
+// slots of home (the array's last slots, when home is -1: their cluster
+// wraps the end).
+func collidingPIDs(tab *atTable, home, width, n int) []uint64 {
 	if home < 0 {
 		home = len(tab.slots) - width/2
 	}
 	var pids []uint64
 	for pid := uint64(1); len(pids) < n; pid++ {
-		if d := (tab.home(join, pid) - home) & (len(tab.slots) - 1); d < width {
+		if d := (tab.home(pid) - home) & (len(tab.slots) - 1); d < width {
 			pids = append(pids, pid)
 		}
 	}
@@ -125,18 +118,14 @@ func collidingPIDs(tab *atTable, join int32, home, width, n int) []uint64 {
 
 // atScript plays a byte string against the harness: each byte either
 // delivers a tail (to a fresh key while there is room, or to a live one)
-// or completes a live key. Keys span two generation runtimes and two
-// joins, and their PIDs are drawn from a colliding set.
-func atScript(h *atHarness, prs [2]*planRuntime, pids []uint64, script []byte) {
+// or completes a live key. The PIDs are drawn from a colliding set.
+func atScript(h *atHarness, pids []uint64, script []byte) {
 	next := 0
 	for _, b := range script {
 		switch {
 		case b&3 != 0 && len(h.keys) < h.tab.bound && next < len(pids):
-			// The same PID on both runtimes and both joins: four keys, one
-			// home per join.
-			k := atOracleKey{pr: prs[next&1], join: int32(next >> 1 & 1), pid: pids[next>>2]}
+			h.tail(pids[next])
 			next++
-			h.tail(k)
 		case b&3 == 1 && len(h.keys) > 0:
 			h.tail(h.keys[int(b>>2)%len(h.keys)])
 		case len(h.keys) > 0:
@@ -157,12 +146,11 @@ func atScript(h *atHarness, prs [2]*planRuntime, pids []uint64, script []byte) {
 
 // TestAccumulatingTableMatchesMap is the table's property test against a
 // map: random interleavings of first tail, later tail and completion,
-// over two generation runtimes and two joins, with PIDs that collide —
+// with PIDs that collide —
 // in the middle of the array and across its end — and occupancy driven
 // to the bound; every delete is followed by a lookup of every live key,
 // and of the tails its entry lists.
 func TestAccumulatingTableMatchesMap(t *testing.T) {
-	prs := [2]*planRuntime{{}, {}}
 	for _, tc := range []struct {
 		name        string
 		home, width int
@@ -176,7 +164,7 @@ func TestAccumulatingTableMatchesMap(t *testing.T) {
 			for round := 0; round < 20; round++ {
 				const bound = 32
 				h := newATHarness(t, bound)
-				pids := collidingPIDs(h.tab, 0, tc.home, tc.width, 3*bound)
+				pids := collidingPIDs(h.tab, tc.home, tc.width, 3*bound)
 				script := make([]byte, 600)
 				rng.Read(script)
 				if round%2 == 0 {
@@ -186,7 +174,7 @@ func TestAccumulatingTableMatchesMap(t *testing.T) {
 						script[i] |= 2
 					}
 				}
-				atScript(h, prs, pids, script)
+				atScript(h, pids, script)
 				if h.tab.live != 0 {
 					t.Fatalf("%d entries left", h.tab.live)
 				}
@@ -200,16 +188,18 @@ func TestAccumulatingTableMatchesMap(t *testing.T) {
 // says so, naming the bound, rather than probe a full array forever.
 func TestAccumulatingTableOverfillPanics(t *testing.T) {
 	const bound = 8
-	tab, pr := newATTable(bound), &planRuntime{}
+	tab := newATTable(bound)
 	if len(tab.slots) != 2*bound {
 		t.Fatalf("%d slots for a bound of %d entries, want twice", len(tab.slots), bound)
 	}
 	for pid := uint64(1); pid <= bound; pid++ {
-		if _, fresh := tab.at(pr, 0, pid); !fresh {
+		i, fresh := tab.at(pid)
+		if !fresh {
 			t.Fatalf("pid %d already present", pid)
 		}
+		tab.slots[i].count++
 	}
-	if _, fresh := tab.at(pr, 0, 1); fresh || tab.live != bound {
+	if _, fresh := tab.at(1); fresh || tab.live != bound {
 		t.Fatalf("a lookup in a table at its bound inserted (live=%d)", tab.live)
 	}
 	defer func() {
@@ -218,7 +208,7 @@ func TestAccumulatingTableOverfillPanics(t *testing.T) {
 			t.Errorf("overfill panic = %q, want the bound and the budget named", msg)
 		}
 	}()
-	tab.at(pr, 0, bound+1)
+	tab.at(bound + 1)
 	t.Error("the ninth entry went in")
 }
 
@@ -228,21 +218,31 @@ func FuzzAccumulatingTable(f *testing.F) {
 	f.Add([]byte{3, 3, 3, 3, 0, 0, 0, 0}, uint8(0))
 	f.Add([]byte{2, 6, 10, 1, 5, 9, 0, 4, 8, 3, 7, 0}, uint8(3))
 	f.Add([]byte("\x03\x07\x0b\x0f\x13\x17\x1b\x1f\x00\x04\x03\x08\x03\x0c"), uint8(255))
-	prs := [2]*planRuntime{{}, {}}
 	f.Fuzz(func(t *testing.T, script []byte, home uint8) {
 		h := newATHarness(t, 8)
-		atScript(h, prs, collidingPIDs(h.tab, 0, int(home)%len(h.tab.slots), 3, 16), script)
+		atScript(h, collidingPIDs(h.tab, int(home)%len(h.tab.slots), 3, 16), script)
 	})
 }
 
+// TestHashPIDSpreads: the PIDs in flight are close to consecutive, and
+// the table probes from the top bits of their hash: a table's worth of
+// consecutive PIDs must start their probes on distinct slots, or nearly,
+// so that no cluster grows long.
 func TestHashPIDSpreads(t *testing.T) {
-	// Consecutive PIDs must land on different merger instances (mod 2)
-	// reasonably evenly — the §6.3.3 load-balancing requirement.
-	buckets := [2]int{}
-	for pid := uint64(0); pid < 1000; pid++ {
-		buckets[hashPID(pid)%2]++
-	}
-	if buckets[0] < 300 || buckets[1] < 300 {
-		t.Errorf("PID hash badly skewed: %v", buckets)
+	const bound = 1024
+	tab := newATTable(bound)
+	for _, first := range []uint64{0, 1 << 20, 1<<40 - bound} {
+		homes := map[int]int{}
+		for pid := first; pid < first+bound; pid++ {
+			homes[tab.home(pid)]++
+		}
+		for home, n := range homes {
+			if n > 2 {
+				t.Errorf("%d of %d consecutive PIDs from %d start their probe at slot %d", n, bound, first, home)
+			}
+		}
+		if len(homes) < bound*9/10 {
+			t.Errorf("%d consecutive PIDs from %d start on only %d of %d slots", bound, first, len(homes), len(tab.slots))
+		}
 	}
 }

@@ -37,24 +37,27 @@ func (sh *shard) push(n *nodeRT, gen uint64, pkts []*packet.Packet) {
 	n.ringHW.SetMax(int64(n.rx.Len()))
 }
 
-// drain is the one consumer loop: it hands a receive ring's bursts to
-// handle until done() with the ring empty. An idle consumer spins, then
+// drain is the one consumer loop, a runtime goroutine's body: it hands
+// the receive ring's bursts to processBurst until the server stops or a
+// reload retires this runtime's generation (either implies an empty
+// ring: both wait for the in-flight count). An idle runtime spins, then
 // parks until an enqueue (or the Wake after done turns true).
-func drain[T any](rx *ring.MPSC[T], buf []T, done func() bool, handle func([]T)) {
+func (n *nodeRT) drain() {
+	done := func() bool { return n.sh.srv.stopped.Load() || n.pr.retired.Load() }
 	var spin ring.Spin
 	for {
-		cnt := rx.DequeueBatch(buf)
+		cnt := n.rx.DequeueBatch(n.burst)
 		if cnt == 0 {
 			if done() {
 				return
 			}
 			if !spin.Yield() {
-				rx.AwaitItems(done)
+				n.rx.AwaitItems(done)
 			}
 			continue
 		}
 		spin = 0
-		handle(buf[:cnt])
+		n.processBurst(n.burst[:cnt])
 	}
 }
 

@@ -196,12 +196,14 @@ func TestOverloadBehindSequentialJoins(t *testing.T) {
 
 // TestIdleServerBlocksUntilTraffic: an idle consumer gives its core back
 // by blocking until its ring moves, not by sleeping on a clock — so a
-// started server left idle has every runtime and merger goroutine
-// blocked on its ring, and the next packet injected wakes them and
-// comes out.
+// started server left idle has every runtime goroutine blocked on its
+// ring, and the next packet injected wakes them and comes out. A join
+// has no goroutine to idle: the two branch runtimes of a parallel stage
+// are the server's only consumers.
 func TestIdleServerBlocksUntilTraffic(t *testing.T) {
 	s := New(Config{})
-	if err := s.AddGraph(1, nfn(nfa.NFMonitor, 0)); err != nil {
+	g := graph.Par{Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1)}}
+	if err := s.AddGraph(1, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Start(); err != nil {
@@ -209,16 +211,16 @@ func TestIdleServerBlocksUntilTraffic(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	// This server's consumers, told apart from any other test's by the
-	// ring each one drains (drain's first argument).
+	// runtime each one runs (drain's receiver).
 	sh := s.shards[0]
-	rings := []string{fmt.Sprintf("drain[...](%p", sh.mergers[0].rx), fmt.Sprintf("drain[...](%p", sh.mergers[1].rx)}
+	var rings []string
 	for _, pr := range *sh.plans.Load() {
 		for _, rt := range pr.rts {
-			rings = append(rings, fmt.Sprintf("drain[...](%p", rt.rx))
+			rings = append(rings, fmt.Sprintf("(*nodeRT).drain(%p", rt))
 		}
 	}
-	if len(rings) != 3 {
-		t.Fatalf("%d consumers, want one runtime and two mergers", len(rings))
+	if len(rings) != 2 {
+		t.Fatalf("%d consumers, want the two branch runtimes", len(rings))
 	}
 	for _, ring := range rings {
 		for limit := time.Now().Add(5 * time.Second); !blockedOnCond(goroutines(ring)); {

@@ -189,7 +189,7 @@ func runBurstChain(t *testing.T, chain []string, g graph.Node, n, burst int, fus
 			instances[nfn(name, 0)] = oc
 		}
 	}
-	s := New(Config{PoolSize: 1024, Mergers: 2, Burst: burst, Fusion: fusion})
+	s := New(Config{PoolSize: 1024, Burst: burst, Fusion: fusion})
 	if err := s.AddGraphInstances(1, g, instances); err != nil {
 		t.Fatal(err)
 	}

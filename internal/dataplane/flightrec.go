@@ -17,10 +17,10 @@ const Version = "0.9.0"
 
 // dropProv is the provenance a drop intention carries from the site
 // that decided the drop to the single terminal accounting point
-// (shard.emit, possibly via mergers): the taxonomy
+// (shard.emit, possibly via joins): the taxonomy
 // cause, how far the packet got, and the plan node that killed it.
 // Parallel branches can report several causes for one packet; the
-// first-reported cause wins at the merger (see atEntry.prov), so the
+// first-reported cause wins at the join (see atEntry.prov), so the
 // terminal per-cause counters sum exactly to total drops.
 type dropProv struct {
 	cause flightrec.Cause
@@ -35,15 +35,15 @@ type dropProv struct {
 // ever forgets to stamp provenance — and then the conservation audit
 // fails loudly.
 func (sh *shard) dropCounter(pr *planRuntime, prov dropProv) *telemetry.Counter {
-	idx := int(prov.node)*flightrec.NumCauses + int(prov.cause)
-	if c := pr.dropCtrs[idx].Load(); c != nil {
+	slot := &pr.nodes[prov.node].drops[prov.cause]
+	if c := slot.Load(); c != nil {
 		return c
 	}
 	c := sh.srv.tel.Counter(flightrec.MetricDrops, sh.labelShard([]telemetry.Label{
 		telemetry.L("cause", prov.cause.String()),
 		telemetry.L("nf", pr.plan.Nodes[prov.node].NF.String()),
 	})...)
-	pr.dropCtrs[idx].Store(c)
+	slot.Store(c)
 	return c
 }
 
@@ -59,7 +59,7 @@ func (sh *shard) recordDrop(pr *planRuntime, prov dropProv, pkt *packet.Packet, 
 		Cause:  prov.cause,
 		Stage:  uint8(prov.stage),
 		Gen:    pr.gen,
-		Node:   pr.nodeNames[prov.node],
+		Node:   pr.nodes[prov.node].name,
 		PID:    pkt.Meta.PID,
 		Cursor: cursor,
 	}
@@ -107,6 +107,11 @@ func drainCause(pr *planRuntime) flightrec.Cause {
 	return flightrec.CauseUnhealthyDrain
 }
 
-// dropCtrSlot is the per-runtime cache slot type (split out to keep
-// planRuntime readable).
-type dropCtrSlot = atomic.Pointer[telemetry.Counter]
+// nodeRec is what a runtime's flight recording keeps per plan node: the
+// NF name interned in the recorder, so per-drop events carry an integer,
+// not a string, and the lazily resolved terminal per-cause drop counters
+// (shard.dropCounter).
+type nodeRec struct {
+	name  uint32
+	drops [flightrec.NumCauses]atomic.Pointer[telemetry.Counter]
+}

@@ -198,13 +198,16 @@ func TestDropProvenancePanic(t *testing.T) {
 }
 
 // TestMetricLintClean loads every metric family the dataplane and the
-// diagnosis layer register — sharded server, drops of several causes,
-// health gauges — and lints the full registry: one misnamed series
-// anywhere fails here instead of shipping.
+// diagnosis layer register — sharded server, a join, drops of several
+// causes, health gauges — and lints the full registry: one misnamed
+// series anywhere fails here instead of shipping.
 func TestMetricLintClean(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := New(Config{Shards: 2, PoolSize: 256, Burst: 8, Telemetry: reg, TraceSampleRate: 4})
-	g := graph.Seq{Items: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFL3Fwd, 0)}}
+	g := graph.Seq{Items: []graph.Node{
+		graph.Par{Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1)}},
+		nfn(nfa.NFL3Fwd, 0),
+	}}
 	if err := s.AddGraph(1, g); err != nil {
 		t.Fatal(err)
 	}
@@ -263,9 +266,9 @@ func TestMetricLintClean(t *testing.T) {
 		}
 	}
 	// So do the rule-table gauges, with the classifier's counters, each
-	// merger's ring high-water mark, with the merger, and the stage
+	// join's table high-water mark, with the join, and the stage
 	// verdicts.
-	for _, name := range []string{"nfp_classifier_rules", "nfp_classifier_tuples", "nfp_merger_ring_high_water", "nfp_plan_stage_parallel"} {
+	for _, name := range []string{"nfp_classifier_rules", "nfp_classifier_tuples", "nfp_merger_at_high_water", "nfp_plan_stage_parallel"} {
 		found := false
 		for _, g := range snap.Gauges {
 			found = found || g.Name == name

@@ -142,7 +142,7 @@ type shapeRun struct {
 func runShape(t *testing.T, p *Plan, burst int) shapeRun {
 	t.Helper()
 	const n = 231 // seven bursts of 33: full chunks and a tail at every size
-	s := New(Config{PoolSize: 1024, Mergers: 2, Burst: burst})
+	s := New(Config{PoolSize: 1024, Burst: burst})
 	installPlan(t, s, p)
 	r := shapeRun{Outputs: map[uint64]string{}}
 	for _, pkt := range runTrafficBurst(t, s, n, burst, shapeSpec) {
@@ -344,14 +344,14 @@ func TestExecBurstPoolExhaustionMidBurst(t *testing.T) {
 	}
 }
 
-// TestJoinBackpressure: a stalled NF behind a join stops the merger, in
-// the lossless spin → park push on that NF's ring; the merger's own ring
-// takes every tail in flight without filling, because admission stops
-// the injector at ingress once the tails it let in would no longer fit —
-// and says so, on the parks counter and with an event naming admission.
+// TestJoinBackpressure: a stalled NF behind a join stops the branch
+// runtime that completes the join, in the lossless spin → park push on
+// that NF's ring; the branch rings then fill behind it and the injector
+// parks pushing into them — at the branch rings, long before admission's
+// tail budget binds. Once the NF moves nothing is lost.
 func TestJoinBackpressure(t *testing.T) {
 	stall := faultinject.NewStallNF(nf.NewMonitor())
-	s := New(Config{PoolSize: 2 * mergerQueue, RingSize: 8, Burst: 8, Mergers: 1})
+	s := New(Config{PoolSize: 2 * tailBudget, RingSize: 8, Burst: 8})
 	g := graph.Seq{Items: []graph.Node{
 		graph.Par{Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1)}},
 		nfn(nfa.NFMonitor, 2),
@@ -366,9 +366,8 @@ func TestJoinBackpressure(t *testing.T) {
 	col := collectOutputs(s)
 	stall.Stall()
 
-	// Two tails per packet: the budget admits mergerQueue/2 packets, and
-	// the rest wait their turn outside the graph.
-	const admitted = mergerQueue / 2
+	// Two tails per packet: the budget would admit tailBudget/2 packets.
+	const admitted = tailBudget / 2
 	const n = admitted + 200
 	injDone := make(chan struct{})
 	go func() {
@@ -380,16 +379,23 @@ func TestJoinBackpressure(t *testing.T) {
 			}
 		}
 	}()
-	waitBackpressure(t, s, "admission")
-	waitBackpressure(t, s, "monitor#2") // the merger, behind the stalled NF's ring
-	if got := s.Stats().Injected; got != admitted {
-		t.Errorf("injected = %d behind the stalled join, want the %d the merger ring covers", got, admitted)
+	waitBackpressure(t, s, "monitor#2") // a branch completing the join, behind the stalled NF's ring
+	for limit := time.Now().Add(10 * time.Second); ; time.Sleep(200 * time.Microsecond) {
+		if sites := backpressureSites(s); sites["monitor"] || sites["monitor#1"] {
+			break
+		}
+		if time.Now().After(limit) {
+			t.Fatalf("the injector never parked at a branch ring: sites=%v", backpressureSites(s))
+		}
 	}
-	m := s.shards[0].mergers[0]
-	if hw, max := m.ringHW.Value(), int64(m.rx.Cap()); hw > max {
-		t.Errorf("nfp_merger_ring_high_water = %d, over the ring's capacity %d", hw, max)
+	if sites := backpressureSites(s); sites["admission"] {
+		t.Errorf("the injector parked at admission behind a stalled continuation: sites=%v", sites)
 	}
-	if hw, bound := m.atHW.Value(), int64(m.at.bound); hw > bound || bound != admitted {
+	if got := s.Stats().Injected; got >= admitted {
+		t.Errorf("injected = %d behind the stalled join, want fewer than the %d admission covers", got, admitted)
+	}
+	j := &(*s.shards[0].plans.Load())[1].joins[0]
+	if hw, bound := j.atHW.Value(), int64(j.at.bound); hw > bound || bound != admitted {
 		t.Errorf("nfp_merger_at_high_water = %d, table bound %d, want both within the %d packets admitted", hw, bound, admitted)
 	}
 	if parks := s.Telemetry().Counter("nfp_backpressure_parks_total").Value(); parks == 0 {
@@ -411,17 +417,18 @@ func TestJoinBackpressure(t *testing.T) {
 
 // TestJoinBackpressureStalledBranch: one branch of a copying stage stalls
 // while the other keeps reporting, so Accumulating Table entries pile up
-// with one tail each — as far as admission lets them: the merger ring
-// divided by the two tails a packet brings, which is the table's entry
-// bound, held in an array twice that. The merger neither waits nor
-// overfills (it would panic, naming the bound); once the branch moves
-// everything completes, with exactly one copy per packet.
+// with one tail each — as far as admission lets them: the tail budget
+// divided by the two tails a packet brings, the packets the plan may hold
+// in flight, which is the table's entry bound, held in an array twice
+// that. The join neither waits nor overfills (it would panic, naming the
+// bound); once the branch moves everything completes, with exactly one
+// copy per packet.
 func TestJoinBackpressureStalledBranch(t *testing.T) {
 	stall := faultinject.NewStallNF(nf.NewMonitor())
 	// A copy reserve (an eighth of the pool) and NF rings that cover what
-	// the merger ring admits, so the tails budget is what binds.
-	const admitted = mergerQueue / 2
-	s := New(Config{PoolSize: 8 * admitted, RingSize: mergerQueue, Burst: 8, Mergers: 1})
+	// the tail budget admits, so the tail budget is what binds.
+	const admitted = tailBudget / 2
+	s := New(Config{PoolSize: 8 * admitted, RingSize: tailBudget, Burst: 8})
 	g := graph.Par{
 		Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
 		Groups:   [][]int{{0}, {1}},
@@ -431,7 +438,7 @@ func TestJoinBackpressureStalledBranch(t *testing.T) {
 	if err := s.AddGraphInstances(1, g, map[graph.NF]nf.NF{nfn(nfa.NFMonitor, 0): stall}); err != nil {
 		t.Fatal(err)
 	}
-	m := s.shards[0].mergers[0]
+	m := &(*s.shards[0].plans.Load())[1].joins[0]
 	if m.at.bound != admitted || len(m.at.slots) != 2*admitted {
 		t.Fatalf("table of %d slots bounded at %d entries, want %d and %d", len(m.at.slots), m.at.bound, 2*admitted, admitted)
 	}
@@ -453,7 +460,7 @@ func TestJoinBackpressureStalledBranch(t *testing.T) {
 		}
 	}()
 	waitBackpressure(t, s, "admission")
-	// Every admitted packet's LB tail reaches the merger; none completes.
+	// Every admitted packet's LB tail reaches the join; none completes.
 	for limit := time.Now().Add(10 * time.Second); m.atSize.Value() != admitted; {
 		if time.Now().After(limit) {
 			t.Fatalf("nfp_merger_at_size = %d behind the stalled branch, want the %d admitted", m.atSize.Value(), admitted)
@@ -461,7 +468,7 @@ func TestJoinBackpressureStalledBranch(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 	}
 	if got := s.Stats().Injected; got != admitted {
-		t.Errorf("injected = %d, want the %d the merger ring covers", got, admitted)
+		t.Errorf("injected = %d, want the %d the tail budget covers", got, admitted)
 	}
 	if merged := m.merged.Value(); merged != 0 {
 		t.Errorf("%d packets merged with one branch stalled", merged)

@@ -2,80 +2,26 @@ package dataplane
 
 import (
 	"fmt"
-	"strconv"
+	"sync"
 	"time"
 
 	"nfp/internal/graph"
 	"nfp/internal/packet"
-	"nfp/internal/ring"
 	"nfp/internal/telemetry"
 )
 
-// mergeItem is one branch-tail report delivered to a merger instance:
-// the packet reference (still live even when the NF decided to drop, so
-// the merger can release the buffer) plus the join it belongs to. It
-// carries the packet's generation runtime, not just a MID: during a
-// reload two generations of the same MID drain through the same
-// mergers, and each packet must resolve its join spec and continuation
-// against the plan it was injected under.
-type mergeItem struct {
-	pkt     *packet.Packet
-	pr      *planRuntime
-	join    int
-	dropped bool
-	// prov is the drop provenance riding with a dropped tail (zero
-	// otherwise); the first dropped tail's provenance wins at the entry
-	// and travels to the terminal accounting point.
-	prov dropProv
-	// cursor is the tail's span-chain position at delivery (end
-	// timestamp of its last span; 0 when the packet is unsampled), the
-	// begin of its merge-wait span.
-	cursor int64
-}
-
-// merger is one merger instance. The paper implements mergers as NFs so
-// they can be instantiated/destroyed dynamically; here each instance is
-// a goroutine with its own receive ring of merge items (which cannot
-// fill, shard.admit) and a local Accumulating Table, fed by the merger
-// agent's PID hash (shard.joinPush).
-//
-// It is a stage like any other: it takes a drained burst of tails and
-// what that burst completes leaves as bursts (accept).
-type merger struct {
-	name   string // "merger-<id>" for trace events (shard via the span tag)
-	rx     *ring.MPSC[mergeItem]
-	ringHW *telemetry.Gauge // the ring's high-water mark
-	// at is allocated when the first plan with a join is built
-	// (buildRuntime), before any tail can exist: a server that never
-	// joins never pays for it.
+// joinRT is one join of an installed plan on one shard (§5.3): its
+// Accumulating Table and the lock that orders the goroutines delivering
+// its tails. The paper runs its mergers as NF instances on cores of
+// their own, fed by an agent that hashes the PID across them; here every
+// branch is a goroutine in one address space, so whichever goroutine
+// delivers a packet's last tail finalizes the packet and sends it on
+// (shard.joinPush). A join has no goroutine, ring or instance count.
+type joinRT struct {
+	mu sync.Mutex
 	at *atTable
-	sh *shard
-
-	// Burst scratch (single consumer, never shared). A join waits for at
-	// least two tails, so a backlogged merger needs 2×Burst items a drain
-	// to emit full bursts. (One drain can complete more than a Burst of
-	// packets: each item may be the last tail of an entry born in an
-	// earlier drain, as when a stalled branch lets go of its backlog.)
-	batch []mergeItem
-	// out collects the finalized bases that share the header outKey, in
-	// completion order, until flush sends them on as one burst — at a key
-	// change, at a full Burst, at the end of the drain; outSampled says
-	// one of them is traced.
-	out        []*packet.Packet
-	outKey     burstKey
-	outSampled bool
-	// spent collects the non-base copies of the bases in out (and of the
-	// one about to join them), returned to the pool in one batch before
-	// the bases go on: at most every other version of a full out.
-	spent []*packet.Packet
-	// now is the clock read of the burst being accepted: the birth stamp
-	// of its new entries, the end of every merge latency and merge-wait
-	// span it closes. mergeEnd is its second read, taken only if it
-	// finalizes a sampled packet: where their merge spans end.
-	now, mergeEnd int64
-
-	// Registry-backed per-instance metrics (labelled instance=<id>,
-	// plus shard=<i> on a sharded server).
+	// Registry-backed series, labelled mid=<mid> and join=<j> (plus
+	// shard=<i> on a sharded server): a reload's joins continue them.
 	processed *telemetry.Counter
 	merged    *telemetry.Counter
 	drops     *telemetry.Counter
@@ -84,116 +30,123 @@ type merger struct {
 	mergeLat  *telemetry.Histogram
 }
 
-// burstKey is what the packets of one outgoing burst share: the
-// generation runtime and join whose continuation (or drop route) they
-// take, and the verdict with its provenance.
-type burstKey struct {
-	pr      *planRuntime
-	join    int
+// verdict is what the bases of one outgoing burst share: a drop
+// intention and its provenance, or neither.
+type verdict struct {
 	dropped bool
 	prov    dropProv
 }
 
-func newMerger(id int, sh *shard) *merger {
-	tel := sh.srv.tel
-	burst := sh.srv.cfg.Burst
-	inst := sh.labelShard([]telemetry.Label{telemetry.L("instance", strconv.Itoa(id))})
-	return &merger{
-		name:      "merger-" + strconv.Itoa(id),
-		rx:        ring.NewMPSCOf[mergeItem](mergerQueue),
-		ringHW:    tel.Gauge("nfp_merger_ring_high_water", inst...),
-		sh:        sh,
-		batch:     make([]mergeItem, 2*burst),
-		out:       make([]*packet.Packet, 0, burst),
-		spent:     make([]*packet.Packet, 0, burst*packet.MaxVersion),
-		processed: tel.Counter("nfp_merger_processed_total", inst...),
-		merged:    tel.Counter("nfp_merger_merged_total", inst...),
-		drops:     tel.Counter("nfp_merger_drops_total", inst...),
-		atSize:    tel.Gauge("nfp_merger_at_size", inst...),
-		atHW:      tel.Gauge("nfp_merger_at_high_water", inst...),
-		mergeLat:  tel.Histogram("nfp_merger_merge_latency_ns", inst...),
+// joinOut is what one pass over a join's table completed, in completion
+// order: each finalized base with its verdict, and the copies it spent
+// (base k's are spent[ends[k-1]:ends[k]]). It lives on the stack of the
+// goroutine that delivered the tails.
+type joinOut struct {
+	bases    [execChunk]*packet.Packet
+	verdicts [execChunk]verdict
+	ends     [execChunk]uint8
+	spent    [execChunk]*packet.Packet
+	n, ns    int
+}
+
+// joinPush delivers a burst of tails to join j of pr. It holds the
+// join's lock only to update the Accumulating Table, which copies the
+// packets these tails complete out into scratch (accept); then, unlocked,
+// it merges them, gives their spent copies back and sends them on
+// (joinOn). A continuation that reaches another join completes that one
+// on this goroutine, one level per nesting depth. Nothing that can block
+// runs under the lock: a continuation may wait on a full ring, and every
+// branch delivering to this join would wait behind it.
+//
+// The tails carry the packets' OWN generation runtime, whose table is
+// theirs alone: across a reload each packet finalizes against the plan
+// that admitted it.
+func (sh *shard) joinPush(pr *planRuntime, j int, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
+	jr, spec := &pr.joins[j], &pr.plan.Joins[j]
+	sh.joinTails.Add(uint64(len(pkts)))
+	jr.processed.Add(uint64(len(pkts)))
+	var out joinOut
+	for len(pkts) > 0 {
+		out.n, out.ns = 0, 0
+		jr.mu.Lock()
+		// One clock read per pass: the birth stamp of its new entries, the
+		// end of every merge latency and merge-wait span it closes. Read
+		// under the lock, so it is no earlier than any tail an earlier
+		// pass took or any such pass's own read.
+		now := time.Now().UnixNano()
+		k := sh.accept(pr, jr, spec, pkts, verdict{dropped, prov}, cursor, now, &out)
+		jr.mu.Unlock()
+		pkts = pkts[k:]
+		sh.joinOn(pr, jr, spec, &out, now)
 	}
 }
 
-// run is the merger goroutine body: it drains the receive ring until
-// the server stops (Stop waits for conservation first, so it is empty,
-// and then wakes it).
-func (m *merger) run() {
-	drain(m.rx, m.batch, m.sh.srv.stopped.Load, m.accept)
-}
-
-// accept handles one drained burst of tails. Everything per burst is
-// paid once: the clock is read once (twice when the burst finalizes a
-// sampled packet), the counters and Accumulating Table gauges move once
-// (the within-burst peak is still exact), the packets the burst
-// completes go on as bursts (finalize, flush), each behind the copies it
-// used up, which go back to the pool in one batch.
-func (m *merger) accept(items []mergeItem) {
-	m.processed.Add(uint64(len(items)))
-	m.now, m.mergeEnd = time.Now().UnixNano(), 0
-	t, tr := m.at, m.sh.srv.tracer
-	peak := t.live
-	for k := range items {
-		it := &items[k]
-		pid, ver := it.pkt.Meta.PID, it.pkt.Meta.Version
-		i, fresh := t.at(it.pr, int32(it.join), pid)
+// accept counts tails into the join's table, under its lock, until they
+// run out or out could not hold one more completed packet, and returns
+// how many it took. The table gauges move once per pass (the within-pass
+// peak is still exact).
+func (sh *shard) accept(pr *planRuntime, jr *joinRT, spec *JoinSpec, pkts []*packet.Packet, v verdict, cursor, now int64, out *joinOut) int {
+	t, tr := jr.at, sh.srv.tracer
+	peak, copies := t.live, len(spec.Versions)-1
+	k := 0
+	for ; k < len(pkts) && out.n < len(out.bases) && out.ns+copies <= len(out.spent); k++ {
+		pkt := pkts[k]
+		pid, ver := pkt.Meta.PID, pkt.Meta.Version
+		i, fresh := t.at(pid)
 		e := &t.slots[i]
 		if fresh {
-			e.firstNS = m.now
+			e.firstNS = now
 			peak = max(peak, t.live)
 		}
 		if tr.Sampled(pid) {
-			t.noteTail(e, ver, it.cursor)
+			t.noteTail(e, ver, cursor)
 		}
 		e.count++
-		e.versions[ver] = it.pkt
-		if it.dropped && !e.dropped {
-			e.dropped, e.prov = true, it.prov
+		e.versions[ver] = pkt
+		if v.dropped && !e.dropped {
+			e.dropped, e.prov = true, v.prov
 		}
-		if spec := &it.pr.plan.Joins[it.join]; int(e.count) == spec.ExpectTails {
-			m.mergeLat.Record(m.now - e.firstNS)
-			m.finalize(it.pr, it.join, spec, e)
+		if int(e.count) == spec.ExpectTails {
+			jr.mergeLat.Record(now - e.firstNS)
+			sh.finalize(pr, spec, t, e, now, out)
 			t.remove(i)
 		}
 	}
-	m.flush()
-	m.atSize.Set(int64(t.live))
-	m.atHW.SetMax(int64(peak))
+	jr.atSize.Set(int64(t.live))
+	jr.atHW.SetMax(int64(peak))
+	return k
 }
 
-// finalize completes one packet's join: reconcile drops, apply the
-// merging operations to the base copy, set the other copies aside for
-// release, and queue the base for the continuation — all against the
-// packet's own generation runtime, so a packet injected before a reload
-// finishes on the plan that admitted it.
-func (m *merger) finalize(pr *planRuntime, join int, spec *JoinSpec, e *atEntry) {
+// finalize completes one packet's join, under the lock: it closes the
+// packet's merge-wait spans, reconciles drops, and copies the base, its
+// verdict and the join's other versions out of the entry, whose slot the
+// caller frees next.
+func (sh *shard) finalize(pr *planRuntime, spec *JoinSpec, t *atTable, e *atEntry, now int64, out *joinOut) {
 	mid := pr.plan.MID
 	base := e.versions[spec.BaseVersion]
 
-	// Close every tail's merge-wait span against the burst's clock read:
+	// Close every tail's merge-wait span against the pass's clock read:
 	// each branch's wait in the Accumulating Table is visible
 	// individually, and the shared end timestamp is where the surviving
 	// base chain resumes — so the base chain still tiles exactly (its own
 	// merge-wait ends where the merge span begins).
-	tr := m.sh.srv.tracer
-	sampled := tr.Sampled(e.pid)
-	if sampled {
-		for n := e.firstTail; n != 0; n = m.at.tails[n-1].next {
-			tail := &m.at.tails[n-1]
+	if tr := sh.srv.tracer; tr.Sampled(e.pid) {
+		for n := e.firstTail; n != 0; n = t.tails[n-1].next {
+			tail := &t.tails[n-1]
 			tr.RecordSpan(telemetry.TraceEvent{
 				PID: e.pid, MID: mid, Ver: tail.ver,
-				Stage: telemetry.StageMergeWait, Name: m.name,
-				Join: spec.ID + 1, Begin: tail.cursor, TS: m.now,
-				Shard: m.sh.spanID, Gen: pr.spanGen,
+				Stage: telemetry.StageMergeWait, Name: "merger",
+				Join: spec.ID + 1, Begin: tail.cursor, TS: now,
+				Shard: sh.spanID, Gen: pr.spanGen,
 			})
 		}
-		m.at.dropTails(e)
+		t.dropTails(e)
 	}
 
 	switch {
 	case e.dropped && base == nil:
 		// The base never arrived (its own branch dropped it and the
-		// buffer came through as a dropped item under the base version —
+		// buffer came through as a dropped tail under the base version —
 		// or the entry is inconsistent). Synthesize a nil carrier for
 		// propagation, keeping the PID so trace spans of the drop stay
 		// attributed to the packet.
@@ -203,96 +156,109 @@ func (m *merger) finalize(pr *planRuntime, join int, spec *JoinSpec, e *atEntry)
 		// anything else is a plan bug worth crashing loudly on.
 		panic(fmt.Sprintf("dataplane: join %d of mid %d completed without base version %d",
 			spec.ID, mid, spec.BaseVersion))
-	case !e.dropped:
-		for i := range spec.Ops {
-			if err := applyMergeOp(base, &spec.Ops[i], &e.versions); err != nil {
-				// A malformed copy (e.g. truncated beyond the op's field)
-				// degrades to passing the base through unmodified; the
-				// operator sees the count.
-				m.sh.srv.mergeErrs.Add(1)
-				break
-			}
+	}
+	out.bases[out.n], out.verdicts[out.n] = base, verdict{e.dropped, e.prov}
+	// Every received copy except the base is spent (a copy this stage
+	// made, out of the shard's partition: the version that entered the
+	// stage is its join's base, compilePar). Only the join's own versions
+	// can arrive (spec.Versions, base first).
+	for _, v := range spec.Versions[1:] {
+		if pkt := e.versions[v]; pkt != nil {
+			out.spent[out.ns] = pkt
+			out.ns++
 		}
-		if len(spec.Ops) > 0 {
-			// Merge ops pulled bytes from (possibly header-only) copies,
-			// so the base's L4 checksum is stale. NFs maintain the
-			// checksum after their own writes (the well-behaved-middlebox
-			// contract), so recomputing over the merged content reproduces
-			// exactly the checksum sequential execution would have left.
+	}
+	out.ends[out.n] = uint8(out.ns)
+	out.n++
+}
+
+// joinOn finishes what one pass completed, off the lock: the merging
+// operations of every merged base, then the spent copies back to the
+// pool — before any base goes on, since emit settles a packet's budget
+// on the understanding that every buffer it held is free again, and an
+// injector waiting at admission allocates against that budget the moment
+// it is settled — and then the bases, in completion order, in runs of at
+// most Burst that share a verdict.
+func (sh *shard) joinOn(pr *planRuntime, jr *joinRT, spec *JoinSpec, out *joinOut, now int64) {
+	if len(spec.Ops) > 0 {
+		// A merged packet holds every version of its join, so each one
+		// overwrites all of the previous one's.
+		var versions [packet.MaxVersion + 1]*packet.Packet
+		from := 0
+		for k, base := range out.bases[:out.n] {
+			copies := out.spent[from:out.ends[k]]
+			from = int(out.ends[k])
+			if out.verdicts[k].dropped {
+				continue
+			}
+			versions[spec.BaseVersion] = base
+			for _, c := range copies {
+				versions[c.Meta.Version] = c
+			}
+			for i := range spec.Ops {
+				if err := applyMergeOp(base, &spec.Ops[i], &versions); err != nil {
+					// A malformed copy (e.g. truncated beyond the op's
+					// field) degrades to passing the base through
+					// unmodified; the operator sees the count.
+					sh.srv.mergeErrs.Add(1)
+					break
+				}
+			}
+			// Merge ops pulled bytes from (possibly header-only) copies, so
+			// the base's L4 checksum is stale. NFs maintain the checksum
+			// after their own writes (the well-behaved-middlebox contract),
+			// so recomputing over the merged content reproduces exactly the
+			// checksum sequential execution would have left.
 			base.UpdateL4Checksum()
 		}
 	}
-	// Every received copy except the base is spent (a copy this stage
-	// made, out of the shard's partition: the version that entered the
-	// stage is its join's base, compilePar); the base goes on through the
-	// continuation, or carries the drop to the outer join or output.
-	// Only the join's own versions can arrive (spec.Versions, base
-	// first).
-	for _, v := range spec.Versions[1:] {
-		if pkt := e.versions[v]; pkt != nil {
-			m.spent = append(m.spent, pkt)
+	sh.pool.FreeBatch(out.spent[:out.ns])
+	for i := 0; i < out.n; {
+		v, end := out.verdicts[i], i+1
+		for end < out.n && end-i < sh.srv.cfg.Burst && out.verdicts[end] == v {
+			end++
 		}
-	}
-	// Bases leave in completion order: one that cannot share the open
-	// burst's header closes it first.
-	if key := (burstKey{pr, join, e.dropped, e.prov}); key != m.outKey {
-		m.flush()
-		m.outKey = key
-	}
-	m.out = append(m.out, base)
-	m.outSampled = m.outSampled || sampled
-	if len(m.out) == m.sh.srv.cfg.Burst {
-		m.flush()
+		sh.joinRun(pr, jr, spec, v, out.bases[i:end], now)
+		i = end
 	}
 }
 
-// flush sends the collected bases on as one burst: through the join's
-// continuation, or down its drop route. Their spent copies go back to
-// the pool first: emit settles a packet's budget on the understanding
-// that every buffer it held is free again, and an injector waiting at
-// admission allocates against that budget the moment it is settled.
-//
-// A burst holding a sampled packet carries the span cursor its chain
-// resumes from: the end of the merge span (covering the merging
-// operations; one clock read for every flush of the drained burst), or of
-// merge-wait for a drop.
-func (m *merger) flush() {
-	if len(m.out) == 0 {
-		return
-	}
-	m.sh.pool.FreeBatch(m.spent)
-	m.spent = m.spent[:0]
-	pr, spec := m.outKey.pr, &m.outKey.pr.plan.Joins[m.outKey.join]
+// joinRun sends one run of finalized bases on: down the join's drop
+// route, or through its continuation. A run holding a sampled packet
+// carries the span cursor its chain resumes from: the end of merge-wait
+// (the pass's clock read) for a drop, or the end of the merge span — one
+// more read, after the merging operations — for a merge.
+func (sh *shard) joinRun(pr *planRuntime, jr *joinRT, spec *JoinSpec, v verdict, bases []*packet.Packet, now int64) {
+	tr := sh.srv.tracer
 	var cursor int64
-	if m.outSampled {
-		cursor = m.now
-	}
-	if m.outKey.dropped {
-		m.drops.Add(uint64(len(m.out)))
-		m.sh.deliver(pr, spec.DropTo, m.out, true, m.outKey.prov, cursor)
-	} else {
-		m.merged.Add(uint64(len(m.out)))
-		if m.outSampled {
-			if m.mergeEnd == 0 {
-				m.mergeEnd = time.Now().UnixNano()
-			}
-			cursor = m.mergeEnd
-			tr := m.sh.srv.tracer
-			for _, base := range m.out {
-				if tr.Sampled(base.Meta.PID) {
-					tr.RecordSpan(telemetry.TraceEvent{
-						PID: base.Meta.PID, MID: pr.plan.MID, Ver: base.Meta.Version,
-						Stage: telemetry.StageMerge, Name: m.name,
-						Join: spec.ID + 1, Begin: m.now, TS: cursor,
-						Shard: m.sh.spanID, Gen: pr.spanGen,
-					})
-				}
+	if tr != nil {
+		for _, base := range bases {
+			if tr.Sampled(base.Meta.PID) {
+				cursor = now
+				break
 			}
 		}
-		m.sh.execBurst(pr, spec.Next, m.out, cursor)
 	}
-	// An idle merger must not pin a retired generation's runtime.
-	m.out, m.outKey, m.outSampled = m.out[:0], burstKey{}, false
+	if v.dropped {
+		jr.drops.Add(uint64(len(bases)))
+		sh.deliver(pr, spec.DropTo, bases, true, v.prov, cursor)
+		return
+	}
+	jr.merged.Add(uint64(len(bases)))
+	if cursor != 0 {
+		cursor = time.Now().UnixNano()
+		for _, base := range bases {
+			if tr.Sampled(base.Meta.PID) {
+				tr.RecordSpan(telemetry.TraceEvent{
+					PID: base.Meta.PID, MID: pr.plan.MID, Ver: base.Meta.Version,
+					Stage: telemetry.StageMerge, Name: "merger",
+					Join: spec.ID + 1, Begin: now, TS: cursor,
+					Shard: sh.spanID, Gen: pr.spanGen,
+				})
+			}
+		}
+	}
+	sh.execBurst(pr, spec.Next, bases, cursor)
 }
 
 // applyMergeOp applies one §5.3 merging operation to the base packet.

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -33,20 +34,21 @@ func copyJoinPlan() *Plan {
 	}
 }
 
-// mergerRig is an unstarted one-merger server around copyJoinPlan, with
-// the test goroutine standing in for the injector's consumers: the two
-// branch NFs (whose tails it reports) and the NF behind the join.
+// mergerRig is an unstarted server around copyJoinPlan, with the test
+// goroutine standing in for the injector's consumers: the two branch NFs
+// (whose tails it delivers, the second completing the join on the spot)
+// and the NF behind the join.
 type mergerRig struct {
 	s            *Server
 	sh           *shard
 	pr           *planRuntime
-	m            *merger
+	j            *joinRT
 	pkts, copies [execChunk]*packet.Packet
 	merged       [execChunk]*packet.Packet
 }
 
 func newMergerRig(tb testing.TB, cfg Config) *mergerRig {
-	cfg.Mergers, cfg.Burst = 1, execChunk
+	cfg.Burst = execChunk
 	r := &mergerRig{s: New(cfg)}
 	r.sh = r.s.shards[0]
 	p := copyJoinPlan()
@@ -59,7 +61,7 @@ func newMergerRig(tb testing.TB, cfg Config) *mergerRig {
 	}
 	r.sh.plans.Store(&map[uint32]*planRuntime{1: pr})
 	r.s.classifier.SetDefault(1)
-	r.pr, r.m = pr, r.sh.mergers[0]
+	r.pr, r.j = pr, &pr.joins[0]
 	if r.s.Pool().AllocBatch(r.pkts[:]) != len(r.pkts) {
 		tb.Fatal("pool too small")
 	}
@@ -69,8 +71,8 @@ func newMergerRig(tb testing.TB, cfg Config) *mergerRig {
 	return r
 }
 
-// branches injects the burst and reports both branches' tails to the
-// merger's ring, leaving 2×execChunk items for one drain.
+// branches injects the burst and takes both branches' bursts off their
+// rings.
 func (r *mergerRig) branches(tb testing.TB) {
 	if r.s.InjectBatch(r.pkts[:]) != len(r.pkts) {
 		tb.Fatal("burst rejected")
@@ -78,27 +80,26 @@ func (r *mergerRig) branches(tb testing.TB) {
 	if r.pr.owner[0].rx.DequeueBatch(r.pkts[:]) != len(r.pkts) || r.pr.owner[1].rx.DequeueBatch(r.copies[:]) != len(r.copies) {
 		tb.Fatal("branch bursts not delivered whole")
 	}
-	r.sh.joinPush(r.pr, 0, r.pkts[:], false, dropProv{}, 0)
-	r.sh.joinPush(r.pr, 0, r.copies[:], false, dropProv{}, 0)
 }
 
-// merge drains the merger's ring once, accepts the burst, and takes the
-// merged packets off the ring behind the join, playing emit for them.
+// merge delivers both branches' tails to the join — the second burst
+// completes every packet — and takes the merged packets off the ring
+// behind the join, playing emit for them.
 func (r *mergerRig) merge(tb testing.TB) {
-	n := r.m.rx.DequeueBatch(r.m.batch)
-	if n != 2*execChunk {
-		tb.Fatalf("drained %d tails in one visit, want %d: the drain scratch must cover a full output burst", n, 2*execChunk)
+	r.sh.joinPush(r.pr, 0, r.pkts[:], false, dropProv{}, 0)
+	if r.j.at.live != execChunk {
+		tb.Fatalf("%d entries live after the first branch, want %d", r.j.at.live, execChunk)
 	}
-	r.m.accept(r.m.batch[:n])
+	r.sh.joinPush(r.pr, 0, r.copies[:], false, dropProv{}, 0)
 	if got := r.pr.owner[2].rx.DequeueBatch(r.merged[:]); got != execChunk {
 		tb.Fatalf("join continued with a burst of %d, want all %d as one", got, execChunk)
 	}
 	r.sh.settle(r.pr, execChunk)
 }
 
-// TestMergerAcceptAllocs: in steady state a merger accepts a burst —
-// table inserts and deletes, merge ops, the freed copies, the burst sent
-// on — without allocating (the sibling of TestExecBurstFanoutAllocs).
+// TestMergerAcceptAllocs: in steady state a join accepts a burst — table
+// inserts and deletes, merge ops, the freed copies, the burst sent on —
+// without allocating (the sibling of TestExecBurstFanoutAllocs).
 func TestMergerAcceptAllocs(t *testing.T) {
 	r := newMergerRig(t, Config{PoolSize: 256, RingSize: 64})
 	allocs := testing.AllocsPerRun(50, func() {
@@ -108,14 +109,14 @@ func TestMergerAcceptAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("accepting one burst allocates %.1f times, want 0", allocs)
 	}
-	if got := r.m.merged.Value(); got != 51*execChunk {
+	if got := r.j.merged.Value(); got != 51*execChunk {
 		t.Errorf("merged = %d, want %d", got, 51*execChunk)
 	}
-	if hw := r.m.atHW.Value(); hw != execChunk {
+	if hw := r.j.atHW.Value(); hw != execChunk {
 		t.Errorf("nfp_merger_at_high_water = %d, want the %d entries of one burst", hw, execChunk)
 	}
-	if r.m.outKey != (burstKey{}) || len(r.m.out) != 0 || len(r.m.spent) != 0 {
-		t.Errorf("an idle merger keeps key %+v, %d bases, %d copies: it would pin a retired generation", r.m.outKey, len(r.m.out), len(r.m.spent))
+	if r.j.at.live != 0 || r.j.atSize.Value() != 0 {
+		t.Errorf("%d entries live (gauge %d) after every packet merged", r.j.at.live, r.j.atSize.Value())
 	}
 	r.s.Pool().FreeBatch(r.pkts[:])
 	if leak := r.s.Pool().InUse(); leak != 0 {
@@ -123,83 +124,128 @@ func TestMergerAcceptAllocs(t *testing.T) {
 	}
 }
 
-// TestMergerBacklogLeavesInFullBursts: one drain can complete more than a
-// Burst of packets — every item the last tail of an entry born earlier,
-// as when a stalled branch lets go. They still leave as bursts of at most
-// Burst, each behind its own spent copies, out of the scratch the merger
-// was built with: no allocation, no regrown slice.
+// TestMergerBacklogLeavesInFullBursts: one delivery can complete more
+// packets than a burst holds — every tail the last of an entry born
+// earlier, as when a stalled branch lets go of its backlog. They still
+// leave in completion order as bursts of at most Burst, each behind its
+// own spent copies, out of stack scratch: no allocation. A merged burst
+// reads the clock once for its merge spans, so with every packet sampled
+// the spans' end stamps tell the bursts apart.
 func TestMergerBacklogLeavesInFullBursts(t *testing.T) {
-	r := newMergerRig(t, Config{PoolSize: 512, RingSize: 64})
-	var more, moreCopies [execChunk]*packet.Packet
-	if r.s.Pool().AllocBatch(more[:]) != len(more) {
-		t.Fatal("pool too small")
-	}
-	for i, p := range more {
-		packet.BuildInto(p, shapeSpec(execChunk+i))
-	}
-	sets := [2]struct{ pkts, copies []*packet.Packet }{{r.pkts[:], r.copies[:]}, {more[:], moreCopies[:]}}
-	accept := func(want int) {
-		n := r.m.rx.DequeueBatch(r.m.batch)
-		if n != 2*execChunk {
-			t.Fatalf("drained %d tails, want %d", n, 2*execChunk)
+	const burst = 8
+	for _, traced := range []bool{false, true} {
+		cfg := Config{PoolSize: 512, RingSize: 64}
+		if traced {
+			cfg.TraceSampleRate, cfg.TraceCapacity = 1, 1<<14
 		}
-		r.m.accept(r.m.batch[:n])
-		if got := r.m.at.live; got != want {
-			t.Fatalf("%d entries live after the drain, want %d", got, want)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		for _, set := range sets {
-			if r.s.InjectBatch(set.pkts) != execChunk {
-				t.Fatal("burst rejected")
+		r := newMergerRig(t, cfg)
+		r.s.cfg.Burst = burst
+		allocs := testing.AllocsPerRun(20, func() {
+			r.branches(t)
+			r.merge(t) // the second branch's whole burst lands in one delivery
+			for i, pkt := range r.merged {
+				if pkt.Meta.PID != r.pkts[i].Meta.PID {
+					t.Fatalf("merged packet %d is pid %d, completion order has pid %d", i, pkt.Meta.PID, r.pkts[i].Meta.PID)
+				}
 			}
-			if r.pr.owner[0].rx.DequeueBatch(set.pkts) != execChunk || r.pr.owner[1].rx.DequeueBatch(set.copies) != execChunk {
-				t.Fatal("branch bursts not delivered whole")
+		})
+		if !traced && allocs != 0 {
+			t.Errorf("a delivery completing %d packets allocates %.1f times, want 0", execChunk, allocs)
+		}
+		if traced {
+			ends := map[int64]int{}
+			for _, ev := range r.s.Tracer().Events() {
+				if ev.Stage == telemetry.StageMerge {
+					ends[ev.TS]++
+				}
 			}
-			r.sh.joinPush(r.pr, 0, set.pkts, false, dropProv{}, 0)
-		}
-		accept(2 * execChunk) // one tail each: nothing completes
-		for _, set := range sets {
-			r.sh.joinPush(r.pr, 0, set.copies, false, dropProv{}, 0)
-		}
-		accept(0) // every item completes a packet: 2×Burst in one drain
-		for range sets {
-			if got := r.pr.owner[2].rx.DequeueBatch(r.merged[:]); got != execChunk {
-				t.Fatalf("%d packets behind the join, want %d", got, execChunk)
+			if len(ends) < 21*execChunk/burst {
+				t.Errorf("%d merged bursts for %d packets, want at least %d of at most %d", len(ends), 21*execChunk, 21*execChunk/burst, burst)
+			}
+			for ts, n := range ends {
+				if n > burst {
+					t.Errorf("%d packets merged as one burst (merge spans ending at %d), over Burst %d", n, ts, burst)
+				}
 			}
 		}
-		r.sh.settle(r.pr, 2*execChunk)
-	})
-	if allocs != 0 {
-		t.Errorf("a drain completing 2×Burst packets allocates %.1f times, want 0", allocs)
-	}
-	if cap(r.m.out) != execChunk || cap(r.m.spent) != execChunk*packet.MaxVersion {
-		t.Errorf("scratch regrown to %d bases and %d copies: a burst over Burst went out", cap(r.m.out), cap(r.m.spent))
-	}
-	r.s.Pool().FreeBatch(r.pkts[:])
-	r.s.Pool().FreeBatch(more[:])
-	if leak := r.s.Pool().InUse(); leak != 0 {
-		t.Errorf("%d buffers leaked", leak)
+		r.s.Pool().FreeBatch(r.pkts[:])
+		if leak := r.s.Pool().InUse(); leak != 0 || r.j.at.live != 0 {
+			t.Errorf("%d buffers leaked, %d entries left", leak, r.j.at.live)
+		}
 	}
 }
 
-// BenchmarkMergerAccept measures the merger alone: 64 tails in, 32
-// merged packets (two address merge ops each) out as one burst. The
-// figure beside the paper's 10.7 Mpps per merger instance (§6.3.3) is
-// merged/s, over the time spent in the merger's own drain and accept;
-// ns/op also covers the branch stand-ins that feed it.
+// BenchmarkMergerAccept measures a join alone: 64 tails in, 32 merged
+// packets (two address merge ops each) out as one burst. The figure
+// beside the paper's 10.7 Mpps per merger instance (§6.3.3) is merged/s,
+// over the time spent delivering the tails; ns/op also covers the branch
+// stand-ins that feed it.
 func BenchmarkMergerAccept(b *testing.B) {
 	r := newMergerRig(b, Config{PoolSize: 256, RingSize: 64})
-	var inMerger time.Duration
+	var inJoin time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += execChunk {
 		r.branches(b)
 		t0 := time.Now()
 		r.merge(b)
-		inMerger += time.Since(t0)
+		inJoin += time.Since(t0)
 	}
-	b.ReportMetric(float64(b.N)/inMerger.Seconds(), "merged/s")
+	b.ReportMetric(float64(b.N)/inJoin.Seconds(), "merged/s")
+}
+
+// TestJoinCompletesWhereLastTailLands: a join has no goroutine of its
+// own, so the branch runtime that delivers a packet's last tail
+// completes it. Two branch goroutines race to complete the same packets
+// (a copying stage whose branches cost the same), and an inner join
+// completes the outer one inside its own continuation (nestedGraph); at
+// Burst 1 every tail completes its join on its own. At either burst and
+// shard count nothing is lost, every packet merges once at every join,
+// every table ends empty and every buffer is back.
+func TestJoinCompletesWhereLastTailLands(t *testing.T) {
+	total := 20_000
+	if testing.Short() {
+		total = 5_000
+	}
+	for _, tc := range []struct {
+		name          string
+		g             graph.Node
+		copies, joins int
+	}{
+		{"racing branches", copyStage(nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1)), 1, 1},
+		{"nested", nestedGraph(), 2, 2},
+	} {
+		for _, burst := range []int{1, 32} {
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/burst=%d/shards=%d", tc.name, burst, shards), func(t *testing.T) {
+					s := sustainedLoad(t, Config{Burst: burst, Shards: shards}, tc.g, total, tc.copies)
+					merged := make([]uint64, tc.joins)
+					var load uint64
+					for i, sh := range s.shards {
+						pr := (*sh.plans.Load())[1]
+						if len(pr.joins) != tc.joins {
+							t.Fatalf("shard %d runs %d joins, want %d", i, len(pr.joins), tc.joins)
+						}
+						for j := range pr.joins {
+							if live := pr.joins[j].at.live; live != 0 {
+								t.Errorf("shard %d join %d: %d entries left", i, j, live)
+							}
+							merged[j] += pr.joins[j].merged.Value()
+						}
+						load += s.Stats().MergerLoad[i]
+					}
+					for j, m := range merged {
+						if m != uint64(total) {
+							t.Errorf("join %d merged %d packets, want %d", j, m, total)
+						}
+					}
+					if want := uint64(2 * tc.joins * total); load != want {
+						t.Errorf("joins took %d tails, want %d", load, want)
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestMergerFreesCopiesBeforeBudget: a packet's copy budget comes back
@@ -212,7 +258,7 @@ func BenchmarkMergerAccept(b *testing.B) {
 func TestMergerFreesCopiesBeforeBudget(t *testing.T) {
 	const poolSize, burst, rounds = 64, 32, 4000
 	const reserve = poolSize / copyReserveDiv
-	s := New(Config{PoolSize: poolSize, Burst: burst, Mergers: 1})
+	s := New(Config{PoolSize: poolSize, Burst: burst})
 	g := graph.Par{
 		Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
 		Groups:   [][]int{{0}, {1}},
@@ -258,16 +304,21 @@ func TestMergerFreesCopiesBeforeBudget(t *testing.T) {
 	}
 }
 
-// TestMergerEmitsInCompletionOrder feeds one merger an interleaving of
-// two MIDs, drops and passes, cut into bursts at random, and holds the
-// order packets leave the merger in to the order their last tails
-// arrived in — what finalizing each packet on the spot gave. Bases that
-// share a header travel as one burst; a change of MID or verdict closes
-// it first (flush-on-key-change).
+// TestMergerEmitsInCompletionOrder delivers to two MIDs' joins an
+// interleaving of their tails, drops and passes, cut into bursts at
+// random, and holds the order packets leave the joins in to the order
+// their last tails arrived in — what finalizing each packet on the spot
+// gives. Bases that share a verdict travel as one burst; a change of
+// verdict closes it first.
 func TestMergerEmitsInCompletionOrder(t *testing.T) {
 	const n = 300
-	s := New(Config{PoolSize: 1024, Mergers: 1, Burst: 8, TraceSampleRate: 1, TraceCapacity: 1 << 14})
-	sh, m := s.shards[0], s.shards[0].mergers[0]
+	s := New(Config{PoolSize: 1024, Burst: 8, TraceSampleRate: 1, TraceCapacity: 1 << 14})
+	sh := s.shards[0]
+	type tail struct {
+		pkt *packet.Packet
+		pr  *planRuntime
+		v   verdict
+	}
 	plans := map[uint32]*planRuntime{}
 	for mid := uint32(1); mid <= 2; mid++ {
 		p := execShapes(false)["multi-target no-copy group"]
@@ -287,7 +338,7 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 	// every fifth packet has one branch report a drop.
 	rng := rand.New(rand.NewSource(7))
 	var pos []float64 // where each item falls in the feed
-	var items []mergeItem
+	var items []tail
 	dropped := map[uint64]bool{}
 	for i := 0; i < n; i++ {
 		mid := uint32(1 + rng.Intn(2))
@@ -297,19 +348,19 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 		}
 		pkt := buildInto(t, s, shapeSpec(i))
 		pkt.Meta = packet.Meta{MID: mid, PID: uint64(i + 1), Version: 1}
-		for tail := 0; tail < 2; tail++ {
-			it := mergeItem{pkt: pkt, pr: pr}
-			if tail == 1 && i%5 == 0 {
-				it.dropped, it.prov = true, dropProv{stage: telemetry.StageNF, node: 1}
+		for k := 0; k < 2; k++ {
+			it := tail{pkt: pkt, pr: pr}
+			if k == 1 && i%5 == 0 {
+				it.v = verdict{true, dropProv{stage: telemetry.StageNF, node: 1}}
 				dropped[pkt.Meta.PID] = true
 			}
-			pos = append(pos, float64(i)+float64(tail)*rng.Float64()*12)
+			pos = append(pos, float64(i)+float64(k)*rng.Float64()*12)
 			items = append(items, it)
 		}
 	}
 	order := rng.Perm(len(items))
 	sort.SliceStable(order, func(a, b int) bool { return pos[order[a]] < pos[order[b]] })
-	var feed []mergeItem
+	var feed []tail
 	var want []uint64 // PIDs by the arrival of their second tail
 	seen := map[uint64]bool{}
 	for _, idx := range order {
@@ -324,8 +375,16 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 
 	outputs := 0
 	for len(feed) > 0 {
+		// One delivery per run of the burst that shares a join and verdict.
 		k := min(len(feed), 1+rng.Intn(2*s.cfg.Burst))
-		m.accept(feed[:k])
+		for i := 0; i < k; {
+			var pkts []*packet.Packet
+			it := feed[i]
+			for ; i < k && feed[i].pr == it.pr && feed[i].v == it.v; i++ {
+				pkts = append(pkts, feed[i].pkt)
+			}
+			sh.joinPush(it.pr, 0, pkts, it.v.dropped, it.v.prov, 0)
+		}
 		feed = feed[k:]
 		for drained := false; !drained; {
 			select {
@@ -351,7 +410,7 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 		}
 	}
 	if len(got) != n || len(want) != n {
-		t.Fatalf("%d packets left the merger, %d completed, want %d", len(got), len(want), n)
+		t.Fatalf("%d packets left the joins, %d completed, want %d", len(got), len(want), n)
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -359,8 +418,9 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if outputs != n-len(dropped) || st.Drops != uint64(len(dropped)) || m.at.live != 0 {
-		t.Errorf("outputs=%d drops=%d entries=%d, want %d, %d, 0", outputs, st.Drops, m.at.live, n-len(dropped), len(dropped))
+	live := plans[1].joins[0].at.live + plans[2].joins[0].at.live
+	if outputs != n-len(dropped) || st.Drops != uint64(len(dropped)) || live != 0 {
+		t.Errorf("outputs=%d drops=%d entries=%d, want %d, %d, 0", outputs, st.Drops, live, n-len(dropped), len(dropped))
 	}
 	if held := budget(sh.held.Load()); held != 0 {
 		t.Errorf("budget not given back: %d copies, %d tails held", held.copies(), held.tails())

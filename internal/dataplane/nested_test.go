@@ -106,8 +106,8 @@ func copyStage(a, b graph.NF) graph.Par {
 // in bursts of 32 while a consumer frees the outputs, and checks that it
 // finishes with exact conservation, copies copies per packet and an
 // empty pool. The watchdog turns a wedge into a failure instead of a
-// suite timeout.
-func sustainedLoad(t *testing.T, cfg Config, g graph.Node, total, copies int) {
+// suite timeout. It returns the stopped server.
+func sustainedLoad(t *testing.T, cfg Config, g graph.Node, total, copies int) *Server {
 	t.Helper()
 	s := New(cfg)
 	if err := s.AddGraph(1, g); err != nil {
@@ -164,13 +164,18 @@ func sustainedLoad(t *testing.T, cfg Config, g graph.Node, total, copies int) {
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Fatalf("pool leak: %d buffers", leak)
 	}
+	return s
 }
 
 // TestNestedJoinSustainedLoad is the regression test for the nested-join
-// wedge: under sustained burst injection a merger whose continuation
-// reaches the outer join used to enqueue to its own full queue from its
-// own goroutine and stop for good after a few thousand packets. The
-// server runs a zero-value Config.
+// wedge: under sustained burst injection an inner join whose
+// continuation reaches the outer join once stopped for good after a few
+// thousand packets (its merger goroutine enqueued to its own full
+// queue). The inner join now completes the outer one on the goroutine
+// that delivered its last tail. mergers=N runs N shards: each join then
+// has N Accumulating Tables, one per shard, and the flow hash splits the
+// packets across them as the paper's merger agent splits them across
+// instances by PID. The server otherwise runs a zero-value Config.
 func TestNestedJoinSustainedLoad(t *testing.T) {
 	total := 200_000
 	if testing.Short() {
@@ -178,7 +183,7 @@ func TestNestedJoinSustainedLoad(t *testing.T) {
 	}
 	for _, mergers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("mergers=%d", mergers), func(t *testing.T) {
-			sustainedLoad(t, Config{Mergers: mergers}, nestedGraph(), total, 2)
+			sustainedLoad(t, Config{Shards: mergers}, nestedGraph(), total, 2)
 		})
 	}
 }
@@ -191,7 +196,7 @@ func TestNestedJoinSustainedLoad(t *testing.T) {
 // for good after a few thousand packets; and with the ring out of the
 // way a small pool wedged the merger waiting for a copy buffer only its
 // own finalizations could free. Every stage here copies once and joins
-// once.
+// once; mergers=N runs N shards, as in TestNestedJoinSustainedLoad.
 func TestSequentialJoinsSustainedLoad(t *testing.T) {
 	total := 300_000
 	if testing.Short() {
@@ -205,7 +210,7 @@ func TestSequentialJoinsSustainedLoad(t *testing.T) {
 		for _, pool := range []int{0, 256, 64} {
 			for _, mergers := range []int{1, 2} {
 				t.Run(fmt.Sprintf("stages=%d/pool=%d/mergers=%d", stages, pool, mergers), func(t *testing.T) {
-					sustainedLoad(t, Config{PoolSize: pool, Mergers: mergers}, g, total, stages)
+					sustainedLoad(t, Config{PoolSize: pool, Shards: mergers}, g, total, stages)
 				})
 			}
 		}

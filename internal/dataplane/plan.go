@@ -1,13 +1,14 @@
 // Package dataplane implements the NFP infrastructure (§5): the
-// classifier, the distributed per-NF runtimes, and the load-balanced
-// mergers, all communicating by packet references over ring buffers
-// backed by a shared memory pool.
+// classifier, the distributed per-NF runtimes, and the joins that merge
+// parallel copies, all communicating by packet references over ring
+// buffers backed by a shared memory pool.
 //
 // A compiled service graph is lowered into an execution Plan — the
 // moral equivalent of the paper's Classification Table, per-NF
 // Forwarding Tables and merging table — and executed by one goroutine
-// per NF runtime plus one per merger instance (the goroutine stands in
-// for the paper's container-pinned-to-a-core).
+// per NF runtime (the goroutine stands in for the paper's
+// container-pinned-to-a-core). A join has no goroutine of its own: the
+// runtime that delivers a packet's last tail merges it and sends it on.
 package dataplane
 
 import (
@@ -24,7 +25,7 @@ type TargetKind uint8
 const (
 	// ToNode delivers into an NF runtime's receive ring.
 	ToNode TargetKind = iota
-	// ToJoin delegates to the merger subsystem for a join point.
+	// ToJoin delivers a branch tail to a join's Accumulating Table.
 	ToJoin
 	// ToOutput emits the packet from the service graph.
 	ToOutput
@@ -82,7 +83,7 @@ type PlanNode struct {
 type JoinSpec struct {
 	ID int
 	// ExpectTails is the CT "total count": the number of packet
-	// references (including nil packets) the merger must collect.
+	// references (including nil packets) the join must collect.
 	ExpectTails int
 	// BaseVersion is the join's "v1": the version that continues
 	// downstream after merging.

@@ -91,7 +91,7 @@ func (s *segNF) inst() nf.NF { return s.instP.Load().nf }
 // NF list in order, and then performs the distributed forwarding
 // actions of the LAST node's local forwarding table — including
 // copying for parallel branches and conveying drop intentions to the
-// merger. In the pipelined mode every segment holds exactly one NF and
+// join. In the pipelined mode every segment holds exactly one NF and
 // this is precisely the paper's per-NF runtime; with fusion on, a
 // strictly sequential chain becomes one runtime that threads each
 // burst through its NFs back-to-back on the same buffer — BESS-style
@@ -143,15 +143,6 @@ func (n *nodeRT) head() *segNF { return &n.nfs[0] }
 // survivors downstream.
 func (n *nodeRT) tail() *segNF { return &n.nfs[len(n.nfs)-1] }
 
-// run is the runtime goroutine body: it drains the receive ring until
-// the server stops or a reload retires this runtime's generation
-// (either implies an empty ring: both wait for the in-flight count).
-func (n *nodeRT) run() {
-	drain(n.rx, n.burst, func() bool {
-		return n.sh.srv.stopped.Load() || n.pr.retired.Load()
-	}, n.processBurst)
-}
-
 // invoke runs one NF over one burst inside the crash boundary. It
 // reports false when the NF panicked, in which case the verdicts are
 // meaningless and the caller must treat the whole burst as dropped.
@@ -173,7 +164,7 @@ func (n *nodeRT) onPanic(s *segNF) {
 	s.panics.Inc()
 	n.sh.srv.panics.Add(1)
 	s.panicked.Store(true)
-	n.sh.note(flightrec.KindPanic, n.pr.gen, n.pr.nodeNames[s.plan.ID], 0)
+	n.sh.note(flightrec.KindPanic, n.pr.gen, n.pr.nodes[s.plan.ID].name, 0)
 	backoff := min(max(2*n.backoffNS.Load(), int64(restartBackoff)), int64(restartBackoffMax))
 	n.backoffNS.Store(backoff)
 	n.healthy.Store(false)
@@ -233,14 +224,14 @@ func (n *nodeRT) restart() {
 		inst, err := n.sh.srv.cfg.Registry.New(s.plan.NF.Name)
 		if err != nil {
 			s.restartFails.Inc()
-			n.sh.note(flightrec.KindRestartFail, n.pr.gen, n.pr.nodeNames[s.plan.ID], 0)
+			n.sh.note(flightrec.KindRestartFail, n.pr.gen, n.pr.nodes[s.plan.ID].name, 0)
 			time.AfterFunc(time.Duration(n.backoffNS.Load()), n.restart)
 			return
 		}
 		s.instP.Store(&instBox{nf: inst})
 		s.restarts.Inc()
 		n.sh.srv.restarts.Add(1)
-		n.sh.note(flightrec.KindRestart, n.pr.gen, n.pr.nodeNames[s.plan.ID], 0)
+		n.sh.note(flightrec.KindRestart, n.pr.gen, n.pr.nodes[s.plan.ID].name, 0)
 		s.panicked.Store(false)
 	}
 	n.healthy.Store(true)
@@ -341,7 +332,7 @@ func (n *nodeRT) processBurst(pkts []*packet.Packet) {
 		if len(dropped) > 0 {
 			// §5.2 "ignore": skip the forwarding actions and convey the
 			// dropping intention (the packet references ride along so the
-			// merger can release the buffers once all tails report).
+			// join can release the buffers once all tails report).
 			s.drops.Add(uint64(len(dropped)))
 			n.sh.deliver(n.pr, s.plan.DropTo, dropped, true,
 				dropProv{cause: flightrec.CauseNFVerdict, stage: telemetry.StageNF, node: int32(s.plan.ID)}, cursor)

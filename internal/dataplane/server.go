@@ -23,9 +23,8 @@ import (
 const DefaultBurst = 32
 
 // DefaultShards is the sharding default for nfpd: one shard per CPU,
-// capped — each shard already fans out into runtime + merger
-// goroutines, so past the cap extra shards only oversubscribe the
-// scheduler.
+// capped — each shard already fans out into runtime goroutines, so past
+// the cap extra shards only oversubscribe the scheduler.
 func DefaultShards() int {
 	n := runtime.NumCPU()
 	if n > 8 {
@@ -55,10 +54,11 @@ const (
 	// bufSize is the per-buffer byte size; it leaves headroom over the
 	// MTU for AH encapsulation.
 	bufSize = 2048
-	// mergerQueue is each merger's receive ring capacity and
-	// copyReserveDiv the divisor of the pool kept for packet copies: a
-	// shard's admission budget (shard.admit), sized in DESIGN.md §14.
-	mergerQueue    = 2048
+	// tailBudget is how many branch tails may wait at a shard's joins at
+	// once and copyReserveDiv the divisor of the pool kept for packet
+	// copies: a shard's admission budget (shard.admit), sized in
+	// DESIGN.md §14.
+	tailBudget     = 2048
 	copyReserveDiv = 8
 	// outputQueue is the capacity of every output channel: a few bursts,
 	// so a momentarily slow consumer does not stall the NF runtimes.
@@ -86,27 +86,22 @@ type Config struct {
 	PoolSize int
 	// RingSize is the per-NF receive ring capacity (default 512).
 	RingSize int
-	// Mergers is the number of merger instances the merger agent
-	// load-balances across (default 2 — §6.3.3: "two merger instances
-	// are sufficient ... with the parallelism degree of up to 5").
-	// Sharded servers run this many mergers per shard.
-	Mergers int
 	// Burst is the dataplane burst size (default 32): how many packet
-	// references NF runtimes and mergers drain per ring visit, and the
-	// granularity at which per-burst telemetry is amortized. Every
+	// references NF runtimes drain per ring visit, and the granularity
+	// at which per-burst telemetry is amortized. Every
 	// hand-off is a burst; Burst=1 makes each a burst of one, so every
 	// counter, histogram sample and span lands per packet.
 	Burst int
 	// Shards replicates the whole dataplane (RSS-style flow sharding):
-	// each shard gets its own microflow cache, plan runtimes and rings,
-	// merger instances and mempool partition, and the injecting
+	// each shard gets its own microflow cache, plan runtimes, rings,
+	// join tables and mempool partition, and the injecting
 	// goroutine picks the shard by symmetric 5-tuple flow hash so every
 	// packet of a flow — and all per-flow NF state — stays on one
 	// shard, lock-free. Ingress is the same code for every value:
 	// Inject/InjectBatch classify inline and enter the shard's graph
 	// directly, under one ownership contract (see InjectBatch). Default
 	// 1: a single shard, no hashing, no shard labels. When sharded,
-	// per-NF and per-merger series gain a shard=<i> label.
+	// per-NF and per-join series gain a shard=<i> label.
 	Shards int
 	// ShardedOutputs, with Shards > 1, gives each shard its own output
 	// channel (Outputs()) instead of the one every shard sends into,
@@ -147,9 +142,6 @@ func (c *Config) setDefaults() {
 	if c.RingSize == 0 {
 		c.RingSize = 512
 	}
-	if c.Mergers == 0 {
-		c.Mergers = 2
-	}
 	if c.Burst == 0 {
 		c.Burst = DefaultBurst
 	}
@@ -168,11 +160,11 @@ func (c *Config) setDefaults() {
 }
 
 // planRuntime is one shard's installation of a service graph: the
-// shared compiled Plan plus this shard's segment runtimes. A sharded
-// server holds Config.Shards planRuntimes per MID, one per shard, all
-// referencing the same immutable Plan. A Reload stands up a whole new
-// planRuntime per shard (a new config generation) beside the old one,
-// swaps the dispatch map, and drains the old runtime via the
+// shared compiled Plan plus this shard's segment runtimes and join
+// tables. A sharded server holds Config.Shards planRuntimes per MID, one
+// per shard, all referencing the same immutable Plan. A Reload stands up
+// a whole new planRuntime per shard (a new config generation) beside the
+// old one, swaps the dispatch map, and drains the old runtime via the
 // inflight/gone/retired protocol below.
 type planRuntime struct {
 	plan *Plan
@@ -184,12 +176,12 @@ type planRuntime struct {
 	// e2eLat records the sampled packets' ingress→output latency for
 	// this graph (nil when nothing is sampled).
 	e2eLat *telemetry.Histogram
-	// dropCtrs lazily caches the terminal per-cause drop counters,
-	// indexed node*NumCauses+cause (see shard.dropCounter).
-	dropCtrs []dropCtrSlot
-	// nodeNames holds each plan node's NF name interned in the flight
-	// recorder, so per-drop events carry an integer, not a string.
-	nodeNames []uint32
+	// nodes holds the flight recorder's facts per plan node: its name and
+	// terminal drop counters.
+	nodes []nodeRec
+	// joins holds one Accumulating Table per plan join, with its lock
+	// (shard.joinPush).
+	joins []joinRT
 
 	// gen is the config generation that installed this runtime (1 for
 	// the initial install; each Reload bumps the server generation).
@@ -207,7 +199,7 @@ type planRuntime struct {
 	// yet reached their terminal output/drop event. Injectors reserve a
 	// slot via shard.acquire BEFORE enqueueing, and shard.emit releases
 	// it, so inflight == 0 means no packet of this
-	// generation exists anywhere: rings, NF bursts, mergers, or drop
+	// generation exists anywhere: rings, NF bursts, join tables, or drop
 	// routes.
 	inflight atomic.Int64
 	// terminal counts completed packets (outputs + drops) of this
@@ -226,8 +218,8 @@ type planRuntime struct {
 }
 
 // Server is one NFP server (Figure 3): shared memory pool, classifier,
-// and one or more shards, each holding NF runtimes, merger instances
-// and (when sharded) its own mempool partition.
+// and one or more shards, each holding NF runtimes, join tables and
+// (when sharded) its own mempool partition.
 type Server struct {
 	cfg        Config
 	pool       *mempool.Pool
@@ -355,7 +347,7 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Shards; i++ {
 		// Every shard sends into the one output channel unless outputs
 		// are sharded: a channel takes concurrent senders, no fan-in.
-		sh := &shard{id: i, srv: s, out: s.out, freed: ring.NewCond()}
+		sh := &shard{id: i, srv: s, out: s.out, joinTails: telemetry.NewCounter(), freed: ring.NewCond()}
 		if sharded {
 			sh.spanID = i + 1
 			sh.pool = parts[i]
@@ -367,12 +359,7 @@ func New(cfg Config) *Server {
 			sh.pool = s.pool
 		}
 		sh.plans.Store(&map[uint32]*planRuntime{})
-		for m := 0; m < cfg.Mergers; m++ {
-			sh.mergers = append(sh.mergers, newMerger(m, sh))
-		}
-		// One merger ring: the PID hash may send every tail in flight to
-		// the same instance.
-		sh.room = newBudget(reserve/cfg.Shards, sh.mergers[0].rx.Cap())
+		sh.room = newBudget(reserve/cfg.Shards, tailBudget)
 		sh.pool.SetReserve(sh.room.copies())
 		s.shards = append(s.shards, sh)
 	}
@@ -380,8 +367,8 @@ func New(cfg Config) *Server {
 }
 
 // sharded reports whether the server replicates the plan across
-// multiple shards. It reads the configuration, not s.shards: New labels
-// each shard's mergers while s.shards is still being filled.
+// multiple shards. It reads the configuration, not s.shards, which New
+// is still filling while it labels the shards' series.
 func (s *Server) sharded() bool { return s.cfg.Shards > 1 }
 
 // Shards returns the number of dataplane shards.
@@ -495,7 +482,7 @@ func (s *Server) ReloadProvide(mid uint32, g graph.Node, provide func(shard int,
 //  3. publish them in each shard's COW dispatch map — packets
 //     classified from here on execute on the new runtimes, while
 //     in-flight packets keep their runtime pointer all the way through
-//     rings, mergers and drop routes;
+//     rings, join tables and drop routes;
 //  4. replace only: seal, drain and retire the predecessor (retire).
 //
 // Every failure happens in step 1, before anything is shared, so a
@@ -635,14 +622,14 @@ func (s *Server) retire(old []*planRuntime) (terminal uint64) {
 // the registry holds one set of series per installed graph however
 // many reloads run.
 func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF) nf.NF, gen uint64) (*planRuntime, error) {
-	// What one packet can hold: its copies, and a merger-ring slot per
-	// branch tail (a drop cuts a branch short and reports once: never more).
+	// What one packet can hold: its copies, and a tail per branch at
+	// its join (a drop cuts a branch short and reports once: never more).
 	copies, tails := plan.CopiesPerPacket(), 0
 	for _, j := range plan.Joins {
 		tails += j.ExpectTails
 	}
 	if copies > sh.room.copies() || tails > sh.room.tails() {
-		return nil, fmt.Errorf("dataplane: one packet of MID %d needs %d copies and %d merger slots, over a shard's admission budget of %d (copy reserve) and %d (merger ring)",
+		return nil, fmt.Errorf("dataplane: one packet of MID %d needs %d copies and %d join tails, over a shard's admission budget of %d (copy reserve) and %d (tail budget)",
 			plan.MID, copies, tails, sh.room.copies(), sh.room.tails())
 	}
 	// Every instance first, so a build that fails registers no series:
@@ -664,10 +651,9 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 	if gen > 1 {
 		pr.spanGen = int(gen)
 	}
-	pr.dropCtrs = make([]dropCtrSlot, len(plan.Nodes)*flightrec.NumCauses)
-	pr.nodeNames = make([]uint32, len(plan.Nodes))
+	pr.nodes = make([]nodeRec, len(plan.Nodes))
 	for i := range plan.Nodes {
-		pr.nodeNames[i] = s.rec.Intern(plan.Nodes[i].NF.String())
+		pr.nodes[i].name = s.rec.Intern(plan.Nodes[i].NF.String())
 	}
 	var segs [][]int
 	if s.cfg.Fusion.enabled() {
@@ -686,7 +672,7 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 			nfs:      make([]segNF, len(seg)),
 			rx:       ring.NewMPSC(s.cfg.RingSize),
 			ringHW:   s.tel.Gauge("nfp_nf_ring_high_water", headLabels...),
-			site:     pr.nodeNames[seg[0]],
+			site:     pr.nodes[seg[0]].name,
 			sh:       sh,
 			pr:       pr,
 			burst:    make([]*packet.Packet, s.cfg.Burst),
@@ -723,14 +709,21 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 		n.healthy.Store(true)
 		pr.rts = append(pr.rts, n)
 	}
-	if len(plan.Joins) > 0 && sh.mergers[0].at == nil {
-		// The first plan on this shard that joins: its mergers get their
-		// Accumulating Tables, before a tail can exist (the plan is not
-		// published yet). A join waits for at least two tails, so the
-		// entries live on the shard — on one merger, if the PID hash will
-		// have it — are at most half the tails admission lets in.
-		for _, m := range sh.mergers {
-			m.at = newATTable(sh.room.tails() / 2)
+	if len(plan.Joins) > 0 {
+		// A packet holds at most one entry per join, and admission lets at
+		// most this many of the plan's packets in at once.
+		bound := sh.room.tails() / tails
+		pr.joins = make([]joinRT, len(plan.Joins))
+		for j := range pr.joins {
+			labels := sh.labelShard([]telemetry.Label{midLabel, telemetry.L("join", strconv.Itoa(j))})
+			jr := &pr.joins[j]
+			jr.at = newATTable(bound)
+			jr.processed = s.tel.Counter("nfp_merger_processed_total", labels...)
+			jr.merged = s.tel.Counter("nfp_merger_merged_total", labels...)
+			jr.drops = s.tel.Counter("nfp_merger_drops_total", labels...)
+			jr.atSize = s.tel.Gauge("nfp_merger_at_size", labels...)
+			jr.atHW = s.tel.Gauge("nfp_merger_at_high_water", labels...)
+			jr.mergeLat = s.tel.Histogram("nfp_merger_merge_latency_ns", labels...)
 		}
 	}
 	if len(stateful) > 0 {
@@ -749,7 +742,7 @@ func (s *Server) startRuntimes(pr *planRuntime) {
 		go func(n *nodeRT) {
 			defer s.wg.Done()
 			defer pr.wg.Done()
-			n.run()
+			n.drain()
 		}(n)
 	}
 }
@@ -850,8 +843,7 @@ func (s *Server) Outputs() []<-chan *packet.Packet {
 	return chans
 }
 
-// Start launches every installed graph's NF runtimes and the mergers.
-// It needs at least one installed graph and runs once.
+// Start launches every installed graph's NF runtimes. It needs at least one installed graph and runs once.
 // Graphs installed later start their own runtimes (see install); ctl
 // orders the two, so a runtime is started exactly once either way.
 func (s *Server) Start() error {
@@ -867,13 +859,6 @@ func (s *Server) Start() error {
 	for _, sh := range s.shards {
 		for _, pr := range *sh.plans.Load() {
 			s.startRuntimes(pr)
-		}
-		for _, m := range sh.mergers {
-			s.wg.Add(1)
-			go func(m *merger) {
-				defer s.wg.Done()
-				m.run()
-			}(m)
 		}
 	}
 	return nil
@@ -910,9 +895,6 @@ func (s *Server) Stop() {
 			for _, rt := range pr.rts {
 				rt.rx.Wake()
 			}
-		}
-		for _, m := range sh.mergers {
-			m.rx.Wake()
 		}
 	}
 	s.wg.Wait()
@@ -1031,8 +1013,9 @@ type Stats struct {
 	Copies      uint64
 	CopiedBytes uint64
 	MergeErrors uint64
-	// MergerLoad is the per-instance processed item count (§6.3.3),
-	// shard-major on a sharded server (shard 0's mergers first).
+	// MergerLoad is the tails each shard's joins accepted, one entry per
+	// shard (§6.3.3's merger load, with the flow hash splitting packets
+	// over the shards' tables).
 	MergerLoad []uint64
 	// ShardIngress is the per-shard dispatched-packet count (nil on an
 	// unsharded server) — the RSS dispatch balance.
@@ -1056,9 +1039,7 @@ func (s *Server) Stats() Stats {
 		Restarts:    s.restarts.Load(),
 	}
 	for _, sh := range s.shards {
-		for _, m := range sh.mergers {
-			st.MergerLoad = append(st.MergerLoad, m.processed.Value())
-		}
+		st.MergerLoad = append(st.MergerLoad, sh.joinTails.Value())
 		if s.sharded() {
 			st.ShardIngress = append(st.ShardIngress, sh.ingress.Value())
 		}

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"net/netip"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 	"nfp/internal/policy"
+	"nfp/internal/telemetry"
 )
 
 // buildInto allocates a pool packet (waiting out transient exhaustion,
@@ -321,42 +323,53 @@ func TestVPNMergeSplicesAH(t *testing.T) {
 	}
 }
 
+// TestMergerLoadBalancing: a join's load is the tails it takes, counted
+// per shard (Stats.MergerLoad) and per join (nfp_merger_*{mid,join}).
+// With two parallel stages in a row each join has a series set of its
+// own, which took every packet's two tails and merged every packet.
 func TestMergerLoadBalancing(t *testing.T) {
-	g := graph.Par{Branches: []graph.Node{
-		nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1),
+	g := graph.Seq{Items: []graph.Node{
+		graph.Par{Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1)}},
+		graph.Par{Branches: []graph.Node{nfn(nfa.NFMonitor, 2), nfn(nfa.NFMonitor, 3)}},
 	}}
-	s := New(Config{PoolSize: 256, Mergers: 2})
+	const n = 200
+	s := New(Config{PoolSize: 256})
 	if err := s.AddGraph(1, g); err != nil {
 		t.Fatal(err)
 	}
-	outs := runTraffic(t, s, 200, func(i int) packet.BuildSpec {
+	outs := runTraffic(t, s, n, func(i int) packet.BuildSpec {
 		return spec(byte(i), uint16(i), "z")
 	})
 	for _, p := range outs {
 		p.Free()
 	}
-	st := s.Stats()
-	if len(st.MergerLoad) != 2 {
-		t.Fatalf("merger load = %v", st.MergerLoad)
+	if st := s.Stats(); len(st.MergerLoad) != 1 || st.MergerLoad[0] != 4*n {
+		t.Fatalf("merger load = %v, want one shard's %d tails", st.MergerLoad, 4*n)
 	}
-	// Both instances must have taken a meaningful share (§6.3.3).
-	for i, load := range st.MergerLoad {
-		if load < 100 { // 400 items total across 2 instances
-			t.Errorf("merger %d processed only %d items: %v", i, load, st.MergerLoad)
+	snap := s.Telemetry().Snapshot()
+	for _, join := range []string{"0", "1"} {
+		labels := []telemetry.Label{telemetry.L("mid", "1"), telemetry.L("join", join)}
+		processed := snap.CounterValue("nfp_merger_processed_total", labels...)
+		merged := snap.CounterValue("nfp_merger_merged_total", labels...)
+		if processed != 2*n || merged != n {
+			t.Errorf("join %s took %d tails and merged %d packets, want %d and %d", join, processed, merged, 2*n, n)
+		}
+		if live := snap.GaugeValue("nfp_merger_at_size", labels...); live != 0 {
+			t.Errorf("join %s holds %d entries after the run", join, live)
 		}
 	}
 }
 
-// TestShardedMergerLoad: each shard's mergers count into series of their
-// own (labelled shard=<i>), so the per-instance loads add up to every
-// packet's tails once — not twice, as when both shards' merger-0 shared
-// one counter.
+// TestShardedMergerLoad: each shard's joins count into series of their
+// own (labelled shard=<i>) and into the shard's entry of
+// Stats.MergerLoad, so the loads add up to every packet's tails once —
+// not twice, as when two shards shared one counter.
 func TestShardedMergerLoad(t *testing.T) {
 	g := graph.Par{Branches: []graph.Node{
 		nfn(nfa.NFMonitor, 0), nfn(nfa.NFMonitor, 1),
 	}}
-	const n, shards, mergers, tails = 400, 2, 2, 2 // a tail per branch
-	s := New(Config{PoolSize: 512, Shards: shards, Mergers: mergers})
+	const n, shards, tails = 400, 2, 2 // a tail per branch
+	s := New(Config{PoolSize: 512, Shards: shards})
 	if err := s.AddGraph(1, g); err != nil {
 		t.Fatal(err)
 	}
@@ -364,23 +377,28 @@ func TestShardedMergerLoad(t *testing.T) {
 		t.Fatalf("collected %d outputs, want %d", got, n)
 	}
 	st := s.Stats()
-	var load uint64
-	for _, l := range st.MergerLoad {
-		load += l
-	}
-	if len(st.MergerLoad) != shards*mergers || load != n*tails {
-		t.Errorf("merger load %v sums to %d over %d instances, want %d over %d",
-			st.MergerLoad, load, len(st.MergerLoad), n*tails, shards*mergers)
-	}
 	snap := s.Telemetry().Snapshot()
+	var load uint64
+	for i, l := range st.MergerLoad {
+		load += l
+		series := snap.CounterValue("nfp_merger_processed_total",
+			telemetry.L("mid", "1"), telemetry.L("join", "0"), telemetry.L("shard", strconv.Itoa(i)))
+		if l == 0 || l != series {
+			t.Errorf("shard %d took %d tails, its join series %d: want the same, and some", i, l, series)
+		}
+	}
+	if len(st.MergerLoad) != shards || load != n*tails {
+		t.Errorf("merger load %v sums to %d over %d shards, want %d over %d",
+			st.MergerLoad, load, len(st.MergerLoad), n*tails, shards)
+	}
 	series := map[string]bool{}
 	for _, c := range snap.Counters {
 		if c.Name == "nfp_merger_processed_total" {
-			series[c.Labels["shard"]+"/"+c.Labels["instance"]] = true
+			series[c.Labels["shard"]+"/"+c.Labels["join"]] = true
 		}
 	}
-	if len(series) != shards*mergers || series["/0"] {
-		t.Errorf("nfp_merger_processed_total series (shard/instance) %v, want one per shard and instance", series)
+	if len(series) != shards || !series["0/0"] || !series["1/0"] {
+		t.Errorf("nfp_merger_processed_total series (shard/join) %v, want one per shard", series)
 	}
 	if got := snap.SumCounters("nfp_merger_processed_total"); got != n*tails {
 		t.Errorf("nfp_merger_processed_total sums to %d, want %d", got, n*tails)

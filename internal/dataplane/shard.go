@@ -13,8 +13,8 @@ import (
 )
 
 // shard is one replica of the whole dataplane (RSS-style flow
-// sharding): its own microflow cache, plan runtimes with their rings,
-// merger instances, output channel and mempool partition. Injectors
+// sharding): its own microflow cache, plan runtimes with their rings
+// and join tables, output channel and mempool partition. Injectors
 // pick a packet's shard by symmetric 5-tuple hash, so every packet of a
 // flow — in both directions — executes on the same shard's runtime
 // goroutines, and per-flow NF state (NAT bindings, monitor counters,
@@ -38,9 +38,6 @@ type shard struct {
 	// here, so the copy path never contends with other shards.
 	pool  *mempool.Pool
 	plans atomicPlans
-	// mergers are this shard's merger instances; the merger agent
-	// PID-hash load-balances within the shard.
-	mergers []*merger
 	// out receives the shard's finished packets: the server output
 	// channel, or the shard's own under Config.ShardedOutputs.
 	out chan *packet.Packet
@@ -48,9 +45,13 @@ type shard struct {
 	// ingress counts packets dispatched to this shard, labelled
 	// shard=<id> (nil, a no-op, when unsharded).
 	ingress *telemetry.Counter
+	// joinTails counts the tails this shard's joins accepted, whatever
+	// their MID or generation (Stats.MergerLoad).
+	joinTails *telemetry.Counter
 
 	// The admission budget (admit): the pool partition's copy reserve and
-	// one merger ring's capacity, and what admitted packets hold of both.
+	// the tails that may wait at joins, and what admitted packets hold of
+	// both.
 	room  budget
 	held  atomic.Uint64
 	freed *ring.Cond // wakes injectors parked at admission (settle)
@@ -58,11 +59,11 @@ type shard struct {
 	// The injector and every runtime read this header each burst: pad
 	// it to two whole cache lines, so it shares none with whatever the
 	// allocator puts next to it (TestShardLayout).
-	_ [24]byte
+	_ [40]byte
 }
 
-// budget counts copy buffers (high half) and merger-ring slots (low
-// half) in one word, so both are taken and given back by one atomic.
+// budget counts copy buffers (high half) and join tails (low half) in
+// one word, so both are taken and given back by one atomic.
 type budget uint64
 
 func newBudget(copies, tails int) budget { return budget(copies)<<32 | budget(tails) }
@@ -81,11 +82,12 @@ func (sh *shard) labelShard(labels []telemetry.Label) []telemetry.Label {
 
 // admit is the one admission rule (DESIGN.md §6): it sets aside, for the
 // longest prefix of n packets of pr the budget covers, every copy buffer
-// and merger-ring slot they can occupy (pr.weight each), and returns the
-// prefix length. Live copies and outstanding tails then stay within room
-// over every MID and generation on the shard: a copy allocation never
-// comes back short, a merger ring never fills, nothing in the graph
-// waits on anything upstream of it.
+// and join tail they can occupy (pr.weight each), and returns the prefix
+// length. Live copies and outstanding tails then stay within room over
+// every MID and generation on the shard: a copy allocation never comes
+// back short, an Accumulating Table never fills (buildRuntime sizes each
+// to what admission lets its plan hold), nothing in the graph waits on
+// anything upstream of it.
 func (sh *shard) admit(pr *planRuntime, n int) int {
 	for {
 		held := budget(sh.held.Load())
@@ -220,8 +222,8 @@ func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet) {
 	sh.execBurst(pr, pr.plan.Entry, pkts, now)
 }
 
-// execChunk sizes the hand-off scratch (copies, merge items), kept on
-// the caller's stack: an injector is an arbitrary goroutine.
+// execChunk sizes the hand-off scratch (copies, completed joins), kept
+// on the caller's stack: an injector is an arbitrary goroutine.
 const execChunk = 32
 
 // execBurst is the one executor: it runs a forwarding-table dispatch
@@ -334,53 +336,12 @@ func (sh *shard) deliver(pr *planRuntime, t Target, pkts []*packet.Packet, dropp
 	}
 }
 
-// hashPID hashes a packet ID for merger-agent load balancing. §5.3:
-// "the merger agent performs a simple and fast hashing on the immutable
-// PID field". A multiplicative (Fibonacci) hash spreads consecutive PIDs.
+// hashPID hashes a packet ID into an Accumulating Table's probe start.
+// §5.3: the merger agent "performs a simple and fast hashing on the
+// immutable PID field". A multiplicative (Fibonacci) hash spreads
+// consecutive PIDs over its top bits.
 func hashPID(pid uint64) uint64 {
 	return pid * 0x9e3779b97f4a7c15
-}
-
-// joinPush is the merger agent (§5.3): it hashes the immutable PID to
-// pick the merger instance, so all copies of one packet meet at the
-// same merger while different packets spread across instances, and
-// partitions the burst accordingly — one queue operation per (burst,
-// instance). The items carry the packets' OWN generation runtime:
-// across a reload two generations of one MID interleave at a merger,
-// and each packet must finalize against its own plan tables.
-//
-// A tail never waits: admission holds a ring slot for every tail in
-// flight on the shard, so the enqueue fits — from a merger's goroutine
-// into its own ring too (a continuation reaching an outer join).
-func (sh *shard) joinPush(pr *planRuntime, join int, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
-	var items [execChunk]mergeItem
-	var inst [execChunk]int
-	for len(pkts) > 0 {
-		chunk := pkts[:min(len(pkts), execChunk)]
-		pkts = pkts[len(chunk):]
-		// Resolved before the first hand-off: a merger may finalize and
-		// recycle a packet the moment it has it.
-		for i, pkt := range chunk {
-			inst[i] = int(hashPID(pkt.Meta.PID) % uint64(len(sh.mergers)))
-		}
-		for mi, m := range sh.mergers {
-			k := 0
-			for i, pkt := range chunk {
-				if inst[i] == mi {
-					items[k] = mergeItem{pkt: pkt, pr: pr, join: join, dropped: dropped, prov: prov, cursor: cursor}
-					k++
-				}
-			}
-			if k == 0 {
-				continue
-			}
-			if got := m.rx.EnqueueBatch(items[:k]); got < k {
-				panic(fmt.Sprintf("dataplane: %s took %d of %d tails inside the admission budget (ring %d, %d held)",
-					m.name, got, k, sh.room.tails(), budget(sh.held.Load()).tails()))
-			}
-			m.ringHW.SetMax(int64(m.rx.Len()))
-		}
-	}
 }
 
 // release frees a burst of packets the graph is done with: under one
@@ -402,7 +363,7 @@ func (sh *shard) release(pkts []*packet.Packet) {
 // emit is the single terminal accounting point: exactly one terminal
 // event per injected packet (copies die at joins, drop intentions
 // resolve to one terminal drop), so attributing the drop cause here —
-// after mergers collapse parallel copies to one verdict — keeps the
+// after joins collapse parallel copies to one verdict — keeps the
 // per-cause counters summing exactly to total drops. The shared
 // counters, in-flight slots and budget (the packets' copies and tails
 // died at the joins upstream) are settled once per burst, and

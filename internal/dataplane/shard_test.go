@@ -411,11 +411,24 @@ func TestShardPreclassified(t *testing.T) {
 
 // TestShardLayout pins the shard header at two cache lines: its size
 // class then aligns it to 64 bytes, so no neighbouring allocation shares
-// a line with what every burst reads. Unpadded it is 104 bytes, in a
-// size class whose objects share lines with their neighbours, and
-// fig13_dcmix's one-burst median read about 1 us higher on a 2-vCPU VM.
+// a line with what every burst reads. Unpadded it is 88 bytes, in a
+// size class whose objects share lines with their neighbours; at 104
+// unpadded bytes fig13_dcmix's one-burst median read about 1 us higher
+// on a 2-vCPU VM.
 func TestShardLayout(t *testing.T) {
 	if got := unsafe.Sizeof(shard{}); got != 128 {
 		t.Fatalf("unsafe.Sizeof(shard{}) = %d, want 128", got)
+	}
+}
+
+// TestPlanRuntimeLayout pins a plan runtime in the 176-byte size class,
+// whose per-packet atomics (weight, inflight, terminal) the injector and
+// every runtime touch. One more slice header would take it to 200 bytes,
+// into the next size class, and a field that moved a runtime's layout
+// has moved a one-burst p50 by 1–2 us before: a change that grows it is
+// a measured one.
+func TestPlanRuntimeLayout(t *testing.T) {
+	if got := unsafe.Sizeof(planRuntime{}); got > 176 {
+		t.Fatalf("unsafe.Sizeof(planRuntime{}) = %d, want at most 176", got)
 	}
 }

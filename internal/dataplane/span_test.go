@@ -136,14 +136,14 @@ func mergeWaits(spans []telemetry.TraceEvent) (n int) {
 }
 
 // TestSpanDecompositionAcrossReload: with every packet sampled and bursts
-// of 32, so every clock read a merger shares across a burst is in some
-// chain, reloads under load put two generations' tails through the one
-// merger at once. Every packet's spans still tile its end-to-end latency
+// of 32, so every clock read a join shares across a burst is in some
+// chain, reloads under load put two generations' tails through the join
+// at once, each generation's into its own table. Every packet's spans still tile its end-to-end latency
 // exactly, carry the one generation that admitted it, and hold one
 // merge-wait span per branch tail.
 func TestSpanDecompositionAcrossReload(t *testing.T) {
 	const workers, perWorker, burst = 2, 1536, 32
-	s := New(Config{PoolSize: 1024, Mergers: 1, Burst: burst, TraceSampleRate: 1, TraceCapacity: 1 << 17})
+	s := New(Config{PoolSize: 1024, Burst: burst, TraceSampleRate: 1, TraceCapacity: 1 << 17})
 	g := graph.Par{
 		Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
 		Groups:   [][]int{{0}, {1}},
@@ -234,7 +234,7 @@ func TestSpanDecompositionWideJoin(t *testing.T) {
 	for i := 0; i < branches; i++ {
 		g.Branches = append(g.Branches, nfn(nfa.NFMonitor, i))
 	}
-	s := New(Config{PoolSize: 256, Mergers: 1, Burst: 8, TraceSampleRate: 1, TraceCapacity: 1 << 16})
+	s := New(Config{PoolSize: 256, Burst: 8, TraceSampleRate: 1, TraceCapacity: 1 << 16})
 	if err := s.AddGraph(1, g); err != nil {
 		t.Fatal(err)
 	}
@@ -263,9 +263,9 @@ func TestSpanDecompositionWideJoin(t *testing.T) {
 			t.Errorf("pid %d: buckets sum %d != e2e %d: %+v", pid, sum, at.E2E, at)
 		}
 	}
-	m := s.shards[0].mergers[0]
-	if m.at.live != 0 || len(m.at.tails) > mergerQueue {
-		t.Errorf("%d entries live, %d tail cursors kept: want none, and at most the merger ring's %d", m.at.live, len(m.at.tails), mergerQueue)
+	at := (*s.shards[0].plans.Load())[1].joins[0].at
+	if at.live != 0 || len(at.tails) > tailBudget {
+		t.Errorf("%d entries live, %d tail cursors kept: want none, and at most the tail budget's %d", at.live, len(at.tails), tailBudget)
 	}
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Errorf("pool leak: %d buffers", leak)

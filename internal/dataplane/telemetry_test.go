@@ -91,9 +91,9 @@ func TestTelemetryCountersBalance(t *testing.T) {
 		}
 	}
 
-	// Mergers processed every branch version and joined each packet.
+	// The join took every branch's tail and merged each packet.
 	if p := snap.SumCounters("nfp_merger_processed_total"); p == 0 {
-		t.Error("mergers processed nothing — parallel stage not exercised")
+		t.Error("the join took no tails — parallel stage not exercised")
 	}
 
 	// Mempool balance: everything allocated was freed, nothing in use.

@@ -180,6 +180,29 @@ func TestOverloadConservationProperty(t *testing.T) {
 	}
 }
 
+// TestInjectedStreamIgnoresPoolGrants: the injected stream is a function
+// of the seed alone. A pool too small to grant a whole interleaved batch
+// at once only delays the stream. Sizing a batch by the grant instead
+// shifted every later draw of the stream's generator, so one seed
+// injected different packets at different pool sizes and a strict
+// Compare failed between two correct runs — the overload suite's flake.
+func TestInjectedStreamIgnoresPoolGrants(t *testing.T) {
+	trial, err := NewTrial(rand.New(rand.NewSource(20260806)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res [2]*Result
+	for i, pool := range []int{4096, 48} {
+		cfg := dataplane.Config{Burst: 32, PoolSize: pool}
+		if res[i], err = trial.Execute(trial.SeqGraph, 400, 4000, Options{Config: cfg, Interleave: true}); err != nil {
+			t.Fatalf("pool %d: %v", pool, err)
+		}
+	}
+	if diffs := Compare(res[0], res[1]); len(diffs) != 0 {
+		t.Errorf("a %d-buffer pool changed the injected stream: %d differences, first %v", 48, len(diffs), diffs[0])
+	}
+}
+
 // TestBurstScalarEquivalence holds the batched fast path to the same
 // standard §4.1 holds parallelization: replaying identical traffic at
 // burst=32 must be observationally identical to burst=1 — the same

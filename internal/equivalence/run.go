@@ -205,7 +205,10 @@ func (t *Trial) Execute(g graph.Node, n int, trafficSeed int64, opts Options) (*
 	// genuinely overlap live injection (a synchronous reload would pause
 	// the stream — the restart model reloads exist to disprove). The
 	// final, empty draw sees next == n and so fires whatever is still
-	// due.
+	// due. Batch sizes come from the seed alone: a batch the pool cannot
+	// grant whole at once goes in as several, its packets built as their
+	// buffers come, so a short grant delays the stream but never shifts
+	// the generator's later draws.
 	burst := max(cfg.Burst, 1)
 	churns := append([]int(nil), opts.Churns...)
 	slices.Sort(churns)
@@ -213,6 +216,9 @@ func (t *Trial) Execute(g graph.Node, n int, trafficSeed int64, opts Options) (*
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(trafficSeed))
 	next, churned, reloaded := 0, 0, 0
+	// pending is what is left of the batch last drawn, scalar whether it
+	// goes through Inject.
+	pending, scalar := 0, burst == 1
 	draw := func(batch []*packet.Packet) (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -224,34 +230,35 @@ func (t *Trial) Execute(g graph.Node, n int, trafficSeed int64, opts Options) (*
 			reloaded++
 			go func() { reloadErrs <- srv.ReloadProvide(1, g, provide) }()
 		}
-		want := min(len(batch), n-next)
-		if churned < len(churns) {
-			want = min(want, churns[churned]-next)
-		}
-		scalar := burst == 1
-		if opts.Interleave && !scalar && want > 0 {
-			if scalar = rng.Intn(2) == 0; scalar {
-				want = 1
-			} else {
-				want = min(want, 1+rng.Intn(burst))
+		if pending == 0 {
+			pending = min(len(batch), n-next)
+			if churned < len(churns) {
+				pending = min(pending, churns[churned]-next)
+			}
+			scalar = burst == 1
+			if opts.Interleave && !scalar && pending > 0 {
+				if scalar = rng.Intn(2) == 0; scalar {
+					pending = 1
+				} else {
+					pending = min(pending, 1+rng.Intn(burst))
+				}
 			}
 		}
-		for _, pkt := range batch[:want] {
+		got := 0
+		for pending > 0 && got == 0 {
+			got = srv.Pool().AllocBatch(batch[:pending])
+		}
+		for _, pkt := range batch[:got] {
 			buildRandomPacket(pkt, rng)
 		}
-		next += want
-		return want, scalar
+		pending -= got
+		next += got
+		return got, scalar
 	}
 	inject := func() error {
-		pool := srv.Pool()
 		batch := make([]*packet.Packet, burst)
 		for {
-			got := pool.AllocBatch(batch)
-			for got == 0 {
-				got = pool.AllocBatch(batch)
-			}
-			k, scalar := draw(batch[:got])
-			pool.FreeBatch(batch[k:got])
+			k, scalar := draw(batch)
 			switch {
 			case k == 0:
 				return nil

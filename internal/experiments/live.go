@@ -377,6 +377,5 @@ func liveOverhead() Table {
 	t.Rows = append(t.Rows, []string{"copies per packet", f2(float64(live.Copies) / float64(n)), "1"})
 	t.Rows = append(t.Rows, []string{"copied bytes per packet", f1(copied), "54 (hdr) / paper 64"})
 	t.Rows = append(t.Rows, []string{"overhead vs mean size", pct(copied / dist.Mean()), "8.8% (paper)"})
-	t.Rows = append(t.Rows, []string{"merger load split", fmt.Sprint(live.MergerLoad), "≈even"})
 	return t
 }

@@ -9,22 +9,21 @@ import (
 // Canonical NF type names used across the catalog, the orchestrator and
 // the dataplane NF registry.
 const (
-	NFFirewall   = "firewall"
-	NFNIDS       = "nids"
-	NFGateway    = "gateway"
-	NFLB         = "lb"
-	NFCaching    = "caching"
-	NFVPN        = "vpn"
-	NFNAT        = "nat"
-	NFProxy      = "proxy"
-	NFCompress   = "compression"
-	NFShaper     = "shaper"
-	NFMonitor    = "monitor"
-	NFL3Fwd      = "l3fwd"
-	NFIDS        = "ids" // evaluation IDS (Snort-like, detection only)
-	NFIPS        = "ips" // intrusion *prevention*: NIDS actions + drop
-	NFSynthetic  = "synthetic"
-	NFMergerName = "merger" // reserved; mergers are implemented as NFs (§5.3)
+	NFFirewall  = "firewall"
+	NFNIDS      = "nids"
+	NFGateway   = "gateway"
+	NFLB        = "lb"
+	NFCaching   = "caching"
+	NFVPN       = "vpn"
+	NFNAT       = "nat"
+	NFProxy     = "proxy"
+	NFCompress  = "compression"
+	NFShaper    = "shaper"
+	NFMonitor   = "monitor"
+	NFL3Fwd     = "l3fwd"
+	NFIDS       = "ids" // evaluation IDS (Snort-like, detection only)
+	NFIPS       = "ips" // intrusion *prevention*: NIDS actions + drop
+	NFSynthetic = "synthetic"
 )
 
 // tuple is the 5-tuple read set shared by many profiles.

@@ -1,8 +1,7 @@
 // Package ring implements the bounded queues every stage boundary of
 // the NFP infrastructure crosses (§5, Figure 3): spinlocked MPSC rings
 // over a lock-free SPSC core, generic over their element — NF receive
-// rings carry packet references, merger receive rings branch-tail
-// reports by value.
+// rings carry packet references.
 //
 // "An NF simply writes packet references into the receive ring buffer of
 // the other NF to realize packet delivery" — Enqueue/Dequeue move only
@@ -153,7 +152,7 @@ func (r *Ring[T]) AwaitRoom() {
 // MPSC is a Ring whose enqueue side any goroutine may use: it overrides
 // both producer methods to serialize on a spinlock; the consumer side
 // and Len/Cap are the ring's own. NFP uses it at every fan-in point:
-// injectors and runtimes into an NF's ring, branch tails into a merger's.
+// injectors and runtimes into an NF's ring.
 type MPSC[T any] struct {
 	Ring[T]
 	lock atomic.Uint32 // spinlock: producers are short critical sections

@@ -15,7 +15,7 @@ const (
 	StageClassify Stage = iota
 	// StageNF is one NF runtime completing Process.
 	StageNF
-	// StageMerge is a merger instance finalizing a join.
+	// StageMerge is a join finalizing a packet: its merging operations.
 	StageMerge
 	// StageOutput is the packet leaving the service graph.
 	StageOutput
@@ -84,7 +84,7 @@ type TraceEvent struct {
 	Ver uint8 `json:"ver,omitempty"`
 	// Stage says which pipeline layer recorded the span.
 	Stage Stage `json:"stage"`
-	// Name identifies the component (NF name, merger instance, …).
+	// Name identifies the component (NF name, "merger", …).
 	Name string `json:"name,omitempty"`
 	// Begin is the span's start wall-clock nanosecond timestamp.
 	Begin int64 `json:"begin,omitempty"`

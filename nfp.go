@@ -11,7 +11,7 @@
 //	nfa         NF action model, Table 2/3, Algorithm 1 (§4.1–4.3)
 //	core        the orchestrator: policy → service graph (§4.4)
 //	graph       service graph algebra (Seq / Par / NF)
-//	dataplane   classifier, NF runtimes, mergers (§5)
+//	dataplane   classifier, NF runtimes, joins (§5)
 //	nf          the evaluation NFs (§6.1)
 //	sim         calibrated analytic model for the paper's figures
 //
