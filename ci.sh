@@ -41,19 +41,16 @@
 #                    (equals a re-sum and a parse of the frame it
 #                    wrote), the tuple setters (equal a byte-by-byte
 #                    rewrite and re-sum) and the policy-language parser.
-#   ./ci.sh trace  — the non-blocking inspector smoke: builds
-#                    nfpinspect and runs every in-process (-chain) path
-#                    once — trace (including a Chrome trace export whose
-#                    schema is gated by the golden test in the blocking
-#                    job), criticalpath, metrics -json, health, top and
-#                    incident with an injected panic.
 #   ./ci.sh diagnose — the diagnosis smoke: boots nfpd with live
 #                    traffic and the diagnosis layer on, curls
 #                    /debug/health and /debug/topflows, asserts the
 #                    JSON is well-formed and health left "unknown",
-#                    exercises nfpinspect health/top/metrics against
-#                    the live server, then reports the _Diagnose
-#                    benchmark's observability tax (non-gating).
+#                    exercises nfpinspect health, top, metrics (table
+#                    and -json), trace (tree and a Chrome trace export,
+#                    whose schema a golden test gates in the blocking
+#                    job) and criticalpath against the live server, then
+#                    reports the _Diagnose benchmark's observability tax
+#                    (non-gating).
 #   ./ci.sh reload — the zero-downtime reconfiguration smoke: boots
 #                    nfpd -reload under live traffic, SIGHUPs it twice
 #                    mid-run, polls /debug/config until each new config
@@ -83,6 +80,23 @@
 #                    the sequential reference (per-flow output digests
 #                    and drop counts). No timing, so it gates.
 set -eux
+
+# boot_nfpd ARGS...: start "$bin/nfpd" ARGS serving telemetry on a free
+# local port, with its output in "$log"; set pid, and addr to the
+# address it prints. Exits (showing the log) if nfpd dies or never
+# prints one. nfpinspect reads that address.
+boot_nfpd() {
+    "$bin/nfpd" "$@" -telemetry-addr 127.0.0.1:0 >"$log" 2>&1 &
+    pid=$!
+    for _ in $(seq 1 100); do
+        addr="$(sed -n 's|^telemetry: *http://\([^/]*\)/metrics.*|\1|p' "$log")"
+        [ -n "$addr" ] && return 0
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    cat "$log"
+    exit 1
+}
 
 if [ "${1:-}" = "benchcheck" ]; then
     go run ./bench -check
@@ -114,21 +128,6 @@ if [ "${1:-}" = "twostage" ]; then
     exit 0
 fi
 
-if [ "${1:-}" = "trace" ]; then
-    bin="$(mktemp -d)"
-    trap 'rm -rf "$bin"' EXIT
-    go build -o "$bin/nfpinspect" ./cmd/nfpinspect
-    "$bin/nfpinspect" trace -chain ids,monitor,lb -packets 500 -max 3
-    "$bin/nfpinspect" trace -chain ids,monitor,lb -packets 500 -chrome "$bin/trace.json" -max 0 >/dev/null
-    test -s "$bin/trace.json"
-    "$bin/nfpinspect" criticalpath -chain ids,monitor,lb -packets 500
-    "$bin/nfpinspect" metrics -chain ids,monitor,lb -packets 500 -json >/dev/null
-    "$bin/nfpinspect" health -chain ids,monitor,lb -packets 2000
-    "$bin/nfpinspect" top -chain ids,monitor,lb -packets 2000 -n 5
-    "$bin/nfpinspect" incident -chain monitor,lb -packets 2000 -panic-at 100
-    exit 0
-fi
-
 if [ "${1:-}" = "diagnose" ]; then
     bin="$(mktemp -d)"
     log="$bin/nfpd.log"
@@ -137,19 +136,9 @@ if [ "${1:-}" = "diagnose" ]; then
     go build -o "$bin/nfpd" ./cmd/nfpd
     go build -o "$bin/nfpinspect" ./cmd/nfpinspect
     # A Zipf-skewed run large enough to span several sampling windows;
-    # -telemetry-addr keeps the server up after the traffic drains.
-    "$bin/nfpd" -chain ids,monitor,lb -packets 200000 -seed 42 -zipf 1.4 \
-        -telemetry-addr 127.0.0.1:0 -diagnose-interval 50ms -slo-p99 50ms \
-        >"$log" 2>&1 &
-    pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's|^telemetry: *http://\([^/]*\)/metrics.*|\1|p' "$log")"
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || { cat "$log"; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { cat "$log"; exit 1; }
+    # nfpd keeps serving telemetry after the traffic drains.
+    boot_nfpd -chain ids,monitor,lb -packets 200000 -seed 42 -zipf 1.4 \
+        -diagnose-interval 50ms -slo-p99 50ms
     sleep 1 # let the sampler close a few windows over the live run
     curl -fsS "http://$addr/debug/health" > "$bin/health.json"
     curl -fsS "http://$addr/debug/topflows" > "$bin/topflows.json"
@@ -168,6 +157,11 @@ EOF
     "$bin/nfpinspect" health -addr "$addr"
     "$bin/nfpinspect" top -addr "$addr" -n 5
     "$bin/nfpinspect" metrics -addr "$addr" >/dev/null
+    "$bin/nfpinspect" metrics -addr "$addr" -json >/dev/null
+    "$bin/nfpinspect" trace -addr "$addr" -max 3
+    "$bin/nfpinspect" trace -addr "$addr" -chrome "$bin/trace.json" -max 0 >/dev/null
+    test -s "$bin/trace.json"
+    "$bin/nfpinspect" criticalpath -addr "$addr"
     kill "$pid" && wait "$pid" || { cat "$log"; exit 1; }
     pid=""
     # Non-gating: the diagnosis layer's tax on the tracked Burst32
@@ -193,19 +187,10 @@ if [ "${1:-}" = "reload" ]; then
     go build -o "$bin/nfpd" ./cmd/nfpd
     go build -o "$bin/nfpinspect" ./cmd/nfpinspect
     # A run long enough that both SIGHUPs land while traffic is still
-    # flowing (the vpn chain is deliberately slow); -telemetry-addr
-    # keeps the server queryable after the traffic drains.
-    "$bin/nfpd" -chain vpn,monitor,firewall,lb -packets 2000000 -seed 7 \
-        -shards 2 -reload -telemetry-addr 127.0.0.1:0 >"$log" 2>&1 &
-    pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's|^telemetry: *http://\([^/]*\)/metrics.*|\1|p' "$log")"
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || { cat "$log"; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { cat "$log"; exit 1; }
+    # flowing (the vpn chain is deliberately slow); nfpd keeps the
+    # server queryable after the traffic drains.
+    boot_nfpd -chain vpn,monitor,firewall,lb -packets 2000000 -seed 7 \
+        -shards 2 -reload
     # hup_to_gen: SIGHUP the daemon, then poll /debug/config until the
     # wanted generation is live — the swap is asynchronous to the
     # signal, the endpoint is the ground truth.
@@ -280,20 +265,10 @@ if [ "${1:-}" = "incident" ]; then
     # Inject a deterministic NF panic mid-run: the monitor dies on its
     # 5000th packet, the supervisor restarts it, and the flight
     # recorder must spool an incident bundle for the panic while the
-    # ledger stays balanced. -telemetry-addr keeps the server
-    # queryable after the traffic drains.
-    "$bin/nfpd" -chain ids,monitor,lb -packets 300000 -seed 42 \
-        -panic-nf monitor@5000 -flight-spool "$spool" -flight-interval 1s \
-        -telemetry-addr 127.0.0.1:0 >"$log" 2>&1 &
-    pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's|^telemetry: *http://\([^/]*\)/metrics.*|\1|p' "$log")"
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || { cat "$log"; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { cat "$log"; exit 1; }
+    # ledger stays balanced. nfpd keeps the server queryable after the
+    # traffic drains.
+    boot_nfpd -chain ids,monitor,lb -packets 300000 -seed 42 \
+        -panic-nf monitor@5000 -flight-spool "$spool" -flight-interval 1s
     # Wait for the traffic run to finish (nfpd prints its summary, then
     # keeps serving) so every in-flight drop has resolved terminally —
     # the conservation audit wants the final counts.

@@ -50,6 +50,10 @@ import (
 	"nfp/internal/trafficgen"
 )
 
+// topK is the heavy-hitter sketch capacity: the flows /debug/topflows
+// tracks.
+const topK = 16
+
 func main() {
 	leak := run()
 	if leak != 0 {
@@ -62,10 +66,9 @@ func main() {
 // process exit gate). It, not main, owns the deferred cleanups so they
 // survive the exit-code decision.
 func run() int {
-	// Dataplane settings bind straight into the Config the run hands to
+	// Dataplane settings bind straight into the Config handed to
 	// dataplane.New; flags that need translating are applied below.
-	var opts experiments.LiveOptions
-	cfg := &opts.Config
+	var cfg dataplane.Config
 	policyPath := flag.String("policy", "", "policy file")
 	chain := flag.String("chain", "", "comma-separated sequential chain")
 	packets := flag.Int("packets", 20000, "number of packets to push")
@@ -92,7 +95,6 @@ func run() int {
 		"sample telemetry at this interval for live bottleneck diagnosis (0 = off; serves /debug/health and /debug/topflows)")
 	sloP99 := flag.Duration("slo-p99", 0,
 		"per-chain p99 latency objective for the health verdict (0 = no SLO; implies packet sampling)")
-	topK := flag.Int("topk", 16, "heavy-hitter sketch capacity (flows tracked by /debug/topflows)")
 	zipf := flag.Float64("zipf", 0,
 		"skew the flow mix with a Zipf(s) popularity draw instead of round-robin (0 = round-robin; try 1.2-2)")
 	reload := flag.Bool("reload", false,
@@ -124,7 +126,7 @@ func run() int {
 		if err != nil {
 			fail(err)
 		}
-		report("OpenNetVM baseline: "+strings.Join(names, " -> "), res)
+		report("OpenNetVM baseline: "+strings.Join(names, " -> "), res, 0, 0)
 		return res.PoolLeak
 	case "rtc":
 		// Run-to-completion is a graph shape, not a second dataplane:
@@ -168,16 +170,28 @@ func run() int {
 	if !*fusion {
 		cfg.Fusion = dataplane.FusionOff
 	}
+	// provide builds every NF from the registry, except that -panic-nf
+	// wraps its NF's initial instances; restarts build fresh unwrapped
+	// ones, so an injected crash heals exactly like a real one.
+	var provide func(shard int, node graph.NF) nf.NF
 	if *panicNF != "" {
 		name, call, err := parsePanicNF(*panicNF)
 		if err != nil {
 			fail(err)
 		}
-		opts.WrapNF = func(n string, inst nf.NF) nf.NF {
-			if n == name {
-				return faultinject.NewPanicNF(inst, call)
+		reg := cfg.Registry
+		if reg == nil {
+			reg = nf.NewRegistry()
+		}
+		provide = func(_ int, node graph.NF) nf.NF {
+			if node.Name != name {
+				return nil // the server's registry builds it
 			}
-			return inst
+			inst, err := reg.New(name)
+			if err != nil {
+				return nil // the server's registry reports the error
+			}
+			return faultinject.NewPanicNF(inst, call)
 		}
 		fmt.Printf("fault injection:   %s panics on packet %d (supervisor restarts it)\n", name, call)
 	}
@@ -193,11 +207,11 @@ func run() int {
 		if capt, err = newCapture(f); err != nil {
 			fail(err)
 		}
-		opts.Tap = capt.tap
 	}
 	var diag *diagnose.Diagnoser
 	var sketch *diagnose.TopK
-	if *telemetryAddr != "" || *diagInterval > 0 || *flightSpool != "" {
+	serveHTTP := *telemetryAddr != "" || *diagInterval > 0 || *flightSpool != ""
+	if serveHTTP {
 		// The registry outlives the run so /metrics stays truthful after
 		// the traffic stops.
 		cfg.Telemetry = telemetry.NewRegistry()
@@ -214,7 +228,7 @@ func run() int {
 		// heavy-hitter sketch, the delivery path records e2e latency —
 		// both for the sampled packets — and a background sampler turns
 		// snapshot deltas into utilization and health verdicts.
-		sketch = diagnose.NewTopK(*topK)
+		sketch = diagnose.NewTopK(topK)
 		cfg.FlowAccount = sketch
 		diag = diagnose.New(diagnose.Config{
 			Registry:     cfg.Telemetry,
@@ -223,104 +237,108 @@ func run() int {
 			TopK:         sketch,
 		})
 		fmt.Printf("diagnosis:         sampling every %v (1/%d packets observed, top-%d sketch)\n",
-			*diagInterval, cfg.TraceSampleRate, *topK)
+			*diagInterval, cfg.TraceSampleRate, topK)
 	}
-	var srvRef *dataplane.Server
+	// One pool of 1024 buffers per shard keeps each partition the
+	// single-shard headroom.
+	cfg.PoolSize = 1024 * max(cfg.Shards, 1)
+	srv := dataplane.New(cfg)
+	if err := srv.AddGraphProvide(1, res.Graph, provide); err != nil {
+		fail(err)
+	}
+	if err := srv.Start(); err != nil {
+		fail(err)
+	}
+	// The reload watcher and the HTTP endpoints come up after Start
+	// (hot swaps and the handlers need a running server) and before the
+	// first packet, so the endpoints observe the run live.
+	if *reload {
+		watchSIGHUP(srv, *policyPath, *chain, *noParallel)
+		fmt.Printf("reload:            armed (kill -HUP %d re-compiles the policy and hot-swaps it)\n", os.Getpid())
+	}
 	var snap *flightrec.Snapshotter
-	serveHTTP := *telemetryAddr != "" || *diagInterval > 0 || *flightSpool != ""
-	if serveHTTP || *reload {
-		// The HTTP server binds from the OnServer hook — after the
-		// dataplane starts (so the handler can reach its tracer) but
-		// before the first packet is injected, so the endpoint observes
-		// the run live. The SIGHUP reload watcher arms here too: hot
-		// swaps are only meaningful against a started dataplane.
+	if serveHTTP {
 		bindAddr := *telemetryAddr
 		if bindAddr == "" {
 			bindAddr = "127.0.0.1:0"
 		}
-		opts.OnServer = func(s *dataplane.Server) {
-			srvRef = s
-			if *reload {
-				watchSIGHUP(s, *policyPath, *chain, *noParallel)
-				fmt.Printf("reload:            armed (kill -HUP %d re-compiles the policy and hot-swaps it)\n", os.Getpid())
-			}
-			if !serveHTTP {
-				return
-			}
-			if *flightSpool != "" {
-				// Incident sources are self-contained closures: the
-				// bundle is a point-in-time dump of everything an operator
-				// would otherwise curl endpoint by endpoint.
-				srcs := []flightrec.Source{
-					{Name: "config", Collect: func() any { return s.ConfigInfo() }},
-					{Name: "criticalpath", Collect: func() any {
-						return telemetry.BuildCriticalPathReport(s.Tracer().Events())
-					}},
-				}
-				if diag != nil {
-					srcs = append(srcs, flightrec.Source{Name: "health",
-						Collect: func() any { return diag.Report() }})
-				}
-				if sketch != nil {
-					srcs = append(srcs, flightrec.Source{Name: "topflows",
-						Collect: func() any { return sketch.Top(sketch.K()) }})
-				}
-				var err error
-				snap, err = flightrec.NewSnapshotter(flightrec.SnapConfig{
-					Dir:         *flightSpool,
-					MinInterval: *flightInterval,
-					Recorder:    s.FlightRecorder(),
-					Registry:    s.Telemetry(),
-					Sources:     srcs,
-					Goroutines:  true,
-					Build:       s.BuildInfo(),
-				})
-				if err != nil {
-					fail(err)
-				}
-				// NF panics and reload failures trigger from inside the
-				// recorder; health worsening triggers via the diagnoser.
-				s.FlightRecorder().SetOnIncident(func(reason string) { snap.Trigger(reason) })
-				fmt.Printf("flight recorder:   incident spool %s (min interval %v)\n", *flightSpool, *flightInterval)
+		if *flightSpool != "" {
+			// Incident sources are self-contained closures: the bundle
+			// is a point-in-time dump of everything an operator would
+			// otherwise curl endpoint by endpoint.
+			srcs := []flightrec.Source{
+				{Name: "config", Collect: func() any { return srv.ConfigInfo() }},
+				{Name: "criticalpath", Collect: func() any {
+					return telemetry.BuildCriticalPathReport(srv.Tracer().Events())
+				}},
 			}
 			if diag != nil {
-				diag.SetRecorder(s.FlightRecorder())
-				diag.SetOnTransition(func(old, new string, reasons []string) {
-					snap.Trigger("health-" + new)
-				})
+				srcs = append(srcs, flightrec.Source{Name: "health",
+					Collect: func() any { return diag.Report() }})
 			}
-			extra := map[string]http.Handler{
-				"/debug/config":         configHandler(s),
-				"/debug/flightrecorder": flightrec.Handler(s.FlightRecorder(), s.Telemetry(), snap, s.BuildInfo()),
+			if sketch != nil {
+				srcs = append(srcs, flightrec.Source{Name: "topflows",
+					Collect: func() any { return sketch.Top(sketch.K()) }})
 			}
-			if diag != nil {
-				for path, h := range diag.Handlers() {
-					extra[path] = h
-				}
-				diag.SampleNow() // open the window before the first packet
-				diag.Start()
-			}
-			_, bound, err := telemetry.Serve(bindAddr, cfg.Telemetry, s.Tracer(), extra)
+			var err error
+			snap, err = flightrec.NewSnapshotter(flightrec.SnapConfig{
+				Dir:         *flightSpool,
+				MinInterval: *flightInterval,
+				Recorder:    srv.FlightRecorder(),
+				Registry:    srv.Telemetry(),
+				Sources:     srcs,
+				Goroutines:  true,
+				Build:       srv.BuildInfo(),
+			})
 			if err != nil {
 				fail(err)
 			}
-			fmt.Printf("telemetry:         http://%s/metrics (and /debug/telemetry, /debug/spans, /debug/criticalpath, /debug/config, /debug/flightrecorder, /debug/pprof)\n", bound)
-			if diag != nil {
-				fmt.Printf("diagnosis:         http://%s/debug/health and /debug/topflows\n", bound)
+			// NF panics and reload failures trigger from inside the
+			// recorder; health worsening triggers via the diagnoser.
+			srv.FlightRecorder().SetOnIncident(func(reason string) { snap.Trigger(reason) })
+			fmt.Printf("flight recorder:   incident spool %s (min interval %v)\n", *flightSpool, *flightInterval)
+		}
+		extra := map[string]http.Handler{
+			"/debug/config":         configHandler(srv),
+			"/debug/flightrecorder": flightrec.Handler(srv.FlightRecorder(), srv.Telemetry(), snap, srv.BuildInfo()),
+		}
+		if diag != nil {
+			diag.SetRecorder(srv.FlightRecorder())
+			diag.SetOnTransition(func(old, new string, reasons []string) {
+				snap.Trigger("health-" + new)
+			})
+			for path, h := range diag.Handlers() {
+				extra[path] = h
 			}
+			diag.SampleNow() // open the window before the first packet
+			diag.Start()
+		}
+		_, bound, err := telemetry.Serve(bindAddr, cfg.Telemetry, srv.Tracer(), extra)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("telemetry:         http://%s/metrics (and /debug/telemetry, /debug/spans, /debug/criticalpath, /debug/config, /debug/flightrecorder, /debug/pprof)\n", bound)
+		if diag != nil {
+			fmt.Printf("diagnosis:         http://%s/debug/health and /debug/topflows\n", bound)
 		}
 	}
-	live, err := experiments.RunLiveGraphOpts(res.Graph, *packets, gen, opts)
+	var seen func(*packet.Packet)
+	if capt != nil {
+		seen = capt.tap
+	}
+	live, err := experiments.RunTraffic(srv, srv.InjectBatch, *packets, max(cfg.Burst, 1), gen, seen)
 	if err != nil {
 		fail(err)
 	}
-	report("NFP dataplane", live)
-	fmt.Printf("  join load:       %v tails per shard\n", live.MergerLoad)
-	if live.Copies > 0 {
-		fmt.Printf("  copies:          %d (%d bytes total)\n", live.Copies, live.CopiedBytes)
+	st := srv.Stats()
+	live.Outputs, live.Drops = st.Outputs, st.Drops
+	report("NFP dataplane", live, st.Panics, st.Restarts)
+	fmt.Printf("  join load:       %v tails per shard\n", st.MergerLoad)
+	if st.Copies > 0 {
+		fmt.Printf("  copies:          %d (%d bytes total)\n", st.Copies, st.CopiedBytes)
 	}
 	if cfg.TraceSampleRate > 0 {
-		fmt.Printf("  traced packets:  %d hop events retained\n", len(live.Traces))
+		fmt.Printf("  traced packets:  %d hop events retained\n", len(srv.Tracer().Events()))
 	}
 	if capt != nil {
 		// A capture that lost frames (a full disk) fails the run rather
@@ -330,8 +348,8 @@ func run() int {
 		}
 		fmt.Printf("  pcap:            %d packets -> %s\n", capt.w.Packets(), *pcapPath)
 	}
-	if *reload && srvRef != nil {
-		ci := srvRef.ConfigInfo()
+	if *reload {
+		ci := srv.ConfigInfo()
 		fmt.Printf("  config gen:      %d (%d reloads, %d generations recorded)\n",
 			ci.Generation, ci.Reloads, len(ci.History))
 	}
@@ -447,13 +465,13 @@ func reportHealth(d *diagnose.Diagnoser) {
 	}
 }
 
-func report(label string, r experiments.LiveResult) {
+func report(label string, r experiments.LiveResult, panics, restarts uint64) {
 	fmt.Printf("\n%s\n", label)
 	fmt.Printf("  outputs/drops:   %d / %d\n", r.Outputs, r.Drops)
 	fmt.Printf("  mean latency:    %.1f µs (this host)\n", r.MeanLatencyUS)
 	fmt.Printf("  throughput:      %.3f Mpps (this host)\n", r.Mpps)
-	if r.Panics > 0 {
-		fmt.Printf("  NF panics:       %d (%d restarts)\n", r.Panics, r.Restarts)
+	if panics > 0 {
+		fmt.Printf("  NF panics:       %d (%d restarts)\n", panics, restarts)
 	}
 	if r.PoolLeak != 0 {
 		fmt.Printf("  POOL LEAK:       %d buffers\n", r.PoolLeak)
@@ -517,7 +535,8 @@ func newCapture(file io.WriteCloser) (*capture, error) {
 	return &capture{file: file, buf: buf, w: w}, nil
 }
 
-// tap is the LiveOptions.Tap hook; the run's one output collector calls it.
+// tap sees every output frame; the traffic driver's one output
+// collector calls it.
 func (c *capture) tap(p *packet.Packet) {
 	if c.err == nil {
 		c.err = c.w.WritePacket(time.Now(), p.Bytes())

@@ -135,7 +135,7 @@ func TestConfigSurface(t *testing.T) {
 		}
 		return true
 	})
-	if flags != 25 {
-		t.Errorf("nfpd defines %d flags, want 25", flags)
+	if flags != 24 {
+		t.Errorf("nfpd defines %d flags, want 24", flags)
 	}
 }

@@ -2,34 +2,40 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"time"
-
-	"nfp/internal/dataplane"
 )
 
 // configCmd implements `nfpinspect config`: the zero-downtime
 // reconfiguration state of a running nfpd — live generation, compile
 // hashes, reload/drain history, and the conservation counters that
 // prove the swaps lost nothing.
-func configCmd(args []string) {
-	src := newSource("config", 0, "read a running server's /debug/config at this host:port", "", jsonReport)
-	_ = src.fs.Parse(args)
-
-	if src.addr == "" {
-		fmt.Fprintln(os.Stderr, "usage: nfpinspect config -addr HOST:PORT [-json]")
-		os.Exit(2)
-	}
-	var ci dataplane.ConfigInfo
-	fetchJSON(src.addr, "/debug/config", &ci)
-	if src.asJSON {
-		emitJSON(ci)
-		return
-	}
-	printConfig(ci)
+func configCmd(args []string) error {
+	src := newSource("config", "read a running server's /debug/config at this host:port")
+	src.parseAddr(args, "")
+	return show(src, "/debug/config", printConfig)
 }
 
-func printConfig(ci dataplane.ConfigInfo) {
+// configInfo is the part of a server's /debug/config report (the JSON
+// of dataplane.ConfigInfo) that config renders.
+type configInfo struct {
+	Generation uint64 `json:"generation"`
+	Reloads    uint64 `json:"reloads"`
+	Shards     int    `json:"shards"`
+	Injected   uint64 `json:"injected"`
+	Outputs    uint64 `json:"outputs"`
+	Drops      uint64 `json:"drops"`
+	PoolInUse  int    `json:"pool_in_use"`
+	History    []struct {
+		Generation uint64 `json:"generation"`
+		MID        uint32 `json:"mid"`
+		Hash       string `json:"compile_hash"`
+		SwappedNS  int64  `json:"swapped_ns"`
+		DrainNS    int64  `json:"drain_ns"`
+		Drained    uint64 `json:"drained"`
+	} `json:"history"`
+}
+
+func printConfig(ci configInfo) {
 	fmt.Printf("CONFIG: generation %d (%d reloads, %d shards)\n", ci.Generation, ci.Reloads, ci.Shards)
 	fmt.Printf("  conservation: injected %d = outputs %d + drops %d", ci.Injected, ci.Outputs, ci.Drops)
 	if inflight := ci.Injected - ci.Outputs - ci.Drops; inflight != 0 {

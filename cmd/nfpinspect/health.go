@@ -3,108 +3,25 @@ package main
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"nfp/internal/dataplane"
-	"nfp/internal/experiments"
-	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/diagnose"
 )
 
-// healthFlags is the option set shared by `nfpinspect health` and
-// `nfpinspect top`: read a running nfpd's diagnosis endpoints (-addr)
-// or run a chain in-process with diagnosis enabled (-chain).
-type healthFlags struct {
-	*source
-	sloP99 time.Duration
-	zipf   float64
-	shards int
+// healthCmd implements `nfpinspect health`: a running server's health
+// verdict — state, reasons, utilization-ranked bottlenecks, SLO status.
+func healthCmd(args []string) error {
+	src := newSource("health", "read a running server's /debug/health at this host:port")
+	src.parseAddr(args, "")
+	return show(src, "/debug/health", printHealth)
 }
 
-func newHealthFlags(name string) *healthFlags {
-	hf := &healthFlags{source: newSource(name, 20000,
-		"read a running server's diagnosis endpoints at this host:port",
-		"run this comma-separated chain in-process with diagnosis enabled",
-		jsonReport)}
-	hf.fs.DurationVar(&hf.sloP99, "slo-p99", 0, "p99 latency objective for the in-process run (0 = none)")
-	hf.fs.Float64Var(&hf.zipf, "zipf", 1.3, "Zipf skew of the in-process flow mix (0 = round-robin)")
-	hf.fs.IntVar(&hf.shards, "shards", 1, "flow-sharded execution domains for the in-process run (1 = unsharded)")
-	return hf
-}
-
-// healthCmd implements `nfpinspect health`: the live health verdict —
-// state, reasons, utilization-ranked bottlenecks, SLO status.
-func healthCmd(args []string) {
-	hf := newHealthFlags("health")
-	_ = hf.fs.Parse(args)
-
-	var rep diagnose.HealthReport
-	switch {
-	case hf.addr != "":
-		fetchJSON(hf.addr, "/debug/health", &rep)
-	case hf.chain != "":
-		rep, _ = runDiagnosis(hf)
-	default:
-		hf.usage("")
-	}
-	if hf.asJSON {
-		emitJSON(rep)
-		return
-	}
-	printHealth(rep)
-}
-
-// topCmd implements `nfpinspect top`: the heavy-hitter flow table from
-// the space-saving sketch.
-func topCmd(args []string) {
-	hf := newHealthFlags("top")
-	n := hf.fs.Int("n", 20, "flows to show")
-	_ = hf.fs.Parse(args)
-
-	var rep diagnose.TopFlowsReport
-	switch {
-	case hf.addr != "":
-		fetchJSON(hf.addr, fmt.Sprintf("/debug/topflows?n=%d", *n), &rep)
-	case hf.chain != "":
-		_, rep = runDiagnosis(hf)
-		if len(rep.Flows) > *n {
-			rep.Flows = rep.Flows[:*n]
-		}
-	default:
-		hf.usage(" [-n 20]")
-	}
-	if hf.asJSON {
-		emitJSON(rep)
-		return
-	}
-	printTopFlows(rep)
-}
-
-// runDiagnosis runs -chain with flow accounting + e2e latency sampling +
-// a diagnosis sampler, and returns both reports.
-func runDiagnosis(hf *healthFlags) (diagnose.HealthReport, diagnose.TopFlowsReport) {
-	sketch := diagnose.NewTopK(16)
-	reg := telemetry.NewRegistry()
-	d := diagnose.New(diagnose.Config{
-		Registry:     reg,
-		SLOTargetP99: hf.sloP99,
-		TopK:         sketch,
-	})
-	opts := experiments.LiveOptions{
-		Config: dataplane.Config{
-			Telemetry:       reg,
-			FlowAccount:     sketch,
-			TraceSampleRate: 1, // short run: observe every packet for exact counts
-			Shards:          hf.shards,
-		},
-		OnServer: func(*dataplane.Server) { d.SampleNow() }, // window start
-	}
-	if _, err := hf.run(hf.zipf, opts); err != nil {
-		metricsFail(err)
-	}
-	d.SampleNow() // window end
-	hf.banner(fmt.Sprintf("seed %d, zipf %.2f", hf.seed, hf.zipf))
-	return d.Report(), sketch.Top(0)
+// topCmd implements `nfpinspect top`: a running server's heavy-hitter
+// flow table from the space-saving sketch.
+func topCmd(args []string) error {
+	src := newSource("top", "read a running server's /debug/topflows at this host:port")
+	n := src.fs.Int("n", 20, "flows to show")
+	src.parseAddr(args, " [-n 20]")
+	return show(src, fmt.Sprintf("/debug/topflows?n=%d", *n), printTopFlows)
 }
 
 func printHealth(rep diagnose.HealthReport) {

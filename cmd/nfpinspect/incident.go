@@ -8,11 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"nfp/internal/dataplane"
-	"nfp/internal/experiments"
-	"nfp/internal/faultinject"
-	"nfp/internal/nf"
-	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/flightrec"
 )
 
@@ -24,134 +19,65 @@ import (
 //	                  and the newest bundle when one exists)
 //	-spool DIR        read a spool directory offline (newest bundle)
 //	-file BUNDLE      read one specific bundle file
-//	-chain nf1,...    run the chain in-process with an injected NF
-//	                  panic and read the bundle it produces
-func incidentCmd(args []string) {
-	src := newSource("incident", 50000,
-		"read a running server's /debug/flightrecorder at this host:port",
-		"run this comma-separated chain in-process with an injected panic",
-		jsonReport)
+func incidentCmd(args []string) error {
+	src := newSource("incident", "read a running server's /debug/flightrecorder at this host:port")
 	spool := src.fs.String("spool", "", "read the newest incident bundle from this spool directory")
 	file := src.fs.String("file", "", "read this specific bundle file")
-	panicAt := src.fs.Uint64("panic-at", 1000, "in-process run: panic the first NF on this packet")
 	tail := src.fs.Int("n", 32, "event-ring tail length to show")
 	_ = src.fs.Parse(args)
 
 	switch {
 	case src.addr != "":
 		var st flightrec.Status
-		fetchJSON(src.addr, fmt.Sprintf("/debug/flightrecorder?n=%d", *tail), &st)
+		if err := src.fetch(fmt.Sprintf("/debug/flightrecorder?n=%d", *tail), &st); err != nil {
+			return err
+		}
 		if src.asJSON {
-			emitJSON(st)
-			return
+			return emitJSON(st)
 		}
 		printStatus(st)
 		if len(st.Incidents) > 0 {
 			newest := st.Incidents[len(st.Incidents)-1]
 			var b flightrec.Bundle
-			fetchJSON(src.addr, "/debug/flightrecorder?incident="+newest.File, &b)
+			if err := src.fetch("/debug/flightrecorder?incident="+newest.File, &b); err != nil {
+				return err
+			}
 			fmt.Printf("\nNEWEST BUNDLE: %s\n", newest.File)
 			printBundle(b, *tail)
 		}
+		return nil
 	case *file != "":
-		bp, err := flightrec.ReadBundle(*file)
-		if err != nil {
-			metricsFail(err)
-		}
-		if src.asJSON {
-			emitJSON(bp)
-			return
-		}
-		printBundle(*bp, *tail)
 	case *spool != "":
 		entries, err := flightrec.ListSpool(*spool)
 		if err != nil {
-			metricsFail(err)
+			return err
 		}
 		if len(entries) == 0 {
 			fmt.Printf("spool %s: no incident bundles\n", *spool)
-			return
+			return nil
 		}
-		fmt.Printf("SPOOL %s: %d bundles\n", *spool, len(entries))
-		for _, e := range entries {
-			fmt.Printf("  %s  %-24s %6d bytes\n",
-				time.Unix(0, e.TSNS).Format(time.RFC3339), e.Reason, e.Size)
+		if !src.asJSON {
+			fmt.Printf("SPOOL %s: %d bundles\n", *spool, len(entries))
+			for _, e := range entries {
+				fmt.Printf("  %s  %-24s %6d bytes\n",
+					time.Unix(0, e.TSNS).Format(time.RFC3339), e.Reason, e.Size)
+			}
+			fmt.Printf("\nNEWEST BUNDLE: %s\n", entries[len(entries)-1].File)
 		}
-		newest := entries[len(entries)-1]
-		bp, err := flightrec.ReadBundle(filepath.Join(*spool, newest.File))
-		if err != nil {
-			metricsFail(err)
-		}
-		if src.asJSON {
-			emitJSON(bp)
-			return
-		}
-		fmt.Printf("\nNEWEST BUNDLE: %s\n", newest.File)
-		printBundle(*bp, *tail)
-	case src.chain != "":
-		bp, err := runIncident(src, *panicAt)
-		if err != nil {
-			metricsFail(err)
-		}
-		if src.asJSON {
-			emitJSON(bp)
-			return
-		}
-		printBundle(*bp, *tail)
+		*file = filepath.Join(*spool, entries[len(entries)-1].File)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: nfpinspect incident (-addr HOST:PORT | -spool DIR | -file BUNDLE | -chain nf1,nf2,...) [-n 32] [-json]")
+		fmt.Fprintln(os.Stderr, "usage: nfpinspect incident (-addr HOST:PORT | -spool DIR | -file BUNDLE) [-n 32] [-json]")
 		os.Exit(2)
 	}
-}
-
-// runIncident compiles the chain, runs it in-process with the first NF
-// scheduled to panic, spools the triggered bundle into a temp dir, and
-// returns it parsed.
-func runIncident(src *source, panicAt uint64) (*flightrec.Bundle, error) {
-	first := src.names()[0]
-	dir, err := os.MkdirTemp("", "nfp-incident-")
+	b, err := flightrec.ReadBundle(*file)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer os.RemoveAll(dir)
-	var snap *flightrec.Snapshotter
-	opts := experiments.LiveOptions{
-		Config: dataplane.Config{Telemetry: telemetry.NewRegistry()},
-		WrapNF: func(name string, inst nf.NF) nf.NF {
-			if name == first {
-				return faultinject.NewPanicNF(inst, panicAt)
-			}
-			return inst
-		},
-		OnServer: func(s *dataplane.Server) {
-			snap, err = flightrec.NewSnapshotter(flightrec.SnapConfig{
-				Dir:         dir,
-				MinInterval: time.Millisecond,
-				Recorder:    s.FlightRecorder(),
-				Registry:    s.Telemetry(),
-				Build:       s.BuildInfo(),
-			})
-			if err == nil {
-				s.FlightRecorder().SetOnIncident(func(reason string) { snap.Trigger(reason) })
-			}
-		},
+	if src.asJSON {
+		return emitJSON(b)
 	}
-	if _, rerr := src.run(0, opts); rerr != nil {
-		return nil, rerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	snap.Stop() // flush the pending trigger before reading the spool
-	entries, err := flightrec.ListSpool(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("injected panic at packet %d produced no incident bundle", panicAt)
-	}
-	src.banner(fmt.Sprintf("%s panicked at packet %d", first, panicAt))
-	return flightrec.ReadBundle(filepath.Join(dir, entries[len(entries)-1].File))
+	printBundle(*b, *tail)
+	return nil
 }
 
 // printStatus renders the live /debug/flightrecorder report.

@@ -1,24 +1,22 @@
 // nfpinspect is the NFP introspection tool: the NF action inspector of
 // §5.4 (statically analyze an NF's Go source, derive its action
 // profile, optionally diff it against the declared catalog profile) and
-// a dataplane metrics viewer.
+// a reader of what a running nfpd serves (-addr) or has spooled
+// (-spool, -file). It runs no dataplane of its own: nfpd does.
 //
 // Usage:
 //
 //	nfpinspect -name monitor internal/nf/monitor.go
 //	nfpinspect -name lb -diff internal/nf/lb.go
 //	nfpinspect metrics -addr localhost:9090
-//	nfpinspect metrics -chain ids,monitor,lb -packets 2000 -trace-sample 64
-//	nfpinspect trace -chain ids,monitor,lb -packets 500
-//	nfpinspect trace -addr localhost:9090 -chrome trace.json
-//	nfpinspect criticalpath -chain ids,monitor,lb -packets 2000
-//	nfpinspect health -addr localhost:9090
-//	nfpinspect top -chain ids,monitor,lb -zipf 1.5
 //	nfpinspect metrics -addr localhost:9090 -watch 2s
+//	nfpinspect trace -addr localhost:9090 -chrome trace.json
+//	nfpinspect criticalpath -addr localhost:9090
+//	nfpinspect health -addr localhost:9090
+//	nfpinspect top -addr localhost:9090 -n 5
 //	nfpinspect config -addr localhost:9090
 //	nfpinspect incident -addr localhost:9090
 //	nfpinspect incident -spool /var/spool/nfp
-//	nfpinspect incident -chain ids,monitor,lb -panic-at 1000
 package main
 
 import (
@@ -30,29 +28,25 @@ import (
 	"nfp/internal/nfa"
 )
 
+// readers are the subcommands that render a running server's endpoints
+// or its incident spool.
+var readers = map[string]func(args []string) error{
+	"metrics":      metricsCmd,
+	"trace":        traceCmd,
+	"criticalpath": criticalPathCmd,
+	"health":       healthCmd,
+	"top":          topCmd,
+	"config":       configCmd,
+	"incident":     incidentCmd,
+}
+
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "metrics":
-			metricsCmd(os.Args[2:])
-			return
-		case "trace":
-			traceCmd(os.Args[2:])
-			return
-		case "criticalpath":
-			criticalPathCmd(os.Args[2:])
-			return
-		case "health":
-			healthCmd(os.Args[2:])
-			return
-		case "top":
-			topCmd(os.Args[2:])
-			return
-		case "config":
-			configCmd(os.Args[2:])
-			return
-		case "incident":
-			incidentCmd(os.Args[2:])
+		if cmd, ok := readers[os.Args[1]]; ok {
+			if err := cmd(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "nfpinspect %s: %v\n", os.Args[1], err)
+				os.Exit(1)
+			}
 			return
 		}
 	}

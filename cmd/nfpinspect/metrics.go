@@ -7,56 +7,43 @@ import (
 	"strings"
 	"time"
 
-	"nfp/internal/dataplane"
 	"nfp/internal/telemetry"
 )
 
-// metricsCmd implements `nfpinspect metrics`: snapshot the telemetry of
-// a running nfpd (-addr) or of a fresh in-process run (-chain), and
-// pretty-print it.
-func metricsCmd(args []string) {
-	src := newSource("metrics", 2000,
-		"scrape a running server's /debug/telemetry at this host:port",
-		"run this comma-separated chain in-process and snapshot it",
-		"emit the raw JSON dump instead of the table")
-	var cfg dataplane.Config // of the in-process run
-	src.fs.IntVar(&cfg.TraceSampleRate, "trace-sample", 0, "trace ~1/N packets during the in-process run")
-	src.fs.IntVar(&cfg.Shards, "shards", 1, "flow-sharded execution domains for the in-process run (1 = unsharded)")
-	watch := src.fs.Duration("watch", 0, "re-poll -addr at this interval and print counter deltas (requires -addr)")
-	_ = src.fs.Parse(args)
-
+// metricsCmd implements `nfpinspect metrics`: snapshot a running
+// nfpd's /debug/telemetry and pretty-print it, or (-watch) re-poll it
+// and print what changed.
+func metricsCmd(args []string) error {
+	src := newSource("metrics", "scrape a running server's /debug/telemetry at this host:port")
+	watch := src.fs.Duration("watch", 0, "re-poll at this interval and print counter deltas")
+	src.parseAddr(args, " [-watch 2s]")
 	if *watch > 0 {
-		if src.addr == "" {
-			fmt.Fprintln(os.Stderr, "nfpinspect metrics: -watch requires -addr")
-			os.Exit(2)
-		}
-		watchMetrics(src.addr, *watch)
-		return
+		return watchMetrics(src, *watch)
 	}
-
-	dump := src.dump(cfg)
-	if src.asJSON {
-		emitJSON(dump)
-		return
-	}
-	printDump(dump)
+	return show(src, "/debug/telemetry", printDump)
 }
 
 // watchMetrics re-polls a running server and prints what changed since
 // the previous poll: counter deltas as per-second rates, gauge moves,
 // and histogram count/p99 updates. Unchanged series stay silent, so the
 // output diffs cleanly across intervals.
-func watchMetrics(addr string, interval time.Duration) {
-	poll := func() telemetry.Snapshot {
+func watchMetrics(src *source, interval time.Duration) error {
+	poll := func() (telemetry.Snapshot, error) {
 		var d telemetry.Dump
-		fetchJSON(addr, "/debug/telemetry", &d)
+		err := src.fetch("/debug/telemetry", &d)
 		d.Metrics.Sort()
-		return d.Metrics
+		return d.Metrics, err
 	}
-	prev := poll()
-	fmt.Fprintf(os.Stderr, "watching %s every %v (Ctrl-C to stop)\n", addr, interval)
+	prev, err := poll()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "watching %s every %v (Ctrl-C to stop)\n", src.addr, interval)
 	for range time.Tick(interval) {
-		cur := poll()
+		cur, err := poll()
+		if err != nil {
+			return err
+		}
 		secs := interval.Seconds()
 		fmt.Printf("--- %s\n", time.Now().Format("15:04:05"))
 		for _, c := range cur.Counters {
@@ -77,6 +64,7 @@ func watchMetrics(addr string, interval time.Duration) {
 		}
 		prev = cur
 	}
+	return nil
 }
 
 func labelPairs(m map[string]string) []telemetry.Label {

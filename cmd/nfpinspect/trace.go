@@ -5,79 +5,51 @@ import (
 	"os"
 	"sort"
 
-	"nfp/internal/dataplane"
 	"nfp/internal/telemetry"
 )
 
-// traceFlags is the option set shared by `nfpinspect trace` and
-// `nfpinspect criticalpath`: where the spans come from (a live server
-// or a fresh in-process run) and how to render them.
-type traceFlags struct {
-	*source
-	cfg dataplane.Config // of the in-process run
-}
-
-func newTraceFlags(name string) *traceFlags {
-	tf := &traceFlags{source: newSource(name, 2000,
-		"read a running server's spans at this host:port",
-		"run this comma-separated chain in-process and analyze it",
-		jsonReport)}
-	tf.fs.IntVar(&tf.cfg.TraceSampleRate, "trace-sample", 1, "trace ~1/N packets during the in-process run")
-	tf.fs.IntVar(&tf.cfg.TraceCapacity, "trace-buf", 1<<16, "tracer span ring capacity for the in-process run")
-	return tf
-}
-
-// traceCmd implements `nfpinspect trace`: render per-PID span trees
-// with the exact latency decomposition of each sampled packet.
-func traceCmd(args []string) {
-	tf := newTraceFlags("trace")
-	max := tf.fs.Int("max", 5, "packets to render (0 = all)")
-	chrome := tf.fs.String("chrome", "", "also write the Chrome trace-event JSON to this file ('-' for stdout)")
-	_ = tf.fs.Parse(args)
-	events := tf.dump(tf.cfg).Traces
+// traceCmd implements `nfpinspect trace`: render a running server's
+// per-PID span trees with the exact latency decomposition of each
+// sampled packet.
+func traceCmd(args []string) error {
+	src := newSource("trace", "read a running server's spans at this host:port")
+	max := src.fs.Int("max", 5, "packets to render (0 = all)")
+	chrome := src.fs.String("chrome", "", "also write the Chrome trace-event JSON to this file ('-' for stdout)")
+	src.parseAddr(args, " [-max 5] [-chrome FILE]")
 
 	if *chrome != "" {
-		out := os.Stdout
-		if *chrome != "-" {
-			f, err := os.Create(*chrome)
-			if err != nil {
-				metricsFail(err)
+		raw, err := src.get("/debug/spans?format=chrome")
+		if err != nil {
+			return err
+		}
+		if *chrome == "-" {
+			_, err = os.Stdout.Write(raw)
+		} else if err = os.WriteFile(*chrome, raw, 0o644); err == nil {
+			fmt.Fprintf(os.Stderr, "chrome trace: %d bytes -> %s (open in chrome://tracing or ui.perfetto.dev)\n",
+				len(raw), *chrome)
+		}
+		if err != nil || src.asJSON {
+			return err
+		}
+	}
+	return show(src, "/debug/spans", func(d telemetry.SpansDump) {
+		pids := make([]uint64, 0, len(d.Spans))
+		events := 0
+		for pid, spans := range d.Spans {
+			pids = append(pids, pid)
+			events += len(spans)
+		}
+		sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+		fmt.Printf("SPANS: %d events in %d complete packets, %d packets truncated by ring eviction\n",
+			events, len(pids), d.TruncatedPIDs)
+		for i, pid := range pids {
+			if *max > 0 && i == *max {
+				fmt.Printf("... (%d more traced packets; rerun with -max 0 for all)\n", len(pids)-i)
+				break
 			}
-			defer f.Close()
-			out = f
+			printSpanTree(pid, d.Spans[pid])
 		}
-		if err := telemetry.WriteChromeTrace(out, events); err != nil {
-			metricsFail(err)
-		}
-		if *chrome != "-" {
-			fmt.Fprintf(os.Stderr, "chrome trace: %d events -> %s (open in chrome://tracing or ui.perfetto.dev)\n",
-				len(events), *chrome)
-		}
-		if tf.asJSON {
-			return
-		}
-	}
-
-	groups, truncated := telemetry.GroupEvents(events)
-	if tf.asJSON {
-		emitJSON(telemetry.SpansDump{TruncatedPIDs: truncated, Spans: groups})
-		return
-	}
-
-	pids := make([]uint64, 0, len(groups))
-	for pid := range groups {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	fmt.Printf("SPANS: %d events retained, %d complete packets, %d truncated by ring eviction\n",
-		len(events), len(pids), truncated)
-	for i, pid := range pids {
-		if *max > 0 && i == *max {
-			fmt.Printf("... (%d more traced packets; rerun with -max 0 for all)\n", len(pids)-i)
-			break
-		}
-		printSpanTree(pid, groups[pid])
-	}
+	})
 }
 
 // printSpanTree renders one packet's spans: a decomposition header
@@ -113,25 +85,16 @@ func printSpanTree(pid uint64, spans []telemetry.TraceEvent) {
 	}
 }
 
-// criticalPathCmd implements `nfpinspect criticalpath`: the aggregate
-// attribution report — queue wait vs service vs merge overhead — and
-// the measured parallel speedup per micrograph.
-func criticalPathCmd(args []string) {
-	tf := newTraceFlags("criticalpath")
-	_ = tf.fs.Parse(args)
+// criticalPathCmd implements `nfpinspect criticalpath`: a running
+// server's aggregate attribution report — queue wait vs service vs
+// merge overhead — and the measured parallel speedup per micrograph.
+func criticalPathCmd(args []string) error {
+	src := newSource("criticalpath", "read a running server's critical-path report at this host:port")
+	src.parseAddr(args, "")
+	return show(src, "/debug/criticalpath", printCriticalPath)
+}
 
-	var rep telemetry.CriticalPathReport
-	if tf.addr != "" {
-		fetchJSON(tf.addr, "/debug/criticalpath", &rep)
-	} else {
-		rep = telemetry.BuildCriticalPathReport(tf.dump(tf.cfg).Traces)
-	}
-
-	if tf.asJSON {
-		emitJSON(rep)
-		return
-	}
-
+func printCriticalPath(rep telemetry.CriticalPathReport) {
 	fmt.Printf("CRITICAL PATH: %d packets analyzed, %d truncated, %d unparsed\n",
 		rep.Packets, rep.Truncated, rep.Unparsed)
 	mids := make([]uint32, 0, len(rep.ByMID))

@@ -12,148 +12,72 @@ import (
 	"nfp/internal/dataplane"
 	"nfp/internal/graph"
 	"nfp/internal/mempool"
-	"nfp/internal/nf"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
 	"nfp/internal/policy"
-	"nfp/internal/telemetry"
 	"nfp/internal/trafficgen"
 )
 
 // LiveResult summarizes one live dataplane run.
 type LiveResult struct {
 	Outputs, Drops uint64
-	// Panics/Restarts count NF crashes and supervisor recoveries.
-	Panics        uint64
-	Restarts      uint64
-	Copies        uint64
-	CopiedBytes   uint64
-	MeanLatencyUS float64
-	Mpps          float64
-	MergerLoad    []uint64
-	OutputsByPID  map[uint64][]byte // PID → final wire bytes (small runs only)
+	Copies         uint64
+	CopiedBytes    uint64
+	MeanLatencyUS  float64
+	Mpps           float64
+	OutputsByPID   map[uint64][]byte // PID → final wire bytes (small runs only)
 	// PoolLeak is the mempool's in-use gauge after the drained stop —
 	// any non-zero value is a buffer leak.
 	PoolLeak int
-	// Telemetry is the end-of-run metric snapshot (nil for baselines,
-	// which predate the registry).
-	Telemetry *telemetry.Snapshot
-	// Traces holds the sampled per-packet hop records when
-	// Config.TraceSampleRate was set.
-	Traces []telemetry.TraceEvent
-}
-
-// LiveOptions tunes RunLiveGraphOpts beyond the required arguments.
-type LiveOptions struct {
-	// Config is handed to dataplane.New as is — every dataplane setting
-	// is declared there and nowhere else. The harness fills in only
-	// what a zero value leaves open: PoolSize defaults to 1024 buffers
-	// per shard, so each partition keeps the single-shard headroom.
-	// Config.Burst also sets the injection burst (a DPDK driver handing
-	// up rx bursts; 0 injects packet by packet). Reusing one
-	// Config.Telemetry registry across runs panics on duplicate series —
-	// give each run its own.
-	Config dataplane.Config
-	// KeepOutputs retains every output packet's bytes by PID (small
-	// runs only).
-	KeepOutputs bool
-	// Tap, if non-nil, sees every completed packet before it is freed —
-	// the hook behind nfpd's pcap capture.
-	Tap func(*packet.Packet)
-	// OnServer, if non-nil, observes the server after Start and before
-	// traffic — nfpd uses it to expose the live registry over HTTP.
-	OnServer func(*dataplane.Server)
-	// WrapNF, if non-nil, wraps every NF instance at install time —
-	// nfpd's -panic-nf fault injection hooks in here. The wrapper
-	// applies only to the initial instances: supervisor restarts build
-	// fresh unwrapped instances from the registry, so an injected
-	// crash heals exactly like a real one.
-	WrapNF func(name string, inst nf.NF) nf.NF
 }
 
 // RunLiveGraph executes a service graph on the real dataplane for n
-// packets from gen and returns measured counters.
+// packets from gen, injected one by one into a 1024-buffer pool, and
+// returns measured counters; keepOutputs retains every output packet's
+// bytes by PID (small runs only).
 func RunLiveGraph(g graph.Node, n int, gen *trafficgen.Generator, keepOutputs bool) (LiveResult, error) {
-	return RunLiveGraphOpts(g, n, gen, LiveOptions{KeepOutputs: keepOutputs})
-}
-
-// RunLiveGraphOpts executes a service graph on the real dataplane for n
-// packets from gen with full observability control.
-func RunLiveGraphOpts(g graph.Node, n int, gen *trafficgen.Generator, opts LiveOptions) (LiveResult, error) {
-	cfg := opts.Config
-	if cfg.PoolSize == 0 {
-		cfg.PoolSize = 1024 * max(cfg.Shards, 1)
-	}
-	srv := dataplane.New(cfg)
-	var provide func(shard int, node graph.NF) nf.NF
-	if opts.WrapNF != nil {
-		reg := cfg.Registry
-		if reg == nil {
-			reg = nf.NewRegistry()
-		}
-		provide = func(_ int, node graph.NF) nf.NF {
-			inst, err := reg.New(node.Name)
-			if err != nil {
-				return nil // buildRuntime falls back to the server registry
-			}
-			return opts.WrapNF(node.Name, inst)
-		}
-	}
-	if err := srv.AddGraphProvide(1, g, provide); err != nil {
+	srv := dataplane.New(dataplane.Config{PoolSize: 1024})
+	if err := srv.AddGraph(1, g); err != nil {
 		return LiveResult{}, err
 	}
 	if err := srv.Start(); err != nil {
 		return LiveResult{}, err
 	}
-	if opts.OnServer != nil {
-		opts.OnServer(srv)
-	}
 	var byPID map[uint64][]byte
-	if opts.KeepOutputs {
+	var seen func(*packet.Packet)
+	if keepOutputs {
 		byPID = map[uint64][]byte{}
+		seen = func(p *packet.Packet) { byPID[p.Meta.PID] = append([]byte(nil), p.Bytes()...) }
 	}
-	res, err := runTraffic(srv, srv.InjectBatch, n, max(cfg.Burst, 1), gen, func(p *packet.Packet) {
-		if byPID != nil {
-			byPID[p.Meta.PID] = append([]byte(nil), p.Bytes()...)
-		}
-		if opts.Tap != nil {
-			opts.Tap(p)
-		}
-	})
+	res, err := RunTraffic(srv, srv.InjectBatch, n, 1, gen, seen)
 	if err != nil {
 		return res, err
 	}
 	st := srv.Stats()
 	res.Outputs = st.Outputs
 	res.Drops = st.Drops
-	res.Panics = st.Panics
-	res.Restarts = st.Restarts
 	res.Copies = st.Copies
 	res.CopiedBytes = st.CopiedBytes
-	res.MergerLoad = st.MergerLoad
 	res.OutputsByPID = byPID
-	snap := srv.Telemetry().Snapshot()
-	res.Telemetry = &snap
-	res.Traces = srv.Tracer().Events()
 	return res, nil
 }
 
-// platform is what the traffic loop needs of a live server: the NFP
+// Platform is what the traffic loop needs of a live server: the NFP
 // dataplane and the OpenNetVM baseline provide it.
-type platform interface {
+type Platform interface {
 	Pool() *mempool.Pool
 	Output() <-chan *packet.Packet
 	Stop()
 }
 
-// runTraffic pushes n packets from gen through a started platform in
+// RunTraffic pushes n packets from gen through a started platform in
 // bursts of up to burst — allocate from the pool, build, stamp, inject —
 // while a collector drains the output channel (seen, if non-nil,
 // observes each packet before it is freed), then stops the platform and
 // fills in the measurements every platform shares. inject returns how
 // many packets of the burst it accepted; a short count aborts the run.
 // Short bursts under transient pool pressure are injected as-is.
-func runTraffic(srv platform, inject func([]*packet.Packet) int, n, burst int, gen *trafficgen.Generator, seen func(*packet.Packet)) (LiveResult, error) {
+func RunTraffic(srv Platform, inject func([]*packet.Packet) int, n, burst int, gen *trafficgen.Generator, seen func(*packet.Packet)) (LiveResult, error) {
 	// Only the mean latency is reported, so the collector keeps a
 	// running sum, not the samples: nfpd -packets is unbounded.
 	var latSum, latCount int64
@@ -221,7 +145,7 @@ func RunLiveONVM(chain []string, n int, gen *trafficgen.Generator) (LiveResult, 
 		srv.Inject(pkts[0]) // never rejects
 		return 1
 	}
-	res, err := runTraffic(srv, inject, n, 1, gen, nil)
+	res, err := RunTraffic(srv, inject, n, 1, gen, nil)
 	st := srv.Stats()
 	res.Outputs, res.Drops = st.Outputs, st.Drops
 	return res, err

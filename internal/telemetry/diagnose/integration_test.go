@@ -19,6 +19,21 @@ import (
 	"nfp/internal/trafficgen"
 )
 
+// startServer starts a 1024-buffer server with g installed as MID 1,
+// the way nfpd does before it hands the server to the traffic driver.
+func startServer(t *testing.T, cfg dataplane.Config, g graph.Node) *dataplane.Server {
+	t.Helper()
+	cfg.PoolSize = 1024
+	srv := dataplane.New(cfg)
+	if err := srv.AddGraph(1, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // TestStalledNFRanksTopBottleneck is the end-to-end bottleneck-ranking
 // acceptance test: one NF of a live chain gets its service time
 // inflated through the fault injector, and /debug/health must rank it
@@ -42,11 +57,9 @@ func TestStalledNFRanksTopBottleneck(t *testing.T) {
 	treg := telemetry.NewRegistry()
 	d := diagnose.New(diagnose.Config{Registry: treg})
 	gen := trafficgen.New(trafficgen.Config{Flows: 16, Seed: 3})
-	_, err = experiments.RunLiveGraphOpts(g, 600, gen, experiments.LiveOptions{
-		Config:   dataplane.Config{Registry: reg, Telemetry: treg},
-		OnServer: func(*dataplane.Server) { d.SampleNow() }, // open the window
-	})
-	if err != nil {
+	dp := startServer(t, dataplane.Config{Registry: reg, Telemetry: treg}, g)
+	d.SampleNow() // open the window
+	if _, err := experiments.RunTraffic(dp, dp.InjectBatch, 600, 1, gen, nil); err != nil {
 		t.Fatal(err)
 	}
 	d.SampleNow() // close the window on the run's final state
@@ -103,19 +116,15 @@ func TestReloadRhoGaugeFollowsLiveRow(t *testing.T) {
 
 	treg := telemetry.NewRegistry()
 	d := diagnose.New(diagnose.Config{Registry: treg})
-	_, err := experiments.RunLiveGraphOpts(g, 300, trafficgen.New(trafficgen.Config{Flows: 16, Seed: 3}),
-		experiments.LiveOptions{
-			Config: dataplane.Config{Registry: reg, Telemetry: treg},
-			OnServer: func(s *dataplane.Server) {
-				for i := 0; i < 3; i++ {
-					if err := s.Reload(1, g); err != nil {
-						t.Error(err)
-					}
-				}
-				d.SampleNow()
-			},
-		})
-	if err != nil {
+	srv := startServer(t, dataplane.Config{Registry: reg, Telemetry: treg}, g)
+	for i := 0; i < 3; i++ {
+		if err := srv.Reload(1, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.SampleNow()
+	gen := trafficgen.New(trafficgen.Config{Flows: 16, Seed: 3})
+	if _, err := experiments.RunTraffic(srv, srv.InjectBatch, 300, 1, gen, nil); err != nil {
 		t.Fatal(err)
 	}
 	d.SampleNow()
@@ -219,12 +228,11 @@ func TestZipfElephantsInTopKWithinBounds(t *testing.T) {
 	)
 	sketch := diagnose.NewTopK(k)
 	gen := trafficgen.New(trafficgen.Config{Flows: flows, Seed: seed, Zipf: 1.4})
-	_, err := experiments.RunLiveGraphOpts(graph.NF{Name: nfa.NFMonitor}, n, gen,
-		experiments.LiveOptions{Config: dataplane.Config{
-			FlowAccount:     sketch,
-			TraceSampleRate: 1, // observe every packet: exact totals to verify against
-		}})
-	if err != nil {
+	srv := startServer(t, dataplane.Config{
+		FlowAccount:     sketch,
+		TraceSampleRate: 1, // observe every packet: exact totals to verify against
+	}, graph.NF{Name: nfa.NFMonitor})
+	if _, err := experiments.RunTraffic(srv, srv.InjectBatch, n, 1, gen, nil); err != nil {
 		t.Fatal(err)
 	}
 
