@@ -35,9 +35,11 @@
 #                    Targets: policy compile, Accumulating Table, rule
 #                    index, flow table, signature matcher, the LPM
 #                    table (against a linear-scan longest match),
-#                    the VPN (Process then Decap restores the frame;
-#                    one flipped bit makes Decap fail), the packet
-#                    parser and header-only copy, the packet builder
+#                    the VPN (Process then Decap restores the frame,
+#                    IPv4 options included; one flipped bit makes Decap
+#                    fail), the packet parser and header-only copy, the
+#                    header splice (InsertAt/RemoveAt at any headroom
+#                    equal a naive copy-based splice), the packet builder
 #                    (equals a re-sum and a parse of the frame it
 #                    wrote), the tuple setters (equal a byte-by-byte
 #                    rewrite and re-sum) and the policy-language parser.
@@ -332,6 +334,7 @@ if [ "${1:-}" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzVPN$' -fuzztime "$ft" ./internal/nf/
     go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$ft" ./internal/packet/
     go test -run '^$' -fuzz '^FuzzHeaderOnlyCopy$' -fuzztime "$ft" ./internal/packet/
+    go test -run '^$' -fuzz '^FuzzSplice$' -fuzztime "$ft" ./internal/packet/
     go test -run '^$' -fuzz '^FuzzBuildInto$' -fuzztime "$ft" ./internal/packet/
     go test -run '^$' -fuzz '^FuzzSetTuple$' -fuzztime "$ft" ./internal/packet/
     go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$ft" ./internal/policy/

@@ -189,7 +189,6 @@ func (c *Cluster) runIngress(i int) {
 		}
 		copy(buf, frame)
 		pkt.SetLen(len(frame))
-		pkt.Invalidate()
 		h, err := DecapNSH(pkt)
 		if err != nil || h.ServicePathID != c.cfg.ServicePathID {
 			c.hopDrops.Add(1)

@@ -68,8 +68,7 @@ func EncapNSH(p *packet.Packet, h NSH) error {
 	if err := p.InsertAt(packet.EthHeaderLen, shim[:]); err != nil {
 		return fmt.Errorf("cluster: encap: %w", err)
 	}
-	binary.BigEndian.PutUint16(p.Buffer()[12:14], EtherTypeNSH)
-	p.Invalidate()
+	binary.BigEndian.PutUint16(p.Buffer()[12:14], EtherTypeNSH) // InsertAt left the layout cold
 	return nil
 }
 
@@ -95,8 +94,7 @@ func DecapNSH(p *packet.Packet) (NSH, error) {
 	if err := p.RemoveAt(packet.EthHeaderLen, NSHLen); err != nil {
 		return NSH{}, err
 	}
-	binary.BigEndian.PutUint16(p.Buffer()[12:14], packet.EtherTypeIPv4)
-	p.Invalidate()
+	binary.BigEndian.PutUint16(p.Buffer()[12:14], packet.EtherTypeIPv4) // RemoveAt left the layout cold
 	return h, nil
 }
 

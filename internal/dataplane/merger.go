@@ -304,6 +304,12 @@ func applyMergeOp(base *packet.Packet, op *graph.MergeOp, versions *[packet.MaxV
 		return nil
 
 	case graph.OpAdd:
+		// The AH header is the one header an NF adds or removes (nfa's
+		// only add/rm field), and it has one place, after the IP header,
+		// where the compiler anchors it.
+		if op.SrcField != packet.FieldAH {
+			return fmt.Errorf("merge: add of %v: only an AH header is added", op.SrcField)
+		}
 		src := versions[op.SrcVersion]
 		if src == nil {
 			return fmt.Errorf("merge: add source v%d missing", op.SrcVersion)
@@ -312,42 +318,13 @@ func applyMergeOp(base *packet.Packet, op *graph.MergeOp, versions *[packet.MaxV
 		if srcBytes == nil {
 			return fmt.Errorf("merge: source field %v missing in v%d", op.SrcField, op.SrcVersion)
 		}
-		anchor, ok := base.FieldRange(op.DstField)
-		if !ok {
-			return fmt.Errorf("merge: anchor field %v missing in base", op.DstField)
-		}
-		off := anchor.Off
-		if op.After {
-			off += anchor.Len
-		}
-		if err := base.InsertAt(off, srcBytes); err != nil {
-			return err
-		}
-		if op.SrcField == packet.FieldAH {
-			// Splicing an AH header also rewrites the protocol chain.
-			l3 := packet.EthHeaderLen
-			base.Buffer()[l3+9] = packet.ProtoAH
-		}
-		refreshIP(base)
-		return nil
+		return base.InsertAH(srcBytes)
 
 	case graph.OpRemove:
-		r, ok := base.FieldRange(op.DstField)
-		if !ok {
-			return fmt.Errorf("merge: field %v to remove missing in base", op.DstField)
+		if op.DstField != packet.FieldAH {
+			return fmt.Errorf("merge: remove of %v: only an AH header is removed", op.DstField)
 		}
-		var next uint8
-		if op.DstField == packet.FieldAH {
-			next = base.Buffer()[r.Off] // AH next-header field
-		}
-		if err := base.RemoveAt(r.Off, r.Len); err != nil {
-			return err
-		}
-		if op.DstField == packet.FieldAH {
-			base.Buffer()[packet.EthHeaderLen+9] = next
-		}
-		refreshIP(base)
-		return nil
+		return base.RemoveAH()
 	}
 	return fmt.Errorf("merge: unknown op kind %v", op.Kind)
 }

@@ -51,8 +51,9 @@ type FlowObserver interface {
 
 // Fixed sizings no deployment, test or benchmark ever varied.
 const (
-	// bufSize is the per-buffer byte size; it leaves headroom over the
-	// MTU for AH encapsulation.
+	// bufSize is the per-buffer slot size: frames start
+	// mempool.Headroom (64 B) in, so up to 1984 bytes, which leaves room
+	// over the MTU for AH encapsulation.
 	bufSize = 2048
 	// tailBudget is how many branch tails may wait at a shard's joins at
 	// once and copyReserveDiv the divisor of the pool kept for packet
@@ -75,9 +76,9 @@ const (
 	flowCacheSlots = 4096
 )
 
-// Config is the one declaration of every dataplane setting: nfpd and
-// nfpinspect bind their flags into it, the experiments harness carries
-// it in LiveOptions.Config, and New reads it as is. The zero value of
+// Config is the one declaration of every dataplane setting: nfpd binds
+// its flags into it and hands it to New, which reads it as is; tests,
+// examples and the benchmark fill it in directly. The zero value of
 // every field selects its default.
 type Config struct {
 	// PoolSize is the number of packet buffers in the shared pool
@@ -949,9 +950,10 @@ func (s *Server) InjectPreclassified(pkt *packet.Packet) bool {
 // receive, on the calling goroutine: it splits the burst into runs of
 // same-shard packets (one run, no hashing, when Shards == 1),
 // classifies each run against that shard's microflow cache with
-// counters amortized across the run, and delivers each run of same-MID
-// packets into the shard's graph as one burst. Any number of goroutines
-// may inject concurrently.
+// counters amortized across the run, and delivers each MID's packets of
+// the run into the shard's graph as one burst (per 32 packets), in
+// arrival order, however the graphs' flows interleave. Any number of
+// goroutines may inject concurrently.
 //
 // It returns the number of packets accepted and stably partitions
 // pkts: accepted packets occupy pkts[:n] (in their original relative

@@ -154,11 +154,11 @@ func (sh *shard) acquire(mid uint32, n int) (pr *planRuntime, k int) {
 
 // inject is the §5.1 classifier step for one run of packets bound to
 // this shard, executed on the injecting goroutine: classify against the
-// shard's microflow cache, then send each run of same-MID packets into
-// the entrance of its graph as one burst. It returns the number
-// accepted and stably partitions pkts like InjectBatch: rejects —
-// unmatched, or classified to a MID with no installed graph — end up in
-// pkts[n:], still owned by the caller.
+// shard's microflow cache, then send the accepted packets into their
+// graphs, one burst per MID per chunk (injectChunk). It returns the
+// number accepted and stably partitions pkts like InjectBatch: rejects
+// — unmatched, or classified to a MID with no installed graph — end up
+// in pkts[n:], still owned by the caller.
 func (sh *shard) inject(pkts []*packet.Packet) int {
 	classified := sh.srv.classifier.ClassifyBatchShard(pkts, sh.id)
 	plans := *sh.plans.Load()
@@ -169,21 +169,42 @@ func (sh *shard) inject(pkts []*packet.Packet) int {
 			n++
 		}
 	}
-	// acquire re-resolves the runtime per run, or per prefix of it that
-	// was admitted: a reload may swap the generation meanwhile, and the
-	// snapshot's nil-check stays valid because graphs are only ever
-	// replaced, never removed.
-	for i := 0; i < n; {
-		mid := pkts[i].Meta.MID
-		j := i + 1
-		for j < n && pkts[j].Meta.MID == mid {
-			j++
-		}
-		pr, k := sh.acquire(mid, j-i)
-		sh.injectBurst(pr, pkts[i:i+k])
-		i += k
+	for i := 0; i < n; i += execChunk {
+		sh.injectChunk(pkts[i:min(n, i+execChunk)])
 	}
 	return n
+}
+
+// injectChunk sends up to execChunk accepted packets into their graphs,
+// each MID's as one burst in arrival order (a flow has one MID), MIDs in
+// order of first appearance. It reads every MID first: a packet handed
+// off is the dataplane's. acquire re-resolves the runtime per burst, or
+// per admitted prefix, since a reload may swap the generation; graphs
+// are replaced, never removed, so inject's nil-check stays valid.
+func (sh *shard) injectChunk(pkts []*packet.Packet) {
+	var mids [execChunk]uint32
+	for i, pkt := range pkts {
+		mids[i] = pkt.Meta.MID
+	}
+	var burst [execChunk]*packet.Packet
+	var sent uint64 // bit i: pkts[i] is in an earlier burst
+	for i := range pkts {
+		if sent&(1<<i) != 0 {
+			continue
+		}
+		mid, b := mids[i], burst[:0]
+		for j := i; j < len(pkts); j++ {
+			if mids[j] == mid {
+				b = append(b, pkts[j])
+				sent |= 1 << j
+			}
+		}
+		for len(b) > 0 {
+			pr, k := sh.acquire(mid, len(b))
+			sh.injectBurst(pr, b[:k])
+			b = b[k:]
+		}
+	}
 }
 
 // span records one span of a sampled packet, [begin, end] on stage st

@@ -9,6 +9,8 @@ import (
 	"nfp/internal/nf"
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
+	"nfp/internal/ring"
+	"nfp/internal/telemetry"
 )
 
 // shardSpec builds a distinct 5-tuple per flow index, spread over
@@ -430,5 +432,86 @@ func TestShardLayout(t *testing.T) {
 func TestPlanRuntimeLayout(t *testing.T) {
 	if got := unsafe.Sizeof(planRuntime{}); got > 176 {
 		t.Fatalf("unsafe.Sizeof(planRuntime{}) = %d, want at most 176", got)
+	}
+}
+
+// TestInjectOnePushPerMID: a burst whose packets alternate between two
+// graphs enters each graph's entry ring in one enqueue — every packet of
+// a MID carries the one clock read of its burst's classify span — in
+// arrival order with PIDs rising, while the caller's slice keeps its
+// order. A burst longer than the chunk still arrives whole and in order.
+// The server is not started, so the entry rings hold what arrived.
+func TestInjectOnePushPerMID(t *testing.T) {
+	s := New(Config{PoolSize: 512, TraceSampleRate: 1, TraceCapacity: 1024})
+	for _, mid := range []uint32{1, 2} {
+		if err := s.AddGraph(mid, nfn(nfa.NFMonitor, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Classifier().Clear()
+	s.Classifier().AddRule(Match{DstPort: 80}, 1)
+	s.Classifier().AddRule(Match{DstPort: 81}, 2)
+	sh := s.shards[0]
+	entry := func(mid uint32) *ring.MPSC[*packet.Packet] {
+		pr := (*sh.plans.Load())[mid]
+		return pr.owner[pr.plan.Entry[0].Targets[0].Node].rx
+	}
+	first := map[packet.Meta]bool{} // the first burst's packets
+	for _, burstLen := range []int{execChunk, 2*execChunk + 6} {
+		pkts := make([]*packet.Packet, burstLen)
+		want := map[uint32][]*packet.Packet{}
+		for i := range pkts {
+			sp := shardSpec(i, 0)
+			sp.DstPort = 80 + uint16(i%2)
+			pkts[i] = buildInto(t, s, sp)
+			mid := uint32(1 + i%2)
+			want[mid] = append(want[mid], pkts[i])
+		}
+		order := append([]*packet.Packet(nil), pkts...)
+		if n := s.InjectBatch(pkts); n != burstLen {
+			t.Fatalf("burst of %d: accepted %d", burstLen, n)
+		}
+		for i := range pkts {
+			if pkts[i] != order[i] {
+				t.Fatalf("burst of %d: the caller's slice was reordered at %d", burstLen, i)
+			}
+		}
+		for mid, w := range want {
+			got := make([]*packet.Packet, burstLen)
+			got = got[:entry(mid).DequeueBatch(got)]
+			if len(got) != len(w) {
+				t.Fatalf("burst of %d: MID %d ring holds %d packets, want %d", burstLen, mid, len(got), len(w))
+			}
+			for i, p := range got {
+				if p != w[i] {
+					t.Fatalf("burst of %d: MID %d ring slot %d out of arrival order", burstLen, mid, i)
+				}
+				if p.Meta.MID != mid || (i > 0 && p.Meta.PID <= got[i-1].Meta.PID) {
+					t.Fatalf("burst of %d: MID %d slot %d meta %v after %v", burstLen, mid, i, p.Meta, got[i-1].Meta)
+				}
+			}
+			for _, p := range got {
+				if burstLen == execChunk {
+					first[p.Meta] = true
+				}
+				p.Free()
+			}
+		}
+	}
+	// The first burst's classify spans: one timestamp per MID.
+	stamps := map[uint32]map[int64]bool{}
+	for _, ev := range s.tracer.Events() {
+		if ev.Stage != telemetry.StageClassify || !first[packet.Meta{MID: ev.MID, PID: ev.PID, Version: ev.Ver}] {
+			continue
+		}
+		if stamps[ev.MID] == nil {
+			stamps[ev.MID] = map[int64]bool{}
+		}
+		stamps[ev.MID][ev.TS] = true
+	}
+	for _, mid := range []uint32{1, 2} {
+		if len(stamps[mid]) != 1 {
+			t.Fatalf("MID %d: the first burst's packets carry %d classify timestamps, want 1 (one push)", mid, len(stamps[mid]))
+		}
 	}
 }

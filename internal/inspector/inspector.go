@@ -40,6 +40,8 @@ var methodActions = map[string][]nfa.Action{
 	// Structural changes.
 	"InsertAt": {nfa.AddRm(packet.FieldAH)},
 	"RemoveAt": {nfa.AddRm(packet.FieldAH)},
+	"InsertAH": {nfa.AddRm(packet.FieldAH)},
+	"RemoveAH": {nfa.AddRm(packet.FieldAH)},
 	// Known helpers that expand to multi-field access: the packet-carried
 	// key accessor reads the whole 5-tuple.
 	"FlowKey": {

@@ -55,8 +55,14 @@ type Pool struct {
 	inUseHW  *telemetry.Gauge
 }
 
-// New creates a pool of n buffers of bufSize bytes each. bufSize should
-// leave headroom above the MTU for AH insertion by the VPN NF.
+// Headroom is how far into its slot an allocated frame starts (DPDK's
+// RTE_PKTMBUF_HEADROOM), so an insertion near its front need not move
+// the payload (packet.InsertAt): a 2048-byte slot holds 1984-byte frames.
+const Headroom = 64
+
+// New creates a pool of n slots of bufSize bytes each (the headroom is
+// half a slot under 2×Headroom). The frame room should cover the MTU,
+// the VPN NF's AH header and its tag.
 func New(n, bufSize int) *Pool {
 	if n <= 0 || bufSize <= 0 {
 		panic(fmt.Sprintf("mempool: invalid pool geometry n=%d bufSize=%d", n, bufSize))
@@ -119,6 +125,7 @@ func (p *Pool) Partition(k int) []*Pool {
 		}
 		c.free = append(c.free, p.free[base:base+share]...)
 		for _, pkt := range c.free {
+			pkt.Reset(p.bufSize) // the whole slot again, to hand to Attach
 			pkt.Attach(pkt.Buffer(), 0, c)
 		}
 		base += share
@@ -246,12 +253,9 @@ func (p *Pool) localAlloc(out []*packet.Packet, honorReserve, quiet bool) int {
 	p.inUse.Add(int64(n))
 	p.inUseHW.SetMax(p.inUse.Value())
 	p.allocs.Add(uint64(n))
+	room := p.bufSize - min(Headroom, p.bufSize/2)
 	for _, pkt := range out[:n] {
-		pkt.SetLen(0)
-		pkt.Meta = packet.Meta{}
-		pkt.Ingress = 0
-		pkt.Nil = false
-		pkt.Invalidate()
+		pkt.Reset(room)
 	}
 	return n
 }
@@ -310,7 +314,8 @@ func (p *Pool) Put(pkt *packet.Packet) {
 	p.frees.Add(1)
 }
 
-// BufSize returns the size of each buffer.
+// BufSize returns the size of each slot; a frame starts Headroom bytes
+// into it.
 func (p *Pool) BufSize() int { return p.bufSize }
 
 // Cap returns the pool capacity in buffers.

@@ -478,3 +478,34 @@ func TestPartitionMisusePanics(t *testing.T) {
 		p.SetReserve(1)
 	})
 }
+
+// TestAllocRestoresHeadroom: a frame starts Headroom bytes into its
+// slot (half of a small slot), an insertion that moved its head into
+// the headroom is undone by the next allocation, and partitioning keeps
+// the geometry.
+func TestAllocRestoresHeadroom(t *testing.T) {
+	for _, c := range []struct{ size, room int }{{2048, 2048 - Headroom}, {64, 32}} {
+		p := New(2, c.size)
+		pkt := p.Get()
+		if len(pkt.Buffer()) != c.room {
+			t.Fatalf("slot %d: frame room %d, want %d", c.size, len(pkt.Buffer()), c.room)
+		}
+		pkt.SetLen(20)
+		if err := pkt.InsertAt(0, make([]byte, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if len(pkt.Buffer()) != c.room+8 {
+			t.Fatalf("slot %d: an insert at the front did not use the headroom", c.size)
+		}
+		pkt.Free()
+		if pkt = p.Get(); len(pkt.Buffer()) != c.room || pkt.Len() != 0 {
+			t.Fatalf("slot %d: allocation did not restore the headroom (room %d)", c.size, len(pkt.Buffer()))
+		}
+		pkt.Free()
+		for _, part := range p.Partition(2) {
+			if pkt := part.Get(); len(pkt.Buffer()) != c.room {
+				t.Fatalf("slot %d: partition frame room %d, want %d", c.size, len(pkt.Buffer()), c.room)
+			}
+		}
+	}
+}

@@ -30,10 +30,7 @@ func BenchmarkNFCost(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := pkts[i&1023]
 				if rewrites {
-					o := orig[i&1023]
-					copy(p.Buffer(), o)
-					p.SetLen(len(o))
-					p.Invalidate()
+					restore(p, orig[i&1023])
 				}
 				n.Process(p)
 			}

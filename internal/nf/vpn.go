@@ -74,7 +74,6 @@ func (v *VPN) Process(p *packet.Packet) Verdict {
 	if p.Len()+packet.AHHeaderLen+vpnTagLen > len(p.Buffer()) {
 		return Pass
 	}
-	l, _ := p.Layout()
 	// The counter must not cycle (RFC 4302 §3.3.3): where it would, the
 	// instance moves to the next SA, so no (spi, seq) — no GCM nonce —
 	// repeats under the key.
@@ -83,25 +82,18 @@ func (v *VPN) Process(p *packet.Packet) Verdict {
 	}
 	v.seq++
 
-	// Every AH field but the ICV is written before the IP protocol
-	// flips: the re-parse behind SetTotalLen reads the next header.
 	var ah [packet.AHHeaderLen]byte
-	ah[0] = l.L4Proto                // next header
 	ah[1] = packet.AHHeaderLen/4 - 2 // payload length in 32-bit words - 2
 	binary.BigEndian.PutUint32(ah[4:8], v.spi)
 	binary.BigEndian.PutUint32(ah[8:12], v.seq)
-	ahOff := l.L3Off + packet.IPv4HeaderLen
-	if err := p.InsertAt(ahOff, ah[:]); err != nil {
+	if err := p.InsertAH(ah[:]); err != nil {
 		return Pass
 	}
+	l, _ := p.Layout()
 	b := p.Bytes()
-	b[l.L3Off+9] = packet.ProtoAH
-	p.Invalidate()
-	p.SetTotalLen(uint16(p.Len() - packet.EthHeaderLen))
-
-	v.bind(b[ahOff+4:ahOff+12], b[l.L3Off+12:l.L3Off+20])
+	v.bind(b[l.AHOff+4:l.AHOff+12], b[l.L3Off+12:l.L3Off+20])
 	pl := p.Payload()
-	copy(b[ahOff+12:ahOff+packet.AHHeaderLen], v.aead.Seal(pl[:0], v.nonce[:], pl, v.aad[:])[len(pl):])
+	copy(b[l.AHOff+12:l.AHOff+packet.AHHeaderLen], v.aead.Seal(pl[:0], v.nonce[:], pl, v.aad[:])[len(pl):])
 	p.UpdateL4Checksum() // checksum over the encrypted payload (wire-correct)
 	v.done++
 	return Pass
@@ -123,20 +115,19 @@ func (v *VPN) Decap(p *packet.Packet) error {
 	if ahb[1] != packet.AHHeaderLen/4-2 || ahb[2]|ahb[3] != 0 {
 		return fmt.Errorf("vpn: malformed AH header")
 	}
-	next := ahb[0]
+	// The tag goes back behind the payload for Open: that tailroom is
+	// there whichever side of the header the removal moves.
+	if p.Len()+vpnTagLen > len(p.Buffer()) {
+		return fmt.Errorf("vpn: no tailroom for the AH ICV")
+	}
 	var tag [vpnTagLen]byte
 	copy(tag[:], ahb[12:])
 	l, _ := p.Layout()
 	v.bind(ahb[4:12], p.Bytes()[l.L3Off+12:l.L3Off+20])
-	if err := p.RemoveAt(l.AHOff, packet.AHHeaderLen); err != nil {
+	if err := p.RemoveAH(); err != nil {
 		return err
 	}
-	b := p.Bytes()
-	b[l.L3Off+9] = next
-	p.Invalidate()
-	p.SetTotalLen(uint16(p.Len() - packet.EthHeaderLen))
 
-	// The removed header left the tailroom the tag goes back into.
 	pl := p.Payload()
 	sealed := pl[:len(pl)+vpnTagLen]
 	copy(sealed[len(pl):], tag[:])

@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"nfp/internal/mempool"
 	"nfp/internal/packet"
 )
 
@@ -76,6 +77,25 @@ func vpnGoldenFrame(n int) *packet.Packet {
 	return vpnFrame(payload)
 }
 
+// withOptions gives p's IPv4 header words 4-byte option words (ihl
+// 5+words) of patterned bytes, with the total length and checksum to
+// match.
+func withOptions(p *packet.Packet, words int) {
+	if words == 0 {
+		return
+	}
+	o := make([]byte, 4*words)
+	for i := range o {
+		o[i] = byte(i*13 + words)
+	}
+	if err := p.InsertAt(packet.EthHeaderLen+packet.IPv4HeaderLen, o); err != nil {
+		panic(err)
+	}
+	p.Bytes()[packet.EthHeaderLen] = 0x40 | byte(5+words)
+	p.Invalidate()
+	p.SetTotalLen(uint16(p.Len() - packet.EthHeaderLen))
+}
+
 func goldenVPN(t testing.TB) *VPN {
 	v, err := NewVPN(nil)
 	if err != nil {
@@ -119,6 +139,44 @@ func TestVPNDecapRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(p.Bytes(), orig) {
 			t.Fatalf("payload %d: Decap did not restore the frame", n)
+		}
+	}
+}
+
+// TestVPNIPOptionsRoundTrip: on a frame whose IPv4 header carries
+// options (ihl 6–15), the AH goes in behind them — in a standalone
+// buffer and in a pool frame with headroom — the parse finds TCP behind
+// it, and Decap restores the frame byte for byte.
+func TestVPNIPOptionsRoundTrip(t *testing.T) {
+	pool := mempool.New(1, vpnBufSize)
+	for ihl := 6; ihl <= 15; ihl++ {
+		for _, n := range []int{0, 33, 542, 1446} {
+			for _, pooled := range []bool{false, true} {
+				p := vpnGoldenFrame(n)
+				withOptions(p, ihl-5)
+				if pooled {
+					q := pool.Get()
+					copy(q.Buffer(), p.Bytes())
+					q.SetLen(p.Len())
+					p = q
+				}
+				orig := append([]byte(nil), p.Bytes()...)
+				v := goldenVPN(t)
+				if v.Process(p) != Pass || !p.HasAH() {
+					t.Fatalf("ihl %d payload %d: not encapsulated", ihl, n)
+				}
+				if ah, _ := p.FieldRange(packet.FieldAH); ah.Off != packet.EthHeaderLen+4*ihl {
+					t.Fatalf("ihl %d payload %d: AH at %d, want %d", ihl, n, ah.Off, packet.EthHeaderLen+4*ihl)
+				}
+				fresh := packet.New(append([]byte(nil), p.Bytes()...))
+				if fresh.Protocol() != packet.ProtoTCP || !fresh.HasAH() {
+					t.Fatalf("ihl %d payload %d: parse finds protocol %d behind the AH", ihl, n, fresh.Protocol())
+				}
+				if err := v.Decap(p); err != nil || !bytes.Equal(p.Bytes(), orig) {
+					t.Fatalf("ihl %d payload %d pooled %v: round trip: %v", ihl, n, pooled, err)
+				}
+				p.Free()
+			}
 		}
 	}
 }
@@ -185,20 +243,25 @@ func TestVPNSequenceNeverCycles(t *testing.T) {
 // the AH header, the addresses or the payload makes Decap fail.
 func FuzzVPN(f *testing.F) {
 	// Bit flips in the next header, the length, the reserved field, the
-	// ICV and the payload.
-	f.Add([]byte("confidential"), uint16(12), uint32(0))
-	f.Add([]byte{0xff, 0}, uint16(1446), uint32(12))
-	f.Add([]byte{1, 2, 3}, uint16(542), uint32(25))
-	f.Add([]byte{}, uint16(0), uint32(100))
-	f.Add([]byte("x"), uint16(vpnMaxPayload), uint32(1<<20))
-	f.Fuzz(func(t *testing.T, seed []byte, size uint16, bit uint32) {
-		payload := make([]byte, int(size)%(vpnMaxPayload+1))
+	// ICV and the payload; then frames whose IPv4 header carries options.
+	f.Add([]byte("confidential"), uint16(12), uint32(0), uint8(0))
+	f.Add([]byte{0xff, 0}, uint16(1446), uint32(12), uint8(0))
+	f.Add([]byte{1, 2, 3}, uint16(542), uint32(25), uint8(0))
+	f.Add([]byte{}, uint16(0), uint32(100), uint8(0))
+	f.Add([]byte("x"), uint16(vpnMaxPayload), uint32(1<<20), uint8(0))
+	f.Add([]byte("opt"), uint16(542), uint32(0), uint8(1))
+	f.Add([]byte{7}, uint16(1446), uint32(99), uint8(10))
+	f.Add([]byte{}, uint16(vpnMaxPayload), uint32(1<<16), uint8(5))
+	f.Fuzz(func(t *testing.T, seed []byte, size uint16, bit uint32, opts uint8) {
+		words := int(opts) % 11
+		payload := make([]byte, int(size)%(vpnMaxPayload-4*words+1))
 		for i := range payload {
 			if len(seed) > 0 {
 				payload[i] = seed[i%len(seed)]
 			}
 		}
 		p := vpnFrame(payload)
+		withOptions(p, words)
 		orig := append([]byte(nil), p.Bytes()...)
 		v, err := NewVPN(nil)
 		if err != nil {

@@ -174,31 +174,109 @@ func (p *Packet) OverwriteField(f Field, data []byte) {
 	p.fkey = flowKeyAt(p.buf, l.L3Off, l.L4Off, l.L4Proto)
 }
 
-// InsertAt splices data into the packet at offset off, shifting the
-// suffix right. The buffer must have room. The layout is invalidated.
+// InsertAt splices data into the packet at offset off. It moves the
+// shorter side of the edit point when the headroom allows: the bytes in
+// front of off into the headroom (the buffer then starts earlier, so no
+// offset below off changes), or else the bytes from off on into the
+// tailroom. With room on neither side it fails and changes nothing. The
+// layout is invalidated.
 func (p *Packet) InsertAt(off int, data []byte) error {
+	n := len(data)
 	if off < 0 || off > p.wire {
 		return fmt.Errorf("packet: insert offset %d outside wire length %d", off, p.wire)
 	}
-	if p.wire+len(data) > len(p.buf) {
-		return fmt.Errorf("packet: insert of %d bytes overflows %d-byte buffer (wire %d)",
-			len(data), len(p.buf), p.wire)
+	front, back := n <= int(p.head), p.wire+n <= len(p.buf)
+	switch {
+	case front && (off < p.wire-off || !back):
+		p.moveHead(int(p.head) - n)
+		copy(p.buf, p.buf[n:n+off])
+	case back:
+		copy(p.buf[off+n:], p.buf[off:p.wire])
+	default:
+		return fmt.Errorf("packet: insert of %d bytes overflows %d-byte buffer (wire %d, headroom %d)",
+			n, len(p.buf), p.wire, p.head)
 	}
-	copy(p.buf[off+len(data):], p.buf[off:p.wire])
 	copy(p.buf[off:], data)
-	p.wire += len(data)
+	p.wire += n
 	p.Invalidate()
 	return nil
 }
 
-// RemoveAt splices n bytes out of the packet at offset off, shifting the
-// suffix left. The layout is invalidated.
+// RemoveAt splices n bytes out of the packet at offset off, moving the
+// shorter side of the gap over it: the bytes in front (the freed bytes
+// join the headroom) or the bytes behind. A frame without headroom, a
+// standalone one, always moves the bytes behind. The layout is
+// invalidated.
 func (p *Packet) RemoveAt(off, n int) error {
 	if off < 0 || n < 0 || off+n > p.wire {
 		return fmt.Errorf("packet: remove [%d,%d) outside wire length %d", off, off+n, p.wire)
 	}
-	copy(p.buf[off:], p.buf[off+n:p.wire])
+	if p.head > 0 && off < p.wire-off-n {
+		copy(p.buf[n:], p.buf[:off])
+		p.moveHead(int(p.head) + n)
+	} else {
+		copy(p.buf[off:], p.buf[off+n:p.wire])
+	}
 	p.wire -= n
 	p.Invalidate()
+	return nil
+}
+
+// InsertAH splices hdr, an AH header, in after the IPv4 header and its
+// options (spliceAH).
+func (p *Packet) InsertAH(hdr []byte) error { return p.spliceAH(hdr) }
+
+// RemoveAH splices the packet's AH header out, the inverse of InsertAH.
+func (p *Packet) RemoveAH() error { return p.spliceAH(nil) }
+
+// spliceAH inserts hdr after the IPv4 header, or removes the AH header
+// when hdr is nil, and carries the IPv4 header along: its protocol field
+// and the AH's next-header byte trade places, the total length follows
+// the wire, and the checksum follows both words by RFC 1624 deltas
+// rather than a re-sum. The parsed offsets shift arithmetically and the
+// flow key, which names the protocol above the AH, stays: nothing is
+// parsed again. A packet that does not parse, has no room, or already
+// has (has no) AH header is refused unchanged.
+func (p *Packet) spliceAH(hdr []byte) error {
+	if err := p.Parse(); err != nil {
+		return err
+	}
+	l, d := p.layout, AHHeaderLen
+	var next, proto uint8
+	var err error
+	switch {
+	case hdr == nil && l.AHOff >= 0:
+		next = p.buf[l.AHOff]
+		proto, d = next, -d
+		err = p.RemoveAt(l.AHOff, AHHeaderLen)
+		l.AHOff = -1
+	case hdr != nil && l.AHOff < 0 && len(hdr) == AHHeaderLen:
+		next, proto = p.buf[l.L3Off+9], ProtoAH
+		l.AHOff = l.L3Off + int(p.buf[l.L3Off]&0x0f)*4
+		if err = p.InsertAt(l.AHOff, hdr); err == nil {
+			p.buf[l.AHOff] = next
+		}
+	default:
+		return fmt.Errorf("packet: AH splice of %d bytes refused (AH at %d)", len(hdr), l.AHOff)
+	}
+	if err != nil {
+		return err
+	}
+	h := p.buf[l.L3Off:]
+	oldLen, oldProto := binary.BigEndian.Uint16(h[2:4]), binary.BigEndian.Uint16(h[8:10])
+	binary.BigEndian.PutUint16(h[2:4], uint16(p.wire-l.L3Off))
+	h[9] = proto
+	updateIPChecksum(h, wordDelta(oldLen, binary.BigEndian.Uint16(h[2:4]))+
+		wordDelta(oldProto, binary.BigEndian.Uint16(h[8:10])))
+	// Bytes written behind the parse, or a second AH behind the removed
+	// one: the splice left the caches cold, and the next accessor parses.
+	if next != l.L4Proto || next == ProtoAH {
+		return nil
+	}
+	if l.L4Off >= 0 {
+		l.L4Off += d
+	}
+	l.AppOff += d
+	p.layout, p.fkeyOK = l, true
 	return nil
 }

@@ -11,6 +11,7 @@ package packet
 
 import (
 	"fmt"
+	"unsafe"
 )
 
 // Metadata layout (Figure 5): a packet carries a 20-bit Match ID
@@ -61,6 +62,9 @@ func (m Meta) String() string {
 // Packet is a single packet reference. The byte slice points into a
 // pool-owned buffer; Len is the wire length currently valid.
 //
+// A pool frame starts some headroom into its slot, which an insertion
+// near the front moves the frame's head into (InsertAt).
+//
 // Nil packets (§5.3) carry a drop intention from an NF runtime to the
 // merger: they have metadata but no bytes.
 type Packet struct {
@@ -90,6 +94,8 @@ type Packet struct {
 
 	// Nil marks a nil packet conveying a drop intention.
 	Nil bool
+
+	head uint32 // buf's offset in its slot: padding, so 152 B (TestPacketSize)
 }
 
 // Owner is what a pooled packet goes back to (a mempool.Pool).
@@ -111,15 +117,41 @@ func NewNil(meta Meta) *Packet {
 	return &Packet{Meta: meta, Nil: true}
 }
 
-// Attach configures the packet to use buf as backing storage with the
-// given wire length and owner (nil for none). Used by mempool.
+// Attach configures the packet to use buf, no headroom, as backing
+// storage with the given wire length and owner (nil for none). Used by
+// mempool.
 func (p *Packet) Attach(buf []byte, wire int, owner Owner) {
-	p.buf = buf
+	p.buf, p.head = buf, 0
 	p.wire = wire
 	p.owner = owner
 	p.layout = Layout{}
 	p.fkeyOK = false
 	p.Nil = false
+}
+
+// Reset readies a pooled packet for its next use, its buffer room bytes
+// from the frame's first byte to its slot's end (the rest is headroom):
+// the pool calls it on every allocation. It tests the buffer's length:
+// testing the slot offset instead cost fwd64 8–15 % of its throughput
+// (DESIGN.md §16, "Rejected in prototyping").
+func (p *Packet) Reset(room int) {
+	if len(p.buf) != room {
+		p.moveHead(int(p.head) + len(p.buf) - room)
+	}
+	p.wire = 0
+	p.Meta = Meta{}
+	p.Ingress = 0
+	p.Nil = false
+	p.layout = Layout{}
+	p.fkeyOK = false
+}
+
+// moveHead re-slices buf to start head bytes into its slot, recovered
+// from buf's base pointer (checkptr checks it stays in the allocation).
+func (p *Packet) moveHead(head int) {
+	base := unsafe.Add(unsafe.Pointer(unsafe.SliceData(p.buf)), -int(p.head))
+	slot := unsafe.Slice((*byte)(base), int(p.head)+len(p.buf))
+	p.buf, p.head = slot[head:], uint32(head)
 }
 
 // WarmHeaders loads one byte of every packet's IPv4 header, in one
@@ -130,10 +162,11 @@ func (p *Packet) Attach(buf []byte, wire int, owner Owner) {
 // (DPDK's rte_prefetch0 over a burst).
 //
 // The byte is the first of the IPv4 header checksum. Pool buffers are
-// 2048-byte slots of one slab, so the Ethernet, IPv4 and TCP headers
-// (54 B) share the slot's first cache line and the one load fetches them
-// all. Every tuple rewriter writes the checksum, so the read stays
-// inside its own action row and no-copy parallel groups stay race-free.
+// 2048-byte slots of one slab with frames a 64-byte headroom in, so the
+// Ethernet, IPv4 and TCP headers (54 B) share one cache line and the
+// one load fetches them all. Every tuple rewriter writes the checksum,
+// so the read stays inside its own action row and no-copy parallel
+// groups stay race-free.
 // Nil packets and frames shorter than Ethernet + IPv4 are skipped. It
 // never parses: a parse writes the layout cache.
 //
@@ -155,7 +188,8 @@ func WarmHeaders(pkts []*Packet) byte {
 // Bytes returns the valid wire bytes of the packet.
 func (p *Packet) Bytes() []byte { return p.buf[:p.wire] }
 
-// Buffer returns the full backing buffer (capacity may exceed Len).
+// Buffer returns the backing buffer from the frame's first byte to the
+// end of its slot (capacity may exceed Len).
 func (p *Packet) Buffer() []byte { return p.buf }
 
 // Len returns the current wire length.
