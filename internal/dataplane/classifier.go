@@ -113,13 +113,16 @@ type Classifier struct {
 	// no fast path: a zero-value Classifier, as the tests build to hold
 	// the cache to the plain lookup). Injector goroutines classify
 	// inline, so any number of them may probe and install into one cache
-	// at once; each slot's sequence word keeps that safe (fcSlot). Cache
-	// hit/miss/eviction counters are amortized per burst like the
-	// outcome counters.
-	caches     []microCache
+	// at once; each slot's sequence word keeps that safe (fcSlot), and a
+	// cache that outgrows its slots is replaced whole through its
+	// pointer (microCache). Cache hit/miss counters are amortized per
+	// burst like the outcome counters; cacheSlots publishes each shard's
+	// size at scrape time (pollCache).
+	caches     []atomic.Pointer[microCache]
 	cacheHits  *telemetry.Counter
 	cacheMiss  *telemetry.Counter
 	cacheEvict *telemetry.Counter
+	cacheSlots []*telemetry.Gauge
 }
 
 // fcSlot is one microflow, inline and pointer-free: the packed key, the
@@ -129,8 +132,9 @@ type Classifier struct {
 // word (odd while a writer is inside) makes a probe see a whole entry
 // or none, and every field is an atomic so the race detector agrees.
 // Staleness is one compare with the live table's generation, so every
-// rule mutation (and Reload's republish) invalidates the whole cache
-// for free.
+// rule mutation invalidates the whole cache for free. A Reload is not a
+// rule mutation: an entry names a MID, never a generation (shard.acquire
+// resolves that from the dispatch map), so a swap keeps every entry.
 type fcSlot struct {
 	seq atomic.Uint64
 	gen atomic.Uint64 // classTable.gen the entry was computed against; 0 = empty
@@ -165,23 +169,46 @@ func (s *fcSlot) store(gen, a, b uint64) {
 	s.seq.Store(seq + 2)
 }
 
+// fcMaxSlots is the size a microflow cache stops growing at: 512 KB of
+// slots per shard.
+const fcMaxSlots = 16384
+
 // microCache is one shard's microflow cache in the OVS EMC mold: a
 // power-of-two array of slots, probed two-way — each flow hashes to a
 // primary and a secondary slot (disjoint hash bits), so two flows
 // colliding on one index coexist instead of thrashing each other with a
-// full rule walk per packet. Only when both ways hold live entries does
-// an install overwrite in place (cheap eviction); the displaced flow
-// simply takes the rule walk again on its next packet, so the cache
-// bounds memory, never correctness.
+// full rule walk per packet. A miss with a free or stale way installs
+// there. When both ways hold live entries the miss displaces one only
+// on a 1-in-32 draw (displace), the way Open vSwitch inserts only a
+// fraction of its misses: a flow of one packet rarely evicts an
+// established one, and a flow that keeps coming gets in eventually. The
+// displaced flow takes the rule walk again on its next packet, so the
+// cache bounds memory, never correctness.
+//
+// pressure counts the misses that found both ways live since the cache
+// was made; it never decays. The miss that brings it to the slot count
+// swaps in an empty cache of twice the size, up to fcMaxSlots (displace);
+// injectors still holding the old one finish their burst on it, and the
+// flows it held install again on their next miss. An entry stays live
+// until a rule mutation, however long ago its flow ended, so steady
+// new-flow churn grows a cache to the ceiling in time even when the
+// flows alive at once would fit. A cache is never shrunk.
 type microCache struct {
-	slots []fcSlot
-	mask  uint64
+	slots    []fcSlot
+	mask     uint64
+	pressure atomic.Uint64
+}
+
+func newMicroCache(size int) *microCache {
+	return &microCache{slots: make([]fcSlot, size), mask: uint64(size - 1)}
 }
 
 // bindFlowCache allocates one microflow cache per shard, each with
-// slots rounded up to a power of two. Called once by the owning Server
-// before traffic flows; a classifier without it (zero value, tests)
-// runs the plain rule walk.
+// slots rounded up to a power of two, and, with a registry, the
+// nfp_classifier_cache_* series (the slot gauge labelled by shard when
+// there is more than one). Called once by the owning Server before
+// traffic flows; a classifier without it (zero value, tests) runs the
+// plain rule walk.
 func (c *Classifier) bindFlowCache(shards, slots int) {
 	if shards < 1 {
 		shards = 1
@@ -190,28 +217,32 @@ func (c *Classifier) bindFlowCache(shards, slots int) {
 	for size < slots {
 		size <<= 1
 	}
-	c.caches = make([]microCache, shards)
+	c.caches = make([]atomic.Pointer[microCache], shards)
 	for i := range c.caches {
-		c.caches[i] = microCache{
-			slots: make([]fcSlot, size),
-			mask:  uint64(size - 1),
-		}
+		c.caches[i].Store(newMicroCache(size))
 	}
 	if c.reg != nil {
 		c.cacheHits = c.reg.Counter("nfp_classifier_cache_hits_total")
 		c.cacheMiss = c.reg.Counter("nfp_classifier_cache_misses_total")
 		c.cacheEvict = c.reg.Counter("nfp_classifier_cache_evictions_total")
+		c.cacheSlots = make([]*telemetry.Gauge, shards)
+		for i := range c.cacheSlots {
+			var labels []telemetry.Label
+			if shards > 1 {
+				labels = []telemetry.Label{telemetry.L("shard", strconv.Itoa(i))}
+			}
+			c.cacheSlots[i] = c.reg.Gauge("nfp_classifier_cache_slots", labels...)
+		}
+		c.pollCache()
 	}
 }
 
-// InvalidateCache force-expires every microflow cache entry by
-// republishing the classification table as a new generation: entries
-// are stamped with the generation they were computed against, so the
-// republish makes all of them stale at once without touching a slot.
-// Rule mutations do this implicitly; Server.Reload calls it explicitly
-// so a config-generation swap never serves a pre-swap cache line.
-func (c *Classifier) InvalidateCache() {
-	c.mutate(func(*classTable) {})
+// pollCache publishes each shard's cache size. It runs at scrape time
+// (Server.pollState), so growth costs the packet path nothing extra.
+func (c *Classifier) pollCache() {
+	for i, g := range c.cacheSlots {
+		g.Set(int64(len(c.caches[i].Load().slots)))
+	}
 }
 
 // bindTelemetry points the classifier's counters at a registry. Called
@@ -292,8 +323,8 @@ type classTable struct {
 // lazyIndex compiles a rule list on its first miss. bench-style installs
 // publish one table per AddRule and never look most of them up, so the
 // build is deferred to lookup time; versions that republish an unchanged
-// rule list (SetDefault, InvalidateCache) share the holder, so a built
-// index is carried over instead of rebuilt.
+// rule list (SetDefault) share the holder, so a built index is carried
+// over instead of rebuilt.
 type lazyIndex struct {
 	once sync.Once
 	ix   *ruleindex.Index
@@ -397,7 +428,7 @@ func (c *Classifier) cacheFor(t *classTable, shard int) *microCache {
 	if c.caches == nil || len(t.rules) == 0 {
 		return nil
 	}
-	return &c.caches[shard]
+	return c.caches[shard].Load()
 }
 
 // scanRules is the slow path: the §5.1 first-match lookup through the
@@ -417,17 +448,18 @@ func (c *Classifier) scanRules(t *classTable, p *packet.Packet) (mid uint32, ok,
 	return 0, false, false
 }
 
-// lookupFast resolves a packet through the microflow cache: a hit is
-// one slot read plus three compares (table generation, packed key); a
-// miss runs the rule walk and installs the result — including
+// lookupFast resolves a packet through shard's microflow cache mc: a
+// hit is one slot read plus three compares (table generation, packed
+// key); a miss runs the rule walk and installs the result — including
 // via-default resolutions, which paid for the full failed walk and are
-// worth caching — under the current table generation. Unroutable
+// worth caching — under the current table generation, into a free or
+// stale way, or over a live entry when displace allows it. Unroutable
 // results are not installed: the cache holds only flows the dataplane
 // will accept.
 // Unparseable packets carry no 5-tuple and bypass the cache for
 // scanRules' default fallthrough, so outcomes (and therefore counters,
 // PIDs and digests) are identical cache-on and cache-off.
-func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet) (mid uint32, ok, viaDefault bool, res int) {
+func (c *Classifier) lookupFast(t *classTable, mc *microCache, shard int, p *packet.Packet) (mid uint32, ok, viaDefault bool, res int) {
 	fk, err := p.FlowKey()
 	if err != nil {
 		mid, ok, viaDefault = c.scanRules(t, p)
@@ -454,8 +486,8 @@ func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet)
 		if ok1 && g1 == t.gen {
 			if !ok2 || g2 != t.gen {
 				slot = s2
-			} else {
-				c.cacheEvict.Add(1)
+			} else if !c.displace(mc, shard, h) {
+				return mid, ok, viaDefault, fcMiss
 			}
 		}
 		b |= uint64(mid) << fcMIDShift
@@ -465,6 +497,31 @@ func (c *Classifier) lookupFast(t *classTable, mc *microCache, p *packet.Packet)
 		slot.store(t.gen, a, b)
 	}
 	return mid, ok, viaDefault, fcMiss
+}
+
+// displace decides whether a miss of the flow hashed h, whose two ways
+// in mc both hold live entries, may overwrite one. Below fcMaxSlots
+// every such miss counts towards mc's growth, and the one that grows it
+// displaces nothing: its flow installs into the new cache next time.
+func (c *Classifier) displace(mc *microCache, shard int, h uint64) bool {
+	if size := uint64(len(mc.slots)); size < fcMaxSlots && mc.pressure.Add(1) == size {
+		c.caches[shard].Store(newMicroCache(2 * len(mc.slots)))
+		return false
+	}
+	if !fcDraw(h, c.nextPID.Load()) {
+		return false
+	}
+	c.cacheEvict.Add(1)
+	return true
+}
+
+// fcDraw is the displacement throttle's draw for the flow hashed h when
+// the PID counter reads pid: it passes when the top 5 bits of the mix
+// are zero, 1 time in 32. The counter is read, never written, so
+// injectors share nothing new, and it moves with every packet, so a
+// flow that keeps missing gets in eventually.
+func fcDraw(h, pid uint64) bool {
+	return ((h^pid)*0x9e3779b97f4a7c15)>>59 == 0
 }
 
 // ClassifyBatch resolves and stamps MIDs for a whole burst — the §5.1
@@ -498,7 +555,7 @@ func (c *Classifier) ClassifyBatchShard(pkts []*packet.Packet, shard int) int {
 		var ok, viaDefault bool
 		if mc != nil {
 			var res int
-			mid, ok, viaDefault, res = c.lookupFast(t, mc, p)
+			mid, ok, viaDefault, res = c.lookupFast(t, mc, shard, p)
 			switch res {
 			case fcHit:
 				hits++

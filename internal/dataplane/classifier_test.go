@@ -212,9 +212,10 @@ func TestClassifyBatchAllocFree(t *testing.T) {
 // BenchmarkClassifyBatch classifies 32-packet bursts as an injector
 // does — attach a frame, parse, probe the microflow cache, stamp — behind
 // one destination-port rule, as fwd64 runs. warm: 64 flows, every probe
-// a hit. cold: 2^18 flows visited in turn against the 4096-slot cache,
-// so every probe misses, asks the rule index and installs. ns/op is per
-// packet; a burst must not allocate.
+// a hit. cold: 2^18 flows visited in turn, against a cache the warm-up
+// lap has grown to fcMaxSlots, so every probe misses and asks the rule
+// index, and one in 32 displaces an entry. ns/op is per packet; a burst
+// must not allocate.
 func BenchmarkClassifyBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name  string

@@ -25,6 +25,52 @@ func cacheCounters(c *Classifier) (hits, misses, evicts uint64) {
 	return c.cacheHits.Value(), c.cacheMiss.Value(), c.cacheEvict.Value()
 }
 
+// republish publishes the current classification table again as a new
+// generation without changing a rule or the default, which makes every
+// microflow cache entry stale at once.
+func republish(c *Classifier) {
+	c.mutate(func(*classTable) {})
+}
+
+// cacheSlots is the size of shard's microflow cache.
+func cacheSlots(c *Classifier, shard int) int {
+	return len(c.caches[shard].Load().slots)
+}
+
+// flowPkt builds flow i of a synthetic flow set into p: the flows
+// differ in source address only and all match the 10.0.0.0/8 rule of
+// batchClassifier.
+func flowPkt(p *packet.Packet, i int) *packet.Packet {
+	packet.BuildInto(p, packet.BuildSpec{
+		SrcIP:   netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}),
+		DstIP:   netip.MustParseAddr("10.100.0.1"),
+		Proto:   packet.ProtoTCP,
+		SrcPort: 1024, DstPort: 80,
+		TTL: 64,
+	})
+	return p
+}
+
+// flowHash is the hash the microflow cache indexes p's flow by.
+func flowHash(t *testing.T, p *packet.Packet) uint64 {
+	t.Helper()
+	fk, err := p.FlowKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fk.Hash()
+}
+
+// drawPID returns a PID counter value at which the displacement draw
+// for the flow hashed h comes out as pass.
+func drawPID(h uint64, pass bool) uint64 {
+	for pid := uint64(1); ; pid++ {
+		if fcDraw(h, pid) == pass {
+			return pid
+		}
+	}
+}
+
 func TestFlowCacheHitMiss(t *testing.T) {
 	c, _ := cachedClassifier(64)
 	a := classPkt("10.0.0.1", 1024)
@@ -54,27 +100,112 @@ func TestFlowCacheHitMiss(t *testing.T) {
 	}
 }
 
-// TestFlowCacheEvictionSingleSlot forces collisions with a one-slot
-// cache: two live flows alternately displace each other, every
-// displacement of a current-table entry counted as an eviction, and
-// every result still correct.
+// TestFlowCacheEvictionSingleSlot pins the install rules. On a one-slot
+// cache, where both ways of every flow are the one slot: a free way
+// installs, and so does a stale one, with no eviction and no growth. At
+// the ceiling, where the cache no longer grows: a miss whose two ways
+// hold live entries displaces the primary one only when the draw
+// passes, and only that counts as an eviction. Then, from one slot
+// again: the cache doubles exactly when as many misses have found both
+// ways live as it has slots, and stops at fcMaxSlots.
 func TestFlowCacheEvictionSingleSlot(t *testing.T) {
 	c, _ := cachedClassifier(1)
 	a := classPkt("10.0.0.1", 1024)
 	b := classPkt("172.16.0.1", 1024)
-	for i := 0; i < 4; i++ {
-		if mid, ok := classifyOne(c, a); !ok || mid != 1 {
-			t.Fatalf("iter %d: a = (%d, %v)", i, mid, ok)
+	classifyOne(c, a) // free: installs
+	if mid, ok := classifyOne(c, a); !ok || mid != 1 {
+		t.Fatalf("a = (%d, %v)", mid, ok)
+	}
+	republish(c)
+	classifyOne(c, b) // a's entry is stale: b installs over it
+	if mid, ok := classifyOne(c, b); !ok || mid != 2 {
+		t.Fatalf("b = (%d, %v)", mid, ok)
+	}
+	if h, m, e := cacheCounters(c); h != 2 || m != 2 || e != 0 {
+		t.Fatalf("free and stale installs: hits=%d misses=%d evicts=%d, want 2/2/0", h, m, e)
+	}
+	if n, p := cacheSlots(c, 0), c.caches[0].Load().pressure.Load(); n != 1 || p != 0 {
+		t.Fatalf("free and stale installs left %d slots at pressure %d, want 1 at 0", n, p)
+	}
+
+	// Three flows at the ceiling: y and z sit in x's primary and
+	// secondary ways, found by searching the source address.
+	c, _ = cachedClassifier(fcMaxSlots)
+	mask := uint64(fcMaxSlots - 1)
+	x := flowPkt(packet.New(make([]byte, 2048)), 1)
+	hx := flowHash(t, x)
+	scratch := packet.New(make([]byte, 2048))
+	find := func(way uint64) *packet.Packet {
+		for i := 2; i < 1<<22; i++ {
+			if flowHash(t, flowPkt(scratch, i))&mask == way {
+				return flowPkt(packet.New(make([]byte, 2048)), i)
+			}
 		}
-		if mid, ok := classifyOne(c, b); !ok || mid != 2 {
-			t.Fatalf("iter %d: b = (%d, %v)", i, mid, ok)
+		t.Fatalf("no flow has primary way %d", way)
+		return nil
+	}
+	if hx&mask == (hx>>16)&mask {
+		t.Fatal("x's two ways coincide; pick another x")
+	}
+	y, z := find(hx&mask), find((hx>>16)&mask)
+	passes := 0
+	for pid := uint64(0); pid < 1<<16; pid++ {
+		if fcDraw(hx, pid) {
+			passes++
 		}
 	}
-	h, m, e := cacheCounters(c)
-	// Every classify is a miss (the other flow always owns the slot),
-	// and every install after the first displaces a live entry.
-	if h != 0 || m != 8 || e != 7 {
-		t.Fatalf("hits=%d misses=%d evicts=%d, want 0/8/7", h, m, e)
+	if passes < 1<<16/40 || passes > 1<<16/26 {
+		t.Fatalf("the draw passed %d times in %d PIDs, want about 1 in 32", passes, 1<<16)
+	}
+	classifyOne(c, y)
+	classifyOne(c, z)
+	for i := 0; i < 3; i++ {
+		c.nextPID.Store(drawPID(hx, false))
+		classifyOne(c, x)
+	}
+	if h, m, e := cacheCounters(c); h != 0 || m != 5 || e != 0 {
+		t.Fatalf("failed draws: hits=%d misses=%d evicts=%d, want 0/5/0", h, m, e)
+	}
+	c.nextPID.Store(drawPID(hx, true))
+	classifyOne(c, x) // displaces y
+	classifyOne(c, x)
+	classifyOne(c, z)
+	classifyOne(c, y)
+	if h, m, e := cacheCounters(c); h != 2 || m != 7 || e != 1 {
+		t.Fatalf("passed draw: hits=%d misses=%d evicts=%d, want 2/7/1 (x and z hit, y misses)", h, m, e)
+	}
+	if n, p := cacheSlots(c, 0), c.caches[0].Load().pressure.Load(); n != fcMaxSlots || p != 0 {
+		t.Fatalf("at the ceiling: %d slots at pressure %d, want %d at 0", n, p, fcMaxSlots)
+	}
+
+	// Growth: every flow is new, so once the cache is full every miss
+	// finds both ways live.
+	c, _ = cachedClassifier(1)
+	p := packet.New(make([]byte, 2048))
+	for i := 0; cacheSlots(c, 0) < fcMaxSlots; i++ {
+		if i == 1<<20 {
+			t.Fatalf("%d flows grew the cache to %d slots only", i, cacheSlots(c, 0))
+		}
+		mc := c.caches[0].Load()
+		before := mc.pressure.Load()
+		classifyOne(c, flowPkt(p, i))
+		after := c.caches[0].Load()
+		if after == mc {
+			if mc.pressure.Load() >= uint64(len(mc.slots)) {
+				t.Fatalf("flow %d: pressure %d on %d slots without growth", i, mc.pressure.Load(), len(mc.slots))
+			}
+			continue
+		}
+		if before+1 != uint64(len(mc.slots)) || len(after.slots) != 2*len(mc.slots) || after.pressure.Load() != 0 {
+			t.Fatalf("flow %d: %d slots at pressure %d grew to %d slots at pressure %d, want double at pressure = slots",
+				i, len(mc.slots), before+1, len(after.slots), after.pressure.Load())
+		}
+	}
+	for i := 0; i < 4*fcMaxSlots; i++ {
+		classifyOne(c, flowPkt(p, 1<<20+i))
+	}
+	if n := cacheSlots(c, 0); n != fcMaxSlots {
+		t.Fatalf("%d slots after a sweep at the ceiling, want %d", n, fcMaxSlots)
 	}
 }
 
@@ -109,12 +240,12 @@ func TestFlowCacheStaleAfterMutations(t *testing.T) {
 		t.Fatalf("add did not invalidate: hits=%d misses=%d", h, m)
 	}
 
-	c.InvalidateCache()
+	republish(c)
 	if mid, _ := classifyOne(c, p); mid != 9 {
-		t.Fatalf("after explicit invalidate: mid=%d", mid)
+		t.Fatalf("after republish: mid=%d", mid)
 	}
 	if h, m, _ := cacheCounters(c); h != 1 || m != 4 {
-		t.Fatalf("InvalidateCache did not invalidate: hits=%d misses=%d", h, m)
+		t.Fatalf("republish did not invalidate: hits=%d misses=%d", h, m)
 	}
 
 	// Clear empties the rule table — the cache disengages entirely
@@ -195,8 +326,9 @@ func TestFlowCacheBatchShardIsolation(t *testing.T) {
 // TestFlowCachePrependRedirectImmediate drives a live server: a flow
 // pinned to MID 1 with a warm cache is redirected to MID 2 by
 // PrependRule mid-traffic, and the very next burst must land on the
-// MID 2 graph — no packet may ride a stale cache line. The same
-// guarantee is then re-proven across a zero-downtime reload.
+// MID 2 graph — no packet may ride a stale cache line. A zero-downtime
+// reload of MID 2 then keeps the cache line, and the post-reload burst
+// still reaches the new generation's instance whole.
 func TestFlowCachePrependRedirectImmediate(t *testing.T) {
 	mon1, mon2 := nf.NewMonitor(), nf.NewMonitor()
 	g := graph.Seq{Items: []graph.Node{nfn(nfa.NFMonitor, 0)}}
@@ -248,13 +380,13 @@ func TestFlowCachePrependRedirectImmediate(t *testing.T) {
 	s.Classifier().PrependRule(Match{DstPort: 80}, 2)
 	inject(16) // must ALL land on MID 2 — classification is inline here
 
-	// And across a reload: generation swap plus explicit invalidation.
+	// And across a reload: the generation swaps, the cache line stays.
 	mon2b := nf.NewMonitor()
 	err := s.ReloadProvide(2, g, func(shard int, node graph.NF) nf.NF { return mon2b })
 	if err != nil {
 		t.Fatal(err)
 	}
-	inject(16) // post-reload burst: fresh instance, no stale cache line
+	inject(16) // post-reload burst: fresh instance, all cache hits
 
 	s.Stop()
 	<-drained
@@ -270,10 +402,166 @@ func TestFlowCachePrependRedirectImmediate(t *testing.T) {
 	}
 	hits := s.classifier.cacheHits.Value()
 	misses := s.classifier.cacheMiss.Value()
-	// 3 bursts of 16, each starting cold (install, redirect, reload all
-	// invalidate): 3 misses, 45 hits.
-	if misses != 3 || hits != 45 {
-		t.Errorf("cache hits=%d misses=%d, want 45/3", hits, misses)
+	// 3 bursts of 16: the install and the redirect start cold, the
+	// reload does not: 2 misses, 46 hits.
+	if misses != 2 || hits != 46 {
+		t.Errorf("cache hits=%d misses=%d, want 46/2", hits, misses)
+	}
+}
+
+// TestFlowCacheSurvivesReload: a Reload changes no rule and no default,
+// so it keeps every cache entry, and the next packet of a cached flow
+// hits and still runs on the new generation's instance — acquire
+// resolves the generation, the cache only the MID. A rule mutation or a
+// new default still invalidates.
+func TestFlowCacheSurvivesReload(t *testing.T) {
+	mon, monB := nf.NewMonitor(), nf.NewMonitor()
+	g := graph.Seq{Items: []graph.Node{nfn(nfa.NFMonitor, 0)}}
+	s := New(Config{PoolSize: 256, Burst: 8})
+	if err := s.AddGraphInstances(1, g, map[graph.NF]nf.NF{nfn(nfa.NFMonitor, 0): mon}); err != nil {
+		t.Fatal(err)
+	}
+	s.Classifier().AddRule(Match{DstPort: 80}, 1)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for p := range s.Output() {
+			p.Free()
+		}
+	}()
+	inject := func(k int) {
+		t.Helper()
+		batch := make([]*packet.Packet, k)
+		if got := s.Pool().AllocBatch(batch); got != k {
+			t.Fatalf("alloc %d of %d", got, k)
+		}
+		for _, p := range batch {
+			packet.BuildInto(p, packet.BuildSpec{
+				SrcIP:   netip.MustParseAddr("10.0.0.1"),
+				DstIP:   netip.MustParseAddr("10.100.0.1"),
+				Proto:   packet.ProtoTCP,
+				SrcPort: 1024, DstPort: 80,
+				TTL: 64, Payload: []byte("reload"),
+			})
+		}
+		if acc := s.InjectBatch(batch); acc != k {
+			t.Fatalf("injected %d of %d", acc, k)
+		}
+	}
+	c := &s.classifier
+	expect := func(step string, hits, misses uint64) {
+		t.Helper()
+		if h, m, _ := cacheCounters(c); h != hits || m != misses {
+			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", step, h, m, hits, misses)
+		}
+	}
+
+	inject(4)
+	expect("warm-up", 3, 1)
+	if err := s.ReloadProvide(1, g, func(int, graph.NF) nf.NF { return monB }); err != nil {
+		t.Fatal(err)
+	}
+	inject(1)
+	expect("after ReloadProvide", 4, 1)
+	c.AddRule(Match{DstPort: 443}, 1)
+	inject(1)
+	expect("after AddRule", 4, 2)
+	c.PrependRule(Match{DstPort: 443}, 1)
+	inject(1)
+	expect("after PrependRule", 4, 3)
+	c.SetDefault(1)
+	inject(1)
+	expect("after SetDefault", 4, 4)
+
+	s.Stop()
+	<-drained
+	if got := mon.Total().Packets; got != 4 {
+		t.Errorf("first generation's monitor saw %d packets, want 4", got)
+	}
+	if got := monB.Total().Packets; got != 4 {
+		t.Errorf("reloaded generation's monitor saw %d packets, want 4 (a cache hit rode the old generation?)", got)
+	}
+}
+
+// TestFlowCacheGrowsToWorkingSet: a shard's cache grows until the flows
+// it sees fit — 4096 flows cycled through a cache that starts at 4096
+// slots end up nearly all hits — but no further: 64 flows never grow
+// it, and a sweep of 2^18 flows stops at fcMaxSlots.
+func TestFlowCacheGrowsToWorkingSet(t *testing.T) {
+	cycle := func(c *Classifier, flows, laps int) (hitRatio float64) {
+		p := packet.New(make([]byte, 2048))
+		var h0, m0 uint64
+		for lap := 0; lap < laps; lap++ {
+			h0, m0, _ = cacheCounters(c)
+			for i := 0; i < flows; i++ {
+				if _, ok := classifyOne(c, flowPkt(p, i)); !ok {
+					t.Fatalf("flow %d unclassified", i)
+				}
+			}
+		}
+		h, m, _ := cacheCounters(c)
+		return float64(h-h0) / float64(h-h0+m-m0)
+	}
+
+	c, _ := cachedClassifier(flowCacheSlots)
+	if r := cycle(c, 4096, 12); r < 0.97 {
+		t.Errorf("4096 flows: last-lap hit ratio %.3f at %d slots, want >= 0.97", r, cacheSlots(c, 0))
+	}
+	c, _ = cachedClassifier(flowCacheSlots)
+	if r := cycle(c, 64, 100); r != 1 || cacheSlots(c, 0) != flowCacheSlots {
+		t.Errorf("64 flows: last-lap hit ratio %.3f at %d slots, want 1 at %d", r, cacheSlots(c, 0), flowCacheSlots)
+	}
+	c, _ = cachedClassifier(flowCacheSlots)
+	cycle(c, 1<<18, 1)
+	if n := cacheSlots(c, 0); n != fcMaxSlots {
+		t.Errorf("a sweep of 2^18 flows left %d slots, want %d", n, fcMaxSlots)
+	}
+}
+
+// TestFlowCacheSlotsGauge: nfp_classifier_cache_slots reads each
+// shard's cache size at scrape time — one unlabelled series on one
+// shard, one per shard label on more — and follows a growth.
+func TestFlowCacheSlotsGauge(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		s := New(Config{PoolSize: 256, Shards: shards})
+		c := &s.classifier
+		c.AddRule(Match{SrcPrefix: netip.MustParsePrefix("10.0.0.0/8")}, 1)
+		label := func(i int) []telemetry.Label {
+			if shards == 1 {
+				return nil
+			}
+			return []telemetry.Label{telemetry.L("shard", fmt.Sprint(i))}
+		}
+		series := 0
+		for _, g := range s.Telemetry().Snapshot().Gauges {
+			if g.Name == "nfp_classifier_cache_slots" {
+				series++
+			}
+		}
+		if series != shards {
+			t.Fatalf("shards=%d: %d nfp_classifier_cache_slots series", shards, series)
+		}
+		grown := shards - 1
+		p := packet.New(make([]byte, 2048))
+		for i := 0; cacheSlots(c, grown) == flowCacheSlots; i++ {
+			if i == 1<<20 {
+				t.Fatalf("shards=%d: %d flows never grew shard %d's cache", shards, i, grown)
+			}
+			c.ClassifyBatchShard([]*packet.Packet{flowPkt(p, i)}, grown)
+		}
+		snap := s.Telemetry().Snapshot()
+		for i := 0; i < shards; i++ {
+			want := int64(flowCacheSlots)
+			if i == grown {
+				want *= 2
+			}
+			if got := snap.GaugeValue("nfp_classifier_cache_slots", label(i)...); got != want {
+				t.Errorf("shards=%d: shard %d reads %d slots, want %d", shards, i, got, want)
+			}
+		}
 	}
 }
 
@@ -283,11 +571,50 @@ func TestFlowCachePrependRedirectImmediate(t *testing.T) {
 // the two prefixes' flows resolve to different MIDs: a probe that read
 // one entry's address word and another's port-and-MID word would take
 // it for a hit and stamp the wrong graph — the read the sequence word
-// rules out. Every slot is overwritten constantly and every answer is
-// checked; under -race the detector holds the slot to atomics only.
-// A miss installs in place: no allocation.
+// rules out. The first phase pins the cache at two slots, so its 64
+// flows overwrite every slot constantly for all 2000 rounds; the second
+// lets a two-slot cache grow under the injectors' feet. Every answer is
+// checked; under -race the detector holds the slots and the swap to
+// atomics only. A miss installs in place: no allocation.
 func TestFlowCacheConcurrentInstall(t *testing.T) {
 	c, _ := cachedClassifier(2)
+	c.caches[0].Load().pressure.Store(1 << 62) // never reaches the slot count: no growth
+	concurrentProbe(t, c, 2000)
+	if n := cacheSlots(c, 0); n != 2 {
+		t.Fatalf("the pinned cache grew to %d slots", n)
+	}
+	if _, _, ev := cacheCounters(c); ev == 0 {
+		t.Error("64 flows on two slots displaced no live entry")
+	}
+
+	c, _ = cachedClassifier(2)
+	concurrentProbe(t, c, 200)
+	if n := cacheSlots(c, 0); n == 2 {
+		t.Error("64 flows never grew a two-slot cache")
+	}
+
+	// On a cache with room, republishing makes every classification
+	// after it a miss and an install; what it allocates itself (the
+	// table copy) is the baseline.
+	c, _ = cachedClassifier(64)
+	a, b := classPkt("10.9.9.1", 1024), classPkt("10.9.9.2", 1024)
+	classifyOne(c, a) // materialize the per-MID counter
+	base := testing.AllocsPerRun(200, func() { republish(c) })
+	got := testing.AllocsPerRun(200, func() {
+		republish(c)
+		classifyOne(c, a)
+		classifyOne(c, b)
+	})
+	if got > base {
+		t.Errorf("two cache misses allocate %v objects beyond the republish's %v, want 0", got-base, base)
+	}
+}
+
+// concurrentProbe runs rounds of TestFlowCacheConcurrentInstall's
+// traffic through c from four injectors while a fifth goroutine
+// republishes the table, checking every classification.
+func concurrentProbe(t *testing.T, c *Classifier, rounds int) {
+	t.Helper()
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -297,7 +624,7 @@ func TestFlowCacheConcurrentInstall(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				c.InvalidateCache()
+				republish(c)
 			}
 		}
 	}()
@@ -315,7 +642,7 @@ func TestFlowCacheConcurrentInstall(t *testing.T) {
 				}
 				pkts[i], want[i] = classPkt(src, 1024), mid
 			}
-			for round := 0; round < 2000; round++ {
+			for round := 0; round < rounds; round++ {
 				for i, p := range pkts {
 					if mid, ok := classifyOne(c, p); !ok || mid != want[i] {
 						t.Errorf("injector %d flow %d: classified (%d, %v), want MID %d", g, i, mid, ok, want[i])
@@ -328,18 +655,4 @@ func TestFlowCacheConcurrentInstall(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-done
-
-	a, b := classPkt("10.9.9.1", 1024), classPkt("10.9.9.2", 1024)
-	classifyOne(c, a) // materialize the per-MID counter
-	// Republishing makes every classification after it a miss and an
-	// install; what it allocates itself (the table copy) is the baseline.
-	base := testing.AllocsPerRun(200, func() { c.InvalidateCache() })
-	got := testing.AllocsPerRun(200, func() {
-		c.InvalidateCache()
-		classifyOne(c, a)
-		classifyOne(c, b)
-	})
-	if got > base {
-		t.Errorf("two cache misses allocate %v objects beyond the republish's %v, want 0", got-base, base)
-	}
 }

@@ -125,7 +125,7 @@ func TestClassifierMatchesReferenceWalk(t *testing.T) {
 		var c Classifier
 		c.bindTelemetry(telemetry.NewRegistry())
 		if cached {
-			c.bindFlowCache(1, 32) // smaller than the traffic: hits, misses and evictions all happen
+			c.bindFlowCache(1, 32) // smaller than the traffic: hits, misses, evictions and growth all happen (checked below)
 		}
 		var (
 			rules                            []classRule
@@ -152,7 +152,7 @@ func TestClassifierMatchesReferenceWalk(t *testing.T) {
 				c.Clear()
 				rules, hasDefault, defaultMID = nil, false, 0
 			case op == 9:
-				c.InvalidateCache()
+				republish(&c)
 			}
 			rng.Shuffle(len(traffic), func(i, j int) { traffic[i], traffic[j] = traffic[j], traffic[i] })
 			copy(batch, traffic)
@@ -190,6 +190,15 @@ func TestClassifierMatchesReferenceWalk(t *testing.T) {
 				t.Fatalf("cached=%v step %d: ruleMatches/defaultHits/unmatched = %d/%d/%d, reference %d/%d/%d",
 					cached, step, r, d, u, wantRule, wantDefault, wantUnmat)
 			}
+		}
+		if !cached {
+			continue
+		}
+		if hits, misses, evicts := cacheCounters(&c); hits == 0 || misses == 0 || evicts == 0 {
+			t.Errorf("cache hits/misses/evictions = %d/%d/%d, want every path taken", hits, misses, evicts)
+		}
+		if n := cacheSlots(&c, 0); n == 32 {
+			t.Error("the 32-slot cache never grew")
 		}
 	}
 }
@@ -241,7 +250,7 @@ func TestClassifierConcurrentMutation(t *testing.T) {
 			case 0:
 				c.PrependRule(Match{DstPort: uint16(9000 + i)}, 2) // never matches DstPort 80
 			case 1:
-				c.InvalidateCache()
+				republish(&c)
 			case 2:
 				c.SetDefault(1)
 			default:
@@ -255,9 +264,9 @@ func TestClassifierConcurrentMutation(t *testing.T) {
 
 // TestRuleIndexBuiltOncePerRuleList pins the laziness contract by
 // count, not by timing: installing N rules compiles nothing, the first
-// miss compiles once, republishing the same rule list (InvalidateCache,
-// SetDefault — what every Reload fires) reuses that index, and only a
-// changed rule list pays again.
+// miss compiles once, republishing the same rule list (SetDefault, or a
+// republish without any change) reuses that index, and only a changed
+// rule list pays again.
 func TestRuleIndexBuiltOncePerRuleList(t *testing.T) {
 	var c Classifier
 	reg := telemetry.NewRegistry()
@@ -282,9 +291,9 @@ func TestRuleIndexBuiltOncePerRuleList(t *testing.T) {
 	if n := c.indexBuilds.Load(); n != 1 {
 		t.Fatalf("%d index builds after the first misses, want 1", n)
 	}
-	c.InvalidateCache()
+	republish(&c)
 	c.SetDefault(9)
-	c.InvalidateCache()
+	republish(&c)
 	classify() // every entry is stale: four fresh misses
 	if n := c.indexBuilds.Load(); n != 1 {
 		t.Fatalf("%d index builds after republishing an unchanged rule list, want 1", n)
@@ -326,7 +335,7 @@ func TestAddRuleSharesBackingArray(t *testing.T) {
 	// Republishing without a rule change shares the list and its index
 	// untouched; PrependRule must not write into the shared array.
 	before := c.loadTable()
-	c.InvalidateCache()
+	republish(&c)
 	c.SetDefault(1)
 	if after := c.loadTable(); after == before || &after.rules[0] != &before.rules[0] || after.index != before.index {
 		t.Error("a republish without a rule change copied the rule list or dropped its index")

@@ -71,8 +71,9 @@ const (
 	// drainPoll is how often Stop and retire re-read the counts they
 	// wait on to reach zero: control-plane waits, off the packet path.
 	drainPoll = 50 * time.Microsecond
-	// flowCacheSlots is each shard's microflow cache size (a power of
-	// two; see microCache).
+	// flowCacheSlots is each shard's microflow cache size at New (a
+	// power of two); a cache doubles under collisions, up to fcMaxSlots
+	// (see microCache).
 	flowCacheSlots = 4096
 )
 
@@ -567,9 +568,6 @@ func (s *Server) install(mid uint32, g graph.Node, provide func(shard int, node 
 		return nil
 	}
 	s.generation.Store(gen)
-	// A config-generation swap may retarget MIDs wholesale; expire every
-	// microflow cache line so no packet rides a pre-swap classification.
-	s.classifier.InvalidateCache()
 	s.genG.Set(int64(gen))
 	s.reloadsC.Inc()
 	s.note(flightrec.KindReloadSwap, gen, 0, 0)
@@ -1050,10 +1048,11 @@ func (s *Server) Stats() Stats {
 }
 
 // pollState brings the scrape-time series up to date: nfp_nf_healthy of
-// every NF the dispatch maps reach, and the nfp_nf_state_* series of
-// every table-backed one. It runs at scrape time (Registry.OnSnapshot),
-// so the packet path pays nothing for them.
+// every NF the dispatch maps reach, the nfp_nf_state_* series of every
+// table-backed one, and nfp_classifier_cache_slots. It runs at scrape
+// time (Registry.OnSnapshot), so the packet path pays nothing for them.
 func (s *Server) pollState() {
+	s.classifier.pollCache()
 	for _, sh := range s.shards {
 		for _, pr := range *sh.plans.Load() {
 			for _, n := range pr.rts {

@@ -88,10 +88,14 @@ type ChainSLO struct {
 // ClassifierDiag is the windowed view of the classifier: the microflow
 // cache in front and the compiled rule index behind it. HitRate near 1
 // means steady-state flows ride the exact-match fast path. A
-// persistently low rate with high EvictPPS means the live flow count
-// exceeds the cache (4096 flows per shard: add shards); a low rate with
-// near-zero evictions points at churn — every table mutation
-// invalidates all entries, so constant rule updates keep the cache cold.
+// persistently low rate with EvictPPS near 1/32 of CacheMissPPS (a miss
+// that finds both ways taken displaces one only 1 time in 32) means the
+// live flow count exceeds the cache: it doubles from 4096 slots per
+// shard under collisions, and once nfp_classifier_cache_slots reads its
+// 16384 ceiling, only more shards add room. A low rate with no
+// evictions points at churn — every table mutation invalidates all
+// entries, so constant rule updates keep the cache cold. A reload is
+// not a table mutation and keeps the cache.
 //
 // What a miss then costs is set by Tuples, not Rules: the index probes
 // one hash table per distinct mask tuple (prefix lengths × port masks ×
