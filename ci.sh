@@ -32,7 +32,9 @@
 #   ./ci.sh fuzz   — the non-blocking fuzz smoke: each native fuzz
 #                    target gets a short -fuzztime budget (override with
 #                    FUZZ_TIME) on top of its checked-in seed corpus.
-#                    Targets: policy compile, Accumulating Table, rule
+#                    Targets: policy compile, copy-group share safety
+#                    (no compiled copy group holds a pair the compiler's
+#                    share test forbids), Accumulating Table, rule
 #                    index, flow table, signature matcher, the LPM
 #                    table (against a linear-scan longest match),
 #                    the VPN (Process then Decap restores the frame,
@@ -326,6 +328,7 @@ if [ "${1:-}" = "fuzz" ]; then
     # One -fuzz invocation per target: go test refuses to fuzz more
     # than one target (or package) at a time.
     go test -run '^$' -fuzz '^FuzzPolicyCompile$' -fuzztime "$ft" ./internal/core/
+    go test -run '^$' -fuzz '^FuzzCompileShareSafety$' -fuzztime "$ft" ./internal/core/
     go test -run '^$' -fuzz '^FuzzAccumulatingTable$' -fuzztime "$ft" ./internal/dataplane/
     go test -run '^$' -fuzz '^FuzzRuleIndex$' -fuzztime "$ft" ./internal/ruleindex/
     go test -run '^$' -fuzz '^FuzzFlowTable$' -fuzztime "$ft" ./internal/flowtab/

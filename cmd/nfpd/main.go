@@ -79,7 +79,7 @@ func run() int {
 	pcapPath := flag.String("pcap", "", "capture output packets to this pcap file")
 	idsRules := flag.String("ids-rules", "", "Snort-subset rule file; replaces the built-in IDS signatures")
 	noParallel := flag.Bool("no-parallel", false, "compile sequentially (NFP compatibility mode)")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics and /debug/telemetry on this address (keeps serving after the run until interrupted)")
+	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /debug/telemetry (metric snapshot), /debug/spans (traces) and the other /debug endpoints on this address (keeps serving after the run until interrupted)")
 	flag.IntVar(&cfg.TraceSampleRate, "trace-sample", 0,
 		"observe ~1/N packets — hop-by-hop spans, end-to-end latency, heavy-hitter flows (rounded down to a power of two; 0 = off, or 64 when -diagnose-interval, -slo-p99 or -reload need samples)")
 	flag.IntVar(&cfg.TraceCapacity, "trace-buf", 0, "tracer span ring capacity in events (0 = default 4096)")
@@ -401,7 +401,7 @@ func watchSIGHUP(s *dataplane.Server, policyPath, chain string, noParallel bool)
 	reloadFailed := func(err error) {
 		fmt.Fprintf(os.Stderr, "nfpd: reload: %v\n", err)
 		rec := s.FlightRecorder()
-		rec.Event(flightrec.Note{
+		rec.Record(0, flightrec.Record{
 			Kind: flightrec.KindReloadFailed, Gen: s.Generation(),
 			Detail: rec.Intern(err.Error()),
 		})

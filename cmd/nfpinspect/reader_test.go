@@ -106,6 +106,7 @@ func serveLiveRun(t *testing.T) *httptest.Server {
 // report must carry its headline and the run's figures, and -json must
 // be the server's JSON.
 func TestReadersRenderLiveServer(t *testing.T) {
+	t.Run("golden", testGoldens)
 	web := serveLiveRun(t)
 	addr := web.Listener.Addr().String()
 	for _, tc := range []struct {
@@ -113,7 +114,7 @@ func TestReadersRenderLiveServer(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{"metrics", nil, []string{"COUNTERS", "nfp_injected_total", "TRACES:"}},
+		{"metrics", nil, []string{"COUNTERS", "nfp_injected_total", "HISTOGRAMS"}},
 		{"trace", []string{"-max", "2"}, []string{"SPANS:", "e2e", "classify classifier", "more traced packets"}},
 		{"criticalpath", nil, []string{"CRITICAL PATH:", "mid 1 —", "parallel speedup"}},
 		{"health", nil, []string{"HEALTH:", "BOTTLENECKS", "SLO mid=1"}},
@@ -164,7 +165,7 @@ func TestIncidentReadsSpooledBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.SetOnIncident(func(reason string) { snap.Trigger(reason) })
-	rec.Event(flightrec.Note{Kind: flightrec.KindPanic, Node: rec.Intern(nfa.NFMonitor)})
+	rec.Record(0, flightrec.Record{Kind: flightrec.KindPanic, Node: rec.Intern(nfa.NFMonitor)})
 	snap.Stop()
 
 	out := stdout(t, incidentCmd, "-spool", dir)

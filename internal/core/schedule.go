@@ -146,11 +146,15 @@ func (c *compiler) components(middle map[string]bool) [][]string {
 // irrelevant: every cross pair must be parallelizable without copies
 // in BOTH directions (a dropper on one side, for example, fails the
 // (Drop, ·) row one way and forces sequential placement, preserving
-// per-NF state equivalence with some sequential order).
+// per-NF state equivalence with some sequential order). Every cross
+// pair must also be able to work on one copy at once (shareCompatible,
+// the test buildPar groups by): Algorithm 1 clears a reader beside a
+// header remover, which then shifts the bytes under it.
 func (c *compiler) componentsCompatible(c1, c2 []string) bool {
 	for _, x := range c1 {
 		for _, y := range c2 {
-			if !c.orderIrrelevant(c.profiles[x], c.profiles[y]) {
+			px, py := c.profiles[x], c.profiles[y]
+			if !c.orderIrrelevant(px, py) || !shareCompatible(px, py, c.opts.Analysis) {
 				return false
 			}
 		}

@@ -54,30 +54,31 @@ func (sh *shard) dropCounter(pr *planRuntime, prov dropProv) *telemetry.Counter 
 // one more on its count. Out of line so the terminal hot path stays
 // small.
 func (sh *shard) recordDrop(pr *planRuntime, prov dropProv, pkt *packet.Packet, cursor int64) {
-	d := flightrec.DropRecord{
-		Shard:  sh.id,
+	d := flightrec.Record{
+		Kind:   flightrec.KindDrop,
 		Cause:  prov.cause,
 		Stage:  uint8(prov.stage),
 		Gen:    pr.gen,
 		Node:   pr.nodes[prov.node].name,
+		Count:  1,
 		PID:    pkt.Meta.PID,
 		Cursor: cursor,
 	}
 	if k, err := pkt.FlowKey(); err == nil {
-		d.Flow, d.HasKey = k, true
+		d.Flow, d.HasFlow = k, true
 	}
-	sh.srv.rec.Drop(d)
+	sh.srv.rec.Record(sh.id, d)
 }
 
 // note puts one event of this shard — a panic, restart or
 // backpressure episode at node — on the flight recorder.
 func (sh *shard) note(kind flightrec.Kind, gen uint64, node uint32, count uint64) {
-	sh.srv.rec.Event(flightrec.Note{Shard: sh.id, Kind: kind, Gen: gen, Node: node, Count: count})
+	sh.srv.rec.Record(sh.id, flightrec.Record{Kind: kind, Gen: gen, Node: node, Count: count})
 }
 
 // note records a server-lifecycle event against shard 0.
 func (s *Server) note(kind flightrec.Kind, gen uint64, detail uint32, count uint64) {
-	s.rec.Event(flightrec.Note{Kind: kind, Gen: gen, Detail: detail, Count: count})
+	s.rec.Record(0, flightrec.Record{Kind: kind, Gen: gen, Detail: detail, Count: count})
 }
 
 // FlightRecorder returns the always-on flight recorder.

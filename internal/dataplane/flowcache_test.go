@@ -565,6 +565,36 @@ func TestFlowCacheSlotsGauge(t *testing.T) {
 	}
 }
 
+// TestFlowCacheSlotLoadSeesWriter pins the slot's sequence word: while
+// it is odd, a writer is between its stores and the slot must not load,
+// however complete its words look; once the writer publishes, the new
+// entry loads. TestFlowCacheConcurrentInstall cannot pin this, because
+// an install's three stores are too short a window for a reader to
+// land in.
+func TestFlowCacheSlotLoadSeesWriter(t *testing.T) {
+	var s fcSlot
+	s.store(7, 1, 2)
+	if gen, a, b, ok := s.load(); !ok || gen != 7 || a != 1 || b != 2 {
+		t.Fatalf("load = %d %d %d %v, want 7 1 2 true", gen, a, b, ok)
+	}
+	s.seq.Add(1) // a writer is inside...
+	s.gen.Store(8)
+	s.a.Store(3) // ...and has stored two of its three words
+	if gen, a, b, ok := s.load(); ok {
+		t.Fatalf("loaded %d %d %d from a slot with a writer inside", gen, a, b)
+	}
+	s.b.Store(4)
+	s.seq.Add(1) // the writer publishes
+	if gen, a, b, ok := s.load(); !ok || gen != 8 || a != 3 || b != 4 {
+		t.Fatalf("load = %d %d %d %v, want 8 3 4 true", gen, a, b, ok)
+	}
+	s.seq.Add(1)
+	s.store(9, 5, 6) // an install that finds a writer inside leaves the slot alone
+	if s.seq.Add(1); s.gen.Load() != 8 {
+		t.Fatalf("store wrote into a slot with a writer inside")
+	}
+}
+
 // TestFlowCacheConcurrentInstall has four injectors classify through a
 // two-slot cache while a fifth goroutine keeps republishing the table.
 // The flows share ports and protocol and differ only in addresses, and

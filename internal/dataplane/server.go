@@ -1100,16 +1100,7 @@ func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 // NodeRuntime returns the NF instance executing a graph node on shard
 // 0, for state inspection in tests and examples.
 func (s *Server) NodeRuntime(mid uint32, node graph.NF) (nf.NF, bool) {
-	return s.NodeRuntimeShard(0, mid, node)
-}
-
-// NodeRuntimeShard returns the NF instance executing a graph node on
-// one shard.
-func (s *Server) NodeRuntimeShard(shard int, mid uint32, node graph.NF) (nf.NF, bool) {
-	if shard < 0 || shard >= len(s.shards) {
-		return nil, false
-	}
-	pr := (*s.shards[shard].plans.Load())[mid]
+	pr := (*s.shards[0].plans.Load())[mid]
 	if pr == nil {
 		return nil, false
 	}

@@ -139,7 +139,7 @@ func MergerTable() Table {
 		Header: []string{"degree", "1 merger", "2 mergers", "4 mergers", "NF bound"},
 		Notes: []string{
 			fmt.Sprintf("one instance sustains %.1f Mpps at degree 2 (paper: 10.7)", 1/(p.MergeItemServiceUS*2)),
-			"this repository's own merger, measured rather than modelled: `go test -bench MergerAccept ./internal/dataplane/` (one instance, degree 2, two address merge ops per packet, 64 tails drained per visit) sustains 5.4 M merged packets/s = 10.7 M tails/s with 0 allocs/op on the 2-vCPU 2.1 GHz development box, all in one core's cache; inside a running graph, where base and copy were last touched by other cores, `stateful_manyflow` spends 17 % of process CPU in the merger at 0.89 Mpps",
+			"this repository's own merger, measured rather than modelled: `go test -bench MergerAccept ./internal/dataplane/` (one instance, degree 2, two address merge ops per packet, 64 tails drained per visit) sustains 5.4 M merged packets/s = 10.7 M tails/s with 0 allocs/op on the 2-vCPU 2.1 GHz development box, all in one core's cache; inside a running graph, where base and copy were last touched by other cores, a merge also pays those cores' cache misses; none of the five `bench/` workloads has a join, so none measures that share (`twostage.pol` under `nfpd` has two)",
 		},
 	}
 	nfBound := 1 / (sim.DefaultNFCosts()[nfa.NFFirewall].ServiceUS + p.HopServiceUS)

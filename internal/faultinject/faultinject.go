@@ -60,6 +60,25 @@ func (p *PanicNF) Process(pkt *packet.Packet) nf.Verdict {
 	return p.Inner.Process(pkt)
 }
 
+// ProcessBatch forwards the burst through nf.ProcessAll, so the inner
+// NF's batch path runs. When a scheduled call number falls inside the
+// burst, the packets before it are processed, then the wrapper panics,
+// as the per-packet path would. One runtime goroutine drives an NF
+// instance, so the count read and the count added are not interleaved.
+func (p *PanicNF) ProcessBatch(pkts []*packet.Packet, verdicts []nf.Verdict) {
+	base := p.calls.Load()
+	for i := range pkts {
+		if p.panicOn[base+uint64(i)+1] {
+			nf.ProcessAll(p.Inner, pkts[:i], verdicts[:i])
+			p.calls.Add(uint64(i) + 1)
+			p.panicked.Add(1)
+			panic("faultinject: scheduled NF panic")
+		}
+	}
+	p.calls.Add(uint64(len(pkts)))
+	nf.ProcessAll(p.Inner, pkts, verdicts)
+}
+
 // Calls returns how many packets the wrapper has seen.
 func (p *PanicNF) Calls() uint64 { return p.calls.Load() }
 
@@ -126,6 +145,21 @@ func (s *StallNF) Delay() time.Duration { return time.Duration(s.delayNS.Load())
 // Process blocks while the wrapper is armed, sleeps any configured
 // delay, then delegates.
 func (s *StallNF) Process(pkt *packet.Packet) nf.Verdict {
+	s.wait(1)
+	return s.Inner.Process(pkt)
+}
+
+// ProcessBatch is Process for a burst: it blocks while armed and sleeps
+// the delay once per packet, then forwards the burst through
+// nf.ProcessAll, so the inner NF's batch path runs.
+func (s *StallNF) ProcessBatch(pkts []*packet.Packet, verdicts []nf.Verdict) {
+	s.wait(len(pkts))
+	nf.ProcessAll(s.Inner, pkts, verdicts)
+}
+
+// wait blocks while the wrapper is armed, then sleeps the delay of n
+// packets.
+func (s *StallNF) wait(n int) {
 	s.mu.Lock()
 	stalled, gate := s.stalled, s.gate
 	s.mu.Unlock()
@@ -135,9 +169,8 @@ func (s *StallNF) Process(pkt *packet.Packet) nf.Verdict {
 		s.waiting.Add(-1)
 	}
 	if d := s.delayNS.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
+		time.Sleep(time.Duration(d) * time.Duration(n))
 	}
-	return s.Inner.Process(pkt)
 }
 
 // AllocSchedule fails mempool allocations on a deterministic schedule:

@@ -7,6 +7,7 @@ import (
 
 	"nfp/internal/mempool"
 	"nfp/internal/nf"
+	"nfp/internal/nfa"
 	"nfp/internal/packet"
 )
 
@@ -157,5 +158,80 @@ func TestStallNFSetDelayInflatesServiceTime(t *testing.T) {
 	s.Process(p)
 	if d := time.Since(start); d > 2*time.Millisecond {
 		t.Fatalf("cleared delay still slow: %v", d)
+	}
+}
+
+// lbSpy is the registry's load balancer, noting the size of every burst
+// its ProcessBatch is handed.
+type lbSpy struct {
+	*nf.LoadBalancer
+	bursts []int
+}
+
+func (s *lbSpy) ProcessBatch(pkts []*packet.Packet, verdicts []nf.Verdict) {
+	s.bursts = append(s.bursts, len(pkts))
+	s.LoadBalancer.ProcessBatch(pkts, verdicts)
+}
+
+// TestWrappersForwardTheBurst: both wrappers hand a whole burst to a
+// wrapped registry lb's ProcessBatch (its WarmHeaders pass included),
+// and a panic scheduled inside a burst processes the packets before it,
+// then fires.
+func TestWrappersForwardTheBurst(t *testing.T) {
+	burst := func() ([]*packet.Packet, []nf.Verdict) {
+		pkts := make([]*packet.Packet, 8)
+		for i := range pkts {
+			pkts[i] = testPacket(t)
+		}
+		return pkts, make([]nf.Verdict, len(pkts))
+	}
+	lb := func() *lbSpy {
+		inst, err := nf.NewRegistry().New(nfa.NFLB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &lbSpy{LoadBalancer: inst.(*nf.LoadBalancer)}
+	}
+	rewritten := func(p *packet.Packet) bool {
+		k, err := p.FlowKey()
+		return err == nil && k.Dst != [4]byte{10, 0, 0, 2}
+	}
+
+	for name, wrap := range map[string]func(nf.NF) nf.NF{
+		"panic": func(in nf.NF) nf.NF { return NewPanicNF(in, 100) },
+		"stall": func(in nf.NF) nf.NF { return NewStallNF(in) },
+	} {
+		spy := lb()
+		pkts, verdicts := burst()
+		nf.ProcessAll(wrap(spy), pkts, verdicts)
+		if len(spy.bursts) != 1 || spy.bursts[0] != len(pkts) {
+			t.Errorf("%s: LoadBalancer.ProcessBatch saw bursts %v, want one of %d", name, spy.bursts, len(pkts))
+		}
+		for i, p := range pkts {
+			if !rewritten(p) {
+				t.Errorf("%s: packet %d left the lb unrewritten", name, i)
+			}
+		}
+	}
+
+	spy := lb()
+	p := NewPanicNF(spy, 5)
+	pkts, verdicts := burst()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the scheduled panic did not fire")
+			}
+		}()
+		p.ProcessBatch(pkts, verdicts)
+	}()
+	if len(spy.bursts) != 1 || spy.bursts[0] != 4 || p.Calls() != 5 || p.Panicked() != 1 {
+		t.Errorf("bursts %v, calls %d, panics %d: want the 4-packet prefix, 5 calls, 1 panic",
+			spy.bursts, p.Calls(), p.Panicked())
+	}
+	for i, pkt := range pkts {
+		if rewritten(pkt) != (i < 4) {
+			t.Errorf("packet %d rewritten = %v, want %v", i, rewritten(pkt), i < 4)
+		}
 	}
 }

@@ -155,7 +155,8 @@ func (d *Diagnoser) Report() HealthReport {
 // than reported as all-zero, when the registry holds no classifier at
 // all.
 func classifierDiag(oldest, newest sample, elapsed float64) *ClassifierDiag {
-	if !hasGauge(newest.snap, metricClassRules, nil) {
+	rules, ok := newest.idx.Gauges[metricClassRules]
+	if !ok {
 		return nil
 	}
 	hits := newest.snap.SumCounters(metricCacheHits) - oldest.snap.SumCounters(metricCacheHits)
@@ -165,8 +166,8 @@ func classifierDiag(oldest, newest sample, elapsed float64) *ClassifierDiag {
 		CacheHitPPS:   float64(hits) / elapsed,
 		CacheMissPPS:  float64(misses) / elapsed,
 		CacheEvictPPS: float64(evicts) / elapsed,
-		Rules:         gaugeAt(newest.snap, metricClassRules, nil),
-		Tuples:        gaugeAt(newest.snap, metricClassTuples, nil),
+		Rules:         rules,
+		Tuples:        newest.idx.Gauges[metricClassTuples],
 	}
 	if hits+misses > 0 {
 		cd.CacheHitRate = float64(hits) / float64(hits+misses)
@@ -183,29 +184,31 @@ func (d *Diagnoser) rankNFs(oldest, newest sample, elapsed float64) []NFDiag {
 		}
 		nf, mid := c.Labels["nf"], c.Labels["mid"]
 		nd := NFDiag{NF: nf, MID: mid, Shard: c.Labels["shard"], Healthy: true}
+		key := func(family string) string { return telemetry.SeriesKey(family, c.Labels) }
 
-		inDelta := c.Value - counterAt(oldest.snap, metricNFPacketsIn, c.Labels)
+		inDelta := c.Value - oldest.idx.Counters[key(metricNFPacketsIn)]
 		nd.ArrivalPPS = float64(inDelta) / elapsed
 
-		k := histKey(metricNFSvcTime, c.Labels)
-		svc := newest.hists[k].DeltaFrom(oldest.hists[k])
+		svcKey := key(metricNFSvcTime)
+		svc := newest.hists[svcKey].DeltaFrom(oldest.hists[svcKey])
 		if svc.Count > 0 {
 			nd.MeanServiceNS = float64(svc.Sum) / float64(svc.Count)
 		}
 		nd.Rho = nd.ArrivalPPS * nd.MeanServiceNS / 1e9
 
-		nd.RingHighWater = gaugeAt(newest.snap, metricNFRingHW, c.Labels)
-		nd.RingCapacity = gaugeAt(newest.snap, metricNFRingCap, c.Labels)
+		hwKey := key(metricNFRingHW)
+		nd.RingHighWater = newest.idx.Gauges[hwKey]
+		nd.RingCapacity = newest.idx.Gauges[key(metricNFRingCap)]
 		if nd.RingCapacity > 0 {
 			nd.RingFill = float64(nd.RingHighWater) / float64(nd.RingCapacity)
 		}
-		nd.RingRising = nd.RingHighWater > gaugeAt(oldest.snap, metricNFRingHW, c.Labels)
+		nd.RingRising = nd.RingHighWater > oldest.idx.Gauges[hwKey]
 
-		dropDelta := faultDropsAt(newest.snap, c.Labels) - faultDropsAt(oldest.snap, c.Labels)
+		dropDelta := faultDrops(newest.idx, c.Labels) - faultDrops(oldest.idx, c.Labels)
 		nd.DropPPS = float64(dropDelta) / elapsed
 
-		if hasGauge(newest.snap, metricNFHealthy, c.Labels) {
-			nd.Healthy = gaugeAt(newest.snap, metricNFHealthy, c.Labels) != 0
+		if healthy, ok := newest.idx.Gauges[key(metricNFHealthy)]; ok {
+			nd.Healthy = healthy != 0
 		}
 
 		nd.Verdict = verdict(nd)
@@ -258,7 +261,7 @@ func (d *Diagnoser) evalSLO(oldest, newest sample) []ChainSLO {
 		if hs.Name != metricE2ELatency {
 			continue
 		}
-		k := histKey(metricE2ELatency, hs.Labels)
+		k := telemetry.SeriesKey(metricE2ELatency, hs.Labels)
 		win := newest.hists[k].DeltaFrom(oldest.hists[k])
 		slo := ChainSLO{MID: hs.Labels["mid"], Shard: hs.Labels["shard"], TargetP99NS: target}
 		if win.Count > 0 {
@@ -333,67 +336,19 @@ func nfIdent(nd NFDiag) string {
 // to the NF crashing or drained from its rings.
 var faultCauses = []flightrec.Cause{flightrec.CausePanic, flightrec.CauseUnhealthyDrain, flightrec.CauseReloadDrain}
 
-// faultDropsAt sums the terminal drop family nfp_drops_total{cause,nf,
+// faultDrops sums the terminal drop family nfp_drops_total{cause,nf,
 // shard} over faultCauses, for the NF instance whose own series carry
 // the labels of. The family has no mid label, so graphs that share an
 // NF name share its drop series.
-func faultDropsAt(s telemetry.Snapshot, of map[string]string) uint64 {
+func faultDrops(idx telemetry.Index, of map[string]string) uint64 {
+	labels := map[string]string{"nf": of["nf"]}
+	if shard, ok := of["shard"]; ok {
+		labels["shard"] = shard
+	}
 	var sum uint64
-	for _, c := range s.Counters {
-		if c.Name != flightrec.MetricDrops {
-			continue
-		}
-		if c.Labels["nf"] != of["nf"] || c.Labels["shard"] != of["shard"] {
-			continue
-		}
-		for _, cause := range faultCauses {
-			if c.Labels["cause"] == cause.String() {
-				sum += c.Value
-			}
-		}
+	for _, cause := range faultCauses {
+		labels["cause"] = cause.String()
+		sum += idx.Counters[telemetry.SeriesKey(flightrec.MetricDrops, labels)]
 	}
 	return sum
-}
-
-// counterAt finds a counter series by name and exact label set.
-func counterAt(s telemetry.Snapshot, name string, labels map[string]string) uint64 {
-	for _, c := range s.Counters {
-		if c.Name == name && labelsEqual(c.Labels, labels) {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// gaugeAt finds a gauge series by name and exact label set.
-func gaugeAt(s telemetry.Snapshot, name string, labels map[string]string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name && labelsEqual(g.Labels, labels) {
-			return g.Value
-		}
-	}
-	return 0
-}
-
-// hasGauge reports whether the series exists at all (gaugeAt cannot
-// distinguish absent from zero).
-func hasGauge(s telemetry.Snapshot, name string, labels map[string]string) bool {
-	for _, g := range s.Gauges {
-		if g.Name == name && labelsEqual(g.Labels, labels) {
-			return true
-		}
-	}
-	return false
-}
-
-func labelsEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }

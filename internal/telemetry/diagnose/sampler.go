@@ -9,8 +9,6 @@
 package diagnose
 
 import (
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -72,13 +70,15 @@ type Config struct {
 	TopK *TopK
 }
 
-// sample is one point of the time series: the summary snapshot plus
-// full-bucket histogram snapshots of the families rates and window
+// sample is one point of the time series: the summary snapshot, its
+// series indexed by telemetry.SeriesKey, and full-bucket histogram
+// snapshots (by the same key) of the families rates and window
 // percentiles are computed from.
 type sample struct {
 	ts    time.Time
 	snap  telemetry.Snapshot
-	hists map[string]telemetry.HistSnapshot // histKey(family, labels)
+	idx   telemetry.Index
+	hists map[string]telemetry.HistSnapshot
 }
 
 // Diagnoser owns the sampling ring and the derived verdicts.
@@ -172,9 +172,10 @@ func (d *Diagnoser) SampleNow() {
 func (d *Diagnoser) sampleAt(ts time.Time) {
 	reg := d.cfg.Registry
 	s := sample{ts: ts, snap: reg.Snapshot(), hists: map[string]telemetry.HistSnapshot{}}
+	s.idx = s.snap.Index()
 	for _, fam := range []string{metricNFSvcTime, metricE2ELatency} {
 		for _, hs := range reg.HistogramFamily(fam) {
-			s.hists[histKey(fam, hs.Labels)] = hs.H.Snapshot()
+			s.hists[telemetry.SeriesKey(fam, hs.Labels)] = hs.H.Snapshot()
 		}
 	}
 	d.mu.Lock()
@@ -203,7 +204,7 @@ func (d *Diagnoser) noteTransition(rep HealthReport) {
 		return
 	}
 	if rec := d.rec; rec != nil {
-		rec.Event(flightrec.Note{
+		rec.Record(0, flightrec.Record{
 			Kind:   flightrec.KindHealth,
 			Detail: rec.Intern(old + "->" + rep.State),
 		})
@@ -226,27 +227,6 @@ func (d *Diagnoser) window() (oldest, newest sample, n int, ok bool) {
 	newestIdx := (d.head - 1 + len(d.ring)) % len(d.ring)
 	oldestIdx := (d.head - d.n + len(d.ring)) % len(d.ring)
 	return d.ring[oldestIdx], d.ring[newestIdx], d.n, true
-}
-
-// histKey renders a family name plus sorted labels as a map key.
-func histKey(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	for _, k := range keys {
-		b.WriteByte('|')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(labels[k])
-	}
-	return b.String()
 }
 
 // exportGauges publishes the report's headline numbers back into the

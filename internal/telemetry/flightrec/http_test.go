@@ -27,7 +27,7 @@ func getJSON(t *testing.T, h http.Handler, url string, into any) *httptest.Respo
 // event tail, the spool index and the build info.
 func TestHandlerStatus(t *testing.T) {
 	rec := NewRecorder(Config{})
-	rec.Event(Note{Kind: KindInstall, Gen: 1})
+	rec.Record(0, Record{Kind: KindInstall, Gen: 1})
 	reg := telemetry.NewRegistry()
 	reg.Counter(MetricDrops).Add(1)
 	reg.Counter(MetricDrops, telemetry.L("cause", "nf_verdict")).Add(1)
@@ -63,7 +63,7 @@ func TestHandlerStatus(t *testing.T) {
 	}
 
 	// ?n caps the event tail.
-	rec.Event(Note{Kind: KindRestart})
+	rec.Record(0, Record{Kind: KindRestart})
 	st = Status{}
 	getJSON(t, h, "/debug/flightrecorder?n=1", &st)
 	if len(st.Events) != 1 {

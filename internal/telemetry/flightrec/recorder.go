@@ -85,30 +85,27 @@ type Event struct {
 	Count  uint64 `json:"count,omitempty"`
 }
 
-// DropRecord is the provenance of one terminal drop.
-type DropRecord struct {
-	Shard  int
-	Cause  Cause
-	Stage  uint8 // telemetry.Stage value of where the packet died
-	Gen    uint64
-	Node   uint32 // interned NF name of the drop's origin node
-	PID    uint64
-	Cursor int64          // span cursor (ns) — how far along its path it was
-	Flow   packet.FlowKey // the packet's packed 5-tuple, when HasKey
-	HasKey bool
-}
-
-// Note is a non-drop event (panic, restart, backpressure,
-// health, reload lifecycle).
-type Note struct {
-	Shard  int
+// Record is one flight-recorder event: what a caller writes and what a
+// shard's ring stores. A drop's provenance fills Cause, Stage, PID,
+// Cursor and Flow. A coalesced run (see ring) keeps its first record as
+// the exemplar, the time of its latest, and their summed Count. It
+// holds no pointers, so the collector never scans a ring.
+type Record struct {
 	Kind   Kind
+	Cause  Cause
+	Stage  uint8 // telemetry.Stage value of where a dropped packet died
 	Gen    uint64
 	Node   uint32 // interned NF/site name (0 = none)
 	Detail uint32 // interned free-form detail (0 = none)
 	// Count is the event's payload; for the coalescing kinds it is the
-	// weight the event adds to its run (backpressure: 1).
-	Count uint64
+	// weight the event adds to its run (a drop or backpressure: 1).
+	Count   uint64
+	PID     uint64
+	Cursor  int64          // span cursor (ns): how far along its path a dropped packet got
+	Flow    packet.FlowKey // the dropped packet's 5-tuple, when HasFlow
+	HasFlow bool
+
+	first, last int64 // stamped by Recorder.Record
 }
 
 // ringSize is each shard's event-ring capacity.
@@ -190,33 +187,19 @@ func (r *Recorder) ring(shard int) *ring {
 	return r.rings[shard]
 }
 
-// Drop records one terminal drop: a run of drops with the same cause,
-// node and generation shares one slot, the first drop its exemplar.
-func (r *Recorder) Drop(d DropRecord) {
+// Record puts one event, stamped now, on a shard's ring: a run of
+// drops (or of backpressure episodes) with the same cause, node and
+// generation shares one slot, the first its exemplar. KindPanic and
+// KindReloadFailed additionally fire the incident hook.
+func (r *Recorder) Record(shard int, e Record) {
 	if r == nil {
 		return
 	}
-	now := time.Now().UnixNano()
-	r.ring(d.Shard).record(slot{
-		runKey: runKey{gen: d.Gen, node: d.Node, kind: KindDrop, cause: d.Cause},
-		stage:  d.Stage, first: now, last: now, count: 1,
-		pid: d.PID, cursor: d.Cursor, flow: d.Flow, hasFlow: d.HasKey,
-	})
-}
-
-// Event records one non-drop event. KindPanic and KindReloadFailed
-// additionally fire the incident hook.
-func (r *Recorder) Event(n Note) {
-	if r == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	r.ring(n.Shard).record(slot{
-		runKey: runKey{gen: n.Gen, node: n.Node, kind: n.Kind},
-		detail: n.Detail, first: now, last: now, count: n.Count,
-	})
-	if n.Kind == KindPanic || n.Kind == KindReloadFailed {
-		r.Incident(n.Kind.String() + ":" + r.name(n.Node) + r.name(n.Detail))
+	e.first = time.Now().UnixNano()
+	e.last = e.first
+	r.ring(shard).record(e)
+	if e.Kind == KindPanic || e.Kind == KindReloadFailed {
+		r.Incident(e.Kind.String() + ":" + r.name(e.Node) + r.name(e.Detail))
 	}
 }
 
@@ -263,27 +246,26 @@ func (r *Recorder) Events(max int) []Event {
 	return out
 }
 
-func (r *Recorder) decode(shard int, e slot) Event {
-	k := e.kind
-	ev := Event{TS: e.first, Kind: k.String(), Shard: shard, Gen: e.gen, Count: e.count}
+func (r *Recorder) decode(shard int, e Record) Event {
+	ev := Event{TS: e.first, Kind: e.Kind.String(), Shard: shard, Gen: e.Gen, Count: e.Count}
 	if e.last != e.first {
 		ev.LastTS = e.last
 	}
-	if e.node != 0 {
-		ev.Node = r.name(e.node)
+	if e.Node != 0 {
+		ev.Node = r.name(e.Node)
 	}
-	if e.detail != 0 {
-		ev.Detail = r.name(e.detail)
+	if e.Detail != 0 {
+		ev.Detail = r.name(e.Detail)
 	}
-	if k != KindDrop {
+	if e.Kind != KindDrop {
 		return ev
 	}
-	ev.Cause = e.cause.String()
-	ev.Stage = telemetry.Stage(e.stage).String()
-	ev.PID = e.pid
-	ev.Cursor = e.cursor
-	if e.hasFlow {
-		ev.Flow = e.flow.String()
+	ev.Cause = e.Cause.String()
+	ev.Stage = telemetry.Stage(e.Stage).String()
+	ev.PID = e.PID
+	ev.Cursor = e.Cursor
+	if e.HasFlow {
+		ev.Flow = e.Flow.String()
 	}
 	return ev
 }

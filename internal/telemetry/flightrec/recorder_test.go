@@ -14,8 +14,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	if id := r.Intern("x"); id != 0 {
 		t.Fatalf("nil Intern = %d, want 0", id)
 	}
-	r.Drop(DropRecord{})
-	r.Event(Note{Kind: KindPanic})
+	r.Record(0, Record{Kind: KindPanic})
 	r.SetOnIncident(func(string) { t.Fatal("hook fired on nil recorder") })
 	r.Incident("x")
 	if evs := r.Events(0); evs != nil {
@@ -23,19 +22,19 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 }
 
-// TestRecorderDropDecode round-trips a full DropRecord through the
-// packed ring word format.
+// TestRecorderDropDecode round-trips a drop's full provenance through
+// the ring's record.
 func TestRecorderDropDecode(t *testing.T) {
 	r := NewRecorder(Config{Shards: 2})
 	node := r.Intern("firewall")
-	r.Drop(DropRecord{
-		Shard: 1, Cause: CausePanic, Stage: uint8(telemetry.StageRingWait), Gen: 7, Node: node,
-		PID: 12345, Cursor: 999,
+	r.Record(1, Record{
+		Kind: KindDrop, Cause: CausePanic, Stage: uint8(telemetry.StageRingWait), Gen: 7, Node: node,
+		Count: 1, PID: 12345, Cursor: 999,
 		Flow: packet.FlowKey{
 			Src: [4]byte{10, 1, 2, 3}, Dst: [4]byte{10, 4, 5, 6},
 			SrcPort: 4242, DstPort: 80, Proto: 6,
 		},
-		HasKey: true,
+		HasFlow: true,
 	})
 	evs := r.Events(0)
 	if len(evs) != 1 {
@@ -55,11 +54,22 @@ func TestRecorderDropDecode(t *testing.T) {
 	}
 }
 
-// TestRecorderNoteDecode round-trips a Note with interned node and
-// detail strings.
+// TestRecorderDropAllocFree: once a run has its slot, recording more
+// drops of it allocates nothing.
+func TestRecorderDropAllocFree(t *testing.T) {
+	r := NewRecorder(Config{})
+	d := Record{Kind: KindDrop, Cause: CauseNFVerdict, Gen: 1, Node: r.Intern("ids"), Count: 1, HasFlow: true}
+	r.Record(0, d)
+	if allocs := testing.AllocsPerRun(100, func() { r.Record(0, d) }); allocs != 0 {
+		t.Fatalf("a repeated drop allocates %.1f times", allocs)
+	}
+}
+
+// TestRecorderNoteDecode round-trips a non-drop record with interned
+// node and detail strings.
 func TestRecorderNoteDecode(t *testing.T) {
 	r := NewRecorder(Config{})
-	r.Event(Note{
+	r.Record(0, Record{
 		Kind: KindHealth, Gen: 3,
 		Node:   r.Intern("monitor"),
 		Detail: r.Intern("healthy->degraded"),
@@ -90,10 +100,10 @@ func TestRecorderIncidentHook(t *testing.T) {
 		reasons = append(reasons, reason)
 		mu.Unlock()
 	})
-	r.Event(Note{Kind: KindRestart})
-	r.Event(Note{Kind: KindReloadSwap})
-	r.Event(Note{Kind: KindPanic, Node: r.Intern("ids")})
-	r.Event(Note{Kind: KindReloadFailed, Detail: r.Intern("compile error")})
+	r.Record(0, Record{Kind: KindRestart})
+	r.Record(0, Record{Kind: KindReloadSwap})
+	r.Record(0, Record{Kind: KindPanic, Node: r.Intern("ids")})
+	r.Record(0, Record{Kind: KindReloadFailed, Detail: r.Intern("compile error")})
 	mu.Lock()
 	defer mu.Unlock()
 	if len(reasons) != 2 {
@@ -107,7 +117,7 @@ func TestRecorderIncidentHook(t *testing.T) {
 	}
 	// Uninstalling the hook stops delivery.
 	r.SetOnIncident(nil)
-	r.Event(Note{Kind: KindPanic})
+	r.Record(0, Record{Kind: KindPanic})
 	if len(reasons) != 2 {
 		t.Fatal("hook fired after uninstall")
 	}
@@ -122,7 +132,7 @@ func TestRecorderIncidentHook(t *testing.T) {
 func TestRecorderKeepsPanicUnderFlood(t *testing.T) {
 	r := NewRecorder(Config{})
 	ids, mon := r.Intern("ids"), r.Intern("monitor")
-	r.Event(Note{Kind: KindPanic, Gen: 1, Node: mon})
+	r.Record(0, Record{Kind: KindPanic, Gen: 1, Node: mon})
 
 	const producers, perProducer = 4, 25 * ringSize // 100 × ringSize events
 	stop := make(chan struct{})
@@ -146,13 +156,13 @@ func TestRecorderKeepsPanicUnderFlood(t *testing.T) {
 			for i := 0; i < perProducer; i++ {
 				switch (p + i) % 4 {
 				case 0:
-					r.Drop(DropRecord{Cause: CauseNFVerdict, Gen: 1, Node: ids, PID: uint64(i)})
+					r.Record(0, Record{Kind: KindDrop, Cause: CauseNFVerdict, Gen: 1, Node: ids, Count: 1, PID: uint64(i)})
 				case 1:
-					r.Drop(DropRecord{Cause: CauseUnhealthyDrain, Gen: 1, Node: mon, PID: uint64(i)})
+					r.Record(0, Record{Kind: KindDrop, Cause: CauseUnhealthyDrain, Gen: 1, Node: mon, Count: 1, PID: uint64(i)})
 				case 2:
-					r.Event(Note{Kind: KindBackpressure, Gen: 1, Node: mon, Count: 1})
+					r.Record(0, Record{Kind: KindBackpressure, Gen: 1, Node: mon, Count: 1})
 				case 3:
-					r.Event(Note{Kind: KindBackpressure, Gen: 1, Node: ids, Count: 1})
+					r.Record(0, Record{Kind: KindBackpressure, Gen: 1, Node: ids, Count: 1})
 				}
 			}
 		}(p)

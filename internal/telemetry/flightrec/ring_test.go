@@ -3,15 +3,15 @@ package flightrec
 import "testing"
 
 // edge is a lifecycle event (never coalesced) tagged by its timestamp.
-func edge(i int) slot {
-	return slot{runKey: runKey{kind: KindRestart}, first: int64(i), last: int64(i)}
+func edge(i int) Record {
+	return Record{Kind: KindRestart, first: int64(i), last: int64(i)}
 }
 
 // drop is one drop of the run (cause, node) at time ts.
-func drop(cause Cause, node uint32, ts int64) slot {
-	return slot{
-		runKey: runKey{kind: KindDrop, cause: cause, node: node},
-		first:  ts, last: ts, count: 1, pid: uint64(ts),
+func drop(cause Cause, node uint32, ts int64) Record {
+	return Record{
+		Kind: KindDrop, Cause: cause, Node: node,
+		first: ts, last: ts, Count: 1, PID: uint64(ts),
 	}
 }
 
@@ -84,18 +84,18 @@ func TestRingCoalescesRuns(t *testing.T) {
 		t.Fatalf("ring holds %d slots, want 3 (two runs and the edge)", len(got))
 	}
 	a, b, e := got[0], got[1], got[2]
-	if a.cause != CauseNFVerdict || a.first != 1 || a.pid != 1 || a.last != 199 || a.count != 100 {
+	if a.Cause != CauseNFVerdict || a.first != 1 || a.PID != 1 || a.last != 199 || a.Count != 100 {
 		t.Fatalf("first run = %+v", a)
 	}
-	if b.cause != CauseUnhealthyDrain || b.first != 2 || b.pid != 2 || b.last != 200 || b.count != 100 {
+	if b.Cause != CauseUnhealthyDrain || b.first != 2 || b.PID != 2 || b.last != 200 || b.Count != 100 {
 		t.Fatalf("second run = %+v", b)
 	}
-	if e.kind != KindRestart || e.first != -1 {
+	if e.Kind != KindRestart || e.first != -1 {
 		t.Fatalf("edge = %+v", e)
 	}
 	// A different generation or node is a different run.
 	other := drop(CauseNFVerdict, 1, 300)
-	other.gen = 2
+	other.Gen = 2
 	r.record(other)
 	r.record(drop(CauseNFVerdict, 3, 301))
 	if n := len(r.snapshot(0)); n != 5 {
@@ -120,11 +120,11 @@ func TestRingLappedRunRestarts(t *testing.T) {
 		t.Fatalf("ring holds %d slots, want 4", len(got))
 	}
 	for i, e := range got[:3] {
-		if e.kind != KindRestart || e.first != int64(11+i) {
+		if e.Kind != KindRestart || e.first != int64(11+i) {
 			t.Fatalf("slot %d = %+v, want edge %d", i, e, 11+i)
 		}
 	}
-	if run := got[3]; run.kind != KindDrop || run.first != 20 || run.last != 21 || run.count != 2 {
+	if run := got[3]; run.Kind != KindDrop || run.first != 20 || run.last != 21 || run.Count != 2 {
 		t.Fatalf("restarted run = %+v", run)
 	}
 	if len(r.runs) != 1 {

@@ -31,7 +31,7 @@ func testSnapshotter(t *testing.T, cfg SnapConfig) *Snapshotter {
 // spool: schema, reason, ledger, events, sources, goroutines, build.
 func TestSnapshotterWriteAndRead(t *testing.T) {
 	rec := NewRecorder(Config{})
-	rec.Event(Note{Kind: KindPanic, Node: rec.Intern("ids")})
+	rec.Record(0, Record{Kind: KindPanic, Node: rec.Intern("ids")})
 	reg := telemetry.NewRegistry()
 	reg.Counter(MetricDrops).Add(2)
 	reg.Counter(MetricDrops, telemetry.L("cause", "panic"), telemetry.L("nf", "ids")).Add(2)

@@ -103,13 +103,12 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 	}
 }
 
-// Dump is the /debug/telemetry JSON document: the full metric snapshot
-// plus the retained trace events, stamped with the serving process's
-// uptime so incident bundles and scrapes are self-describing.
+// Dump is the /debug/telemetry JSON document: the full metric snapshot,
+// stamped with the serving process's uptime so scrapes are
+// self-describing. Spans are served by /debug/spans alone.
 type Dump struct {
-	UptimeSeconds float64      `json:"uptime_seconds"`
-	Metrics       Snapshot     `json:"metrics"`
-	Traces        []TraceEvent `json:"traces,omitempty"`
+	UptimeSeconds float64  `json:"uptime_seconds"`
+	Metrics       Snapshot `json:"metrics"`
 }
 
 // SpansDump is the /debug/spans JSON document: per-packet span groups
@@ -122,7 +121,7 @@ type SpansDump struct {
 // Handler serves the introspection endpoints:
 //
 //	/metrics             Prometheus text format
-//	/debug/telemetry     JSON Dump (metrics + traces)
+//	/debug/telemetry     JSON Dump (uptime + metric snapshot)
 //	/debug/spans         per-PID span groups (?format=chrome for the
 //	                     Chrome trace-event JSON export)
 //	/debug/criticalpath  per-MID latency attribution + parallel speedup
@@ -150,7 +149,6 @@ func Handler(reg *Registry, tr *Tracer, extra map[string]http.Handler) http.Hand
 		_ = enc.Encode(Dump{
 			UptimeSeconds: time.Since(start).Seconds(),
 			Metrics:       reg.Snapshot(),
-			Traces:        tr.Events(),
 		})
 	})
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {

@@ -41,11 +41,11 @@ func LintNames(s Snapshot) []string {
 				findings = append(findings, fmt.Sprintf("%s %s: label key %q must be lower_snake_case", kind, name, k))
 			}
 		}
-		key := kind + "\x00" + seriesKey(name, labels)
-		if seen[key] {
-			findings = append(findings, fmt.Sprintf("%s %s: duplicate series %s", kind, name, seriesKey(name, labels)))
+		series := SeriesKey(name, labels)
+		if seen[kind+" "+series] {
+			findings = append(findings, fmt.Sprintf("%s %s: duplicate series %s", kind, name, series))
 		}
-		seen[key] = true
+		seen[kind+" "+series] = true
 	}
 	for _, c := range s.Counters {
 		check("counter", c.Name, c.Labels, true)

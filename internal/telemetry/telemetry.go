@@ -145,31 +145,41 @@ const (
 	kindHistogram
 )
 
-// entry is one registered metric.
+// entry is one registered metric. Its label map is shared, read-only,
+// by every snapshot that reports it.
 type entry struct {
 	name   string
-	labels []Label
+	labels map[string]string
 	kind   metricKind
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
 }
 
-// key renders the unique registry key (name plus sorted labels).
-func metricKey(name string, labels []Label) string {
+// SeriesKey names one series: its family name, then its labels in key
+// order, as name{k=v,...} (the bare name when it has none). It is the
+// one series name of this layer: the registry files its entries under
+// it, an Index is keyed by it, and readers print it.
+func SeriesKey(name string, labels map[string]string) string {
 	if len(labels) == 0 {
 		return name
 	}
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	var b strings.Builder
 	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
+	for i, k := range keys {
+		if i == 0 {
+			b.WriteByte('{')
+		} else {
 			b.WriteByte(',')
 		}
-		b.WriteString(l.Key)
+		b.WriteString(k)
 		b.WriteByte('=')
-		b.WriteString(l.Value)
+		b.WriteString(labels[k])
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -189,15 +199,9 @@ func NewRegistry() *Registry {
 	return &Registry{entries: map[string]*entry{}}
 }
 
-// sortLabels returns a sorted copy so label order never splits series.
-func sortLabels(labels []Label) []Label {
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	return ls
-}
-
 func (r *Registry) lookup(name string, labels []Label, kind metricKind) *entry {
-	key := metricKey(name, labels)
+	lm := labelMap(labels)
+	key := SeriesKey(name, lm)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[key]; ok {
@@ -206,7 +210,7 @@ func (r *Registry) lookup(name string, labels []Label, kind metricKind) *entry {
 		}
 		return e
 	}
-	e := &entry{name: name, labels: labels, kind: kind}
+	e := &entry{name: name, labels: lm, kind: kind}
 	switch kind {
 	case kindCounter:
 		e.c = NewCounter()
@@ -226,7 +230,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, sortLabels(labels), kindCounter).c
+	return r.lookup(name, labels, kindCounter).c
 }
 
 // Gauge returns the named gauge, creating it on first use. Safe on a
@@ -235,7 +239,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, sortLabels(labels), kindGauge).g
+	return r.lookup(name, labels, kindGauge).g
 }
 
 // Histogram returns the named histogram, creating it on first use. Safe
@@ -244,7 +248,7 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, sortLabels(labels), kindHistogram).h
+	return r.lookup(name, labels, kindHistogram).h
 }
 
 // register inserts a pre-built metric under name+labels, panicking on a
@@ -254,14 +258,14 @@ func (r *Registry) register(name string, labels []Label, kind metricKind, c *Cou
 	if r == nil {
 		return
 	}
-	labels = sortLabels(labels)
-	key := metricKey(name, labels)
+	lm := labelMap(labels)
+	key := SeriesKey(name, lm)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.entries[key]; dup {
 		panic(fmt.Sprintf("telemetry: duplicate registration of %s", key))
 	}
-	r.entries[key] = &entry{name: name, labels: labels, kind: kind, c: c, g: g}
+	r.entries[key] = &entry{name: name, labels: lm, kind: kind, c: c, g: g}
 	r.order = append(r.order, key)
 }
 
@@ -360,16 +364,16 @@ func (r *Registry) Snapshot() Snapshot {
 		switch e.kind {
 		case kindCounter:
 			s.Counters = append(s.Counters, CounterSnap{
-				Name: e.name, Labels: labelMap(e.labels), Value: e.c.Value(),
+				Name: e.name, Labels: e.labels, Value: e.c.Value(),
 			})
 		case kindGauge:
 			s.Gauges = append(s.Gauges, GaugeSnap{
-				Name: e.name, Labels: labelMap(e.labels), Value: e.g.Value(),
+				Name: e.name, Labels: e.labels, Value: e.g.Value(),
 			})
 		case kindHistogram:
 			hs := e.h.Snapshot()
 			s.Histograms = append(s.Histograms, HistogramSnap{
-				Name: e.name, Labels: labelMap(e.labels),
+				Name: e.name, Labels: e.labels,
 				Count: hs.Count, Sum: hs.Sum, Min: hs.Min, Max: hs.Max,
 				P50: hs.Percentile(50), P95: hs.Percentile(95), P99: hs.Percentile(99),
 			})
@@ -399,71 +403,71 @@ func (r *Registry) HistogramFamily(name string) []HistogramSeries {
 	for _, k := range r.order {
 		e := r.entries[k]
 		if e.kind == kindHistogram && e.name == name {
-			out = append(out, HistogramSeries{Labels: labelMap(e.labels), H: e.h})
+			out = append(out, HistogramSeries{Labels: e.labels, H: e.h})
 		}
 	}
 	return out
 }
 
-// seriesKey orders snapshot entries by name then sorted labels — the
-// stable, diffable order tooling wants.
-func seriesKey(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	for _, k := range keys {
-		b.WriteByte('\x00')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(labels[k])
-	}
-	return b.String()
-}
-
-// Sort orders the snapshot's counters, gauges and histograms by
-// name+labels, replacing the registry's registration order with one
-// stable across processes — so repeated snapshots diff cleanly.
+// Sort orders the snapshot's counters, gauges and histograms by name,
+// then by label set, replacing the registry's registration order with
+// one stable across processes — so repeated snapshots diff cleanly.
 func (s *Snapshot) Sort() {
-	sort.SliceStable(s.Counters, func(i, j int) bool {
-		return seriesKey(s.Counters[i].Name, s.Counters[i].Labels) < seriesKey(s.Counters[j].Name, s.Counters[j].Labels)
-	})
-	sort.SliceStable(s.Gauges, func(i, j int) bool {
-		return seriesKey(s.Gauges[i].Name, s.Gauges[i].Labels) < seriesKey(s.Gauges[j].Name, s.Gauges[j].Labels)
-	})
-	sort.SliceStable(s.Histograms, func(i, j int) bool {
-		return seriesKey(s.Histograms[i].Name, s.Histograms[i].Labels) < seriesKey(s.Histograms[j].Name, s.Histograms[j].Labels)
+	sortSeries(s.Counters, func(c CounterSnap) (string, map[string]string) { return c.Name, c.Labels })
+	sortSeries(s.Gauges, func(g GaugeSnap) (string, map[string]string) { return g.Name, g.Labels })
+	sortSeries(s.Histograms, func(h HistogramSnap) (string, map[string]string) { return h.Name, h.Labels })
+}
+
+// sortSeries sorts one kind's series by name, then by SeriesKey without
+// its closing brace, so a label value sorts before its extensions
+// (mid=1 before mid=10).
+func sortSeries[T any](xs []T, id func(T) (string, map[string]string)) {
+	sort.SliceStable(xs, func(i, j int) bool {
+		ni, li := id(xs[i])
+		nj, lj := id(xs[j])
+		if ni != nj {
+			return ni < nj
+		}
+		return strings.TrimSuffix(SeriesKey(ni, li), "}") < strings.TrimSuffix(SeriesKey(nj, lj), "}")
 	})
 }
 
-// CounterValue returns a registered counter's value by name+labels, 0
-// if absent — a convenience for tests and reconciliation checks.
-func (s Snapshot) CounterValue(name string, labels ...Label) uint64 {
-	want := labelMap(sortLabels(labels))
+// Index is a snapshot's series keyed by SeriesKey, one map per kind:
+// the one way a series is looked up by name and labels.
+type Index struct {
+	Counters   map[string]uint64
+	Gauges     map[string]int64
+	Histograms map[string]HistogramSnap
+}
+
+// Index keys the snapshot's series by SeriesKey.
+func (s Snapshot) Index() Index {
+	ix := Index{
+		Counters:   make(map[string]uint64, len(s.Counters)),
+		Gauges:     make(map[string]int64, len(s.Gauges)),
+		Histograms: make(map[string]HistogramSnap, len(s.Histograms)),
+	}
 	for _, c := range s.Counters {
-		if c.Name == name && mapsEqual(c.Labels, want) {
-			return c.Value
-		}
+		ix.Counters[SeriesKey(c.Name, c.Labels)] = c.Value
 	}
-	return 0
+	for _, g := range s.Gauges {
+		ix.Gauges[SeriesKey(g.Name, g.Labels)] = g.Value
+	}
+	for _, h := range s.Histograms {
+		ix.Histograms[SeriesKey(h.Name, h.Labels)] = h
+	}
+	return ix
 }
 
-// GaugeValue returns a registered gauge's value by name+labels, 0 if
-// absent.
+// CounterValue returns a counter's value by name+labels, 0 if absent —
+// a convenience for tests and reconciliation checks.
+func (s Snapshot) CounterValue(name string, labels ...Label) uint64 {
+	return s.Index().Counters[SeriesKey(name, labelMap(labels))]
+}
+
+// GaugeValue returns a gauge's value by name+labels, 0 if absent.
 func (s Snapshot) GaugeValue(name string, labels ...Label) int64 {
-	want := labelMap(sortLabels(labels))
-	for _, g := range s.Gauges {
-		if g.Name == name && mapsEqual(g.Labels, want) {
-			return g.Value
-		}
-	}
-	return 0
+	return s.Index().Gauges[SeriesKey(name, labelMap(labels))]
 }
 
 // SumCounters totals every counter series with the given name across
@@ -476,16 +480,4 @@ func (s Snapshot) SumCounters(name string) uint64 {
 		}
 	}
 	return sum
-}
-
-func mapsEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }

@@ -211,16 +211,33 @@ func TestHTTPHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dump Dump
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	var dump Dump
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
 	if dump.Metrics.CounterValue("nfp_injected_total") != 42 {
 		t.Error("JSON dump lost the counter")
 	}
-	if len(dump.Traces) != 2 || dump.Traces[0].Stage != StageClassify {
-		t.Errorf("JSON dump traces wrong: %+v", dump.Traces)
+	if strings.Contains(string(raw), `"traces"`) {
+		t.Errorf("JSON dump carries spans; /debug/spans serves them:\n%s", raw)
+	}
+
+	resp, err = srv.Client().Get(srv.URL + "/debug/spans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans SpansDump
+	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if hops := spans.Spans[7]; len(hops) != 2 || hops[0].Stage != StageClassify {
+		t.Errorf("/debug/spans lost the trace: %+v", spans)
 	}
 }
 
