@@ -329,7 +329,6 @@ if [ "${1:-}" = "fuzz" ]; then
     # than one target (or package) at a time.
     go test -run '^$' -fuzz '^FuzzPolicyCompile$' -fuzztime "$ft" ./internal/core/
     go test -run '^$' -fuzz '^FuzzCompileShareSafety$' -fuzztime "$ft" ./internal/core/
-    go test -run '^$' -fuzz '^FuzzAccumulatingTable$' -fuzztime "$ft" ./internal/dataplane/
     go test -run '^$' -fuzz '^FuzzRuleIndex$' -fuzztime "$ft" ./internal/ruleindex/
     go test -run '^$' -fuzz '^FuzzFlowTable$' -fuzztime "$ft" ./internal/flowtab/
     go test -run '^$' -fuzz '^FuzzMatch$' -fuzztime "$ft" ./internal/ahocorasick/

@@ -80,7 +80,7 @@ func printHealth(rep diagnose.HealthReport) {
 
 func printTopFlows(rep diagnose.TopFlowsReport) {
 	fmt.Printf("TOP FLOWS: %d tracked of %d pkts / %d bytes total (max overcount %d pkts/flow)\n",
-		rep.K, rep.TotalPkts, rep.TotalBytes, rep.ErrorBound)
+		rep.Tracked, rep.TotalPkts, rep.TotalBytes, rep.ErrorBound)
 	fmt.Printf("  %-26s %-26s %-5s %12s %14s %8s %s\n", "src", "dst", "proto", "pkts", "bytes", "share", "")
 	for _, f := range rep.Flows {
 		mark := ""
@@ -95,6 +95,6 @@ func printTopFlows(rep diagnose.TopFlowsReport) {
 			f.Src, f.Dst, f.Proto, f.Pkts, f.Bytes, share, mark)
 	}
 	if len(rep.Flows) > 0 {
-		fmt.Printf("  (* = guaranteed heavy hitter: lower-bound count exceeds N/k)\n")
+		fmt.Printf("  (* = guaranteed heavy hitter: lower-bound count exceeds the max overcount)\n")
 	}
 }

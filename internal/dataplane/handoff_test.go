@@ -18,8 +18,8 @@ import (
 // dispatch with several targets) as well as the ones it does.
 var toOutput = Target{Kind: ToOutput}
 
-func toNode(n int) Target { return Target{Kind: ToNode, Node: n} }
-func toJoin(j int) Target { return Target{Kind: ToJoin, Join: j} }
+func toNode(n int) Target       { return Target{Kind: ToNode, Node: n} }
+func toJoin(j, tail int) Target { return Target{Kind: ToJoin, Join: j, Tail: uint16(tail)} }
 
 func send(v uint8, ts ...Target) Dispatch { return Dispatch{SrcVersion: v, Targets: ts} }
 func copyTo(src, nv uint8, ts ...Target) Dispatch {
@@ -95,8 +95,8 @@ func execShapes(drop bool) map[string]*Plan {
 			MID: 1, BaseVersion: 1, MaxVersion: 1,
 			Entry: []Dispatch{send(1, toNode(0), toNode(1))},
 			Nodes: []PlanNode{
-				{NF: mon(0), Next: []Dispatch{send(1, toJoin(0))}, DropTo: toJoin(0)},
-				{NF: shared, Next: []Dispatch{send(1, toJoin(0))}, DropTo: toJoin(0)},
+				{NF: mon(0), Next: []Dispatch{send(1, toJoin(0, 0))}, DropTo: toJoin(0, 0)},
+				{NF: shared, Next: []Dispatch{send(1, toJoin(0, 1))}, DropTo: toJoin(0, 1)},
 			},
 			Joins: []JoinSpec{{ExpectTails: 2, BaseVersion: 1, Versions: []uint8{1}, Next: out, DropTo: toOutput}},
 		},
@@ -107,8 +107,8 @@ func execShapes(drop bool) map[string]*Plan {
 			Entry: []Dispatch{send(1, toNode(0))},
 			Nodes: []PlanNode{
 				{NF: mon(0), Next: []Dispatch{copyTo(1, 2, toNode(2)), send(1, toNode(1))}, DropTo: toOutput},
-				{NF: mon(1), Next: []Dispatch{send(1, toJoin(0))}, DropTo: toJoin(0)},
-				{NF: copied, Next: []Dispatch{send(2, toJoin(0))}, DropTo: toJoin(0)},
+				{NF: mon(1), Next: []Dispatch{send(1, toJoin(0, 0))}, DropTo: toJoin(0, 0)},
+				{NF: copied, Next: []Dispatch{send(2, toJoin(0, 1))}, DropTo: toJoin(0, 1)},
 			},
 			Joins: []JoinSpec{{ExpectTails: 2, BaseVersion: 1, Versions: []uint8{1, 2}, Ops: carry(2), Next: out, DropTo: toOutput}},
 		},
@@ -119,13 +119,13 @@ func execShapes(drop bool) map[string]*Plan {
 			MID: 1, BaseVersion: 1, MaxVersion: 3,
 			Entry: []Dispatch{copyTo(1, 2), copyTo(2, 3), send(1, toNode(0)), send(2, toNode(1)), send(3, toNode(2))},
 			Nodes: []PlanNode{
-				{NF: mon(0), Next: []Dispatch{send(1, toJoin(0))}, DropTo: toJoin(0)},
-				{NF: mon(1), Next: []Dispatch{send(2, toJoin(1))}, DropTo: toJoin(1)},
-				{NF: copied, Next: []Dispatch{send(3, toJoin(1))}, DropTo: toJoin(1)},
+				{NF: mon(0), Next: []Dispatch{send(1, toJoin(0, 0))}, DropTo: toJoin(0, 0)},
+				{NF: mon(1), Next: []Dispatch{send(2, toJoin(1, 0))}, DropTo: toJoin(1, 0)},
+				{NF: copied, Next: []Dispatch{send(3, toJoin(1, 1))}, DropTo: toJoin(1, 1)},
 			},
 			Joins: []JoinSpec{
 				{ExpectTails: 2, BaseVersion: 1, Versions: []uint8{1, 2}, Ops: carry(2), Next: out, DropTo: toOutput},
-				{ExpectTails: 2, BaseVersion: 2, Versions: []uint8{2, 3}, Ops: carry(3), Next: []Dispatch{send(2, toJoin(0))}, DropTo: toJoin(0)},
+				{ExpectTails: 2, BaseVersion: 2, Versions: []uint8{2, 3}, Ops: carry(3), Next: []Dispatch{send(2, toJoin(0, 1))}, DropTo: toJoin(0, 1)},
 			},
 		},
 	}
@@ -395,8 +395,8 @@ func TestJoinBackpressure(t *testing.T) {
 		t.Errorf("injected = %d behind the stalled join, want fewer than the %d admission covers", got, admitted)
 	}
 	j := &(*s.shards[0].plans.Load())[1].joins[0]
-	if hw, bound := j.atHW.Value(), int64(j.at.bound); hw > bound || bound != admitted {
-		t.Errorf("nfp_merger_at_high_water = %d, table bound %d, want both within the %d packets admitted", hw, bound, admitted)
+	if hw, bound := j.atHW.Value(), int64(len(j.entries)); hw > bound || bound != admitted {
+		t.Errorf("nfp_merger_at_high_water = %d, frame bound %d, want both within the %d packets admitted", hw, bound, admitted)
 	}
 	if parks := s.Telemetry().Counter("nfp_backpressure_parks_total").Value(); parks == 0 {
 		t.Error("backpressure event without a counted park")
@@ -416,11 +416,11 @@ func TestJoinBackpressure(t *testing.T) {
 }
 
 // TestJoinBackpressureStalledBranch: one branch of a copying stage stalls
-// while the other keeps reporting, so Accumulating Table entries pile up
-// with one tail each — as far as admission lets them: the tail budget
-// divided by the two tails a packet brings, the packets the plan may hold
-// in flight, which is the table's entry bound, held in an array twice
-// that. The join neither waits nor overfills (it would panic, naming the
+// while the other keeps reporting, so join entries open up with one tail
+// each — as far as admission lets them: the tail budget divided by the
+// two tails a packet brings, the packets the plan may hold in flight,
+// which is its number of join frames, each an entry and two slots. The
+// join neither waits nor runs out of frames (it would panic, naming the
 // bound); once the branch moves everything completes, with exactly one
 // copy per packet.
 func TestJoinBackpressureStalledBranch(t *testing.T) {
@@ -438,9 +438,11 @@ func TestJoinBackpressureStalledBranch(t *testing.T) {
 	if err := s.AddGraphInstances(1, g, map[graph.NF]nf.NF{nfn(nfa.NFMonitor, 0): stall}); err != nil {
 		t.Fatal(err)
 	}
-	m := &(*s.shards[0].plans.Load())[1].joins[0]
-	if m.at.bound != admitted || len(m.at.slots) != 2*admitted {
-		t.Fatalf("table of %d slots bounded at %d entries, want %d and %d", len(m.at.slots), m.at.bound, 2*admitted, admitted)
+	pr := (*s.shards[0].plans.Load())[1]
+	m := &pr.joins[0]
+	if cap(pr.frames.free) != admitted || len(m.entries) != admitted || len(m.slots) != 2*admitted {
+		t.Fatalf("%d frames, %d entries and %d slots, want %d, %d and %d",
+			cap(pr.frames.free), len(m.entries), len(m.slots), admitted, admitted, 2*admitted)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nfp/internal/graph"
@@ -10,24 +11,99 @@ import (
 	"nfp/internal/telemetry"
 )
 
-// joinRT is one join of an installed plan on one shard (§5.3): its
-// Accumulating Table and the lock that orders the goroutines delivering
-// its tails. The paper runs its mergers as NF instances on cores of
-// their own, fed by an agent that hashes the PID across them; here every
-// branch is a goroutine in one address space, so whichever goroutine
-// delivers a packet's last tail finalizes the packet and sends it on
-// (shard.joinPush). A join has no goroutine, ring or instance count.
+// joinRT is one join of an installed plan on one shard (§5.3). The
+// paper's merger keeps an Accumulating Table keyed by PID; here the key
+// travels on the packet: its join frame (frames) indexes an entry that
+// counts its tails and a slot per tail, so a tail writes its slot and
+// counts itself in with one atomic add, and whichever goroutine's add
+// completes the count finalizes the packet and sends it on
+// (shard.joinPush). The paper's mergers are NF instances on cores of
+// their own; here a join has no goroutine, ring, lock or table.
 type joinRT struct {
-	mu sync.Mutex
-	at *atTable
+	// entries[f] counts frame f's tails in; slots[k*len(entries)+f] is
+	// what tail k of frame f handed in (tail-major, so each branch writes
+	// a region of its own).
+	entries []joinEntry
+	slots   []joinSlot
 	// Registry-backed series, labelled mid=<mid> and join=<j> (plus
 	// shard=<i> on a sharded server): a reload's joins continue them.
+	// atSize counts the open entries: those some but not all tails have
+	// reached.
 	processed *telemetry.Counter
 	merged    *telemetry.Counter
 	drops     *telemetry.Counter
 	atSize    *telemetry.Gauge
 	atHW      *telemetry.Gauge
 	mergeLat  *telemetry.Histogram
+}
+
+// joinEntry counts one packet's tails in at one join (§5.3, Figure 4's
+// current count).
+type joinEntry struct {
+	count atomic.Int32
+	// drop is 1 + the index of the first tail to report a drop (0: none
+	// has), set by compare-and-swap before that tail counts itself in:
+	// the packet dies once, so the first drop to arrive names the cause.
+	drop atomic.Int32
+}
+
+// joinSlot is what one tail hands its join: its packet (the shared base,
+// a copy, or a dropped one), version (read where the packet is warm),
+// verdict, the clock read of its pass (the earliest starts the merge
+// latency) and span cursor (where its merge-wait span begins).
+type joinSlot struct {
+	pkt    *packet.Packet
+	clock  int64
+	cursor int64
+	v      verdict
+	ver    uint8
+}
+
+// frames hands out a plan runtime's join frames: one per packet
+// admission lets the plan hold at once. injectBurst stamps a free index
+// on each packet (Packet.Frame) while the injector still owns it, copies
+// inherit it, and emit gives it back before settle returns the packet's
+// budget — so an admitted packet always finds a free frame. Frame f is
+// entry f and slots [k][f] of every join of the plan (joinRT): a tail
+// finds its place by index, without a lookup or a lock. The free list
+// itself is locked once per burst at each end.
+type frames struct {
+	mu   sync.Mutex
+	free []uint16
+}
+
+func newFrames(bound int) *frames {
+	fs := &frames{free: make([]uint16, bound)}
+	for i := range fs.free {
+		fs.free[i] = uint16(bound - 1 - i)
+	}
+	return fs
+}
+
+// take stamps a free frame on every packet. Admission proves there are
+// enough: running out is a bug in that arithmetic, not a wait.
+func (fs *frames) take(pkts []*packet.Packet) {
+	fs.mu.Lock()
+	n := len(fs.free) - len(pkts)
+	if n < 0 {
+		defer fs.mu.Unlock()
+		panic(fmt.Sprintf("dataplane: join frames exhausted: %d wanted, %d free of the %d the admission budget lets in",
+			len(pkts), n+len(pkts), cap(fs.free)))
+	}
+	for i, pkt := range pkts {
+		pkt.Frame = fs.free[n+i]
+	}
+	fs.free = fs.free[:n]
+	fs.mu.Unlock()
+}
+
+// put gives the packets' frames back.
+func (fs *frames) put(pkts []*packet.Packet) {
+	fs.mu.Lock()
+	for _, pkt := range pkts {
+		fs.free = append(fs.free, pkt.Frame)
+	}
+	fs.mu.Unlock()
 }
 
 // verdict is what the bases of one outgoing burst share: a drop
@@ -37,11 +113,12 @@ type verdict struct {
 	prov    dropProv
 }
 
-// joinOut is what one pass over a join's table completed, in completion
-// order: each finalized base with its verdict, and the copies it spent
-// (base k's are spent[ends[k-1]:ends[k]]). It lives on the stack of the
-// goroutine that delivered the tails.
+// joinOut is what one pass over a burst of tails completed, in
+// completion order: each completed frame, its finalized base with its
+// verdict, and the copies it spent (base k's are spent[ends[k-1]:ends[k]]).
+// It lives on the stack of the goroutine that delivered the tails.
 type joinOut struct {
+	frames   [execChunk]uint16
 	bases    [execChunk]*packet.Packet
 	verdicts [execChunk]verdict
 	ends     [execChunk]uint8
@@ -49,136 +126,150 @@ type joinOut struct {
 	n, ns    int
 }
 
-// joinPush delivers a burst of tails to join j of pr. It holds the
-// join's lock only to update the Accumulating Table, which copies the
-// packets these tails complete out into scratch (accept); then, unlocked,
-// it merges them, gives their spent copies back and sends them on
-// (joinOn). A continuation that reaches another join completes that one
-// on this goroutine, one level per nesting depth. Nothing that can block
-// runs under the lock: a continuation may wait on a full ring, and every
-// branch delivering to this join would wait behind it.
+// joinPush delivers a burst of tails from branch k to join j of pr: it
+// counts them in (accept), finalizes the packets they complete and
+// sends them on (joinOn), a pass at a time. A continuation that reaches
+// another join completes that one on this goroutine, one level per
+// nesting depth.
 //
-// The tails carry the packets' OWN generation runtime, whose table is
+// The tails carry the packets' OWN generation runtime, whose frames are
 // theirs alone: across a reload each packet finalizes against the plan
 // that admitted it.
-func (sh *shard) joinPush(pr *planRuntime, j int, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
+func (sh *shard) joinPush(pr *planRuntime, j, k int, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
 	jr, spec := &pr.joins[j], &pr.plan.Joins[j]
 	sh.joinTails.Add(uint64(len(pkts)))
 	jr.processed.Add(uint64(len(pkts)))
 	var out joinOut
 	for len(pkts) > 0 {
 		out.n, out.ns = 0, 0
-		jr.mu.Lock()
-		// One clock read per pass: the birth stamp of its new entries, the
-		// end of every merge latency and merge-wait span it closes. Read
-		// under the lock, so it is no earlier than any tail an earlier
-		// pass took or any such pass's own read.
-		now := time.Now().UnixNano()
-		k := sh.accept(pr, jr, spec, pkts, verdict{dropped, prov}, cursor, now, &out)
-		jr.mu.Unlock()
-		pkts = pkts[k:]
-		sh.joinOn(pr, jr, spec, &out, now)
+		n := accept(jr, spec, k, pkts, verdict{dropped, prov}, cursor, &out)
+		pkts = pkts[n:]
+		if out.n > 0 {
+			// Read after every add that completed a packet: no earlier than
+			// any slot's clock or cursor, so it ends every merge latency and
+			// merge-wait span this pass closes.
+			now := time.Now().UnixNano()
+			sh.finalize(pr, jr, spec, &out, now)
+			sh.joinOn(pr, jr, spec, &out, now)
+		}
 	}
 }
 
-// accept counts tails into the join's table, under its lock, until they
-// run out or out could not hold one more completed packet, and returns
-// how many it took. The table gauges move once per pass (the within-pass
-// peak is still exact).
-func (sh *shard) accept(pr *planRuntime, jr *joinRT, spec *JoinSpec, pkts []*packet.Packet, v verdict, cursor, now int64, out *joinOut) int {
-	t, tr := jr.at, sh.srv.tracer
-	peak, copies := t.live, len(spec.Versions)-1
-	k := 0
-	for ; k < len(pkts) && out.n < len(out.bases) && out.ns+copies <= len(out.spent); k++ {
-		pkt := pkts[k]
-		pid, ver := pkt.Meta.PID, pkt.Meta.Version
-		i, fresh := t.at(pid)
-		e := &t.slots[i]
-		if fresh {
-			e.firstNS = now
-			peak = max(peak, t.live)
+// accept writes tail k of each packet into its frame's slot and counts
+// it in, until the tails run out or out could not hold one more
+// completed packet, and returns how many it took; out.frames lists the
+// frames whose count it completed. One clock read per pass stamps the
+// slots; the gauges move once per pass.
+func accept(jr *joinRT, spec *JoinSpec, k int, pkts []*packet.Packet, v verdict, cursor int64, out *joinOut) int {
+	now := time.Now().UnixNano()
+	bound, copies, expect := len(jr.entries), len(spec.Versions)-1, int32(spec.ExpectTails)
+	slots := jr.slots[k*bound : (k+1)*bound]
+	opened, spent, i := 0, 0, 0
+	for ; i < len(pkts) && out.n < len(out.frames) && spent+copies <= len(out.spent); i++ {
+		pkt := pkts[i]
+		f := pkt.Frame
+		slots[f] = joinSlot{pkt: pkt, clock: now, cursor: cursor, v: v, ver: pkt.Meta.Version}
+		e := &jr.entries[f]
+		if v.dropped {
+			e.drop.CompareAndSwap(0, int32(k)+1)
 		}
-		if tr.Sampled(pid) {
-			t.noteTail(e, ver, cursor)
+		c := e.count.Add(1)
+		if c == 1 {
+			opened++
 		}
-		e.count++
-		e.versions[ver] = pkt
-		if v.dropped && !e.dropped {
-			e.dropped, e.prov = true, v.prov
-		}
-		if int(e.count) == spec.ExpectTails {
-			jr.mergeLat.Record(now - e.firstNS)
-			sh.finalize(pr, spec, t, e, now, out)
-			t.remove(i)
+		if c == expect {
+			out.frames[out.n] = f
+			out.n++
+			spent += copies
 		}
 	}
-	jr.atSize.Set(int64(t.live))
-	jr.atHW.SetMax(int64(peak))
-	return k
+	if opened > 0 {
+		jr.atSize.Add(int64(opened))
+		jr.atHW.SetMax(jr.atSize.Value())
+	}
+	return i
 }
 
-// finalize completes one packet's join, under the lock: it closes the
-// packet's merge-wait spans, reconciles drops, and copies the base, its
-// verdict and the join's other versions out of the entry, whose slot the
-// caller frees next.
-func (sh *shard) finalize(pr *planRuntime, spec *JoinSpec, t *atTable, e *atEntry, now int64, out *joinOut) {
-	mid := pr.plan.MID
-	base := e.versions[spec.BaseVersion]
-
-	// Close every tail's merge-wait span against the pass's clock read:
-	// each branch's wait in the Accumulating Table is visible
-	// individually, and the shared end timestamp is where the surviving
-	// base chain resumes — so the base chain still tiles exactly (its own
-	// merge-wait ends where the merge span begins).
-	if tr := sh.srv.tracer; tr.Sampled(e.pid) {
-		for n := e.firstTail; n != 0; n = t.tails[n-1].next {
-			tail := &t.tails[n-1]
-			tr.RecordSpan(telemetry.TraceEvent{
-				PID: e.pid, MID: mid, Ver: tail.ver,
-				Stage: telemetry.StageMergeWait, Name: "merger",
-				Join: spec.ID + 1, Begin: tail.cursor, TS: now,
-				Shard: sh.spanID, Gen: pr.spanGen,
-			})
+// finalize completes the packets one pass counted in: from each frame's
+// slots it records the merge latency, closes the merge-wait spans,
+// reconciles drops and gathers the base, its verdict and the join's
+// other versions into out, and then readies the entry for the frame's
+// next packet.
+func (sh *shard) finalize(pr *planRuntime, jr *joinRT, spec *JoinSpec, out *joinOut, now int64) {
+	mid, bound, tr := pr.plan.MID, len(jr.entries), sh.srv.tracer
+	for i, f := range out.frames[:out.n] {
+		e := &jr.entries[f]
+		var versions [packet.MaxVersion + 1]*packet.Packet
+		first := now
+		for k := 0; k < spec.ExpectTails; k++ {
+			s := &jr.slots[k*bound+int(f)]
+			versions[s.ver] = s.pkt
+			first = min(first, s.clock)
 		}
-		t.dropTails(e)
-	}
-
-	switch {
-	case e.dropped && base == nil:
-		// The base never arrived (its own branch dropped it and the
-		// buffer came through as a dropped tail under the base version —
-		// or the entry is inconsistent). Synthesize a nil carrier for
-		// propagation, keeping the PID so trace spans of the drop stay
-		// attributed to the packet.
-		base = packet.NewNil(packet.Meta{MID: mid, PID: e.pid, Version: spec.BaseVersion})
-	case base == nil:
-		// A non-dropped packet must always include its base version;
-		// anything else is a plan bug worth crashing loudly on.
-		panic(fmt.Sprintf("dataplane: join %d of mid %d completed without base version %d",
-			spec.ID, mid, spec.BaseVersion))
-	}
-	out.bases[out.n], out.verdicts[out.n] = base, verdict{e.dropped, e.prov}
-	// Every received copy except the base is spent (a copy this stage
-	// made, out of the shard's partition: the version that entered the
-	// stage is its join's base, compilePar). Only the join's own versions
-	// can arrive (spec.Versions, base first).
-	for _, v := range spec.Versions[1:] {
-		if pkt := e.versions[v]; pkt != nil {
-			out.spent[out.ns] = pkt
-			out.ns++
+		var v verdict
+		if d := e.drop.Load(); d != 0 {
+			v = jr.slots[int(d-1)*bound+int(f)].v
 		}
+		e.count.Store(0)
+		e.drop.Store(0)
+		jr.mergeLat.Record(now - first)
+
+		// Close every tail's merge-wait span against the one clock read:
+		// each branch's wait at the join is visible individually, and the
+		// shared end timestamp is where the surviving base chain resumes —
+		// so the base chain still tiles exactly (its own merge-wait ends
+		// where the merge span begins).
+		if tr != nil && tr.Sampled(jr.slots[f].pkt.Meta.PID) {
+			for k := 0; k < spec.ExpectTails; k++ {
+				s := &jr.slots[k*bound+int(f)]
+				tr.RecordSpan(telemetry.TraceEvent{
+					PID: s.pkt.Meta.PID, MID: mid, Ver: s.ver,
+					Stage: telemetry.StageMergeWait, Name: "merger",
+					Join: spec.ID + 1, Begin: s.cursor, TS: now,
+					Shard: sh.spanID, Gen: pr.spanGen(),
+				})
+			}
+		}
+
+		base := versions[spec.BaseVersion]
+		switch {
+		case v.dropped && base == nil:
+			// The base never arrived (its own branch dropped it and the
+			// buffer came through as a dropped tail under the base version —
+			// or the entry is inconsistent). Synthesize a nil carrier for
+			// propagation, keeping the PID so trace spans of the drop stay
+			// attributed to the packet, and the frame, which emit gives back.
+			base = packet.NewNil(packet.Meta{MID: mid, PID: jr.slots[f].pkt.Meta.PID, Version: spec.BaseVersion})
+			base.Frame = f
+		case base == nil:
+			// A non-dropped packet must always include its base version;
+			// anything else is a plan bug worth crashing loudly on.
+			panic(fmt.Sprintf("dataplane: join %d of mid %d completed without base version %d",
+				spec.ID, mid, spec.BaseVersion))
+		}
+		out.bases[i], out.verdicts[i] = base, v
+		// Every received copy except the base is spent (a copy this stage
+		// made, out of the shard's partition: the version that entered the
+		// stage is its join's base, compilePar). Only the join's own
+		// versions can arrive (spec.Versions, base first).
+		for _, ver := range spec.Versions[1:] {
+			if pkt := versions[ver]; pkt != nil {
+				out.spent[out.ns] = pkt
+				out.ns++
+			}
+		}
+		out.ends[i] = uint8(out.ns)
 	}
-	out.ends[out.n] = uint8(out.ns)
-	out.n++
+	jr.atSize.Add(-int64(out.n))
 }
 
-// joinOn finishes what one pass completed, off the lock: the merging
-// operations of every merged base, then the spent copies back to the
-// pool — before any base goes on, since emit settles a packet's budget
-// on the understanding that every buffer it held is free again, and an
-// injector waiting at admission allocates against that budget the moment
-// it is settled — and then the bases, in completion order, in runs of at
-// most Burst that share a verdict.
+// joinOn finishes what one pass completed: the merging operations of
+// every merged base, then the spent copies back to the pool — before any
+// base goes on, since emit settles a packet's budget on the
+// understanding that every buffer it held is free again, and an injector
+// waiting at admission allocates against that budget the moment it is
+// settled — and then the bases, in completion order, in runs of at most
+// Burst that share a verdict.
 func (sh *shard) joinOn(pr *planRuntime, jr *joinRT, spec *JoinSpec, out *joinOut, now int64) {
 	if len(spec.Ops) > 0 {
 		// A merged packet holds every version of its join, so each one
@@ -226,7 +317,7 @@ func (sh *shard) joinOn(pr *planRuntime, jr *joinRT, spec *JoinSpec, out *joinOu
 // joinRun sends one run of finalized bases on: down the join's drop
 // route, or through its continuation. A run holding a sampled packet
 // carries the span cursor its chain resumes from: the end of merge-wait
-// (the pass's clock read) for a drop, or the end of the merge span — one
+// (the finisher's clock read) for a drop, or the end of the merge span — one
 // more read, after the merging operations — for a merge.
 func (sh *shard) joinRun(pr *planRuntime, jr *joinRT, spec *JoinSpec, v verdict, bases []*packet.Packet, now int64) {
 	tr := sh.srv.tracer
@@ -253,7 +344,7 @@ func (sh *shard) joinRun(pr *planRuntime, jr *joinRT, spec *JoinSpec, v verdict,
 					PID: base.Meta.PID, MID: pr.plan.MID, Ver: base.Meta.Version,
 					Stage: telemetry.StageMerge, Name: "merger",
 					Join: spec.ID + 1, Begin: now, TS: cursor,
-					Shard: sh.spanID, Gen: pr.spanGen,
+					Shard: sh.spanID, Gen: pr.spanGen(),
 				})
 			}
 		}

@@ -25,8 +25,8 @@ func copyJoinPlan() *Plan {
 		MID: 1, BaseVersion: 1, MaxVersion: 2,
 		Entry: []Dispatch{copyTo(1, 2, toNode(1)), send(1, toNode(0))},
 		Nodes: []PlanNode{
-			{NF: nfn(nfa.NFMonitor, 0), Next: []Dispatch{send(1, toJoin(0))}, DropTo: toJoin(0)},
-			{NF: nfn(nfa.NFLB, 0), Next: []Dispatch{send(2, toJoin(0))}, DropTo: toJoin(0)},
+			{NF: nfn(nfa.NFMonitor, 0), Next: []Dispatch{send(1, toJoin(0, 0))}, DropTo: toJoin(0, 0)},
+			{NF: nfn(nfa.NFLB, 0), Next: []Dispatch{send(2, toJoin(0, 1))}, DropTo: toJoin(0, 1)},
 			{NF: nfn(nfa.NFMonitor, 1), Next: []Dispatch{send(1, toOutput)}, DropTo: toOutput},
 		},
 		Joins: []JoinSpec{{ExpectTails: 2, BaseVersion: 1, Versions: []uint8{1, 2}, Ops: carry(2),
@@ -84,22 +84,25 @@ func (r *mergerRig) branches(tb testing.TB) {
 
 // merge delivers both branches' tails to the join — the second burst
 // completes every packet — and takes the merged packets off the ring
-// behind the join, playing emit for them.
+// behind the join, playing emit for them: their frames back, then their
+// budget.
 func (r *mergerRig) merge(tb testing.TB) {
-	r.sh.joinPush(r.pr, 0, r.pkts[:], false, dropProv{}, 0)
-	if r.j.at.live != execChunk {
-		tb.Fatalf("%d entries live after the first branch, want %d", r.j.at.live, execChunk)
+	r.sh.joinPush(r.pr, 0, 0, r.pkts[:], false, dropProv{}, 0)
+	if open := r.j.open(); open != execChunk {
+		tb.Fatalf("%d entries open after the first branch, want %d", open, execChunk)
 	}
-	r.sh.joinPush(r.pr, 0, r.copies[:], false, dropProv{}, 0)
+	r.sh.joinPush(r.pr, 0, 1, r.copies[:], false, dropProv{}, 0)
 	if got := r.pr.owner[2].rx.DequeueBatch(r.merged[:]); got != execChunk {
 		tb.Fatalf("join continued with a burst of %d, want all %d as one", got, execChunk)
 	}
+	r.pr.frames.put(r.merged[:])
 	r.sh.settle(r.pr, execChunk)
 }
 
-// TestMergerAcceptAllocs: in steady state a join accepts a burst — table
-// inserts and deletes, merge ops, the freed copies, the burst sent on —
-// without allocating (the sibling of TestExecBurstFanoutAllocs).
+// TestMergerAcceptAllocs: in steady state a join accepts a burst — frames
+// taken and given back, entries counted in, merge ops, the freed copies,
+// the burst sent on — without allocating (the sibling of
+// TestExecBurstFanoutAllocs).
 func TestMergerAcceptAllocs(t *testing.T) {
 	r := newMergerRig(t, Config{PoolSize: 256, RingSize: 64})
 	allocs := testing.AllocsPerRun(50, func() {
@@ -115,8 +118,8 @@ func TestMergerAcceptAllocs(t *testing.T) {
 	if hw := r.j.atHW.Value(); hw != execChunk {
 		t.Errorf("nfp_merger_at_high_water = %d, want the %d entries of one burst", hw, execChunk)
 	}
-	if r.j.at.live != 0 || r.j.atSize.Value() != 0 {
-		t.Errorf("%d entries live (gauge %d) after every packet merged", r.j.at.live, r.j.atSize.Value())
+	if open := r.j.open(); open != 0 || r.j.atSize.Value() != 0 {
+		t.Errorf("%d entries open (gauge %d) after every packet merged", open, r.j.atSize.Value())
 	}
 	r.s.Pool().FreeBatch(r.pkts[:])
 	if leak := r.s.Pool().InUse(); leak != 0 {
@@ -169,8 +172,8 @@ func TestMergerBacklogLeavesInFullBursts(t *testing.T) {
 			}
 		}
 		r.s.Pool().FreeBatch(r.pkts[:])
-		if leak := r.s.Pool().InUse(); leak != 0 || r.j.at.live != 0 {
-			t.Errorf("%d buffers leaked, %d entries left", leak, r.j.at.live)
+		if leak := r.s.Pool().InUse(); leak != 0 || r.j.open() != 0 {
+			t.Errorf("%d buffers leaked, %d entries left open", leak, r.j.open())
 		}
 	}
 }
@@ -201,7 +204,7 @@ func BenchmarkMergerAccept(b *testing.B) {
 // completes the outer one inside its own continuation (nestedGraph); at
 // Burst 1 every tail completes its join on its own. At either burst and
 // shard count nothing is lost, every packet merges once at every join,
-// every table ends empty and every buffer is back.
+// every entry ends closed and every buffer is back.
 func TestJoinCompletesWhereLastTailLands(t *testing.T) {
 	total := 20_000
 	if testing.Short() {
@@ -227,8 +230,8 @@ func TestJoinCompletesWhereLastTailLands(t *testing.T) {
 							t.Fatalf("shard %d runs %d joins, want %d", i, len(pr.joins), tc.joins)
 						}
 						for j := range pr.joins {
-							if live := pr.joins[j].at.live; live != 0 {
-								t.Errorf("shard %d join %d: %d entries left", i, j, live)
+							if open := pr.joins[j].open(); open != 0 {
+								t.Errorf("shard %d join %d: %d entries left open", i, j, open)
 							}
 							merged[j] += pr.joins[j].merged.Value()
 						}
@@ -317,6 +320,7 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 	type tail struct {
 		pkt *packet.Packet
 		pr  *planRuntime
+		k   int
 		v   verdict
 	}
 	plans := map[uint32]*planRuntime{}
@@ -348,8 +352,9 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 		}
 		pkt := buildInto(t, s, shapeSpec(i))
 		pkt.Meta = packet.Meta{MID: mid, PID: uint64(i + 1), Version: 1}
+		pr.frames.take([]*packet.Packet{pkt}) // as injectBurst does
 		for k := 0; k < 2; k++ {
-			it := tail{pkt: pkt, pr: pr}
+			it := tail{pkt: pkt, pr: pr, k: k}
 			if k == 1 && i%5 == 0 {
 				it.v = verdict{true, dropProv{stage: telemetry.StageNF, node: 1}}
 				dropped[pkt.Meta.PID] = true
@@ -375,15 +380,16 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 
 	outputs := 0
 	for len(feed) > 0 {
-		// One delivery per run of the burst that shares a join and verdict.
+		// One delivery per run of the burst that shares a join, branch and
+		// verdict.
 		k := min(len(feed), 1+rng.Intn(2*s.cfg.Burst))
 		for i := 0; i < k; {
 			var pkts []*packet.Packet
 			it := feed[i]
-			for ; i < k && feed[i].pr == it.pr && feed[i].v == it.v; i++ {
+			for ; i < k && feed[i].pr == it.pr && feed[i].k == it.k && feed[i].v == it.v; i++ {
 				pkts = append(pkts, feed[i].pkt)
 			}
-			sh.joinPush(it.pr, 0, pkts, it.v.dropped, it.v.prov, 0)
+			sh.joinPush(it.pr, 0, it.k, pkts, it.v.dropped, it.v.prov, 0)
 		}
 		feed = feed[k:]
 		for drained := false; !drained; {
@@ -418,9 +424,9 @@ func TestMergerEmitsInCompletionOrder(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	live := plans[1].joins[0].at.live + plans[2].joins[0].at.live
-	if outputs != n-len(dropped) || st.Drops != uint64(len(dropped)) || live != 0 {
-		t.Errorf("outputs=%d drops=%d entries=%d, want %d, %d, 0", outputs, st.Drops, live, n-len(dropped), len(dropped))
+	open := plans[1].joins[0].open() + plans[2].joins[0].open()
+	if outputs != n-len(dropped) || st.Drops != uint64(len(dropped)) || open != 0 {
+		t.Errorf("outputs=%d drops=%d open entries=%d, want %d, %d, 0", outputs, st.Drops, open, n-len(dropped), len(dropped))
 	}
 	if held := budget(sh.held.Load()); held != 0 {
 		t.Errorf("budget not given back: %d copies, %d tails held", held.copies(), held.tails())

@@ -173,7 +173,7 @@ func sustainedLoad(t *testing.T, cfg Config, g graph.Node, total, copies int) *S
 // thousand packets (its merger goroutine enqueued to its own full
 // queue). The inner join now completes the outer one on the goroutine
 // that delivered its last tail. mergers=N runs N shards: each join then
-// has N Accumulating Tables, one per shard, and the flow hash splits the
+// has N sets of entries, one per shard, and the flow hash splits the
 // packets across them as the paper's merger agent splits them across
 // instances by PID. The server otherwise runs a zero-value Config.
 func TestNestedJoinSustainedLoad(t *testing.T) {

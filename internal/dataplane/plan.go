@@ -25,7 +25,7 @@ type TargetKind uint8
 const (
 	// ToNode delivers into an NF runtime's receive ring.
 	ToNode TargetKind = iota
-	// ToJoin delivers a branch tail to a join's Accumulating Table.
+	// ToJoin delivers a branch tail to a join.
 	ToJoin
 	// ToOutput emits the packet from the service graph.
 	ToOutput
@@ -34,6 +34,10 @@ const (
 // Target is one receiver of a packet reference.
 type Target struct {
 	Kind TargetKind
+	// Tail is the branch a ToJoin target is the tail of, numbered from 0
+	// in the join's branch order: the slot its tails take in a packet's
+	// join frame. install refuses a plan of more tails than tailBudget.
+	Tail uint16
 	Node int // node index for ToNode
 	Join int // join index for ToJoin
 }
@@ -317,8 +321,6 @@ func (c *planCompiler) compilePar(v graph.Par, cur uint8, cont []Dispatch, dropT
 		Next:        cont,
 		DropTo:      dropTo,
 	}
-	joinTarget := Target{Kind: ToJoin, Join: joinID}
-	toJoin := []Dispatch{{Targets: []Target{joinTarget}}} // SrcVersion filled per group
 
 	// Assign global versions to copy groups.
 	versionOfGroup := make([]uint8, len(groups))
@@ -358,7 +360,8 @@ func (c *planCompiler) compilePar(v graph.Par, cur uint8, cont []Dispatch, dropT
 	for gi, g := range groups {
 		gv := versionOfGroup[gi]
 		for _, bi := range g {
-			tail := []Dispatch{{SrcVersion: gv, Targets: toJoin[0].Targets}}
+			joinTarget := Target{Kind: ToJoin, Join: joinID, Tail: uint16(spec.ExpectTails)}
+			tail := []Dispatch{{SrcVersion: gv, Targets: []Target{joinTarget}}}
 			brEntry, err := c.compile(v.Branches[bi], gv, tail, joinTarget)
 			if err != nil {
 				return nil, err

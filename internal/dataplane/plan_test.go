@@ -70,12 +70,13 @@ func TestCompilePlanSharedParallel(t *testing.T) {
 	if p.CopiesPerPacket() != 0 {
 		t.Errorf("copies = %d", p.CopiesPerPacket())
 	}
-	// Both branch tails deliver to the join.
-	for _, n := range p.Nodes {
-		if n.Next[0].Targets[0] != (Target{Kind: ToJoin, Join: 0}) {
+	// Both branch tails deliver to the join, each as its own tail.
+	for i, n := range p.Nodes {
+		want := Target{Kind: ToJoin, Join: 0, Tail: uint16(i)}
+		if n.Next[0].Targets[0] != want {
 			t.Errorf("node %v Next = %v", n.NF, n.Next)
 		}
-		if n.DropTo != (Target{Kind: ToJoin, Join: 0}) {
+		if n.DropTo != want {
 			t.Errorf("node %v DropTo = %v", n.NF, n.DropTo)
 		}
 	}

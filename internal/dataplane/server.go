@@ -181,17 +181,14 @@ type planRuntime struct {
 	// nodes holds the flight recorder's facts per plan node: its name and
 	// terminal drop counters.
 	nodes []nodeRec
-	// joins holds one Accumulating Table per plan join, with its lock
-	// (shard.joinPush).
+	// joins holds the plan's joins (shard.joinPush), and frames hands out
+	// the join frames their packets carry (nil without a join).
 	joins []joinRT
 
 	// gen is the config generation that installed this runtime (1 for
 	// the initial install; each Reload bumps the server generation).
-	// spanGen is the TraceEvent.Gen tag: gen for reloaded generations,
-	// 0 for generation 1 so pre-reload trace output stays
-	// byte-identical (the field is omitempty).
-	gen     uint64
-	spanGen int
+	gen    uint64
+	frames *frames
 
 	// weight is what one packet occupies of the shard's admission budget
 	// (buildRuntime); 0 without a join.
@@ -217,6 +214,17 @@ type planRuntime struct {
 	retired atomic.Bool
 	// wg tracks this runtime's segment goroutines for teardown.
 	wg sync.WaitGroup
+}
+
+// spanGen is the TraceEvent.Gen tag: gen for reloaded generations, 0
+// for generation 1 so pre-reload trace output stays byte-identical (the
+// field is omitempty). Not a field: planRuntime keeps its 176-byte size
+// class with frames.
+func (pr *planRuntime) spanGen() int {
+	if pr.gen > 1 {
+		return int(pr.gen)
+	}
+	return 0
 }
 
 // Server is one NFP server (Figure 3): shared memory pool, classifier,
@@ -647,9 +655,6 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 	}
 	pr := &planRuntime{plan: plan, owner: make([]*nodeRT, len(plan.Nodes)), gen: gen, weight: newBudget(copies, tails)}
 	var stateful []*stateMetrics
-	if gen > 1 {
-		pr.spanGen = int(gen)
-	}
 	pr.nodes = make([]nodeRec, len(plan.Nodes))
 	for i := range plan.Nodes {
 		pr.nodes[i].name = s.rec.Intern(plan.Nodes[i].NF.String())
@@ -709,14 +714,16 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 		pr.rts = append(pr.rts, n)
 	}
 	if len(plan.Joins) > 0 {
-		// A packet holds at most one entry per join, and admission lets at
-		// most this many of the plan's packets in at once.
+		// Admission lets at most this many of the plan's packets in at
+		// once: one frame each.
 		bound := sh.room.tails() / tails
+		pr.frames = newFrames(bound)
 		pr.joins = make([]joinRT, len(plan.Joins))
 		for j := range pr.joins {
 			labels := sh.labelShard([]telemetry.Label{midLabel, telemetry.L("join", strconv.Itoa(j))})
 			jr := &pr.joins[j]
-			jr.at = newATTable(bound)
+			jr.entries = make([]joinEntry, bound)
+			jr.slots = make([]joinSlot, bound*plan.Joins[j].ExpectTails)
 			jr.processed = s.tel.Counter("nfp_merger_processed_total", labels...)
 			jr.merged = s.tel.Counter("nfp_merger_merged_total", labels...)
 			jr.drops = s.tel.Counter("nfp_merger_drops_total", labels...)

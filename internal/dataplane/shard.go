@@ -85,8 +85,8 @@ func (sh *shard) labelShard(labels []telemetry.Label) []telemetry.Label {
 // and join tail they can occupy (pr.weight each), and returns the prefix
 // length. Live copies and outstanding tails then stay within room over
 // every MID and generation on the shard: a copy allocation never comes
-// back short, an Accumulating Table never fills (buildRuntime sizes each
-// to what admission lets its plan hold), nothing in the graph waits on
+// back short, a plan never runs out of join frames (buildRuntime gives
+// each the most packets admission lets it hold), nothing in the graph waits on
 // anything upstream of it.
 func (sh *shard) admit(pr *planRuntime, n int) int {
 	for {
@@ -213,7 +213,7 @@ func (sh *shard) injectChunk(pkts []*packet.Packet) {
 func (sh *shard) span(pr *planRuntime, pkt *packet.Packet, st telemetry.Stage, name string, begin, end int64) {
 	sh.srv.tracer.RecordSpan(telemetry.TraceEvent{
 		PID: pkt.Meta.PID, MID: pkt.Meta.MID, Ver: pkt.Meta.Version,
-		Stage: st, Name: name, Begin: begin, TS: end, Shard: sh.spanID, Gen: pr.spanGen,
+		Stage: st, Name: name, Begin: begin, TS: end, Shard: sh.spanID, Gen: pr.spanGen(),
 	})
 }
 
@@ -238,6 +238,9 @@ func (sh *shard) injectBurst(pr *planRuntime, pkts []*packet.Packet) {
 			// attributed, to now — the cursor downstream spans chain from.
 			sh.span(pr, pkt, telemetry.StageClassify, "classifier", pkt.Ingress, now)
 		}
+	}
+	if pr.frames != nil {
+		pr.frames.take(pkts)
 	}
 	sh.srv.injected.Add(uint64(len(pkts)))
 	sh.execBurst(pr, pr.plan.Entry, pkts, now)
@@ -329,7 +332,7 @@ func (sh *shard) copyBurst(pr *planRuntime, d *Dispatch, src, dst []*packet.Pack
 			s.tracer.RecordSpan(telemetry.TraceEvent{
 				PID: from.Meta.PID, MID: from.Meta.MID, Ver: d.NewVersion,
 				Stage: telemetry.StageCopy, Name: "copy", SrcVer: d.SrcVersion,
-				Begin: cursor, TS: now, Shard: sh.spanID, Gen: pr.spanGen,
+				Begin: cursor, TS: now, Shard: sh.spanID, Gen: pr.spanGen(),
 			})
 		}
 	}
@@ -344,25 +347,17 @@ func (sh *shard) copyBurst(pr *planRuntime, d *Dispatch, src, dst []*packet.Pack
 // dropped marks every packet a drop intention (the references ride
 // along so buffers can be reclaimed) with prov its provenance, and
 // cursor is the span-chain position carried into the next stage: ring
-// deliveries stash it for the consumer, join deliveries ride it on the
-// merge items, and output closes the chain with the terminal span.
+// deliveries stash it for the consumer, join deliveries keep it in the
+// tails' slots, and output closes the chain with the terminal span.
 func (sh *shard) deliver(pr *planRuntime, t Target, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
 	switch t.Kind {
 	case ToNode:
 		sh.ringPush(pr, pr.owner[t.Node], pkts, cursor)
 	case ToJoin:
-		sh.joinPush(pr, t.Join, pkts, dropped, prov, cursor)
+		sh.joinPush(pr, t.Join, int(t.Tail), pkts, dropped, prov, cursor)
 	case ToOutput:
 		sh.emit(pr, pkts, dropped, prov, cursor)
 	}
-}
-
-// hashPID hashes a packet ID into an Accumulating Table's probe start.
-// §5.3: the merger agent "performs a simple and fast hashing on the
-// immutable PID field". A multiplicative (Fibonacci) hash spreads
-// consecutive PIDs over its top bits.
-func hashPID(pid uint64) uint64 {
-	return pid * 0x9e3779b97f4a7c15
 }
 
 // release frees a burst of packets the graph is done with: under one
@@ -393,6 +388,11 @@ func (sh *shard) release(pkts []*packet.Packet) {
 // packet of the generation has fully surfaced, not merely been handed off.
 func (sh *shard) emit(pr *planRuntime, pkts []*packet.Packet, dropped bool, prov dropProv, cursor int64) {
 	s := sh.srv
+	if pr.frames != nil {
+		// Before the sends hand the packets away and settle gives back
+		// their budget: an injector admitted against it finds them free.
+		pr.frames.put(pkts)
+	}
 	for _, pkt := range pkts {
 		// One clock read ends a sampled packet's last span and its
 		// end-to-end latency, taken as the packet itself surfaces.

@@ -138,7 +138,8 @@ func mergeWaits(spans []telemetry.TraceEvent) (n int) {
 // TestSpanDecompositionAcrossReload: with every packet sampled and bursts
 // of 32, so every clock read a join shares across a burst is in some
 // chain, reloads under load put two generations' tails through the join
-// at once, each generation's into its own table. Every packet's spans still tile its end-to-end latency
+// at once, each generation's into its own frames. Every packet's spans
+// still tile its end-to-end latency
 // exactly, carry the one generation that admitted it, and hold one
 // merge-wait span per branch tail.
 func TestSpanDecompositionAcrossReload(t *testing.T) {
@@ -226,8 +227,8 @@ func TestSpanDecompositionAcrossReload(t *testing.T) {
 // TestSpanDecompositionWideJoin: a join may collect more tails than a
 // stage has versions (the branches of a no-copy group all report the one
 // version they share), and a sampled packet still shows one merge-wait
-// span per tail: the cursors wait beside the Accumulating Table, not in a
-// fixed array inside the entry.
+// span per tail: each tail's cursor waits in its own slot of the
+// packet's join frame, however many tails share a version.
 func TestSpanDecompositionWideJoin(t *testing.T) {
 	const branches, n = packet.MaxVersion + 5, 96
 	g := graph.Par{}
@@ -263,9 +264,8 @@ func TestSpanDecompositionWideJoin(t *testing.T) {
 			t.Errorf("pid %d: buckets sum %d != e2e %d: %+v", pid, sum, at.E2E, at)
 		}
 	}
-	at := (*s.shards[0].plans.Load())[1].joins[0].at
-	if at.live != 0 || len(at.tails) > tailBudget {
-		t.Errorf("%d entries live, %d tail cursors kept: want none, and at most the tail budget's %d", at.live, len(at.tails), tailBudget)
+	if open := (*s.shards[0].plans.Load())[1].joins[0].open(); open != 0 {
+		t.Errorf("%d entries left open", open)
 	}
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Errorf("pool leak: %d buffers", leak)

@@ -65,8 +65,8 @@ func TestReloadEquivalenceProperty(t *testing.T) {
 }
 
 // TestReloadEquivalenceSequentialGraph covers the no-join compilation:
-// sequential chains exercise the pure pipeline swap path (no
-// Accumulating Table entries straddling generations), which the
+// sequential chains exercise the pure pipeline swap path (no join
+// entries straddling generations), which the
 // parallel-graph suite above cannot isolate.
 func TestReloadEquivalenceSequentialGraph(t *testing.T) {
 	trials := 3

@@ -95,6 +95,10 @@ type Packet struct {
 	// Nil marks a nil packet conveying a drop intention.
 	Nil bool
 
+	// Frame is the dataplane's join frame index of the packet (and of
+	// its copies), stamped at injection into a graph with joins.
+	Frame uint16
+
 	head uint32 // buf's offset in its slot: padding, so 152 B (TestPacketSize)
 }
 
@@ -234,6 +238,7 @@ func (p *Packet) copyInto(dst *Packet, n int) {
 	dst.Meta = p.Meta
 	dst.Ingress = p.Ingress
 	dst.Nil = p.Nil
+	dst.Frame = p.Frame
 	dst.layout, dst.fkey, dst.fkeyOK = p.layout, p.fkey, p.fkeyOK
 }
 

@@ -31,6 +31,17 @@ func TestTopKExactBelowCapacity(t *testing.T) {
 	if len(rep.Flows) != 4 {
 		t.Fatalf("want 4 flows, got %d", len(rep.Flows))
 	}
+	// Nothing was displaced: the report counts what it holds, not the
+	// capacity, and every count is exact, so the bound is 0 and every
+	// flow is certain.
+	if rep.Tracked != 4 || rep.K != 8 || rep.ErrorBound != 0 {
+		t.Fatalf("tracked %d of k=%d, error bound %d, want 4 of 8 and 0", rep.Tracked, rep.K, rep.ErrorBound)
+	}
+	for _, f := range rep.Flows {
+		if !f.Guaranteed {
+			t.Fatalf("exact count %d not marked guaranteed", f.Pkts)
+		}
+	}
 	if rep.Flows[0].Pkts != 4 || rep.Flows[0].OverPkts != 0 {
 		t.Fatalf("top flow: got pkts=%d over=%d, want exact 4/0", rep.Flows[0].Pkts, rep.Flows[0].OverPkts)
 	}
@@ -62,8 +73,13 @@ func TestTopKHeavyHitterSurvivesEviction(t *testing.T) {
 	}
 	rep := tk.Top(0)
 	bound := total / uint64(tk.K())
-	if rep.ErrorBound != bound {
-		t.Fatalf("error bound: got %d want %d", rep.ErrorBound, bound)
+	if rep.ErrorBound != bound || rep.Tracked != tk.K() {
+		t.Fatalf("error bound %d over %d tracked flows, want %d over %d", rep.ErrorBound, rep.Tracked, bound, tk.K())
+	}
+	tk.Reset()
+	tk.ObserveFlow(elephant, 1, 64)
+	if rep := tk.Top(0); rep.ErrorBound != 0 || rep.Tracked != 1 {
+		t.Fatalf("after Reset: error bound %d over %d tracked flows, want 0 over 1", rep.ErrorBound, rep.Tracked)
 	}
 	var found *FlowCount
 	for i := range rep.Flows {

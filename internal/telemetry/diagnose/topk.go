@@ -31,6 +31,9 @@ type TopK struct {
 	heap       ssHeap // min-heap by Pkts: the eviction candidate is O(1) away
 	totalPkts  uint64
 	totalBytes uint64
+	// displaced is set by the first eviction: until then every count is
+	// exact and the report's error bound is 0.
+	displaced bool
 }
 
 // ssEntry is one monitored flow.
@@ -91,6 +94,7 @@ func (t *TopK) ObserveFlow(k packet.FlowKey, pkts, bytes uint64) {
 	// counter in place (no allocation on the steady-state miss path),
 	// inheriting its count as error.
 	min := t.heap[0]
+	t.displaced = true
 	delete(t.entries, min.key)
 	min.key = k
 	min.overPkts, min.overBytes = min.pkts, min.bytes
@@ -112,8 +116,8 @@ type FlowCount struct {
 	OverPkts  uint64 `json:"max_overcount_pkts"`
 	OverBytes uint64 `json:"max_overcount_bytes"`
 	// Guaranteed marks entries whose lower bound (Pkts-OverPkts) still
-	// exceeds the sketch's global error bound N/k — certainly real heavy
-	// hitters, not eviction artifacts.
+	// exceeds the report's ErrorBound — certainly real heavy hitters,
+	// not eviction artifacts.
 	Guaranteed bool `json:"guaranteed"`
 
 	// Key is the structured 5-tuple (not serialized; Src/Dst carry it).
@@ -122,10 +126,14 @@ type FlowCount struct {
 
 // TopFlowsReport is the /debug/topflows document.
 type TopFlowsReport struct {
+	// K is the sketch's capacity; Tracked the flows it holds (at most K).
 	K          int    `json:"k"`
+	Tracked    int    `json:"tracked"`
 	TotalPkts  uint64 `json:"total_pkts"`
 	TotalBytes uint64 `json:"total_bytes"`
-	// ErrorBound is the sketch-wide worst-case overcount N/k.
+	// ErrorBound is the sketch-wide worst-case overcount N/k once a flow
+	// was ever displaced, and 0 before: below capacity every count is
+	// exact.
 	ErrorBound uint64      `json:"error_bound_pkts"`
 	Flows      []FlowCount `json:"flows"`
 }
@@ -135,8 +143,8 @@ type TopFlowsReport struct {
 // with the totals the error bound derives from.
 func (t *TopK) Top(n int) TopFlowsReport {
 	t.mu.Lock()
-	rep := TopFlowsReport{K: t.k, TotalPkts: t.totalPkts, TotalBytes: t.totalBytes}
-	if t.k > 0 {
+	rep := TopFlowsReport{K: t.k, Tracked: len(t.heap), TotalPkts: t.totalPkts, TotalBytes: t.totalBytes}
+	if t.displaced {
 		rep.ErrorBound = t.totalPkts / uint64(t.k)
 	}
 	// Value-copy under the lock: the entries behind the heap pointers
@@ -175,5 +183,6 @@ func (t *TopK) Reset() {
 	t.entries = make(map[packet.FlowKey]*ssEntry, t.k)
 	t.heap = t.heap[:0]
 	t.totalPkts, t.totalBytes = 0, 0
+	t.displaced = false
 	t.mu.Unlock()
 }

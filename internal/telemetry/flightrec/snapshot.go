@@ -249,7 +249,8 @@ func sanitizeReason(reason string) string {
 	return b.String()
 }
 
-// SpoolEntry is one spooled bundle, parsed from its filename.
+// SpoolEntry is one spooled bundle: file name, the timestamp in it, size,
+// and the reason the bundle itself records.
 type SpoolEntry struct {
 	File   string `json:"file"`
 	Reason string `json:"reason"`
@@ -284,6 +285,9 @@ func ListSpool(dir string) ([]SpoolEntry, error) {
 		if info, err := de.Info(); err == nil {
 			size = info.Size()
 		}
+		if r, ok := bundleReason(filepath.Join(dir, name)); ok {
+			reason = r
+		}
 		out = append(out, SpoolEntry{File: name, Reason: reason, TSNS: ts, Size: size})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -293,6 +297,26 @@ func ListSpool(dir string) ([]SpoolEntry, error) {
 		return out[i].File < out[j].File
 	})
 	return out, nil
+}
+
+// bundleReason reads a bundle's own reason: the file name holds only
+// its sanitised form (panic:monitor spools as ..._panic_monitor.json).
+// The reason is the bundle's second field, so five tokens reach it.
+func bundleReason(path string) (string, bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", false
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	var tok [5]json.Token // {, "schema", N, "reason", reason
+	for i := range tok {
+		if tok[i], err = dec.Token(); err != nil {
+			return "", false
+		}
+	}
+	reason, ok := tok[4].(string)
+	return reason, ok && tok[3] == "reason"
 }
 
 // ReadBundle loads and validates one spooled bundle.

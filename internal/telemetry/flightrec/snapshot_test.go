@@ -82,8 +82,10 @@ func TestSnapshotterWriteAndRead(t *testing.T) {
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("spool list: %v, %v", entries, err)
 	}
+	// The file name holds the sanitised reason; the listing shows the
+	// bundle's own.
 	e := entries[0]
-	if e.File != filepath.Base(path) || e.Reason != "panic_ids" || e.TSNS != b.TSNS || e.Size == 0 {
+	if e.File != filepath.Base(path) || e.Reason != "panic:ids" || e.TSNS != b.TSNS || e.Size == 0 {
 		t.Fatalf("spool entry: %+v", e)
 	}
 }

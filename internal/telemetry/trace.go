@@ -24,8 +24,8 @@ const (
 	// StageRingWait is the time a reference spent queued in an NF's
 	// receive ring (producer enqueue to consumer dequeue).
 	StageRingWait
-	// StageMergeWait is one branch tail waiting in the Accumulating
-	// Table (tail arrival to join completion).
+	// StageMergeWait is one branch tail waiting at its join (tail
+	// arrival to join completion).
 	StageMergeWait
 	// StageCopy is the materialization of a parallel-branch copy; its
 	// SrcVer names the version it forked from.
