@@ -3,8 +3,11 @@
 # Mirrors .github/workflows/ci.yml so the gate is reproducible locally.
 #
 #   ./ci.sh        — the blocking gate (build + vet + race tests, plus
-#                    staticcheck when it is on PATH). The race tests
-#                    include the new-flow storm against the per-flow
+#                    staticcheck when it is on PATH). Race builds keep
+#                    the packet pool's frame slab on the heap, so the
+#                    pool's own tests run once more without -race, on
+#                    the mapped slab every other build uses. The race
+#                    tests include the new-flow storm against the per-flow
 #                    state tables at a scaled-down ceiling (seconds);
 #                    the storm against the real 2^20 ceiling runs in a
 #                    plain `go test ./...` and is skipped under -race
@@ -34,9 +37,9 @@
 #                    FUZZ_TIME) on top of its checked-in seed corpus.
 #                    Targets: policy compile, copy-group share safety
 #                    (no compiled copy group holds a pair the compiler's
-#                    share test forbids), Accumulating Table, rule
-#                    index, flow table, signature matcher, the LPM
-#                    table (against a linear-scan longest match),
+#                    share test forbids), rule index, flow table,
+#                    signature matcher, the LPM table (against a
+#                    linear-scan longest match),
 #                    the VPN (Process then Decap restores the frame,
 #                    IPv4 options included; one flipped bit makes Decap
 #                    fail), the packet parser and header-only copy, the
@@ -355,4 +358,5 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
 go test -race ./...
+go test ./internal/mempool/
 go test -run '^$' -bench . -benchtime 1x ./internal/...

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"nfp/internal/graph"
+	"nfp/internal/nfa"
 	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 	"nfp/internal/telemetry/flightrec"
@@ -242,5 +244,57 @@ func raceJoin(t *testing.T, p *Plan, vers [2]uint8) {
 	}
 	if leak := s.Pool().InUse(); leak != 0 {
 		t.Errorf("pool leak: %d buffers", leak)
+	}
+}
+
+// TestMergeLatencySampledOnly: a join records nfp_merger_merge_latency_ns
+// for the packets the tracer samples and no others, as the end-to-end
+// latency is — none with sampling off, one per completed packet when
+// every packet is sampled.
+func TestMergeLatencySampledOnly(t *testing.T) {
+	const bursts, burst = 40, 16
+	for _, rate := range []int{0, 1} {
+		s := New(Config{PoolSize: 256, Burst: burst, TraceSampleRate: rate, TraceCapacity: 1 << 14})
+		g := graph.Par{
+			Branches: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFLB, 0)},
+			Groups:   [][]int{{0}, {1}},
+			FullCopy: []bool{false, false},
+			Ops:      carry(2),
+		}
+		if err := s.AddGraph(1, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		pkts := make([]*packet.Packet, burst)
+		for b := 0; b < bursts; b++ {
+			for i := range pkts {
+				pkts[i] = buildInto(t, s, shapeSpec(b*burst+i))
+			}
+			if n := s.InjectBatch(pkts); n != burst {
+				t.Fatalf("rate %d: %d of %d accepted", rate, n, burst)
+			}
+			for range pkts {
+				(<-s.Output()).Free()
+			}
+		}
+		s.Stop()
+		var samples uint64
+		for _, hs := range s.Telemetry().HistogramFamily("nfp_merger_merge_latency_ns") {
+			samples += hs.H.Snapshot().Count
+		}
+		st := s.Stats()
+		want := uint64(0)
+		if rate == 1 {
+			want = st.Outputs
+		}
+		if st.Outputs != bursts*burst || st.Drops != 0 || samples != want {
+			t.Errorf("rate %d: %d merge-latency samples over %d outputs and %d drops, want %d over %d and 0",
+				rate, samples, st.Outputs, st.Drops, want, bursts*burst)
+		}
+		if leak := s.Pool().InUse(); leak != 0 {
+			t.Errorf("rate %d: pool leak: %d buffers", rate, leak)
+		}
 	}
 }

@@ -191,7 +191,7 @@ func accept(jr *joinRT, spec *JoinSpec, k int, pkts []*packet.Packet, v verdict,
 }
 
 // finalize completes the packets one pass counted in: from each frame's
-// slots it records the merge latency, closes the merge-wait spans,
+// slots it records a sampled packet's merge latency and merge-wait spans,
 // reconciles drops and gathers the base, its verdict and the join's
 // other versions into out, and then readies the entry for the frame's
 // next packet.
@@ -212,14 +212,15 @@ func (sh *shard) finalize(pr *planRuntime, jr *joinRT, spec *JoinSpec, out *join
 		}
 		e.count.Store(0)
 		e.drop.Store(0)
-		jr.mergeLat.Record(now - first)
 
-		// Close every tail's merge-wait span against the one clock read:
-		// each branch's wait at the join is visible individually, and the
-		// shared end timestamp is where the surviving base chain resumes —
-		// so the base chain still tiles exactly (its own merge-wait ends
-		// where the merge span begins).
+		// A sampled packet records its merge latency, as it does its
+		// end-to-end latency, and closes every tail's merge-wait span
+		// against the one clock read: each branch's wait at the join is
+		// visible individually, and the shared end timestamp is where the
+		// surviving base chain resumes — so the base chain still tiles
+		// exactly (its own merge-wait ends where the merge span begins).
 		if tr != nil && tr.Sampled(jr.slots[f].pkt.Meta.PID) {
+			jr.mergeLat.Record(now - first)
 			for k := 0; k < spec.ExpectTails; k++ {
 				s := &jr.slots[k*bound+int(f)]
 				tr.RecordSpan(telemetry.TraceEvent{

@@ -120,7 +120,8 @@ type Config struct {
 	// of two; 1 observes every packet), is observed, and everything
 	// per-packet the dataplane can report covers exactly that set — the
 	// hop-by-hop spans (Tracer), end-to-end latency
-	// (nfp_e2e_latency_ns{mid}, ingress stamp to output delivery) and
+	// (nfp_e2e_latency_ns{mid}, ingress stamp to output delivery), the
+	// joins' merge latency (nfp_merger_merge_latency_ns) and
 	// FlowAccount. 0 observes nothing, at zero hot-path cost.
 	TraceSampleRate int
 	// TraceCapacity bounds the trace event ring (default 4096).

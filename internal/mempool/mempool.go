@@ -30,6 +30,9 @@ type Pool struct {
 	bufSize int
 	cap     int
 	reserve int
+	// slab is the frame memory the pool's buffers are slots of, shared
+	// with its partitions; holding it keeps the memory alive.
+	slab *slab
 
 	// parts, once set by Partition, makes this pool a facade: its own
 	// free list is empty and allocation delegates round-robin to the
@@ -62,21 +65,23 @@ const Headroom = 64
 
 // New creates a pool of n slots of bufSize bytes each (the headroom is
 // half a slot under 2×Headroom). The frame room should cover the MTU,
-// the VPN NF's AH header and its tag.
+// the VPN NF's AH header and its tag. The slots are one slab, reserved
+// here and never written here (newSlab): a frame's bytes stay valid
+// while its packet, this pool or one of its partitions is reachable.
 func New(n, bufSize int) *Pool {
 	if n <= 0 || bufSize <= 0 {
 		panic(fmt.Sprintf("mempool: invalid pool geometry n=%d bufSize=%d", n, bufSize))
 	}
 	p := &Pool{
-		bufSize: bufSize, cap: n, free: make([]*packet.Packet, 0, n),
+		bufSize: bufSize, cap: n, slab: newSlab(n*bufSize, mapAnon),
+		free:   make([]*packet.Packet, 0, n),
 		allocs: telemetry.NewCounter(), frees: telemetry.NewCounter(),
 		failures: telemetry.NewCounter(),
 		inUse:    telemetry.NewGauge(), inUseHW: telemetry.NewGauge(),
 	}
-	backing := make([]byte, n*bufSize) // one slab, like a hugepage region
 	for i := 0; i < n; i++ {
 		pkt := &packet.Packet{}
-		buf := backing[i*bufSize : (i+1)*bufSize : (i+1)*bufSize]
+		buf := p.slab.mem[i*bufSize : (i+1)*bufSize : (i+1)*bufSize]
 		pkt.Attach(buf, 0, p)
 		p.free = append(p.free, pkt)
 	}
@@ -117,7 +122,7 @@ func (p *Pool) Partition(k int) []*Pool {
 			panic(fmt.Sprintf("mempool: pool of %d cannot feed %d partitions", p.cap, k))
 		}
 		c := &Pool{
-			bufSize: p.bufSize, cap: share,
+			bufSize: p.bufSize, cap: share, slab: p.slab,
 			free:   make([]*packet.Packet, 0, share),
 			allocs: p.allocs, frees: p.frees,
 			failures: p.failures,

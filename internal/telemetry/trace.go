@@ -172,9 +172,9 @@ func mixPID(pid uint64) uint64 {
 }
 
 // Sampled reports whether pid's packet is observed. It is the
-// dataplane's one sampling decision: spans, end-to-end latency and flow
-// accounting all cover exactly the PIDs it selects. Safe on a nil
-// receiver (never sampled).
+// dataplane's one sampling decision: spans, end-to-end and merge
+// latency and flow accounting all cover exactly the PIDs it selects.
+// Safe on a nil receiver (never sampled).
 func (t *Tracer) Sampled(pid uint64) bool {
 	return t != nil && mixPID(pid)&t.mask == 0
 }
