@@ -14,8 +14,9 @@
 #                    and -short. Then every benchmark under internal/
 #                    runs once (-benchtime 1x, untimed): several carry
 #                    checks of their own — zero allocations per op or
-#                    burst, the shared FIB — that gate only when a
-#                    benchmark body runs.
+#                    burst, the shared FIB, BenchmarkServerSetup's
+#                    set-up allocations that do not grow with the
+#                    pool — that gate only when a benchmark body runs.
 #   ./ci.sh bench  — the repo benchmark (BENCHMARK.json): every
 #                    workload, end-to-end and per-layer metrics, through
 #                    `go run ./bench -seed 1`; the artifact is

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"net/netip"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"testing"
@@ -675,5 +676,43 @@ func TestLiveScaleOutWithStateMigration(t *testing.T) {
 	st, ok := monB.Flow(k)
 	if !ok || st.Packets < 40 {
 		t.Errorf("instance B flow counters = %+v (want ≥40: 25 migrated + 15 live)", st)
+	}
+}
+
+// BenchmarkServerSetup is the set-up of a server shaped like the repo
+// benchmark's fwd64 workload: New with a 4096-buffer pool, one
+// destination-port rule, AddGraph of five l3fwd, Start and Stop. It
+// reports allocs/op, and fails when a server at PoolSize 4096 allocates
+// more than one at 512: the pool's descriptors are one array, so no
+// part of a set-up allocates per buffer.
+func BenchmarkServerSetup(b *testing.B) {
+	var fwd graph.Seq
+	for i := range 5 {
+		fwd.Items = append(fwd.Items, nfn(nfa.NFL3Fwd, i))
+	}
+	setup := func(poolSize int) {
+		s := New(Config{PoolSize: poolSize})
+		s.Classifier().AddRule(Match{DstPort: 80}, 1)
+		if err := s.AddGraph(1, fwd); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Start(); err != nil {
+			b.Fatal(err)
+		}
+		s.Stop()
+	}
+	// A collection that lands inside a count adds a few objects of its
+	// own, and a bigger pool brings one on sooner: count with it off.
+	gc := debug.SetGCPercent(-1)
+	small := testing.AllocsPerRun(5, func() { setup(512) })
+	large := testing.AllocsPerRun(5, func() { setup(4096) })
+	debug.SetGCPercent(gc)
+	if large > small {
+		b.Fatalf("a server allocates %.0f objects at PoolSize 4096 and %.0f at 512, want no more", large, small)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		setup(4096)
 	}
 }

@@ -435,6 +435,18 @@ func TestPlanRuntimeLayout(t *testing.T) {
 	}
 }
 
+// TestNodeRTLayout pins a segment runtime in the 160-byte size class,
+// as TestPlanRuntimeLayout pins a plan runtime: every burst a segment
+// drains reads its header (ring, scratch slices, health), so a field
+// that takes it past 160 bytes moves it into the next class and its
+// neighbours on the heap with it. A ceiling, not a pad: padding it is
+// a measured change.
+func TestNodeRTLayout(t *testing.T) {
+	if got := unsafe.Sizeof(nodeRT{}); got > 160 {
+		t.Fatalf("unsafe.Sizeof(nodeRT{}) = %d, want at most 160", got)
+	}
+}
+
 // TestInjectOnePushPerMID: a burst whose packets alternate between two
 // graphs enters each graph's entry ring in one enqueue — every packet of
 // a MID carries the one clock read of its burst's classify span — in

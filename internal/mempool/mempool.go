@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"nfp/internal/packet"
 	"nfp/internal/telemetry"
@@ -68,24 +69,38 @@ const Headroom = 64
 // the VPN NF's AH header and its tag. The slots are one slab, reserved
 // here and never written here (newSlab): a frame's bytes stay valid
 // while its packet, this pool or one of its partitions is reachable.
+// The descriptors are one array, so New allocates the same handful of
+// objects whatever n is; a descriptor is an interior pointer into it,
+// and holding one keeps the array, its owner pool and the slab alive.
 func New(n, bufSize int) *Pool {
 	if n <= 0 || bufSize <= 0 {
 		panic(fmt.Sprintf("mempool: invalid pool geometry n=%d bufSize=%d", n, bufSize))
 	}
 	p := &Pool{
 		bufSize: bufSize, cap: n, slab: newSlab(n*bufSize, mapAnon),
-		free:   make([]*packet.Packet, 0, n),
+		free:   make([]*packet.Packet, n),
 		allocs: telemetry.NewCounter(), frees: telemetry.NewCounter(),
 		failures: telemetry.NewCounter(),
 		inUse:    telemetry.NewGauge(), inUseHW: telemetry.NewGauge(),
 	}
-	for i := 0; i < n; i++ {
-		pkt := &packet.Packet{}
+	descs := make([]desc, n)
+	for i := range descs {
 		buf := p.slab.mem[i*bufSize : (i+1)*bufSize : (i+1)*bufSize]
-		pkt.Attach(buf, 0, p)
-		p.free = append(p.free, pkt)
+		descs[i].Attach(buf, 0, p)
+		p.free[i] = &descs[i].Packet
 	}
 	return p
+}
+
+// desc is one element of a pool's descriptor array: a packet padded to
+// 160 bytes, the size class a lone packet.Packet is allocated in. At
+// that stride the descriptors sit on cache lines as they did when each
+// was an allocation of its own; at the bare 152-byte stride fwd64
+// forwarded less (DESIGN.md §16, "The frame slab"). The padding's
+// length stops the build if a packet outgrows the class.
+type desc struct {
+	packet.Packet
+	_ [160 - unsafe.Sizeof(packet.Packet{})]byte
 }
 
 // Partition splits a full (entirely free) pool into k child pools and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"sync"
 
 	"nfp/internal/nfa"
 	"nfp/internal/packet"
@@ -67,13 +68,30 @@ type Firewall struct {
 	dropped uint64
 }
 
+// acls holds the firewall of each rule count as built and never run:
+// its rules and their index are written once, on first use, and every
+// firewall, shard, restart and reload of that count reads them.
+var acls sync.Map // int -> *Firewall
+
 // NewFirewall builds a firewall with n synthetic deny rules over the
 // 172.16.0.0/12 space (so default generator traffic in 10/8 passes)
-// and a default-allow policy. All instances share the same seed.
+// and a default-allow policy. All instances share the same seed, and
+// all with the same n share one rule slice and its index (acls); the
+// pass/drop counters are per instance.
 func NewFirewall(n int) (*Firewall, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("firewall: negative rule count %d", n)
 	}
+	proto, ok := acls.Load(n)
+	if !ok {
+		proto, _ = acls.LoadOrStore(n, NewFirewallFromRules(syntheticACL(n), Allow))
+	}
+	fw := *proto.(*Firewall)
+	return &fw, nil
+}
+
+// syntheticACL is NewFirewall's n deny rules.
+func syntheticACL(n int) []ACLRule {
 	rules := make([]ACLRule, 0, n)
 	rng := rand.New(rand.NewSource(0xac1))
 	for i := 0; i < n; i++ {
@@ -86,10 +104,11 @@ func NewFirewall(n int) (*Firewall, error) {
 			Action: Deny,
 		})
 	}
-	return NewFirewallFromRules(rules, Allow), nil
+	return rules
 }
 
-// NewFirewallFromRules builds a firewall from an explicit ACL.
+// NewFirewallFromRules builds a firewall from an explicit ACL, with an
+// index of its own.
 func NewFirewallFromRules(rules []ACLRule, def ACLAction) *Firewall {
 	return &Firewall{
 		rules: rules,

@@ -2,6 +2,7 @@ package nf
 
 import (
 	"fmt"
+	"sync"
 
 	"nfp/internal/ahocorasick"
 	"nfp/internal/nfa"
@@ -58,22 +59,33 @@ type IDS struct {
 	scanned uint64
 }
 
+// automata holds the signature automaton of each signature count,
+// built on first use and never written again, so every IDS, shard,
+// restart and reload reads the same matcher.
+var automata sync.Map // int -> *ahocorasick.Matcher
+
 // NewIDS builds an IDS with n synthetic signatures. Signatures are
 // "SIG-%04d-ATTACK" strings; generator traffic never contains them, so
 // benchmarks measure pure scan cost, while tests inject hits
-// deliberately.
+// deliberately. All instances with the same n, inline or not, share one
+// automaton (automata); the alert log and counters are per instance.
 func NewIDS(n int, inline bool) (*IDS, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("ids: negative signature count %d", n)
 	}
-	sigs := make([][]byte, n)
-	for i := range sigs {
-		sigs[i] = []byte(fmt.Sprintf("SIG-%04d-ATTACK", i))
+	m, ok := automata.Load(n)
+	if !ok {
+		sigs := make([][]byte, n)
+		for i := range sigs {
+			sigs[i] = []byte(fmt.Sprintf("SIG-%04d-ATTACK", i))
+		}
+		m, _ = automata.LoadOrStore(n, ahocorasick.New(sigs))
 	}
-	return NewIDSFromSignatures(sigs, inline), nil
+	return &IDS{matcher: m.(*ahocorasick.Matcher), inline: inline}, nil
 }
 
-// NewIDSFromSignatures builds an IDS over explicit signatures.
+// NewIDSFromSignatures builds an IDS over explicit signatures, with an
+// automaton of its own.
 func NewIDSFromSignatures(sigs [][]byte, inline bool) *IDS {
 	return &IDS{matcher: ahocorasick.New(sigs), inline: inline}
 }

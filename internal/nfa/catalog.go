@@ -1,7 +1,9 @@
 package nfa
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"nfp/internal/packet"
 )
@@ -170,10 +172,11 @@ func EvalProfiles() map[string]Profile {
 	return m
 }
 
-// builtins returns every built-in profile by name — the evaluation
+// builtins is every built-in profile by name — the evaluation
 // profiles, then the rest of the Table 2 catalog — each carrying its
-// measured CostNS.
-func builtins() map[string]Profile {
+// measured CostNS. It is built once and never written: LookupProfile
+// hands out clones.
+var builtins = sync.OnceValue(func() map[string]Profile {
 	m := EvalProfiles()
 	for _, p := range DefaultCatalog() {
 		if _, ok := m[p.Name]; !ok {
@@ -185,12 +188,14 @@ func builtins() map[string]Profile {
 		m[name] = p
 	}
 	return m
-}
+})
 
 // LookupProfile finds a profile by NF name across the default catalog
-// and the evaluation profiles, carrying the NF's measured CostNS.
+// and the evaluation profiles, carrying the NF's measured CostNS. The
+// profile's Actions are the caller's own to change.
 func LookupProfile(name string) (Profile, bool) {
 	p, ok := builtins()[name]
+	p.Actions = slices.Clone(p.Actions)
 	return p, ok
 }
 

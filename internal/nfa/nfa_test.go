@@ -293,6 +293,24 @@ func TestCatalogIntegrity(t *testing.T) {
 	}
 }
 
+// TestLookupProfileReturnsACopy: the builtin catalog is built once, so
+// a caller that writes into or appends to a looked-up profile's Actions
+// must not change what the next lookup of that name returns.
+func TestLookupProfileReturnsACopy(t *testing.T) {
+	for _, name := range Names() {
+		want := slices.Clone(mustProfile(t, name).Actions)
+		p := mustProfile(t, name)
+		if len(p.Actions) > 0 {
+			p.Actions[0] = Write(packet.FieldTTL)
+			_ = append(p.Actions[:1], Drop(), Drop())
+		}
+		p.Actions = append(p.Actions, Drop())
+		if got := mustProfile(t, name).Actions; !slices.Equal(got, want) {
+			t.Errorf("%s: after the caller's edits a lookup returns %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestStringers(t *testing.T) {
 	if Drop().String() != "drop" {
 		t.Errorf("Drop String = %q", Drop().String())
