@@ -3,15 +3,18 @@
 # Mirrors .github/workflows/ci.yml so the gate is reproducible locally.
 #
 #   ./ci.sh        — the blocking gate (build + vet + race tests, plus
-#                    staticcheck when it is on PATH). Race builds keep
-#                    the packet pool's frame slab on the heap, so the
-#                    pool's own tests run once more without -race, on
-#                    the mapped slab every other build uses. The race
-#                    tests include the new-flow storm against the per-flow
-#                    state tables at a scaled-down ceiling (seconds);
-#                    the storm against the real 2^20 ceiling runs in a
-#                    plain `go test ./...` and is skipped under -race
-#                    and -short. Then every benchmark under internal/
+#                    staticcheck when it is on PATH). Race builds map
+#                    no memory: the packet pool's frame slab and the
+#                    per-flow tables' big slabs stay on the heap there.
+#                    So the packages that own or use the mappings —
+#                    internal/offheap, mempool, flowtab and nf — run
+#                    their tests once more without -race, on the
+#                    mappings every other build uses: the frame slab,
+#                    the flow tables' huge-page slabs, their unmapping,
+#                    and the new-flow storm against the real 2^20
+#                    ceiling with its resident-memory bound (the race
+#                    run takes the storm at a scaled-down ceiling, and
+#                    -short skips the full one). Then every benchmark under internal/
 #                    runs once (-benchtime 1x, untimed): several carry
 #                    checks of their own — zero allocations per op or
 #                    burst, the shared FIB, BenchmarkServerSetup's
@@ -359,5 +362,5 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
 go test -race ./...
-go test ./internal/mempool/
+go test ./internal/offheap/ ./internal/mempool/ ./internal/flowtab/ ./internal/nf/
 go test -run '^$' -bench . -benchtime 1x ./internal/...

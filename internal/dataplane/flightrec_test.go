@@ -266,9 +266,9 @@ func TestMetricLintClean(t *testing.T) {
 		}
 	}
 	// So do the rule-table gauges, with the classifier's counters, each
-	// join's table high-water mark, with the join, and the stage
-	// verdicts.
-	for _, name := range []string{"nfp_classifier_rules", "nfp_classifier_tuples", "nfp_classifier_cache_slots", "nfp_merger_at_high_water", "nfp_plan_stage_parallel"} {
+	// join's table high-water mark, with the join, the stage verdicts
+	// and the monitors' state gauges.
+	for _, name := range []string{"nfp_classifier_rules", "nfp_classifier_tuples", "nfp_classifier_cache_slots", "nfp_merger_at_high_water", "nfp_plan_stage_parallel", "nfp_nf_state_entries", "nfp_nf_state_bytes"} {
 		found := false
 		for _, g := range snap.Gauges {
 			found = found || g.Name == name

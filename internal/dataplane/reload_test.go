@@ -437,6 +437,71 @@ func TestReloadFailedBuildRegistersNoSeries(t *testing.T) {
 	}
 }
 
+// TestReloadRetiredStateGaugesReadZero reloads a monitor graph twice:
+// first onto another monitor, then onto a graph without one. The state
+// gauges describe the live instance only — after the first reload the
+// successor's, after the second none, so entries and bytes read 0 —
+// while the counters keep their final counts.
+func TestReloadRetiredStateGaugesReadZero(t *testing.T) {
+	monitor := graph.Seq{Items: []graph.Node{nfn(nfa.NFMonitor, 0), nfn(nfa.NFL3Fwd, 0)}}
+	s := New(Config{PoolSize: 256, Burst: 8})
+	if err := s.AddGraph(1, monitor); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	col := collectOutputs(s)
+	labels := []telemetry.Label{telemetry.L("nf", nfn(nfa.NFMonitor, 0).String()), telemetry.L("mid", "1")}
+	sent := 0
+	// wave sends one packet on each of flows flows and waits until the
+	// monitor has counted them all.
+	wave := func(flows int) {
+		for i := 0; i < flows; i++ {
+			if !s.Inject(buildInto(t, s, spec(byte(i), 4000, "gauges"))) {
+				t.Fatal("classification failed")
+			}
+		}
+		sent += flows
+		for deadline := time.Now().Add(10 * time.Second); s.Telemetry().Snapshot().CounterValue("nfp_nf_packets_in_total", labels...) != uint64(sent); {
+			if time.Now().After(deadline) {
+				t.Fatalf("the monitor never counted %d packets", sent)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	state := func() (entries, bytes int64) {
+		snap := s.Telemetry().Snapshot()
+		return snap.GaugeValue("nfp_nf_state_entries", labels...), snap.GaugeValue("nfp_nf_state_bytes", labels...)
+	}
+
+	wave(7)
+	if e, b := state(); e != 7 || b <= 0 {
+		t.Fatalf("generation 1 after 7 flows: entries %d, bytes %d", e, b)
+	}
+	if err := s.Reload(1, monitor); err != nil {
+		t.Fatal(err)
+	}
+	if e, b := state(); e != 0 || b <= 0 {
+		t.Fatalf("an empty successor monitor: entries %d, bytes %d, want 0 and its empty slab", e, b)
+	}
+	wave(3)
+	if e, _ := state(); e != 3 {
+		t.Fatalf("generation 2 after 3 flows: entries %d", e)
+	}
+	if err := s.Reload(1, graph.Seq{Items: []graph.Node{nfn(nfa.NFL3Fwd, 0)}}); err != nil {
+		t.Fatal(err)
+	}
+	if e, b := state(); e != 0 || b != 0 {
+		t.Fatalf("no monitor left: entries %d, bytes %d, want 0 and 0", e, b)
+	}
+	s.Stop()
+	col.wait()
+	if got := s.Telemetry().Snapshot().CounterValue("nfp_nf_packets_in_total", labels...); got != uint64(sent) {
+		t.Fatalf("the monitor's packet counter reads %d after it was retired, want its final %d", got, sent)
+	}
+}
+
 // TestChaosReloadStorm fires 10 back-to-back reloads under sustained
 // injection — the SIGHUP-storm scenario. Every swap must land
 // (generation 11), with conservation and zero leaks at the end.

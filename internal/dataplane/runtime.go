@@ -62,7 +62,7 @@ type stateReporter interface {
 // path's.
 type stateMetrics struct {
 	sn                   *segNF
-	entries              *telemetry.Gauge
+	entries, bytes       *telemetry.Gauge
 	evictions, refusals  *telemetry.Counter
 	seenEvict, seenRefus uint64
 }
@@ -75,6 +75,7 @@ func (m *stateMetrics) poll() {
 	}
 	st := r.StateStats()
 	m.entries.Set(int64(st.Entries))
+	m.bytes.Set(int64(st.Bytes))
 	if st.Evictions < m.seenEvict || st.Refusals < m.seenRefus {
 		m.seenEvict, m.seenRefus = 0, 0 // a fresh instance after a restart
 	}

@@ -704,6 +704,7 @@ func (s *Server) buildRuntime(sh *shard, plan *Plan, provide func(int, graph.NF)
 				stateful = append(stateful, &stateMetrics{
 					sn:        sn,
 					entries:   s.tel.Gauge("nfp_nf_state_entries", labels...),
+					bytes:     s.tel.Gauge("nfp_nf_state_bytes", labels...),
 					evictions: s.tel.Counter("nfp_nf_state_evictions_total", labels...),
 					refusals:  s.tel.Counter("nfp_nf_state_refusals_total", labels...),
 				})
@@ -1085,13 +1086,18 @@ func (s *Server) pollState() {
 
 // forgetState stops polling runtimes that are going away — retired, or
 // built for an install that failed — after one last reading, so their
-// series end on the final counts and their NF instances can be collected.
+// counters end on the final counts and their NF instances can be
+// collected. Their gauges then read 0: no instance holds that state any
+// more. A successor that continues the series publishes its own at the
+// next scrape, which polls before it reads.
 func (s *Server) forgetState(prs []*planRuntime) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	for _, pr := range prs {
 		for _, m := range s.stateful[pr] {
 			m.poll()
+			m.entries.Set(0)
+			m.bytes.Set(0)
 		}
 		delete(s.stateful, pr)
 	}

@@ -194,7 +194,7 @@ func TestTelemetryTraceHopOrder(t *testing.T) {
 }
 
 // TestStateSeriesPolledAtScrape: every table-backed NF — and only those
-// — gets the three nfp_nf_state_* series, a scrape reads them off the
+// — gets the four nfp_nf_state_* series, a scrape reads them off the
 // live instance, and scraping twice counts nothing twice.
 func TestStateSeriesPolledAtScrape(t *testing.T) {
 	res, err := core.Compile(policy.FromChain(nfa.NFFirewall, nfa.NFMonitor, nfa.NFNAT), nil, core.Options{})
@@ -218,12 +218,15 @@ func TestStateSeriesPolledAtScrape(t *testing.T) {
 			if got := snap.GaugeValue("nfp_nf_state_entries", labels...); got != flows {
 				t.Errorf("scrape %d: %s state entries = %d, want %d", scrape, name, got, flows)
 			}
+			if got := snap.GaugeValue("nfp_nf_state_bytes", labels...); got <= 0 {
+				t.Errorf("scrape %d: %s state bytes = %d, want its slab's size", scrape, name, got)
+			}
 			if ev, rf := snap.CounterValue("nfp_nf_state_evictions_total", labels...), snap.CounterValue("nfp_nf_state_refusals_total", labels...); ev != 0 || rf != 0 {
 				t.Errorf("scrape %d: %s evictions %d, refusals %d under the ceiling", scrape, name, ev, rf)
 			}
 		}
 		for _, g := range snap.Gauges {
-			if g.Name == "nfp_nf_state_entries" && g.Labels["nf"] == nfa.NFFirewall {
+			if (g.Name == "nfp_nf_state_entries" || g.Name == "nfp_nf_state_bytes") && g.Labels["nf"] == nfa.NFFirewall {
 				t.Error("the firewall keeps no flow table, yet reports one")
 			}
 		}
@@ -239,16 +242,17 @@ func TestStateSeriesPolledAtScrape(t *testing.T) {
 	m := &stateMetrics{
 		sn:        &slot,
 		entries:   reg.Gauge("nfp_nf_state_entries"),
+		bytes:     reg.Gauge("nfp_nf_state_bytes"),
 		evictions: reg.Counter("nfp_nf_state_evictions_total"),
 		refusals:  reg.Counter("nfp_nf_state_refusals_total"),
 	}
-	for _, st := range []flowtab.Stats{{Entries: 5, Evictions: 10, Refusals: 1}, {Entries: 5, Evictions: 10, Refusals: 4}, {Entries: 1, Evictions: 2}} {
+	for _, st := range []flowtab.Stats{{Entries: 5, Bytes: 96, Evictions: 10, Refusals: 1}, {Entries: 5, Bytes: 96, Evictions: 10, Refusals: 4}, {Entries: 1, Bytes: 32, Evictions: 2}} {
 		slot.instP.Store(&instBox{nf: statsOf(st)})
 		m.poll()
 	}
-	if m.entries.Value() != 1 || m.evictions.Value() != 12 || m.refusals.Value() != 4 {
-		t.Errorf("after 10, 10 and a restarted 2 evictions: entries %d, evictions %d, refusals %d",
-			m.entries.Value(), m.evictions.Value(), m.refusals.Value())
+	if m.entries.Value() != 1 || m.bytes.Value() != 32 || m.evictions.Value() != 12 || m.refusals.Value() != 4 {
+		t.Errorf("after 10, 10 and a restarted 2 evictions: entries %d, bytes %d, evictions %d, refusals %d",
+			m.entries.Value(), m.bytes.Value(), m.evictions.Value(), m.refusals.Value())
 	}
 }
 

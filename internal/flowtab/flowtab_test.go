@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"nfp/internal/packet"
 )
@@ -125,6 +126,7 @@ func (c *checker) check(op string) {
 		c.t.Fatalf("%s: %d flows over a ceiling of %d", op, c.tab.Len(), c.ceiling)
 	}
 	c.want.Entries = uint64(c.tab.Len())
+	c.want.Bytes = uint64(len(c.tab.slots)+len(c.tab.old)) * uint64(unsafe.Sizeof(c.tab.slots[0]))
 	if got := c.tab.Stats(); got != c.want {
 		c.t.Fatalf("%s: Stats %+v, want %+v", op, got, c.want)
 	}
@@ -154,16 +156,27 @@ func (c *checker) reconcile() {
 	}
 	c.pending = 0
 	// No probe may have to cross a hole: every flow sits in its own
-	// cluster, reachable from its home without meeting an empty slot.
-	mask := len(c.tab.slots) - 1
-	for i := range c.tab.slots {
-		s := &c.tab.slots[i]
+	// cluster, reachable from its home without meeting an empty slot —
+	// in the new slab, and in the part of the old one not yet copied.
+	checkPaths(c.t, c.tab.slots, c.tab.shift, 0, c.tab.hash)
+	if c.tab.old != nil {
+		checkPaths(c.t, c.tab.old, c.tab.shift+1, c.tab.moved, c.tab.hash)
+	}
+}
+
+// checkPaths fails if an entry of slab at or past from is cut off from
+// its home (the hash's top bits, shifted down by shift) by a hole.
+func checkPaths(t testing.TB, slab []slot[uint64], shift uint, from int, hash func(a, b uint64) uint64) {
+	t.Helper()
+	mask := len(slab) - 1
+	for i := from; i < len(slab); i++ {
+		s := &slab[i]
 		if s.b&slotUsed == 0 {
 			continue
 		}
-		for j := c.tab.home(s.a, s.b&keyMask); j != i; j = (j + 1) & mask {
-			if c.tab.slots[j].b&slotUsed == 0 {
-				c.t.Fatalf("reconcile: slot %d is cut off from its home by a hole at %d", i, j)
+		for j := int(hash(s.a, s.b&keyMask) >> shift); j != i; j = (j + 1) & mask {
+			if slab[j].b&slotUsed == 0 {
+				t.Fatalf("reconcile: slot %d of %d is cut off from its home by a hole at %d", i, len(slab), j)
 			}
 		}
 	}
@@ -314,7 +327,11 @@ func TestRangeStops(t *testing.T) {
 // FuzzFlowTable plays an arbitrary script against the map oracle on a
 // table small enough that every byte of input matters: each script byte
 // is one operation on one of 64 flows whose probes all start within
-// eight slots of the slab's end.
+// eight slots of the slab's end. Each script plays twice: on an empty
+// table, and on one that other flows have filled to within eight of its
+// first doubling, so that the script's new flows start the doubling and
+// the rest of it runs with the copy in flight (a delete or an eviction
+// ends the copy at once).
 func FuzzFlowTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 64, 65, 128, 129, 0, 1}, uint8(8), false)
 	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x80\x81\x82\x00\x01\x02"), uint8(4), true)
@@ -324,21 +341,140 @@ func FuzzFlowTable(f *testing.F) {
 		if refuse {
 			policy = Refuse
 		}
-		c := newChecker(t, int(ceiling), policy)
-		c.ceiling = c.tab.ceiling // New raises 0 to 1
-		c.tab.seed = 1            // the corpus names slots: keep them where it found them
-		keys := keysHomedAt(c.tab, len(c.tab.slots)-4, 8, 64)
-		for i, op := range script {
-			k := keys[op&63]
-			switch op >> 6 {
-			case 0, 1:
-				c.insert(k, uint64(i))
-			case 2:
-				c.delete(k)
-			default:
-				c.get(k)
+		play(t, script, int(ceiling), policy, 0)
+		play(t, script, int(ceiling), policy, minSlots/4*3-8)
+	})
+}
+
+// play runs one fuzz script after filling the table with prefill flows
+// of its own, which leaves room for ceiling more.
+func play(t *testing.T, script []byte, ceiling int, policy Policy, prefill int) {
+	c := newChecker(t, prefill+ceiling, policy)
+	c.ceiling = c.tab.ceiling // New raises 0 to 1
+	c.tab.seed = 1            // the corpus names slots: keep them where it found them
+	keys := keysHomedAt(c.tab, len(c.tab.slots)-4, 8, 64)
+	for i := 0; i < prefill; i++ { // below the ceiling: the oracle can just follow
+		k := testKey(1<<22 + i)
+		c.tab.Insert(k)
+		c.oracle[k] = 0
+	}
+	c.check("prefill")
+	for i, op := range script {
+		k := keys[op&63]
+		switch op >> 6 {
+		case 0, 1:
+			c.insert(k, uint64(i))
+		case 2:
+			c.delete(k)
+		default:
+			c.get(k)
+		}
+	}
+	c.reconcile()
+}
+
+// TestTableMatchesMapDuringGrowth is the property test with growth in
+// flight: almost no deletes, so that each doubling's copy spans
+// thousands of operations, lookups and inserts meet flows in both slabs
+// and stale copies in the old one, and the oracle reconciles against
+// both slabs half-way through every copy. A rare delete, or an eviction
+// at a ceiling the copy has not finished before, ends a copy early.
+func TestTableMatchesMapDuringGrowth(t *testing.T) {
+	for _, policy := range []Policy{Evict, Refuse} {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, ceiling := range []int{1_000, 5_000, 1 << 16} {
+				t.Run(fmt.Sprintf("policy%d/seed%d/ceiling%d", policy, seed, ceiling), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed))
+					c := newChecker(t, ceiling, policy)
+					midway := 0 // doublings reconciled half-way through their copy
+					for op, last := 0, 0; op < 3*ceiling; op++ {
+						k := testKey(rng.Intn(ceiling * 5 / 4))
+						switch r := rng.Intn(1000); {
+						case r < 600:
+							c.insert(k, rng.Uint64())
+						case r < 998:
+							c.get(k)
+						default:
+							c.delete(k)
+						}
+						if old := len(c.tab.old); old != last && c.tab.moved >= old/2 {
+							c.reconcile()
+							last = old
+							midway++
+						}
+					}
+					c.reconcile()
+					if midway == 0 {
+						t.Fatal("no doubling was reconciled with its copy in flight")
+					}
+				})
 			}
 		}
-		c.reconcile()
-	})
+	}
+}
+
+// TestInsertMovesAtMostStep counts, not times, what growth adds to one
+// call. A table with the real ceiling takes that many new flows and a
+// quarter more: no Insert copies more than moveStep old slots forward,
+// every doubling is over before the next starts, and the last before
+// the first eviction — which would otherwise finish it in one go.
+func TestInsertMovesAtMostStep(t *testing.T) {
+	tab := New[uint16](Ceiling, Evict)
+	growths, most := 0, 0
+	for i := 0; i < Ceiling+Ceiling/4; i++ {
+		old, moved := tab.old, tab.moved
+		tab.Insert(testKey(i))
+		n := 0
+		switch {
+		case old == nil && tab.old != nil:
+			growths++
+		case old != nil && len(tab.old) == len(old):
+			n = tab.moved - moved
+		case old != nil:
+			n = len(old) - moved // the copy ended here
+		}
+		if n > moveStep {
+			t.Fatalf("insert %d copied %d slots forward, want at most %d", i, n, moveStep)
+		}
+		most = max(most, n)
+	}
+	// 1 024 slots doubled to the 2 097 152 that hold the ceiling.
+	if st := tab.Stats(); growths != 11 || most != moveStep || tab.old != nil || st.Evictions != Ceiling/4 {
+		t.Fatalf("%d doublings, at most %d slots per insert, copy in flight %v, stats %+v", growths, most, tab.old != nil, st)
+	}
+}
+
+// TestNewRefusesPointers: a value the collector would have to trace
+// cannot go into a slab it may not scan.
+func TestNewRefusesPointers(t *testing.T) {
+	type counters struct {
+		n    [2]uint64
+		name [4]byte
+	}
+	type tagged struct {
+		n   uint64
+		tag [1]string
+	}
+	New[counters](1, Evict)
+	New[[0]*int](1, Evict) // holds nothing
+	for name, build := range map[string]func(){
+		"pointer": func() { New[*uint64](1, Evict) },
+		"string":  func() { New[tagged](1, Evict) },
+		"slice":   func() { New[[]byte](1, Evict) },
+		"map":     func() { New[struct{ m map[int]int }](1, Evict) },
+		"iface":   func() { New[any](1, Evict) },
+		"func":    func() { New[func()](1, Evict) },
+		"nested":  func() { New[[3]struct{ p *int }](1, Evict) },
+		"unsafe":  func() { New[unsafe.Pointer](1, Evict) },
+		"channel": func() { New[chan int](1, Evict) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New accepted a value type that holds pointers", name)
+				}
+			}()
+			build()
+		}()
+	}
 }

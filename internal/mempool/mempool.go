@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"nfp/internal/offheap"
 	"nfp/internal/packet"
 	"nfp/internal/telemetry"
 )
@@ -31,9 +32,13 @@ type Pool struct {
 	bufSize int
 	cap     int
 	reserve int
-	// slab is the frame memory the pool's buffers are slots of, shared
-	// with its partitions; holding it keeps the memory alive.
-	slab *slab
+	// frames is the mapping the pool's buffers are slots of (nil when
+	// they are heap), shared with its partitions: every pool over it
+	// holds the handle, and every packet its owner pool, so the
+	// handle's finalizer waits for all of them. It is the handle's, not
+	// a Pool's, because pool → free list → packet → owner → pool is a
+	// cycle.
+	frames *offheap.Slab
 
 	// parts, once set by Partition, makes this pool a facade: its own
 	// free list is empty and allocation delegates round-robin to the
@@ -67,7 +72,7 @@ const Headroom = 64
 // New creates a pool of n slots of bufSize bytes each (the headroom is
 // half a slot under 2×Headroom). The frame room should cover the MTU,
 // the VPN NF's AH header and its tag. The slots are one slab, reserved
-// here and never written here (newSlab): a frame's bytes stay valid
+// here and never written here (newFrames): a frame's bytes stay valid
 // while its packet, this pool or one of its partitions is reachable.
 // The descriptors are one array, so New allocates the same handful of
 // objects whatever n is; a descriptor is an interior pointer into it,
@@ -76,8 +81,9 @@ func New(n, bufSize int) *Pool {
 	if n <= 0 || bufSize <= 0 {
 		panic(fmt.Sprintf("mempool: invalid pool geometry n=%d bufSize=%d", n, bufSize))
 	}
+	mem, frames := newFrames(n*bufSize, offheap.Map)
 	p := &Pool{
-		bufSize: bufSize, cap: n, slab: newSlab(n*bufSize, mapAnon),
+		bufSize: bufSize, cap: n, frames: frames,
 		free:   make([]*packet.Packet, n),
 		allocs: telemetry.NewCounter(), frees: telemetry.NewCounter(),
 		failures: telemetry.NewCounter(),
@@ -85,11 +91,27 @@ func New(n, bufSize int) *Pool {
 	}
 	descs := make([]desc, n)
 	for i := range descs {
-		buf := p.slab.mem[i*bufSize : (i+1)*bufSize : (i+1)*bufSize]
+		buf := mem[i*bufSize : (i+1)*bufSize : (i+1)*bufSize]
 		descs[i].Attach(buf, 0, p)
 		p.free[i] = &descs[i].Packet
 	}
 	return p
+}
+
+// newFrames returns size bytes of zeroed frame memory and the mapping
+// that holds them, which mapAnon (offheap.Map) takes: the kernel
+// zero-fills it page by page on first touch, so neither this call nor
+// New writes a byte of it and a server pays only for the slots its
+// traffic touches (DPDK reserves its mbuf pool once, in hugepages). The
+// frames keep 4-KB pages: a 2-MB first-touch fault would land inside a
+// small server's set-up, and huge pages measured no gain here (DESIGN.md
+// §16, rejected item 13). Where nothing is mapped, the memory is one
+// heap slice and there is no handle.
+func newFrames(size int, mapAnon func(int, bool) *offheap.Slab) ([]byte, *offheap.Slab) {
+	if m := mapAnon(size, false); m != nil {
+		return m.Bytes(), m
+	}
+	return make([]byte, size), nil
 }
 
 // desc is one element of a pool's descriptor array: a packet padded to
@@ -137,7 +159,7 @@ func (p *Pool) Partition(k int) []*Pool {
 			panic(fmt.Sprintf("mempool: pool of %d cannot feed %d partitions", p.cap, k))
 		}
 		c := &Pool{
-			bufSize: p.bufSize, cap: share, slab: p.slab,
+			bufSize: p.bufSize, cap: share, frames: p.frames,
 			free:   make([]*packet.Packet, 0, share),
 			allocs: p.allocs, frees: p.frees,
 			failures: p.failures,

@@ -13,7 +13,7 @@ import (
 // TestSlabIsMapped: outside race builds a Linux pool's slab is an
 // anonymous mapping.
 func TestSlabIsMapped(t *testing.T) {
-	if !New(8, 2048).slab.mapped {
+	if New(8, 2048).frames == nil {
 		t.Fatal("pool slab is heap memory, want an anonymous mapping")
 	}
 }

@@ -1,11 +1,11 @@
 package mempool
 
 import (
-	"errors"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"nfp/internal/offheap"
 	"nfp/internal/packet"
 )
 
@@ -41,11 +41,11 @@ func TestPartitionsKeepTheSlab(t *testing.T) {
 // of the asked size, zeroed.
 func TestSlabFallsBackToHeap(t *testing.T) {
 	const size = 4 * 2048
-	s := newSlab(size, func(int) ([]byte, error) { return nil, errors.New("mmap: out of address space") })
-	if s.mapped || len(s.mem) != size {
-		t.Fatalf("failed mapping gave mapped=%v len=%d, want a %d-byte heap slab", s.mapped, len(s.mem), size)
+	mem, m := newFrames(size, func(int, bool) *offheap.Slab { return nil })
+	if m != nil || len(mem) != size {
+		t.Fatalf("failed mapping gave handle %v, len %d, want a %d-byte heap slab", m, len(mem), size)
 	}
-	for i, b := range s.mem {
+	for i, b := range mem {
 		if b != 0 {
 			t.Fatalf("heap slab byte %d = %#x, want 0", i, b)
 		}
